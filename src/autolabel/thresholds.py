@@ -130,36 +130,55 @@ def empirical_error(g, t, h, labeled: LabeledSet):
     return float(wrong[sel].sum() / m)
 
 
-def std_estimate(err_hat: float, m: int) -> float:
-    """Binomial standard error sqrt(p(1-p)/m) of an error estimate on m points."""
-    if m < 1:
+def std_estimate(err_hat, m):
+    """Binomial standard error sqrt(p(1-p)/m) of an error estimate on m points.
+
+    Takes scalars (returns a float) or arrays of matching shape (returns an
+    array), elementwise in float64.
+    """
+    err_hat = np.asarray(err_hat, dtype=np.float64)
+    m = np.asarray(m)
+    if np.any(m < 1):
         raise ValueError("need at least one selected point")
-    if not (0.0 <= err_hat <= 1.0):
+    if not np.all((0.0 <= err_hat) & (err_hat <= 1.0)):
         raise ValueError("err_hat must be in [0, 1]")
-    return float(np.sqrt(err_hat * (1.0 - err_hat) / m))
+    std = np.sqrt(err_hat * (1.0 - err_hat) / m)
+    return float(std) if std.ndim == 0 else std
 
 
 def select_class_threshold(top: np.ndarray, wrong: np.ndarray,
                            cfg: ThresholdConfig) -> float:
     """Smallest grid threshold for one class group, +inf when none qualifies.
 
-    A grid value t qualifies when (a) it selects at least rho0 of the group
-    and (b) the selected error plus c1 binomial-std safety stays within eps_a.
+    A grid value t selects the points with top >= t and qualifies when (a) it
+    selects at least rho0 of the group and (b) the selected error plus c1
+    binomial-std safety stays within eps_a. A NaN score is never selected but
+    still counts in the group size the coverage floor divides by.
+
+    All grid values are evaluated at once: the scores are sorted and each
+    grid value's selection is found by binary search, O(n log n + G) for n
+    points and G grid values.
     """
     n = top.shape[0]
     if n == 0:
         return np.inf
-    for t in cfg.grid:
-        sel = top >= t
-        m = int(sel.sum())
-        if m / n < cfg.rho0:
-            continue
-        if m == 0:
-            continue
-        err = float(wrong[sel].sum() / m)
-        if err + cfg.c1 * std_estimate(err, m) <= cfg.eps_a:
-            return float(t)
-    return np.inf
+    top = np.asarray(top, dtype=np.float64)
+    keep = ~np.isnan(top)
+    order = np.argsort(top[keep], kind="stable")
+    sorted_top = top[keep][order]
+    wrong_below = np.concatenate(
+        ([0], np.cumsum(wrong[keep][order], dtype=np.int64)))
+    # grid value t selects sorted_top[first:], the points with top >= t
+    first = np.searchsorted(sorted_top, cfg.grid, side="left")
+    m = sorted_top.shape[0] - first
+    w = wrong_below[-1] - wrong_below[first]
+    ok = m / n >= cfg.rho0  # rho0 > 0, so every ok entry selects a point
+    m_ok = m[ok]
+    err = w[ok] / m_ok
+    passes = err + cfg.c1 * std_estimate(err, m_ok) <= cfg.eps_a
+    if not passes.any():
+        return np.inf
+    return float(cfg.grid[ok][np.argmax(passes)])
 
 
 def estimate_thresholds(g, h, d_th: LabeledSet,

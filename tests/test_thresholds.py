@@ -141,6 +141,15 @@ def test_std_estimate_closed_forms():
         al.std_estimate(0.5, 0)
     with pytest.raises(ValueError):
         al.std_estimate(1.5, 10)
+    errs, ms = np.array([0.0, 0.5, 0.2]), np.array([10, 25, 100])
+    stds = al.std_estimate(errs, ms)
+    assert isinstance(stds, np.ndarray)
+    assert stds == pytest.approx([0.0, 0.1, 0.04])
+    assert list(stds) == [al.std_estimate(e, m) for e, m in zip(errs, ms)]
+    with pytest.raises(ValueError):
+        al.std_estimate(np.array([0.5, 0.5]), np.array([3, 0]))
+    with pytest.raises(ValueError):
+        al.std_estimate(np.array([0.5, -0.1]), np.array([3, 3]))
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +236,65 @@ def test_selection_matches_scan_oracle_on_random_instances():
         got = select_class_threshold(top, wrong, cfg)
         want = scan_oracle(list(top), list(wrong), list(grid), rho0, c1, eps_a)
         assert got == want or (np.isinf(got) and np.isinf(want))
+
+
+def test_selection_matches_scan_oracle_on_ties_float32_nan_and_dense_grids():
+    # grid-aligned scores make ties between scores and grid values common,
+    # so selecting "top > t" instead of "top >= t" would show
+    rng = np.random.default_rng(2024)
+    ties = 0
+    for i in range(2000):
+        kind = i % 4
+        n = int(rng.integers(0, 61))
+        top = rng.uniform(0, 1, size=n)
+        if kind == 0:
+            step = float(rng.choice([0.05, 0.1]))
+            top = np.round(top / step) * step
+            grid = np.linspace(0, 1, int(round(1 / step)) + 1)
+        else:
+            grid = np.unique(rng.uniform(0, 1, size=int(rng.integers(1, 21))))
+        if kind == 1:
+            top = top.astype(np.float32)
+        elif kind == 2:
+            top[rng.uniform(size=n) < rng.uniform(0, 0.5)] = np.nan
+        ties += bool(np.isin(top, grid).any())
+        wrong = rng.uniform(size=n) < rng.uniform(0, 0.6)
+        rho0 = float(rng.uniform(0.01, 0.8))
+        c1 = float(rng.choice([0.0, 0.25, 1.0]))
+        eps_a = float(rng.uniform(0, 0.4))
+        cfg = al.ThresholdConfig(grid=grid, rho0=rho0, c1=c1, eps_a=eps_a)
+        got = select_class_threshold(top, wrong, cfg)
+        want = scan_oracle(top.tolist(), wrong.tolist(), grid.tolist(),
+                           rho0, c1, eps_a)
+        assert got == want or (np.isinf(got) and np.isinf(want))
+    assert ties >= 400
+    dense = np.linspace(0, 1, 20001)
+    for n in (300, 900, 2000):
+        top = dense[np.round(rng.beta(5, 1, size=n) * 20000).astype(int)]
+        wrong = rng.uniform(size=n) < 0.6 * (1 - top)
+        cfg = al.ThresholdConfig(grid=dense, rho0=0.05, c1=0.25, eps_a=0.05)
+        got = select_class_threshold(top, wrong, cfg)
+        want = scan_oracle(top.tolist(), wrong.tolist(), dense.tolist(),
+                           0.05, 0.25, 0.05)
+        assert got == want
+
+
+def test_selection_never_selects_nan_but_counts_it_in_the_group():
+    grid = np.array([0.1, 0.5])
+    # the NaN point is wrong; selecting it would break eps_a at every t
+    top = np.array([0.9, np.nan])
+    wrong = np.array([False, True])
+    cfg = al.ThresholdConfig(grid=grid, rho0=0.5, c1=0.0, eps_a=0.05)
+    assert select_class_threshold(top, wrong, cfg) == 0.1
+    # two real points of four reach coverage 0.5, not 2/2, under the floor
+    top = np.array([0.9, 0.8, np.nan, np.nan])
+    wrong = np.zeros(4, dtype=bool)
+    cfg = al.ThresholdConfig(grid=grid, rho0=0.6, c1=0.0, eps_a=0.05)
+    assert np.isinf(select_class_threshold(top, wrong, cfg))
+    cfg = al.ThresholdConfig(grid=grid, rho0=0.5, c1=0.0, eps_a=0.05)
+    assert select_class_threshold(top, wrong, cfg) == 0.1
+    all_nan = np.full(3, np.nan)
+    assert np.isinf(select_class_threshold(all_nan, wrong[:3], cfg))
 
 
 def test_returned_thresholds_are_safe_on_their_groups():
