@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LabeledSet
-from .mlp import MlpClassifier, softmax
+from .mlp import MlpClassifier, _flat_views, softmax
 from .rng import stream
 from .thresholds import predicted_scores, _per_point_thresholds
 
@@ -118,29 +118,35 @@ def fit_temperature(h: MlpClassifier, d_cal: LabeledSet, lr: float = 0.01,
     """Fit T by full-batch gradient descent on log T minimizing mean NLL.
 
     The best iterate (lowest NLL, including the T=1 start) is returned, so the
-    fit can never be worse than no scaling on the calibration data.
+    fit can never be worse than no scaling on the calibration data. Each step
+    exponentiates the scaled logits once: the NLL at a temperature and the
+    softmax for the next gradient share ``exp(shifted)`` and its row sums.
     """
     if len(d_cal) == 0:
         raise ValueError("empty calibration set")
     logits = np.asarray(h.logits(d_cal.features), dtype=np.float64)
-    y = d_cal.labels
-    rows = np.arange(len(d_cal))
+    label_logits = logits[np.arange(len(d_cal)), d_cal.labels]
+    row_max = logits.max(axis=1)
 
-    def nll(theta: float) -> float:
-        z = logits * np.exp(-theta)
-        shifted = z - z.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=1))
-        return float(np.mean(lse - shifted[rows, y]))
+    def nll_and_softmax(theta: float):
+        """(1/T, mean NLL, softmax rows) at log T = theta."""
+        c = np.exp(-theta)
+        # max(c * z) == c * max(z) exactly for c > 0: rounding is monotone
+        z_max = c * row_max
+        shifted = logits * c - z_max[:, None]
+        e = np.exp(shifted)
+        total = e.sum(axis=1)
+        nll = float(np.mean(np.log(total) - (label_logits * c - z_max)))
+        return c, nll, e / total[:, None]
 
     theta = 0.0
-    best_theta, best_nll = theta, nll(theta)
+    c, best_nll, q = nll_and_softmax(theta)
+    best_theta = theta
     for _ in range(epochs):
-        c = np.exp(-theta)
-        q = softmax(logits * c)
         # d(mean nll)/d(log T) = mean c*(z_y - E_q[z])
-        grad = float(np.mean(c * (logits[rows, y] - (q * logits).sum(axis=1))))
+        grad = float(np.mean(c * (label_logits - (q * logits).sum(axis=1))))
         theta -= lr * grad
-        cur = nll(theta)
+        c, cur, q = nll_and_softmax(theta)
         if cur < best_nll:
             best_nll, best_theta = cur, theta
     return TemperatureConfidence(h, float(np.exp(best_theta)))
@@ -384,13 +390,15 @@ def fit_confidence_net(h: MlpClassifier, d_cal: LabeledSet,
     Z = np.asarray(net_input(h, d_cal.features), dtype=np.float32)
     preds = h.predict(d_cal.features)
     wrong = (preds != d_cal.labels)
-    params = init_confidence_net_params(k, h.penultimate_dim, cfg.seed)
-    mom = ConfidenceNetParams(np.zeros_like(params.W1),
-                              np.zeros_like(params.W2),
-                              np.zeros_like(params.t_raw))
-    sec = ConfidenceNetParams(np.zeros_like(params.W1),
-                              np.zeros_like(params.W2),
-                              np.zeros_like(params.t_raw))
+    init = init_confidence_net_params(k, h.penultimate_dim, cfg.seed)
+    # Adam steps once over the flat W1|W2|t_raw buffer; decay hits W1|W2 only
+    theta = np.concatenate([init.W1.ravel(), init.W2.ravel(), init.t_raw])
+    params = ConfidenceNetParams(*_flat_views(
+        theta, (init.W1.shape, init.W2.shape, init.t_raw.shape)))
+    weights = theta[:init.W1.size + init.W2.size]
+    grad = np.empty_like(theta)
+    mom = np.zeros_like(theta)
+    sec = np.zeros_like(theta)
     b1, b2, adam_eps = 0.9, 0.999, 1e-8
     lr = np.float32(cfg.learning_rate)
     wd = np.float32(cfg.weight_decay)
@@ -402,23 +410,19 @@ def fit_confidence_net(h: MlpClassifier, d_cal: LabeledSet,
             batch = order[lo:lo + cfg.batch_size]
             _, g = objective_grad(params, Z[batch], preds[batch], wrong[batch],
                                   cfg.lam, cfg.alpha, cfg.denom_epsilon)
+            np.concatenate([g.W1.ravel(), g.W2.ravel(), g.t_raw], out=grad)
             step += 1
             c1 = np.float32(1.0 - b1 ** step)
             c2 = np.float32(1.0 - b2 ** step)
-            for name in ("W1", "W2", "t_raw"):
-                p = getattr(params, name)
-                gr = getattr(g, name)
-                mo = getattr(mom, name)
-                se = getattr(sec, name)
-                mo *= np.float32(b1)
-                mo += np.float32(1 - b1) * gr
-                se *= np.float32(b2)
-                se += np.float32(1 - b2) * gr * gr
-                p -= lr * (mo / c1) / (np.sqrt(se / c2) + np.float32(adam_eps))
-                if name != "t_raw" and wd > 0:
-                    p -= lr * wd * p
-    model = ConfidenceNet(h, params)
-    return model, np.asarray(sigmoid(1.0, params.t_raw), dtype=np.float64)
+            mom *= np.float32(b1)
+            mom += np.float32(1 - b1) * grad
+            sec *= np.float32(b2)
+            sec += np.float32(1 - b2) * grad * grad
+            theta -= lr * (mom / c1) / (np.sqrt(sec / c2) + np.float32(adam_eps))
+            if wd > 0:
+                weights -= lr * wd * weights
+    model = ConfidenceNet(h, params.copy())
+    return model, np.asarray(sigmoid(1.0, model.params.t_raw), dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

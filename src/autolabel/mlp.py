@@ -186,24 +186,17 @@ def _check_label(logits: np.ndarray, y: int) -> None:
         raise ValueError(f"label {y} out of range for k={logits.shape[-1]}")
 
 
-def _batch_loss_and_dlogits(logits: np.ndarray, labels: np.ndarray, kind: str):
-    """Mean loss over the batch and d(mean loss)/dlogits."""
+def _batch_dlogits(logits: np.ndarray, labels: np.ndarray, kind: str):
+    """d(mean batch loss)/dlogits; ``batch_loss`` gives the loss itself."""
     m, k = logits.shape
     rows = np.arange(m)
-    logp = _log_softmax(logits)
-    ce = -logp[rows, labels]
-    p = np.exp(logp)
-    d = p.copy()
+    d = np.exp(_log_softmax(logits))
     d[rows, labels] -= 1.0
     if kind == "squentropy":
-        sq = (np.sum(logits ** 2, axis=1) - logits[rows, labels] ** 2) / (k - 1)
         extra = (2.0 / (k - 1)) * logits
         extra[rows, labels] = 0.0
-        loss = float(np.mean(ce + sq))
         d = d + np.asarray(extra, dtype=d.dtype)
-    else:
-        loss = float(np.mean(ce))
-    return loss, d / np.asarray(m, dtype=d.dtype)
+    return d / np.asarray(m, dtype=d.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +218,16 @@ def init_mlp(dims, seed: int) -> MlpClassifier:
     return MlpClassifier(weights, biases)
 
 
+def _flat_views(buf: np.ndarray, shapes) -> "list[np.ndarray]":
+    """Consecutive views of the 1-D buffer ``buf``, one per shape, in order."""
+    views, lo = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(buf[lo:lo + size].reshape(shape))
+        lo += size
+    return views
+
+
 def train_model(config: TrainConfig, train_set: LabeledSet, dims) -> MlpClassifier:
     """Mini-batch SGD with momentum and decoupled weight decay.
 
@@ -238,7 +241,10 @@ def train_model(config: TrainConfig, train_set: LabeledSet, dims) -> MlpClassifi
         w   <- w - lr * v - lr * weight_decay * w
 
     so weight_decay=0 is exactly plain SGD with momentum, and the decay is
-    never folded into the gradient (decoupled).
+    never folded into the gradient (decoupled). Weights, biases, velocities
+    and gradients each live in one flat float32 buffer, so a step is a few
+    whole-buffer operations; each element sees the same float32 operations
+    in the same order as a per-layer update, so the result is bit-identical.
     """
     if len(train_set) < 1:
         raise ValueError("empty training set")
@@ -252,47 +258,61 @@ def train_model(config: TrainConfig, train_set: LabeledSet, dims) -> MlpClassifi
             f"arch output dim {dims[-1]} != num_classes "
             f"{train_set.dataset.num_classes}"
         )
-    model = init_mlp(dims, config.seed)
+    init = init_mlp(dims, config.seed)
+    tensors = [a for pair in zip(init.weights, init.biases) for a in pair]
+    shapes = [a.shape for a in tensors]
+    params = np.concatenate([a.ravel() for a in tensors])
+    grad = np.empty_like(params)
+    vel = np.zeros_like(params)
+    step = np.empty_like(params)
+    layers = _flat_views(params, shapes)
+    model = MlpClassifier(layers[0::2], layers[1::2])
+    grad_views = _flat_views(grad, shapes)
+    grads = (grad_views[0::2], grad_views[1::2])
     X = np.ascontiguousarray(train_set.features, dtype=np.float32)
     y = train_set.labels
     m = X.shape[0]
     lr = np.float32(config.learning_rate)
     mu = np.float32(config.momentum)
-    wd = np.float32(config.weight_decay)
-    vel_w = [np.zeros_like(w) for w in model.weights]
-    vel_b = [np.zeros_like(b) for b in model.biases]
+    lr_wd = lr * np.float32(config.weight_decay)
     for epoch in range(config.max_epochs):
         order = stream(config.seed, "shuffle", epoch).permutation(m)
         for lo in range(0, m, config.batch_size):
             batch = order[lo:lo + config.batch_size]
-            grads_w, grads_b = _backprop(model, X[batch], y[batch], config.loss)
-            for i in range(len(model.weights)):
-                vel_w[i] = mu * vel_w[i] + grads_w[i]
-                vel_b[i] = mu * vel_b[i] + grads_b[i]
-                model.weights[i] -= lr * vel_w[i] + lr * wd * model.weights[i]
-                model.biases[i] -= lr * vel_b[i] + lr * wd * model.biases[i]
-    return model
+            _backprop(model, X[batch], y[batch], config.loss, out=grads)
+            vel *= mu
+            vel += grad
+            np.multiply(lr_wd, params, out=step)
+            step += lr * vel
+            params -= step
+    return MlpClassifier([w.copy() for w in model.weights],
+                         [b.copy() for b in model.biases])
 
 
-def _backprop(model: MlpClassifier, Xb: np.ndarray, yb: np.ndarray, kind: str):
-    """Gradients of the mean batch loss w.r.t. every weight and bias."""
+def _backprop(model: MlpClassifier, Xb: np.ndarray, yb: np.ndarray, kind: str,
+              out=None):
+    """Gradients of the mean batch loss w.r.t. every weight and bias.
+
+    Returns (grads_w, grads_b), written into ``out`` when given (two lists of
+    arrays shaped like the model's weights and biases) and into new arrays
+    otherwise.
+    """
+    if out is None:
+        out = ([np.empty_like(w) for w in model.weights],
+               [np.empty_like(b) for b in model.biases])
+    grads_w, grads_b = out
     acts = [Xb]
     A = Xb
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         A = np.tanh(A @ w + b)
         acts.append(A)
     logits = A @ model.weights[-1] + model.biases[-1]
-    _, dlogits = _batch_loss_and_dlogits(logits, yb, kind)
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
-    grads_w[-1] = acts[-1].T @ dlogits
-    grads_b[-1] = dlogits.sum(axis=0)
-    dA = dlogits @ model.weights[-1].T
-    for l in range(len(model.weights) - 2, -1, -1):
-        dZ = dA * (1.0 - acts[l + 1] ** 2)
-        grads_w[l] = acts[l].T @ dZ
-        grads_b[l] = dZ.sum(axis=0)
-        dA = dZ @ model.weights[l].T
+    dZ = _batch_dlogits(logits, yb, kind)
+    for l in range(len(model.weights) - 1, -1, -1):
+        np.matmul(acts[l].T, dZ, out=grads_w[l])
+        np.sum(dZ, axis=0, out=grads_b[l])
+        if l:  # the input's gradient is never needed
+            dZ = (dZ @ model.weights[l].T) * (1.0 - acts[l] ** 2)
     return grads_w, grads_b
 
 
@@ -300,8 +320,14 @@ def batch_loss(model: MlpClassifier, X: np.ndarray, y: np.ndarray,
                kind: str = "vanilla") -> float:
     """Mean loss of the model on (X, y); used by tests and sanity checks."""
     logits = model.logits(np.asarray(X, dtype=model.weights[0].dtype))
-    loss, _ = _batch_loss_and_dlogits(logits, np.asarray(y), kind)
-    return loss
+    y = np.asarray(y)
+    m, k = logits.shape
+    rows = np.arange(m)
+    ce = -_log_softmax(logits)[rows, y]
+    if kind == "squentropy":
+        sq = (np.sum(logits ** 2, axis=1) - logits[rows, y] ** 2) / (k - 1)
+        return float(np.mean(ce + sq))
+    return float(np.mean(ce))
 
 
 # ---------------------------------------------------------------------------

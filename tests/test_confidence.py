@@ -1,4 +1,5 @@
 import csv
+import itertools
 
 import numpy as np
 import pytest
@@ -384,6 +385,15 @@ def test_fit_confidence_net_deterministic():
     assert np.array_equal(n1.params.W2, n2.params.W2)
     assert np.array_equal(n1.params.t_raw, n2.params.t_raw)
     assert np.array_equal(t1, t2)
+    # the fitted net owns its arrays; none is a view of the optimizer buffer
+    p = 2 + 8
+    params = [n1.params.W1, n1.params.W2, n1.params.t_raw]
+    for a, shape in zip(params, [(p, 2 * p), (2 * p, 2), (2,)]):
+        assert a.shape == shape and a.dtype == np.float32
+        assert a.flags.c_contiguous and a.flags.owndata
+    others = [n2.params.W1, n2.params.W2, n2.params.t_raw, t1, t2]
+    for a, b in itertools.combinations(params + others, 2):
+        assert not np.shares_memory(a, b)
 
 
 def test_fit_confidence_net_beats_softmax_sweep_on_overlap():

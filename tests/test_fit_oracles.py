@@ -1,0 +1,247 @@
+"""Bit-equivalence oracles for the three iterative fits.
+
+Training steps over flat parameter buffers and the temperature fit shares one
+exponentiation per step, but each float operation runs in the same order as
+in the straightforward loops below, so every fitted parameter must be equal
+bit for bit, not merely close. The loops are frozen reference copies; they
+are not the library's code and must not be "fixed" to match it.
+"""
+
+import itertools
+
+import numpy as np
+
+import autolabel as al
+from autolabel.confidence import (
+    ConfidenceNetConfig,
+    ConfidenceNetParams,
+    fit_confidence_net,
+    fit_temperature,
+    init_confidence_net_params,
+    net_input,
+    objective_grad,
+    sigmoid,
+)
+from autolabel.mlp import init_mlp
+from autolabel.rng import stream
+
+from conftest import label_everything
+
+CLASS_COUNTS = (2, 4, 10, 13)
+
+
+# ---------------------------------------------------------------------------
+# frozen reference loops
+
+
+def ref_softmax(z):
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def ref_log_softmax(logits):
+    z = np.asarray(logits)
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def ref_fit_temperature(h, d_cal, lr=0.01, epochs=500):
+    logits = np.asarray(h.logits(d_cal.features), dtype=np.float64)
+    y = d_cal.labels
+    rows = np.arange(len(d_cal))
+
+    def nll(theta):
+        z = logits * np.exp(-theta)
+        shifted = z - z.max(axis=1, keepdims=True)
+        lse = np.log(np.exp(shifted).sum(axis=1))
+        return float(np.mean(lse - shifted[rows, y]))
+
+    theta = 0.0
+    best_theta, best_nll = theta, nll(theta)
+    for _ in range(epochs):
+        c = np.exp(-theta)
+        q = ref_softmax(logits * c)
+        grad = float(np.mean(c * (logits[rows, y] - (q * logits).sum(axis=1))))
+        theta -= lr * grad
+        cur = nll(theta)
+        if cur < best_nll:
+            best_nll, best_theta = cur, theta
+    return float(np.exp(best_theta))
+
+
+def ref_batch_loss_and_dlogits(logits, labels, kind):
+    m, k = logits.shape
+    rows = np.arange(m)
+    logp = ref_log_softmax(logits)
+    ce = -logp[rows, labels]
+    p = np.exp(logp)
+    d = p.copy()
+    d[rows, labels] -= 1.0
+    if kind == "squentropy":
+        sq = (np.sum(logits ** 2, axis=1) - logits[rows, labels] ** 2) / (k - 1)
+        extra = (2.0 / (k - 1)) * logits
+        extra[rows, labels] = 0.0
+        loss = float(np.mean(ce + sq))
+        d = d + np.asarray(extra, dtype=d.dtype)
+    else:
+        loss = float(np.mean(ce))
+    return loss, d / np.asarray(m, dtype=d.dtype)
+
+
+def ref_backprop(model, Xb, yb, kind):
+    acts = [Xb]
+    A = Xb
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        A = np.tanh(A @ w + b)
+        acts.append(A)
+    logits = A @ model.weights[-1] + model.biases[-1]
+    _, dlogits = ref_batch_loss_and_dlogits(logits, yb, kind)
+    grads_w = [None] * len(model.weights)
+    grads_b = [None] * len(model.biases)
+    grads_w[-1] = acts[-1].T @ dlogits
+    grads_b[-1] = dlogits.sum(axis=0)
+    dA = dlogits @ model.weights[-1].T
+    for l in range(len(model.weights) - 2, -1, -1):
+        dZ = dA * (1.0 - acts[l + 1] ** 2)
+        grads_w[l] = acts[l].T @ dZ
+        grads_b[l] = dZ.sum(axis=0)
+        dA = dZ @ model.weights[l].T
+    return grads_w, grads_b
+
+
+def ref_train_model(config, train_set, dims):
+    model = init_mlp(dims, config.seed)
+    X = np.ascontiguousarray(train_set.features, dtype=np.float32)
+    y = train_set.labels
+    m = X.shape[0]
+    lr = np.float32(config.learning_rate)
+    mu = np.float32(config.momentum)
+    wd = np.float32(config.weight_decay)
+    vel_w = [np.zeros_like(w) for w in model.weights]
+    vel_b = [np.zeros_like(b) for b in model.biases]
+    for epoch in range(config.max_epochs):
+        order = stream(config.seed, "shuffle", epoch).permutation(m)
+        for lo in range(0, m, config.batch_size):
+            batch = order[lo:lo + config.batch_size]
+            grads_w, grads_b = ref_backprop(model, X[batch], y[batch],
+                                            config.loss)
+            for i in range(len(model.weights)):
+                vel_w[i] = mu * vel_w[i] + grads_w[i]
+                vel_b[i] = mu * vel_b[i] + grads_b[i]
+                model.weights[i] -= lr * vel_w[i] + lr * wd * model.weights[i]
+                model.biases[i] -= lr * vel_b[i] + lr * wd * model.biases[i]
+    return model
+
+
+def ref_fit_confidence_net(h, d_cal, cfg):
+    k = h.num_classes
+    Z = np.asarray(net_input(h, d_cal.features), dtype=np.float32)
+    preds = h.predict(d_cal.features)
+    wrong = (preds != d_cal.labels)
+    params = init_confidence_net_params(k, h.penultimate_dim, cfg.seed)
+    mom = ConfidenceNetParams(np.zeros_like(params.W1),
+                              np.zeros_like(params.W2),
+                              np.zeros_like(params.t_raw))
+    sec = ConfidenceNetParams(np.zeros_like(params.W1),
+                              np.zeros_like(params.W2),
+                              np.zeros_like(params.t_raw))
+    b1, b2, adam_eps = 0.9, 0.999, 1e-8
+    lr = np.float32(cfg.learning_rate)
+    wd = np.float32(cfg.weight_decay)
+    n = Z.shape[0]
+    step = 0
+    for epoch in range(cfg.max_epochs):
+        order = stream(cfg.seed, "shuffle", epoch).permutation(n)
+        for lo in range(0, n, cfg.batch_size):
+            batch = order[lo:lo + cfg.batch_size]
+            _, g = objective_grad(params, Z[batch], preds[batch], wrong[batch],
+                                  cfg.lam, cfg.alpha, cfg.denom_epsilon)
+            step += 1
+            c1 = np.float32(1.0 - b1 ** step)
+            c2 = np.float32(1.0 - b2 ** step)
+            for name in ("W1", "W2", "t_raw"):
+                p = getattr(params, name)
+                gr = getattr(g, name)
+                mo = getattr(mom, name)
+                se = getattr(sec, name)
+                mo *= np.float32(b1)
+                mo += np.float32(1 - b1) * gr
+                se *= np.float32(b2)
+                se += np.float32(1 - b2) * gr * gr
+                p -= lr * (mo / c1) / (np.sqrt(se / c2) + np.float32(adam_eps))
+                if name != "t_raw" and wd > 0:
+                    p -= lr * wd * p
+    return params, np.asarray(sigmoid(1.0, params.t_raw), dtype=np.float64)
+
+
+# ---------------------------------------------------------------------------
+# seeded worlds
+
+
+def mixture_set(k, n, seed, dim=3):
+    rng = np.random.default_rng(seed)
+    means = rng.normal(0, 2.0, size=(k, dim))
+    return label_everything(al.synth_gaussian_mixture(k, dim, means, 1.0, n,
+                                                      seed))
+
+
+def sharp_classifier(k, seed, hidden=(6,), scale=3.0, dim=3):
+    """Untrained model with large weights, so logits spread over a wide range."""
+    base = init_mlp([dim, *hidden, k], seed)
+    return al.MlpClassifier([w * np.float32(scale) for w in base.weights],
+                            base.biases)
+
+
+# ---------------------------------------------------------------------------
+# oracles
+
+
+def test_fit_temperature_equals_reference_bit_for_bit():
+    for i, (k, epochs, lr) in enumerate(itertools.product(
+            CLASS_COUNTS, (0, 1, 60, 500), (0.01, 0.5))):
+        cal = mixture_set(k, 40 + 7 * i, seed=100 + i)
+        h = sharp_classifier(k, seed=i, scale=1.0 + (i % 5))
+        got = fit_temperature(h, cal, lr=lr, epochs=epochs).temperature
+        want = ref_fit_temperature(h, cal, lr=lr, epochs=epochs)
+        assert got == want, (k, epochs, lr)
+        if epochs == 0:
+            assert got == 1.0
+
+
+def test_train_model_equals_reference_sgd_bit_for_bit():
+    # n = 50 with batch sizes 7 and 16 leaves a short last batch each epoch;
+    # 64 puts the whole set in one batch
+    cases = itertools.product(CLASS_COUNTS, ("vanilla", "squentropy"),
+                              (0.0, 0.01, 0.3), ((8,), (8, 5)))
+    for i, (k, loss, wd, hidden) in enumerate(cases):
+        train = mixture_set(k, 50, seed=200 + i)
+        cfg = al.TrainConfig(loss=loss, learning_rate=0.05,
+                             momentum=(0.9, 0.0)[i % 5 == 4], weight_decay=wd,
+                             batch_size=(7, 16, 64)[i % 3], max_epochs=6,
+                             seed=i)
+        dims = [3, *hidden, k]
+        got = al.train_model(cfg, train, dims)
+        want = ref_train_model(cfg, train, dims)
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert a.shape == b.shape and a.dtype == b.dtype == np.float32
+            assert np.array_equal(a, b), (k, loss, wd, hidden)
+
+
+def test_fit_confidence_net_equals_reference_adam_bit_for_bit():
+    # n = 70 with batch size 16 leaves a short last batch each epoch
+    cases = itertools.product(CLASS_COUNTS, (0.0, 0.01, 0.3), ((6,), (6, 4)))
+    for i, (k, wd, hidden) in enumerate(cases):
+        cal = mixture_set(k, 70, seed=300 + i)
+        h = sharp_classifier(k, seed=i, hidden=hidden, scale=1.5)
+        cfg = ConfidenceNetConfig(lam=(100.0, 10.0)[i % 2],
+                                  alpha=(1.0, 4.0)[i % 3 == 0],
+                                  weight_decay=wd, batch_size=16,
+                                  max_epochs=5, seed=i)
+        net, t_logged = fit_confidence_net(h, cal, cfg)
+        want, want_t = ref_fit_confidence_net(h, cal, cfg)
+        for name in ("W1", "W2", "t_raw"):
+            a, b = getattr(net.params, name), getattr(want, name)
+            assert a.shape == b.shape and a.dtype == b.dtype == np.float32
+            assert np.array_equal(a, b), (k, wd, hidden, name)
+        assert np.array_equal(t_logged, want_t)

@@ -10,7 +10,6 @@ from autolabel.confidence import (
     TopLabelBinningConfig,
 )
 from autolabel.loop import dump_report, dump_round_log, fit_round
-from autolabel.thresholds import select_class_threshold
 
 from conftest import (
     CROSS_MEANS,

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,14 @@ def test_train_determinism():
     m2 = al.train_model(cfg, labeled, [2, 8, 4])
     for a, b in zip(m1.weights + m1.biases, m2.weights + m2.biases):
         assert np.array_equal(a, b)
+    # the returned model owns its arrays; none is a view of training buffers
+    shapes = [(2, 8), (8, 4), (8,), (4,)]
+    tensors = m1.weights + m1.biases
+    for a, shape in zip(tensors, shapes):
+        assert a.shape == shape and a.dtype == np.float32
+        assert a.flags.c_contiguous and a.flags.owndata
+    for a, b in itertools.combinations(tensors + m2.weights + m2.biases, 2):
+        assert not np.shares_memory(a, b)
 
 
 def test_train_zero_decay_is_plain_momentum_sgd():
