@@ -18,14 +18,11 @@ from .data import (
 )
 from .mlp import (
     MlpClassifier,
-    RepPair,
     TrainConfig,
-    forward,
     init_mlp,
     load_model,
     loss_squentropy,
     loss_vanilla,
-    margin_score,
     margin_scores,
     save_model,
     softmax,

@@ -1,6 +1,10 @@
-"""Confidence functions over a trained classifier.
+"""Confidence functions over a trained classifier's representations.
 
-Four variants produce per-class score vectors for a point:
+A confidence function is a post-hoc map from a batch's classifier outputs --
+its logits and its penultimate activations -- to per-class score vectors. It
+never runs the classifier itself: ``thresholds.predicted_scores`` runs one
+forward pass per set and hands the representations to ``scores``. Four
+variants:
 
 * softmax response        -- the classifier's own softmax, no fitting
 * temperature scaling     -- softmax of logits / T, T fit by NLL descent
@@ -44,18 +48,12 @@ def sigmoid(alpha: float, z):
 
 
 class ConfidenceModel:
-    """Base: a fitted scorer bound to a classifier."""
+    """Base: a fitted map from (logits, penultimate) rows to (n, k) scores."""
 
     variant = "base"
 
-    def __init__(self, classifier: MlpClassifier):
-        self.classifier = classifier
-
-    def scores(self, X: np.ndarray) -> np.ndarray:
+    def scores(self, logits: np.ndarray, penultimate: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def score(self, x: np.ndarray) -> np.ndarray:
-        return self.scores(np.asarray(x)[None, :])[0]
 
 
 class SoftmaxConfidence(ConfidenceModel):
@@ -63,8 +61,8 @@ class SoftmaxConfidence(ConfidenceModel):
 
     variant = "softmax"
 
-    def scores(self, X: np.ndarray) -> np.ndarray:
-        return softmax(self.classifier.logits(X))
+    def scores(self, logits: np.ndarray, penultimate: np.ndarray) -> np.ndarray:
+        return softmax(logits)
 
 
 class TemperatureConfidence(ConfidenceModel):
@@ -72,14 +70,13 @@ class TemperatureConfidence(ConfidenceModel):
 
     variant = "temperature"
 
-    def __init__(self, classifier: MlpClassifier, temperature: float):
-        super().__init__(classifier)
+    def __init__(self, temperature: float):
         if not (temperature > 0):
             raise ValueError("temperature must be positive")
         self.temperature = float(temperature)
 
-    def scores(self, X: np.ndarray) -> np.ndarray:
-        return softmax(self.classifier.logits(X) / self.temperature)
+    def scores(self, logits: np.ndarray, penultimate: np.ndarray) -> np.ndarray:
+        return softmax(logits / self.temperature)
 
 
 class TopLabelHistogramConfidence(ConfidenceModel):
@@ -92,15 +89,13 @@ class TopLabelHistogramConfidence(ConfidenceModel):
 
     variant = "top_label_hb"
 
-    def __init__(self, classifier: MlpClassifier, boundaries: dict,
-                 values: dict, fallback_classes: tuple):
-        super().__init__(classifier)
+    def __init__(self, boundaries: dict, values: dict, fallback_classes: tuple):
         self.boundaries = boundaries  # class -> ascending inner bin edges
         self.values = values          # class -> per-bin correct fraction
         self.fallback_classes = tuple(fallback_classes)
 
-    def scores(self, X: np.ndarray) -> np.ndarray:
-        probs = softmax(self.classifier.logits(X))
+    def scores(self, logits: np.ndarray, penultimate: np.ndarray) -> np.ndarray:
+        probs = softmax(logits)
         preds = np.argmax(probs, axis=1)
         out = probs.copy()
         for y in self.values:
@@ -149,7 +144,7 @@ def fit_temperature(h: MlpClassifier, d_cal: LabeledSet, lr: float = 0.01,
         c, cur, q = nll_and_softmax(theta)
         if cur < best_nll:
             best_nll, best_theta = cur, theta
-    return TemperatureConfidence(h, float(np.exp(best_theta)))
+    return TemperatureConfidence(float(np.exp(best_theta)))
 
 
 def fit_top_label_hb(h: MlpClassifier, d_cal: LabeledSet,
@@ -185,7 +180,7 @@ def fit_top_label_hb(h: MlpClassifier, d_cal: LabeledSet,
         groups = np.array_split(order, n_bins)
         values[y] = np.array([ok[grp].mean() for grp in groups])
         boundaries[y] = np.array([top[grp[0]] for grp in groups[1:]])
-    return TopLabelHistogramConfidence(h, boundaries, values, tuple(fallback))
+    return TopLabelHistogramConfidence(boundaries, values, tuple(fallback))
 
 
 @dataclass(frozen=True)
@@ -215,7 +210,7 @@ def surrogate_coverage(g, t, h, labeled: LabeledSet, alpha: float) -> float:
     """Mean sigmoid(alpha, score_of_predicted - threshold_of_predicted)."""
     if len(labeled) == 0:
         raise ValueError("empty set")
-    top, preds, _ = predicted_scores(g, h, labeled)
+    top, preds = predicted_scores(g, h, labeled.features)
     delta = top - _per_point_thresholds(t, preds)
     return float(np.mean(sigmoid(alpha, delta)))
 
@@ -225,7 +220,8 @@ def surrogate_error(g, t, h, labeled: LabeledSet, alpha: float,
     """Sigmoid-weighted wrong mass over sigmoid-weighted selected mass."""
     if len(labeled) == 0:
         raise ValueError("empty set")
-    top, preds, wrong = predicted_scores(g, h, labeled)
+    top, preds = predicted_scores(g, h, labeled.features)
+    wrong = labeled.labels != preds
     u = sigmoid(alpha, top - _per_point_thresholds(t, preds))
     return float((u * wrong).sum() / (u.sum() + denom_epsilon))
 
@@ -282,32 +278,19 @@ class ConfidenceNet(ConfidenceModel):
 
     variant = "confidence_net"
 
-    def __init__(self, classifier: MlpClassifier, params: ConfidenceNetParams):
-        super().__init__(classifier)
-        p = classifier.num_classes + classifier.penultimate_dim
+    def __init__(self, params: ConfidenceNetParams):
+        p, k = params.W1.shape[0], params.t_raw.size
         if params.W1.shape != (p, 2 * p):
             raise ValueError(f"W1 must be ({p}, {2 * p}), got {params.W1.shape}")
-        if params.W2.shape != (2 * p, classifier.num_classes):
+        if params.W2.shape != (2 * p, k):
             raise ValueError("W2 shape mismatch")
-        if params.t_raw.shape != (classifier.num_classes,):
+        if params.t_raw.shape != (k,):
             raise ValueError("t_raw shape mismatch")
         self.params = params
 
-    def scores(self, X: np.ndarray) -> np.ndarray:
-        z1, z2 = self.classifier.representations(X)
-        Z = np.concatenate([z1, z2], axis=1)
+    def scores(self, logits: np.ndarray, penultimate: np.ndarray) -> np.ndarray:
+        Z = np.concatenate([logits, penultimate], axis=1)
         return softmax(np.tanh(Z @ self.params.W1) @ self.params.W2)
-
-    @property
-    def thresholds_logged(self) -> np.ndarray:
-        """logistic(t_raw): logged for inspection, never used for labeling."""
-        return sigmoid(1.0, self.params.t_raw)
-
-
-def net_input(h: MlpClassifier, X: np.ndarray) -> np.ndarray:
-    """Concatenated [logits, penultimate activations] rows for the net."""
-    z1, z2 = h.representations(X)
-    return np.concatenate([z1, z2], axis=1)
 
 
 def init_confidence_net_params(k: int, d2: int, seed: int,
@@ -387,8 +370,10 @@ def fit_confidence_net(h: MlpClassifier, d_cal: LabeledSet,
     if len(d_cal) == 0:
         raise ValueError("empty calibration set")
     k = h.num_classes
-    Z = np.asarray(net_input(h, d_cal.features), dtype=np.float32)
-    preds = h.predict(d_cal.features)
+    logits, penultimate = h.representations(d_cal.features)
+    Z = np.asarray(np.concatenate([logits, penultimate], axis=1),
+                   dtype=np.float32)
+    preds = np.argmax(logits, axis=1)
     wrong = (preds != d_cal.labels)
     init = init_confidence_net_params(k, h.penultimate_dim, cfg.seed)
     # Adam steps once over the flat W1|W2|t_raw buffer; decay hits W1|W2 only
@@ -421,7 +406,7 @@ def fit_confidence_net(h: MlpClassifier, d_cal: LabeledSet,
             theta -= lr * (mom / c1) / (np.sqrt(sec / c2) + np.float32(adam_eps))
             if wd > 0:
                 weights -= lr * wd * weights
-    model = ConfidenceNet(h, params.copy())
+    model = ConfidenceNet(params.copy())
     return model, np.asarray(sigmoid(1.0, model.params.t_raw), dtype=np.float64)
 
 
@@ -433,9 +418,7 @@ def write_score_dump(path: str, g: ConfidenceModel, h: MlpClassifier,
                      labeled: LabeledSet) -> None:
     """CSV of per-point predicted-class scores vs. the set's labels."""
     import csv as _csv
-    preds = h.predict(labeled.features)
-    scores = g.scores(labeled.features)
-    top = scores[np.arange(len(labeled)), preds]
+    top, preds = predicted_scores(g, h, labeled.features)
     with open(path, "w", newline="") as f:
         w = _csv.writer(f, lineterminator="\n")
         w.writerow(["point_id", "true_label", "predicted_label",

@@ -183,29 +183,21 @@ class LabeledSet:
         return LabeledSet(self.dataset, self.indices[pos], self.labels[pos],
                           self.sources[pos], self.rounds[pos])
 
-    @staticmethod
-    def concat(parts: "list[LabeledSet]") -> "LabeledSet":
-        parts = [p for p in parts if len(p) > 0]
-        if not parts:
-            raise ValueError("concat of all-empty parts needs a dataset; use empty()")
-        ds = parts[0].dataset
-        for p in parts:
-            if p.dataset is not ds:
-                raise ValueError("cannot concat LabeledSets over different datasets")
-        return LabeledSet(
-            ds,
-            np.concatenate([p.indices for p in parts]),
-            np.concatenate([p.labels for p in parts]),
-            np.concatenate([p.sources for p in parts]),
-            np.concatenate([p.rounds for p in parts]),
-        )
-
     def merged_with(self, other: "LabeledSet") -> "LabeledSet":
+        """This set's rows followed by ``other``'s; an empty side is skipped."""
         if len(other) == 0:
             return self
         if len(self) == 0:
             return other
-        return LabeledSet.concat([self, other])
+        if other.dataset is not self.dataset:
+            raise ValueError("cannot merge LabeledSets over different datasets")
+        return LabeledSet(
+            self.dataset,
+            np.concatenate([self.indices, other.indices]),
+            np.concatenate([self.labels, other.labels]),
+            np.concatenate([self.sources, other.sources]),
+            np.concatenate([self.rounds, other.rounds]),
+        )
 
 
 @dataclass

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,7 +100,7 @@ class TbalConfig:
 
 @dataclass
 class RoundRecord:
-    """What one round did; wall_time_s stays out of serialized logs."""
+    """What one round did; serialized as one line of the round log."""
 
     round_index: int
     n_train: int
@@ -114,7 +113,6 @@ class RoundRecord:
     n_pool_remaining: int
     auto_error: float | None
     auto_coverage: float
-    wall_time_s: float
 
     def to_jsonable(self) -> dict:
         return {
@@ -172,10 +170,7 @@ def auto_label_select(g, t: ThresholdVector, h, pool: Pool,
     """
     if pool.size == 0:
         return LabeledSet.empty(pool.dataset), pool
-    X = pool.features
-    preds = h.predict(X)
-    scores = g.scores(X)
-    top = scores[np.arange(pool.size), preds]
+    top, preds = predicted_scores(g, h, pool.features)
     sel = top >= _per_point_thresholds(t, preds)
     chosen = pool.active[sel]
     labeled = LabeledSet(
@@ -192,7 +187,7 @@ def filter_validation(g, t: ThresholdVector, h, val: LabeledSet) -> LabeledSet:
     """Keep only validation points BELOW threshold; labels stay untouched."""
     if len(val) == 0:
         return val
-    top, preds, _ = predicted_scores(g, h, val)
+    top, preds = predicted_scores(g, h, val.features)
     keep = np.flatnonzero(top < _per_point_thresholds(t, preds))
     return val.take(keep)
 
@@ -228,14 +223,14 @@ def fit_posthoc(method: str, posthoc_cfg, model, d_cal: LabeledSet,
     aborting the run.
     """
     if method == "softmax":
-        return SoftmaxConfidence(model), None
+        return SoftmaxConfidence(), None
     if method == "temperature":
         cfg = posthoc_cfg or TemperatureScalingConfig()
         return fit_temperature(model, d_cal, cfg.learning_rate, cfg.epochs), None
     if method == "top_label_hb":
         cfg = posthoc_cfg or TopLabelBinningConfig()
         if len(d_cal) < cfg.points_per_bin:
-            return SoftmaxConfidence(model), (
+            return SoftmaxConfidence(), (
                 f"calibration set ({len(d_cal)}) smaller than points_per_bin "
                 f"({cfg.points_per_bin}); using raw softmax this round"
             )
@@ -300,7 +295,6 @@ def run_tbal(cfg: TbalConfig, pool_data: Dataset, d_val: LabeledSet,
                 f"round {i}: validation exhausted ({len(val)} point(s) left); "
                 "stopping with pool unlabeled")
             break
-        t0 = time.perf_counter()
         model, g, t_hat, d_cal, d_th, warn = fit_round(cfg, d_train, val, i, dims)
         if warn:
             warnings.append(f"round {i}: {warn}")
@@ -334,7 +328,6 @@ def run_tbal(cfg: TbalConfig, pool_data: Dataset, d_val: LabeledSet,
             n_pool_remaining=pool.size,
             auto_error=auto_err,
             auto_coverage=len(auto_set) / pool_before,
-            wall_time_s=time.perf_counter() - t0,
         ))
         n_t += cfg.query_batch
         i += 1

@@ -43,14 +43,6 @@ class TrainConfig:
             raise ValueError("weight_decay must be >= 0")
 
 
-@dataclass
-class RepPair:
-    """Per-point representations: output logits and penultimate activations."""
-
-    z1: np.ndarray  # (k,) logits
-    z2: np.ndarray  # (d2,) post-tanh activations of the last hidden layer
-
-
 class MlpClassifier:
     """Immutable stack of (weights, biases); weights[i] is (fan_in, fan_out)."""
 
@@ -101,9 +93,6 @@ class MlpClassifier:
     def logits(self, X: np.ndarray) -> np.ndarray:
         return self.representations(X)[0]
 
-    def probs(self, X: np.ndarray) -> np.ndarray:
-        return softmax(self.logits(X))
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         # argmax of logits == argmax of probs; ties go to the lowest index
         return np.argmax(self.logits(X), axis=1)
@@ -119,16 +108,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     e = np.exp(shifted)
     out = e / e.sum(axis=1, keepdims=True)
     return out[0] if squeeze else out
-
-
-def forward(model: MlpClassifier, x: np.ndarray):
-    """Single-point forward pass: (RepPair, probs on the simplex, prediction)."""
-    x = np.asarray(x)
-    if x.ndim != 1 or x.shape[0] != model.input_dim:
-        raise ValueError(f"input length {x.shape} does not match d={model.input_dim}")
-    z1, z2 = model.representations(x[None, :])
-    probs = softmax(z1[0])
-    return RepPair(z1=z1[0], z2=z2[0]), probs, int(np.argmax(probs))
 
 
 # ---------------------------------------------------------------------------
@@ -334,17 +313,8 @@ def batch_loss(model: MlpClassifier, X: np.ndarray, y: np.ndarray,
 # margins
 
 
-def margin_score(probs: np.ndarray) -> float:
-    """Top-1 minus top-2 probability; small margin = uncertain point."""
-    p = np.asarray(probs)
-    if p.shape[-1] < 2:
-        raise ValueError("margin needs at least 2 classes")
-    top2 = np.partition(p, -2)[..., -2:]
-    return float(top2[..., 1] - top2[..., 0])
-
-
 def margin_scores(probs: np.ndarray) -> np.ndarray:
-    """Vectorized margin_score over rows."""
+    """Per-row top-1 minus top-2 probability; small margin = uncertain point."""
     p = np.asarray(probs)
     if p.ndim != 2 or p.shape[1] < 2:
         raise ValueError("expected (n, k>=2) probabilities")

@@ -91,14 +91,18 @@ class ThresholdConfig:
         object.__setattr__(self, "grid", g)
 
 
-def predicted_scores(g, h, labeled: LabeledSet):
-    """(score of predicted class, predictions, wrong flags) for a labeled set."""
-    X = labeled.features
-    preds = h.predict(X)
-    scores = g.scores(X)
-    top = scores[np.arange(len(labeled)), preds]
-    wrong = labeled.labels != preds
-    return top, preds, wrong
+def predicted_scores(g, h, X: np.ndarray):
+    """(score of the predicted class, predictions) for the rows of X.
+
+    The one place a confidence function meets the classifier: one forward
+    pass gives the logits and penultimate activations, the predictions are
+    the logits' argmax (ties to the lowest index), and ``g`` scores the same
+    representations.
+    """
+    logits, penultimate = h.representations(X)
+    preds = np.argmax(logits, axis=1)
+    top = g.scores(logits, penultimate)[np.arange(preds.shape[0]), preds]
+    return top, preds
 
 
 def _per_point_thresholds(t, predicted: np.ndarray) -> np.ndarray:
@@ -114,7 +118,7 @@ def empirical_coverage(g, t, h, labeled: LabeledSet) -> float:
     """Fraction of points whose predicted-class confidence clears its threshold."""
     if len(labeled) == 0:
         raise ValueError("empty set")
-    top, preds, _ = predicted_scores(g, h, labeled)
+    top, preds = predicted_scores(g, h, labeled.features)
     return float(np.mean(top >= _per_point_thresholds(t, preds)))
 
 
@@ -122,12 +126,12 @@ def empirical_error(g, t, h, labeled: LabeledSet):
     """Error among selected points; None when nothing is selected."""
     if len(labeled) == 0:
         raise ValueError("empty set")
-    top, preds, wrong = predicted_scores(g, h, labeled)
+    top, preds = predicted_scores(g, h, labeled.features)
     sel = top >= _per_point_thresholds(t, preds)
     m = int(sel.sum())
     if m == 0:
         return None
-    return float(wrong[sel].sum() / m)
+    return float((labeled.labels != preds)[sel].sum() / m)
 
 
 def std_estimate(err_hat, m):
@@ -193,7 +197,8 @@ def estimate_thresholds(g, h, d_th: LabeledSet,
     if len(d_th) == 0:
         raise ValueError("empty threshold-estimation set")
     k = d_th.dataset.num_classes
-    top, preds, wrong = predicted_scores(g, h, d_th)
+    top, preds = predicted_scores(g, h, d_th.features)
+    wrong = d_th.labels != preds
     group_key = d_th.labels if cfg.group_by == "true_label" else preds
     out = np.full(k, np.inf)
     for y in range(k):

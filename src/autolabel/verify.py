@@ -19,6 +19,7 @@ from scipy.integrate import quad
 
 from .confidence import sigmoid
 from .data import Dataset
+from .thresholds import _per_point_thresholds
 
 
 @dataclass(frozen=True)
@@ -57,20 +58,16 @@ def mc_population_metrics(g, t, h, sampler, n: int, seed: int) -> McMetrics:
     """Plug-in estimates of population coverage and selection error.
 
     ``sampler(rng, n)`` must return (X, true_labels) drawn from the population.
-    ``g``/``h`` are confidence and classifier objects (``scores``/``predict``)
-    or plain callables with those meanings. Standard errors use the binomial
-    formula; the error estimate is None when no sample is selected.
+    ``g.scores(X)`` and ``h.predict(X)`` score and classify raw inputs, as
+    ``Toy1DWorld`` does. Standard errors use the binomial formula; the error
+    estimate is None when no sample is selected.
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
     rng = np.random.default_rng(seed)
     X, y = sampler(rng, n)
-    predict = h.predict if hasattr(h, "predict") else h
-    score = g.scores if hasattr(g, "scores") else g
-    preds = np.asarray(predict(X))
-    scores = np.asarray(score(X))
-    top = scores[np.arange(n), preds]
-    from .thresholds import _per_point_thresholds
+    preds = np.asarray(h.predict(X))
+    top = np.asarray(g.scores(X))[np.arange(n), preds]
     sel = top >= _per_point_thresholds(t, preds)
     m = int(sel.sum())
     cov = m / n

@@ -24,6 +24,10 @@ class FixedModel:
     def predict(self, X):
         return self._preds[np.asarray(X[:, 0], dtype=np.int64)]
 
+    def representations(self, X):
+        """One-hot logits of the fixed predictions; X is the penultimate."""
+        return np.eye(self._preds.max() + 1)[self.predict(X)], X
+
 
 class FixedScores:
     """Confidence stub paired with FixedModel; rows indexed the same way."""
@@ -31,8 +35,8 @@ class FixedScores:
     def __init__(self, scores):
         self._scores = np.asarray(scores, dtype=np.float64)
 
-    def scores(self, X):
-        return self._scores[np.asarray(X[:, 0], dtype=np.int64)]
+    def scores(self, logits, penultimate):
+        return self._scores[np.asarray(penultimate[:, 0], dtype=np.int64)]
 
 
 def indexed_set(true_labels, k):

@@ -1,8 +1,8 @@
 """Central finite-difference gradient checking.
 
 Used by the test suite to validate every analytic gradient in the package;
-shipped in the library (rather than the tests) because the same harness backs
-three separate acceptance checks and is occasionally handy in notebooks.
+the same harness backs the gradient tests of the classifier losses, the
+confidence-net objective and acceptance check 3.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ import autolabel as al
 from autolabel.confidence import objective_grad, objective_value
 from autolabel.loop import dump_round_log
 from autolabel.mlp import loss_squentropy_grad, loss_vanilla_grad
-from autolabel.numcheck import central_difference, relative_error
+from numcheck import central_difference, relative_error
 from autolabel.rng import child_seed
 
 from conftest import FixedModel, FixedScores, indexed_set

@@ -15,7 +15,6 @@ from autolabel.confidence import (
     fit_temperature,
     fit_top_label_hb,
     init_confidence_net_params,
-    net_input,
     objective_grad,
     objective_value,
     sigmoid,
@@ -23,7 +22,7 @@ from autolabel.confidence import (
     surrogate_error,
     write_score_dump,
 )
-from autolabel.numcheck import central_difference, relative_error
+from numcheck import central_difference, relative_error
 
 from conftest import label_everything, single_class_instance
 
@@ -70,42 +69,41 @@ def test_sigmoid_monotone():
 
 
 def test_softmax_confidence_equals_model_probs(blob_model, blobs):
-    g = SoftmaxConfidence(blob_model)
-    assert np.allclose(g.scores(blobs.features),
-                       blob_model.probs(blobs.features))
-    one = g.score(blobs.features[0])
-    assert one.shape == (4,)
-    assert one.sum() == pytest.approx(1.0, abs=1e-6)
+    logits, penultimate = blob_model.representations(blobs.features)
+    s = SoftmaxConfidence().scores(logits, penultimate)
+    assert np.array_equal(s, al.softmax(logits))
+    assert s.shape == (blobs.n, 4)
+    assert np.allclose(s.sum(axis=1), 1.0, atol=1e-6)
 
 
 def test_temperature_one_is_identity(blob_model):
     rng = np.random.default_rng(0)
     X = rng.normal(0, 3, size=(1000, 2)).astype(np.float32)
-    t1 = TemperatureConfidence(blob_model, 1.0)
-    assert np.allclose(t1.scores(X), SoftmaxConfidence(blob_model).scores(X))
+    reps = blob_model.representations(X)
+    assert np.allclose(TemperatureConfidence(1.0).scores(*reps),
+                       SoftmaxConfidence().scores(*reps))
 
 
 def test_temperature_huge_is_uniform(blob_model):
     rng = np.random.default_rng(1)
     X = rng.normal(0, 3, size=(50, 2)).astype(np.float32)
-    s = TemperatureConfidence(blob_model, 1e6).scores(X)
+    s = TemperatureConfidence(1e6).scores(*blob_model.representations(X))
     assert float((s.max(axis=1) - s.min(axis=1)).max()) <= 1e-4
 
 
 def test_temperature_preserves_argmax(blob_model):
     rng = np.random.default_rng(2)
     X = rng.normal(0, 3, size=(300, 2)).astype(np.float32)
-    base = np.argmax(SoftmaxConfidence(blob_model).scores(X), axis=1)
+    reps = blob_model.representations(X)
+    base = np.argmax(SoftmaxConfidence().scores(*reps), axis=1)
     for T in (0.05, 0.7, 3.0, 40.0):
         assert np.array_equal(
-            np.argmax(TemperatureConfidence(blob_model, T).scores(X), axis=1),
-            base)
+            np.argmax(TemperatureConfidence(T).scores(*reps), axis=1), base)
 
 
 def test_temperature_requires_positive():
     with pytest.raises(ValueError):
-        TemperatureConfidence.__init__  # placate linters; real call below
-        TemperatureConfidence(None, 0.0)
+        TemperatureConfidence(0.0)
 
 
 def nll_at(h, T, labeled):
@@ -158,7 +156,7 @@ def test_hb_all_correct_gives_unit_bins(blob_model, blobs):
 def test_hb_two_bin_hand_example(blob_model, blobs):
     # four points predicted as the same class; correctness in ascending
     # score order is (1, 0, 1, 1) -> two bins valued 0.5 and 1.0
-    probs = blob_model.probs(blobs.features)
+    probs = al.softmax(blob_model.logits(blobs.features))
     preds = np.argmax(probs, axis=1)
     cls = np.bincount(preds).argmax()
     pos = np.where(preds == cls)[0]
@@ -174,7 +172,8 @@ def test_hb_two_bin_hand_example(blob_model, blobs):
     # the other classes had no calibration points and fall back to softmax
     assert set(g.fallback_classes) == {c for c in range(4) if c != cls}
     # scoring the calibration points returns their own bin's value
-    got = g.scores(blobs.features[pos])[np.arange(4), cls]
+    got = g.scores(*blob_model.representations(blobs.features[pos]))
+    got = got[np.arange(4), cls]
     assert np.allclose(got, [0.5, 0.5, 1.0, 1.0])
 
 
@@ -186,7 +185,7 @@ def test_hb_bin_values_bounded(blob_model, blobs):
 
 
 def test_hb_fallback_class_scores_raw_softmax(blob_model, blobs):
-    probs = blob_model.probs(blobs.features)
+    probs = al.softmax(blob_model.logits(blobs.features))
     preds = np.argmax(probs, axis=1)
     cls = np.bincount(preds).argmax()
     other = (cls + 1) % 4
@@ -198,7 +197,7 @@ def test_hb_fallback_class_scores_raw_softmax(blob_model, blobs):
     assert other in g.fallback_classes
     qpos = np.where(preds == other)[0][:5]
     if qpos.size:
-        got = g.scores(blobs.features[qpos])
+        got = g.scores(*blob_model.representations(blobs.features[qpos]))
         assert np.allclose(got[np.arange(qpos.size), other],
                            probs[qpos, other])
 
@@ -284,32 +283,36 @@ def test_confidence_net_zero_weights_uniform(blob_model, blobs):
     p = 4 + blob_model.penultimate_dim
     params = ConfidenceNetParams(np.zeros((p, 2 * p)), np.zeros((2 * p, 4)),
                                  np.zeros(4))
-    net = ConfidenceNet(blob_model, params)
-    s = net.scores(blobs.features[:10])
+    s = ConfidenceNet(params).scores(
+        *blob_model.representations(blobs.features[:10]))
     assert np.allclose(s, 0.25)
-    assert np.allclose(net.thresholds_logged, 0.5)
 
 
 def test_confidence_net_shape_validation(blob_model):
     p = 4 + blob_model.penultimate_dim
     good = init_confidence_net_params(4, blob_model.penultimate_dim, 0)
-    ConfidenceNet(blob_model, good)
+    ConfidenceNet(good)
     with pytest.raises(ValueError):
-        ConfidenceNet(blob_model, ConfidenceNetParams(
+        ConfidenceNet(ConfidenceNetParams(
             np.zeros((p + 1, 2 * p)), good.W2, good.t_raw))
     with pytest.raises(ValueError):
-        ConfidenceNet(blob_model, ConfidenceNetParams(
+        ConfidenceNet(ConfidenceNetParams(
             good.W1, np.zeros((2 * p, 5)), good.t_raw))
     with pytest.raises(ValueError):
-        ConfidenceNet(blob_model, ConfidenceNetParams(
+        ConfidenceNet(ConfidenceNetParams(
             good.W1, good.W2, np.zeros(5)))
+    with pytest.raises(ValueError):
+        ConfidenceNet(ConfidenceNetParams(
+            good.W1, good.W2, np.zeros((4, 1))))
 
 
-def test_net_input_concatenates_representations(blob_model, blobs):
-    Z = net_input(blob_model, blobs.features[:7])
+def test_confidence_net_scores_concatenate_representations(blob_model, blobs):
+    params = init_confidence_net_params(4, blob_model.penultimate_dim, 0)
     z1, z2 = blob_model.representations(blobs.features[:7])
+    Z = np.concatenate([z1, z2], axis=1)
     assert Z.shape == (7, 4 + blob_model.penultimate_dim)
-    assert np.array_equal(Z, np.concatenate([z1, z2], axis=1))
+    want = al.softmax(np.tanh(Z @ params.W1) @ params.W2)
+    assert np.array_equal(ConfidenceNet(params).scores(z1, z2), want)
 
 
 def test_confidence_net_config_validation():
@@ -369,7 +372,7 @@ def test_fit_confidence_net_on_perfect_classifier():
     for a, b in zip(before, after):
         assert np.array_equal(a, b)  # classifier frozen
     assert surrogate_error(net, t_prime, h, cal, cfg.alpha) == 0.0
-    init = ConfidenceNet(h, init_confidence_net_params(
+    init = ConfidenceNet(init_confidence_net_params(
         2, h.penultimate_dim, cfg.seed))
     cov0 = surrogate_coverage(init, np.full(2, 0.5), h, cal, cfg.alpha)
     cov1 = surrogate_coverage(net, t_prime, h, cal, cfg.alpha)
@@ -406,8 +409,8 @@ def test_fit_confidence_net_beats_softmax_sweep_on_overlap():
     cov_f = al.empirical_coverage(net, tv, h, cal)
     err_f = al.empirical_error(net, tv, h, cal)
     err_cap = 0.0 if err_f is None else err_f
-    sm = SoftmaxConfidence(h)
-    tops = sm.scores(ds.features)[np.arange(ds.n), h.predict(ds.features)]
+    sm = SoftmaxConfidence()
+    tops, _ = al.thresholds.predicted_scores(sm, h, ds.features)
     best = 0.0
     for tau in np.concatenate([[0.0], np.unique(tops)]):
         cov = al.empirical_coverage(sm, float(tau), h, cal)
@@ -429,7 +432,7 @@ def test_fit_confidence_net_empty_cal(blob_model, blobs):
 
 def test_write_score_dump_roundtrip(tmp_path, blob_model, blobs):
     cal = label_everything(blobs).take(range(25))
-    g = SoftmaxConfidence(blob_model)
+    g = SoftmaxConfidence()
     out = tmp_path / "scores.csv"
     write_score_dump(str(out), g, blob_model, cal)
     with open(out, newline="") as f:
@@ -438,7 +441,7 @@ def test_write_score_dump_roundtrip(tmp_path, blob_model, blobs):
                        "score_of_predicted", "correct_flag"]
     assert len(rows) == 26
     preds = blob_model.predict(cal.features)
-    scores = g.scores(cal.features)
+    scores = g.scores(*blob_model.representations(cal.features))
     for i, row in enumerate(rows[1:]):
         assert int(row[0]) == cal.ids[i]
         assert int(row[1]) == cal.labels[i]

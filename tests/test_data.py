@@ -53,6 +53,11 @@ def test_labeled_set_from_oracle_and_concat():
     assert np.array_equal(both.labels[:3], ds.hidden_labels[[0, 1, 2]])
     assert list(both.sources) == ["human"] * 3 + ["auto"] * 2
     assert list(both.rounds) == [0, 0, 0, 1, 1]
+    empty = al.LabeledSet.empty(ds)
+    assert a.merged_with(empty) is a and empty.merged_with(b) is b
+    elsewhere = al.LabeledSet.from_oracle(four_blobs(n=30), [0], 0)
+    with pytest.raises(ValueError, match="different datasets"):
+        a.merged_with(elsewhere)
 
 
 def test_pool_without():

@@ -18,7 +18,6 @@ from autolabel.confidence import (
     fit_confidence_net,
     fit_temperature,
     init_confidence_net_params,
-    net_input,
     objective_grad,
     sigmoid,
 )
@@ -136,7 +135,8 @@ def ref_train_model(config, train_set, dims):
 
 def ref_fit_confidence_net(h, d_cal, cfg):
     k = h.num_classes
-    Z = np.asarray(net_input(h, d_cal.features), dtype=np.float32)
+    z1, z2 = h.representations(d_cal.features)
+    Z = np.asarray(np.concatenate([z1, z2], axis=1), dtype=np.float32)
     preds = h.predict(d_cal.features)
     wrong = (preds != d_cal.labels)
     params = init_confidence_net_params(k, h.penultimate_dim, cfg.seed)

@@ -214,7 +214,8 @@ def test_fit_round_zero_tolerance_thresholds_have_zero_group_error():
     seed_set = label_everything(pool_ds).take(range(40))
     dims = [2, 32, 4]
     model, g, t_hat, d_cal, d_th, warn = fit_round(cfg, seed_set, val, 1, dims)
-    tops, preds, wrong = al.thresholds.predicted_scores(g, model, d_th)
+    tops, preds = al.thresholds.predicted_scores(g, model, d_th.features)
+    wrong = d_th.labels != preds
     for y in range(4):
         t = t_hat.values[y]
         if not np.isfinite(t):
@@ -223,6 +224,38 @@ def test_fit_round_zero_tolerance_thresholds_have_zero_group_error():
         sel = grp & (tops >= t)
         assert sel.sum() >= 1
         assert wrong[sel].sum() == 0
+
+
+@pytest.mark.parametrize("method", al.loop.POSTHOC_METHODS)
+def test_round_runs_the_classifier_once_per_set(monkeypatch, tmp_path, method):
+    pool_ds, val = overlapping_world()
+    cfg = base_config(posthoc_method=method)
+    seed_set = label_everything(pool_ds).take(range(30))
+    pool = al.Pool.full(pool_ds)
+    calls = []
+    original = al.MlpClassifier.representations
+
+    def counted(self, X):
+        calls.append(np.array(X, copy=True))
+        return original(self, X)
+
+    def passes(X):
+        return sum(c.shape == X.shape and np.array_equal(c, X) for c in calls)
+
+    monkeypatch.setattr(al.MlpClassifier, "representations", counted)
+    model, g, t_hat, d_cal, d_th, _ = fit_round(cfg, seed_set, val, 1,
+                                                 [2, 32, 4])
+    al.auto_label_select(g, t_hat, model, pool, 1)
+    al.filter_validation(g, t_hat, model, val)
+    fitted = method != "softmax"  # raw softmax fits nothing on d_cal
+    assert passes(d_cal.features) == int(fitted)
+    assert passes(d_th.features) == 1
+    assert passes(pool.features) == 1
+    assert passes(val.features) == 1
+    assert len(calls) == 3 + int(fitted)
+    calls.clear()
+    al.write_score_dump(str(tmp_path / "scores.csv"), g, model, val)
+    assert len(calls) == 1 and passes(val.features) == 1
 
 
 def test_fit_round_deterministic():

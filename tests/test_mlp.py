@@ -10,7 +10,7 @@ from autolabel.mlp import (
     loss_vanilla_grad,
     _backprop,
 )
-from autolabel.numcheck import central_difference, relative_error
+from numcheck import central_difference, relative_error
 
 from conftest import four_blobs, label_everything
 
@@ -32,10 +32,11 @@ def test_forward_zero_weights_uniform():
     weights = [np.zeros((3, 6)), np.zeros((6, k))]
     biases = [np.zeros(6), np.zeros(k)]
     model = al.MlpClassifier(weights, biases)
-    rep, probs, pred = al.forward(model, np.array([1.0, -2.0, 0.5]))
-    assert np.allclose(probs, 1 / k)
-    assert pred == 0
-    assert rep.z1.shape == (k,) and rep.z2.shape == (6,)
+    x = np.array([[1.0, -2.0, 0.5]])
+    logits, penultimate = model.representations(x)
+    assert logits.shape == (1, k) and penultimate.shape == (1, 6)
+    assert np.allclose(al.softmax(logits), 1 / k)
+    assert np.array_equal(model.predict(x), [0])  # ties go to the lowest index
 
 
 def test_forward_probs_normalized_and_argmax_consistent():
@@ -51,7 +52,9 @@ def test_forward_probs_normalized_and_argmax_consistent():
 def test_forward_dimension_mismatch():
     model = tiny_model()
     with pytest.raises(ValueError):
-        al.forward(model, np.zeros(5))
+        model.representations(np.zeros((1, 5)))
+    with pytest.raises(ValueError):
+        model.representations(np.zeros(3))  # one point is a (1, d) batch
 
 
 def test_model_shape_validation():
@@ -253,22 +256,31 @@ def test_train_rejects_empty_set():
 # margins
 
 
+def one_row_margin(probs):
+    return al.margin_scores(np.asarray(probs, dtype=np.float64)[None, :])[0]
+
+
 def test_margin_score_examples():
-    assert al.margin_score(np.full(4, 0.25)) == pytest.approx(0.0)
+    assert one_row_margin(np.full(4, 0.25)) == pytest.approx(0.0)
     one_hot = np.zeros(5)
     one_hot[2] = 1.0
-    assert al.margin_score(one_hot) == pytest.approx(1.0)
-    assert al.margin_score(np.array([0.5, 0.3, 0.2])) == pytest.approx(0.2)
+    assert one_row_margin(one_hot) == pytest.approx(1.0)
+    assert one_row_margin([0.5, 0.3, 0.2]) == pytest.approx(0.2)
     with pytest.raises(ValueError):
-        al.margin_score(np.array([1.0]))
+        one_row_margin([1.0])
+    with pytest.raises(ValueError):
+        al.margin_scores(np.array([0.5, 0.5]))  # rows, not a single vector
 
 
 def test_margin_scores_batch_matches_scalar():
+    # each row's margin is the same whether scored in a batch or alone
     rng = np.random.default_rng(0)
     P = al.softmax(rng.normal(0, 2, size=(50, 6)))
     batch = al.margin_scores(P)
+    ranked = np.sort(P, axis=1)
+    assert np.array_equal(batch, ranked[:, -1] - ranked[:, -2])
     for i in range(50):
-        assert batch[i] == pytest.approx(al.margin_score(P[i]))
+        assert batch[i] == one_row_margin(P[i])
 
 
 # ---------------------------------------------------------------------------
