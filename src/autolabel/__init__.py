@@ -21,8 +21,6 @@ from .mlp import (
     TrainConfig,
     init_mlp,
     load_model,
-    loss_squentropy,
-    loss_vanilla,
     margin_scores,
     save_model,
     softmax,
@@ -42,16 +40,14 @@ from .confidence import (
     fit_temperature,
     fit_top_label_hb,
     sigmoid,
-    surrogate_coverage,
-    surrogate_error,
+    surrogate_metrics,
     write_score_dump,
 )
 from .thresholds import (
     ThresholdConfig,
     ThresholdVector,
     default_grid,
-    empirical_coverage,
-    empirical_error,
+    empirical_metrics,
     estimate_thresholds,
     std_estimate,
 )
@@ -69,7 +65,6 @@ from .verify import (
     Toy1DWorld,
     ToyMetrics,
     default_toy_sweep,
-    final_metrics,
     mc_population_metrics,
     toy_1d_metrics,
 )

@@ -39,9 +39,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _load(args):
     cfg = parse_config(args.config)
     if args.seed is not None:
-        cfg = dataclasses.replace(
-            cfg, master_seed=args.seed,
-            tbal=dataclasses.replace(cfg.tbal, master_seed=args.seed))
+        cfg = dataclasses.replace(cfg, master_seed=args.seed)
     return cfg
 
 

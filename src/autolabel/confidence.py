@@ -28,7 +28,7 @@ import numpy as np
 from .data import LabeledSet
 from .mlp import MlpClassifier, _flat_views, softmax
 from .rng import stream
-from .thresholds import predicted_scores, _per_point_thresholds
+from .thresholds import ThresholdVector, predicted_scores
 
 
 def sigmoid(alpha: float, z):
@@ -83,7 +83,9 @@ class TopLabelHistogramConfidence(ConfidenceModel):
     """Per-class uniform-mass binning of the predicted-class softmax score.
 
     scores() starts from the raw softmax row and replaces only the predicted
-    entry with its bin value, so rows need not sum to 1. Classes that had no
+    entry with its bin value, so rows need not sum to 1. The predicted class
+    is the logits' argmax, as in ``predicted_scores``, so a float32 softmax
+    tie still bins the entry that is thresholded. Classes that had no
     calibration points keep the raw softmax row (fallback, recorded).
     """
 
@@ -96,7 +98,7 @@ class TopLabelHistogramConfidence(ConfidenceModel):
 
     def scores(self, logits: np.ndarray, penultimate: np.ndarray) -> np.ndarray:
         probs = softmax(logits)
-        preds = np.argmax(probs, axis=1)
+        preds = np.argmax(logits, axis=1)
         out = probs.copy()
         for y in self.values:
             mask = preds == y
@@ -161,8 +163,9 @@ def fit_top_label_hb(h: MlpClassifier, d_cal: LabeledSet,
         raise ValueError(
             f"need at least points_per_bin={points_per_bin} calibration points"
         )
-    probs = softmax(h.logits(d_cal.features))
-    preds = np.argmax(probs, axis=1)
+    logits = h.logits(d_cal.features)
+    probs = softmax(logits)
+    preds = np.argmax(logits, axis=1)
     correct = (preds == d_cal.labels).astype(np.float64)
     boundaries: dict = {}
     values: dict = {}
@@ -206,24 +209,21 @@ class TopLabelBinningConfig:
 # smoothed coverage/error surrogates
 
 
-def surrogate_coverage(g, t, h, labeled: LabeledSet, alpha: float) -> float:
-    """Mean sigmoid(alpha, score_of_predicted - threshold_of_predicted)."""
+def surrogate_metrics(g, t: ThresholdVector, h, labeled: LabeledSet,
+                      alpha: float, denom_epsilon: float = 1e-8):
+    """Sigmoid-smoothed (coverage, selection error) of thresholding at t.
+
+    Each point is weighted by u = sigmoid(alpha, score_of_predicted -
+    threshold_of_predicted): coverage is the mean of u, and the error is the
+    u-weighted wrong mass over the u-weighted selected mass.
+    """
     if len(labeled) == 0:
         raise ValueError("empty set")
     top, preds = predicted_scores(g, h, labeled.features)
-    delta = top - _per_point_thresholds(t, preds)
-    return float(np.mean(sigmoid(alpha, delta)))
-
-
-def surrogate_error(g, t, h, labeled: LabeledSet, alpha: float,
-                    denom_epsilon: float = 1e-8) -> float:
-    """Sigmoid-weighted wrong mass over sigmoid-weighted selected mass."""
-    if len(labeled) == 0:
-        raise ValueError("empty set")
-    top, preds = predicted_scores(g, h, labeled.features)
+    u = sigmoid(alpha, top - t.per_point(preds))
     wrong = labeled.labels != preds
-    u = sigmoid(alpha, top - _per_point_thresholds(t, preds))
-    return float((u * wrong).sum() / (u.sum() + denom_epsilon))
+    return (float(np.mean(u)),
+            float((u * wrong).sum() / (u.sum() + denom_epsilon)))
 
 
 # ---------------------------------------------------------------------------

@@ -349,7 +349,7 @@ def _parse_hpo(sec: _Section, posthoc_method: str):
     return HpoSpec(train_grid, posthoc_grid, tie)
 
 
-def _parse_tbal(sec: _Section, master_seed: int) -> TbalConfig:
+def _parse_tbal(sec: _Section) -> TbalConfig:
     train = _parse_train(sec.section("train", required=False))
     method, posthoc = _parse_posthoc(sec.section("posthoc", required=False))
     grid_size = sec.number("grid_size", None, integer=True, lo=2)
@@ -379,7 +379,6 @@ def _parse_tbal(sec: _Section, master_seed: int) -> TbalConfig:
         posthoc_method=method,
         posthoc=posthoc,
         active_multiplier=sec.number("active_multiplier", 2.0, lo=1.0),
-        master_seed=master_seed,
     )
     if not (0.0 < kwargs["cal_fraction"] < 1.0):
         raise RangeError(
@@ -398,8 +397,7 @@ def parse_config_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
     repeats = root.number("repeats", 5, integer=True, lo=1)
     output_dir = root.string("output_dir", "out")
     dataset = _parse_dataset(root.section("dataset"), base_dir)
-    tbal_sec = root.section("tbal")
-    tbal = _parse_tbal(tbal_sec, master_seed)
+    tbal = _parse_tbal(root.section("tbal"))
     hpo = _parse_hpo(root.section("hpo", required=False), tbal.posthoc_method)
     root.finish()
     if hpo is not None and dataset.hyp_size < 1:

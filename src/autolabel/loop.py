@@ -39,7 +39,6 @@ from .thresholds import (
     default_grid,
     estimate_thresholds,
     predicted_scores,
-    _per_point_thresholds,
 )
 
 POSTHOC_METHODS = ("softmax", "temperature", "top_label_hb", "confidence_net")
@@ -171,7 +170,7 @@ def auto_label_select(g, t: ThresholdVector, h, pool: Pool,
     if pool.size == 0:
         return LabeledSet.empty(pool.dataset), pool
     top, preds = predicted_scores(g, h, pool.features)
-    sel = top >= _per_point_thresholds(t, preds)
+    sel = top >= t.per_point(preds)
     chosen = pool.active[sel]
     labeled = LabeledSet(
         dataset=pool.dataset,
@@ -188,7 +187,7 @@ def filter_validation(g, t: ThresholdVector, h, val: LabeledSet) -> LabeledSet:
     if len(val) == 0:
         return val
     top, preds = predicted_scores(g, h, val.features)
-    keep = np.flatnonzero(top < _per_point_thresholds(t, preds))
+    keep = np.flatnonzero(top < t.per_point(preds))
     return val.take(keep)
 
 

@@ -120,53 +120,26 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def loss_vanilla(logits: np.ndarray, y: int) -> float:
-    """Cross-entropy -log softmax(logits)[y], max-subtraction stabilized."""
+def batch_loss(logits: np.ndarray, labels: np.ndarray,
+               kind: str = "vanilla") -> float:
+    """Mean loss of a batch of logits; ``_batch_dlogits`` is its gradient.
+
+    Cross-entropy, plus for squentropy the mean squared logit over each
+    row's incorrect classes.
+    """
     logits = np.asarray(logits)
-    _check_label(logits, y)
-    return float(-_log_softmax(logits)[..., y])
-
-
-def loss_vanilla_grad(logits: np.ndarray, y: int):
-    logits = np.asarray(logits)
-    _check_label(logits, y)
-    p = softmax(logits)
-    g = p.copy()
-    g[y] -= 1.0
-    return float(-np.log(p[y])) if p[y] > 0 else loss_vanilla(logits, y), g
-
-
-def loss_squentropy(logits: np.ndarray, y: int) -> float:
-    """Cross-entropy plus the mean squared logit over incorrect classes."""
-    logits = np.asarray(logits)
-    k = logits.shape[-1]
-    if k < 2:
-        raise ValueError("squentropy needs at least 2 classes")
-    _check_label(logits, y)
-    sq = (np.sum(logits ** 2) - logits[y] ** 2) / (k - 1)
-    return loss_vanilla(logits, y) + float(sq)
-
-
-def loss_squentropy_grad(logits: np.ndarray, y: int):
-    logits = np.asarray(logits)
-    k = logits.shape[-1]
-    if k < 2:
-        raise ValueError("squentropy needs at least 2 classes")
-    base, g = loss_vanilla_grad(logits, y)
-    extra = (2.0 / (k - 1)) * logits
-    extra = extra.copy()
-    extra[y] = 0.0
-    sq = (np.sum(logits ** 2) - logits[y] ** 2) / (k - 1)
-    return base + float(sq), g + extra
-
-
-def _check_label(logits: np.ndarray, y: int) -> None:
-    if not (0 <= y < logits.shape[-1]):
-        raise ValueError(f"label {y} out of range for k={logits.shape[-1]}")
+    labels = np.asarray(labels)
+    m, k = logits.shape
+    rows = np.arange(m)
+    ce = -_log_softmax(logits)[rows, labels]
+    if kind == "squentropy":
+        sq = (np.sum(logits ** 2, axis=1) - logits[rows, labels] ** 2) / (k - 1)
+        return float(np.mean(ce + sq))
+    return float(np.mean(ce))
 
 
 def _batch_dlogits(logits: np.ndarray, labels: np.ndarray, kind: str):
-    """d(mean batch loss)/dlogits; ``batch_loss`` gives the loss itself."""
+    """d(batch_loss)/dlogits, the gradient backprop starts from."""
     m, k = logits.shape
     rows = np.arange(m)
     d = np.exp(_log_softmax(logits))
@@ -293,20 +266,6 @@ def _backprop(model: MlpClassifier, Xb: np.ndarray, yb: np.ndarray, kind: str,
         if l:  # the input's gradient is never needed
             dZ = (dZ @ model.weights[l].T) * (1.0 - acts[l] ** 2)
     return grads_w, grads_b
-
-
-def batch_loss(model: MlpClassifier, X: np.ndarray, y: np.ndarray,
-               kind: str = "vanilla") -> float:
-    """Mean loss of the model on (X, y); used by tests and sanity checks."""
-    logits = model.logits(np.asarray(X, dtype=model.weights[0].dtype))
-    y = np.asarray(y)
-    m, k = logits.shape
-    rows = np.arange(m)
-    ce = -_log_softmax(logits)[rows, y]
-    if kind == "squentropy":
-        sq = (np.sum(logits ** 2, axis=1) - logits[rows, y] ** 2) / (k - 1)
-        return float(np.mean(ce + sq))
-    return float(np.mean(ce))
 
 
 # ---------------------------------------------------------------------------

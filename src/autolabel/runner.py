@@ -36,7 +36,7 @@ from .data import (
 )
 from .loop import TbalConfig, dump_report, dump_round_log, fit_round, run_tbal
 from .rng import child_seed
-from .thresholds import empirical_coverage, empirical_error
+from .thresholds import empirical_metrics
 
 
 class OutputExistsError(RuntimeError):
@@ -192,8 +192,7 @@ def _first_round_eval(tbal_cfg: TbalConfig, pool_ds: Dataset,
         round_index=0)
     dims = [pool_ds.dim, *cfg.hidden, pool_ds.num_classes]
     model, g, t_hat, _, _, _ = fit_round(cfg, seed_set, val, 1, dims)
-    cov = empirical_coverage(g, t_hat, model, hyp)
-    err = empirical_error(g, t_hat, model, hyp)
+    cov, err = empirical_metrics(g, t_hat, model, hyp)
     # an empty selection shows zero mistakes; it still loses on coverage
     return cov, 0.0 if err is None else err
 

@@ -105,33 +105,21 @@ def predicted_scores(g, h, X: np.ndarray):
     return top, preds
 
 
-def _per_point_thresholds(t, predicted: np.ndarray) -> np.ndarray:
-    if isinstance(t, ThresholdVector):
-        return t.per_point(predicted)
-    arr = np.asarray(t, dtype=np.float64)
-    if arr.ndim == 0:
-        return np.full(predicted.shape, float(arr))
-    return arr[np.asarray(predicted, dtype=np.int64)]
+def empirical_metrics(g, t: ThresholdVector, h, labeled: LabeledSet):
+    """(coverage, error among selected points) of thresholding at t.
 
-
-def empirical_coverage(g, t, h, labeled: LabeledSet) -> float:
-    """Fraction of points whose predicted-class confidence clears its threshold."""
+    Coverage is the fraction of points whose predicted-class confidence
+    clears its class threshold; the error is None when nothing is selected.
+    """
     if len(labeled) == 0:
         raise ValueError("empty set")
     top, preds = predicted_scores(g, h, labeled.features)
-    return float(np.mean(top >= _per_point_thresholds(t, preds)))
-
-
-def empirical_error(g, t, h, labeled: LabeledSet):
-    """Error among selected points; None when nothing is selected."""
-    if len(labeled) == 0:
-        raise ValueError("empty set")
-    top, preds = predicted_scores(g, h, labeled.features)
-    sel = top >= _per_point_thresholds(t, preds)
+    sel = top >= t.per_point(preds)
+    coverage = float(np.mean(sel))
     m = int(sel.sum())
     if m == 0:
-        return None
-    return float((labeled.labels != preds)[sel].sum() / m)
+        return coverage, None
+    return coverage, float((labeled.labels != preds)[sel].sum() / m)
 
 
 def std_estimate(err_hat, m):

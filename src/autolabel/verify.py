@@ -1,5 +1,5 @@
-"""Ground-truth evaluation: final run metrics, Monte-Carlo population
-estimates, and a 1-D analytic world where every quantity has a closed form.
+"""Ground-truth evaluation: Monte-Carlo population estimates, and a 1-D
+analytic world where every quantity has a closed form.
 
 The toy world: x ~ Uniform(0,1), truth y = 1(x >= 0.5), a fixed classifier
 predicting 1(x >= 0.25), and a one-parameter confidence g_w(x) = |w - x|.
@@ -18,8 +18,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .confidence import sigmoid
-from .data import Dataset
-from .thresholds import _per_point_thresholds
+from .thresholds import ThresholdVector, predicted_scores
 
 
 @dataclass(frozen=True)
@@ -31,44 +30,21 @@ class McMetrics:
     n_selected: int
 
 
-def final_metrics(report, truth: Dataset):
-    """(error over auto-labeled points, coverage of the initial pool).
-
-    Error compares assigned labels to the hidden labels of ``truth``, matched
-    by point id; it is None when nothing was auto-labeled. Coverage divides by
-    the initial unlabeled pool size recorded in the report.
-    """
-    out = report.output
-    auto_mask = out.sources == "auto"
-    n_auto = int(auto_mask.sum())
-    coverage = n_auto / report.n_initial_pool
-    if n_auto == 0:
-        return None, coverage
-    auto_ids = out.ids[auto_mask]
-    order = np.argsort(truth.ids, kind="stable")
-    pos = np.searchsorted(truth.ids[order], auto_ids)
-    if np.any(pos >= truth.n) or np.any(truth.ids[order][np.minimum(pos, truth.n - 1)] != auto_ids):
-        raise ValueError("auto-labeled ids not found in the truth dataset")
-    true_labels = truth.hidden_labels[order][pos]
-    error = float(np.mean(out.labels[auto_mask] != true_labels))
-    return error, coverage
-
-
-def mc_population_metrics(g, t, h, sampler, n: int, seed: int) -> McMetrics:
+def mc_population_metrics(g, t: ThresholdVector, h, sampler, n: int,
+                          seed: int) -> McMetrics:
     """Plug-in estimates of population coverage and selection error.
 
-    ``sampler(rng, n)`` must return (X, true_labels) drawn from the population.
-    ``g.scores(X)`` and ``h.predict(X)`` score and classify raw inputs, as
-    ``Toy1DWorld`` does. Standard errors use the binomial formula; the error
-    estimate is None when no sample is selected.
+    ``sampler(rng, n)`` must return (X, true_labels) drawn from the population;
+    ``g`` and ``h`` score and classify the samples through ``predicted_scores``.
+    Standard errors use the binomial formula; the error estimate is None when
+    no sample is selected.
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
     rng = np.random.default_rng(seed)
     X, y = sampler(rng, n)
-    preds = np.asarray(h.predict(X))
-    top = np.asarray(g.scores(X))[np.arange(n), preds]
-    sel = top >= _per_point_thresholds(t, preds)
+    top, preds = predicted_scores(g, h, X)
+    sel = top >= t.per_point(preds)
     m = int(sel.sum())
     cov = m / n
     cov_se = float(np.sqrt(cov * (1.0 - cov) / n))
@@ -85,7 +61,12 @@ def mc_population_metrics(g, t, h, sampler, n: int, seed: int) -> McMetrics:
 
 @dataclass(frozen=True)
 class Toy1DWorld:
-    """Uniform x on [0,1]; truth flips at 0.5, the classifier at 0.25."""
+    """Uniform x on [0,1]; truth flips at 0.5, the classifier at 0.25.
+
+    The world is both the classifier and the confidence function that
+    ``predicted_scores`` takes: ``representations`` passes x through as the
+    penultimate, and ``scores`` reads |w - x| from it.
+    """
 
     w: float
     theta_true: float = 0.5
@@ -103,10 +84,13 @@ class Toy1DWorld:
         x = np.asarray(X).reshape(-1)
         return (x >= self.theta_pred).astype(np.int64)
 
-    def scores(self, X: np.ndarray) -> np.ndarray:
+    def representations(self, X: np.ndarray):
+        """(one-hot logits of ``predict``, X as the penultimate)."""
+        return np.eye(2)[self.predict(X)], np.asarray(X)
+
+    def scores(self, logits: np.ndarray, penultimate: np.ndarray) -> np.ndarray:
         """2-column score matrix carrying |w-x| for whichever class is read."""
-        x = np.asarray(X).reshape(-1)
-        c = self.confidence(x)
+        c = self.confidence(np.asarray(penultimate).reshape(-1))
         return np.stack([c, c], axis=1)
 
     def sample_side(self, rng: np.random.Generator, n: int):

@@ -39,6 +39,11 @@ class FixedScores:
         return self._scores[np.asarray(penultimate[:, 0], dtype=np.int64)]
 
 
+def uniform_thresholds(t, k=2):
+    """ThresholdVector holding the same threshold t for each of k classes."""
+    return al.ThresholdVector(np.full(k, t))
+
+
 def indexed_set(true_labels, k):
     """LabeledSet whose single feature is the row index, labels as given."""
     labels = np.asarray(true_labels, dtype=np.int64)

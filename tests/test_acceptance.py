@@ -6,9 +6,11 @@ In order:
    on 1000 random instances, zero tolerance;
 2. per-class threshold selection equals an exhaustive feasibility scan on
    1000 random instances, zero tolerance;
-3. every analytic gradient (both classifier losses, and the confidence-net
-   objective with respect to all three parameter blocks) matches central
-   finite differences on 100+ random configurations;
+3. every analytic gradient that training runs matches central finite
+   differences: the batched classifier loss's logit gradient (100 random
+   batches per loss), backprop through float64 networks with one or two
+   hidden layers (50 per loss), and the confidence-net objective with
+   respect to all three parameter blocks (100 configurations);
 4. the sigmoid-smoothed coverage/error surrogates tighten monotonically
    toward the 1-D closed forms as the sharpness alpha grows;
 5. on a 2-D four-class mixture with heavy-tailed overlap, the learned
@@ -37,11 +39,11 @@ import pytest
 import autolabel as al
 from autolabel.confidence import objective_grad, objective_value
 from autolabel.loop import dump_round_log
-from autolabel.mlp import loss_squentropy_grad, loss_vanilla_grad
+from autolabel.mlp import _backprop, _batch_dlogits, _flat_views, batch_loss
 from numcheck import central_difference, relative_error
 from autolabel.rng import child_seed
 
-from conftest import FixedModel, FixedScores, indexed_set
+from conftest import FixedModel, FixedScores, indexed_set, uniform_thresholds
 
 
 # ---------------------------------------------------------------------------
@@ -66,10 +68,10 @@ def test_estimators_equal_bruteforce_on_1000_instances():
         selected = [scores[i, preds[i]] >= tvec.values[preds[i]]
                     for i in range(n)]
         m = sum(selected)
-        assert al.empirical_coverage(g, tvec, h, labeled) == m / n
+        cov, got = al.empirical_metrics(g, tvec, h, labeled)
+        assert cov == m / n
         wrong_sel = sum(1 for i in range(n)
                         if selected[i] and preds[i] != true[i])
-        got = al.empirical_error(g, tvec, h, labeled)
         if m == 0:
             assert got is None
         else:
@@ -139,14 +141,38 @@ def test_threshold_selection_equals_exhaustive_scan_on_1000_instances():
 def test_every_analytic_gradient_matches_finite_differences():
     start = time.perf_counter()
     rng = np.random.default_rng(3003)
-    for loss_fn, grad_fn in ((al.loss_vanilla, loss_vanilla_grad),
-                             (al.loss_squentropy, loss_squentropy_grad)):
+    for kind in ("vanilla", "squentropy"):
         for _ in range(100):
+            m = int(rng.integers(1, 17))
             k = int(rng.integers(2, 8))
-            y = int(rng.integers(0, k))
-            logits = rng.normal(0, 2.0, size=k)
-            _, analytic = grad_fn(logits, y)
-            numeric = central_difference(lambda z: loss_fn(z, y), logits.copy())
+            labels = rng.integers(0, k, size=m)
+            logits = rng.normal(0, 2.0, size=(m, k))
+            analytic = _batch_dlogits(logits, labels, kind)
+            numeric = central_difference(
+                lambda z: batch_loss(z, labels, kind), logits.copy())
+            assert relative_error(analytic, numeric) <= 1e-4
+
+        for _ in range(50):
+            depth = int(rng.integers(1, 3))
+            dims = [int(v) for v in rng.integers(2, 6, size=depth + 2)]
+            model = al.MlpClassifier(
+                [rng.normal(0, 0.7, size=(a, b)) for a, b in
+                 zip(dims[:-1], dims[1:])],
+                [rng.normal(0, 0.5, size=b) for b in dims[1:]])
+            m = int(rng.integers(1, 17))
+            X = rng.normal(0, 1.0, size=(m, dims[0]))
+            y = rng.integers(0, dims[-1], size=m)
+            grads_w, grads_b = _backprop(model, X, y, kind)
+            tensors = model.weights + model.biases
+            flat = np.concatenate([a.ravel() for a in tensors])
+
+            def loss_at(v):
+                parts = _flat_views(v, [a.shape for a in tensors])
+                net = al.MlpClassifier(parts[:depth + 1], parts[depth + 1:])
+                return batch_loss(net.logits(X), y, kind)
+
+            numeric = central_difference(loss_at, flat.copy())
+            analytic = np.concatenate([a.ravel() for a in grads_w + grads_b])
             assert relative_error(analytic, numeric) <= 1e-4
 
     from autolabel.confidence import ConfidenceNetParams
@@ -472,8 +498,9 @@ def test_mc_population_estimates_match_closed_forms():
         t = float(rng.uniform(0, 0.25))  # selection stays non-empty here
         world = al.Toy1DWorld(w=w)
         exact = al.toy_1d_metrics(world, t, alpha=1.0)
-        m = al.mc_population_metrics(world, t, world, world.sample_side,
-                                     100_000, seed=int(rng.integers(1 << 31)))
+        m = al.mc_population_metrics(world, uniform_thresholds(t), world,
+                                     world.sample_side, 100_000,
+                                     seed=int(rng.integers(1 << 31)))
         assert abs(m.coverage - exact.actual_coverage) <= \
             3.0 * max(m.coverage_se, 1e-4)
         assert exact.actual_error is not None and m.error is not None

@@ -17,14 +17,19 @@ from autolabel.confidence import (
     init_confidence_net_params,
     objective_grad,
     objective_value,
+    TopLabelHistogramConfidence,
     sigmoid,
-    surrogate_coverage,
-    surrogate_error,
+    surrogate_metrics,
     write_score_dump,
 )
 from numcheck import central_difference, relative_error
 
-from conftest import label_everything, single_class_instance
+from conftest import (
+    indexed_set,
+    label_everything,
+    single_class_instance,
+    uniform_thresholds,
+)
 
 
 def mixture_1d(means, n, seed, train_seed, epochs=40):
@@ -208,6 +213,34 @@ def test_hb_needs_enough_points(blob_model, blobs):
         fit_top_label_hb(blob_model, cal, points_per_bin=25)
 
 
+def test_hb_bins_the_predicted_class_on_float32_softmax_ties():
+    # float32 softmax rounds [0, 1e-8] to [0.5, 0.5]; the prediction is the
+    # logits' argmax, class 1, and both the fit and the scores must bin
+    # class 1's entry, not the probabilities' argmax, class 0
+    tied = np.array([[0.0, 1e-8]], dtype=np.float32)
+    assert np.argmax(al.softmax(tied)) == 0
+
+    class TiedModel:
+        num_classes = 2
+
+        def logits(self, X):
+            return np.repeat(tied, len(X), axis=0)
+
+        def representations(self, X):
+            return self.logits(X), X
+
+    fitted = fit_top_label_hb(TiedModel(), indexed_set([1], 2),
+                              points_per_bin=1)
+    assert fitted.fallback_classes == (0,)
+    g = TopLabelHistogramConfidence({0: np.array([]), 1: np.array([])},
+                                    {0: np.array([0.9]), 1: np.array([0.1])},
+                                    ())
+    top, preds = al.thresholds.predicted_scores(g, TiedModel(),
+                                                np.zeros((1, 1)))
+    assert preds.tolist() == [1]
+    assert top[0] == np.float32(0.1)
+
+
 # ---------------------------------------------------------------------------
 # surrogates
 
@@ -215,12 +248,13 @@ def test_hb_needs_enough_points(blob_model, blobs):
 def test_surrogate_coverage_at_threshold_is_half():
     labeled, h, g = single_class_instance([0.4, 0.4, 0.4], [True, True, True])
     for alpha in (0.5, 1.0, 20.0):
-        assert surrogate_coverage(g, 0.4, h, labeled, alpha) == pytest.approx(0.5)
+        cov, _ = surrogate_metrics(g, uniform_thresholds(0.4), h, labeled, alpha)
+        assert cov == pytest.approx(0.5)
 
 
 def test_surrogate_coverage_sharp_alpha_saturates():
     labeled, h, g = single_class_instance([0.51, 0.6, 0.9], [True] * 3)
-    v = surrogate_coverage(g, 0.5, h, labeled, alpha=1e4)
+    v, _ = surrogate_metrics(g, uniform_thresholds(0.5), h, labeled, alpha=1e4)
     assert v >= 1.0 - np.exp(-100)
 
 
@@ -240,18 +274,19 @@ def test_surrogate_tracks_empirical_within_exponential_bound():
             continue
         labeled, h, g = single_class_instance(tops, rng.uniform(size=n) < 0.5)
         alpha = float(rng.choice([50.0, 100.0, 500.0]))
-        sur = surrogate_coverage(g, t, h, labeled, alpha)
-        emp = al.empirical_coverage(g, t, h, labeled)
+        sur, _ = surrogate_metrics(g, uniform_thresholds(t), h, labeled, alpha)
+        emp, _ = al.empirical_metrics(g, uniform_thresholds(t), h, labeled)
         assert abs(sur - emp) <= np.exp(-alpha * delta) + 1e-12
 
 
 def test_surrogate_error_corners():
+    t = uniform_thresholds(0.5)
     ok, h1, g1 = single_class_instance([0.9, 0.7], [True, True])
-    assert surrogate_error(g1, 0.5, h1, ok, alpha=5.0) == 0.0
+    assert surrogate_metrics(g1, t, h1, ok, alpha=5.0)[1] == 0.0
     bad, h2, g2 = single_class_instance([0.9, 0.7], [False, False])
-    assert surrogate_error(g2, 0.5, h2, bad, alpha=5.0) >= 1.0 - 1e-6
+    assert surrogate_metrics(g2, t, h2, bad, alpha=5.0)[1] >= 1.0 - 1e-6
     half, h3, g3 = single_class_instance([0.8, 0.8], [True, False])
-    assert surrogate_error(g3, 0.5, h3, half, alpha=5.0) == pytest.approx(
+    assert surrogate_metrics(g3, t, h3, half, alpha=5.0)[1] == pytest.approx(
         0.5, abs=1e-6)
 
 
@@ -270,9 +305,7 @@ def test_surrogates_reject_empty():
     labeled, h, g = single_class_instance([0.9], [True])
     empty = labeled.take([])
     with pytest.raises(ValueError):
-        surrogate_coverage(g, 0.5, h, empty, alpha=1.0)
-    with pytest.raises(ValueError):
-        surrogate_error(g, 0.5, h, empty, alpha=1.0)
+        surrogate_metrics(g, uniform_thresholds(0.5), h, empty, alpha=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +404,13 @@ def test_fit_confidence_net_on_perfect_classifier():
     after = list(h.weights) + list(h.biases)
     for a, b in zip(before, after):
         assert np.array_equal(a, b)  # classifier frozen
-    assert surrogate_error(net, t_prime, h, cal, cfg.alpha) == 0.0
+    cov1, err1 = surrogate_metrics(net, al.ThresholdVector(t_prime), h, cal,
+                                   cfg.alpha)
+    assert err1 == 0.0
     init = ConfidenceNet(init_confidence_net_params(
         2, h.penultimate_dim, cfg.seed))
-    cov0 = surrogate_coverage(init, np.full(2, 0.5), h, cal, cfg.alpha)
-    cov1 = surrogate_coverage(net, t_prime, h, cal, cfg.alpha)
+    cov0, _ = surrogate_metrics(init, uniform_thresholds(0.5), h, cal,
+                                cfg.alpha)
     assert cov1 > cov0
 
 
@@ -406,15 +441,14 @@ def test_fit_confidence_net_beats_softmax_sweep_on_overlap():
     net, t_prime = fit_confidence_net(
         h, cal, ConfidenceNetConfig(lam=100.0, alpha=1.0, seed=3))
     tv = al.ThresholdVector(t_prime)
-    cov_f = al.empirical_coverage(net, tv, h, cal)
-    err_f = al.empirical_error(net, tv, h, cal)
+    cov_f, err_f = al.empirical_metrics(net, tv, h, cal)
     err_cap = 0.0 if err_f is None else err_f
     sm = SoftmaxConfidence()
     tops, _ = al.thresholds.predicted_scores(sm, h, ds.features)
     best = 0.0
     for tau in np.concatenate([[0.0], np.unique(tops)]):
-        cov = al.empirical_coverage(sm, float(tau), h, cal)
-        err = al.empirical_error(sm, float(tau), h, cal)
+        cov, err = al.empirical_metrics(sm, uniform_thresholds(float(tau)), h,
+                                        cal)
         if (0.0 if err is None else err) <= err_cap + 1e-12 and cov > best:
             best = cov
     assert cov_f >= best - 0.05

@@ -45,7 +45,6 @@ def test_minimal_config_defaults():
     assert cfg.tbal.posthoc_method == "softmax"
     assert cfg.tbal.posthoc is None
     assert cfg.tbal.hidden == (32,)
-    assert cfg.tbal.master_seed == 0
     assert np.allclose(cfg.dataset.means, default_circle_means(4, 2))
 
 
@@ -247,12 +246,6 @@ def test_train_section():
     assert cfg.tbal.train.batch_size == 32
     with pytest.raises(RangeError, match=r"config\.tbal\.train\.loss"):
         parse_config_dict(doc(**{"tbal.train": {"loss": "hinge"}}))
-
-
-def test_master_seed_reaches_tbal():
-    cfg = parse_config_dict(doc(master_seed=42))
-    assert cfg.master_seed == 42
-    assert cfg.tbal.master_seed == 42
 
 
 def test_parse_config_file_errors(tmp_path):

@@ -110,7 +110,7 @@ def test_auto_label_select_matches_coverage():
     labeled, pool, h, g, tops, preds = piece_fixture()
     tv = al.ThresholdVector(np.array([0.5, 0.7]))
     chosen, pool2 = al.auto_label_select(g, tv, h, pool, 2)
-    cov = al.empirical_coverage(g, tv, h, labeled)
+    cov, _ = al.empirical_metrics(g, tv, h, labeled)
     assert len(chosen) == int(round(cov * 5))
     assert pool2.size == 5 - len(chosen)
     sel = tops >= tv.values[preds]
@@ -330,6 +330,21 @@ def test_loop_accounting_and_budget():
         assert later <= earlier
     # coverage consistent with the output
     assert report.final_coverage == pytest.approx(n_auto / pool_ds.n)
+
+
+def test_final_error_is_the_auto_label_mismatch_rate():
+    # a loose tolerance on overlapping data lets wrong auto-labels through;
+    # the report's error must be their mismatch rate against the hidden
+    # labels, looked up by point id
+    pool_ds, val = overlapping_world()
+    report = al.run_tbal(base_config(eps_a=0.3), pool_ds, val)
+    out = report.output
+    auto = out.sources == "auto"
+    row_of = {int(pid): row for row, pid in enumerate(pool_ds.ids)}
+    truth = pool_ds.hidden_labels[[row_of[int(pid)] for pid in out.ids[auto]]]
+    mistakes = int(np.sum(out.labels[auto] != truth))
+    assert mistakes > 0
+    assert report.final_error == mistakes / int(auto.sum())
 
 
 def test_loop_deterministic_reports():

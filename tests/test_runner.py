@@ -12,6 +12,7 @@ from autolabel.runner import (
     _apply_posthoc_combo,
     _apply_train_combo,
     _combo_list,
+    _first_round_eval,
     _select,
     materialize_dataset,
 )
@@ -214,6 +215,26 @@ def test_apply_combos():
     assert tuned.posthoc.epochs == 77
     soft = al.TbalConfig(train_budget=20, seed_size=10, query_batch=5)
     assert _apply_posthoc_combo(soft, {"epochs": 1}) is soft
+
+
+@pytest.mark.parametrize("method", al.loop.POSTHOC_METHODS)
+def test_first_round_eval_runs_the_classifier_once_over_hyp(
+        monkeypatch, tmp_path, method):
+    d = copy.deepcopy(OVERLAPPING)
+    d["tbal"]["posthoc"] = {"method": method}
+    cfg = experiment(d, tmp_path)
+    pool_ds, val, hyp = materialize_dataset(cfg)
+    calls = []
+    original = al.MlpClassifier.representations
+
+    def counted(self, X):
+        calls.append(np.array(X, copy=True))
+        return original(self, X)
+
+    monkeypatch.setattr(al.MlpClassifier, "representations", counted)
+    _first_round_eval(cfg.tbal, pool_ds, val, hyp, 3)
+    assert sum(c.shape == hyp.features.shape
+               and np.array_equal(c, hyp.features) for c in calls) == 1
 
 
 def hpo_experiment(tmp_path, name="hpo", method="temperature"):

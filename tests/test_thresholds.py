@@ -4,7 +4,13 @@ import pytest
 import autolabel as al
 from autolabel.thresholds import select_class_threshold
 
-from conftest import FixedModel, FixedScores, indexed_set, single_class_instance
+from conftest import (
+    FixedModel,
+    FixedScores,
+    indexed_set,
+    single_class_instance,
+    uniform_thresholds,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -66,37 +72,42 @@ def test_default_grid_shape():
 def test_coverage_extremes():
     labeled, h, g = single_class_instance([0.9, 0.8, 0.7, 0.4],
                                           [True, True, True, True])
-    assert al.empirical_coverage(g, 0.0, h, labeled) == 1.0
-    assert al.empirical_coverage(g, np.inf, h, labeled) == 0.0
+    assert al.empirical_metrics(g, uniform_thresholds(0.0), h,
+                                labeled)[0] == 1.0
+    assert al.empirical_metrics(g, uniform_thresholds(np.inf), h,
+                                labeled)[0] == 0.0
 
 
 def test_coverage_hand_example():
     labeled, h, g = single_class_instance([0.9, 0.8, 0.7, 0.4],
                                           [True, True, True, True])
-    assert al.empirical_coverage(g, 0.75, h, labeled) == pytest.approx(0.5)
+    assert al.empirical_metrics(g, uniform_thresholds(0.75), h,
+                                labeled)[0] == pytest.approx(0.5)
 
 
 def test_error_hand_example():
     labeled, h, g = single_class_instance([0.9, 0.8, 0.7, 0.4],
                                           [True, False, True, False])
-    assert al.empirical_error(g, 0.75, h, labeled) == pytest.approx(0.5)
-    assert al.empirical_error(g, np.inf, h, labeled) is None
+    assert al.empirical_metrics(g, uniform_thresholds(0.75), h,
+                                labeled)[1] == pytest.approx(0.5)
+    assert al.empirical_metrics(g, uniform_thresholds(np.inf), h,
+                                labeled) == (0.0, None)
     all_good, h2, g2 = single_class_instance([0.9, 0.8], [True, True])
-    assert al.empirical_error(g2, 0.5, h2, all_good) == 0.0
+    assert al.empirical_metrics(g2, uniform_thresholds(0.5), h2,
+                                all_good) == (1.0, 0.0)
 
 
 def test_estimators_reject_empty_set():
     labeled, h, g = single_class_instance([0.9], [True])
     empty = labeled.take([])
     with pytest.raises(ValueError):
-        al.empirical_coverage(g, 0.5, h, empty)
-    with pytest.raises(ValueError):
-        al.empirical_error(g, 0.5, h, empty)
+        al.empirical_metrics(g, uniform_thresholds(0.5), h, empty)
 
 
 def test_coverage_selection_is_inclusive_at_the_threshold():
     labeled, h, g = single_class_instance([0.75, 0.5], [True, True])
-    assert al.empirical_coverage(g, 0.75, h, labeled) == pytest.approx(0.5)
+    assert al.empirical_metrics(g, uniform_thresholds(0.75), h,
+                                labeled)[0] == pytest.approx(0.5)
 
 
 def test_coverage_monotone_in_threshold():
@@ -106,7 +117,8 @@ def test_coverage_monotone_in_threshold():
         tops = rng.uniform(0, 1, size=n)
         labeled, h, g = single_class_instance(tops, rng.uniform(size=n) < 0.7)
         grid = np.sort(rng.uniform(0, 1, size=10))
-        covs = [al.empirical_coverage(g, t, h, labeled) for t in grid]
+        covs = [al.empirical_metrics(g, uniform_thresholds(t), h, labeled)[0]
+                for t in grid]
         assert all(b <= a for a, b in zip(covs, covs[1:]))
 
 
@@ -123,10 +135,9 @@ def test_estimators_match_bruteforce_enumeration():
         tvec = al.ThresholdVector(rng.uniform(0, 1, size=k))
         selected = [scores[i, preds[i]] >= tvec.values[preds[i]]
                     for i in range(n)]
-        assert al.empirical_coverage(g, tvec, h, labeled) == pytest.approx(
-            sum(selected) / n)
+        cov, got = al.empirical_metrics(g, tvec, h, labeled)
+        assert cov == pytest.approx(sum(selected) / n)
         wrong_sel = [s and preds[i] != true[i] for i, s in enumerate(selected)]
-        got = al.empirical_error(g, tvec, h, labeled)
         if sum(selected) == 0:
             assert got is None
         else:

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -7,89 +5,11 @@ import autolabel as al
 from autolabel.verify import (
     McMetrics,
     Toy1DWorld,
-    final_metrics,
     mc_population_metrics,
     toy_1d_metrics,
 )
 
-
-def report_over(truth, ids, labels, sources, n_initial_pool):
-    out = al.LabeledSet(truth, np.asarray(ids, dtype=np.int64),
-                        np.asarray(labels, dtype=np.int64),
-                        np.asarray(sources, dtype="<U5"),
-                        np.zeros(len(ids), dtype=np.int64))
-    return SimpleNamespace(output=out, n_initial_pool=n_initial_pool)
-
-
-def uniform_truth(n, k=2, seed=0):
-    rng = np.random.default_rng(seed)
-    return al.Dataset(rng.uniform(0, 1, size=(n, 1)).astype(np.float32),
-                      rng.integers(0, k, size=n), k)
-
-
-# ---------------------------------------------------------------------------
-# final metrics
-
-
-def test_final_metrics_no_auto_points():
-    truth = uniform_truth(10)
-    rep = report_over(truth, [0, 1], truth.hidden_labels[:2], ["human"] * 2, 10)
-    err, cov = final_metrics(rep, truth)
-    assert err is None
-    assert cov == 0.0
-
-
-def test_final_metrics_all_correct():
-    truth = uniform_truth(8)
-    rep = report_over(truth, np.arange(8), truth.hidden_labels, ["auto"] * 8, 8)
-    err, cov = final_metrics(rep, truth)
-    assert err == 0.0
-    assert cov == 1.0
-
-
-def test_final_metrics_forty_of_hundred_two_wrong():
-    truth = uniform_truth(100)
-    ids = np.arange(40)
-    labels = truth.hidden_labels[:40].copy()
-    labels[:2] = 1 - labels[:2]  # two auto labels flipped wrong
-    rep = report_over(truth, ids, labels, ["auto"] * 40, 100)
-    err, cov = final_metrics(rep, truth)
-    assert err == pytest.approx(0.05)
-    assert cov == pytest.approx(0.40)
-
-
-def test_final_metrics_ignores_human_labels():
-    truth = uniform_truth(20)
-    ids = np.arange(10)
-    labels = truth.hidden_labels[:10].copy()
-    labels[5:] = 1 - labels[5:]  # five WRONG human labels must not count
-    sources = ["auto"] * 5 + ["human"] * 5
-    rep = report_over(truth, ids, labels, sources, 20)
-    err, cov = final_metrics(rep, truth)
-    assert err == 0.0
-    assert cov == pytest.approx(0.25)
-
-
-def test_final_metrics_id_mismatch():
-    truth = uniform_truth(5)
-    rep = report_over(truth, [3], [0], ["auto"], 5)
-    stranger = al.Dataset(truth.features, truth.hidden_labels, 2,
-                          ids=np.arange(100, 105))
-    with pytest.raises(ValueError):
-        final_metrics(rep, stranger)
-
-
-def test_final_metrics_matches_scrambled_id_order():
-    # ids deliberately not sorted: matching must go through the id lookup
-    base = uniform_truth(30)
-    perm = np.random.default_rng(3).permutation(30)
-    truth = al.Dataset(base.features[perm], base.hidden_labels[perm], 2,
-                       ids=base.ids[perm])
-    labels = truth.hidden_labels[:10].copy()
-    labels[0] = 1 - labels[0]
-    rep = report_over(truth, np.arange(10), labels, ["auto"] * 10, 30)
-    err, cov = final_metrics(rep, truth)
-    assert err == pytest.approx(0.1)
+from conftest import uniform_thresholds
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +21,8 @@ def test_mc_point_mass():
         return np.full((n, 1), 0.9, dtype=np.float64), np.ones(n, dtype=np.int64)
 
     world = Toy1DWorld(w=0.0)
-    m = mc_population_metrics(world, 0.5, world, sampler, 500, seed=1)
+    m = mc_population_metrics(world, uniform_thresholds(0.5), world, sampler,
+                              500, seed=1)
     assert m.coverage == 1.0 and m.coverage_se == 0.0
     assert m.error == 0.0 and m.error_se == 0.0
     assert m.n_selected == 500
@@ -109,27 +30,28 @@ def test_mc_point_mass():
 
 def test_mc_infinite_threshold():
     world = Toy1DWorld(w=0.0)
-    m = mc_population_metrics(world, np.inf, world, world.sample_side, 200,
-                              seed=2)
+    m = mc_population_metrics(world, uniform_thresholds(np.inf), world,
+                              world.sample_side, 200, seed=2)
     assert m.coverage == 0.0
     assert m.error is None and m.error_se is None
 
 
 def test_mc_determinism_and_n_validation():
     world = Toy1DWorld(w=0.3)
-    a = mc_population_metrics(world, 0.2, world, world.sample_side, 1000, 7)
-    b = mc_population_metrics(world, 0.2, world, world.sample_side, 1000, 7)
+    t = uniform_thresholds(0.2)
+    a = mc_population_metrics(world, t, world, world.sample_side, 1000, 7)
+    b = mc_population_metrics(world, t, world, world.sample_side, 1000, 7)
     assert a == b
     with pytest.raises(ValueError):
-        mc_population_metrics(world, 0.2, world, world.sample_side, 0, 7)
+        mc_population_metrics(world, t, world, world.sample_side, 0, 7)
 
 
 def test_mc_agrees_with_closed_form():
     for w, t in [(0.0, 0.3), (0.8, 0.2), (0.4, 0.1)]:
         world = Toy1DWorld(w=w)
         exact = toy_1d_metrics(world, t, alpha=1.0)
-        m = mc_population_metrics(world, t, world, world.sample_side, 100_000,
-                                  seed=11)
+        m = mc_population_metrics(world, uniform_thresholds(t), world,
+                                  world.sample_side, 100_000, seed=11)
         assert abs(m.coverage - exact.actual_coverage) <= 3 * max(m.coverage_se,
                                                                   1e-4)
         if exact.actual_error is not None:
@@ -143,8 +65,8 @@ def test_mc_unbiased_over_repetitions():
     exact = toy_1d_metrics(world, t, alpha=1.0)
     covs, errs = [], []
     for rep in range(200):
-        m = mc_population_metrics(world, t, world, world.sample_side, 10_000,
-                                  seed=1000 + rep)
+        m = mc_population_metrics(world, uniform_thresholds(t), world,
+                                  world.sample_side, 10_000, seed=1000 + rep)
         covs.append(m.coverage)
         errs.append(m.error)
     covs, errs = np.array(covs), np.array(errs, dtype=np.float64)
