@@ -20,9 +20,7 @@ from .mlp import (
     MlpClassifier,
     TrainConfig,
     init_mlp,
-    load_model,
     margin_scores,
-    save_model,
     softmax,
     train_model,
 )
@@ -40,7 +38,6 @@ from .confidence import (
     fit_temperature,
     fit_top_label_hb,
     sigmoid,
-    surrogate_metrics,
     write_score_dump,
 )
 from .thresholds import (
@@ -61,11 +58,8 @@ from .loop import (
     run_tbal,
 )
 from .verify import (
-    McMetrics,
     Toy1DWorld,
     ToyMetrics,
-    default_toy_sweep,
-    mc_population_metrics,
     toy_1d_metrics,
 )
 from .config import ConfigError, ExperimentConfig, parse_config

@@ -22,7 +22,14 @@ import numpy as np
 from .config import ConfigError, default_circle_means, parse_config
 from .data import synth_gaussian_mixture, write_rawf32
 from .runner import hyperparameter_search, run_experiment
-from .verify import Toy1DWorld, toy_1d_metrics
+from .verify import (
+    TOY_ALPHAS,
+    TOY_T_SWEEP,
+    TOY_W_SWEEP,
+    Toy1DWorld,
+    sweep_grid,
+    toy_1d_metrics,
+)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -64,13 +71,6 @@ def _cmd_hpo(args) -> int:
     return 0
 
 
-def _grid(start: float, stop: float, step: float) -> np.ndarray:
-    if step <= 0:
-        raise ConfigError("grid step must be positive")
-    n = int(round((stop - start) / step))
-    return np.round(np.linspace(start, start + n * step, n + 1), 12)
-
-
 def _cmd_toy_check(args) -> int:
     alphas = []
     for tok in args.alphas.split(","):
@@ -79,8 +79,11 @@ def _cmd_toy_check(args) -> int:
             alphas.append(float(tok))
     if not alphas:
         raise ConfigError("--alphas must list at least one value")
-    w_grid = _grid(args.w_start, args.w_stop, args.w_step)
-    t_grid = _grid(args.t_start, args.t_stop, args.t_step)
+    try:
+        w_grid = sweep_grid(args.w_start, args.w_stop, args.w_step)
+        t_grid = sweep_grid(args.t_start, args.t_stop, args.t_step)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if os.path.exists(args.out) and not args.force:
         raise ConfigError(f"{args.out} exists; pass --force to overwrite")
     with open(args.out, "w", newline="") as f:
@@ -146,16 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="surrogate-tightness sweep on the 1-D world")
     p_toy.add_argument("--out", default="toy_check.csv")
     p_toy.add_argument("--force", action="store_true")
-    p_toy.add_argument("--w-start", type=float, default=0.0)
-    p_toy.add_argument("--w-stop", type=float, default=1.0)
-    p_toy.add_argument("--w-step", type=float, default=0.02)
-    p_toy.add_argument("--t-start", type=float, default=0.0)
-    p_toy.add_argument("--t-stop", type=float, default=0.25,
-                       help="default sweep caps t at the wrong-region width; "
-                            "larger t nearly empties the selected set and the "
-                            "error ratio degenerates into sigmoid tail mass")
-    p_toy.add_argument("--t-step", type=float, default=0.05)
-    p_toy.add_argument("--alphas", default="1,10,100",
+    for axis, sweep in (("w", TOY_W_SWEEP), ("t", TOY_T_SWEEP)):
+        for part, default in zip(("start", "stop", "step"), sweep):
+            p_toy.add_argument(f"--{axis}-{part}", type=float, default=default)
+    p_toy.add_argument("--alphas", default=",".join(map(repr, TOY_ALPHAS)),
                        help="comma-separated sigmoid scales")
     p_toy.set_defaults(func=_cmd_toy_check)
 

@@ -21,14 +21,14 @@ predicted entry and therefore does not sum to 1 by design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import LabeledSet
 from .mlp import MlpClassifier, _flat_views, softmax
 from .rng import stream
-from .thresholds import ThresholdVector, predicted_scores
+from .thresholds import predicted_scores
 
 
 def sigmoid(alpha: float, z):
@@ -50,8 +50,6 @@ def sigmoid(alpha: float, z):
 class ConfidenceModel:
     """Base: a fitted map from (logits, penultimate) rows to (n, k) scores."""
 
-    variant = "base"
-
     def scores(self, logits: np.ndarray, penultimate: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -59,16 +57,12 @@ class ConfidenceModel:
 class SoftmaxConfidence(ConfidenceModel):
     """The classifier's raw softmax; nothing to fit."""
 
-    variant = "softmax"
-
     def scores(self, logits: np.ndarray, penultimate: np.ndarray) -> np.ndarray:
         return softmax(logits)
 
 
 class TemperatureConfidence(ConfidenceModel):
     """softmax(logits / T). T rescales sharpness, never the argmax."""
-
-    variant = "temperature"
 
     def __init__(self, temperature: float):
         if not (temperature > 0):
@@ -88,8 +82,6 @@ class TopLabelHistogramConfidence(ConfidenceModel):
     tie still bins the entry that is thresholded. Classes that had no
     calibration points keep the raw softmax row (fallback, recorded).
     """
-
-    variant = "top_label_hb"
 
     def __init__(self, boundaries: dict, values: dict, fallback_classes: tuple):
         self.boundaries = boundaries  # class -> ascending inner bin edges
@@ -206,27 +198,6 @@ class TopLabelBinningConfig:
 
 
 # ---------------------------------------------------------------------------
-# smoothed coverage/error surrogates
-
-
-def surrogate_metrics(g, t: ThresholdVector, h, labeled: LabeledSet,
-                      alpha: float, denom_epsilon: float = 1e-8):
-    """Sigmoid-smoothed (coverage, selection error) of thresholding at t.
-
-    Each point is weighted by u = sigmoid(alpha, score_of_predicted -
-    threshold_of_predicted): coverage is the mean of u, and the error is the
-    u-weighted wrong mass over the u-weighted selected mass.
-    """
-    if len(labeled) == 0:
-        raise ValueError("empty set")
-    top, preds = predicted_scores(g, h, labeled.features)
-    u = sigmoid(alpha, top - t.per_point(preds))
-    wrong = labeled.labels != preds
-    return (float(np.mean(u)),
-            float((u * wrong).sum() / (u.sum() + denom_epsilon)))
-
-
-# ---------------------------------------------------------------------------
 # confidence net
 
 
@@ -276,8 +247,6 @@ class ConfidenceNetConfig:
 class ConfidenceNet(ConfidenceModel):
     """softmax(W2 tanh(W1 [logits, penultimate])) over classifier reps."""
 
-    variant = "confidence_net"
-
     def __init__(self, params: ConfidenceNetParams):
         p, k = params.W1.shape[0], params.t_raw.size
         if params.W1.shape != (p, 2 * p):
@@ -306,25 +275,16 @@ def init_confidence_net_params(k: int, d2: int, seed: int,
     )
 
 
-def objective_value(params: ConfidenceNetParams, Z: np.ndarray,
-                    yhat: np.ndarray, wrong: np.ndarray, lam: float,
-                    alpha: float, denom_epsilon: float) -> float:
-    """-(smoothed coverage) + lam * (smoothed selection error) on a batch."""
-    val, _ = _objective_core(params, Z, yhat, wrong, lam, alpha,
-                             denom_epsilon, want_grad=False)
-    return val
-
-
 def objective_grad(params: ConfidenceNetParams, Z: np.ndarray,
                    yhat: np.ndarray, wrong: np.ndarray, lam: float,
                    alpha: float, denom_epsilon: float):
-    """(value, ConfidenceNetParams-shaped gradients) of the batch objective."""
-    return _objective_core(params, Z, yhat, wrong, lam, alpha,
-                           denom_epsilon, want_grad=True)
+    """(value, ConfidenceNetParams-shaped gradients) of the batch objective.
 
-
-def _objective_core(params, Z, yhat, wrong, lam, alpha, denom_epsilon,
-                    want_grad: bool):
+    The value is -(smoothed coverage) + lam * (smoothed selection error):
+    each point is weighted by u = sigmoid(alpha, score_of_predicted -
+    threshold_of_predicted), coverage is the mean of u, and the error is the
+    u-weighted wrong mass over the u-weighted selected mass.
+    """
     m = Z.shape[0]
     rows = np.arange(m)
     wrongf = np.asarray(wrong, dtype=Z.dtype)
@@ -339,8 +299,6 @@ def _objective_core(params, Z, yhat, wrong, lam, alpha, denom_epsilon,
     M = (u * wrongf).sum()
     denom = S + denom_epsilon
     value = float(-u.mean() + lam * (M / denom))
-    if not want_grad:
-        return value, None
     # d value / d u_i, then chain through the sigmoid, softmax, and layers
     du = -1.0 / m + lam * (wrongf * denom - M) / (denom * denom)
     c = du * alpha * u * (1.0 - u)
@@ -358,12 +316,12 @@ def _objective_core(params, Z, yhat, wrong, lam, alpha, denom_epsilon,
 
 
 def fit_confidence_net(h: MlpClassifier, d_cal: LabeledSet,
-                       cfg: ConfidenceNetConfig):
-    """Optimize the smoothed objective with Adam; returns (model, t_logged).
+                       cfg: ConfidenceNetConfig) -> ConfidenceNet:
+    """Optimize the smoothed objective with Adam; returns the fitted net.
 
     The classifier is frozen: only W1, W2 and the auxiliary thresholds move.
-    The auxiliary thresholds are returned (through the logistic) for logging;
-    downstream threshold estimation never sees them. Mini-batches are drawn
+    The auxiliary thresholds, ``sigmoid(1, net.params.t_raw)``, steer the
+    fit only; threshold estimation never sees them. Mini-batches are drawn
     by per-epoch seeded shuffles; weight decay is decoupled and applied to
     the weight matrices only.
     """
@@ -406,8 +364,7 @@ def fit_confidence_net(h: MlpClassifier, d_cal: LabeledSet,
             theta -= lr * (mom / c1) / (np.sqrt(sec / c2) + np.float32(adam_eps))
             if wd > 0:
                 weights -= lr * wd * weights
-    model = ConfidenceNet(params.copy())
-    return model, np.asarray(sigmoid(1.0, model.params.t_raw), dtype=np.float64)
+    return ConfidenceNet(params.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +373,17 @@ def fit_confidence_net(h: MlpClassifier, d_cal: LabeledSet,
 
 def write_score_dump(path: str, g: ConfidenceModel, h: MlpClassifier,
                      labeled: LabeledSet) -> None:
-    """CSV of per-point predicted-class scores vs. the set's labels."""
-    import csv as _csv
+    """CSV of per-point predicted-class scores vs. the set's labels.
+
+    Scores are written with ``repr``, so each parses back to the exact
+    value; no field ever needs CSV quoting.
+    """
     top, preds = predicted_scores(g, h, labeled.features)
+    labels = labeled.labels
+    rows = zip(labeled.ids.tolist(), labels.tolist(), preds.tolist(),
+               top.tolist(), (labels == preds).astype(np.int64).tolist())
     with open(path, "w", newline="") as f:
-        w = _csv.writer(f, lineterminator="\n")
-        w.writerow(["point_id", "true_label", "predicted_label",
-                    "score_of_predicted", "correct_flag"])
-        for pid, lab, pred, sc in zip(labeled.ids, labeled.labels, preds, top):
-            w.writerow([int(pid), int(lab), int(pred), repr(float(sc)),
-                        int(lab == pred)])
+        f.write("point_id,true_label,predicted_label,score_of_predicted,"
+                "correct_flag\n")
+        f.write("".join([f"{pid},{lab},{pred},{sc!r},{ok}\n"
+                         for pid, lab, pred, sc, ok in rows]))

@@ -219,6 +219,11 @@ def _parse_dataset(sec: _Section, base_dir: str):
     num_classes = sec.number("num_classes", None, integer=True, lo=2)
     labels_path = sec.string("labels_path", None)
     sec.finish()
+    if labels_path is not None and fmt != "idx":
+        raise RangeError(
+            f"{sec.path}.labels_path: only the idx format reads a separate "
+            f"labels file; {fmt} carries its own labels"
+        )
     resolved = path if os.path.isabs(path) else os.path.join(base_dir, path)
     if not os.path.exists(resolved):
         raise ConfigError(f"{sec.path}.path: no such file {resolved!r}")

@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import stream
-
 
 class DataFormatError(ValueError):
     """Base class for malformed dataset files."""

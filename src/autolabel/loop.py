@@ -46,7 +46,11 @@ POSTHOC_METHODS = ("softmax", "temperature", "top_label_hb", "confidence_net")
 
 @dataclass(frozen=True)
 class TbalConfig:
-    """Everything one workflow run needs besides the data itself."""
+    """Everything one workflow run needs besides the data itself.
+
+    ``threshold_config`` is derived from eps_a, coverage_floor, c1, grid and
+    group_by once, at construction, so a bad threshold setting fails here.
+    """
 
     train_budget: int
     seed_size: int
@@ -63,14 +67,14 @@ class TbalConfig:
     posthoc: object = None
     active_multiplier: float = 2.0
     master_seed: int = 0
+    threshold_config: ThresholdConfig = field(init=False, repr=False,
+                                              compare=False)
 
     def __post_init__(self):
         if self.seed_size < 1 or self.seed_size > self.train_budget:
             raise ValueError("need 1 <= seed_size <= train_budget")
         if self.query_batch < 1:
             raise ValueError("query_batch must be >= 1")
-        if not (0.0 <= self.eps_a <= 1.0):
-            raise ValueError("eps_a must be in [0, 1]")
         if not (0.0 < self.cal_fraction < 1.0):
             raise ValueError("cal_fraction must be in (0, 1)")
         if self.active_multiplier < 1.0:
@@ -90,11 +94,10 @@ class TbalConfig:
                 f"posthoc config {type(self.posthoc).__name__} does not match "
                 f"method {self.posthoc_method!r}"
             )
-
-    def threshold_config(self) -> ThresholdConfig:
         grid = self.grid if self.grid is not None else default_grid()
-        return ThresholdConfig(grid=grid, rho0=self.coverage_floor, c1=self.c1,
-                               eps_a=self.eps_a, group_by=self.group_by)
+        object.__setattr__(self, "threshold_config", ThresholdConfig(
+            grid=grid, rho0=self.coverage_floor, c1=self.c1, eps_a=self.eps_a,
+            group_by=self.group_by))
 
 
 @dataclass
@@ -237,8 +240,7 @@ def fit_posthoc(method: str, posthoc_cfg, model, d_cal: LabeledSet,
     if method == "confidence_net":
         cfg = posthoc_cfg or ConfidenceNetConfig()
         cfg = dataclasses.replace(cfg, seed=seed)
-        fitted, _ = fit_confidence_net(model, d_cal, cfg)
-        return fitted, None
+        return fit_confidence_net(model, d_cal, cfg), None
     raise ValueError(f"unknown posthoc method {method!r}")
 
 
@@ -256,7 +258,7 @@ def fit_round(cfg: TbalConfig, d_train: LabeledSet, val: LabeledSet,
         val, cfg.cal_fraction, child_seed(cfg.master_seed, round_index, "split"))
     g, warning = fit_posthoc(cfg.posthoc_method, cfg.posthoc, model, d_cal,
                              child_seed(cfg.master_seed, round_index, "posthoc"))
-    t_hat = estimate_thresholds(g, model, d_th, cfg.threshold_config())
+    t_hat = estimate_thresholds(g, model, d_th, cfg.threshold_config)
     return model, g, t_hat, d_cal, d_th, warning
 
 

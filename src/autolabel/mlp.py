@@ -11,12 +11,11 @@ given the TrainConfig seed.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledSet, TruncatedPayloadError, DataFormatError
+from .data import LabeledSet
 from .rng import stream
 
 
@@ -70,10 +69,6 @@ class MlpClassifier:
     @property
     def penultimate_dim(self) -> int:
         return self.weights[-1].shape[0]
-
-    @property
-    def dims(self) -> "list[int]":
-        return [self.input_dim] + [w.shape[1] for w in self.weights]
 
     # ------------------------------------------------------------------
     # inference
@@ -280,54 +275,3 @@ def margin_scores(probs: np.ndarray) -> np.ndarray:
     top2 = np.partition(p, -2, axis=1)[:, -2:]
     return top2[:, 1] - top2[:, 0]
 
-
-# ---------------------------------------------------------------------------
-# checkpointing: little-endian float32 blobs plus a text manifest
-
-
-def save_model(model: MlpClassifier, path: str) -> None:
-    """Write the model under directory ``path``; round-trips exactly."""
-    os.makedirs(path, exist_ok=True)
-    dims = ",".join(str(v) for v in model.dims)
-    with open(os.path.join(path, "manifest.txt"), "w") as f:
-        f.write(f"dims={dims}\ndtype=<f4\n")
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        with open(os.path.join(path, f"w{i}.f32"), "wb") as f:
-            f.write(np.ascontiguousarray(w, dtype="<f4").tobytes())
-        with open(os.path.join(path, f"b{i}.f32"), "wb") as f:
-            f.write(np.ascontiguousarray(b, dtype="<f4").tobytes())
-
-
-def load_model(path: str) -> MlpClassifier:
-    manifest = os.path.join(path, "manifest.txt")
-    fields = {}
-    with open(manifest) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                key, _, val = line.partition("=")
-                fields[key] = val
-    if "dims" not in fields:
-        raise DataFormatError(f"{manifest}: missing dims=")
-    if fields.get("dtype", "<f4") != "<f4":
-        raise DataFormatError(f"{manifest}: unsupported dtype {fields['dtype']!r}")
-    try:
-        dims = [int(v) for v in fields["dims"].split(",")]
-    except ValueError:
-        raise DataFormatError(f"{manifest}: bad dims value") from None
-    weights, biases = [], []
-    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        weights.append(_read_blob(os.path.join(path, f"w{i}.f32"),
-                                  fan_in * fan_out).reshape(fan_in, fan_out))
-        biases.append(_read_blob(os.path.join(path, f"b{i}.f32"), fan_out))
-    return MlpClassifier(weights, biases)
-
-
-def _read_blob(path: str, count: int) -> np.ndarray:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) != count * 4:
-        raise TruncatedPayloadError(
-            f"{path}: expected {count * 4} bytes, found {len(raw)}"
-        )
-    return np.frombuffer(raw, dtype="<f4").copy()

@@ -76,8 +76,17 @@ def materialize_dataset(cfg: ExperimentConfig):
     return pool_ds, val, hyp
 
 
-def _one_run(args):
-    tbal_cfg, pool_ds, val, run_dir = args
+def _map(fn, tasks, jobs: int) -> list:
+    """[fn(*task) for task in tasks], over ``jobs`` worker processes when
+    jobs > 1; results keep the order of ``tasks`` either way."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, *zip(*tasks)))
+    return [fn(*task) for task in tasks]
+
+
+def _one_run(tbal_cfg: TbalConfig, pool_ds: Dataset, val: LabeledSet,
+             run_dir: str) -> dict:
     os.makedirs(run_dir, exist_ok=True)
 
     def hook(round_index, model, g, t_hat, round_val):
@@ -123,11 +132,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         run_cfg = dataclasses.replace(
             cfg.tbal, master_seed=child_seed(cfg.master_seed, "run", r))
         tasks.append((run_cfg, pool_ds, val, os.path.join(out, f"run_{r:02d}")))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_one_run, tasks))
-    else:
-        results = [_one_run(t) for t in tasks]
+    results = _map(_one_run, tasks, jobs)
     coverages = [r["final_coverage"] for r in results]
     errors = [r["final_error"] for r in results if r["final_error"] is not None]
     cov_mean, cov_std = _mean_std(coverages)
@@ -240,11 +245,7 @@ def _eval_phase(phase: str, combos, apply_fn, tbal_cfg, pool_ds, val, hyp,
         for r in range(repeats):
             tasks.append((cfg_c, pool_ds, val, hyp,
                           child_seed(master_seed, "hpo-run", r)))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            flat = list(pool.map(_first_round_eval_star, tasks))
-    else:
-        flat = [_first_round_eval_star(t) for t in tasks]
+    flat = _map(_first_round_eval, tasks, jobs)
     records = []
     for idx, combo in enumerate(combos):
         chunk = flat[idx * repeats:(idx + 1) * repeats]
@@ -263,10 +264,6 @@ def _eval_phase(phase: str, combos, apply_fn, tbal_cfg, pool_ds, val, hyp,
             "selected": False,
         })
     return records
-
-
-def _first_round_eval_star(args):
-    return _first_round_eval(*args)
 
 
 def hyperparameter_search(cfg: ExperimentConfig, out_dir: str | None = None,

@@ -81,7 +81,7 @@ class ThresholdConfig:
         if g[0] < 0 or g[-1] > 1:
             raise ValueError("grid values must lie in [0, 1]")
         if not (0.0 < self.rho0 <= 1.0):
-            raise ValueError("rho0 must be in (0, 1]")
+            raise ValueError("rho0 (the coverage floor) must be in (0, 1]")
         if self.c1 < 0:
             raise ValueError("c1 must be >= 0")
         if not (0.0 <= self.eps_a <= 1.0):

@@ -1,5 +1,5 @@
-"""Ground-truth evaluation: Monte-Carlo population estimates, and a 1-D
-analytic world where every quantity has a closed form.
+"""The 1-D analytic world that ``toy-check`` sweeps, where every quantity has
+a closed form.
 
 The toy world: x ~ Uniform(0,1), truth y = 1(x >= 0.5), a fixed classifier
 predicting 1(x >= 0.25), and a one-parameter confidence g_w(x) = |w - x|.
@@ -18,55 +18,29 @@ import numpy as np
 from scipy.integrate import quad
 
 from .confidence import sigmoid
-from .thresholds import ThresholdVector, predicted_scores
 
 
-@dataclass(frozen=True)
-class McMetrics:
-    coverage: float
-    coverage_se: float
-    error: float | None
-    error_se: float | None
-    n_selected: int
+# toy-check's default sweep: (start, stop, step) of w and of t, and the
+# sigmoid sharpness values. w covers [0, 1]. t stops at the wrong-region
+# width 0.25: beyond roughly 0.3 the selected set on the 0.75-long side
+# approaches measure zero and the smoothed error ratio is dominated by
+# sigmoid tail mass, which says nothing about how the smoothing tightens.
+TOY_W_SWEEP = (0.0, 1.0, 0.02)
+TOY_T_SWEEP = (0.0, 0.25, 0.05)
+TOY_ALPHAS = (1.0, 10.0, 100.0)
 
 
-def mc_population_metrics(g, t: ThresholdVector, h, sampler, n: int,
-                          seed: int) -> McMetrics:
-    """Plug-in estimates of population coverage and selection error.
-
-    ``sampler(rng, n)`` must return (X, true_labels) drawn from the population;
-    ``g`` and ``h`` score and classify the samples through ``predicted_scores``.
-    Standard errors use the binomial formula; the error estimate is None when
-    no sample is selected.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1 samples")
-    rng = np.random.default_rng(seed)
-    X, y = sampler(rng, n)
-    top, preds = predicted_scores(g, h, X)
-    sel = top >= t.per_point(preds)
-    m = int(sel.sum())
-    cov = m / n
-    cov_se = float(np.sqrt(cov * (1.0 - cov) / n))
-    if m == 0:
-        return McMetrics(cov, cov_se, None, None, 0)
-    err = float(np.mean(np.asarray(y)[sel] != preds[sel]))
-    err_se = float(np.sqrt(err * (1.0 - err) / m))
-    return McMetrics(cov, cov_se, err, err_se, m)
-
-
-# ---------------------------------------------------------------------------
-# the exact 1-D world
+def sweep_grid(start: float, stop: float, step: float) -> np.ndarray:
+    """start, start + step, ... through stop, rounded to 12 decimals."""
+    if step <= 0:
+        raise ValueError("grid step must be positive")
+    n = int(round((stop - start) / step))
+    return np.round(np.linspace(start, start + n * step, n + 1), 12)
 
 
 @dataclass(frozen=True)
 class Toy1DWorld:
-    """Uniform x on [0,1]; truth flips at 0.5, the classifier at 0.25.
-
-    The world is both the classifier and the confidence function that
-    ``predicted_scores`` takes: ``representations`` passes x through as the
-    penultimate, and ``scores`` reads |w - x| from it.
-    """
+    """Uniform x on [0,1]; truth flips at 0.5, the classifier at 0.25."""
 
     w: float
     theta_true: float = 0.5
@@ -77,29 +51,6 @@ class Toy1DWorld:
         """The predict-1 region the metrics restrict to."""
         return (self.theta_pred, 1.0)
 
-    def confidence(self, x):
-        return np.abs(self.w - np.asarray(x))
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        x = np.asarray(X).reshape(-1)
-        return (x >= self.theta_pred).astype(np.int64)
-
-    def representations(self, X: np.ndarray):
-        """(one-hot logits of ``predict``, X as the penultimate)."""
-        return np.eye(2)[self.predict(X)], np.asarray(X)
-
-    def scores(self, logits: np.ndarray, penultimate: np.ndarray) -> np.ndarray:
-        """2-column score matrix carrying |w-x| for whichever class is read."""
-        c = self.confidence(np.asarray(penultimate).reshape(-1))
-        return np.stack([c, c], axis=1)
-
-    def sample_side(self, rng: np.random.Generator, n: int):
-        """(X, y) uniform on the predict-1 side; X is (n, 1)."""
-        lo, hi = self.side
-        x = rng.uniform(lo, hi, size=n)
-        y = (x >= self.theta_true).astype(np.int64)
-        return x[:, None], y
-
 
 @dataclass(frozen=True)
 class ToyMetrics:
@@ -107,18 +58,6 @@ class ToyMetrics:
     actual_error: float | None
     surrogate_coverage: float
     surrogate_error: float | None
-
-
-def default_toy_sweep():
-    """Standard (w values, t values) for the tightness sweep.
-
-    w covers [0, 1] in steps of 0.02. t stops at the wrong-region width 0.25:
-    beyond roughly 0.3 the selected set on the 0.75-long side approaches
-    measure zero and the smoothed error ratio is dominated by sigmoid tail
-    mass, which says nothing about how the smoothing tightens.
-    """
-    return (np.round(np.linspace(0.0, 1.0, 51), 12),
-            np.round(np.linspace(0.0, 0.25, 6), 12))
 
 
 def _selected_intervals(world: Toy1DWorld, t: float):

@@ -37,13 +37,15 @@ import numpy as np
 import pytest
 
 import autolabel as al
-from autolabel.confidence import objective_grad, objective_value
+from autolabel.confidence import objective_grad
 from autolabel.loop import dump_round_log
 from autolabel.mlp import _backprop, _batch_dlogits, _flat_views, batch_loss
 from numcheck import central_difference, relative_error
 from autolabel.rng import child_seed
+from autolabel.verify import TOY_ALPHAS, TOY_T_SWEEP, TOY_W_SWEEP, sweep_grid
 
 from conftest import FixedModel, FixedScores, indexed_set, uniform_thresholds
+from oracles import ToyWorldModel, mc_population_metrics
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +205,7 @@ def test_every_analytic_gradient_matches_finite_differences():
         flat = np.concatenate([params.W1.ravel(), params.W2.ravel(),
                                params.t_raw])
         numeric = central_difference(
-            lambda v: objective_value(repack(v), *args), flat.copy())
+            lambda v: objective_grad(repack(v), *args)[0], flat.copy())
         analytic = np.concatenate([grad.W1.ravel(), grad.W2.ravel(),
                                    grad.t_raw])
         assert relative_error(analytic, numeric) <= 1e-4
@@ -216,9 +218,9 @@ def test_every_analytic_gradient_matches_finite_differences():
 
 def test_surrogate_gaps_shrink_with_alpha_over_the_default_sweep():
     start = time.perf_counter()
-    ws, ts = al.default_toy_sweep()
+    ws, ts = sweep_grid(*TOY_W_SWEEP), sweep_grid(*TOY_T_SWEEP)
     cov_gaps, err_gaps = [], []
-    for alpha in (1.0, 10.0, 100.0):
+    for alpha in TOY_ALPHAS:
         cov_gap = err_gap = 0.0
         for w in ws:
             world = al.Toy1DWorld(w=float(w))
@@ -496,11 +498,11 @@ def test_mc_population_estimates_match_closed_forms():
     for _ in range(20):
         w = float(rng.uniform(0, 1))
         t = float(rng.uniform(0, 0.25))  # selection stays non-empty here
-        world = al.Toy1DWorld(w=w)
+        world = ToyWorldModel(w=w)
         exact = al.toy_1d_metrics(world, t, alpha=1.0)
-        m = al.mc_population_metrics(world, uniform_thresholds(t), world,
-                                     world.sample_side, 100_000,
-                                     seed=int(rng.integers(1 << 31)))
+        m = mc_population_metrics(world, uniform_thresholds(t), world,
+                                  world.sample_side, 100_000,
+                                  seed=int(rng.integers(1 << 31)))
         assert abs(m.coverage - exact.actual_coverage) <= \
             3.0 * max(m.coverage_se, 1e-4)
         assert exact.actual_error is not None and m.error is not None

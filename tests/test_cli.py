@@ -56,6 +56,26 @@ def test_run_config_error_exit_1(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
 
 
+@pytest.mark.parametrize("tbal", [
+    {"coverage_floor": 0}, {"grid": [0.9, 0.5]}, {"grid": [0.5, 1.5]}])
+def test_bad_threshold_settings_exit_1(tmp_path, capsys, tbal):
+    tbal = {"train_budget": 30, "seed_size": 30, "query_batch": 10, **tbal}
+    cfg = write_config(tmp_path, tbal=tbal)
+    assert main(["run", "--config", cfg]) == 1
+    assert "config error: config.tbal" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_labels_path_on_csv_exit_1(tmp_path, capsys):
+    (tmp_path / "points.csv").write_text("x,y,label\n0.0,1.0,0\n1.0,0.0,1\n")
+    (tmp_path / "garbage.idx").write_bytes(b"\x00\x01garbage")
+    cfg = write_config(tmp_path, dataset={
+        "kind": "file", "path": "points.csv", "format": "csv",
+        "labels_path": "garbage.idx", "pool_size": 1, "val_size": 2})
+    assert main(["run", "--config", cfg]) == 1
+    assert "config.dataset.labels_path" in capsys.readouterr().err
+
+
 def test_run_existing_output_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["run", "--config", cfg]) == 0

@@ -1,4 +1,5 @@
 import csv
+import io
 import itertools
 
 import numpy as np
@@ -16,20 +17,20 @@ from autolabel.confidence import (
     fit_top_label_hb,
     init_confidence_net_params,
     objective_grad,
-    objective_value,
     TopLabelHistogramConfidence,
     sigmoid,
-    surrogate_metrics,
     write_score_dump,
 )
 from numcheck import central_difference, relative_error
 
 from conftest import (
+    FixedModel,
     indexed_set,
     label_everything,
     single_class_instance,
     uniform_thresholds,
 )
+from oracles import surrogate_metrics
 
 
 def mixture_1d(means, n, seed, train_seed, epochs=40):
@@ -387,7 +388,7 @@ def test_objective_gradients_match_finite_differences():
         flat = np.concatenate([params.W1.ravel(), params.W2.ravel(),
                                params.t_raw])
         numeric = central_difference(
-            lambda v: objective_value(repack(v), *args), flat.copy())
+            lambda v: objective_grad(repack(v), *args)[0], flat.copy())
         analytic = np.concatenate([g.W1.ravel(), g.W2.ravel(), g.t_raw])
         assert relative_error(analytic, numeric) <= 1e-4
         checked += 1
@@ -400,12 +401,12 @@ def test_fit_confidence_net_on_perfect_classifier():
     cfg = ConfidenceNetConfig(lam=100.0, alpha=1.0, seed=7, batch_size=128,
                               max_epochs=200)
     before = [w.copy() for w in h.weights] + [b.copy() for b in h.biases]
-    net, t_prime = fit_confidence_net(h, cal, cfg)
+    net = fit_confidence_net(h, cal, cfg)
     after = list(h.weights) + list(h.biases)
     for a, b in zip(before, after):
         assert np.array_equal(a, b)  # classifier frozen
-    cov1, err1 = surrogate_metrics(net, al.ThresholdVector(t_prime), h, cal,
-                                   cfg.alpha)
+    t_prime = al.ThresholdVector(sigmoid(1.0, net.params.t_raw))
+    cov1, err1 = surrogate_metrics(net, t_prime, h, cal, cfg.alpha)
     assert err1 == 0.0
     init = ConfidenceNet(init_confidence_net_params(
         2, h.penultimate_dim, cfg.seed))
@@ -417,19 +418,18 @@ def test_fit_confidence_net_on_perfect_classifier():
 def test_fit_confidence_net_deterministic():
     ds, cal, h = mixture_1d([[-1.0], [1.0]], 60, seed=4, train_seed=5)
     cfg = ConfidenceNetConfig(seed=9, max_epochs=40)
-    n1, t1 = fit_confidence_net(h, cal, cfg)
-    n2, t2 = fit_confidence_net(h, cal, cfg)
+    n1 = fit_confidence_net(h, cal, cfg)
+    n2 = fit_confidence_net(h, cal, cfg)
     assert np.array_equal(n1.params.W1, n2.params.W1)
     assert np.array_equal(n1.params.W2, n2.params.W2)
     assert np.array_equal(n1.params.t_raw, n2.params.t_raw)
-    assert np.array_equal(t1, t2)
     # the fitted net owns its arrays; none is a view of the optimizer buffer
     p = 2 + 8
     params = [n1.params.W1, n1.params.W2, n1.params.t_raw]
     for a, shape in zip(params, [(p, 2 * p), (2 * p, 2), (2,)]):
         assert a.shape == shape and a.dtype == np.float32
         assert a.flags.c_contiguous and a.flags.owndata
-    others = [n2.params.W1, n2.params.W2, n2.params.t_raw, t1, t2]
+    others = [n2.params.W1, n2.params.W2, n2.params.t_raw]
     for a, b in itertools.combinations(params + others, 2):
         assert not np.shares_memory(a, b)
 
@@ -438,9 +438,9 @@ def test_fit_confidence_net_beats_softmax_sweep_on_overlap():
     # overlapping classes: the learned scorer should cover at least as much
     # as the best raw-softmax threshold does at the same achieved error
     ds, cal, h = mixture_1d([[-1.0], [1.0]], 200, seed=5, train_seed=1)
-    net, t_prime = fit_confidence_net(
+    net = fit_confidence_net(
         h, cal, ConfidenceNetConfig(lam=100.0, alpha=1.0, seed=3))
-    tv = al.ThresholdVector(t_prime)
+    tv = al.ThresholdVector(sigmoid(1.0, net.params.t_raw))
     cov_f, err_f = al.empirical_metrics(net, tv, h, cal)
     err_cap = 0.0 if err_f is None else err_f
     sm = SoftmaxConfidence()
@@ -482,3 +482,45 @@ def test_write_score_dump_roundtrip(tmp_path, blob_model, blobs):
         assert int(row[2]) == preds[i]
         assert float(row[3]) == scores[i, preds[i]]  # repr round-trips exactly
         assert int(row[4]) == int(cal.labels[i] == preds[i])
+
+
+class ScoresAs:
+    """Confidence stub returning fixed (n, k) scores in their own dtype."""
+
+    def __init__(self, scores):
+        self._scores = scores
+
+    def scores(self, logits, penultimate):
+        return self._scores[np.asarray(penultimate[:, 0], dtype=np.int64)]
+
+
+def csv_writer_dump(labeled, preds, top) -> bytes:
+    """The score dump as a row-by-row ``csv.writer`` writes it."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["point_id", "true_label", "predicted_label",
+                "score_of_predicted", "correct_flag"])
+    for pid, lab, pred, sc in zip(labeled.ids, labeled.labels, preds, top):
+        w.writerow([int(pid), int(lab), int(pred), repr(float(sc)),
+                    int(lab == pred)])
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_write_score_dump_bytes_equal_csv_writer(tmp_path, dtype):
+    rng = np.random.default_rng(17)
+    n, k = 600, 3
+    preds = rng.integers(0, k, size=n)
+    scores = rng.uniform(0, 1, size=(n, k)).astype(dtype)
+    specials = [0.0, 1.0, 0.1, 1e-7, 5e-324, np.nan, np.inf, 123456789.0]
+    scores[:len(specials), :] = np.array(specials, dtype=dtype)[:, None]
+    # a shuffled subset, so point ids differ from row positions
+    labeled = indexed_set(rng.integers(0, k, size=n), k).take(
+        rng.permutation(n)[:500])
+    h = FixedModel(preds)
+    out = tmp_path / "scores.csv"
+    write_score_dump(str(out), ScoresAs(scores), h, labeled)
+    top, got_preds = al.thresholds.predicted_scores(ScoresAs(scores), h,
+                                                    labeled.features)
+    assert top.dtype == dtype
+    assert out.read_bytes() == csv_writer_dump(labeled, got_preds, top)

@@ -237,6 +237,34 @@ def test_file_dataset_path_resolution(tmp_path):
         parse_config_dict(with_labels, base_dir=str(tmp_path))
 
 
+@pytest.mark.parametrize("setting", [
+    {"coverage_floor": 0},
+    {"grid": [0.9, 0.5]},
+    {"grid": [0.5, 1.5]},
+])
+def test_bad_threshold_settings_fail_at_parse_time(setting):
+    d = doc(**{f"tbal.{key}": value for key, value in setting.items()})
+    with pytest.raises(RangeError, match=r"config\.tbal"):
+        parse_config_dict(d)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "rawf32"])
+def test_labels_path_is_rejected_outside_idx(tmp_path, fmt):
+    (tmp_path / "points").write_text("0.0,1.0,0\n1.0,0.0,1\n")
+    (tmp_path / "labels.bin").write_bytes(b"not a label file")
+    d = doc(dataset={"kind": "file", "path": "points", "format": fmt,
+                     "labels_path": "labels.bin", "pool_size": 1,
+                     "val_size": 2})
+    with pytest.raises(RangeError, match=r"config\.dataset\.labels_path"):
+        parse_config_dict(d, base_dir=str(tmp_path))
+    d["dataset"]["format"] = "idx"
+    cfg = parse_config_dict(d, base_dir=str(tmp_path))
+    assert cfg.dataset.labels_path == str(tmp_path / "labels.bin")
+    d["dataset"]["labels_path"] = "missing-labels.idx"
+    with pytest.raises(ConfigError, match=r"labels_path: no such file"):
+        parse_config_dict(d, base_dir=str(tmp_path))
+
+
 def test_train_section():
     cfg = parse_config_dict(doc(**{"tbal.train": {
         "loss": "squentropy", "learning_rate": 0.2, "max_epochs": 5}}))

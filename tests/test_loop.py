@@ -70,11 +70,11 @@ def test_threshold_config_passthrough():
     grid = np.array([0.25, 0.5, 0.75])
     cfg = base_config(grid=grid, coverage_floor=0.2, c1=0.1, eps_a=0.02,
                       group_by="predicted_label")
-    tc = cfg.threshold_config()
+    tc = cfg.threshold_config
     assert np.array_equal(tc.grid, grid)
     assert tc.rho0 == 0.2 and tc.c1 == 0.1 and tc.eps_a == 0.02
     assert tc.group_by == "predicted_label"
-    assert base_config().threshold_config().grid.shape == (200,)
+    assert base_config().threshold_config.grid.shape == (200,)
 
 
 # ---------------------------------------------------------------------------

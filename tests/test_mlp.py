@@ -259,27 +259,3 @@ def test_margin_scores_batch_matches_scalar():
     assert np.array_equal(batch, ranked[:, -1] - ranked[:, -2])
     for i in range(50):
         assert batch[i] == one_row_margin(P[i])
-
-
-# ---------------------------------------------------------------------------
-# checkpointing
-
-
-def test_checkpoint_roundtrip_exact(tmp_path, blob_model):
-    path = str(tmp_path / "ckpt")
-    al.save_model(blob_model, path)
-    back = al.load_model(path)
-    assert back.dims == blob_model.dims
-    for a, b in zip(back.weights + back.biases,
-                    blob_model.weights + blob_model.biases):
-        assert a.dtype == np.float32
-        assert np.array_equal(a, b)
-
-
-def test_checkpoint_truncated_blob(tmp_path, blob_model):
-    path = str(tmp_path / "ckpt")
-    al.save_model(blob_model, path)
-    blob = tmp_path / "ckpt" / "w0.f32"
-    blob.write_bytes(blob.read_bytes()[:-4])
-    with pytest.raises(al.TruncatedPayloadError):
-        al.load_model(path)

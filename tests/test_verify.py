@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-import autolabel as al
 from autolabel.verify import (
-    McMetrics,
+    TOY_ALPHAS,
+    TOY_T_SWEEP,
+    TOY_W_SWEEP,
     Toy1DWorld,
-    mc_population_metrics,
+    sweep_grid,
     toy_1d_metrics,
 )
 
 from conftest import uniform_thresholds
+from oracles import McMetrics, ToyWorldModel, mc_population_metrics
 
 
 # ---------------------------------------------------------------------------
@@ -20,7 +22,7 @@ def test_mc_point_mass():
     def sampler(rng, n):
         return np.full((n, 1), 0.9, dtype=np.float64), np.ones(n, dtype=np.int64)
 
-    world = Toy1DWorld(w=0.0)
+    world = ToyWorldModel(w=0.0)
     m = mc_population_metrics(world, uniform_thresholds(0.5), world, sampler,
                               500, seed=1)
     assert m.coverage == 1.0 and m.coverage_se == 0.0
@@ -29,7 +31,7 @@ def test_mc_point_mass():
 
 
 def test_mc_infinite_threshold():
-    world = Toy1DWorld(w=0.0)
+    world = ToyWorldModel(w=0.0)
     m = mc_population_metrics(world, uniform_thresholds(np.inf), world,
                               world.sample_side, 200, seed=2)
     assert m.coverage == 0.0
@@ -37,7 +39,7 @@ def test_mc_infinite_threshold():
 
 
 def test_mc_determinism_and_n_validation():
-    world = Toy1DWorld(w=0.3)
+    world = ToyWorldModel(w=0.3)
     t = uniform_thresholds(0.2)
     a = mc_population_metrics(world, t, world, world.sample_side, 1000, 7)
     b = mc_population_metrics(world, t, world, world.sample_side, 1000, 7)
@@ -48,7 +50,7 @@ def test_mc_determinism_and_n_validation():
 
 def test_mc_agrees_with_closed_form():
     for w, t in [(0.0, 0.3), (0.8, 0.2), (0.4, 0.1)]:
-        world = Toy1DWorld(w=w)
+        world = ToyWorldModel(w=w)
         exact = toy_1d_metrics(world, t, alpha=1.0)
         m = mc_population_metrics(world, uniform_thresholds(t), world,
                                   world.sample_side, 100_000, seed=11)
@@ -60,7 +62,7 @@ def test_mc_agrees_with_closed_form():
 
 
 def test_mc_unbiased_over_repetitions():
-    world = Toy1DWorld(w=0.8)
+    world = ToyWorldModel(w=0.8)
     t = 0.2
     exact = toy_1d_metrics(world, t, alpha=1.0)
     covs, errs = [], []
@@ -81,7 +83,7 @@ def test_mc_unbiased_over_repetitions():
 
 
 def test_toy_world_geometry():
-    world = Toy1DWorld(w=0.1)
+    world = ToyWorldModel(w=0.1)
     assert world.side == (0.25, 1.0)
     assert np.allclose(world.confidence([0.1, 0.4]), [0.0, 0.3])
     assert np.array_equal(world.predict(np.array([[0.1], [0.3], [0.25]])),
@@ -139,7 +141,7 @@ def test_toy_surrogate_gap_shrinks_with_alpha():
     # acceptance suite.
     world = Toy1DWorld(w=0.0)
     cov_gaps, err_gaps = [], []
-    for alpha in (1.0, 10.0, 100.0):
+    for alpha in TOY_ALPHAS:
         m = toy_1d_metrics(world, 0.3, alpha)
         cov_gaps.append(abs(m.surrogate_coverage - m.actual_coverage))
         err_gaps.append(abs(m.surrogate_error - m.actual_error))
@@ -149,7 +151,7 @@ def test_toy_surrogate_gap_shrinks_with_alpha():
 
 
 def test_default_toy_sweep_shape():
-    ws, ts = al.default_toy_sweep()
+    ws, ts = sweep_grid(*TOY_W_SWEEP), sweep_grid(*TOY_T_SWEEP)
     assert ws.shape == (51,) and ts.shape == (6,)
     assert ws[0] == 0.0 and ws[-1] == 1.0
     assert ts[0] == 0.0 and ts[-1] == 0.25
