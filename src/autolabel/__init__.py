@@ -31,7 +31,6 @@ from .confidence import (
     ConfidenceNetParams,
     SoftmaxConfidence,
     TemperatureConfidence,
-    TemperatureScalingConfig,
     TopLabelBinningConfig,
     TopLabelHistogramConfidence,
     fit_confidence_net,

@@ -7,7 +7,8 @@ forward pass per set and hands the representations to ``scores``. Four
 variants:
 
 * softmax response        -- the classifier's own softmax, no fitting
-* temperature scaling     -- softmax of logits / T, T fit by NLL descent
+* temperature scaling     -- softmax of logits / T, T fit at the calibration
+                             NLL minimum
 * top-label histogram     -- uniform-mass binning of the predicted-class score
 * confidence net          -- a small tanh network over the classifier's
                              representations, trained to maximize a smoothed
@@ -24,11 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .data import LabeledSet
 from .mlp import MlpClassifier, _flat_views, softmax
 from .rng import stream
-from .thresholds import predicted_scores
 
 
 def sigmoid(alpha: float, z):
@@ -102,14 +103,17 @@ class TopLabelHistogramConfidence(ConfidenceModel):
         return out
 
 
-def fit_temperature(h: MlpClassifier, d_cal: LabeledSet, lr: float = 0.01,
-                    epochs: int = 500) -> TemperatureConfidence:
-    """Fit T by full-batch gradient descent on log T minimizing mean NLL.
+# the interval of log T the temperature fit searches: T in [e^-5, e^5]
+LOG_T_BOUNDS = (-5.0, 5.0)
 
-    The best iterate (lowest NLL, including the T=1 start) is returned, so the
-    fit can never be worse than no scaling on the calibration data. Each step
-    exponentiates the scaled logits once: the NLL at a temperature and the
-    softmax for the next gradient share ``exp(shifted)`` and its row sums.
+
+def fit_temperature(h: MlpClassifier,
+                    d_cal: LabeledSet) -> TemperatureConfidence:
+    """Fit T at the minimum of the mean calibration NLL of softmax(logits / T).
+
+    One bounded scalar solve over log T on ``LOG_T_BOUNDS``. T = 1 is
+    returned unless the solution's NLL is lower, so the fit is never worse
+    than no scaling on the calibration data.
     """
     if len(d_cal) == 0:
         raise ValueError("empty calibration set")
@@ -117,28 +121,17 @@ def fit_temperature(h: MlpClassifier, d_cal: LabeledSet, lr: float = 0.01,
     label_logits = logits[np.arange(len(d_cal)), d_cal.labels]
     row_max = logits.max(axis=1)
 
-    def nll_and_softmax(theta: float):
-        """(1/T, mean NLL, softmax rows) at log T = theta."""
+    def nll(theta: float) -> float:
+        """Mean NLL at log T = theta."""
         c = np.exp(-theta)
         # max(c * z) == c * max(z) exactly for c > 0: rounding is monotone
         z_max = c * row_max
-        shifted = logits * c - z_max[:, None]
-        e = np.exp(shifted)
-        total = e.sum(axis=1)
-        nll = float(np.mean(np.log(total) - (label_logits * c - z_max)))
-        return c, nll, e / total[:, None]
+        total = np.exp(logits * c - z_max[:, None]).sum(axis=1)
+        return float(np.mean(np.log(total) - (label_logits * c - z_max)))
 
-    theta = 0.0
-    c, best_nll, q = nll_and_softmax(theta)
-    best_theta = theta
-    for _ in range(epochs):
-        # d(mean nll)/d(log T) = mean c*(z_y - E_q[z])
-        grad = float(np.mean(c * (label_logits - (q * logits).sum(axis=1))))
-        theta -= lr * grad
-        c, cur, q = nll_and_softmax(theta)
-        if cur < best_nll:
-            best_nll, best_theta = cur, theta
-    return TemperatureConfidence(float(np.exp(best_theta)))
+    best = minimize_scalar(nll, bounds=LOG_T_BOUNDS, method="bounded")
+    theta = float(best.x) if best.fun < nll(0.0) else 0.0
+    return TemperatureConfidence(float(np.exp(theta)))
 
 
 def fit_top_label_hb(h: MlpClassifier, d_cal: LabeledSet,
@@ -176,16 +169,6 @@ def fit_top_label_hb(h: MlpClassifier, d_cal: LabeledSet,
         values[y] = np.array([ok[grp].mean() for grp in groups])
         boundaries[y] = np.array([top[grp[0]] for grp in groups[1:]])
     return TopLabelHistogramConfidence(boundaries, values, tuple(fallback))
-
-
-@dataclass(frozen=True)
-class TemperatureScalingConfig:
-    learning_rate: float = 0.01
-    epochs: int = 500
-
-    def __post_init__(self):
-        if self.learning_rate <= 0 or self.epochs < 0:
-            raise ValueError("bad temperature-scaling settings")
 
 
 @dataclass(frozen=True)
@@ -371,14 +354,14 @@ def fit_confidence_net(h: MlpClassifier, d_cal: LabeledSet,
 # score dumps
 
 
-def write_score_dump(path: str, g: ConfidenceModel, h: MlpClassifier,
-                     labeled: LabeledSet) -> None:
+def write_score_dump(path: str, labeled: LabeledSet, top: np.ndarray,
+                     preds: np.ndarray) -> None:
     """CSV of per-point predicted-class scores vs. the set's labels.
 
-    Scores are written with ``repr``, so each parses back to the exact
-    value; no field ever needs CSV quoting.
+    ``top, preds`` are ``predicted_scores`` of ``labeled``'s rows. Scores are
+    written with ``repr``, so each parses back to the exact value; no field
+    ever needs CSV quoting.
     """
-    top, preds = predicted_scores(g, h, labeled.features)
     labels = labeled.labels
     rows = zip(labeled.ids.tolist(), labels.tolist(), preds.tolist(),
                top.tolist(), (labels == preds).astype(np.int64).tolist())

@@ -14,12 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confidence import (
-    ConfidenceNetConfig,
-    TemperatureScalingConfig,
-    TopLabelBinningConfig,
-)
-from .loop import TbalConfig
+from .confidence import ConfidenceNetConfig, TopLabelBinningConfig
+from .loop import POSTHOC_CONFIGS, TbalConfig
 from .mlp import TrainConfig
 
 
@@ -91,7 +87,7 @@ class _Section:
             )
         return val
 
-    def list_of_numbers(self, key, default=_REQUIRED, integer=False):
+    def list_of_numbers(self, key, default=_REQUIRED, integer=False, lo=None):
         val, present = self._fetch(key, default)
         if not present:
             return val
@@ -108,6 +104,10 @@ class _Section:
             if integer and not isinstance(v, int):
                 raise TypeMismatchError(
                     f"{self.path}.{key}[{i}]: expected an integer"
+                )
+            if lo is not None and v < lo:
+                raise RangeError(
+                    f"{self.path}.{key}[{i}]: value {v} outside [{lo}, None]"
                 )
             out.append(int(v) if integer else float(v))
         return out
@@ -249,11 +249,11 @@ def _build(path: str, ctor, **kwargs):
         raise RangeError(f"{path}: {exc}") from None
 
 
-def _parse_train(sec: _Section) -> TrainConfig:
+def _parse_train(sec: _Section, build_path: str | None = None) -> TrainConfig:
     if sec is None:
         return TrainConfig()
     cfg = _build(
-        sec.path, TrainConfig,
+        build_path or sec.path, TrainConfig,
         loss=sec.string("loss", "vanilla", choices={"vanilla", "squentropy"}),
         learning_rate=sec.number("learning_rate", 0.01, lo=0.0),
         momentum=sec.number("momentum", 0.9, lo=0.0, hi=1.0),
@@ -265,31 +265,23 @@ def _parse_train(sec: _Section) -> TrainConfig:
     return cfg
 
 
-def _parse_posthoc(sec: _Section):
+def _parse_posthoc(sec: _Section, build_path: str | None = None):
     if sec is None:
         return "softmax", None
-    method = sec.string("method", choices={
-        "softmax", "temperature", "top_label_hb", "confidence_net"})
-    if method == "softmax":
+    method = sec.string("method", choices=set(POSTHOC_CONFIGS))
+    build_path = build_path or sec.path
+    if POSTHOC_CONFIGS[method] is None:
         sec.finish()
         return method, None
-    if method == "temperature":
-        cfg = _build(
-            sec.path, TemperatureScalingConfig,
-            learning_rate=sec.number("learning_rate", 0.01, lo=0.0),
-            epochs=sec.number("epochs", 500, integer=True, lo=0),
-        )
-        sec.finish()
-        return method, cfg
     if method == "top_label_hb":
         cfg = _build(
-            sec.path, TopLabelBinningConfig,
+            build_path, TopLabelBinningConfig,
             points_per_bin=sec.number("points_per_bin", 25, integer=True, lo=1),
         )
         sec.finish()
         return method, cfg
     cfg = _build(
-        sec.path, ConfidenceNetConfig,
+        build_path, ConfidenceNetConfig,
         lam=sec.number("lam", 100.0, lo=0.0),
         alpha=sec.number("alpha", 1.0, lo=0.0),
         learning_rate=sec.number("learning_rate", 0.01, lo=0.0),
@@ -306,31 +298,36 @@ _TRAIN_GRID_KEYS = {"loss", "learning_rate", "momentum", "weight_decay",
                     "batch_size", "max_epochs"}
 _POSTHOC_GRID_KEYS = {
     "softmax": set(),
-    "temperature": {"learning_rate", "epochs"},
+    "temperature": set(),
     "top_label_hb": {"points_per_bin"},
     "confidence_net": {"lam", "alpha", "learning_rate", "weight_decay",
                        "batch_size", "max_epochs"},
 }
 
 
-def _parse_grid(sec: _Section, key: str, allowed: set) -> dict:
+def _parse_grid(sec: _Section, key: str, allowed: set, parse,
+                fixed: dict) -> dict:
+    """A {name: [values]} grid. Each value is parsed as key ``name`` of a
+    section that ``parse`` reads (with the keys in ``fixed`` alongside), so
+    it is checked as in that section and its config is built with it."""
+    path = f"{sec.path}.{key}"
     raw = sec.raw(key, _REQUIRED)
     if not isinstance(raw, dict):
-        raise TypeMismatchError(f"{sec.path}.{key}: expected an object of lists")
+        raise TypeMismatchError(f"{path}: expected an object of lists")
     grid = {}
     for name in sorted(raw):
         if name not in allowed:
             raise UnknownKeyError(
-                f"{sec.path}.{key}.{name}: not a searchable hyperparameter"
+                f"{path}.{name}: not a searchable hyperparameter"
             )
         vals = raw[name]
         if not isinstance(vals, list) or not vals:
-            raise TypeMismatchError(
-                f"{sec.path}.{key}.{name}: expected a non-empty list"
-            )
+            raise TypeMismatchError(f"{path}.{name}: expected a non-empty list")
+        for val in vals:
+            parse(_Section({**fixed, name: val}, path), f"{path}.{name}")
         grid[name] = vals
     if not grid:
-        raise RangeError(f"{sec.path}.{key}: grid must name at least one "
+        raise RangeError(f"{path}: grid must name at least one "
                          "hyperparameter")
     return grid
 
@@ -338,17 +335,18 @@ def _parse_grid(sec: _Section, key: str, allowed: set) -> dict:
 def _parse_hpo(sec: _Section, posthoc_method: str):
     if sec is None:
         return None
-    train_grid = _parse_grid(sec, "train_grid", _TRAIN_GRID_KEYS)
-    if posthoc_method == "softmax":
-        # raw softmax has nothing to search; the phase is skipped
-        if "posthoc_grid" in sec.mapping and sec.raw("posthoc_grid") not in ({}, None):
-            raise RangeError(
-                f"{sec.path}.posthoc_grid: softmax has no hyperparameters"
-            )
-        posthoc_grid = {}
+    train_grid = _parse_grid(sec, "train_grid", _TRAIN_GRID_KEYS,
+                             _parse_train, {})
+    searchable = _POSTHOC_GRID_KEYS[posthoc_method]
+    if searchable:
+        posthoc_grid = _parse_grid(sec, "posthoc_grid", searchable,
+                                   _parse_posthoc, {"method": posthoc_method})
     else:
-        posthoc_grid = _parse_grid(sec, "posthoc_grid",
-                                   _POSTHOC_GRID_KEYS[posthoc_method])
+        # nothing to search; the post-hoc phase is skipped
+        if sec.raw("posthoc_grid", None) not in ({}, None):
+            raise RangeError(f"{sec.path}.posthoc_grid: {posthoc_method} "
+                             "has no hyperparameters")
+        posthoc_grid = {}
     tie = sec.number("tie_break_seed", 0, integer=True, lo=0)
     sec.finish()
     return HpoSpec(train_grid, posthoc_grid, tie)
@@ -367,7 +365,7 @@ def _parse_tbal(sec: _Section) -> TbalConfig:
         grid = np.linspace(1.0 / grid_size, 1.0, grid_size)
     else:
         grid = None
-    hidden_list = sec.list_of_numbers("hidden", [32], integer=True)
+    hidden_list = sec.list_of_numbers("hidden", [32], integer=True, lo=1)
     kwargs = dict(
         train_budget=sec.number("train_budget", integer=True, lo=1),
         seed_size=sec.number("seed_size", integer=True, lo=1),

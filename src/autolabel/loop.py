@@ -24,7 +24,6 @@ import numpy as np
 from .confidence import (
     ConfidenceNetConfig,
     SoftmaxConfidence,
-    TemperatureScalingConfig,
     TopLabelBinningConfig,
     fit_confidence_net,
     fit_temperature,
@@ -41,7 +40,14 @@ from .thresholds import (
     predicted_scores,
 )
 
-POSTHOC_METHODS = ("softmax", "temperature", "top_label_hb", "confidence_net")
+# each post-hoc method's config class; None where there is nothing to set
+POSTHOC_CONFIGS = {
+    "softmax": None,
+    "temperature": None,
+    "top_label_hb": TopLabelBinningConfig,
+    "confidence_net": ConfidenceNetConfig,
+}
+POSTHOC_METHODS = tuple(POSTHOC_CONFIGS)
 
 
 @dataclass(frozen=True)
@@ -79,17 +85,14 @@ class TbalConfig:
             raise ValueError("cal_fraction must be in (0, 1)")
         if self.active_multiplier < 1.0:
             raise ValueError("active_multiplier must be >= 1")
-        if not self.hidden:
-            raise ValueError("need at least one hidden layer width")
-        if self.posthoc_method not in POSTHOC_METHODS:
+        if not self.hidden or min(self.hidden) < 1:
+            raise ValueError(
+                "need at least one hidden layer, each of width >= 1")
+        if self.posthoc_method not in POSTHOC_CONFIGS:
             raise ValueError(f"unknown posthoc method {self.posthoc_method!r}")
-        expected = {
-            "softmax": type(None),
-            "temperature": (TemperatureScalingConfig, type(None)),
-            "top_label_hb": (TopLabelBinningConfig, type(None)),
-            "confidence_net": (ConfidenceNetConfig, type(None)),
-        }[self.posthoc_method]
-        if not isinstance(self.posthoc, expected):
+        expected = POSTHOC_CONFIGS[self.posthoc_method]
+        if self.posthoc is not None and (
+                expected is None or not isinstance(self.posthoc, expected)):
             raise ValueError(
                 f"posthoc config {type(self.posthoc).__name__} does not match "
                 f"method {self.posthoc_method!r}"
@@ -185,13 +188,13 @@ def auto_label_select(g, t: ThresholdVector, h, pool: Pool,
     return labeled, pool.without(chosen)
 
 
-def filter_validation(g, t: ThresholdVector, h, val: LabeledSet) -> LabeledSet:
-    """Keep only validation points BELOW threshold; labels stay untouched."""
-    if len(val) == 0:
-        return val
-    top, preds = predicted_scores(g, h, val.features)
-    keep = np.flatnonzero(top < t.per_point(preds))
-    return val.take(keep)
+def filter_validation(t: ThresholdVector, val: LabeledSet, top: np.ndarray,
+                      preds: np.ndarray) -> LabeledSet:
+    """Keep only validation points BELOW threshold; labels stay untouched.
+
+    ``top, preds`` are ``predicted_scores`` of ``val``'s rows.
+    """
+    return val.take(np.flatnonzero(top < t.per_point(preds)))
 
 
 def active_query(h, pool: Pool, n_b: int, C: float, seed: int,
@@ -227,8 +230,7 @@ def fit_posthoc(method: str, posthoc_cfg, model, d_cal: LabeledSet,
     if method == "softmax":
         return SoftmaxConfidence(), None
     if method == "temperature":
-        cfg = posthoc_cfg or TemperatureScalingConfig()
-        return fit_temperature(model, d_cal, cfg.learning_rate, cfg.epochs), None
+        return fit_temperature(model, d_cal), None
     if method == "top_label_hb":
         cfg = posthoc_cfg or TopLabelBinningConfig()
         if len(d_cal) < cfg.points_per_bin:
@@ -270,9 +272,10 @@ def run_tbal(cfg: TbalConfig, pool_data: Dataset, d_val: LabeledSet,
              round_hook=None) -> TbalReport:
     """Run the full workflow on an unlabeled pool plus human validation data.
 
-    ``round_hook(round_index, model, g, t_hat, val)``, when given, observes
-    each round (used by the runner to dump per-round score files); it must not
-    mutate anything.
+    ``round_hook(round_index, model, val, top, preds)``, when given, observes
+    each round before validation is filtered (used by the runner to dump
+    per-round score files); ``top, preds`` are ``predicted_scores`` of
+    ``val``, the one pass the filter also uses. It must not mutate anything.
     """
     if cfg.seed_size > pool_data.n:
         raise ValueError("seed_size exceeds pool size")
@@ -299,11 +302,12 @@ def run_tbal(cfg: TbalConfig, pool_data: Dataset, d_val: LabeledSet,
         model, g, t_hat, d_cal, d_th, warn = fit_round(cfg, d_train, val, i, dims)
         if warn:
             warnings.append(f"round {i}: {warn}")
+        val_top, val_preds = predicted_scores(g, model, val.features)
         if round_hook is not None:
-            round_hook(i, model, g, t_hat, val)
+            round_hook(i, model, val, val_top, val_preds)
         pool_before = pool.size
         auto_set, pool = auto_label_select(g, t_hat, model, pool, i)
-        val = filter_validation(g, t_hat, model, val)
+        val = filter_validation(t_hat, val, val_top, val_preds)
         if pool.size > 0:
             query, pool = active_query(
                 model, pool, cfg.query_batch, cfg.active_multiplier,

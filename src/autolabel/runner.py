@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (
+    _POSTHOC_GRID_KEYS,
     ConfigError,
     ExperimentConfig,
     FileSpec,
@@ -89,10 +90,10 @@ def _one_run(tbal_cfg: TbalConfig, pool_ds: Dataset, val: LabeledSet,
              run_dir: str) -> dict:
     os.makedirs(run_dir, exist_ok=True)
 
-    def hook(round_index, model, g, t_hat, round_val):
+    def hook(round_index, model, round_val, top, preds):
         write_score_dump(
             os.path.join(run_dir, f"scores_round_{round_index:03d}.csv"),
-            g, model, round_val)
+            round_val, top, preds)
 
     report = run_tbal(tbal_cfg, pool_ds, val, round_hook=hook)
     dump_round_log(report, os.path.join(run_dir, "rounds.jsonl"))
@@ -208,8 +209,6 @@ def _apply_train_combo(tbal_cfg: TbalConfig, combo: dict) -> TbalConfig:
 
 
 def _apply_posthoc_combo(tbal_cfg: TbalConfig, combo: dict) -> TbalConfig:
-    if tbal_cfg.posthoc_method == "softmax":
-        return tbal_cfg
     base = tbal_cfg.posthoc
     if base is None:
         raise ValueError("posthoc config required for posthoc grid search")
@@ -272,8 +271,9 @@ def hyperparameter_search(cfg: ExperimentConfig, out_dir: str | None = None,
 
     Phase "train" sweeps the training grid (confidence fixed to raw softmax so
     the winner is method-independent); phase "posthoc" fixes that winner and
-    sweeps the post-hoc grid. Each combo is scored by `repeats` seeded
-    first-round runs evaluated on the held-out hyp split.
+    sweeps the post-hoc grid; a method with no searchable hyperparameters
+    skips it. Each combo is scored by `repeats` seeded first-round runs
+    evaluated on the held-out hyp split.
     """
     if cfg.hpo is None:
         raise ConfigError("config has no hpo section")
@@ -299,19 +299,18 @@ def hyperparameter_search(cfg: ExperimentConfig, out_dir: str | None = None,
                         if r["combo_id"] == train_winner_id)
 
     fixed = _apply_train_combo(cfg.tbal, train_winner)
-    posthoc_combos = _combo_list(spec.posthoc_grid) if spec.posthoc_grid else []
-    if cfg.tbal.posthoc_method == "softmax" or not posthoc_combos:
-        posthoc_records = []
-        posthoc_winner_id = "none"
-        posthoc_winner = {}
-    else:
+    if _POSTHOC_GRID_KEYS[cfg.tbal.posthoc_method] and spec.posthoc_grid:
         posthoc_records = _eval_phase(
-            "posthoc", posthoc_combos, _apply_posthoc_combo, fixed, pool_ds,
-            val, hyp, cfg.repeats, cfg.master_seed, jobs)
+            "posthoc", _combo_list(spec.posthoc_grid), _apply_posthoc_combo,
+            fixed, pool_ds, val, hyp, cfg.repeats, cfg.master_seed, jobs)
         posthoc_winner_id = _select(posthoc_records, cfg.tbal.eps_a,
                                     spec.tie_break_seed, "posthoc")
         posthoc_winner = next(r["params"] for r in posthoc_records
                               if r["combo_id"] == posthoc_winner_id)
+    else:
+        posthoc_records = []
+        posthoc_winner_id = "none"
+        posthoc_winner = {}
 
     result = HpoResult(
         records=train_records + posthoc_records,

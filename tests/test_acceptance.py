@@ -281,7 +281,7 @@ def gentle_net_config():
 
 MIX_METHODS = (
     ("softmax", None),
-    ("temperature", al.TemperatureScalingConfig()),
+    ("temperature", None),
     ("top_label_hb", al.TopLabelBinningConfig()),
     ("confidence_net", gentle_net_config()),
 )
@@ -315,7 +315,7 @@ def run_mixture(method, posthoc, r):
     d_val = al.LabeledSet.from_oracle(val_ds, np.arange(val_ds.n), 0, "human")
     box = {}
 
-    def hook(i, model, g, t_hat, val):
+    def hook(i, model, *_):
         if i == 1 and "acc" not in box:
             preds = model.predict(pool_ds.features)
             box["acc"] = float(np.mean(preds == pool_ds.hidden_labels))
@@ -457,7 +457,7 @@ def test_bundled_digits_parity_and_error_control():
     base = al.Dataset((raw.data / 16.0).astype(np.float32),
                       raw.target.astype(np.int64), 10)
     methods = (("softmax", None),
-               ("temperature", al.TemperatureScalingConfig()),
+               ("temperature", None),
                ("confidence_net", gentle_net_config()))
     cov = {name: [] for name, _ in methods}
     err = {name: [] for name, _ in methods}
@@ -467,7 +467,7 @@ def test_bundled_digits_parity_and_error_control():
         for name, posthoc in methods:
             box = {}
 
-            def hook(i, model, g, t_hat, val):
+            def hook(i, model, *_):
                 if i == 1 and "acc" not in box:
                     preds = model.predict(pool_ds.features)
                     box["acc"] = float(np.mean(preds == pool_ds.hidden_labels))

@@ -66,6 +66,41 @@ def test_bad_threshold_settings_exit_1(tmp_path, capsys, tbal):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("tbal,key", [
+    ({"posthoc": {"method": "temperature", "epochs": 100}},
+     "config.tbal.posthoc.epochs"),
+    ({"posthoc": {"method": "temperature", "learning_rate": 0.05}},
+     "config.tbal.posthoc.learning_rate"),
+    ({"hidden": [0]}, "config.tbal.hidden[0]"),
+    ({"hidden": [-3]}, "config.tbal.hidden[0]"),
+])
+def test_removed_or_out_of_range_tbal_keys_exit_1(tmp_path, capsys, tbal,
+                                                  key):
+    tbal = {"train_budget": 30, "seed_size": 30, "query_batch": 10, **tbal}
+    cfg = write_config(tmp_path, tbal=tbal)
+    assert main(["run", "--config", cfg]) == 1
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name,values", [
+    ("learning_rate", [0.05, -1.0]),
+    ("batch_size", [8, 2.5]),
+    ("loss", ["vanilla", True]),
+])
+def test_bad_hpo_grid_values_exit_1(tmp_path, capsys, name, values):
+    cfg = write_config(
+        tmp_path,
+        dataset={"kind": "synthetic", "classes": 2, "dim": 2,
+                 "means": [[-8.0, 0.0], [8.0, 0.0]], "sigma": 0.6,
+                 "pool_size": 80, "val_size": 30, "hyp_size": 30},
+        hpo={"train_grid": {name: values}})
+    assert main(["hpo", "--config", cfg]) == 1
+    assert f"config error: config.hpo.train_grid.{name}" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_labels_path_on_csv_exit_1(tmp_path, capsys):
     (tmp_path / "points.csv").write_text("x,y,label\n0.0,1.0,0\n1.0,0.0,1\n")
     (tmp_path / "garbage.idx").write_bytes(b"\x00\x01garbage")

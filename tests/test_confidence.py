@@ -468,7 +468,8 @@ def test_write_score_dump_roundtrip(tmp_path, blob_model, blobs):
     cal = label_everything(blobs).take(range(25))
     g = SoftmaxConfidence()
     out = tmp_path / "scores.csv"
-    write_score_dump(str(out), g, blob_model, cal)
+    write_score_dump(str(out), cal, *al.thresholds.predicted_scores(
+        g, blob_model, cal.features))
     with open(out, newline="") as f:
         rows = list(csv.reader(f))
     assert rows[0] == ["point_id", "true_label", "predicted_label",
@@ -519,8 +520,8 @@ def test_write_score_dump_bytes_equal_csv_writer(tmp_path, dtype):
         rng.permutation(n)[:500])
     h = FixedModel(preds)
     out = tmp_path / "scores.csv"
-    write_score_dump(str(out), ScoresAs(scores), h, labeled)
     top, got_preds = al.thresholds.predicted_scores(ScoresAs(scores), h,
                                                     labeled.features)
+    write_score_dump(str(out), labeled, top, got_preds)
     assert top.dtype == dtype
     assert out.read_bytes() == csv_writer_dump(labeled, got_preds, top)

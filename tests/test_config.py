@@ -1,10 +1,13 @@
 import copy
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from autolabel.config import (
+    _POSTHOC_GRID_KEYS,
+    _TRAIN_GRID_KEYS,
     ConfigError,
     MissingKeyError,
     RangeError,
@@ -14,6 +17,8 @@ from autolabel.config import (
     parse_config,
     parse_config_dict,
 )
+from autolabel.loop import POSTHOC_CONFIGS
+from autolabel.mlp import TrainConfig
 
 BASE = {
     "dataset": {"kind": "synthetic", "classes": 4, "dim": 2, "sigma": 1.0,
@@ -142,8 +147,15 @@ def test_posthoc_sections():
     assert cn.tbal.posthoc.alpha == 2.0
     assert cn.tbal.posthoc.max_epochs == 500
     temp = parse_config_dict(doc(**{"tbal.posthoc": {
-        "method": "temperature", "epochs": 100}}))
-    assert temp.tbal.posthoc.epochs == 100
+        "method": "temperature"}}))
+    assert temp.tbal.posthoc_method == "temperature"
+    assert temp.tbal.posthoc is None
+    # the temperature is fit at the NLL minimum: the method takes no keys
+    for key, value in (("epochs", 100), ("learning_rate", 0.05)):
+        with pytest.raises(UnknownKeyError,
+                           match=rf"config\.tbal\.posthoc\.{key}"):
+            parse_config_dict(doc(**{"tbal.posthoc": {
+                "method": "temperature", key: value}}))
     hb = parse_config_dict(doc(**{"tbal.posthoc": {
         "method": "top_label_hb", "points_per_bin": 10}}))
     assert hb.tbal.posthoc.points_per_bin == 10
@@ -197,17 +209,67 @@ def test_hpo_parsing():
 
 
 def test_hpo_softmax_has_no_posthoc_grid():
-    d = doc(**{"dataset.hyp_size": 50,
-               "hpo": {"train_grid": {"max_epochs": [10, 20]}}})
-    cfg = parse_config_dict(d)
-    assert cfg.hpo.posthoc_grid == {}
-    bad = copy.deepcopy(d)
-    bad["hpo"]["posthoc_grid"] = {"lam": [1.0]}
-    with pytest.raises(RangeError, match="softmax has no hyperparameters"):
-        parse_config_dict(bad)
-    ok = copy.deepcopy(d)
-    ok["hpo"]["posthoc_grid"] = {}
-    assert parse_config_dict(ok).hpo.posthoc_grid == {}
+    # one rule for every method with no searchable hyperparameters
+    for method in ("softmax", "temperature"):
+        d = doc(**{"dataset.hyp_size": 50,
+                   "tbal.posthoc": {"method": method},
+                   "hpo": {"train_grid": {"max_epochs": [10, 20]}}})
+        cfg = parse_config_dict(d)
+        assert cfg.hpo.posthoc_grid == {}
+        for grid in ({"lam": [1.0]}, {"epochs": [50]}):
+            bad = copy.deepcopy(d)
+            bad["hpo"]["posthoc_grid"] = grid
+            with pytest.raises(RangeError,
+                               match=f"{method} has no hyperparameters"):
+                parse_config_dict(bad)
+        ok = copy.deepcopy(d)
+        ok["hpo"]["posthoc_grid"] = {}
+        assert parse_config_dict(ok).hpo.posthoc_grid == {}
+
+
+BAD_GRID_VALUES = [
+    # (method, grid, name, values): only the last value is one a run rejects
+    ("softmax", "train_grid", "learning_rate", [0.05, -1.0]),
+    ("softmax", "train_grid", "learning_rate", [0.05, 0.0]),
+    ("softmax", "train_grid", "batch_size", [8, 2.5]),
+    ("softmax", "train_grid", "loss", ["vanilla", True]),
+    ("softmax", "train_grid", "momentum", [0.5, 1.0]),
+    ("top_label_hb", "posthoc_grid", "points_per_bin", [10, 0]),
+    ("confidence_net", "posthoc_grid", "lam", [10, 0]),
+    ("confidence_net", "posthoc_grid", "max_epochs", [10, "20"]),
+]
+
+
+@pytest.mark.parametrize("method,grid,name,values", BAD_GRID_VALUES)
+def test_hpo_grid_values_are_checked_at_parse_time(method, grid, name,
+                                                   values):
+    hpo = {"train_grid": {"max_epochs": [10, 20]}, grid: {name: values}}
+    d = doc(**{"dataset.hyp_size": 50, "tbal.posthoc": {"method": method},
+               "hpo": hpo})
+    with pytest.raises(ConfigError, match=rf"config\.hpo\.{grid}\.{name}"):
+        parse_config_dict(d)
+    hpo[grid] = {name: values[:-1]}
+    assert getattr(parse_config_dict(d).hpo, grid) == {name: values[:-1]}
+
+
+def test_grid_keys_are_config_fields():
+    train_fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    assert _TRAIN_GRID_KEYS <= train_fields
+    assert set(_POSTHOC_GRID_KEYS) == set(POSTHOC_CONFIGS)
+    for method, keys in _POSTHOC_GRID_KEYS.items():
+        cls = POSTHOC_CONFIGS[method]
+        if not keys:
+            assert cls is None, method
+        else:
+            assert keys <= {f.name for f in dataclasses.fields(cls)}, method
+
+
+@pytest.mark.parametrize("hidden,index", [([0], 0), ([-3], 0), ([16, 0], 1)])
+def test_hidden_widths_below_one_are_rejected(hidden, index):
+    with pytest.raises(RangeError, match=rf"config\.tbal\.hidden\[{index}\]"):
+        parse_config_dict(doc(**{"tbal.hidden": hidden}))
+    assert parse_config_dict(doc(**{"tbal.hidden": [1, 2]})).tbal.hidden \
+        == (1, 2)
 
 
 def test_file_dataset_path_resolution(tmp_path):

@@ -1,20 +1,23 @@
-"""Bit-equivalence oracles for the three iterative fits.
+"""Oracles for the fits.
 
-Training steps over flat parameter buffers and the temperature fit shares one
-exponentiation per step, but each float operation runs in the same order as
-in the straightforward loops below, so every fitted parameter must be equal
-bit for bit, not merely close. The loops are frozen reference copies; they
-are not the library's code and must not be "fixed" to match it.
+Training steps over flat parameter buffers, but each float operation runs in
+the same order as in the straightforward loops below, so every fitted
+parameter must be equal bit for bit, not merely close. The loops are frozen
+reference copies; they are not the library's code and must not be "fixed"
+to match it. The temperature fit is one bounded solve; its NLL is checked
+against the best of a dense grid over the same interval.
 """
 
 import itertools
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 import autolabel as al
 from autolabel.confidence import (
     ConfidenceNetConfig,
     ConfidenceNetParams,
+    LOG_T_BOUNDS,
     fit_confidence_net,
     fit_temperature,
     init_confidence_net_params,
@@ -23,49 +26,33 @@ from autolabel.confidence import (
 from autolabel.mlp import init_mlp
 from autolabel.rng import stream
 
-from conftest import label_everything
+from conftest import indexed_set, label_everything
 
 CLASS_COUNTS = (2, 4, 10, 13)
+# the bounded solver stops within its default xatol of 1e-5 of the best log T;
+# where that lies beyond an end of the interval, the NLL's slope in log T
+# there is below 1 in these cases, so the fit's NLL is within 1e-5 of the
+# grid's best
+LOG_T_TOL = 1e-5
+NLL_TOL = 1e-5
 
 
 # ---------------------------------------------------------------------------
 # frozen reference loops
 
 
-def ref_softmax(z):
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def ref_nll(logits, labels, temperature):
+    """Mean NLL of softmax(logits / T), in float64 from the definition."""
+    z = np.asarray(logits, dtype=np.float64) / temperature
+    z_max = z.max(axis=1)
+    lse = np.log(np.exp(z - z_max[:, None]).sum(axis=1)) + z_max
+    return float(np.mean(lse - z[np.arange(len(labels)), labels]))
 
 
 def ref_log_softmax(logits):
     z = np.asarray(logits)
     shifted = z - z.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def ref_fit_temperature(h, d_cal, lr=0.01, epochs=500):
-    logits = np.asarray(h.logits(d_cal.features), dtype=np.float64)
-    y = d_cal.labels
-    rows = np.arange(len(d_cal))
-
-    def nll(theta):
-        z = logits * np.exp(-theta)
-        shifted = z - z.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=1))
-        return float(np.mean(lse - shifted[rows, y]))
-
-    theta = 0.0
-    best_theta, best_nll = theta, nll(theta)
-    for _ in range(epochs):
-        c = np.exp(-theta)
-        q = ref_softmax(logits * c)
-        grad = float(np.mean(c * (logits[rows, y] - (q * logits).sum(axis=1))))
-        theta -= lr * grad
-        cur = nll(theta)
-        if cur < best_nll:
-            best_nll, best_theta = cur, theta
-    return float(np.exp(best_theta))
 
 
 def ref_batch_loss_and_dlogits(logits, labels, kind):
@@ -178,6 +165,16 @@ def ref_fit_confidence_net(h, d_cal, cfg):
 # seeded worlds
 
 
+class LogitRows:
+    """Classifier stub: feature column 0 is a row index into fixed logits."""
+
+    def __init__(self, logits):
+        self._logits = logits
+
+    def logits(self, X):
+        return self._logits[np.asarray(X[:, 0], dtype=np.int64)]
+
+
 def mixture_set(k, n, seed, dim=3):
     rng = np.random.default_rng(seed)
     means = rng.normal(0, 2.0, size=(k, dim))
@@ -196,16 +193,53 @@ def sharp_classifier(k, seed, hidden=(6,), scale=3.0, dim=3):
 # oracles
 
 
-def test_fit_temperature_equals_reference_bit_for_bit():
-    for i, (k, epochs, lr) in enumerate(itertools.product(
-            CLASS_COUNTS, (0, 1, 60, 500), (0.01, 0.5))):
-        cal = mixture_set(k, 40 + 7 * i, seed=100 + i)
-        h = sharp_classifier(k, seed=i, scale=1.0 + (i % 5))
-        got = fit_temperature(h, cal, lr=lr, epochs=epochs).temperature
-        want = ref_fit_temperature(h, cal, lr=lr, epochs=epochs)
-        assert got == want, (k, epochs, lr)
-        if epochs == 0:
-            assert got == 1.0
+def test_fit_temperature_reaches_the_grid_nll_minimum():
+    # seeded logits whose best temperature lies inside the interval (labels
+    # get a logit bonus) or beyond either end (the label's logit is always
+    # the row's largest, or always its smallest: the NLL is monotone in T)
+    grid = np.linspace(*LOG_T_BOUNDS, 2001)
+    cases = [(k, scale, rule) for k in CLASS_COUNTS
+             for scale, rule in ((0.02, "bonus"), (1.0, "bonus"),
+                                 (30.0, "bonus"), (0.02, "top"),
+                                 (1.0, "bottom"))]
+    for i, (k, scale, rule) in enumerate(cases):
+        rng = np.random.default_rng(900 + i)
+        n = 60 + 11 * i
+        labels = rng.integers(0, k, size=n)
+        z = rng.normal(size=(n, k))
+        rows = np.arange(n)
+        if rule == "bonus":
+            z[rows, labels] += 1.5
+        elif rule == "top":
+            z[rows, labels] = z.max(axis=1) + 0.5
+        else:
+            z[rows, labels] = z.min(axis=1) - 0.5
+        logits = (z * scale).astype(np.float32)
+        fit = fit_temperature(LogitRows(logits), indexed_set(labels, k))
+        got = ref_nll(logits, labels, fit.temperature)
+        best = min(ref_nll(logits, labels, np.exp(theta)) for theta in grid)
+        assert got <= best + NLL_TOL, (k, scale, rule, got, best)
+        assert got <= ref_nll(logits, labels, 1.0), (k, scale, rule)
+        if rule != "bonus":
+            end = LOG_T_BOUNDS[0] if rule == "top" else LOG_T_BOUNDS[1]
+            assert abs(np.log(fit.temperature) - end) <= LOG_T_TOL, \
+                (k, scale, rule, fit.temperature)
+
+
+def test_fit_temperature_keeps_one_at_its_optimum():
+    # logits rescaled so that T = 1 is the NLL minimum to ~1e-12 in log T:
+    # the solver stops near, not at, 0, and T = 1 is returned unchanged
+    for k in CLASS_COUNTS:
+        rng = np.random.default_rng(0)
+        labels = rng.integers(0, k, size=200)
+        z = rng.normal(size=(200, k))
+        z[np.arange(200), labels] += 1.5
+        best = minimize_scalar(lambda th: ref_nll(z, labels, np.exp(th)),
+                               bounds=LOG_T_BOUNDS, method="bounded",
+                               options={"xatol": 1e-12})
+        logits = z / np.exp(best.x)
+        fit = fit_temperature(LogitRows(logits), indexed_set(labels, k))
+        assert fit.temperature == 1.0, k
 
 
 def test_train_model_equals_reference_sgd_bit_for_bit():

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 import autolabel as al
-from autolabel.confidence import (
-    ConfidenceNetConfig,
-    TemperatureScalingConfig,
-    TopLabelBinningConfig,
-)
+from autolabel.confidence import ConfidenceNetConfig, TopLabelBinningConfig
 from autolabel.loop import dump_report, dump_round_log, fit_round
 
 from conftest import (
@@ -56,12 +52,18 @@ def test_config_validation():
     with pytest.raises(ValueError):
         base_config(posthoc_method="platt")
     with pytest.raises(ValueError):
+        base_config(hidden=(0,))
+    with pytest.raises(ValueError):
+        base_config(hidden=(16, -3))
+    with pytest.raises(ValueError):
         base_config(posthoc_method="softmax",
-                    posthoc=TemperatureScalingConfig())
+                    posthoc=TopLabelBinningConfig())
     with pytest.raises(ValueError):
         base_config(posthoc_method="temperature", posthoc=ConfidenceNetConfig())
-    # matching config objects pass
-    base_config(posthoc_method="temperature", posthoc=TemperatureScalingConfig())
+    with pytest.raises(ValueError):
+        base_config(posthoc_method="top_label_hb", posthoc=ConfidenceNetConfig())
+    # matching config objects pass; methods with nothing to set take None
+    base_config(posthoc_method="temperature", posthoc=None)
     base_config(posthoc_method="top_label_hb", posthoc=TopLabelBinningConfig())
     base_config(posthoc_method="confidence_net", posthoc=ConfidenceNetConfig())
 
@@ -121,16 +123,18 @@ def test_auto_label_select_matches_coverage():
 def test_filter_validation_partition():
     labeled, pool, h, g, tops, preds = piece_fixture()
     tv = al.ThresholdVector(np.array([0.5, 0.7]))
-    kept = al.filter_validation(g, tv, h, labeled)
+    got_top, got_preds = al.thresholds.predicted_scores(g, h,
+                                                        labeled.features)
+    kept = al.filter_validation(tv, labeled, got_top, got_preds)
     dropped = tops >= tv.values[preds]
     assert np.array_equal(np.sort(kept.indices), np.flatnonzero(~dropped))
     # labels of kept points are the original true labels
     assert np.array_equal(kept.labels, labeled.labels[~dropped])
-    untouched = al.filter_validation(g, al.ThresholdVector.all_infinite(2), h,
-                                     labeled)
+    untouched = al.filter_validation(al.ThresholdVector.all_infinite(2),
+                                     labeled, got_top, got_preds)
     assert np.array_equal(untouched.indices, labeled.indices)
-    emptied = al.filter_validation(g, al.ThresholdVector(np.zeros(2)), h,
-                                   labeled)
+    emptied = al.filter_validation(al.ThresholdVector(np.zeros(2)), labeled,
+                                   got_top, got_preds)
     assert len(emptied) == 0
 
 
@@ -246,16 +250,16 @@ def test_round_runs_the_classifier_once_per_set(monkeypatch, tmp_path, method):
     model, g, t_hat, d_cal, d_th, _ = fit_round(cfg, seed_set, val, 1,
                                                  [2, 32, 4])
     al.auto_label_select(g, t_hat, model, pool, 1)
-    al.filter_validation(g, t_hat, model, val)
+    # the filter and the score dump share one scoring pass over val
+    top, preds = al.thresholds.predicted_scores(g, model, val.features)
+    al.filter_validation(t_hat, val, top, preds)
+    al.write_score_dump(str(tmp_path / "scores.csv"), val, top, preds)
     fitted = method != "softmax"  # raw softmax fits nothing on d_cal
     assert passes(d_cal.features) == int(fitted)
     assert passes(d_th.features) == 1
     assert passes(pool.features) == 1
     assert passes(val.features) == 1
     assert len(calls) == 3 + int(fitted)
-    calls.clear()
-    al.write_score_dump(str(tmp_path / "scores.csv"), g, model, val)
-    assert len(calls) == 1 and passes(val.features) == 1
 
 
 def test_fit_round_deterministic():
@@ -306,7 +310,7 @@ def test_loop_accounting_and_budget():
     cfg = base_config(train_budget=70, seed_size=30, query_batch=15)
     seen_vals = []
     report = al.run_tbal(cfg, pool_ds, val,
-                         round_hook=lambda i, m, g, t, v: seen_vals.append(
+                         round_hook=lambda i, m, v, top, preds: seen_vals.append(
                              set(v.indices.tolist())))
     assert len(report.rounds) >= 2
     # pool deltas chain exactly

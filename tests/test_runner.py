@@ -154,6 +154,30 @@ def test_parallel_jobs_match_serial(tmp_path):
         == (tmp_path / "parallel" / "summary.json").read_bytes()
 
 
+def test_run_scores_validation_once_per_round(monkeypatch, tmp_path):
+    # the round's score dump and its validation filter share one pass
+    cfg = experiment(OVERLAPPING, tmp_path, repeats=1)
+    _, val, _ = materialize_dataset(cfg)
+    calls = []
+    original = al.MlpClassifier.representations
+
+    def counted(self, X):
+        calls.append(np.array(X, copy=True))
+        return original(self, X)
+
+    monkeypatch.setattr(al.MlpClassifier, "representations", counted)
+    al.run_experiment(cfg)
+    dumps = sorted((tmp_path / "out" / "run_00").glob("scores_round_*.csv"))
+    assert len(dumps) >= 2
+    row_of = {int(pid): row for row, pid in enumerate(val.ids)}
+    for path in dumps:
+        ids = np.loadtxt(path, delimiter=",", skiprows=1, usecols=0,
+                         dtype=np.int64, ndmin=1)
+        X = val.features[[row_of[int(pid)] for pid in ids]]
+        assert sum(c.shape == X.shape and np.array_equal(c, X)
+                   for c in calls) == 1, path.name
+
+
 # ---------------------------------------------------------------------------
 # hpo machinery
 
@@ -205,16 +229,18 @@ def test_select_tie_break_is_seeded():
 
 def test_apply_combos():
     base = al.TbalConfig(train_budget=20, seed_size=10, query_batch=5,
-                         posthoc_method="temperature",
-                         posthoc=al.TemperatureScalingConfig())
+                         posthoc_method="top_label_hb",
+                         posthoc=al.TopLabelBinningConfig())
     trained = _apply_train_combo(base, {"learning_rate": 0.5, "max_epochs": 3})
     assert trained.train.learning_rate == 0.5
     assert trained.train.max_epochs == 3
     assert base.train.learning_rate == 0.01
-    tuned = _apply_posthoc_combo(trained, {"epochs": 77})
-    assert tuned.posthoc.epochs == 77
+    tuned = _apply_posthoc_combo(trained, {"points_per_bin": 7})
+    assert tuned.posthoc.points_per_bin == 7
+    # only a method with searchable keys reaches the post-hoc phase
     soft = al.TbalConfig(train_budget=20, seed_size=10, query_batch=5)
-    assert _apply_posthoc_combo(soft, {"epochs": 1}) is soft
+    with pytest.raises(ValueError, match="posthoc config required"):
+        _apply_posthoc_combo(soft, {"points_per_bin": 7})
 
 
 @pytest.mark.parametrize("method", al.loop.POSTHOC_METHODS)
@@ -237,13 +263,13 @@ def test_first_round_eval_runs_the_classifier_once_over_hyp(
                and np.array_equal(c, hyp.features) for c in calls) == 1
 
 
-def hpo_experiment(tmp_path, name="hpo", method="temperature"):
+def hpo_experiment(tmp_path, name="hpo", method="top_label_hb"):
     d = copy.deepcopy(OVERLAPPING)
     d["repeats"] = 2
     d["tbal"]["posthoc"] = {"method": method}
     d["hpo"] = {"train_grid": {"max_epochs": [4, 8]}}
-    if method != "softmax":
-        d["hpo"]["posthoc_grid"] = {"epochs": [50, 200]}
+    if method == "top_label_hb":
+        d["hpo"]["posthoc_grid"] = {"points_per_bin": [5, 10]}
     d["output_dir"] = name
     return parse_config_dict(d, base_dir=str(tmp_path))
 
@@ -256,7 +282,7 @@ def test_hpo_end_to_end(tmp_path):
     assert result.train_winner_id.startswith("train-")
     assert result.posthoc_winner_id.startswith("posthoc-")
     assert set(result.train_winner) == {"max_epochs"}
-    assert set(result.posthoc_winner) == {"epochs"}
+    assert set(result.posthoc_winner) == {"points_per_bin"}
     assert sum(r["selected"] for r in result.records) == 2
     doc = json.loads((tmp_path / "hpo" / "hpo_result.json").read_text())
     assert doc == result.to_jsonable()
@@ -270,11 +296,13 @@ def test_hpo_end_to_end(tmp_path):
 
 
 def test_hpo_softmax_skips_posthoc_phase(tmp_path):
-    cfg = hpo_experiment(tmp_path, name="soft", method="softmax")
-    result = al.hyperparameter_search(cfg)
-    assert [r["phase"] for r in result.records] == ["train", "train"]
-    assert result.posthoc_winner_id == "none"
-    assert result.posthoc_winner == {}
+    # so does every method with no searchable hyperparameters
+    for method in ("softmax", "temperature"):
+        cfg = hpo_experiment(tmp_path, name=method, method=method)
+        result = al.hyperparameter_search(cfg)
+        assert [r["phase"] for r in result.records] == ["train", "train"]
+        assert result.posthoc_winner_id == "none"
+        assert result.posthoc_winner == {}
 
 
 def test_hpo_requires_config_section(tmp_path):
