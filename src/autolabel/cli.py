@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import os
 import sys
 
@@ -75,8 +76,15 @@ def _cmd_toy_check(args) -> int:
     alphas = []
     for tok in args.alphas.split(","):
         tok = tok.strip()
-        if tok:
-            alphas.append(float(tok))
+        if not tok:
+            continue
+        try:
+            alpha = float(tok)
+        except ValueError:
+            raise ConfigError(f"--alphas: {tok!r} is not a number") from None
+        if not 0 < alpha < math.inf:
+            raise ConfigError(f"--alphas: {tok} is not a finite number above 0")
+        alphas.append(alpha)
     if not alphas:
         raise ConfigError("--alphas must list at least one value")
     try:

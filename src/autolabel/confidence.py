@@ -22,10 +22,10 @@ predicted entry and therefore does not sum to 1 by design.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .data import LabeledSet
 from .mlp import MlpClassifier, _flat_views, softmax
@@ -38,8 +38,8 @@ def sigmoid(alpha: float, z):
     Keeps the input's float dtype for arrays; returns a plain float for
     scalar input.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     x = np.multiply(alpha, z)
     e = np.exp(-np.abs(x))
     out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
@@ -115,6 +115,9 @@ def fit_temperature(h: MlpClassifier,
     returned unless the solution's NLL is lower, so the fit is never worse
     than no scaling on the calibration data.
     """
+    # imported here, so runs with the other three methods never load scipy
+    from scipy.optimize import minimize_scalar
+
     if len(d_cal) == 0:
         raise ValueError("empty calibration set")
     logits = np.asarray(h.logits(d_cal.features), dtype=np.float64)

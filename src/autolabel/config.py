@@ -9,6 +9,7 @@ the README.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -69,6 +70,9 @@ class _Section:
             raise TypeMismatchError(f"{self.path}.{key}: expected a number")
         if integer and not isinstance(val, int):
             raise TypeMismatchError(f"{self.path}.{key}: expected an integer")
+        if isinstance(val, float) and not math.isfinite(val):
+            # json.load reads NaN and +-Infinity, and NaN fails no comparison
+            raise RangeError(f"{self.path}.{key}: value {val} is not finite")
         if lo is not None and val < lo or hi is not None and val > hi:
             raise RangeError(
                 f"{self.path}.{key}: value {val} outside [{lo}, {hi}]"
@@ -104,6 +108,10 @@ class _Section:
             if integer and not isinstance(v, int):
                 raise TypeMismatchError(
                     f"{self.path}.{key}[{i}]: expected an integer"
+                )
+            if isinstance(v, float) and not math.isfinite(v):
+                raise RangeError(
+                    f"{self.path}.{key}[{i}]: value {v} is not finite"
                 )
             if lo is not None and v < lo:
                 raise RangeError(
@@ -211,6 +219,8 @@ def _parse_dataset(sec: _Section, base_dir: str):
                 raise TypeMismatchError(
                     f"{sec.path}.means: shape {means.shape} != ({classes}, {dim})"
                 )
+            if not np.isfinite(means).all():
+                raise RangeError(f"{sec.path}.means: values must be finite")
         sec.finish()
         return SyntheticSpec(classes, dim, means, sigma, pool_size, val_size,
                              hyp_size)

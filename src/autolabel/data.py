@@ -49,6 +49,12 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 
+def _has_duplicates(a: np.ndarray) -> bool:
+    """Whether a 1-D array repeats a value: sort, compare neighbours."""
+    s = np.sort(a)
+    return bool((s[1:] == s[:-1]).any())
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable feature/label store.
@@ -86,7 +92,7 @@ class Dataset:
             ids = np.asarray(ids, dtype=np.int64)
             if ids.shape != (feats.shape[0],):
                 raise ValueError("ids must have one entry per row")
-            if np.unique(ids).size != ids.size:
+            if _has_duplicates(ids):
                 raise ValueError("ids must be unique")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "hidden_labels", labels)
@@ -134,14 +140,15 @@ class LabeledSet:
         if not (self.labels.shape == self.sources.shape == self.rounds.shape == (m,)):
             raise ValueError("index/label/source/round arrays must align")
         if m:
-            if np.unique(self.indices).size != m:
+            if _has_duplicates(self.indices):
                 raise ValueError("duplicate indices in LabeledSet")
             if self.indices.min() < 0 or self.indices.max() >= self.dataset.n:
                 raise IndexError("index out of range for dataset")
             if self.labels.min() < 0 or self.labels.max() >= self.dataset.num_classes:
                 raise LabelOutOfRangeError("assigned label out of range")
-            bad = set(np.unique(self.sources)) - {"human", "auto"}
-            if bad:
+            known = (self.sources == "human") | (self.sources == "auto")
+            if not known.all():
+                bad = set(np.unique(self.sources[~known]))
                 raise ValueError(f"unknown source tags: {sorted(bad)}")
 
     def __len__(self) -> int:
@@ -208,7 +215,7 @@ class Pool:
     def __post_init__(self):
         self.active = np.asarray(self.active, dtype=np.int64)
         if self.active.size:
-            if np.unique(self.active).size != self.active.size:
+            if _has_duplicates(self.active):
                 raise ValueError("duplicate indices in pool")
             if self.active.min() < 0 or self.active.max() >= self.dataset.n:
                 raise IndexError("pool index out of range")

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .confidence import sigmoid
 
@@ -91,6 +90,9 @@ def toy_1d_metrics(world: Toy1DWorld, t: float, alpha: float) -> ToyMetrics:
     each x by sigmoid(alpha, |w-x| - t) and integrate with breakpoints at the
     kinks {w-t, w, w+t}.
     """
+    # imported here, so importing the package never loads scipy
+    from scipy.integrate import quad
+
     if not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
     lo, hi = world.side

@@ -174,6 +174,25 @@ def test_toy_check_flags(tmp_path, capsys):
                  "--w-step", "-0.1"]) == 1
 
 
+@pytest.mark.parametrize("alphas", ["-1", "abc", "nan", "inf", "5,0"])
+def test_toy_check_bad_alphas_exit_1_before_writing(tmp_path, capsys, alphas):
+    out = tmp_path / "toy.csv"
+    assert main(["toy-check", "--out", str(out), "--alphas", alphas]) == 1
+    assert "--alphas" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_config_number_exit_1(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    text = open(cfg).read().replace('"sigma": 0.6', '"sigma": NaN')
+    assert "NaN" in text
+    (tmp_path / "exp.json").write_text(text)
+    assert main(["run", "--config", cfg]) == 1
+    assert "config.dataset.sigma: value nan is not finite" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_gen_synth_round_trip(tmp_path):
     out = tmp_path / "mix.rawf32"
     assert main(["gen-synth", "--out", str(out), "--classes", "3",

@@ -62,6 +62,9 @@ def test_sigmoid_extremes_and_types():
     assert isinstance(sigmoid(1.0, 0.3), float)
     with pytest.raises(ValueError):
         sigmoid(0.0, 0.5)
+    for alpha in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="alpha"):
+            sigmoid(alpha, 0.5)
 
 
 def test_sigmoid_monotone():

@@ -126,6 +126,9 @@ def test_means_validation():
         parse_config_dict(doc(**{"dataset.means": [[1, 0], [0, 1]]}))
     with pytest.raises(TypeMismatchError, match=r"config\.dataset\.means"):
         parse_config_dict(doc(**{"dataset.means": "origin"}))
+    with pytest.raises(RangeError, match=r"config\.dataset\.means: .*finite"):
+        parse_config_dict(doc(**{"dataset.means": [[1, 0], [0, float("nan")],
+                                                   [-1, 0], [0, -1]]}))
 
 
 def test_grid_and_grid_size_are_exclusive():
@@ -262,6 +265,54 @@ def test_grid_keys_are_config_fields():
             assert cls is None, method
         else:
             assert keys <= {f.name for f in dataclasses.fields(cls)}, method
+
+
+# every number key whose range check a NaN or an infinity used to pass
+FINITE_KEYS = [
+    ("tbal", "c1"),
+    ("tbal", "active_multiplier"),
+    ("dataset", "sigma"),
+    ("tbal", "train", "learning_rate"),
+    ("tbal", "train", "weight_decay"),
+    ("tbal", "posthoc", "alpha"),
+    ("tbal", "posthoc", "lam"),
+    ("tbal", "posthoc", "learning_rate"),
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("path", FINITE_KEYS, ids=".".join)
+def test_non_finite_numbers_are_rejected(path, value):
+    d = doc(**{"tbal.posthoc": {"method": "confidence_net"}})
+    parse_config_dict(d)
+    section = d
+    for key in path[:-1]:
+        section = section.setdefault(key, {})
+    section[path[-1]] = value
+    name = r"\.".join(("config",) + path)
+    with pytest.raises(RangeError, match=rf"^{name}: value -?(nan|inf) is "
+                                         "not finite$"):
+        parse_config_dict(d)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite_list_and_grid_values_are_rejected(value):
+    with pytest.raises(RangeError, match=r"^config\.tbal\.grid\[1\]: .*finite"):
+        parse_config_dict(doc(**{"tbal.grid": [0.5, value]}))
+    d = doc(**{"dataset.hyp_size": 50,
+               "tbal.posthoc": {"method": "confidence_net"},
+               "hpo": {"train_grid": {"learning_rate": [0.01, value]},
+                       "posthoc_grid": {"alpha": [1.0]}}})
+    with pytest.raises(RangeError,
+                       match=r"^config\.hpo\.train_grid\.learning_rate: .*finite"):
+        parse_config_dict(d)
+    d["hpo"]["train_grid"] = {"learning_rate": [0.01]}
+    d["hpo"]["posthoc_grid"] = {"alpha": [value]}
+    with pytest.raises(RangeError,
+                       match=r"^config\.hpo\.posthoc_grid\.alpha: .*finite"):
+        parse_config_dict(d)
 
 
 @pytest.mark.parametrize("hidden,index", [([0], 0), ([-3], 0), ([16, 0], 1)])

@@ -42,6 +42,31 @@ def test_labeled_set_validation():
         al.LabeledSet(ds, [1, 2], [0, 7], ["human", "human"], [0, 0])
     with pytest.raises(ValueError, match="source"):
         al.LabeledSet(ds, [1], [0], ["robot"], [0])
+    # each unknown tag listed once, sorted, as np.unique gives them
+    tags = ["robot", "human", "x", "auto", "robot"]
+    bad = sorted(set(np.unique(np.asarray(tags, dtype="<U5")))
+                 - {"human", "auto"})
+    with pytest.raises(ValueError) as info:
+        al.LabeledSet(ds, [0, 1, 2, 3, 4], [0] * 5, tags, [0] * 5)
+    assert str(info.value) == f"unknown source tags: {bad}"
+    assert [str(t) for t in bad] == ["robot", "x"]
+
+
+@pytest.mark.parametrize("ids", [[3, 1, 3, 0], [2, 2, 0, 1], [0, 1, 5, 5]])
+def test_repeated_indices_are_rejected(ids):
+    """Repeats anywhere, not only next to each other, name the container."""
+    ds = four_blobs(n=20)
+    feats = np.zeros((4, 2), dtype=np.float32)
+    with pytest.raises(ValueError, match=r"^ids must be unique$"):
+        al.Dataset(feats, [0, 1, 1, 0], 2, ids=ids)
+    with pytest.raises(ValueError, match=r"^duplicate indices in LabeledSet$"):
+        al.LabeledSet(ds, ids, [0] * 4, ["human"] * 4, [0] * 4)
+    with pytest.raises(ValueError, match=r"^duplicate indices in pool$"):
+        al.Pool(ds, ids)
+    distinct = [0, 1, 2, 3]
+    al.Dataset(feats, [0, 1, 1, 0], 2, ids=distinct)
+    al.LabeledSet(ds, distinct, [0] * 4, ["human"] * 4, [0] * 4)
+    al.Pool(ds, distinct[::-1])
 
 
 def test_labeled_set_from_oracle_and_concat():

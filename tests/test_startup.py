@@ -1,0 +1,90 @@
+"""Start-up stays free of scipy.
+
+Only the temperature fit and ``toy-check`` call into scipy, and each imports
+it where it is called, so a run with any other confidence function never
+loads it. Each case starts a fresh interpreter, because this test process
+has scipy loaded already.
+"""
+
+import json
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
+
+import autolabel
+
+SRC = pathlib.Path(autolabel.__file__).parent.parent
+
+# the path of `autolabel run --config`, with every temperature fit recorded
+SCRIPT = """
+import json, pickle, sys
+
+import autolabel
+import autolabel.cli
+import autolabel.loop
+from autolabel.config import parse_config
+from autolabel.runner import materialize_dataset, run_experiment
+
+cfg_path, out_dir, fits_path = sys.argv[1:]
+autolabel.cli.build_parser()
+cfg = parse_config(cfg_path)
+materialize_dataset(cfg)
+fits = []
+fit_temperature = autolabel.loop.fit_temperature
+
+
+def recording_fit(model, d_cal):
+    conf = fit_temperature(model, d_cal)
+    fits.append((model, d_cal, conf.temperature))
+    return conf
+
+
+autolabel.loop.fit_temperature = recording_fit
+run_experiment(cfg, out_dir=out_dir)
+with open(fits_path, "wb") as f:
+    pickle.dump(fits, f)
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def run_fresh(tmp_path, method):
+    doc = {
+        "master_seed": 5,
+        "repeats": 1,
+        "dataset": {"kind": "synthetic", "classes": 3, "dim": 2,
+                    "sigma": 2.5, "pool_size": 300, "val_size": 120},
+        "tbal": {"train_budget": 60, "seed_size": 30, "query_batch": 15,
+                 "train": {"max_epochs": 10},
+                 "posthoc": {"method": method}},
+    }
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(doc))
+    fits_path = tmp_path / "fits.pkl"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(cfg), str(tmp_path / "out"),
+         str(fits_path)],
+        capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "run_00" / "rounds.jsonl").exists()
+    with open(fits_path, "rb") as f:
+        fits = pickle.load(f)
+    return json.loads(proc.stdout.strip().splitlines()[-1]), fits
+
+
+def test_softmax_run_loads_no_scipy(tmp_path):
+    scipy_modules, fits = run_fresh(tmp_path, "softmax")
+    assert scipy_modules == []
+    assert fits == []
+
+
+def test_temperature_run_loads_scipy_at_its_first_fit(tmp_path):
+    scipy_modules, fits = run_fresh(tmp_path, "temperature")
+    assert "scipy.optimize" in scipy_modules
+    assert fits
+    for model, d_cal, temperature in fits:
+        assert autolabel.fit_temperature(model, d_cal).temperature \
+            == temperature
