@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledSet
-from .mlp import MlpClassifier, _flat_views, softmax
+from .mlp import MlpClassifier, _check_fields, _flat_views, softmax
 from .rng import stream
 
 
@@ -222,6 +222,9 @@ class ConfidenceNetConfig:
     denom_epsilon: float = 1e-8
 
     def __post_init__(self):
+        _check_fields(self, finite=("lam", "alpha", "learning_rate",
+                                    "weight_decay", "denom_epsilon"),
+                      integers=("batch_size", "max_epochs", "seed"))
         if self.lam <= 0 or self.alpha <= 0:
             raise ValueError("lam and alpha must be positive")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 0:
@@ -263,18 +266,37 @@ def init_confidence_net_params(k: int, d2: int, seed: int,
 
 def objective_grad(params: ConfidenceNetParams, Z: np.ndarray,
                    yhat: np.ndarray, wrong: np.ndarray, lam: float,
-                   alpha: float, denom_epsilon: float):
+                   alpha: float, denom_epsilon: float, out=None,
+                   work=None):
     """(value, ConfidenceNetParams-shaped gradients) of the batch objective.
 
     The value is -(smoothed coverage) + lam * (smoothed selection error):
     each point is weighted by u = sigmoid(alpha, score_of_predicted -
     threshold_of_predicted), coverage is the mean of u, and the error is the
     u-weighted wrong mass over the u-weighted selected mass.
+
+    The gradients are written into ``out`` (a ConfidenceNetParams of
+    arrays shaped like ``params``), which is returned, and into new arrays
+    when it is None. ``work`` is two arrays of at least ``len(Z)`` rows and
+    W1's width, for the hidden activations and their gradient; without it
+    they are allocated here. The tanh, the softmax-gradient product and the
+    hidden layer's gradient are computed in place, with the operations of
+    the expression form in the same order, so every call gives the same
+    bits.
     """
     m = Z.shape[0]
+    if out is None:
+        out = ConfidenceNetParams(np.empty_like(params.W1),
+                                  np.empty_like(params.W2),
+                                  np.empty_like(params.t_raw))
+    if work is None:
+        shape = (m, params.W1.shape[1])
+        dtype = np.result_type(Z, params.W1, params.W2)
+        work = (np.empty(shape, dtype), np.empty(shape, dtype))
     rows = np.arange(m)
     wrongf = np.asarray(wrong, dtype=Z.dtype)
-    A = np.tanh(Z @ params.W1)
+    A = np.matmul(Z, params.W1, out=work[0][:m])
+    np.tanh(A, out=A)
     V = A @ params.W2
     Q = softmax(V)
     s = Q[rows, yhat]
@@ -288,17 +310,19 @@ def objective_grad(params: ConfidenceNetParams, Z: np.ndarray,
     # d value / d u_i, then chain through the sigmoid, softmax, and layers
     du = -1.0 / m + lam * (wrongf * denom - M) / (denom * denom)
     c = du * alpha * u * (1.0 - u)
-    Gv = (c * s)[:, None] * (-Q)
-    Gv[rows, yhat] += c * s
-    dW2 = A.T @ Gv
-    dA = Gv @ params.W2.T
-    dPre = dA * (1.0 - A * A)
-    dW1 = Z.T @ dPre
+    cs = c * s
+    Gv = np.negative(Q, out=Q)
+    Gv *= cs[:, None]
+    Gv[rows, yhat] += cs
+    np.matmul(A.T, Gv, out=out.W2)
+    dPre = np.matmul(Gv, params.W2.T, out=work[1][:m])
+    np.multiply(A, A, out=A)
+    np.subtract(1.0, A, out=A)
+    dPre *= A
+    np.matmul(Z.T, dPre, out=out.W1)
     dt = np.bincount(yhat, weights=-c, minlength=tvec.shape[0])
-    dt_raw = dt * tvec * (1.0 - tvec)
-    grads = ConfidenceNetParams(W1=dW1, W2=dW2,
-                                t_raw=np.asarray(dt_raw, dtype=params.t_raw.dtype))
-    return value, grads
+    out.t_raw[...] = dt * tvec * (1.0 - tvec)
+    return value, out
 
 
 def fit_confidence_net(h: MlpClassifier, d_cal: LabeledSet,
@@ -310,6 +334,13 @@ def fit_confidence_net(h: MlpClassifier, d_cal: LabeledSet,
     fit only; threshold estimation never sees them. Mini-batches are drawn
     by per-epoch seeded shuffles; weight decay is decoupled and applied to
     the weight matrices only.
+
+    Every step writes into buffers made once per fit: the batch's rows are
+    gathered into batch-sized buffers, ``objective_grad`` keeps its
+    activations in two scratch buffers and writes the gradient into views
+    of one flat W1|W2|t_raw buffer, and the Adam moments and update are
+    computed in two more, with the float32 operations of the per-tensor
+    update in the same order.
     """
     if len(d_cal) == 0:
         raise ValueError("empty calibration set")
@@ -321,35 +352,61 @@ def fit_confidence_net(h: MlpClassifier, d_cal: LabeledSet,
     wrong = (preds != d_cal.labels)
     init = init_confidence_net_params(k, h.penultimate_dim, cfg.seed)
     # Adam steps once over the flat W1|W2|t_raw buffer; decay hits W1|W2 only
+    shapes = (init.W1.shape, init.W2.shape, init.t_raw.shape)
     theta = np.concatenate([init.W1.ravel(), init.W2.ravel(), init.t_raw])
-    params = ConfidenceNetParams(*_flat_views(
-        theta, (init.W1.shape, init.W2.shape, init.t_raw.shape)))
-    weights = theta[:init.W1.size + init.W2.size]
+    params = ConfidenceNetParams(*_flat_views(theta, shapes))
+    nw = init.W1.size + init.W2.size
+    weights = theta[:nw]
     grad = np.empty_like(theta)
+    grads = ConfidenceNetParams(*_flat_views(grad, shapes))
     mom = np.zeros_like(theta)
     sec = np.zeros_like(theta)
+    num = np.empty_like(theta)
+    den = np.empty_like(theta)
+    n = Z.shape[0]
+    rows = min(n, cfg.batch_size)
+    shape = (rows, init.W1.shape[1])
+    work = (np.empty(shape, Z.dtype), np.empty(shape, Z.dtype))
+    # the calibration set can be large: gather each batch into buffers of
+    # one batch, not each epoch into a copy of the set
+    Zb, preds_b, wrong_b = (np.empty((rows, *a.shape[1:]), a.dtype)
+                            for a in (Z, preds, wrong))
     b1, b2, adam_eps = 0.9, 0.999, 1e-8
     lr = np.float32(cfg.learning_rate)
     wd = np.float32(cfg.weight_decay)
-    n = Z.shape[0]
     step = 0
     for epoch in range(cfg.max_epochs):
         order = stream(cfg.seed, "shuffle", epoch).permutation(n)
         for lo in range(0, n, cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
-            _, g = objective_grad(params, Z[batch], preds[batch], wrong[batch],
-                                  cfg.lam, cfg.alpha, cfg.denom_epsilon)
-            np.concatenate([g.W1.ravel(), g.W2.ravel(), g.t_raw], out=grad)
+            mb = batch.size
+            for a, b in ((Z, Zb), (preds, preds_b), (wrong, wrong_b)):
+                # a permutation is in range: "clip" skips the checking copy
+                np.take(a, batch, axis=0, out=b[:mb], mode="clip")
+            objective_grad(params, Zb[:mb], preds_b[:mb], wrong_b[:mb],
+                           cfg.lam, cfg.alpha, cfg.denom_epsilon, out=grads,
+                           work=work)
             step += 1
             c1 = np.float32(1.0 - b1 ** step)
             c2 = np.float32(1.0 - b2 ** step)
             mom *= np.float32(b1)
-            mom += np.float32(1 - b1) * grad
+            np.multiply(np.float32(1 - b1), grad, out=num)
+            mom += num
             sec *= np.float32(b2)
-            sec += np.float32(1 - b2) * grad * grad
-            theta -= lr * (mom / c1) / (np.sqrt(sec / c2) + np.float32(adam_eps))
+            np.multiply(np.float32(1 - b2), grad, out=num)
+            num *= grad
+            sec += num
+            # lr * (mom / c1) / (sqrt(sec / c2) + eps)
+            np.divide(mom, c1, out=num)
+            np.multiply(lr, num, out=num)
+            np.divide(sec, c2, out=den)
+            np.sqrt(den, out=den)
+            den += np.float32(adam_eps)
+            num /= den
+            theta -= num
             if wd > 0:
-                weights -= lr * wd * weights
+                np.multiply(lr * wd, weights, out=num[:nw])
+                weights -= num[:nw]
     return ConfidenceNet(params.copy())
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,13 @@ from .confidence import (
     fit_top_label_hb,
 )
 from .data import Dataset, LabeledSet, Pool, random_query, random_split
-from .mlp import TrainConfig, margin_scores, softmax, train_model
+from .mlp import (
+    TrainConfig,
+    _check_fields,
+    margin_scores,
+    softmax,
+    train_model,
+)
 from .rng import child_seed
 from .thresholds import (
     ThresholdConfig,
@@ -77,6 +84,10 @@ class TbalConfig:
                                               compare=False)
 
     def __post_init__(self):
+        _check_fields(self, finite=("eps_a", "cal_fraction", "coverage_floor",
+                                    "c1", "active_multiplier"),
+                      integers=("train_budget", "seed_size", "query_batch",
+                                "master_seed"))
         if self.seed_size < 1 or self.seed_size > self.train_budget:
             raise ValueError("need 1 <= seed_size <= train_budget")
         if self.query_batch < 1:
@@ -85,9 +96,10 @@ class TbalConfig:
             raise ValueError("cal_fraction must be in (0, 1)")
         if self.active_multiplier < 1.0:
             raise ValueError("active_multiplier must be >= 1")
-        if not self.hidden or min(self.hidden) < 1:
+        if not self.hidden or not all(isinstance(w, numbers.Integral)
+                                      and w >= 1 for w in self.hidden):
             raise ValueError(
-                "need at least one hidden layer, each of width >= 1")
+                "need at least one hidden layer, each an integer width >= 1")
         if self.posthoc_method not in POSTHOC_CONFIGS:
             raise ValueError(f"unknown posthoc method {self.posthoc_method!r}")
         expected = POSTHOC_CONFIGS[self.posthoc_method]

@@ -11,12 +11,31 @@ given the TrainConfig seed.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import LabeledSet
 from .rng import stream
+
+
+def _check_fields(config, finite=(), integers=()) -> None:
+    """Raise ValueError naming the first listed field of ``config`` that is
+    not a finite number (``finite``) or not an integer (``integers``).
+
+    Range checks are comparisons, which NaN passes; a float count fails
+    only later, deep in a fit, and a float seed or width is truncated.
+    """
+    for name in finite:
+        if not math.isfinite(getattr(config, name)):
+            raise ValueError(f"{name} must be a finite number, "
+                             f"got {getattr(config, name)!r}")
+    for name in integers:
+        if not isinstance(getattr(config, name), numbers.Integral):
+            raise ValueError(f"{name} must be an integer, "
+                             f"got {getattr(config, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -32,6 +51,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_fields(self, finite=("learning_rate", "momentum", "weight_decay"),
+                      integers=("batch_size", "max_epochs", "seed"))
         if self.loss not in ("vanilla", "squentropy"):
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 0:
@@ -134,16 +155,22 @@ def batch_loss(logits: np.ndarray, labels: np.ndarray,
 
 
 def _batch_dlogits(logits: np.ndarray, labels: np.ndarray, kind: str):
-    """d(batch_loss)/dlogits, the gradient backprop starts from."""
+    """d(batch_loss)/dlogits, the gradient backprop starts from.
+
+    Built in place in the fresh array ``_log_softmax`` returns; ``logits``
+    is only read.
+    """
     m, k = logits.shape
     rows = np.arange(m)
-    d = np.exp(_log_softmax(logits))
+    d = _log_softmax(logits)
+    np.exp(d, out=d)
     d[rows, labels] -= 1.0
     if kind == "squentropy":
         extra = (2.0 / (k - 1)) * logits
         extra[rows, labels] = 0.0
-        d = d + np.asarray(extra, dtype=d.dtype)
-    return d / np.asarray(m, dtype=d.dtype)
+        d += np.asarray(extra, dtype=d.dtype)
+    d /= np.asarray(m, dtype=d.dtype)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +216,13 @@ def train_model(config: TrainConfig, train_set: LabeledSet, dims) -> MlpClassifi
 
     so weight_decay=0 is exactly plain SGD with momentum, and the decay is
     never folded into the gradient (decoupled). Weights, biases, velocities
-    and gradients each live in one flat float32 buffer, so a step is a few
-    whole-buffer operations; each element sees the same float32 operations
-    in the same order as a per-layer update, so the result is bit-identical.
+    and gradients each live in one flat float32 buffer, and a step writes
+    its activations, gradients and update into buffers made once per fit;
+    each element sees the float32 operations of a per-layer update in the
+    same order, so the result is bit-identical. The decay term is computed
+    only when weight_decay > 0. Leaving it out is exact: float addition is
+    commutative, and for a finite weight adding 0 * w = +-0 changes at most
+    the sign of a zero step, which subtracting the step cancels.
     """
     if len(train_set) < 1:
         raise ValueError("empty training set")
@@ -212,6 +243,7 @@ def train_model(config: TrainConfig, train_set: LabeledSet, dims) -> MlpClassifi
     grad = np.empty_like(params)
     vel = np.zeros_like(params)
     step = np.empty_like(params)
+    decay = np.empty_like(params)
     layers = _flat_views(params, shapes)
     model = MlpClassifier(layers[0::2], layers[1::2])
     grad_views = _flat_views(grad, shapes)
@@ -219,47 +251,88 @@ def train_model(config: TrainConfig, train_set: LabeledSet, dims) -> MlpClassifi
     X = np.ascontiguousarray(train_set.features, dtype=np.float32)
     y = train_set.labels
     m = X.shape[0]
+    Xs, ys = np.empty_like(X), np.empty_like(y)
+    work = _backprop_work(model, min(m, config.batch_size), params.dtype)
     lr = np.float32(config.learning_rate)
     mu = np.float32(config.momentum)
     lr_wd = lr * np.float32(config.weight_decay)
     for epoch in range(config.max_epochs):
         order = stream(config.seed, "shuffle", epoch).permutation(m)
+        # a training set is at most the label budget: copy it in shuffled
+        # order once per epoch and slice the batches; "clip" skips the
+        # checking copy, and a permutation is in range
+        np.take(X, order, axis=0, out=Xs, mode="clip")
+        np.take(y, order, out=ys, mode="clip")
         for lo in range(0, m, config.batch_size):
-            batch = order[lo:lo + config.batch_size]
-            _backprop(model, X[batch], y[batch], config.loss, out=grads)
+            hi = lo + config.batch_size
+            _backprop(model, Xs[lo:hi], ys[lo:hi], config.loss, out=grads,
+                      work=work)
             vel *= mu
             vel += grad
-            np.multiply(lr_wd, params, out=step)
-            step += lr * vel
+            np.multiply(lr, vel, out=step)
+            if lr_wd > 0:
+                np.multiply(lr_wd, params, out=decay)
+                step += decay
             params -= step
     return MlpClassifier([w.copy() for w in model.weights],
                          [b.copy() for b in model.biases])
 
 
+def _backprop_work(model: MlpClassifier, rows: int, dtype):
+    """Scratch for ``_backprop`` on batches of at most ``rows`` rows.
+
+    (outputs, deltas): each layer's output, and for each hidden layer the
+    loss gradient at its output, each (rows, layer width).
+    """
+    outputs = [np.empty((rows, w.shape[1]), dtype) for w in model.weights]
+    return outputs, [np.empty_like(a) for a in outputs[:-1]]
+
+
 def _backprop(model: MlpClassifier, Xb: np.ndarray, yb: np.ndarray, kind: str,
-              out=None):
+              out=None, work=None):
     """Gradients of the mean batch loss w.r.t. every weight and bias.
 
     Returns (grads_w, grads_b), written into ``out`` when given (two lists of
     arrays shaped like the model's weights and biases) and into new arrays
-    otherwise.
+    otherwise. ``work`` is scratch from ``_backprop_work`` for at least
+    ``len(Xb)`` rows; a batch of mb rows uses the first mb rows of each
+    buffer. Without it the scratch is allocated here.
+
+    The forward pass writes a layer's product, adds the bias and takes the
+    tanh in its output buffer; the backward pass overwrites each hidden
+    activation a with 1 - a**2 once its weight gradient is taken, and
+    multiplies it into the gradient flowing back. Each element sees the
+    operations of ``tanh(A @ w + b)`` and ``(dZ @ w.T) * (1 - a**2)`` in
+    that order, so the result does not depend on whether ``work`` is given.
+    ``Xb`` and the model are only read.
     """
+    mb = Xb.shape[0]
     if out is None:
         out = ([np.empty_like(w) for w in model.weights],
                [np.empty_like(b) for b in model.biases])
+    if work is None:
+        work = _backprop_work(model, mb, np.result_type(
+            Xb, *model.weights, *model.biases))
     grads_w, grads_b = out
+    outputs, deltas = work
+    last = len(model.weights) - 1
     acts = [Xb]
-    A = Xb
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        A = np.tanh(A @ w + b)
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        A = np.matmul(acts[l], w, out=outputs[l][:mb])
+        A += b
+        if l < last:
+            np.tanh(A, out=A)
         acts.append(A)
-    logits = A @ model.weights[-1] + model.biases[-1]
-    dZ = _batch_dlogits(logits, yb, kind)
-    for l in range(len(model.weights) - 1, -1, -1):
+    dZ = _batch_dlogits(acts[-1], yb, kind)
+    for l in range(last, -1, -1):
         np.matmul(acts[l].T, dZ, out=grads_w[l])
-        np.sum(dZ, axis=0, out=grads_b[l])
+        np.add.reduce(dZ, axis=0, out=grads_b[l])
         if l:  # the input's gradient is never needed
-            dZ = (dZ @ model.weights[l].T) * (1.0 - acts[l] ** 2)
+            a = acts[l]
+            np.square(a, out=a)
+            np.subtract(1.0, a, out=a)
+            dZ = np.matmul(dZ, model.weights[l].T, out=deltas[l - 1][:mb])
+            dZ *= a
     return grads_w, grads_b
 
 

@@ -76,14 +76,16 @@ class ThresholdConfig:
         g = np.asarray(self.grid, dtype=np.float64)
         if g.ndim != 1 or g.size == 0:
             raise ValueError("grid must be a non-empty 1-D array")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("grid values must be finite")
         if np.any(np.diff(g) <= 0):
             raise ValueError("grid must be strictly ascending")
         if g[0] < 0 or g[-1] > 1:
             raise ValueError("grid values must lie in [0, 1]")
         if not (0.0 < self.rho0 <= 1.0):
             raise ValueError("rho0 (the coverage floor) must be in (0, 1]")
-        if self.c1 < 0:
-            raise ValueError("c1 must be >= 0")
+        if not (0.0 <= self.c1 < np.inf):
+            raise ValueError("c1 must be a finite number >= 0")
         if not (0.0 <= self.eps_a <= 1.0):
             raise ValueError("eps_a must be in [0, 1]")
         if self.group_by not in ("true_label", "predicted_label"):

@@ -21,6 +21,7 @@ from autolabel.confidence import (
     sigmoid,
     write_score_dump,
 )
+from autolabel.mlp import _flat_views
 from numcheck import central_difference, relative_error
 
 from conftest import (
@@ -359,6 +360,47 @@ def test_confidence_net_config_validation():
                 dict(denom_epsilon=0.0)):
         with pytest.raises(ValueError):
             ConfidenceNetConfig(**bad)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lam", float("nan")), ("lam", float("inf")), ("alpha", float("inf")),
+    ("alpha", float("nan")), ("learning_rate", float("nan")),
+    ("weight_decay", float("inf")), ("denom_epsilon", float("nan")),
+    ("batch_size", 2.5), ("max_epochs", 2.5), ("seed", 1.0),
+])
+def test_confidence_net_config_rejects_non_finite_and_non_integer_fields(
+        field, value):
+    with pytest.raises(ValueError, match=field):
+        ConfidenceNetConfig(**{field: value})
+
+
+def test_objective_grad_writes_the_same_bits_into_out():
+    # float32 as in the fit: out holds views of one flat buffer, as there,
+    # and the scratch has more rows than the batch, as for a short last one
+    rng = np.random.default_rng(22)
+    for k, d2, m in ((2, 3, 1), (3, 5, 17), (10, 8, 64)):
+        params = init_confidence_net_params(k, d2, seed=m)
+        params.t_raw[:] = rng.normal(0, 0.8, size=k)
+        Z = rng.normal(0, 1.0, size=(m, k + d2)).astype(np.float32)
+        yhat = rng.integers(0, k, size=m)
+        wrong = rng.uniform(size=m) < 0.4
+        args = (Z, yhat, wrong, 10.0, 4.0, 1e-8)
+        before = [a.copy() for a in (Z, params.W1, params.W2, params.t_raw)]
+        want_value, want = objective_grad(params, *args)
+        flat = np.empty(params.W1.size + params.W2.size + k, np.float32)
+        out = ConfidenceNetParams(*_flat_views(
+            flat, (params.W1.shape, params.W2.shape, (k,))))
+        width = 2 * (k + d2)
+        work = (np.empty((m + 3, width), np.float32),
+                np.empty((m + 3, width), np.float32))
+        value, got = objective_grad(params, *args, out=out, work=work)
+        assert got is out and value == want_value
+        for name in ("W1", "W2", "t_raw"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype == np.float32
+            assert np.array_equal(a, b), (k, d2, m, name)
+        for a, b in zip((Z, params.W1, params.W2, params.t_raw), before):
+            assert np.array_equal(a, b)
 
 
 def test_objective_gradients_match_finite_differences():

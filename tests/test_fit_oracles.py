@@ -261,6 +261,22 @@ def test_train_model_equals_reference_sgd_bit_for_bit():
             assert np.array_equal(a, b), (k, loss, wd, hidden)
 
 
+def test_train_model_equals_reference_sgd_bit_for_bit_at_a_wider_input():
+    # a 40-d input and wider layers than the cases above; n = 100 with batch
+    # size 32 leaves a short last batch of 4 rows
+    cases = itertools.product((0.0, 0.01), ("vanilla", "squentropy"))
+    for i, (wd, loss) in enumerate(cases):
+        train = mixture_set(10, 100, seed=400 + i, dim=40)
+        cfg = al.TrainConfig(loss=loss, learning_rate=0.05, weight_decay=wd,
+                             batch_size=32, max_epochs=4, seed=i)
+        dims = [40, 24, 10]
+        got = al.train_model(cfg, train, dims)
+        want = ref_train_model(cfg, train, dims)
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert a.shape == b.shape and a.dtype == b.dtype == np.float32
+            assert np.array_equal(a, b), (wd, loss)
+
+
 def test_fit_confidence_net_equals_reference_adam_bit_for_bit():
     # n = 70 with batch size 16 leaves a short last batch each epoch
     cases = itertools.product(CLASS_COUNTS, (0.0, 0.01, 0.3), ((6,), (6, 4)))

@@ -68,6 +68,18 @@ def test_config_validation():
     base_config(posthoc_method="confidence_net", posthoc=ConfidenceNetConfig())
 
 
+@pytest.mark.parametrize("field, value", [
+    ("c1", float("nan")), ("c1", float("inf")),
+    ("active_multiplier", float("inf")), ("active_multiplier", float("nan")),
+    ("eps_a", float("nan")), ("coverage_floor", float("nan")),
+    ("train_budget", 60.0), ("seed_size", 2.5), ("query_batch", 15.5),
+    ("master_seed", 5.5), ("hidden", (8.5,)),
+])
+def test_config_rejects_non_finite_and_non_integer_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        base_config(**{field: value})
+
+
 def test_threshold_config_passthrough():
     grid = np.array([0.25, 0.5, 0.75])
     cfg = base_config(grid=grid, coverage_floor=0.2, c1=0.1, eps_a=0.02,

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import autolabel as al
-from autolabel.mlp import batch_loss, _backprop
+from autolabel.mlp import (
+    _backprop,
+    _backprop_work,
+    _batch_dlogits,
+    batch_loss,
+    init_mlp,
+)
 from numcheck import central_difference, relative_error
 
 from conftest import four_blobs, label_everything
@@ -147,6 +153,43 @@ def test_backprop_matches_finite_differences_through_network():
             assert relative_error(grads_b[li], numeric_b) <= 1e-4
 
 
+def test_backprop_work_buffers_give_the_same_bits():
+    # float32 as in training; buffers sized for 16 rows, batches of 16 and
+    # of 5 (a short last batch uses the buffers' first rows)
+    rng = np.random.default_rng(11)
+    for kind, dims in itertools.product(("vanilla", "squentropy"),
+                                        ([3, 7, 4], [6, 9, 5, 3])):
+        model = init_mlp(dims, seed=len(dims))
+        work = _backprop_work(model, 16, np.float32)
+        for mb in (16, 5):
+            X = rng.normal(0, 1, size=(mb, dims[0])).astype(np.float32)
+            y = rng.integers(0, dims[-1], size=mb)
+            X_before = X.copy()
+            params_before = [a.copy() for a in model.weights + model.biases]
+            want_w, want_b = _backprop(model, X, y, kind)
+            out = ([np.empty_like(w) for w in model.weights],
+                   [np.empty_like(b) for b in model.biases])
+            got = _backprop(model, X, y, kind, out=out, work=work)
+            assert got[0] is out[0] and got[1] is out[1]
+            for a, b in zip(got[0] + got[1], want_w + want_b):
+                assert a.dtype == b.dtype == np.float32
+                assert np.array_equal(a, b), (kind, dims, mb)
+            assert np.array_equal(X, X_before)
+            for a, b in zip(model.weights + model.biases, params_before):
+                assert np.array_equal(a, b)
+
+
+def test_batch_dlogits_leaves_its_logits_untouched():
+    rng = np.random.default_rng(12)
+    for kind, dtype in itertools.product(("vanilla", "squentropy"),
+                                         (np.float32, np.float64)):
+        logits = rng.normal(0, 3, size=(9, 4)).astype(dtype)
+        before = logits.copy()
+        d = _batch_dlogits(logits, rng.integers(0, 4, size=9), kind)
+        assert d.dtype == dtype and not np.shares_memory(d, logits)
+        assert np.array_equal(logits, before)
+
+
 # ---------------------------------------------------------------------------
 # training
 
@@ -213,6 +256,17 @@ def test_train_weight_decay_shrinks_norms():
         al.TrainConfig(max_epochs=20, weight_decay=0.1, seed=1), labeled,
         [2, 6, 4])
     assert np.linalg.norm(decayed.weights[0]) < np.linalg.norm(free.weights[0])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+    ("momentum", float("nan")), ("weight_decay", float("inf")),
+    ("weight_decay", float("nan")), ("batch_size", 2.5),
+    ("max_epochs", 2.5), ("batch_size", 32.0), ("seed", 2.5),
+])
+def test_train_config_rejects_non_finite_and_non_integer_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        al.TrainConfig(**{field: value})
 
 
 def test_train_arch_mismatch():

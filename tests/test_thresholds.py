@@ -57,6 +57,17 @@ def test_threshold_config_validation():
         al.ThresholdConfig(group_by="colour")
 
 
+@pytest.mark.parametrize("kw", [
+    dict(grid=[0.1, float("nan"), 0.5]), dict(grid=[0.1, 0.5, float("nan")]),
+    dict(grid=[float("nan")]), dict(grid=[0.1, float("inf")]),
+    dict(c1=float("nan")), dict(c1=float("inf")),
+])
+def test_threshold_config_rejects_non_finite_values(kw):
+    field = next(iter(kw))
+    with pytest.raises(ValueError, match=field):
+        al.ThresholdConfig(**kw)
+
+
 def test_default_grid_shape():
     g = al.default_grid()
     assert g.shape == (200,)
