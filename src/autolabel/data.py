@@ -18,6 +18,7 @@ Supported on-disk formats:
 from __future__ import annotations
 
 import csv as _csv
+import mmap
 import os
 import struct
 from dataclasses import dataclass, field
@@ -333,6 +334,27 @@ def _read_exact(f, count: int, what: str) -> bytes:
     return buf
 
 
+def _map_exact(path: str, count: int, what: str, trailing: str):
+    """The file, which must hold exactly ``count`` bytes, mapped read-only.
+
+    Sizes come from ``os.fstat`` and raise as ``_read_exact`` would; nothing
+    is read here. An array over the map keeps it open and pages the file in
+    as it is read, so a gather from it copies each byte once. An empty file
+    cannot be mapped and gives an empty buffer.
+    """
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if not 0 <= count <= size:
+            raise TruncatedPayloadError(
+                f"{what}: expected {count} bytes, file ended after {size}"
+            )
+        if size > count:
+            raise DataFormatError(f"trailing bytes after {trailing}")
+        if count == 0:
+            return b""
+        return mmap.mmap(f.fileno(), count, access=mmap.ACCESS_READ)
+
+
 def _load_idx_images(path: str) -> np.ndarray:
     with open(path, "rb") as f:
         magic, = struct.unpack(">i", _read_exact(f, 4, "idx image header"))
@@ -464,16 +486,12 @@ def _load_rawf32(path: str, num_classes) -> Dataset:
         raise DataFormatError(
             f"meta says k={k} but num_classes={num_classes} requested"
         )
-    with open(path, "rb") as f:
-        raw = _read_exact(f, n * d * 4, "rawf32 feature payload")
-        if f.read(1):
-            raise DataFormatError("trailing bytes after rawf32 features")
-    feats = np.frombuffer(raw, dtype="<f4").reshape(n, d)
-    with open(path + ".labels", "rb") as f:
-        raw = _read_exact(f, n * 4, "rawf32 label payload")
-        if f.read(1):
-            raise DataFormatError("trailing bytes after rawf32 labels")
-    labels = np.frombuffer(raw, dtype="<u4").astype(np.int64)
+    feats = np.frombuffer(_map_exact(path, n * d * 4, "rawf32 feature payload",
+                                     "rawf32 features"),
+                          dtype="<f4").reshape(n, d)
+    labels = np.frombuffer(_map_exact(path + ".labels", n * 4,
+                                      "rawf32 label payload", "rawf32 labels"),
+                           dtype="<u4").astype(np.int64)
     if labels.size and labels.max() >= k:
         raise LabelOutOfRangeError(
             f"label {labels.max()} out of range for k={k}"

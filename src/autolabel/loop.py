@@ -19,6 +19,7 @@ import dataclasses
 import json
 import numbers
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -166,10 +167,10 @@ class TbalReport:
             "warnings": list(self.warnings),
             "rounds": [r.to_jsonable() for r in self.rounds],
             "output": {
-                "ids": [int(v) for v in out.ids],
-                "labels": [int(v) for v in out.labels],
-                "sources": [str(v) for v in out.sources],
-                "rounds": [int(v) for v in out.rounds],
+                "ids": out.ids.tolist(),
+                "labels": out.labels.tolist(),
+                "sources": out.sources.tolist(),
+                "rounds": out.rounds.tolist(),
             },
         }
 
@@ -378,6 +379,30 @@ def dump_round_log(report: TbalReport, path: str) -> None:
 
 
 def dump_report(report: TbalReport, path: str) -> None:
+    """``json.dump(report.to_jsonable(), f, sort_keys=True, indent=2)`` and a
+    newline, byte for byte.
+
+    ``indent`` turns off json's C encoder, so only the small part of the
+    document goes through ``json.dumps``. The ``output`` lists, one entry
+    per labeled point, are written here in the lines ``indent=2`` makes at
+    their depth: each int as ``int.__repr__`` and each str as
+    ``encode_basestring_ascii`` writes it, which is what json uses.
+    """
+    doc = report.to_jsonable()
+    output = doc["output"]
+    doc["output"] = {}
+    # a top-level key starts a line; a string's own newlines are escaped
+    head, tail = json.dumps(doc, sort_keys=True, indent=2).split(
+        '\n  "output": {}', 1)
+    fields = []
+    for key in sorted(output):
+        values = output[key]
+        items = "[]"
+        if values:
+            enc = (encode_basestring_ascii if isinstance(values[0], str)
+                   else int.__repr__)
+            items = "[\n      " + ",\n      ".join(map(enc, values)) + "\n    ]"
+        fields.append(f"    {encode_basestring_ascii(key)}: {items}")
     with open(path, "w") as f:
-        json.dump(report.to_jsonable(), f, sort_keys=True, indent=2)
-        f.write("\n")
+        f.write(f'{head}\n  "output": {{\n' + ",\n".join(fields)
+                + f"\n  }}{tail}\n")

@@ -95,15 +95,25 @@ class MlpClassifier:
     # inference
 
     def representations(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Batch (logits, penultimate activations) for rows of X."""
+        """Batch (logits, penultimate activations) for rows of X.
+
+        Each layer adds its bias and takes the tanh in the array its product
+        made: the float operations of ``np.tanh(A @ w + b)``, in that order,
+        with one array per layer. (A bias of a wider dtype than its layer's
+        product would be rounded to the product's; the models this package
+        builds are float32 throughout.)
+        """
         A = np.asarray(X)
         if A.ndim != 2 or A.shape[1] != self.input_dim:
             raise ValueError(
                 f"input has shape {A.shape}, model wants (*, {self.input_dim})"
             )
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            A = np.tanh(A @ w + b)
-        logits = A @ self.weights[-1] + self.biases[-1]
+            A = A @ w
+            A += b
+            np.tanh(A, out=A)
+        logits = A @ self.weights[-1]
+        logits += self.biases[-1]
         return logits, A
 
     def logits(self, X: np.ndarray) -> np.ndarray:
@@ -115,12 +125,21 @@ class MlpClassifier:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, stabilized by max subtraction. Works on 1-D too."""
+    """Row-wise softmax, stabilized by max subtraction. Works on 1-D too.
+
+    The row max is a chain of ``np.maximum`` over the columns: numpy reduces
+    a short last axis many times slower. A max is exact in any order, NaN
+    included, and a +-0 tie only flips the sign of a zero that ``exp``
+    maps to 1, so the output bits are those of the ``z.max(axis=1)`` form.
+    """
     z = np.asarray(logits)
     squeeze = z.ndim == 1
     if squeeze:
         z = z[None, :]
-    shifted = z - z.max(axis=1, keepdims=True)
+    top = z[:, :1].copy()
+    for j in range(1, z.shape[1]):
+        np.maximum(top, z[:, j:j + 1], out=top)
+    shifted = z - top
     e = np.exp(shifted)
     out = e / e.sum(axis=1, keepdims=True)
     return out[0] if squeeze else out

@@ -293,8 +293,66 @@ def test_rawf32_truncated(tmp_path):
     al.write_rawf32(ds, path)
     raw = open(path, "rb").read()
     open(path, "wb").write(raw[:-4])
-    with pytest.raises(al.TruncatedPayloadError):
+    with pytest.raises(al.TruncatedPayloadError) as err:
         al.load_dataset(path, "rawf32")
+    assert str(err.value) == (
+        "rawf32 feature payload: expected 80 bytes, file ended after 76")
+
+
+def test_rawf32_trailing_feature_bytes(tmp_path):
+    ds = four_blobs(n=10)
+    path = str(tmp_path / "blob.f32")
+    al.write_rawf32(ds, path)
+    open(path, "ab").write(b"\0")
+    with pytest.raises(al.DataFormatError) as err:
+        al.load_dataset(path, "rawf32")
+    assert type(err.value) is al.DataFormatError
+    assert str(err.value) == "trailing bytes after rawf32 features"
+
+
+def test_rawf32_zero_rows_load(tmp_path):
+    ds = al.Dataset(np.zeros((0, 3), np.float32), np.zeros(0, np.int64), 4)
+    path = str(tmp_path / "empty.f32")
+    al.write_rawf32(ds, path)
+    back = al.load_dataset(path, "rawf32")
+    assert back.features.shape == (0, 3) and back.num_classes == 4
+    assert back.hidden_labels.shape == (0,)
+
+
+def test_rawf32_features_are_read_only(tmp_path):
+    ds = four_blobs(n=10)
+    path = str(tmp_path / "blob.f32")
+    al.write_rawf32(ds, path)
+    back = al.load_dataset(path, "rawf32")
+    assert not back.features.flags.writeable
+    with pytest.raises(ValueError):
+        back.features[0, 0] = 1.0
+
+
+def test_materialized_splits_do_not_share_the_loaded_features(
+        tmp_path, monkeypatch):
+    from autolabel import runner
+    from autolabel.config import parse_config_dict
+
+    al.write_rawf32(four_blobs(n=60), str(tmp_path / "world.f32"))
+    loaded = []
+
+    def load_and_keep(*args):
+        loaded.append(al.load_dataset(*args))
+        return loaded[-1]
+
+    monkeypatch.setattr(runner, "load_dataset", load_and_keep)
+    cfg = parse_config_dict({
+        "master_seed": 3, "repeats": 1, "output_dir": "out",
+        "dataset": {"kind": "file", "path": "world.f32", "format": "rawf32",
+                    "pool_size": 30, "val_size": 20, "hyp_size": 10},
+        "tbal": {"train_budget": 10, "seed_size": 5, "query_batch": 5},
+    }, base_dir=str(tmp_path))
+    pool_ds, val, hyp = runner.materialize_dataset(cfg)
+    mapped = loaded[0].features
+    for split in (pool_ds, val.dataset, hyp.dataset):
+        assert not np.shares_memory(split.features, mapped)
+        assert np.array_equal(split.features, mapped[split.ids])
 
 
 def test_rawf32_label_out_of_range(tmp_path):

@@ -450,3 +450,64 @@ def test_round_log_and_report_serialization(tmp_path):
     # infinite thresholds serialize as nulls and come back as inf
     tv = al.ThresholdVector.from_jsonable(doc["rounds"][0]["thresholds"])
     assert tv.num_classes == 4
+
+
+def reference_dump_report(report, path):
+    """The writer ``dump_report`` replaces, frozen: the whole document
+    through json's indenting encoder."""
+    with open(path, "w") as f:
+        json.dump(report.to_jsonable(), f, sort_keys=True, indent=2)
+        f.write("\n")
+
+
+@pytest.fixture(scope="module")
+def reports():
+    pool_ds, val = overlapping_world()
+    run = al.run_tbal(base_config(), pool_ds, val)
+    assert len(run.rounds) >= 2
+    empty = al.LabeledSet.empty(pool_ds)
+    cases = {"run": run}
+    cases["empty"] = al.TbalReport(
+        rounds=[], output=empty, n_initial_pool=pool_ds.n, final_error=None,
+        final_coverage=0.0, warnings=[])
+    cases["warnings"] = al.TbalReport(
+        rounds=run.rounds[:1], output=empty, n_initial_pool=pool_ds.n,
+        final_error=None, final_coverage=0.0,
+        warnings=['say "no"', "back\\slash \\n", "naïve — ü 漢", "two\nlines",
+                  '\n  "output": {}', "tab\there"])
+    # glyph scale: 30,000 labeled points stamped with rounds 0 to 5
+    n = 30_000
+    rng = np.random.default_rng(5)
+    big = al.Dataset(np.zeros((n, 1), np.float32),
+                     rng.integers(0, 10, size=n), 10,
+                     ids=rng.permutation(10 * n)[:n])
+    human = rng.random(n) < 0.05
+    output = al.LabeledSet(
+        big, rng.permutation(n), rng.integers(0, 10, size=n),
+        np.where(human, "human", "auto"), rng.integers(0, 6, size=n))
+    cases["glyph_scale"] = al.TbalReport(
+        rounds=run.rounds, output=output, n_initial_pool=n, final_error=0.0625,
+        final_coverage=0.95, warnings=["round 3: a warning"])
+    return cases
+
+
+@pytest.mark.parametrize("name", ["run", "empty", "warnings", "glyph_scale"])
+def test_dump_report_matches_the_indenting_json_encoder(tmp_path, reports,
+                                                        name):
+    report = reports[name]
+    got, want = tmp_path / "got.json", tmp_path / "want.json"
+    dump_report(report, str(got))
+    reference_dump_report(report, str(want))
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_report_output_lists_hold_python_ints_and_strs(reports):
+    report = reports["run"]
+    out = report.to_jsonable()["output"]
+    for key, arr in (("ids", report.output.ids),
+                     ("labels", report.output.labels),
+                     ("rounds", report.output.rounds)):
+        assert all(type(v) is int for v in out[key])
+        assert out[key] == [int(v) for v in arr]
+    assert all(type(v) is str for v in out["sources"])
+    assert out["sources"] == [str(v) for v in report.output.sources]

@@ -50,6 +50,74 @@ def test_forward_probs_normalized_and_argmax_consistent():
     assert np.array_equal(np.argmax(probs, axis=1), np.argmax(logits, axis=1))
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        a.tobytes() == b.tobytes()
+
+
+def reference_representations(model, X):
+    """The expression form the forward pass computes in place, frozen."""
+    A = np.asarray(X)
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        A = np.tanh(A @ w + b)
+    return A @ model.weights[-1] + model.biases[-1], A
+
+
+@pytest.mark.parametrize("dims", [[7, 12, 4], [7, 12, 9, 10]])
+@pytest.mark.parametrize("x_dtype", [np.float32, np.float64])
+def test_representations_match_the_expression_form_bit_for_bit(dims, x_dtype):
+    model = init_mlp(dims, seed=len(dims))
+    X = np.random.default_rng(3).normal(0, 2, size=(57, dims[0]))
+    X = X.astype(x_dtype)
+    X_before = X.copy()
+    params_before = [a.copy() for a in model.weights + model.biases]
+    logits, penultimate = model.representations(X)
+    want_logits, want_pen = reference_representations(model, X)
+    assert logits.dtype == np.result_type(x_dtype, np.float32)
+    assert same_bits(logits, want_logits)
+    assert same_bits(penultimate, want_pen)
+    assert not np.shares_memory(penultimate, X)
+    assert same_bits(X, X_before)
+    for a, b in zip(model.weights + model.biases, params_before):
+        assert same_bits(a, b)
+
+
+def reference_softmax(logits):
+    """softmax with the row max taken by ``max(axis=1)``, frozen."""
+    z = np.asarray(logits)
+    squeeze = z.ndim == 1
+    if squeeze:
+        z = z[None, :]
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=1, keepdims=True)
+    return out[0] if squeeze else out
+
+
+@pytest.mark.parametrize("k", [2, 4, 10, 13])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_row_max_chain_gives_the_same_bits(k, dtype):
+    rng = np.random.default_rng(k)
+    z = rng.normal(0, 4, size=(40, k)).astype(dtype)
+    z[1] = 0.0
+    z[2] = -np.abs(z[2])                   # +-0 ties at the row max,
+    z[2, 0], z[2, 1] = -0.0, 0.0           # in both orders
+    z[8] = -np.abs(z[8])
+    z[8, 0], z[8, -1] = 0.0, -0.0
+    z[3, :] = -1.5                         # all maxima equal
+    z[4, : k // 2] = 2.5                   # several equal maxima
+    z[5, 1] = np.nan                       # NaN rows
+    z[6, :] = np.nan
+    z[7, -1] = -np.inf
+    before = z.copy()
+    got = al.softmax(z)
+    assert same_bits(got, reference_softmax(z))
+    assert np.isnan(got[5]).all() and np.isnan(got[6]).all()
+    assert same_bits(z, before)
+    for row in (0, 2, 5, 8):
+        assert same_bits(al.softmax(z[row]), reference_softmax(z[row]))
+
+
 def test_forward_dimension_mismatch():
     model = tiny_model()
     with pytest.raises(ValueError):
