@@ -14,7 +14,6 @@ from .data import (
     random_query,
     random_split,
     synth_gaussian_mixture,
-    write_rawf32,
 )
 from .mlp import (
     MlpClassifier,
@@ -55,11 +54,6 @@ from .loop import (
     auto_label_select,
     filter_validation,
     run_tbal,
-)
-from .verify import (
-    Toy1DWorld,
-    ToyMetrics,
-    toy_1d_metrics,
 )
 from .config import ConfigError, ExperimentConfig, parse_config
 from .runner import HpoResult, hyperparameter_search, run_experiment

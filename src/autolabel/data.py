@@ -499,18 +499,6 @@ def _load_rawf32(path: str, num_classes) -> Dataset:
     return Dataset(feats, labels, k)
 
 
-def write_rawf32(dataset: Dataset, path: str) -> None:
-    """Write the rawf32 trio (features, .meta, .labels) for ``dataset``."""
-    feats = np.ascontiguousarray(dataset.features, dtype="<f4")
-    labels = np.ascontiguousarray(dataset.hidden_labels, dtype="<u4")
-    with open(path, "wb") as f:
-        f.write(feats.tobytes())
-    with open(path + ".meta", "w") as f:
-        f.write(f"n={dataset.n}\nd={dataset.dim}\nk={dataset.num_classes}\n")
-    with open(path + ".labels", "wb") as f:
-        f.write(labels.tobytes())
-
-
 _LOADERS = {"idx": _load_idx, "csv": _load_csv, "rawf32": _load_rawf32}
 
 

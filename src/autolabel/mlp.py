@@ -119,10 +119,6 @@ class MlpClassifier:
     def logits(self, X: np.ndarray) -> np.ndarray:
         return self.representations(X)[0]
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        # argmax of logits == argmax of probs; ties go to the lowest index
-        return np.argmax(self.logits(X), axis=1)
-
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized by max subtraction. Works on 1-D too.
@@ -155,26 +151,11 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def batch_loss(logits: np.ndarray, labels: np.ndarray,
-               kind: str = "vanilla") -> float:
-    """Mean loss of a batch of logits; ``_batch_dlogits`` is its gradient.
-
-    Cross-entropy, plus for squentropy the mean squared logit over each
-    row's incorrect classes.
-    """
-    logits = np.asarray(logits)
-    labels = np.asarray(labels)
-    m, k = logits.shape
-    rows = np.arange(m)
-    ce = -_log_softmax(logits)[rows, labels]
-    if kind == "squentropy":
-        sq = (np.sum(logits ** 2, axis=1) - logits[rows, labels] ** 2) / (k - 1)
-        return float(np.mean(ce + sq))
-    return float(np.mean(ce))
-
-
 def _batch_dlogits(logits: np.ndarray, labels: np.ndarray, kind: str):
-    """d(batch_loss)/dlogits, the gradient backprop starts from.
+    """d(mean batch loss)/dlogits, the gradient backprop starts from.
+
+    Only the gradient checks compute the loss itself (``batch_loss`` in
+    ``tests/oracles.py``).
 
     Built in place in the fresh array ``_log_softmax`` returns; ``logits``
     is only read.

@@ -45,14 +45,6 @@ class ThresholdVector:
         # +inf has no strict-JSON spelling; serialize it as null
         return [None if not np.isfinite(v) else float(v) for v in self.values]
 
-    @classmethod
-    def from_jsonable(cls, items) -> "ThresholdVector":
-        return cls(np.array([np.inf if v is None else float(v) for v in items]))
-
-    @classmethod
-    def all_infinite(cls, k: int) -> "ThresholdVector":
-        return cls(np.full(k, np.inf))
-
 
 @dataclass(frozen=True)
 class ThresholdConfig:

@@ -39,13 +39,22 @@ import pytest
 import autolabel as al
 from autolabel.confidence import objective_grad
 from autolabel.loop import dump_round_log
-from autolabel.mlp import _backprop, _batch_dlogits, _flat_views, batch_loss
+from autolabel.mlp import _backprop, _batch_dlogits, _flat_views
 from numcheck import central_difference, relative_error
 from autolabel.rng import child_seed
-from autolabel.verify import TOY_ALPHAS, TOY_T_SWEEP, TOY_W_SWEEP, sweep_grid
 
 from conftest import FixedModel, FixedScores, indexed_set, uniform_thresholds
-from oracles import ToyWorldModel, mc_population_metrics
+from oracles import (
+    TOY_ALPHAS,
+    TOY_T_SWEEP,
+    TOY_W_SWEEP,
+    Toy1DWorld,
+    ToyWorldModel,
+    batch_loss,
+    mc_population_metrics,
+    sweep_grid,
+    toy_1d_metrics,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +232,9 @@ def test_surrogate_gaps_shrink_with_alpha_over_the_default_sweep():
     for alpha in TOY_ALPHAS:
         cov_gap = err_gap = 0.0
         for w in ws:
-            world = al.Toy1DWorld(w=float(w))
+            world = Toy1DWorld(w=float(w))
             for t in ts:
-                m = al.toy_1d_metrics(world, float(t), alpha)
+                m = toy_1d_metrics(world, float(t), alpha)
                 # selection never empties on this sweep, so no None cases
                 cov_gap = max(cov_gap,
                               abs(m.surrogate_coverage - m.actual_coverage))
@@ -317,7 +326,7 @@ def run_mixture(method, posthoc, r):
 
     def hook(i, model, *_):
         if i == 1 and "acc" not in box:
-            preds = model.predict(pool_ds.features)
+            preds = np.argmax(model.logits(pool_ds.features), axis=1)
             box["acc"] = float(np.mean(preds == pool_ds.hidden_labels))
 
     cfg = al.TbalConfig(
@@ -469,7 +478,8 @@ def test_bundled_digits_parity_and_error_control():
 
             def hook(i, model, *_):
                 if i == 1 and "acc" not in box:
-                    preds = model.predict(pool_ds.features)
+                    preds = np.argmax(model.logits(pool_ds.features),
+                                      axis=1)
                     box["acc"] = float(np.mean(preds == pool_ds.hidden_labels))
 
             cfg = single_round_config(name, posthoc, 150, r)
@@ -499,7 +509,7 @@ def test_mc_population_estimates_match_closed_forms():
         w = float(rng.uniform(0, 1))
         t = float(rng.uniform(0, 0.25))  # selection stays non-empty here
         world = ToyWorldModel(w=w)
-        exact = al.toy_1d_metrics(world, t, alpha=1.0)
+        exact = toy_1d_metrics(world, t, alpha=1.0)
         m = mc_population_metrics(world, uniform_thresholds(t), world,
                                   world.sample_side, 100_000,
                                   seed=int(rng.integers(1 << 31)))

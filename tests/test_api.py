@@ -1,13 +1,16 @@
-"""Every name the package exports is code the package itself runs.
+"""Every name the package exports or defines is code the package itself runs.
 
-A public name that only tests call is a test helper living in the library;
-it belongs under tests/. The check is syntactic: an exported name must be
-read (as a bare name or an attribute) somewhere in the package's modules
-other than ``__init__.py``. Its own ``def``/``class`` line and the import
-lines that re-export it do not count.
+A name that only tests call is a test helper living in the library; it
+belongs under tests/. The check is syntactic: an exported name must be read
+(as a bare name or an attribute) somewhere in the package's modules other
+than ``__init__.py``. Its own ``def``/``class`` line and the import lines
+that re-export it do not count. Every function, class and method a module
+defines, dunders excepted, must be read the same way somewhere outside its
+own definition.
 """
 
 import ast
+import collections
 import pathlib
 
 import autolabel
@@ -22,17 +25,18 @@ def exported_names() -> "set[str]":
             for alias in node.names}
 
 
+def reads(tree: ast.AST):
+    """Every bare name and attribute name read in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
 def referenced_names() -> "set[str]":
-    used = set()
-    for path in SRC.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return used
+    return {name for path in SRC.glob("*.py") if path.name != "__init__.py"
+            for name in reads(ast.parse(path.read_text()))}
 
 
 def test_exports_are_found():
@@ -44,3 +48,20 @@ def test_exports_are_found():
 def test_every_export_is_used_inside_the_package():
     unused = sorted(exported_names() - referenced_names())
     assert unused == [], f"exported but run by nothing in the package: {unused}"
+
+
+def test_every_definition_is_used_inside_the_package():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    uses = collections.Counter(name for tree in trees.values()
+                               for name in reads(tree))
+    unused = [
+        f"{module}:{node.name}"
+        for module, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        # reads inside its own body (recursion) do not count
+        and uses[node.name] == sum(name == node.name for name in reads(node))
+    ]
+    assert unused == [], f"defined but run by nothing in the package: {unused}"

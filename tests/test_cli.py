@@ -1,14 +1,10 @@
-import csv
 import json
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from autolabel.cli import main
-from autolabel.data import load_dataset, synth_gaussian_mixture
-from autolabel.verify import Toy1DWorld, toy_1d_metrics
 
 
 def write_config(tmp_path, name="exp.json", **extra):
@@ -137,51 +133,6 @@ def test_hpo_subcommand(tmp_path, capsys):
     assert main(["hpo", "--config", plain]) == 1
 
 
-def test_toy_check_csv(tmp_path):
-    out = tmp_path / "toy.csv"
-    assert main(["toy-check", "--out", str(out)]) == 0
-    with open(out, newline="") as f:
-        rows = list(csv.reader(f))
-    assert rows[0] == ["w", "t", "alpha", "actual_err", "surrogate_err",
-                       "actual_cov", "surrogate_cov"]
-    # default grids: 51 w values, 6 t values, 3 alphas
-    assert len(rows) == 1 + 51 * 6 * 3
-    w, t, alpha = (float(rows[1][i]) for i in range(3))
-    assert (w, t, alpha) == (0.0, 0.0, 1.0)
-    m = toy_1d_metrics(Toy1DWorld(w=0.26), 0.1, 10.0)
-    match = [r for r in rows[1:]
-             if (float(r[0]), float(r[1]), float(r[2])) == (0.26, 0.1, 10.0)]
-    assert len(match) == 1
-    assert float(match[0][3]) == m.actual_error
-    assert float(match[0][4]) == m.surrogate_error
-    assert float(match[0][5]) == m.actual_coverage
-    assert float(match[0][6]) == m.surrogate_coverage
-
-
-def test_toy_check_flags(tmp_path, capsys):
-    out = tmp_path / "toy.csv"
-    assert main(["toy-check", "--out", str(out), "--w-stop", "0.1",
-                 "--t-stop", "0.1", "--alphas", "5"]) == 0
-    with open(out, newline="") as f:
-        rows = list(csv.reader(f))
-    assert len(rows) == 1 + 6 * 3 * 1
-    assert main(["toy-check", "--out", str(out)]) == 1
-    assert "--force" in capsys.readouterr().err
-    assert main(["toy-check", "--out", str(out), "--force"]) == 0
-    assert main(["toy-check", "--out", str(out), "--force",
-                 "--alphas", " , "]) == 1
-    assert main(["toy-check", "--out", str(out), "--force",
-                 "--w-step", "-0.1"]) == 1
-
-
-@pytest.mark.parametrize("alphas", ["-1", "abc", "nan", "inf", "5,0"])
-def test_toy_check_bad_alphas_exit_1_before_writing(tmp_path, capsys, alphas):
-    out = tmp_path / "toy.csv"
-    assert main(["toy-check", "--out", str(out), "--alphas", alphas]) == 1
-    assert "--alphas" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_non_finite_config_number_exit_1(tmp_path, capsys):
     cfg = write_config(tmp_path)
     text = open(cfg).read().replace('"sigma": 0.6', '"sigma": NaN')
@@ -193,35 +144,6 @@ def test_non_finite_config_number_exit_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_gen_synth_round_trip(tmp_path):
-    out = tmp_path / "mix.rawf32"
-    assert main(["gen-synth", "--out", str(out), "--classes", "3",
-                 "--dim", "2", "--sigma", "0.5", "--count", "60",
-                 "--seed", "7"]) == 0
-    assert out.exists()
-    assert (tmp_path / "mix.rawf32.meta").exists()
-    assert (tmp_path / "mix.rawf32.labels").exists()
-    ds = load_dataset(str(out), "rawf32")
-    from autolabel.config import default_circle_means
-    want = synth_gaussian_mixture(3, 2, default_circle_means(3, 2), 0.5, 60, 7)
-    assert ds.num_classes == 3
-    assert np.array_equal(ds.features, want.features)
-    assert np.array_equal(ds.hidden_labels, want.hidden_labels)
-
-
-def test_gen_synth_flags(tmp_path, capsys):
-    out = tmp_path / "mix.rawf32"
-    assert main(["gen-synth", "--out", str(out), "--count", "20"]) == 0
-    assert main(["gen-synth", "--out", str(out), "--count", "20"]) == 1
-    capsys.readouterr()
-    assert main(["gen-synth", "--out", str(out), "--force", "--count", "20",
-                 "--means", "[[0,0],[1,1]]"]) == 1
-    assert "--means" in capsys.readouterr().err
-    assert main(["gen-synth", "--out", str(tmp_path / "m2.rawf32"),
-                 "--classes", "2", "--count", "20",
-                 "--means", "[[0,0],[4,4]]"]) == 0
-
-
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -231,10 +153,35 @@ def test_missing_subcommand_is_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["toy-check", "gen-synth"])
+def test_removed_subcommands_are_unknown(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "hpo"])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_exit_1(tmp_path, capsys, command, jobs):
+    cfg = write_config(
+        tmp_path,
+        dataset={"kind": "synthetic", "classes": 2, "dim": 2,
+                 "means": [[-8.0, 0.0], [8.0, 0.0]], "sigma": 0.6,
+                 "pool_size": 80, "val_size": 30, "hyp_size": 30},
+        hpo={"train_grid": {"max_epochs": [3, 6]}})
+    assert main([command, "--config", cfg, "--jobs", jobs]) == 1
+    assert f"config error: --jobs must be at least 1, got {jobs}" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_module_entry_point(tmp_path):
+    cfg = write_config(tmp_path)
     proc = subprocess.run(
-        [sys.executable, "-m", "autolabel.cli", "toy-check", "--out",
-         str(tmp_path / "t.csv"), "--w-stop", "0.0", "--t-stop", "0.0"],
+        [sys.executable, "-m", "autolabel.cli", "run", "--config", cfg],
         capture_output=True, text=True)
     assert proc.returncode == 0
-    assert "wrote" in proc.stdout
+    assert proc.stdout.startswith("runs: 1  error: ")
+    assert (tmp_path / "out" / "summary.json").exists()

@@ -156,7 +156,7 @@ def test_fit_temperature_empty_set(blob_model, blobs):
 
 def test_hb_all_correct_gives_unit_bins(blob_model, blobs):
     cal = label_everything(blobs)
-    preds = blob_model.predict(blobs.features)
+    preds = np.argmax(blob_model.logits(blobs.features), axis=1)
     right = cal.take(np.where(preds == blobs.hidden_labels)[0])
     g = fit_top_label_hb(blob_model, right, points_per_bin=25)
     for y, vals in g.values.items():
@@ -442,7 +442,8 @@ def test_objective_gradients_match_finite_differences():
 def test_fit_confidence_net_on_perfect_classifier():
     ds, cal, h = mixture_1d([[-10.0], [10.0]], 80, seed=2, train_seed=3,
                             epochs=50)
-    assert np.mean(h.predict(ds.features) == ds.hidden_labels) == 1.0
+    assert np.mean(np.argmax(h.logits(ds.features), axis=1)
+                   == ds.hidden_labels) == 1.0
     cfg = ConfidenceNetConfig(lam=100.0, alpha=1.0, seed=7, batch_size=128,
                               max_epochs=200)
     before = [w.copy() for w in h.weights] + [b.copy() for b in h.biases]
@@ -520,7 +521,7 @@ def test_write_score_dump_roundtrip(tmp_path, blob_model, blobs):
     assert rows[0] == ["point_id", "true_label", "predicted_label",
                        "score_of_predicted", "correct_flag"]
     assert len(rows) == 26
-    preds = blob_model.predict(cal.features)
+    preds = np.argmax(blob_model.logits(cal.features), axis=1)
     scores = g.scores(*blob_model.representations(cal.features))
     for i, row in enumerate(rows[1:]):
         assert int(row[0]) == cal.ids[i]

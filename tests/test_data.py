@@ -8,6 +8,7 @@ import autolabel as al
 from autolabel.data import idx_labels_path
 
 from conftest import four_blobs, label_everything
+from oracles import write_rawf32
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +280,7 @@ def test_csv_malformed(tmp_path, text, match):
 def test_rawf32_roundtrip_exact(tmp_path):
     ds = four_blobs(n=25)
     path = str(tmp_path / "blob.f32")
-    al.write_rawf32(ds, path)
+    write_rawf32(ds, path)
     back = al.load_dataset(path, "rawf32")
     assert back.features.dtype == np.float32
     assert np.array_equal(back.features, ds.features)
@@ -290,7 +291,7 @@ def test_rawf32_roundtrip_exact(tmp_path):
 def test_rawf32_truncated(tmp_path):
     ds = four_blobs(n=10)
     path = str(tmp_path / "blob.f32")
-    al.write_rawf32(ds, path)
+    write_rawf32(ds, path)
     raw = open(path, "rb").read()
     open(path, "wb").write(raw[:-4])
     with pytest.raises(al.TruncatedPayloadError) as err:
@@ -302,7 +303,7 @@ def test_rawf32_truncated(tmp_path):
 def test_rawf32_trailing_feature_bytes(tmp_path):
     ds = four_blobs(n=10)
     path = str(tmp_path / "blob.f32")
-    al.write_rawf32(ds, path)
+    write_rawf32(ds, path)
     open(path, "ab").write(b"\0")
     with pytest.raises(al.DataFormatError) as err:
         al.load_dataset(path, "rawf32")
@@ -313,7 +314,7 @@ def test_rawf32_trailing_feature_bytes(tmp_path):
 def test_rawf32_zero_rows_load(tmp_path):
     ds = al.Dataset(np.zeros((0, 3), np.float32), np.zeros(0, np.int64), 4)
     path = str(tmp_path / "empty.f32")
-    al.write_rawf32(ds, path)
+    write_rawf32(ds, path)
     back = al.load_dataset(path, "rawf32")
     assert back.features.shape == (0, 3) and back.num_classes == 4
     assert back.hidden_labels.shape == (0,)
@@ -322,7 +323,7 @@ def test_rawf32_zero_rows_load(tmp_path):
 def test_rawf32_features_are_read_only(tmp_path):
     ds = four_blobs(n=10)
     path = str(tmp_path / "blob.f32")
-    al.write_rawf32(ds, path)
+    write_rawf32(ds, path)
     back = al.load_dataset(path, "rawf32")
     assert not back.features.flags.writeable
     with pytest.raises(ValueError):
@@ -334,7 +335,7 @@ def test_materialized_splits_do_not_share_the_loaded_features(
     from autolabel import runner
     from autolabel.config import parse_config_dict
 
-    al.write_rawf32(four_blobs(n=60), str(tmp_path / "world.f32"))
+    write_rawf32(four_blobs(n=60), str(tmp_path / "world.f32"))
     loaded = []
 
     def load_and_keep(*args):
@@ -358,7 +359,7 @@ def test_materialized_splits_do_not_share_the_loaded_features(
 def test_rawf32_label_out_of_range(tmp_path):
     ds = four_blobs(n=10)
     path = str(tmp_path / "blob.f32")
-    al.write_rawf32(ds, path)
+    write_rawf32(ds, path)
     labels = np.full(10, 77, dtype="<u4")
     open(path + ".labels", "wb").write(labels.tobytes())
     with pytest.raises(al.LabelOutOfRangeError):
@@ -368,7 +369,7 @@ def test_rawf32_label_out_of_range(tmp_path):
 def test_rawf32_missing_meta_key(tmp_path):
     ds = four_blobs(n=10)
     path = str(tmp_path / "blob.f32")
-    al.write_rawf32(ds, path)
+    write_rawf32(ds, path)
     open(path + ".meta", "w").write("n=10\nd=2\n")
     with pytest.raises(al.DataFormatError, match="missing k="):
         al.load_dataset(path, "rawf32")

@@ -123,7 +123,7 @@ def ref_fit_confidence_net(h, d_cal, cfg):
     k = h.num_classes
     z1, z2 = h.representations(d_cal.features)
     Z = np.asarray(np.concatenate([z1, z2], axis=1), dtype=np.float32)
-    preds = h.predict(d_cal.features)
+    preds = np.argmax(h.logits(d_cal.features), axis=1)
     wrong = (preds != d_cal.labels)
     params = init_confidence_net_params(k, h.penultimate_dim, cfg.seed)
     mom = ConfidenceNetParams(np.zeros_like(params.W1),

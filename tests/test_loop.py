@@ -14,7 +14,9 @@ from conftest import (
     four_blobs,
     indexed_set,
     label_everything,
+    uniform_thresholds,
 )
+from oracles import thresholds_from_jsonable
 
 
 def overlapping_world(n_pool=300, n_val=120, sigma=2.2, seed=3):
@@ -108,7 +110,7 @@ def piece_fixture():
 
 def test_auto_label_select_sentinels():
     labeled, pool, h, g, tops, preds = piece_fixture()
-    nothing, pool2 = al.auto_label_select(g, al.ThresholdVector.all_infinite(2),
+    nothing, pool2 = al.auto_label_select(g, uniform_thresholds(np.inf),
                                           h, pool, 1)
     assert len(nothing) == 0
     assert np.array_equal(pool2.active, pool.active)
@@ -142,7 +144,7 @@ def test_filter_validation_partition():
     assert np.array_equal(np.sort(kept.indices), np.flatnonzero(~dropped))
     # labels of kept points are the original true labels
     assert np.array_equal(kept.labels, labeled.labels[~dropped])
-    untouched = al.filter_validation(al.ThresholdVector.all_infinite(2),
+    untouched = al.filter_validation(uniform_thresholds(np.inf),
                                      labeled, got_top, got_preds)
     assert np.array_equal(untouched.indices, labeled.indices)
     emptied = al.filter_validation(al.ThresholdVector(np.zeros(2)), labeled,
@@ -448,7 +450,7 @@ def test_round_log_and_report_serialization(tmp_path):
     assert doc["n_rounds"] == len(report.rounds)
     assert len(doc["output"]["ids"]) == len(report.output)
     # infinite thresholds serialize as nulls and come back as inf
-    tv = al.ThresholdVector.from_jsonable(doc["rounds"][0]["thresholds"])
+    tv = thresholds_from_jsonable(doc["rounds"][0]["thresholds"])
     assert tv.num_classes == 4
 
 

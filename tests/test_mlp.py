@@ -8,12 +8,13 @@ from autolabel.mlp import (
     _backprop,
     _backprop_work,
     _batch_dlogits,
-    batch_loss,
     init_mlp,
 )
+from autolabel.thresholds import predicted_scores
 from numcheck import central_difference, relative_error
 
 from conftest import four_blobs, label_everything
+from oracles import batch_loss
 
 
 def tiny_model(dims=(3, 5, 4), seed=0, dtype=np.float64):
@@ -37,7 +38,8 @@ def test_forward_zero_weights_uniform():
     logits, penultimate = model.representations(x)
     assert logits.shape == (1, k) and penultimate.shape == (1, 6)
     assert np.allclose(al.softmax(logits), 1 / k)
-    assert np.array_equal(model.predict(x), [0])  # ties go to the lowest index
+    _, preds = predicted_scores(al.SoftmaxConfidence(), model, x)
+    assert np.array_equal(preds, [0])  # ties go to the lowest index
 
 
 def test_forward_probs_normalized_and_argmax_consistent():
@@ -268,7 +270,8 @@ def test_train_separable_reaches_full_accuracy():
     labeled = label_everything(ds)
     cfg = al.TrainConfig(max_epochs=50, learning_rate=0.05, seed=3)
     model = al.train_model(cfg, labeled, [1, 8, 2])
-    acc = np.mean(model.predict(ds.features) == ds.hidden_labels)
+    acc = np.mean(np.argmax(model.logits(ds.features), axis=1)
+                  == ds.hidden_labels)
     assert acc == 1.0
 
 

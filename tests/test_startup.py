@@ -1,8 +1,7 @@
 """Start-up stays free of scipy.
 
-Only the temperature fit and ``toy-check`` call into scipy, and each imports
-it where it is called, so a run with any other confidence function never
-loads it. Each case starts a fresh interpreter, because this test process
+Only the temperature fit calls into scipy, and it imports it where it is
+called, so a run with any other confidence function never loads it. Each case starts a fresh interpreter, because this test process
 has scipy loaded already.
 """
 

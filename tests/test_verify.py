@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from autolabel.verify import (
+from conftest import uniform_thresholds
+from oracles import (
     TOY_ALPHAS,
     TOY_T_SWEEP,
     TOY_W_SWEEP,
+    McMetrics,
     Toy1DWorld,
+    ToyWorldModel,
+    mc_population_metrics,
     sweep_grid,
     toy_1d_metrics,
 )
-
-from conftest import uniform_thresholds
-from oracles import McMetrics, ToyWorldModel, mc_population_metrics
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +99,29 @@ def test_toy_metrics_worked_example():
     got = toy_1d_metrics(Toy1DWorld(w=0.0), t=0.3, alpha=1.0)
     assert got.actual_coverage == pytest.approx(14 / 15, rel=1e-12)
     assert got.actual_error == pytest.approx(2 / 7, rel=1e-12)
+
+
+def test_toy_metrics_smoothed_worked_example():
+    # w = 0.26, t = 0.1: the selected part of the side [0.25, 1] is
+    # [0.36, 1], of which [0.36, 0.5) is wrong. The smoothed masses are
+    # integrals of sigmoid(alpha, z) over z = |w - x| - t, whose
+    # antiderivative is softplus(alpha * z) / alpha; z runs from -0.09 down
+    # to -0.1 left of w and from -0.1 up to x - 0.36 right of it.
+    alpha = 10.0
+
+    def F(z):
+        return np.logaddexp(0.0, alpha * z) / alpha
+
+    def mass(z_hi):
+        return F(-0.09) - F(-0.1) + F(z_hi) - F(-0.1)
+
+    got = toy_1d_metrics(Toy1DWorld(w=0.26), t=0.1, alpha=alpha)
+    assert got.actual_coverage == pytest.approx(0.64 / 0.75, rel=1e-12)
+    assert got.actual_error == pytest.approx(0.14 / 0.64, rel=1e-12)
+    assert got.surrogate_coverage == pytest.approx(mass(0.64) / 0.75,
+                                                   abs=1e-8)
+    assert got.surrogate_error == pytest.approx(mass(0.14) / mass(0.64),
+                                                abs=1e-8)
 
 
 def test_toy_metrics_zero_threshold():
