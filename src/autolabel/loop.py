@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import numbers
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
@@ -35,6 +34,7 @@ from .data import Dataset, LabeledSet, Pool, random_query, random_split
 from .mlp import (
     TrainConfig,
     _check_fields,
+    _is_integer,
     margin_scores,
     softmax,
     train_model,
@@ -97,8 +97,8 @@ class TbalConfig:
             raise ValueError("cal_fraction must be in (0, 1)")
         if self.active_multiplier < 1.0:
             raise ValueError("active_multiplier must be >= 1")
-        if not self.hidden or not all(isinstance(w, numbers.Integral)
-                                      and w >= 1 for w in self.hidden):
+        if not self.hidden or not all(_is_integer(w) and w >= 1
+                                      for w in self.hidden):
             raise ValueError(
                 "need at least one hidden layer, each an integer width >= 1")
         if self.posthoc_method not in POSTHOC_CONFIGS:

@@ -21,19 +21,25 @@ from .data import LabeledSet
 from .rng import stream
 
 
+def _is_integer(value) -> bool:
+    """An integer that is not a bool: Python counts True as the integer 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_fields(config, finite=(), integers=()) -> None:
     """Raise ValueError naming the first listed field of ``config`` that is
     not a finite number (``finite``) or not an integer (``integers``).
 
     Range checks are comparisons, which NaN passes; a float count fails
-    only later, deep in a fit, and a float seed or width is truncated.
+    only later, deep in a fit, and a float seed or width is truncated. A
+    bool is neither: True would pass as 1.
     """
     for name in finite:
-        if not math.isfinite(getattr(config, name)):
-            raise ValueError(f"{name} must be a finite number, "
-                             f"got {getattr(config, name)!r}")
+        value = getattr(config, name)
+        if isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
     for name in integers:
-        if not isinstance(getattr(config, name), numbers.Integral):
+        if not _is_integer(getattr(config, name)):
             raise ValueError(f"{name} must be an integer, "
                              f"got {getattr(config, name)!r}")
 
@@ -142,34 +148,58 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# losses (dtype-generic; used in float32 by training, float64 by checks)
+# loss gradient (dtype-generic; float32 in training, float64 in the checks)
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def _dlogits_work(rows: int, k: int, dtype):
+    """Scratch for ``_batch_dlogits`` on batches of exactly ``rows`` rows.
+
+    (d, e, labelled, top, total, size): two (rows, k) arrays, a (rows, k)
+    bool mask, the (rows, 1) row-max and row-sum columns, and the batch size
+    as a 0-d array of ``dtype``.
+    """
+    d = np.empty((rows, k), dtype)
+    column = np.empty((rows, 1), dtype)
+    return (d, np.empty_like(d), np.empty(d.shape, bool), column,
+            np.empty_like(column), np.asarray(rows, dtype=dtype))
 
 
-def _batch_dlogits(logits: np.ndarray, labels: np.ndarray, kind: str):
+def _batch_dlogits(logits: np.ndarray, Yb: np.ndarray, kind: str, work=None):
     """d(mean batch loss)/dlogits, the gradient backprop starts from.
 
-    Only the gradient checks compute the loss itself (``batch_loss`` in
+    ``Yb`` holds the one-hot targets, one row per logits row. Only the
+    gradient checks compute the loss itself (``batch_loss`` in
     ``tests/oracles.py``).
 
-    Built in place in the fresh array ``_log_softmax`` returns; ``logits``
-    is only read.
+    The result is ``exp(log_softmax(logits)) - Yb``, plus for squentropy
+    ``2 / (k - 1) * logits`` with each label entry zeroed, all divided by
+    the batch size. It is built in ``work`` (from ``_dlogits_work`` for
+    ``logits``' shape and dtype; allocated here when not given) and is its
+    first array; ``logits`` and ``Yb`` are only read. Each element sees the
+    float operations of the expression form in the same order: the row max
+    and row sum are the reductions ``max`` and ``sum`` run, and subtracting
+    a 0 target leaves an ``exp`` unchanged, so the bits are those of the
+    expression.
     """
     m, k = logits.shape
-    rows = np.arange(m)
-    d = _log_softmax(logits)
+    if work is None:
+        work = _dlogits_work(m, k, logits.dtype)
+    d, e, labelled, top, total, size = work
+    np.maximum.reduce(logits, axis=1, keepdims=True, out=top)
+    np.subtract(logits, top, out=d)
+    np.exp(d, out=e)
+    np.add.reduce(e, axis=1, keepdims=True, out=total)
+    np.log(total, out=total)
+    np.subtract(d, total, out=d)
     np.exp(d, out=d)
-    d[rows, labels] -= 1.0
+    np.subtract(d, Yb, out=d)
     if kind == "squentropy":
-        extra = (2.0 / (k - 1)) * logits
-        extra[rows, labels] = 0.0
-        d += np.asarray(extra, dtype=d.dtype)
-    d /= np.asarray(m, dtype=d.dtype)
+        # zeroed, not multiplied by 1 - Yb: an infinite logit times 0 is NaN
+        np.multiply(2.0 / (k - 1), logits, out=e)
+        np.not_equal(Yb, 0, out=labelled)
+        np.copyto(e, 0.0, where=labelled)
+        d += e
+    np.divide(d, size, out=d)
     return d
 
 
@@ -216,13 +246,20 @@ def train_model(config: TrainConfig, train_set: LabeledSet, dims) -> MlpClassifi
 
     so weight_decay=0 is exactly plain SGD with momentum, and the decay is
     never folded into the gradient (decoupled). Weights, biases, velocities
-    and gradients each live in one flat float32 buffer, and a step writes
-    its activations, gradients and update into buffers made once per fit;
-    each element sees the float32 operations of a per-layer update in the
-    same order, so the result is bit-identical. The decay term is computed
-    only when weight_decay > 0. Leaving it out is exact: float addition is
-    commutative, and for a finite weight adding 0 * w = +-0 changes at most
-    the sign of a zero step, which subtracting the step cancels.
+    and gradients each live in one flat float32 buffer, and the step is
+    written over the gradient once the velocity has taken it. The targets
+    are float32 one-hot rows, made once per fit; every epoch copies the
+    features and targets in shuffled order into two buffers. Batch
+    boundaries depend only on the row count and the batch size, so the
+    fit's batch plan is made once: each batch's slices of those buffers and
+    its scratch (``_backprop_work``; full batches share one, a short last
+    batch has its own). A step then only runs numpy calls on arrays it
+    already has. Each element sees the float32 operations of a per-layer
+    update in the same order, so the result is bit-identical. The decay
+    term is computed only when weight_decay > 0. Leaving it out is exact:
+    float addition is commutative, and for a finite weight adding
+    0 * w = +-0 changes at most the sign of a zero step, which subtracting
+    the step cancels.
     """
     if len(train_set) < 1:
         raise ValueError("empty training set")
@@ -242,17 +279,21 @@ def train_model(config: TrainConfig, train_set: LabeledSet, dims) -> MlpClassifi
     params = np.concatenate([a.ravel() for a in tensors])
     grad = np.empty_like(params)
     vel = np.zeros_like(params)
-    step = np.empty_like(params)
     decay = np.empty_like(params)
     layers = _flat_views(params, shapes)
     model = MlpClassifier(layers[0::2], layers[1::2])
     grad_views = _flat_views(grad, shapes)
     grads = (grad_views[0::2], grad_views[1::2])
     X = np.ascontiguousarray(train_set.features, dtype=np.float32)
-    y = train_set.labels
-    m = X.shape[0]
-    Xs, ys = np.empty_like(X), np.empty_like(y)
-    work = _backprop_work(model, min(m, config.batch_size), params.dtype)
+    onehot = np.eye(dims[-1], dtype=params.dtype)[train_set.labels]
+    m, size = X.shape[0], config.batch_size
+    Xs, Ys = np.empty_like(X), np.empty_like(onehot)
+    starts = range(0, m, size)
+    works = {rows: _backprop_work(model, rows, params.dtype)
+             for rows in {min(size, m - lo) for lo in starts}}
+    plan = [(Xs[lo:lo + size], Ys[lo:lo + size], works[min(size, m - lo)])
+            for lo in starts]
+    kind = config.loss
     lr = np.float32(config.learning_rate)
     mu = np.float32(config.momentum)
     lr_wd = lr * np.float32(config.weight_decay)
@@ -262,41 +303,43 @@ def train_model(config: TrainConfig, train_set: LabeledSet, dims) -> MlpClassifi
         # order once per epoch and slice the batches; "clip" skips the
         # checking copy, and a permutation is in range
         np.take(X, order, axis=0, out=Xs, mode="clip")
-        np.take(y, order, out=ys, mode="clip")
-        for lo in range(0, m, config.batch_size):
-            hi = lo + config.batch_size
-            _backprop(model, Xs[lo:hi], ys[lo:hi], config.loss, out=grads,
-                      work=work)
+        np.take(onehot, order, axis=0, out=Ys, mode="clip")
+        for Xb, Yb, work in plan:
+            _backprop(model, Xb, Yb, kind, out=grads, work=work)
             vel *= mu
             vel += grad
-            np.multiply(lr, vel, out=step)
+            np.multiply(lr, vel, out=grad)
             if lr_wd > 0:
                 np.multiply(lr_wd, params, out=decay)
-                step += decay
-            params -= step
+                grad += decay
+            params -= grad
     return MlpClassifier([w.copy() for w in model.weights],
                          [b.copy() for b in model.biases])
 
 
 def _backprop_work(model: MlpClassifier, rows: int, dtype):
-    """Scratch for ``_backprop`` on batches of at most ``rows`` rows.
+    """Scratch for ``_backprop`` on batches of exactly ``rows`` rows.
 
-    (outputs, deltas): each layer's output, and for each hidden layer the
-    loss gradient at its output, each (rows, layer width).
+    (outputs, hidden_T, deltas, dlogits): each layer's output,
+    (rows, layer width); the transposed views of the hidden outputs; for
+    each hidden layer the loss gradient at its output; and
+    ``_dlogits_work`` for the logits.
     """
     outputs = [np.empty((rows, w.shape[1]), dtype) for w in model.weights]
-    return outputs, [np.empty_like(a) for a in outputs[:-1]]
+    return (outputs, [a.T for a in outputs[:-1]],
+            [np.empty_like(a) for a in outputs[:-1]],
+            _dlogits_work(rows, model.num_classes, dtype))
 
 
-def _backprop(model: MlpClassifier, Xb: np.ndarray, yb: np.ndarray, kind: str,
+def _backprop(model: MlpClassifier, Xb: np.ndarray, Yb: np.ndarray, kind: str,
               out=None, work=None):
     """Gradients of the mean batch loss w.r.t. every weight and bias.
 
-    Returns (grads_w, grads_b), written into ``out`` when given (two lists of
-    arrays shaped like the model's weights and biases) and into new arrays
-    otherwise. ``work`` is scratch from ``_backprop_work`` for at least
-    ``len(Xb)`` rows; a batch of mb rows uses the first mb rows of each
-    buffer. Without it the scratch is allocated here.
+    ``Yb`` holds the batch's one-hot targets. Returns (grads_w, grads_b),
+    written into ``out`` when given (two lists of arrays shaped like the
+    model's weights and biases) and into new arrays otherwise. ``work`` is
+    scratch from ``_backprop_work`` for ``len(Xb)`` rows; without it the
+    scratch is allocated here.
 
     The forward pass writes a layer's product, adds the bias and takes the
     tanh in its output buffer; the backward pass overwrites each hidden
@@ -304,34 +347,32 @@ def _backprop(model: MlpClassifier, Xb: np.ndarray, yb: np.ndarray, kind: str,
     multiplies it into the gradient flowing back. Each element sees the
     operations of ``tanh(A @ w + b)`` and ``(dZ @ w.T) * (1 - a**2)`` in
     that order, so the result does not depend on whether ``work`` is given.
-    ``Xb`` and the model are only read.
+    ``Xb``, ``Yb`` and the model are only read.
     """
-    mb = Xb.shape[0]
     if out is None:
         out = ([np.empty_like(w) for w in model.weights],
                [np.empty_like(b) for b in model.biases])
     if work is None:
-        work = _backprop_work(model, mb, np.result_type(
+        work = _backprop_work(model, Xb.shape[0], np.result_type(
             Xb, *model.weights, *model.biases))
     grads_w, grads_b = out
-    outputs, deltas = work
+    outputs, hidden_T, deltas, dlogits_work = work
     last = len(model.weights) - 1
-    acts = [Xb]
+    A = Xb
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        A = np.matmul(acts[l], w, out=outputs[l][:mb])
+        A = np.matmul(A, w, out=outputs[l])
         A += b
         if l < last:
             np.tanh(A, out=A)
-        acts.append(A)
-    dZ = _batch_dlogits(acts[-1], yb, kind)
+    dZ = _batch_dlogits(A, Yb, kind, dlogits_work)
     for l in range(last, -1, -1):
-        np.matmul(acts[l].T, dZ, out=grads_w[l])
+        np.matmul(hidden_T[l - 1] if l else Xb.T, dZ, out=grads_w[l])
         np.add.reduce(dZ, axis=0, out=grads_b[l])
         if l:  # the input's gradient is never needed
-            a = acts[l]
+            a = outputs[l - 1]
             np.square(a, out=a)
             np.subtract(1.0, a, out=a)
-            dZ = np.matmul(dZ, model.weights[l].T, out=deltas[l - 1][:mb])
+            dZ = np.matmul(dZ, model.weights[l].T, out=deltas[l - 1])
             dZ *= a
     return grads_w, grads_b
 

@@ -31,7 +31,6 @@ import numpy as np
 
 from autolabel.confidence import sigmoid
 from autolabel.data import Dataset
-from autolabel.mlp import _log_softmax
 from autolabel.thresholds import ThresholdVector, predicted_scores
 
 
@@ -214,6 +213,13 @@ def surrogate_metrics(g, t: ThresholdVector, h, labeled, alpha: float,
     wrong = labeled.labels != preds
     return (float(np.mean(u)),
             float((u * wrong).sum() / (u.sum() + denom_epsilon)))
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax, stabilized by max subtraction."""
+    z = np.asarray(logits)
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def batch_loss(logits: np.ndarray, labels: np.ndarray,

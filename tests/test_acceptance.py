@@ -158,7 +158,7 @@ def test_every_analytic_gradient_matches_finite_differences():
             k = int(rng.integers(2, 8))
             labels = rng.integers(0, k, size=m)
             logits = rng.normal(0, 2.0, size=(m, k))
-            analytic = _batch_dlogits(logits, labels, kind)
+            analytic = _batch_dlogits(logits, np.eye(k)[labels], kind)
             numeric = central_difference(
                 lambda z: batch_loss(z, labels, kind), logits.copy())
             assert relative_error(analytic, numeric) <= 1e-4
@@ -173,7 +173,8 @@ def test_every_analytic_gradient_matches_finite_differences():
             m = int(rng.integers(1, 17))
             X = rng.normal(0, 1.0, size=(m, dims[0]))
             y = rng.integers(0, dims[-1], size=m)
-            grads_w, grads_b = _backprop(model, X, y, kind)
+            grads_w, grads_b = _backprop(model, X, np.eye(dims[-1])[y],
+                                       kind)
             tensors = model.weights + model.biases
             flat = np.concatenate([a.ravel() for a in tensors])
 

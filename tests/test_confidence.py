@@ -367,6 +367,7 @@ def test_confidence_net_config_validation():
     ("alpha", float("nan")), ("learning_rate", float("nan")),
     ("weight_decay", float("inf")), ("denom_epsilon", float("nan")),
     ("batch_size", 2.5), ("max_epochs", 2.5), ("seed", 1.0),
+    ("max_epochs", True), ("lam", True),
 ])
 def test_confidence_net_config_rejects_non_finite_and_non_integer_fields(
         field, value):

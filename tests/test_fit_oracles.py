@@ -23,7 +23,7 @@ from autolabel.confidence import (
     init_confidence_net_params,
     objective_grad,
 )
-from autolabel.mlp import init_mlp
+from autolabel.mlp import _batch_dlogits, init_mlp
 from autolabel.rng import stream
 
 from conftest import indexed_set, label_everything
@@ -275,6 +275,60 @@ def test_train_model_equals_reference_sgd_bit_for_bit_at_a_wider_input():
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
             assert a.shape == b.shape and a.dtype == b.dtype == np.float32
             assert np.array_equal(a, b), (wd, loss)
+
+
+def test_train_model_equals_reference_sgd_bit_for_bit_at_the_benchmark_shapes():
+    # the gated workloads' classifiers: [2, 64, 4] on 150 rows at lr 0.1,
+    # batches of 32 with a short last one of 22; [784, 128, 10] on 300 rows
+    # at the default lr, a short last batch of 12
+    cases = itertools.product(
+        (([2, 64, 4], 150, 0.1, 5), ([784, 128, 10], 300, 0.01, 2)),
+        ("vanilla", "squentropy"))
+    for i, ((dims, n, lr, epochs), loss) in enumerate(cases):
+        train = mixture_set(dims[-1], n, seed=500 + i, dim=dims[0])
+        cfg = al.TrainConfig(loss=loss, learning_rate=lr, batch_size=32,
+                             max_epochs=epochs, seed=i)
+        got = al.train_model(cfg, train, dims)
+        want = ref_train_model(cfg, train, dims)
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert a.shape == b.shape and a.dtype == b.dtype == np.float32
+            assert np.array_equal(a, b), (dims, loss)
+
+
+def dlogits_edge_cases(dtype):
+    """(name, logits, labels) at the edges of the loss gradient."""
+    rng = np.random.default_rng(31)
+    yield "one row", rng.normal(0, 3, size=(1, 4)), np.array([2])
+    yield "k = 2", rng.normal(0, 3, size=(9, 2)), rng.integers(0, 2, 9)
+    # every off-label exp underflows to 0, and in the second half so does
+    # the label's own
+    labels = rng.integers(0, 5, 8)
+    z = rng.normal(0, 1, size=(8, 5))
+    z[np.arange(8), labels] += 2000.0
+    z[4:] *= -1.0
+    yield "underflow", z, labels
+    # 2 / (k - 1) times the largest finite logit overflows to inf at k = 2
+    # and k = 3; the label entries of that term must still be exactly 0
+    big = np.finfo(dtype).max
+    for k in (2, 3):
+        labels = rng.integers(0, k, 6)
+        z = rng.choice([-big, big, 0.5 * big, 1.0], size=(6, k))
+        z[np.arange(6), labels] = big
+        yield f"large logits, k = {k}", z, labels
+
+
+def test_batch_dlogits_equals_reference_bit_for_bit_at_its_edges():
+    for dtype, kind in itertools.product((np.float32, np.float64),
+                                         ("vanilla", "squentropy")):
+        for name, z, labels in dlogits_edge_cases(dtype):
+            logits = z.astype(dtype)
+            k = logits.shape[1]
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = _batch_dlogits(logits, np.eye(k, dtype=dtype)[labels],
+                                     kind)
+                _, want = ref_batch_loss_and_dlogits(logits, labels, kind)
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes(), (name, dtype, kind)
 
 
 def test_fit_confidence_net_equals_reference_adam_bit_for_bit():

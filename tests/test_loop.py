@@ -76,6 +76,8 @@ def test_config_validation():
     ("eps_a", float("nan")), ("coverage_floor", float("nan")),
     ("train_budget", 60.0), ("seed_size", 2.5), ("query_batch", 15.5),
     ("master_seed", 5.5), ("hidden", (8.5,)),
+    ("seed_size", True), ("query_batch", True), ("hidden", (True,)),
+    ("master_seed", False),
 ])
 def test_config_rejects_non_finite_and_non_integer_fields(field, value):
     with pytest.raises(ValueError, match=field):

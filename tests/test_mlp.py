@@ -204,7 +204,7 @@ def test_backprop_matches_finite_differences_through_network():
         X = rng.normal(0, 1, size=(6, 3))
         y = rng.integers(0, 3, size=6)
         kind = "squentropy" if trial % 2 else "vanilla"
-        grads_w, grads_b = _backprop(model, X, y, kind)
+        grads_w, grads_b = _backprop(model, X, np.eye(3)[y], kind)
         for li in range(2):
             def f_w(w, li=li):
                 trial_model = al.MlpClassifier(
@@ -224,27 +224,29 @@ def test_backprop_matches_finite_differences_through_network():
 
 
 def test_backprop_work_buffers_give_the_same_bits():
-    # float32 as in training; buffers sized for 16 rows, batches of 16 and
-    # of 5 (a short last batch uses the buffers' first rows)
+    # float32 as in training; a batch of 16 and a short one of 5, each with
+    # scratch made for its size, as in a fit's batch plan
     rng = np.random.default_rng(11)
     for kind, dims in itertools.product(("vanilla", "squentropy"),
                                         ([3, 7, 4], [6, 9, 5, 3])):
         model = init_mlp(dims, seed=len(dims))
-        work = _backprop_work(model, 16, np.float32)
         for mb in (16, 5):
+            work = _backprop_work(model, mb, np.float32)
             X = rng.normal(0, 1, size=(mb, dims[0])).astype(np.float32)
-            y = rng.integers(0, dims[-1], size=mb)
-            X_before = X.copy()
+            Y = np.eye(dims[-1], dtype=np.float32)[
+                rng.integers(0, dims[-1], size=mb)]
+            X_before, Y_before = X.copy(), Y.copy()
             params_before = [a.copy() for a in model.weights + model.biases]
-            want_w, want_b = _backprop(model, X, y, kind)
+            want_w, want_b = _backprop(model, X, Y, kind)
             out = ([np.empty_like(w) for w in model.weights],
                    [np.empty_like(b) for b in model.biases])
-            got = _backprop(model, X, y, kind, out=out, work=work)
+            got = _backprop(model, X, Y, kind, out=out, work=work)
             assert got[0] is out[0] and got[1] is out[1]
             for a, b in zip(got[0] + got[1], want_w + want_b):
                 assert a.dtype == b.dtype == np.float32
                 assert np.array_equal(a, b), (kind, dims, mb)
             assert np.array_equal(X, X_before)
+            assert np.array_equal(Y, Y_before)
             for a, b in zip(model.weights + model.biases, params_before):
                 assert np.array_equal(a, b)
 
@@ -254,10 +256,12 @@ def test_batch_dlogits_leaves_its_logits_untouched():
     for kind, dtype in itertools.product(("vanilla", "squentropy"),
                                          (np.float32, np.float64)):
         logits = rng.normal(0, 3, size=(9, 4)).astype(dtype)
-        before = logits.copy()
-        d = _batch_dlogits(logits, rng.integers(0, 4, size=9), kind)
+        Y = np.eye(4, dtype=dtype)[rng.integers(0, 4, size=9)]
+        before, Y_before = logits.copy(), Y.copy()
+        d = _batch_dlogits(logits, Y, kind)
         assert d.dtype == dtype and not np.shares_memory(d, logits)
         assert np.array_equal(logits, before)
+        assert np.array_equal(Y, Y_before)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +338,8 @@ def test_train_weight_decay_shrinks_norms():
     ("momentum", float("nan")), ("weight_decay", float("inf")),
     ("weight_decay", float("nan")), ("batch_size", 2.5),
     ("max_epochs", 2.5), ("batch_size", 32.0), ("seed", 2.5),
+    ("batch_size", True), ("seed", True), ("learning_rate", True),
+    ("momentum", np.False_),
 ])
 def test_train_config_rejects_non_finite_and_non_integer_fields(field, value):
     with pytest.raises(ValueError, match=field):
