@@ -138,7 +138,7 @@ def fit_temperature(h: MlpClassifier,
 
 
 def fit_top_label_hb(h: MlpClassifier, d_cal: LabeledSet,
-                     points_per_bin: int = 25) -> TopLabelHistogramConfidence:
+                     points_per_bin: int) -> TopLabelHistogramConfidence:
     """Build per-class uniform-mass bins from calibration data.
 
     For each class, calibration points predicted as that class are sorted by
@@ -179,6 +179,7 @@ class TopLabelBinningConfig:
     points_per_bin: int = 25
 
     def __post_init__(self):
+        _check_fields(self, integers=("points_per_bin",))
         if self.points_per_bin < 1:
             raise ValueError("points_per_bin must be >= 1")
 
@@ -225,12 +226,15 @@ class ConfidenceNetConfig:
         _check_fields(self, finite=("lam", "alpha", "learning_rate",
                                     "weight_decay", "denom_epsilon"),
                       integers=("batch_size", "max_epochs", "seed"))
-        if self.lam <= 0 or self.alpha <= 0:
-            raise ValueError("lam and alpha must be positive")
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 0:
-            raise ValueError("bad optimizer settings")
-        if self.weight_decay < 0 or self.denom_epsilon <= 0:
-            raise ValueError("bad optimizer settings")
+        for name in ("lam", "alpha", "learning_rate", "denom_epsilon"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.max_epochs < 0:
+            raise ValueError("max_epochs must be >= 0")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
 
 
 class ConfidenceNet(ConfidenceModel):

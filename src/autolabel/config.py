@@ -4,20 +4,31 @@ Parsing is strict: unknown keys, missing required keys, type mismatches, and
 out-of-range values are all distinct errors naming the full key path, so a
 typo can never silently fall back to a default. The grammar is documented in
 the README.
+
+The config dataclasses are the schema of the sections they are built from
+(``TbalConfig`` and ``ThresholdConfig`` share the tbal section; train,
+posthoc and the hpo grids have one class each): a section's keys are its
+class's int, float and str fields, a key left out takes the field's
+default, and the class's own checks give the ranges. The parser checks
+types, finiteness and unknown or missing keys, and the ranges of the keys
+no class holds.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
 import os
+import typing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .confidence import ConfidenceNetConfig, TopLabelBinningConfig
 from .loop import POSTHOC_CONFIGS, TbalConfig
 from .mlp import TrainConfig
+from .thresholds import ThresholdConfig
 
 
 class ConfigError(ValueError):
@@ -41,6 +52,7 @@ class RangeError(ConfigError):
 
 
 _REQUIRED = object()
+_ABSENT = object()
 
 
 class _Section:
@@ -250,83 +262,61 @@ def _parse_dataset(sec: _Section, base_dir: str):
                     val_size, hyp_size)
 
 
-def _build(path: str, ctor, **kwargs):
-    """Construct a config dataclass, renaming its ValueError to a RangeError
-    that carries the key path."""
+# fields no config key sets: the per-round seeds and the run's master seed
+# are derived from the top-level master_seed, and the post-hoc method is
+# the posthoc section's "method"
+_DERIVED_FIELDS = {"seed", "master_seed", "posthoc_method"}
+
+
+@functools.cache
+def _keys(cls) -> dict:
+    """{key: int, float or str} for each config key of config class cls:
+    its fields of those types, in field order."""
+    types = typing.get_type_hints(cls)
+    return {f.name: types[f.name] for f in dataclasses.fields(cls)
+            if types[f.name] in (int, float, str)
+            and f.name not in _DERIVED_FIELDS}
+
+
+def _build(sec: _Section, cls, **extra):
+    """cls from the keys of ``sec`` that name its config keys, plus
+    ``extra``; a key left out takes the field's default.
+
+    The section checks each value's type and finiteness, the class its
+    range. A ValueError from the class whose message starts with a field
+    name becomes a RangeError naming that key.
+    """
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for name, kind in _keys(cls).items():
+        f = fields[name]
+        required = (f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING)
+        default = _REQUIRED if required else _ABSENT
+        if kind is str:
+            val = sec.string(name, default)
+        else:
+            val = sec.number(name, default, integer=kind is int)
+        if val is not _ABSENT:
+            kwargs[name] = val
     try:
-        return ctor(**kwargs)
+        return cls(**kwargs, **extra)
     except ValueError as exc:
+        key = str(exc).split(" ", 1)[0]
+        path = f"{sec.path}.{key}" if key in fields else sec.path
         raise RangeError(f"{path}: {exc}") from None
 
 
-def _parse_train(sec: _Section, build_path: str | None = None) -> TrainConfig:
-    if sec is None:
-        return TrainConfig()
-    cfg = _build(
-        build_path or sec.path, TrainConfig,
-        loss=sec.string("loss", "vanilla", choices={"vanilla", "squentropy"}),
-        learning_rate=sec.number("learning_rate", 0.01, lo=0.0),
-        momentum=sec.number("momentum", 0.9, lo=0.0, hi=1.0),
-        weight_decay=sec.number("weight_decay", 0.0, lo=0.0),
-        batch_size=sec.number("batch_size", 32, integer=True, lo=1),
-        max_epochs=sec.number("max_epochs", 50, integer=True, lo=0),
-    )
-    sec.finish()
-    return cfg
-
-
-def _parse_posthoc(sec: _Section, build_path: str | None = None):
-    if sec is None:
-        return "softmax", None
-    method = sec.string("method", choices=set(POSTHOC_CONFIGS))
-    build_path = build_path or sec.path
-    if POSTHOC_CONFIGS[method] is None:
-        sec.finish()
-        return method, None
-    if method == "top_label_hb":
-        cfg = _build(
-            build_path, TopLabelBinningConfig,
-            points_per_bin=sec.number("points_per_bin", 25, integer=True, lo=1),
-        )
-        sec.finish()
-        return method, cfg
-    cfg = _build(
-        build_path, ConfidenceNetConfig,
-        lam=sec.number("lam", 100.0, lo=0.0),
-        alpha=sec.number("alpha", 1.0, lo=0.0),
-        learning_rate=sec.number("learning_rate", 0.01, lo=0.0),
-        weight_decay=sec.number("weight_decay", 0.01, lo=0.0),
-        batch_size=sec.number("batch_size", 64, integer=True, lo=1),
-        max_epochs=sec.number("max_epochs", 500, integer=True, lo=0),
-        denom_epsilon=sec.number("denom_epsilon", 1e-8, lo=0.0),
-    )
-    sec.finish()
-    return "confidence_net", cfg
-
-
-_TRAIN_GRID_KEYS = {"loss", "learning_rate", "momentum", "weight_decay",
-                    "batch_size", "max_epochs"}
-_POSTHOC_GRID_KEYS = {
-    "softmax": set(),
-    "temperature": set(),
-    "top_label_hb": {"points_per_bin"},
-    "confidence_net": {"lam", "alpha", "learning_rate", "weight_decay",
-                       "batch_size", "max_epochs"},
-}
-
-
-def _parse_grid(sec: _Section, key: str, allowed: set, parse,
-                fixed: dict) -> dict:
-    """A {name: [values]} grid. Each value is parsed as key ``name`` of a
-    section that ``parse`` reads (with the keys in ``fixed`` alongside), so
-    it is checked as in that section and its config is built with it."""
+def _parse_grid(sec: _Section, key: str, cls) -> dict:
+    """A {name: [values]} grid over the config keys of ``cls``. Each value
+    is checked as key ``name`` of a section that builds ``cls``."""
     path = f"{sec.path}.{key}"
     raw = sec.raw(key, _REQUIRED)
     if not isinstance(raw, dict):
         raise TypeMismatchError(f"{path}: expected an object of lists")
     grid = {}
     for name in sorted(raw):
-        if name not in allowed:
+        if name not in _keys(cls):
             raise UnknownKeyError(
                 f"{path}.{name}: not a searchable hyperparameter"
             )
@@ -334,7 +324,7 @@ def _parse_grid(sec: _Section, key: str, allowed: set, parse,
         if not isinstance(vals, list) or not vals:
             raise TypeMismatchError(f"{path}.{name}: expected a non-empty list")
         for val in vals:
-            parse(_Section({**fixed, name: val}, path), f"{path}.{name}")
+            _build(_Section({name: val}, path), cls)
         grid[name] = vals
     if not grid:
         raise RangeError(f"{path}: grid must name at least one "
@@ -345,12 +335,10 @@ def _parse_grid(sec: _Section, key: str, allowed: set, parse,
 def _parse_hpo(sec: _Section, posthoc_method: str):
     if sec is None:
         return None
-    train_grid = _parse_grid(sec, "train_grid", _TRAIN_GRID_KEYS,
-                             _parse_train, {})
-    searchable = _POSTHOC_GRID_KEYS[posthoc_method]
-    if searchable:
-        posthoc_grid = _parse_grid(sec, "posthoc_grid", searchable,
-                                   _parse_posthoc, {"method": posthoc_method})
+    train_grid = _parse_grid(sec, "train_grid", TrainConfig)
+    posthoc_cls = POSTHOC_CONFIGS[posthoc_method]
+    if posthoc_cls is not None:
+        posthoc_grid = _parse_grid(sec, "posthoc_grid", posthoc_cls)
     else:
         # nothing to search; the post-hoc phase is skipped
         if sec.raw("posthoc_grid", None) not in ({}, None):
@@ -363,45 +351,34 @@ def _parse_hpo(sec: _Section, posthoc_method: str):
 
 
 def _parse_tbal(sec: _Section) -> TbalConfig:
-    train = _parse_train(sec.section("train", required=False))
-    method, posthoc = _parse_posthoc(sec.section("posthoc", required=False))
+    """The tbal section: TbalConfig's keys, ThresholdConfig's keys alongside
+    them, and the train and posthoc sections."""
+    extra = {}
+    train = sec.section("train", required=False)
+    if train is not None:
+        extra["train"] = _build(train, TrainConfig)
+        train.finish()
+    posthoc = sec.section("posthoc", required=False)
+    if posthoc is not None:
+        method = posthoc.string("method", choices=set(POSTHOC_CONFIGS))
+        cls = POSTHOC_CONFIGS[method]
+        extra["posthoc_method"] = method
+        extra["posthoc"] = None if cls is None else _build(posthoc, cls)
+        posthoc.finish()
     grid_size = sec.number("grid_size", None, integer=True, lo=2)
-    grid_list = sec.list_of_numbers("grid", None)
-    if grid_size is not None and grid_list is not None:
+    grid = sec.list_of_numbers("grid", None)
+    if grid_size is not None and grid is not None:
         raise ConfigError(f"{sec.path}.grid: give grid or grid_size, not both")
-    if grid_list is not None:
-        grid = np.asarray(grid_list, dtype=np.float64)
-    elif grid_size is not None:
+    if grid_size is not None:
         grid = np.linspace(1.0 / grid_size, 1.0, grid_size)
-    else:
-        grid = None
-    hidden_list = sec.list_of_numbers("hidden", [32], integer=True, lo=1)
-    kwargs = dict(
-        train_budget=sec.number("train_budget", integer=True, lo=1),
-        seed_size=sec.number("seed_size", integer=True, lo=1),
-        query_batch=sec.number("query_batch", integer=True, lo=1),
-        eps_a=sec.number("eps_a", 0.05, lo=0.0, hi=1.0),
-        cal_fraction=sec.number("cal_fraction", 0.5),
-        coverage_floor=sec.number("coverage_floor", 0.05, lo=0.0, hi=1.0),
-        c1=sec.number("c1", 0.25, lo=0.0),
-        grid=grid,
-        group_by=sec.string("group_by", "true_label",
-                            choices={"true_label", "predicted_label"}),
-        hidden=tuple(hidden_list),
-        train=train,
-        posthoc_method=method,
-        posthoc=posthoc,
-        active_multiplier=sec.number("active_multiplier", 2.0, lo=1.0),
-    )
-    if not (0.0 < kwargs["cal_fraction"] < 1.0):
-        raise RangeError(
-            f"{sec.path}.cal_fraction: {kwargs['cal_fraction']} outside (0, 1)"
-        )
+    thresholds = _build(sec, ThresholdConfig,
+                        **({} if grid is None else {"grid": grid}))
+    hidden = sec.list_of_numbers("hidden", None, integer=True, lo=1)
+    if hidden is not None:
+        extra["hidden"] = tuple(hidden)
+    cfg = _build(sec, TbalConfig, thresholds=thresholds, **extra)
     sec.finish()
-    try:
-        return TbalConfig(**kwargs)
-    except ValueError as exc:
-        raise RangeError(f"{sec.path}: {exc}") from None
+    return cfg
 
 
 def parse_config_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:

@@ -43,7 +43,6 @@ from .rng import child_seed
 from .thresholds import (
     ThresholdConfig,
     ThresholdVector,
-    default_grid,
     estimate_thresholds,
     predicted_scores,
 )
@@ -55,42 +54,38 @@ POSTHOC_CONFIGS = {
     "top_label_hb": TopLabelBinningConfig,
     "confidence_net": ConfidenceNetConfig,
 }
-POSTHOC_METHODS = tuple(POSTHOC_CONFIGS)
 
 
 @dataclass(frozen=True)
 class TbalConfig:
     """Everything one workflow run needs besides the data itself.
 
-    ``threshold_config`` is derived from eps_a, coverage_floor, c1, grid and
-    group_by once, at construction, so a bad threshold setting fails here.
+    ``thresholds`` holds the error tolerance eps_a, the coverage floor, the
+    C1 safety margin, the threshold grid and the grouping, as
+    ``estimate_thresholds`` reads them; ``train`` and ``posthoc`` hold the
+    classifier's and the confidence function's fitting settings.
     """
 
     train_budget: int
     seed_size: int
     query_batch: int
-    eps_a: float = 0.05
     cal_fraction: float = 0.5
-    coverage_floor: float = 0.05
-    c1: float = 0.25
-    grid: np.ndarray | None = None
-    group_by: str = "true_label"
+    thresholds: ThresholdConfig = field(default_factory=ThresholdConfig)
     hidden: tuple = (32,)
     train: TrainConfig = field(default_factory=TrainConfig)
     posthoc_method: str = "softmax"
     posthoc: object = None
     active_multiplier: float = 2.0
     master_seed: int = 0
-    threshold_config: ThresholdConfig = field(init=False, repr=False,
-                                              compare=False)
 
     def __post_init__(self):
-        _check_fields(self, finite=("eps_a", "cal_fraction", "coverage_floor",
-                                    "c1", "active_multiplier"),
+        _check_fields(self, finite=("cal_fraction", "active_multiplier"),
                       integers=("train_budget", "seed_size", "query_batch",
                                 "master_seed"))
-        if self.seed_size < 1 or self.seed_size > self.train_budget:
-            raise ValueError("need 1 <= seed_size <= train_budget")
+        if self.train_budget < 1:
+            raise ValueError("train_budget must be >= 1")
+        if not (1 <= self.seed_size <= self.train_budget):
+            raise ValueError("seed_size must be in [1, train_budget]")
         if self.query_batch < 1:
             raise ValueError("query_batch must be >= 1")
         if not (0.0 < self.cal_fraction < 1.0):
@@ -99,8 +94,8 @@ class TbalConfig:
             raise ValueError("active_multiplier must be >= 1")
         if not self.hidden or not all(_is_integer(w) and w >= 1
                                       for w in self.hidden):
-            raise ValueError(
-                "need at least one hidden layer, each an integer width >= 1")
+            raise ValueError("hidden must be a non-empty tuple of integer "
+                             "widths >= 1")
         if self.posthoc_method not in POSTHOC_CONFIGS:
             raise ValueError(f"unknown posthoc method {self.posthoc_method!r}")
         expected = POSTHOC_CONFIGS[self.posthoc_method]
@@ -110,10 +105,6 @@ class TbalConfig:
                 f"posthoc config {type(self.posthoc).__name__} does not match "
                 f"method {self.posthoc_method!r}"
             )
-        grid = self.grid if self.grid is not None else default_grid()
-        object.__setattr__(self, "threshold_config", ThresholdConfig(
-            grid=grid, rho0=self.coverage_floor, c1=self.c1, eps_a=self.eps_a,
-            group_by=self.group_by))
 
 
 @dataclass
@@ -273,7 +264,7 @@ def fit_round(cfg: TbalConfig, d_train: LabeledSet, val: LabeledSet,
         val, cfg.cal_fraction, child_seed(cfg.master_seed, round_index, "split"))
     g, warning = fit_posthoc(cfg.posthoc_method, cfg.posthoc, model, d_cal,
                              child_seed(cfg.master_seed, round_index, "posthoc"))
-    t_hat = estimate_thresholds(g, model, d_th, cfg.threshold_config)
+    t_hat = estimate_thresholds(g, model, d_th, cfg.thresholds)
     return model, g, t_hat, d_cal, d_th, warning
 
 

@@ -60,9 +60,14 @@ class TrainConfig:
         _check_fields(self, finite=("learning_rate", "momentum", "weight_decay"),
                       integers=("batch_size", "max_epochs", "seed"))
         if self.loss not in ("vanilla", "squentropy"):
-            raise ValueError(f"unknown loss {self.loss!r}")
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 0:
-            raise ValueError("bad training hyperparameters")
+            raise ValueError(f"loss must be 'vanilla' or 'squentropy', "
+                             f"got {self.loss!r}")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be > 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.max_epochs < 0:
+            raise ValueError("max_epochs must be >= 0")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must be in [0, 1)")
         if self.weight_decay < 0:

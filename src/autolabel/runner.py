@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (
-    _POSTHOC_GRID_KEYS,
     ConfigError,
     ExperimentConfig,
     FileSpec,
@@ -271,8 +270,8 @@ def hyperparameter_search(cfg: ExperimentConfig, out_dir: str | None = None,
 
     Phase "train" sweeps the training grid (confidence fixed to raw softmax so
     the winner is method-independent); phase "posthoc" fixes that winner and
-    sweeps the post-hoc grid; a method with no searchable hyperparameters
-    skips it. Each combo is scored by `repeats` seeded first-round runs
+    sweeps the post-hoc grid, which is empty, and skipped, for a method with
+    no hyperparameters. Each combo is scored by `repeats` seeded first-round runs
     evaluated on the held-out hyp split.
     """
     if cfg.hpo is None:
@@ -293,17 +292,17 @@ def hyperparameter_search(cfg: ExperimentConfig, out_dir: str | None = None,
     train_records = _eval_phase(
         "train", train_combos, _apply_train_combo, softmax_cfg, pool_ds, val,
         hyp, cfg.repeats, cfg.master_seed, jobs)
-    train_winner_id = _select(train_records, cfg.tbal.eps_a,
+    train_winner_id = _select(train_records, cfg.tbal.thresholds.eps_a,
                               spec.tie_break_seed, "train")
     train_winner = next(r["params"] for r in train_records
                         if r["combo_id"] == train_winner_id)
 
     fixed = _apply_train_combo(cfg.tbal, train_winner)
-    if _POSTHOC_GRID_KEYS[cfg.tbal.posthoc_method] and spec.posthoc_grid:
+    if spec.posthoc_grid:
         posthoc_records = _eval_phase(
             "posthoc", _combo_list(spec.posthoc_grid), _apply_posthoc_combo,
             fixed, pool_ds, val, hyp, cfg.repeats, cfg.master_seed, jobs)
-        posthoc_winner_id = _select(posthoc_records, cfg.tbal.eps_a,
+        posthoc_winner_id = _select(posthoc_records, cfg.tbal.thresholds.eps_a,
                                     spec.tie_break_seed, "posthoc")
         posthoc_winner = next(r["params"] for r in posthoc_records
                               if r["combo_id"] == posthoc_winner_id)

@@ -3,6 +3,10 @@
 Selection semantics throughout: a point is selected when the confidence of its
 PREDICTED class is >= the threshold for that class (ties inclusive). Thresholds
 may be +inf, meaning "never auto-label this class".
+
+``ThresholdConfig`` holds every setting of the selection: the error tolerance
+eps_a, the coverage floor, the C1 safety margin, the candidate grid and the
+grouping. A run's ``TbalConfig`` carries one as ``thresholds``.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LabeledSet
+from .mlp import _check_fields
 
 
 def default_grid() -> np.ndarray:
@@ -50,21 +55,22 @@ class ThresholdVector:
 class ThresholdConfig:
     """Settings for estimate_thresholds.
 
-    grid       : ascending candidate thresholds in [0,1]
-    rho0       : minimum selectable fraction of the class group (coverage floor)
-    c1         : multiplier on the binomial std added to the error estimate
-    eps_a      : auto-labeling error tolerance the selection must respect
-    group_by   : "true_label" groups estimation points by their true class,
-                 "predicted_label" by the classifier's prediction
+    grid           : ascending candidate thresholds in [0,1]
+    coverage_floor : minimum selectable fraction of the class group
+    c1             : multiplier on the binomial std added to the error estimate
+    eps_a          : auto-labeling error tolerance the selection must respect
+    group_by       : "true_label" groups estimation points by their true
+                     class, "predicted_label" by the classifier's prediction
     """
 
     grid: np.ndarray = field(default_factory=default_grid)
-    rho0: float = 0.05
+    coverage_floor: float = 0.05
     c1: float = 0.25
     eps_a: float = 0.05
     group_by: str = "true_label"
 
     def __post_init__(self):
+        _check_fields(self, finite=("coverage_floor", "c1", "eps_a"))
         g = np.asarray(self.grid, dtype=np.float64)
         if g.ndim != 1 or g.size == 0:
             raise ValueError("grid must be a non-empty 1-D array")
@@ -74,14 +80,15 @@ class ThresholdConfig:
             raise ValueError("grid must be strictly ascending")
         if g[0] < 0 or g[-1] > 1:
             raise ValueError("grid values must lie in [0, 1]")
-        if not (0.0 < self.rho0 <= 1.0):
-            raise ValueError("rho0 (the coverage floor) must be in (0, 1]")
-        if not (0.0 <= self.c1 < np.inf):
-            raise ValueError("c1 must be a finite number >= 0")
+        if not (0.0 < self.coverage_floor <= 1.0):
+            raise ValueError("coverage_floor must be in (0, 1]")
+        if self.c1 < 0:
+            raise ValueError("c1 must be >= 0")
         if not (0.0 <= self.eps_a <= 1.0):
             raise ValueError("eps_a must be in [0, 1]")
         if self.group_by not in ("true_label", "predicted_label"):
-            raise ValueError(f"unknown group_by {self.group_by!r}")
+            raise ValueError("group_by must be 'true_label' or "
+                             f"'predicted_label', got {self.group_by!r}")
         object.__setattr__(self, "grid", g)
 
 
@@ -137,9 +144,10 @@ def select_class_threshold(top: np.ndarray, wrong: np.ndarray,
     """Smallest grid threshold for one class group, +inf when none qualifies.
 
     A grid value t selects the points with top >= t and qualifies when (a) it
-    selects at least rho0 of the group and (b) the selected error plus c1
-    binomial-std safety stays within eps_a. A NaN score is never selected but
-    still counts in the group size the coverage floor divides by.
+    selects at least coverage_floor of the group and (b) the selected error
+    plus c1 binomial-std safety stays within eps_a. A NaN score is never
+    selected but still counts in the group size the coverage floor divides
+    by.
 
     All grid values are evaluated at once: the scores are sorted and each
     grid value's selection is found by binary search, O(n log n + G) for n
@@ -158,7 +166,8 @@ def select_class_threshold(top: np.ndarray, wrong: np.ndarray,
     first = np.searchsorted(sorted_top, cfg.grid, side="left")
     m = sorted_top.shape[0] - first
     w = wrong_below[-1] - wrong_below[first]
-    ok = m / n >= cfg.rho0  # rho0 > 0, so every ok entry selects a point
+    # coverage_floor > 0, so every ok entry selects a point
+    ok = m / n >= cfg.coverage_floor
     m_ok = m[ok]
     err = w[ok] / m_ok
     passes = err + cfg.c1 * std_estimate(err, m_ok) <= cfg.eps_a
@@ -172,9 +181,10 @@ def estimate_thresholds(g, h, d_th: LabeledSet,
     """Per-class thresholds from held-out labeled data.
 
     Points are grouped per cfg.group_by; each class picks the smallest grid
-    threshold whose in-group coverage reaches rho0 and whose safety-padded
-    error estimate stays within eps_a. Classes with no qualifying threshold
-    (including empty groups) get +inf and auto-label nothing.
+    threshold whose in-group coverage reaches coverage_floor and whose
+    safety-padded error estimate stays within eps_a. Classes with no
+    qualifying threshold (including empty groups) get +inf and auto-label
+    nothing.
     """
     if len(d_th) == 0:
         raise ValueError("empty threshold-estimation set")

@@ -94,7 +94,7 @@ def test_estimators_equal_bruteforce_on_1000_instances():
 # 2. threshold selection vs exhaustive scan
 
 
-def scan_for_group(top, wrong, grid, rho0, c1, eps_a):
+def scan_for_group(top, wrong, grid, coverage_floor, c1, eps_a):
     """Smallest feasible grid value for one group, +inf when none works."""
     n = len(top)
     if n == 0:
@@ -102,7 +102,7 @@ def scan_for_group(top, wrong, grid, rho0, c1, eps_a):
     for t in grid:
         chosen = [i for i in range(n) if top[i] >= t]
         m = len(chosen)
-        if m == 0 or m / n < rho0:
+        if m == 0 or m / n < coverage_floor:
             continue
         err = sum(1 for i in chosen if wrong[i]) / m
         pad = c1 * (err * (1.0 - err) / m) ** 0.5
@@ -123,7 +123,7 @@ def test_threshold_selection_equals_exhaustive_scan_on_1000_instances():
         grid = np.unique(rng.uniform(0, 1, size=int(rng.integers(1, 26))))
         cfg = al.ThresholdConfig(
             grid=grid,
-            rho0=float(rng.uniform(0.01, 0.8)),
+            coverage_floor=float(rng.uniform(0.01, 0.8)),
             c1=float(rng.choice([0.0, 0.25, 1.0])),
             eps_a=float(rng.uniform(0.0, 0.4)),
             group_by=str(rng.choice(["true_label", "predicted_label"])),
@@ -139,7 +139,7 @@ def test_threshold_selection_equals_exhaustive_scan_on_1000_instances():
             members = np.flatnonzero(group_key == y)
             want = scan_for_group(
                 [top[i] for i in members], [bool(wrong[i]) for i in members],
-                list(grid), cfg.rho0, cfg.c1, cfg.eps_a)
+                list(grid), cfg.coverage_floor, cfg.c1, cfg.eps_a)
             got = t_hat.values[y]
             assert got == want or (np.isinf(got) and np.isinf(want))
     assert time.perf_counter() - start < 10.0
@@ -332,8 +332,11 @@ def run_mixture(method, posthoc, r):
 
     cfg = al.TbalConfig(
         train_budget=MIX_BUDGET, seed_size=MIX_BUDGET, query_batch=75,
-        eps_a=0.05, cal_fraction=0.5, coverage_floor=0.05, c1=0.25,
-        grid=DENSE_GRID, group_by="predicted_label", hidden=(64,),
+        cal_fraction=0.5,
+        thresholds=al.ThresholdConfig(
+            eps_a=0.05, coverage_floor=0.05, c1=0.25, grid=DENSE_GRID,
+            group_by="predicted_label"),
+        hidden=(64,),
         train=al.TrainConfig(max_epochs=250, learning_rate=0.1),
         posthoc_method=method, posthoc=posthoc, master_seed=r)
     report = al.run_tbal(cfg, pool_ds, d_val, round_hook=hook)
@@ -406,8 +409,11 @@ DIGIT_MASTER = 313
 def single_round_config(method, posthoc, budget, r):
     return al.TbalConfig(
         train_budget=budget, seed_size=budget, query_batch=budget // 2,
-        eps_a=0.05, cal_fraction=0.5, coverage_floor=0.05, c1=0.25,
-        grid=DENSE_GRID, group_by="predicted_label", hidden=(128,),
+        cal_fraction=0.5,
+        thresholds=al.ThresholdConfig(
+            eps_a=0.05, coverage_floor=0.05, c1=0.25, grid=DENSE_GRID,
+            group_by="predicted_label"),
+        hidden=(128,),
         train=al.TrainConfig(max_epochs=150, learning_rate=0.1),
         posthoc_method=method, posthoc=posthoc, master_seed=r)
 

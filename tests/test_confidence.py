@@ -218,6 +218,16 @@ def test_hb_needs_enough_points(blob_model, blobs):
         fit_top_label_hb(blob_model, cal, points_per_bin=25)
 
 
+@pytest.mark.parametrize("value, message", [
+    (0, ">= 1"), (2.5, "an integer"), (True, "an integer"),
+    (float("nan"), "an integer"),
+], ids=["0", "2.5", "True", "nan"])
+def test_top_label_binning_config_rejects_bad_points_per_bin(value, message):
+    # 2.5 and True used to fit without complaint, NaN to fail inside the round
+    with pytest.raises(ValueError, match=rf"^points_per_bin must be {message}"):
+        al.TopLabelBinningConfig(points_per_bin=value)
+
+
 def test_hb_bins_the_predicted_class_on_float32_softmax_ties():
     # float32 softmax rounds [0, 1e-8] to [0.5, 0.5]; the prediction is the
     # logits' argmax, class 1, and both the fit and the scores must bin

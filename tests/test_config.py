@@ -1,13 +1,13 @@
 import copy
-import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import autolabel as al
 from autolabel.config import (
-    _POSTHOC_GRID_KEYS,
-    _TRAIN_GRID_KEYS,
     ConfigError,
     MissingKeyError,
     RangeError,
@@ -17,8 +17,6 @@ from autolabel.config import (
     parse_config,
     parse_config_dict,
 )
-from autolabel.loop import POSTHOC_CONFIGS
-from autolabel.mlp import TrainConfig
 
 BASE = {
     "dataset": {"kind": "synthetic", "classes": 4, "dim": 2, "sigma": 1.0,
@@ -46,7 +44,7 @@ def test_minimal_config_defaults():
     assert cfg.hpo is None
     assert cfg.dataset.hyp_size == 0
     assert cfg.tbal.train_budget == 60
-    assert cfg.tbal.eps_a == 0.05
+    assert cfg.tbal.thresholds.eps_a == 0.05
     assert cfg.tbal.posthoc_method == "softmax"
     assert cfg.tbal.posthoc is None
     assert cfg.tbal.hidden == (32,)
@@ -136,10 +134,11 @@ def test_grid_and_grid_size_are_exclusive():
     with pytest.raises(ConfigError, match="not both"):
         parse_config_dict(both)
     sized = parse_config_dict(doc(**{"tbal.grid_size": 4}))
-    assert np.allclose(sized.tbal.grid, [0.25, 0.5, 0.75, 1.0])
+    assert np.allclose(sized.tbal.thresholds.grid, [0.25, 0.5, 0.75, 1.0])
     listed = parse_config_dict(doc(**{"tbal.grid": [0.3, 0.6, 0.9]}))
-    assert np.array_equal(listed.tbal.grid, [0.3, 0.6, 0.9])
-    assert parse_config_dict(doc()).tbal.grid is None
+    assert np.array_equal(listed.tbal.thresholds.grid, [0.3, 0.6, 0.9])
+    assert np.array_equal(parse_config_dict(doc()).tbal.thresholds.grid,
+                          al.default_grid())
 
 
 def test_posthoc_sections():
@@ -255,16 +254,28 @@ def test_hpo_grid_values_are_checked_at_parse_time(method, grid, name,
     assert getattr(parse_config_dict(d).hpo, grid) == {name: values[:-1]}
 
 
-def test_grid_keys_are_config_fields():
-    train_fields = {f.name for f in dataclasses.fields(TrainConfig)}
-    assert _TRAIN_GRID_KEYS <= train_fields
-    assert set(_POSTHOC_GRID_KEYS) == set(POSTHOC_CONFIGS)
-    for method, keys in _POSTHOC_GRID_KEYS.items():
-        cls = POSTHOC_CONFIGS[method]
-        if not keys:
-            assert cls is None, method
-        else:
-            assert keys <= {f.name for f in dataclasses.fields(cls)}, method
+@pytest.mark.parametrize("method,grid,values", [
+    ("softmax", "train_grid", {"loss": ["squentropy"],
+                               "learning_rate": [0.05],
+                               "momentum": [0.5], "weight_decay": [0.1],
+                               "batch_size": [8], "max_epochs": [3]}),
+    ("top_label_hb", "posthoc_grid", {"points_per_bin": [5]}),
+    ("confidence_net", "posthoc_grid", {"lam": [10.0], "alpha": [2.0],
+                                        "learning_rate": [0.1],
+                                        "weight_decay": [0.1],
+                                        "batch_size": [8], "max_epochs": [3],
+                                        "denom_epsilon": [1e-6]}),
+])
+def test_every_section_key_is_searchable(method, grid, values):
+    # a grid may search exactly the keys its section takes, and no seed
+    hpo = {"train_grid": {"max_epochs": [10, 20]}, grid: values}
+    d = doc(**{"dataset.hyp_size": 50, "tbal.posthoc": {"method": method},
+               "hpo": hpo})
+    assert getattr(parse_config_dict(d).hpo, grid) == values
+    hpo[grid] = {"seed": [1]}
+    with pytest.raises(UnknownKeyError, match=rf"config\.hpo\.{grid}\.seed: "
+                                              "not a searchable"):
+        parse_config_dict(d)
 
 
 # every number key whose range check a NaN or an infinity used to pass
@@ -359,6 +370,53 @@ def test_bad_threshold_settings_fail_at_parse_time(setting):
     d = doc(**{f"tbal.{key}": value for key, value in setting.items()})
     with pytest.raises(RangeError, match=r"config\.tbal"):
         parse_config_dict(d)
+
+
+# (section within tbal or None, key, value): a bad value of a key a config
+# class checks is reported under that key, not under its section
+CLASS_CHECKED_KEYS = [
+    (None, "coverage_floor", 0.0),
+    ("train", "learning_rate", 0.0),
+    ("train", "momentum", 1.0),
+    ("posthoc", "lam", 0),
+    ("posthoc", "alpha", 0),
+    ("posthoc", "denom_epsilon", 0),
+    (None, "train_budget", 0),
+    (None, "group_by", "x"),
+    (None, "grid", [0.9, 0.5]),
+]
+
+
+@pytest.mark.parametrize("section,key,value", CLASS_CHECKED_KEYS)
+def test_range_errors_name_the_key(section, key, value):
+    d = doc(**{"tbal.posthoc": {"method": "confidence_net"}})
+    parse_config_dict(d)
+    target = d["tbal"]
+    if section is not None:
+        target = target.setdefault(section, {})
+    target[key] = value
+    with pytest.raises(RangeError, match=rf"^config\.tbal(\.train|\.posthoc)?"
+                                         rf"\.{key}: "):
+        parse_config_dict(d)
+
+
+def _readme_block(language: str, after: str) -> str:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = text.index(after)
+    return re.search(rf"```{language}\n(.*?)```", text[start:], re.S).group(1)
+
+
+def test_readme_examples_parse():
+    # the documented grammar and API forms must stay in step with the code
+    cfg = parse_config_dict(json.loads(_readme_block("json", "## Config files")),
+                            base_dir="/tmp/exp")
+    assert cfg.tbal.posthoc_method == "confidence_net"
+    assert cfg.tbal.posthoc.lam == 10.0 and cfg.tbal.posthoc.max_epochs == 100
+    assert cfg.tbal.thresholds.eps_a == 0.05
+    quick = _readme_block("python", "## Library quick start")
+    namespace = {}
+    exec(quick[:quick.index("report = ")], namespace)
+    assert namespace["cfg"].thresholds.eps_a == 0.05
 
 
 @pytest.mark.parametrize("fmt", ["csv", "rawf32"])

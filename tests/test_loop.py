@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -26,9 +27,15 @@ def overlapping_world(n_pool=300, n_val=120, sigma=2.2, seed=3):
     return pool_ds, label_everything(val_ds)
 
 
+THRESHOLD_FIELDS = {f.name for f in dataclasses.fields(al.ThresholdConfig)}
+
+
 def base_config(**kw):
+    """A small TbalConfig; the ThresholdConfig fields among ``kw`` build its
+    ``thresholds``."""
+    thresholds = {k: kw.pop(k) for k in list(kw) if k in THRESHOLD_FIELDS}
     defaults = dict(train_budget=60, seed_size=30, query_batch=15,
-                    eps_a=0.05, master_seed=5,
+                    thresholds=al.ThresholdConfig(**thresholds), master_seed=5,
                     train=al.TrainConfig(max_epochs=15, seed=0))
     defaults.update(kw)
     return al.TbalConfig(**defaults)
@@ -77,22 +84,11 @@ def test_config_validation():
     ("train_budget", 60.0), ("seed_size", 2.5), ("query_batch", 15.5),
     ("master_seed", 5.5), ("hidden", (8.5,)),
     ("seed_size", True), ("query_batch", True), ("hidden", (True,)),
-    ("master_seed", False),
+    ("master_seed", False), ("train_budget", True),
 ])
 def test_config_rejects_non_finite_and_non_integer_fields(field, value):
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
         base_config(**{field: value})
-
-
-def test_threshold_config_passthrough():
-    grid = np.array([0.25, 0.5, 0.75])
-    cfg = base_config(grid=grid, coverage_floor=0.2, c1=0.1, eps_a=0.02,
-                      group_by="predicted_label")
-    tc = cfg.threshold_config
-    assert np.array_equal(tc.grid, grid)
-    assert tc.rho0 == 0.2 and tc.c1 == 0.1 and tc.eps_a == 0.02
-    assert tc.group_by == "predicted_label"
-    assert base_config().threshold_config.grid.shape == (200,)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +242,7 @@ def test_fit_round_zero_tolerance_thresholds_have_zero_group_error():
         assert wrong[sel].sum() == 0
 
 
-@pytest.mark.parametrize("method", al.loop.POSTHOC_METHODS)
+@pytest.mark.parametrize("method", tuple(al.loop.POSTHOC_CONFIGS))
 def test_round_runs_the_classifier_once_per_set(monkeypatch, tmp_path, method):
     pool_ds, val = overlapping_world()
     cfg = base_config(posthoc_method=method)
@@ -398,8 +394,9 @@ def test_validation_exhaustion_stops_with_warning():
     val_ds = al.Dataset(np.array([[-10.0], [10.0]], dtype=np.float32),
                         np.array([0, 1]), 2)
     cfg = al.TbalConfig(
-        train_budget=50, seed_size=40, query_batch=1, eps_a=1.0,
-        coverage_floor=0.01, c1=0.0, grid=np.array([0.9]), master_seed=2,
+        train_budget=50, seed_size=40, query_batch=1,
+        thresholds=al.ThresholdConfig(eps_a=1.0, coverage_floor=0.01, c1=0.0,
+                                      grid=np.array([0.9])), master_seed=2,
         train=al.TrainConfig(max_epochs=40, learning_rate=0.05, seed=1))
     report = al.run_tbal(cfg, pool_ds, label_everything(val_ds))
     assert any("validation" in w for w in report.warnings)

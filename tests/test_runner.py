@@ -243,7 +243,7 @@ def test_apply_combos():
         _apply_posthoc_combo(soft, {"points_per_bin": 7})
 
 
-@pytest.mark.parametrize("method", al.loop.POSTHOC_METHODS)
+@pytest.mark.parametrize("method", tuple(al.loop.POSTHOC_CONFIGS))
 def test_first_round_eval_runs_the_classifier_once_over_hyp(
         monkeypatch, tmp_path, method):
     d = copy.deepcopy(OVERLAPPING)

@@ -48,7 +48,7 @@ def test_threshold_config_validation():
     with pytest.raises(ValueError):
         al.ThresholdConfig(grid=np.array([]))
     with pytest.raises(ValueError):
-        al.ThresholdConfig(rho0=0.0)
+        al.ThresholdConfig(coverage_floor=0.0)
     with pytest.raises(ValueError):
         al.ThresholdConfig(c1=-0.1)
     with pytest.raises(ValueError):
@@ -61,6 +61,7 @@ def test_threshold_config_validation():
     dict(grid=[0.1, float("nan"), 0.5]), dict(grid=[0.1, 0.5, float("nan")]),
     dict(grid=[float("nan")]), dict(grid=[0.1, float("inf")]),
     dict(c1=float("nan")), dict(c1=float("inf")),
+    dict(eps_a=float("nan")), dict(coverage_floor=float("nan")),
 ])
 def test_threshold_config_rejects_non_finite_values(kw):
     field = next(iter(kw))
@@ -183,7 +184,7 @@ def test_selection_worked_example():
     correct = [True, True, True, True, False, True, True, False, False, False]
     labeled, h, g = single_class_instance(tops, correct)
     cfg = al.ThresholdConfig(grid=np.array([0.0, 0.25, 0.5, 0.75]),
-                             rho0=0.2, c1=0.25, eps_a=0.1)
+                             coverage_floor=0.2, c1=0.25, eps_a=0.1)
     t_hat = al.estimate_thresholds(g, h, labeled, cfg)
     assert t_hat.values[0] == pytest.approx(0.75)
     assert np.isinf(t_hat.values[1])  # no point has true label 1
@@ -192,8 +193,8 @@ def test_selection_worked_example():
 def test_selection_zero_error_takes_smallest_covering_threshold():
     tops = [0.9, 0.6, 0.3]
     labeled, h, g = single_class_instance(tops, [True, True, True])
-    cfg = al.ThresholdConfig(grid=np.array([0.1, 0.5, 0.8]), rho0=0.05,
-                             c1=0.25, eps_a=0.05)
+    cfg = al.ThresholdConfig(grid=np.array([0.1, 0.5, 0.8]),
+                             coverage_floor=0.05, c1=0.25, eps_a=0.05)
     t_hat = al.estimate_thresholds(g, h, labeled, cfg)
     assert t_hat.values[0] == pytest.approx(0.1)
 
@@ -207,27 +208,27 @@ def test_selection_infeasible_is_infinite():
     # every candidate either misses the coverage floor or busts the tolerance
     tops = [0.9, 0.8]
     labeled, h, g = single_class_instance(tops, [False, False])
-    cfg = al.ThresholdConfig(grid=np.array([0.1, 0.95]), rho0=0.5,
+    cfg = al.ThresholdConfig(grid=np.array([0.1, 0.95]), coverage_floor=0.5,
                              c1=0.25, eps_a=0.05)
     t_hat = al.estimate_thresholds(g, h, labeled, cfg)
     assert np.isinf(t_hat.values[0])
 
 
 def test_selection_coverage_floor_can_force_larger_error():
-    # with rho0=0.9 the small clean tail is not allowed; only full selection
-    # qualifies on coverage and its error is too high -> infinity
+    # with coverage_floor=0.9 the small clean tail is not allowed; only full
+    # selection qualifies on coverage and its error is too high -> infinity
     tops = [0.95, 0.9, 0.2, 0.15]
     labeled, h, g = single_class_instance(tops, [True, True, False, False])
-    cfg = al.ThresholdConfig(grid=np.array([0.1, 0.5]), rho0=0.9,
+    cfg = al.ThresholdConfig(grid=np.array([0.1, 0.5]), coverage_floor=0.9,
                              c1=0.0, eps_a=0.1)
     assert np.isinf(al.estimate_thresholds(g, h, labeled, cfg).values[0])
     # relaxing the floor lets the clean prefix through
-    cfg2 = al.ThresholdConfig(grid=np.array([0.1, 0.5]), rho0=0.25,
+    cfg2 = al.ThresholdConfig(grid=np.array([0.1, 0.5]), coverage_floor=0.25,
                               c1=0.0, eps_a=0.1)
     assert al.estimate_thresholds(g, h, labeled, cfg2).values[0] == 0.5
 
 
-def scan_oracle(top, wrong, grid, rho0, c1, eps_a):
+def scan_oracle(top, wrong, grid, coverage_floor, c1, eps_a):
     """Independent exhaustive re-derivation of the per-class selection rule."""
     n = len(top)
     if n == 0:
@@ -235,7 +236,7 @@ def scan_oracle(top, wrong, grid, rho0, c1, eps_a):
     feasible = []
     for t in grid:
         chosen = [i for i in range(n) if top[i] >= t]
-        if len(chosen) / n < rho0 or not chosen:
+        if len(chosen) / n < coverage_floor or not chosen:
             continue
         err = sum(1 for i in chosen if wrong[i]) / len(chosen)
         pad = c1 * (err * (1 - err) / len(chosen)) ** 0.5
@@ -251,12 +252,14 @@ def test_selection_matches_scan_oracle_on_random_instances():
         top = rng.uniform(0, 1, size=n)
         wrong = rng.uniform(size=n) < rng.uniform(0, 0.6)
         grid = np.unique(rng.uniform(0, 1, size=int(rng.integers(1, 21))))
-        rho0 = float(rng.uniform(0.01, 0.8))
+        floor = float(rng.uniform(0.01, 0.8))
         c1 = float(rng.choice([0.0, 0.25, 1.0]))
         eps_a = float(rng.uniform(0, 0.4))
-        cfg = al.ThresholdConfig(grid=grid, rho0=rho0, c1=c1, eps_a=eps_a)
+        cfg = al.ThresholdConfig(grid=grid, coverage_floor=floor, c1=c1,
+                                 eps_a=eps_a)
         got = select_class_threshold(top, wrong, cfg)
-        want = scan_oracle(list(top), list(wrong), list(grid), rho0, c1, eps_a)
+        want = scan_oracle(list(top), list(wrong), list(grid), floor, c1,
+                           eps_a)
         assert got == want or (np.isinf(got) and np.isinf(want))
 
 
@@ -281,20 +284,22 @@ def test_selection_matches_scan_oracle_on_ties_float32_nan_and_dense_grids():
             top[rng.uniform(size=n) < rng.uniform(0, 0.5)] = np.nan
         ties += bool(np.isin(top, grid).any())
         wrong = rng.uniform(size=n) < rng.uniform(0, 0.6)
-        rho0 = float(rng.uniform(0.01, 0.8))
+        floor = float(rng.uniform(0.01, 0.8))
         c1 = float(rng.choice([0.0, 0.25, 1.0]))
         eps_a = float(rng.uniform(0, 0.4))
-        cfg = al.ThresholdConfig(grid=grid, rho0=rho0, c1=c1, eps_a=eps_a)
+        cfg = al.ThresholdConfig(grid=grid, coverage_floor=floor, c1=c1,
+                                 eps_a=eps_a)
         got = select_class_threshold(top, wrong, cfg)
         want = scan_oracle(top.tolist(), wrong.tolist(), grid.tolist(),
-                           rho0, c1, eps_a)
+                           floor, c1, eps_a)
         assert got == want or (np.isinf(got) and np.isinf(want))
     assert ties >= 400
     dense = np.linspace(0, 1, 20001)
     for n in (300, 900, 2000):
         top = dense[np.round(rng.beta(5, 1, size=n) * 20000).astype(int)]
         wrong = rng.uniform(size=n) < 0.6 * (1 - top)
-        cfg = al.ThresholdConfig(grid=dense, rho0=0.05, c1=0.25, eps_a=0.05)
+        cfg = al.ThresholdConfig(grid=dense, coverage_floor=0.05, c1=0.25,
+                                 eps_a=0.05)
         got = select_class_threshold(top, wrong, cfg)
         want = scan_oracle(top.tolist(), wrong.tolist(), dense.tolist(),
                            0.05, 0.25, 0.05)
@@ -306,14 +311,14 @@ def test_selection_never_selects_nan_but_counts_it_in_the_group():
     # the NaN point is wrong; selecting it would break eps_a at every t
     top = np.array([0.9, np.nan])
     wrong = np.array([False, True])
-    cfg = al.ThresholdConfig(grid=grid, rho0=0.5, c1=0.0, eps_a=0.05)
+    cfg = al.ThresholdConfig(grid=grid, coverage_floor=0.5, c1=0.0, eps_a=0.05)
     assert select_class_threshold(top, wrong, cfg) == 0.1
     # two real points of four reach coverage 0.5, not 2/2, under the floor
     top = np.array([0.9, 0.8, np.nan, np.nan])
     wrong = np.zeros(4, dtype=bool)
-    cfg = al.ThresholdConfig(grid=grid, rho0=0.6, c1=0.0, eps_a=0.05)
+    cfg = al.ThresholdConfig(grid=grid, coverage_floor=0.6, c1=0.0, eps_a=0.05)
     assert np.isinf(select_class_threshold(top, wrong, cfg))
-    cfg = al.ThresholdConfig(grid=grid, rho0=0.5, c1=0.0, eps_a=0.05)
+    cfg = al.ThresholdConfig(grid=grid, coverage_floor=0.5, c1=0.0, eps_a=0.05)
     assert select_class_threshold(top, wrong, cfg) == 0.1
     all_nan = np.full(3, np.nan)
     assert np.isinf(select_class_threshold(all_nan, wrong[:3], cfg))
@@ -330,7 +335,8 @@ def test_returned_thresholds_are_safe_on_their_groups():
         scores = rng.uniform(0, 1, size=(n, k))
         labeled = indexed_set(true, k)
         h, g = FixedModel(preds), FixedScores(scores)
-        cfg = al.ThresholdConfig(rho0=0.05, eps_a=float(rng.uniform(0.05, 0.3)))
+        cfg = al.ThresholdConfig(coverage_floor=0.05,
+                                 eps_a=float(rng.uniform(0.05, 0.3)))
         t_hat = al.estimate_thresholds(g, h, labeled, cfg)
         tops = scores[np.arange(n), preds]
         wrong = preds != true
@@ -353,7 +359,7 @@ def test_group_by_predicted_label_switch():
     h = FixedModel([1])
     g = FixedScores([[0.1, 0.9]])
     grid = np.array([0.5])
-    base = dict(grid=grid, rho0=0.05, c1=0.0, eps_a=1.0)
+    base = dict(grid=grid, coverage_floor=0.05, c1=0.0, eps_a=1.0)
     by_true = al.estimate_thresholds(
         g, h, labeled, al.ThresholdConfig(group_by="true_label", **base))
     assert by_true.values[0] == 0.5 and np.isinf(by_true.values[1])
