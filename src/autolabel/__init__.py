@@ -29,7 +29,9 @@ from .confidence import (
     ConfidenceNetConfig,
     ConfidenceNetParams,
     SoftmaxConfidence,
+    SoftmaxConfig,
     TemperatureConfidence,
+    TemperatureConfig,
     TopLabelBinningConfig,
     TopLabelHistogramConfidence,
     fit_confidence_net,

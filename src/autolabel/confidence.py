@@ -15,6 +15,10 @@ variants:
                              selection-coverage objective with a smoothed
                              selection-error penalty
 
+Each variant's frozen config class (``SoftmaxConfig``, ``TemperatureConfig``,
+``TopLabelBinningConfig``, ``ConfidenceNetConfig``) names it and holds its
+settings; ``loop.fit_posthoc`` fits the variant a config names.
+
 Only the predicted class's score is ever compared to a threshold downstream,
 but all variants return full k-vectors. The histogram variant patches only the
 predicted entry and therefore does not sum to 1 by design.
@@ -175,6 +179,16 @@ def fit_top_label_hb(h: MlpClassifier, d_cal: LabeledSet,
 
 
 @dataclass(frozen=True)
+class SoftmaxConfig:
+    """Softmax response; nothing to set."""
+
+
+@dataclass(frozen=True)
+class TemperatureConfig:
+    """Temperature scaling; T is fit, nothing to set."""
+
+
+@dataclass(frozen=True)
 class TopLabelBinningConfig:
     points_per_bin: int = 25
 
@@ -270,8 +284,7 @@ def init_confidence_net_params(k: int, d2: int, seed: int,
 
 def objective_grad(params: ConfidenceNetParams, Z: np.ndarray,
                    yhat: np.ndarray, wrong: np.ndarray, lam: float,
-                   alpha: float, denom_epsilon: float, out=None,
-                   work=None):
+                   alpha: float, denom_epsilon: float, out, work):
     """(value, ConfidenceNetParams-shaped gradients) of the batch objective.
 
     The value is -(smoothed coverage) + lam * (smoothed selection error):
@@ -280,23 +293,14 @@ def objective_grad(params: ConfidenceNetParams, Z: np.ndarray,
     u-weighted wrong mass over the u-weighted selected mass.
 
     The gradients are written into ``out`` (a ConfidenceNetParams of
-    arrays shaped like ``params``), which is returned, and into new arrays
-    when it is None. ``work`` is two arrays of at least ``len(Z)`` rows and
-    W1's width, for the hidden activations and their gradient; without it
-    they are allocated here. The tanh, the softmax-gradient product and the
-    hidden layer's gradient are computed in place, with the operations of
-    the expression form in the same order, so every call gives the same
-    bits.
+    arrays shaped like ``params``), which is returned. ``work`` is two
+    arrays of at least ``len(Z)`` rows and W1's width, for the hidden
+    activations and their gradient. The tanh, the softmax-gradient product
+    and the hidden layer's gradient are computed in place, with the
+    operations of the expression form in the same order, so every call
+    gives the same bits.
     """
     m = Z.shape[0]
-    if out is None:
-        out = ConfidenceNetParams(np.empty_like(params.W1),
-                                  np.empty_like(params.W2),
-                                  np.empty_like(params.t_raw))
-    if work is None:
-        shape = (m, params.W1.shape[1])
-        dtype = np.result_type(Z, params.W1, params.W2)
-        work = (np.empty(shape, dtype), np.empty(shape, dtype))
     rows = np.arange(m)
     wrongf = np.asarray(wrong, dtype=Z.dtype)
     A = np.matmul(Z, params.W1, out=work[0][:m])

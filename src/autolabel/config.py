@@ -9,9 +9,9 @@ The config dataclasses are the schema of the sections they are built from
 (``TbalConfig`` and ``ThresholdConfig`` share the tbal section; train,
 posthoc and the hpo grids have one class each): a section's keys are its
 class's int, float and str fields, a key left out takes the field's
-default, and the class's own checks give the ranges. The parser checks
-types, finiteness and unknown or missing keys, and the ranges of the keys
-no class holds.
+default, and the class's own checks give the ranges; the posthoc section's
+"method" names its class. The parser checks types, finiteness and unknown
+or missing keys, and the ranges of the keys no class holds.
 """
 
 from __future__ import annotations
@@ -221,16 +221,20 @@ def _parse_dataset(sec: _Section, base_dir: str):
         if means_raw is None:
             means = default_circle_means(classes, dim)
         else:
-            try:
-                means = np.asarray(means_raw, dtype=np.float64)
-            except (TypeError, ValueError):
+            if not (isinstance(means_raw, list) and len(means_raw) == classes
+                    and all(isinstance(row, list) and len(row) == dim
+                            for row in means_raw)):
                 raise TypeMismatchError(
-                    f"{sec.path}.means: expected a {classes}x{dim} numeric array"
-                ) from None
-            if means.shape != (classes, dim):
-                raise TypeMismatchError(
-                    f"{sec.path}.means: shape {means.shape} != ({classes}, {dim})"
+                    f"{sec.path}.means: expected {classes} lists of {dim} "
+                    "numbers"
                 )
+            for i, row in enumerate(means_raw):
+                for j, v in enumerate(row):
+                    if isinstance(v, bool) or not isinstance(v, (int, float)):
+                        raise TypeMismatchError(
+                            f"{sec.path}.means[{i}][{j}]: expected a number"
+                        )
+            means = np.array(means_raw, dtype=np.float64)
             if not np.isfinite(means).all():
                 raise RangeError(f"{sec.path}.means: values must be finite")
         sec.finish()
@@ -263,9 +267,8 @@ def _parse_dataset(sec: _Section, base_dir: str):
 
 
 # fields no config key sets: the per-round seeds and the run's master seed
-# are derived from the top-level master_seed, and the post-hoc method is
-# the posthoc section's "method"
-_DERIVED_FIELDS = {"seed", "master_seed", "posthoc_method"}
+# are derived from the top-level master_seed
+_DERIVED_FIELDS = {"seed", "master_seed"}
 
 
 @functools.cache
@@ -332,17 +335,18 @@ def _parse_grid(sec: _Section, key: str, cls) -> dict:
     return grid
 
 
-def _parse_hpo(sec: _Section, posthoc_method: str):
+def _parse_hpo(sec: _Section, posthoc_cls):
     if sec is None:
         return None
     train_grid = _parse_grid(sec, "train_grid", TrainConfig)
-    posthoc_cls = POSTHOC_CONFIGS[posthoc_method]
-    if posthoc_cls is not None:
+    if _keys(posthoc_cls):
         posthoc_grid = _parse_grid(sec, "posthoc_grid", posthoc_cls)
     else:
         # nothing to search; the post-hoc phase is skipped
         if sec.raw("posthoc_grid", None) not in ({}, None):
-            raise RangeError(f"{sec.path}.posthoc_grid: {posthoc_method} "
+            method = next(name for name, cls in POSTHOC_CONFIGS.items()
+                          if cls is posthoc_cls)
+            raise RangeError(f"{sec.path}.posthoc_grid: {method} "
                              "has no hyperparameters")
         posthoc_grid = {}
     tie = sec.number("tie_break_seed", 0, integer=True, lo=0)
@@ -361,9 +365,7 @@ def _parse_tbal(sec: _Section) -> TbalConfig:
     posthoc = sec.section("posthoc", required=False)
     if posthoc is not None:
         method = posthoc.string("method", choices=set(POSTHOC_CONFIGS))
-        cls = POSTHOC_CONFIGS[method]
-        extra["posthoc_method"] = method
-        extra["posthoc"] = None if cls is None else _build(posthoc, cls)
+        extra["posthoc"] = _build(posthoc, POSTHOC_CONFIGS[method])
         posthoc.finish()
     grid_size = sec.number("grid_size", None, integer=True, lo=2)
     grid = sec.list_of_numbers("grid", None)
@@ -388,7 +390,7 @@ def parse_config_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
     output_dir = root.string("output_dir", "out")
     dataset = _parse_dataset(root.section("dataset"), base_dir)
     tbal = _parse_tbal(root.section("tbal"))
-    hpo = _parse_hpo(root.section("hpo", required=False), tbal.posthoc_method)
+    hpo = _parse_hpo(root.section("hpo", required=False), type(tbal.posthoc))
     root.finish()
     if hpo is not None and dataset.hyp_size < 1:
         raise RangeError(

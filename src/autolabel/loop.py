@@ -25,6 +25,8 @@ import numpy as np
 from .confidence import (
     ConfidenceNetConfig,
     SoftmaxConfidence,
+    SoftmaxConfig,
+    TemperatureConfig,
     TopLabelBinningConfig,
     fit_confidence_net,
     fit_temperature,
@@ -47,10 +49,10 @@ from .thresholds import (
     predicted_scores,
 )
 
-# each post-hoc method's config class; None where there is nothing to set
+# each post-hoc method's name and config class
 POSTHOC_CONFIGS = {
-    "softmax": None,
-    "temperature": None,
+    "softmax": SoftmaxConfig,
+    "temperature": TemperatureConfig,
     "top_label_hb": TopLabelBinningConfig,
     "confidence_net": ConfidenceNetConfig,
 }
@@ -62,8 +64,9 @@ class TbalConfig:
 
     ``thresholds`` holds the error tolerance eps_a, the coverage floor, the
     C1 safety margin, the threshold grid and the grouping, as
-    ``estimate_thresholds`` reads them; ``train`` and ``posthoc`` hold the
-    classifier's and the confidence function's fitting settings.
+    ``estimate_thresholds`` reads them; ``train`` holds the classifier's
+    fitting settings, and ``posthoc``, one of the ``POSTHOC_CONFIGS``
+    classes, names the confidence function and holds its settings.
     """
 
     train_budget: int
@@ -73,8 +76,8 @@ class TbalConfig:
     thresholds: ThresholdConfig = field(default_factory=ThresholdConfig)
     hidden: tuple = (32,)
     train: TrainConfig = field(default_factory=TrainConfig)
-    posthoc_method: str = "softmax"
-    posthoc: object = None
+    posthoc: (SoftmaxConfig | TemperatureConfig | TopLabelBinningConfig
+              | ConfidenceNetConfig) = field(default_factory=SoftmaxConfig)
     active_multiplier: float = 2.0
     master_seed: int = 0
 
@@ -96,15 +99,9 @@ class TbalConfig:
                                       for w in self.hidden):
             raise ValueError("hidden must be a non-empty tuple of integer "
                              "widths >= 1")
-        if self.posthoc_method not in POSTHOC_CONFIGS:
-            raise ValueError(f"unknown posthoc method {self.posthoc_method!r}")
-        expected = POSTHOC_CONFIGS[self.posthoc_method]
-        if self.posthoc is not None and (
-                expected is None or not isinstance(self.posthoc, expected)):
-            raise ValueError(
-                f"posthoc config {type(self.posthoc).__name__} does not match "
-                f"method {self.posthoc_method!r}"
-            )
+        if not isinstance(self.posthoc, tuple(POSTHOC_CONFIGS.values())):
+            raise ValueError(f"posthoc must be one of the POSTHOC_CONFIGS "
+                             f"classes, not {type(self.posthoc).__name__}")
 
 
 @dataclass
@@ -223,31 +220,39 @@ def active_query(h, pool: Pool, n_b: int, C: float, seed: int,
     return labeled, pool.without(chosen)
 
 
-def fit_posthoc(method: str, posthoc_cfg, model, d_cal: LabeledSet,
-                seed: int):
-    """Fit the round's confidence function on calibration data.
+def fit_posthoc(cfg, model, d_cal: LabeledSet, seed: int):
+    """Fit the confidence function the class of ``cfg`` names on
+    calibration data.
 
-    Returns (model_g, warning-or-None). When histogram binning lacks enough
-    calibration points it degrades to raw softmax with a warning instead of
-    aborting the run.
+    Returns (model_g, warning-or-None). Softmax fits nothing and never runs
+    the classifier. When histogram binning lacks enough calibration points
+    it degrades to raw softmax with a warning instead of aborting the run.
     """
-    if method == "softmax":
+    if isinstance(cfg, SoftmaxConfig):
         return SoftmaxConfidence(), None
-    if method == "temperature":
+    if isinstance(cfg, TemperatureConfig):
         return fit_temperature(model, d_cal), None
-    if method == "top_label_hb":
-        cfg = posthoc_cfg or TopLabelBinningConfig()
+    if isinstance(cfg, TopLabelBinningConfig):
         if len(d_cal) < cfg.points_per_bin:
             return SoftmaxConfidence(), (
                 f"calibration set ({len(d_cal)}) smaller than points_per_bin "
                 f"({cfg.points_per_bin}); using raw softmax this round"
             )
         return fit_top_label_hb(model, d_cal, cfg.points_per_bin), None
-    if method == "confidence_net":
-        cfg = posthoc_cfg or ConfidenceNetConfig()
+    if isinstance(cfg, ConfidenceNetConfig):
         cfg = dataclasses.replace(cfg, seed=seed)
         return fit_confidence_net(model, d_cal, cfg), None
-    raise ValueError(f"unknown posthoc method {method!r}")
+    raise ValueError(f"unknown posthoc config {type(cfg).__name__}")
+
+
+def seed_query(cfg: TbalConfig, pool_data: Dataset):
+    """(seed set, pool left, dims): round 0's random query of
+    ``cfg.seed_size`` human labels, and the classifier's width list
+    [d_in, hidden..., k], as every run starts."""
+    seed_set, pool = random_query(
+        Pool.full(pool_data), cfg.seed_size,
+        child_seed(cfg.master_seed, 0, "seed_query"), round_index=0)
+    return seed_set, pool, [pool_data.dim, *cfg.hidden, pool_data.num_classes]
 
 
 def fit_round(cfg: TbalConfig, d_train: LabeledSet, val: LabeledSet,
@@ -262,7 +267,7 @@ def fit_round(cfg: TbalConfig, d_train: LabeledSet, val: LabeledSet,
     model = train_model(train_cfg, d_train, dims)
     d_cal, d_th = random_split(
         val, cfg.cal_fraction, child_seed(cfg.master_seed, round_index, "split"))
-    g, warning = fit_posthoc(cfg.posthoc_method, cfg.posthoc, model, d_cal,
+    g, warning = fit_posthoc(cfg.posthoc, model, d_cal,
                              child_seed(cfg.master_seed, round_index, "posthoc"))
     t_hat = estimate_thresholds(g, model, d_th, cfg.thresholds)
     return model, g, t_hat, d_cal, d_th, warning
@@ -285,11 +290,7 @@ def run_tbal(cfg: TbalConfig, pool_data: Dataset, d_val: LabeledSet,
         raise ValueError("seed_size exceeds pool size")
     if len(d_val) < 2:
         raise ValueError("need at least 2 validation points")
-    dims = [pool_data.dim, *cfg.hidden, pool_data.num_classes]
-    pool = Pool.full(pool_data)
-    seed_set, pool = random_query(
-        pool, cfg.seed_size, child_seed(cfg.master_seed, 0, "seed_query"),
-        round_index=0)
+    seed_set, pool, dims = seed_query(cfg, pool_data)
     d_train = seed_set
     out = seed_set
     val = d_val

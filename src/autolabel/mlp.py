@@ -169,7 +169,7 @@ def _dlogits_work(rows: int, k: int, dtype):
             np.empty_like(column), np.asarray(rows, dtype=dtype))
 
 
-def _batch_dlogits(logits: np.ndarray, Yb: np.ndarray, kind: str, work=None):
+def _batch_dlogits(logits: np.ndarray, Yb: np.ndarray, kind: str, work):
     """d(mean batch loss)/dlogits, the gradient backprop starts from.
 
     ``Yb`` holds the one-hot targets, one row per logits row. Only the
@@ -179,16 +179,13 @@ def _batch_dlogits(logits: np.ndarray, Yb: np.ndarray, kind: str, work=None):
     The result is ``exp(log_softmax(logits)) - Yb``, plus for squentropy
     ``2 / (k - 1) * logits`` with each label entry zeroed, all divided by
     the batch size. It is built in ``work`` (from ``_dlogits_work`` for
-    ``logits``' shape and dtype; allocated here when not given) and is its
-    first array; ``logits`` and ``Yb`` are only read. Each element sees the
-    float operations of the expression form in the same order: the row max
-    and row sum are the reductions ``max`` and ``sum`` run, and subtracting
-    a 0 target leaves an ``exp`` unchanged, so the bits are those of the
-    expression.
+    ``logits``' shape and dtype) and is its first array; ``logits`` and
+    ``Yb`` are only read. Each element sees the float operations of the
+    expression form in the same order: the row max and row sum are the
+    reductions ``max`` and ``sum`` run, and subtracting a 0 target leaves
+    an ``exp`` unchanged, so the bits are those of the expression.
     """
-    m, k = logits.shape
-    if work is None:
-        work = _dlogits_work(m, k, logits.dtype)
+    k = logits.shape[1]
     d, e, labelled, top, total, size = work
     np.maximum.reduce(logits, axis=1, keepdims=True, out=top)
     np.subtract(logits, top, out=d)
@@ -337,29 +334,22 @@ def _backprop_work(model: MlpClassifier, rows: int, dtype):
 
 
 def _backprop(model: MlpClassifier, Xb: np.ndarray, Yb: np.ndarray, kind: str,
-              out=None, work=None):
+              out, work):
     """Gradients of the mean batch loss w.r.t. every weight and bias.
 
     ``Yb`` holds the batch's one-hot targets. Returns (grads_w, grads_b),
-    written into ``out`` when given (two lists of arrays shaped like the
-    model's weights and biases) and into new arrays otherwise. ``work`` is
-    scratch from ``_backprop_work`` for ``len(Xb)`` rows; without it the
-    scratch is allocated here.
+    written into ``out`` (two lists of arrays shaped like the model's
+    weights and biases). ``work`` is scratch from ``_backprop_work`` for
+    ``len(Xb)`` rows.
 
     The forward pass writes a layer's product, adds the bias and takes the
     tanh in its output buffer; the backward pass overwrites each hidden
     activation a with 1 - a**2 once its weight gradient is taken, and
     multiplies it into the gradient flowing back. Each element sees the
     operations of ``tanh(A @ w + b)`` and ``(dZ @ w.T) * (1 - a**2)`` in
-    that order, so the result does not depend on whether ``work`` is given.
-    ``Xb``, ``Yb`` and the model are only read.
+    that order, so the result does not depend on the scratch's prior
+    contents. ``Xb``, ``Yb`` and the model are only read.
     """
-    if out is None:
-        out = ([np.empty_like(w) for w in model.weights],
-               [np.empty_like(b) for b in model.biases])
-    if work is None:
-        work = _backprop_work(model, Xb.shape[0], np.result_type(
-            Xb, *model.weights, *model.biases))
     grads_w, grads_b = out
     outputs, hidden_T, deltas, dlogits_work = work
     last = len(model.weights) - 1

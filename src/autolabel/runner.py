@@ -24,17 +24,22 @@ from .config import (
     HpoSpec,
     SyntheticSpec,
 )
-from .confidence import write_score_dump
+from .confidence import SoftmaxConfig, write_score_dump
 from .data import (
     Dataset,
     LabeledSet,
-    Pool,
     carve,
     load_dataset,
-    random_query,
     synth_gaussian_mixture,
 )
-from .loop import TbalConfig, dump_report, dump_round_log, fit_round, run_tbal
+from .loop import (
+    TbalConfig,
+    dump_report,
+    dump_round_log,
+    fit_round,
+    run_tbal,
+    seed_query,
+)
 from .rng import child_seed
 from .thresholds import empirical_metrics
 
@@ -191,11 +196,7 @@ def _first_round_eval(tbal_cfg: TbalConfig, pool_ds: Dataset,
                       val: LabeledSet, hyp: LabeledSet, run_seed: int):
     """Seed-query + one fit round, scored on the held-out hyp split."""
     cfg = dataclasses.replace(tbal_cfg, master_seed=run_seed)
-    pool = Pool.full(pool_ds)
-    seed_set, pool = random_query(
-        pool, cfg.seed_size, child_seed(run_seed, 0, "seed_query"),
-        round_index=0)
-    dims = [pool_ds.dim, *cfg.hidden, pool_ds.num_classes]
+    seed_set, _, dims = seed_query(cfg, pool_ds)
     model, g, t_hat, _, _, _ = fit_round(cfg, seed_set, val, 1, dims)
     cov, err = empirical_metrics(g, t_hat, model, hyp)
     # an empty selection shows zero mistakes; it still loses on coverage
@@ -208,11 +209,8 @@ def _apply_train_combo(tbal_cfg: TbalConfig, combo: dict) -> TbalConfig:
 
 
 def _apply_posthoc_combo(tbal_cfg: TbalConfig, combo: dict) -> TbalConfig:
-    base = tbal_cfg.posthoc
-    if base is None:
-        raise ValueError("posthoc config required for posthoc grid search")
     return dataclasses.replace(
-        tbal_cfg, posthoc=dataclasses.replace(base, **combo))
+        tbal_cfg, posthoc=dataclasses.replace(tbal_cfg.posthoc, **combo))
 
 
 def _select(records: "list[dict]", eps_a: float, tie_seed: int,
@@ -287,8 +285,7 @@ def hyperparameter_search(cfg: ExperimentConfig, out_dir: str | None = None,
     spec: HpoSpec = cfg.hpo
 
     train_combos = _combo_list(spec.train_grid)
-    softmax_cfg = dataclasses.replace(cfg.tbal, posthoc_method="softmax",
-                                      posthoc=None)
+    softmax_cfg = dataclasses.replace(cfg.tbal, posthoc=SoftmaxConfig())
     train_records = _eval_phase(
         "train", train_combos, _apply_train_combo, softmax_cfg, pool_ds, val,
         hyp, cfg.repeats, cfg.master_seed, jobs)

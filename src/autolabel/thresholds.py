@@ -39,10 +39,6 @@ class ThresholdVector:
             raise ValueError("finite thresholds must lie in [0, 1]")
         object.__setattr__(self, "values", v)
 
-    @property
-    def num_classes(self) -> int:
-        return int(self.values.shape[0])
-
     def per_point(self, predicted: np.ndarray) -> np.ndarray:
         return self.values[np.asarray(predicted, dtype=np.int64)]
 

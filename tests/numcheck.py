@@ -2,12 +2,39 @@
 
 Used by the test suite to validate every analytic gradient in the package;
 the same harness backs the gradient tests of the classifier losses, the
-confidence-net objective and acceptance check 3.
+confidence-net objective and acceptance check 3. The gradient functions
+write into scratch their callers make; ``backprop_scratch`` and
+``objective_scratch`` make it fresh for one batch.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from autolabel.confidence import ConfidenceNetParams
+from autolabel.mlp import _backprop_work
+
+
+def backprop_scratch(model, X: np.ndarray):
+    """(out, work) for ``_backprop`` of the batch ``X``: new arrays, the
+    gradients shaped like the model's tensors and the scratch in the dtype
+    the batch and the model promote to."""
+    dtype = np.result_type(X, *model.weights, *model.biases)
+    return (([np.empty_like(w) for w in model.weights],
+             [np.empty_like(b) for b in model.biases]),
+            _backprop_work(model, X.shape[0], dtype))
+
+
+def objective_scratch(params, Z: np.ndarray):
+    """(out, work) for ``objective_grad`` of the batch ``Z``: new arrays,
+    the gradients shaped like ``params`` and the two activation buffers in
+    the dtype ``Z`` and the weights promote to."""
+    shape = (Z.shape[0], params.W1.shape[1])
+    dtype = np.result_type(Z, params.W1, params.W2)
+    return (ConfidenceNetParams(np.empty_like(params.W1),
+                                np.empty_like(params.W2),
+                                np.empty_like(params.t_raw)),
+            (np.empty(shape, dtype), np.empty(shape, dtype)))
 
 
 def central_difference(f, x: np.ndarray, step: float = 1e-4) -> np.ndarray:

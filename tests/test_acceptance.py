@@ -39,8 +39,13 @@ import pytest
 import autolabel as al
 from autolabel.confidence import objective_grad
 from autolabel.loop import dump_round_log
-from autolabel.mlp import _backprop, _batch_dlogits, _flat_views
-from numcheck import central_difference, relative_error
+from autolabel.mlp import _backprop, _batch_dlogits, _dlogits_work, _flat_views
+from numcheck import (
+    backprop_scratch,
+    central_difference,
+    objective_scratch,
+    relative_error,
+)
 from autolabel.rng import child_seed
 
 from conftest import FixedModel, FixedScores, indexed_set, uniform_thresholds
@@ -158,7 +163,8 @@ def test_every_analytic_gradient_matches_finite_differences():
             k = int(rng.integers(2, 8))
             labels = rng.integers(0, k, size=m)
             logits = rng.normal(0, 2.0, size=(m, k))
-            analytic = _batch_dlogits(logits, np.eye(k)[labels], kind)
+            analytic = _batch_dlogits(logits, np.eye(k)[labels], kind,
+                                      _dlogits_work(m, k, logits.dtype))
             numeric = central_difference(
                 lambda z: batch_loss(z, labels, kind), logits.copy())
             assert relative_error(analytic, numeric) <= 1e-4
@@ -174,7 +180,7 @@ def test_every_analytic_gradient_matches_finite_differences():
             X = rng.normal(0, 1.0, size=(m, dims[0]))
             y = rng.integers(0, dims[-1], size=m)
             grads_w, grads_b = _backprop(model, X, np.eye(dims[-1])[y],
-                                       kind)
+                                         kind, *backprop_scratch(model, X))
             tensors = model.weights + model.biases
             flat = np.concatenate([a.ravel() for a in tensors])
 
@@ -203,7 +209,7 @@ def test_every_analytic_gradient_matches_finite_differences():
         lam = float(rng.choice([1.0, 10.0, 100.0]))
         alpha = float(rng.choice([0.1, 1.0, 4.0]))
         args = (Z, yhat, wrong, lam, alpha, 1e-8)
-        _, grad = objective_grad(params, *args)
+        _, grad = objective_grad(params, *args, *objective_scratch(params, Z))
 
         def repack(flat):
             a = p * 2 * p
@@ -215,7 +221,9 @@ def test_every_analytic_gradient_matches_finite_differences():
         flat = np.concatenate([params.W1.ravel(), params.W2.ravel(),
                                params.t_raw])
         numeric = central_difference(
-            lambda v: objective_grad(repack(v), *args)[0], flat.copy())
+            lambda v: objective_grad(repack(v), *args,
+                                     *objective_scratch(params, Z))[0],
+            flat.copy())
         analytic = np.concatenate([grad.W1.ravel(), grad.W2.ravel(),
                                    grad.t_raw])
         assert relative_error(analytic, numeric) <= 1e-4
@@ -290,8 +298,8 @@ def gentle_net_config():
 
 
 MIX_METHODS = (
-    ("softmax", None),
-    ("temperature", None),
+    ("softmax", al.SoftmaxConfig()),
+    ("temperature", al.TemperatureConfig()),
     ("top_label_hb", al.TopLabelBinningConfig()),
     ("confidence_net", gentle_net_config()),
 )
@@ -317,7 +325,7 @@ def heavy_tail_mixture(n, seed):
     return al.Dataset(X[perm], y[perm], 4)
 
 
-def run_mixture(method, posthoc, r):
+def run_mixture(posthoc, r):
     ds = heavy_tail_mixture(MIX_POOL + MIX_VAL,
                             child_seed(MIX_MASTER, "world", r))
     pool_ds, val_ds = al.carve(ds, [MIX_POOL, MIX_VAL],
@@ -338,7 +346,7 @@ def run_mixture(method, posthoc, r):
             group_by="predicted_label"),
         hidden=(64,),
         train=al.TrainConfig(max_epochs=250, learning_rate=0.1),
-        posthoc_method=method, posthoc=posthoc, master_seed=r)
+        posthoc=posthoc, master_seed=r)
     report = al.run_tbal(cfg, pool_ds, d_val, round_hook=hook)
     return report, box["acc"]
 
@@ -350,7 +358,7 @@ def mixture_outcome(tmp_path_factory):
     reports, accs = {}, {}
     for name, posthoc in MIX_METHODS:
         for r in range(5):
-            report, acc = run_mixture(name, posthoc, r)
+            report, acc = run_mixture(posthoc, r)
             reports[(name, r)] = report
             accs[(name, r)] = acc
             dump_round_log(report,
@@ -392,7 +400,7 @@ def test_rerunning_the_mixture_reproduces_round_logs_byte_exact(
         mixture_outcome, tmp_path):
     for name, posthoc in MIX_METHODS:
         for r in range(5):
-            report, _ = run_mixture(name, posthoc, r)
+            report, _ = run_mixture(posthoc, r)
             again = tmp_path / f"{name}_seed{r}_rounds.jsonl"
             dump_round_log(report, str(again))
             first = mixture_outcome["log_dir"] / f"{name}_seed{r}_rounds.jsonl"
@@ -406,7 +414,7 @@ def test_rerunning_the_mixture_reproduces_round_logs_byte_exact(
 DIGIT_MASTER = 313
 
 
-def single_round_config(method, posthoc, budget, r):
+def single_round_config(posthoc, budget, r):
     return al.TbalConfig(
         train_budget=budget, seed_size=budget, query_batch=budget // 2,
         cal_fraction=0.5,
@@ -415,7 +423,7 @@ def single_round_config(method, posthoc, budget, r):
             group_by="predicted_label"),
         hidden=(128,),
         train=al.TrainConfig(max_epochs=150, learning_rate=0.1),
-        posthoc_method=method, posthoc=posthoc, master_seed=r)
+        posthoc=posthoc, master_seed=r)
 
 
 def split_off_validation(base, n_val, r):
@@ -441,13 +449,14 @@ def test_full_size_digit_run_when_idx_files_are_present():
             "ubyte to run the full-size check")
     start = time.perf_counter()
     base = al.load_dataset(images, "idx", 10)
-    methods = (("softmax", None), ("confidence_net", gentle_net_config()))
+    methods = (("softmax", al.SoftmaxConfig()),
+               ("confidence_net", gentle_net_config()))
     cov = {name: [] for name, _ in methods}
     err = {name: [] for name, _ in methods}
     for r in range(5):
         pool_ds, d_val = split_off_validation(base, 500, r)
         for name, posthoc in methods:
-            cfg = single_round_config(name, posthoc, 500, r)
+            cfg = single_round_config(posthoc, 500, r)
             report = al.run_tbal(cfg, pool_ds, d_val)
             cov[name].append(report.final_coverage)
             err[name].append(report.final_error)
@@ -472,8 +481,8 @@ def test_bundled_digits_parity_and_error_control():
     raw = sk_datasets.load_digits()
     base = al.Dataset((raw.data / 16.0).astype(np.float32),
                       raw.target.astype(np.int64), 10)
-    methods = (("softmax", None),
-               ("temperature", None),
+    methods = (("softmax", al.SoftmaxConfig()),
+               ("temperature", al.TemperatureConfig()),
                ("confidence_net", gentle_net_config()))
     cov = {name: [] for name, _ in methods}
     err = {name: [] for name, _ in methods}
@@ -489,7 +498,7 @@ def test_bundled_digits_parity_and_error_control():
                                       axis=1)
                     box["acc"] = float(np.mean(preds == pool_ds.hidden_labels))
 
-            cfg = single_round_config(name, posthoc, 150, r)
+            cfg = single_round_config(posthoc, 150, r)
             report = al.run_tbal(cfg, pool_ds, d_val, round_hook=hook)
             cov[name].append(report.final_coverage)
             err[name].append(report.final_error)

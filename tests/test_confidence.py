@@ -22,7 +22,7 @@ from autolabel.confidence import (
     write_score_dump,
 )
 from autolabel.mlp import _flat_views
-from numcheck import central_difference, relative_error
+from numcheck import central_difference, objective_scratch, relative_error
 
 from conftest import (
     FixedModel,
@@ -387,31 +387,36 @@ def test_confidence_net_config_rejects_non_finite_and_non_integer_fields(
 
 def test_objective_grad_writes_the_same_bits_into_out():
     # float32 as in the fit: out holds views of one flat buffer, as there,
-    # and the scratch has more rows than the batch, as for a short last one
+    # and the scratch has more rows than the batch, as for a short last one;
+    # both are reused for a second batch, as over a fit's steps, and give
+    # the bits of fresh scratch
     rng = np.random.default_rng(22)
     for k, d2, m in ((2, 3, 1), (3, 5, 17), (10, 8, 64)):
         params = init_confidence_net_params(k, d2, seed=m)
         params.t_raw[:] = rng.normal(0, 0.8, size=k)
-        Z = rng.normal(0, 1.0, size=(m, k + d2)).astype(np.float32)
-        yhat = rng.integers(0, k, size=m)
-        wrong = rng.uniform(size=m) < 0.4
-        args = (Z, yhat, wrong, 10.0, 4.0, 1e-8)
-        before = [a.copy() for a in (Z, params.W1, params.W2, params.t_raw)]
-        want_value, want = objective_grad(params, *args)
         flat = np.empty(params.W1.size + params.W2.size + k, np.float32)
         out = ConfidenceNetParams(*_flat_views(
             flat, (params.W1.shape, params.W2.shape, (k,))))
         width = 2 * (k + d2)
         work = (np.empty((m + 3, width), np.float32),
                 np.empty((m + 3, width), np.float32))
-        value, got = objective_grad(params, *args, out=out, work=work)
-        assert got is out and value == want_value
-        for name in ("W1", "W2", "t_raw"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype == np.float32
-            assert np.array_equal(a, b), (k, d2, m, name)
-        for a, b in zip((Z, params.W1, params.W2, params.t_raw), before):
-            assert np.array_equal(a, b)
+        for step in range(2):
+            Z = rng.normal(0, 1.0, size=(m, k + d2)).astype(np.float32)
+            yhat = rng.integers(0, k, size=m)
+            wrong = rng.uniform(size=m) < 0.4
+            args = (Z, yhat, wrong, 10.0, 4.0, 1e-8)
+            before = [a.copy()
+                      for a in (Z, params.W1, params.W2, params.t_raw)]
+            want_value, want = objective_grad(params, *args,
+                                              *objective_scratch(params, Z))
+            value, got = objective_grad(params, *args, out=out, work=work)
+            assert got is out and value == want_value
+            for name in ("W1", "W2", "t_raw"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype == np.float32
+                assert np.array_equal(a, b), (k, d2, m, step, name)
+            for a, b in zip((Z, params.W1, params.W2, params.t_raw), before):
+                assert np.array_equal(a, b)
 
 
 def test_objective_gradients_match_finite_differences():
@@ -432,7 +437,7 @@ def test_objective_gradients_match_finite_differences():
         lam = float(rng.choice([1.0, 10.0, 100.0]))
         alpha = float(rng.choice([0.1, 1.0, 4.0]))
         args = (Z, yhat, wrong, lam, alpha, 1e-8)
-        _, g = objective_grad(params, *args)
+        _, g = objective_grad(params, *args, *objective_scratch(params, Z))
 
         def repack(flat):
             a = p * 2 * p
@@ -444,7 +449,9 @@ def test_objective_gradients_match_finite_differences():
         flat = np.concatenate([params.W1.ravel(), params.W2.ravel(),
                                params.t_raw])
         numeric = central_difference(
-            lambda v: objective_grad(repack(v), *args)[0], flat.copy())
+            lambda v: objective_grad(repack(v), *args,
+                                     *objective_scratch(params, Z))[0],
+            flat.copy())
         analytic = np.concatenate([g.W1.ravel(), g.W2.ravel(), g.t_raw])
         assert relative_error(analytic, numeric) <= 1e-4
         checked += 1

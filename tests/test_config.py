@@ -45,8 +45,7 @@ def test_minimal_config_defaults():
     assert cfg.dataset.hyp_size == 0
     assert cfg.tbal.train_budget == 60
     assert cfg.tbal.thresholds.eps_a == 0.05
-    assert cfg.tbal.posthoc_method == "softmax"
-    assert cfg.tbal.posthoc is None
+    assert cfg.tbal.posthoc == al.SoftmaxConfig()
     assert cfg.tbal.hidden == (32,)
     assert np.allclose(cfg.dataset.means, default_circle_means(4, 2))
 
@@ -129,6 +128,18 @@ def test_means_validation():
                                                    [-1, 0], [0, -1]]}))
 
 
+@pytest.mark.parametrize("entry", [True, False, "1", "1.5", None, [1]])
+@pytest.mark.parametrize("i, j", [(0, 0), (3, 1)])
+def test_means_entries_are_numbers(entry, i, j):
+    # as for every other numeric key, a bool or a numeric string is no number
+    means = [[1, 0], [0, 1], [-1, 0], [0, -1]]
+    means[i][j] = entry
+    with pytest.raises(TypeMismatchError,
+                       match=rf"^config\.dataset\.means\[{i}\]\[{j}\]: "
+                             "expected a number"):
+        parse_config_dict(doc(**{"dataset.means": means}))
+
+
 def test_grid_and_grid_size_are_exclusive():
     both = doc(**{"tbal.grid": [0.5, 1.0], "tbal.grid_size": 4})
     with pytest.raises(ConfigError, match="not both"):
@@ -144,14 +155,13 @@ def test_grid_and_grid_size_are_exclusive():
 def test_posthoc_sections():
     cn = parse_config_dict(doc(**{"tbal.posthoc": {
         "method": "confidence_net", "lam": 50.0, "alpha": 2.0}}))
-    assert cn.tbal.posthoc_method == "confidence_net"
+    assert isinstance(cn.tbal.posthoc, al.ConfidenceNetConfig)
     assert cn.tbal.posthoc.lam == 50.0
     assert cn.tbal.posthoc.alpha == 2.0
     assert cn.tbal.posthoc.max_epochs == 500
     temp = parse_config_dict(doc(**{"tbal.posthoc": {
         "method": "temperature"}}))
-    assert temp.tbal.posthoc_method == "temperature"
-    assert temp.tbal.posthoc is None
+    assert temp.tbal.posthoc == al.TemperatureConfig()
     # the temperature is fit at the NLL minimum: the method takes no keys
     for key, value in (("epochs", 100), ("learning_rate", 0.05)):
         with pytest.raises(UnknownKeyError,
@@ -162,7 +172,7 @@ def test_posthoc_sections():
         "method": "top_label_hb", "points_per_bin": 10}}))
     assert hb.tbal.posthoc.points_per_bin == 10
     soft = parse_config_dict(doc(**{"tbal.posthoc": {"method": "softmax"}}))
-    assert soft.tbal.posthoc is None
+    assert soft.tbal.posthoc == al.SoftmaxConfig()
     with pytest.raises(RangeError, match=r"config\.tbal\.posthoc\.method"):
         parse_config_dict(doc(**{"tbal.posthoc": {"method": "platt"}}))
     # a knob from the wrong method is an unknown key
@@ -410,7 +420,7 @@ def test_readme_examples_parse():
     # the documented grammar and API forms must stay in step with the code
     cfg = parse_config_dict(json.loads(_readme_block("json", "## Config files")),
                             base_dir="/tmp/exp")
-    assert cfg.tbal.posthoc_method == "confidence_net"
+    assert isinstance(cfg.tbal.posthoc, al.ConfidenceNetConfig)
     assert cfg.tbal.posthoc.lam == 10.0 and cfg.tbal.posthoc.max_epochs == 100
     assert cfg.tbal.thresholds.eps_a == 0.05
     quick = _readme_block("python", "## Library quick start")

@@ -23,10 +23,11 @@ from autolabel.confidence import (
     init_confidence_net_params,
     objective_grad,
 )
-from autolabel.mlp import _batch_dlogits, init_mlp
+from autolabel.mlp import _batch_dlogits, _dlogits_work, init_mlp
 from autolabel.rng import stream
 
 from conftest import indexed_set, label_everything
+from numcheck import objective_scratch
 
 CLASS_COUNTS = (2, 4, 10, 13)
 # the bounded solver stops within its default xatol of 1e-5 of the best log T;
@@ -142,7 +143,8 @@ def ref_fit_confidence_net(h, d_cal, cfg):
         for lo in range(0, n, cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
             _, g = objective_grad(params, Z[batch], preds[batch], wrong[batch],
-                                  cfg.lam, cfg.alpha, cfg.denom_epsilon)
+                                  cfg.lam, cfg.alpha, cfg.denom_epsilon,
+                                  *objective_scratch(params, Z[batch]))
             step += 1
             c1 = np.float32(1.0 - b1 ** step)
             c2 = np.float32(1.0 - b2 ** step)
@@ -325,7 +327,7 @@ def test_batch_dlogits_equals_reference_bit_for_bit_at_its_edges():
             k = logits.shape[1]
             with np.errstate(over="ignore", invalid="ignore"):
                 got = _batch_dlogits(logits, np.eye(k, dtype=dtype)[labels],
-                                     kind)
+                                     kind, _dlogits_work(*logits.shape, dtype))
                 _, want = ref_batch_loss_and_dlogits(logits, labels, kind)
             assert got.dtype == want.dtype == dtype
             assert got.tobytes() == want.tobytes(), (name, dtype, kind)

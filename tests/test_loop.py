@@ -59,22 +59,18 @@ def test_config_validation():
     with pytest.raises(ValueError):
         base_config(active_multiplier=0.5)
     with pytest.raises(ValueError):
-        base_config(posthoc_method="platt")
+        base_config(posthoc="platt")
+    with pytest.raises(ValueError):
+        base_config(posthoc=None)
     with pytest.raises(ValueError):
         base_config(hidden=(0,))
     with pytest.raises(ValueError):
         base_config(hidden=(16, -3))
-    with pytest.raises(ValueError):
-        base_config(posthoc_method="softmax",
-                    posthoc=TopLabelBinningConfig())
-    with pytest.raises(ValueError):
-        base_config(posthoc_method="temperature", posthoc=ConfidenceNetConfig())
-    with pytest.raises(ValueError):
-        base_config(posthoc_method="top_label_hb", posthoc=ConfidenceNetConfig())
-    # matching config objects pass; methods with nothing to set take None
-    base_config(posthoc_method="temperature", posthoc=None)
-    base_config(posthoc_method="top_label_hb", posthoc=TopLabelBinningConfig())
-    base_config(posthoc_method="confidence_net", posthoc=ConfidenceNetConfig())
+    # the config's class names the method
+    assert base_config().posthoc == al.SoftmaxConfig()
+    base_config(posthoc=al.TemperatureConfig())
+    base_config(posthoc=TopLabelBinningConfig())
+    base_config(posthoc=ConfidenceNetConfig())
 
 
 @pytest.mark.parametrize("field, value", [
@@ -245,7 +241,7 @@ def test_fit_round_zero_tolerance_thresholds_have_zero_group_error():
 @pytest.mark.parametrize("method", tuple(al.loop.POSTHOC_CONFIGS))
 def test_round_runs_the_classifier_once_per_set(monkeypatch, tmp_path, method):
     pool_ds, val = overlapping_world()
-    cfg = base_config(posthoc_method=method)
+    cfg = base_config(posthoc=al.loop.POSTHOC_CONFIGS[method]())
     seed_set = label_everything(pool_ds).take(range(30))
     pool = al.Pool.full(pool_ds)
     calls = []
@@ -365,7 +361,7 @@ def test_final_error_is_the_auto_label_mismatch_rate():
 
 def test_loop_deterministic_reports():
     pool_ds, val = overlapping_world()
-    cfg = base_config(posthoc_method="temperature", master_seed=17)
+    cfg = base_config(posthoc=al.TemperatureConfig(), master_seed=17)
     r1 = al.run_tbal(cfg, pool_ds, val)
     r2 = al.run_tbal(cfg, pool_ds, val)
     assert r1.to_jsonable() == r2.to_jsonable()
@@ -375,7 +371,8 @@ def test_seed_query_independent_of_posthoc_method():
     pool_ds, val = overlapping_world()
     reports = {}
     for method in ("softmax", "temperature"):
-        cfg = base_config(posthoc_method=method, master_seed=23)
+        cfg = base_config(posthoc=al.loop.POSTHOC_CONFIGS[method](),
+                          master_seed=23)
         rep = al.run_tbal(cfg, pool_ds, val)
         seed_ids = rep.output.indices[(rep.output.sources == "human")
                                       & (rep.output.rounds == 0)]
@@ -450,7 +447,7 @@ def test_round_log_and_report_serialization(tmp_path):
     assert len(doc["output"]["ids"]) == len(report.output)
     # infinite thresholds serialize as nulls and come back as inf
     tv = thresholds_from_jsonable(doc["rounds"][0]["thresholds"])
-    assert tv.num_classes == 4
+    assert tv.values.shape == (4,)
 
 
 def reference_dump_report(report, path):

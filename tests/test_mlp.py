@@ -8,10 +8,11 @@ from autolabel.mlp import (
     _backprop,
     _backprop_work,
     _batch_dlogits,
+    _dlogits_work,
     init_mlp,
 )
 from autolabel.thresholds import predicted_scores
-from numcheck import central_difference, relative_error
+from numcheck import backprop_scratch, central_difference, relative_error
 
 from conftest import four_blobs, label_everything
 from oracles import batch_loss
@@ -204,7 +205,8 @@ def test_backprop_matches_finite_differences_through_network():
         X = rng.normal(0, 1, size=(6, 3))
         y = rng.integers(0, 3, size=6)
         kind = "squentropy" if trial % 2 else "vanilla"
-        grads_w, grads_b = _backprop(model, X, np.eye(3)[y], kind)
+        grads_w, grads_b = _backprop(model, X, np.eye(3)[y], kind,
+                                     *backprop_scratch(model, X))
         for li in range(2):
             def f_w(w, li=li):
                 trial_model = al.MlpClassifier(
@@ -225,30 +227,34 @@ def test_backprop_matches_finite_differences_through_network():
 
 def test_backprop_work_buffers_give_the_same_bits():
     # float32 as in training; a batch of 16 and a short one of 5, each with
-    # scratch made for its size, as in a fit's batch plan
+    # scratch made for its size, as in a fit's batch plan, and reused for a
+    # second batch as over a fit's steps: the bits are those of fresh scratch
     rng = np.random.default_rng(11)
     for kind, dims in itertools.product(("vanilla", "squentropy"),
                                         ([3, 7, 4], [6, 9, 5, 3])):
         model = init_mlp(dims, seed=len(dims))
         for mb in (16, 5):
             work = _backprop_work(model, mb, np.float32)
-            X = rng.normal(0, 1, size=(mb, dims[0])).astype(np.float32)
-            Y = np.eye(dims[-1], dtype=np.float32)[
-                rng.integers(0, dims[-1], size=mb)]
-            X_before, Y_before = X.copy(), Y.copy()
-            params_before = [a.copy() for a in model.weights + model.biases]
-            want_w, want_b = _backprop(model, X, Y, kind)
             out = ([np.empty_like(w) for w in model.weights],
                    [np.empty_like(b) for b in model.biases])
-            got = _backprop(model, X, Y, kind, out=out, work=work)
-            assert got[0] is out[0] and got[1] is out[1]
-            for a, b in zip(got[0] + got[1], want_w + want_b):
-                assert a.dtype == b.dtype == np.float32
-                assert np.array_equal(a, b), (kind, dims, mb)
-            assert np.array_equal(X, X_before)
-            assert np.array_equal(Y, Y_before)
-            for a, b in zip(model.weights + model.biases, params_before):
-                assert np.array_equal(a, b)
+            for step in range(2):
+                X = rng.normal(0, 1, size=(mb, dims[0])).astype(np.float32)
+                Y = np.eye(dims[-1], dtype=np.float32)[
+                    rng.integers(0, dims[-1], size=mb)]
+                X_before, Y_before = X.copy(), Y.copy()
+                params_before = [a.copy()
+                                 for a in model.weights + model.biases]
+                want_w, want_b = _backprop(model, X, Y, kind,
+                                           *backprop_scratch(model, X))
+                got = _backprop(model, X, Y, kind, out=out, work=work)
+                assert got[0] is out[0] and got[1] is out[1]
+                for a, b in zip(got[0] + got[1], want_w + want_b):
+                    assert a.dtype == b.dtype == np.float32
+                    assert np.array_equal(a, b), (kind, dims, mb, step)
+                assert np.array_equal(X, X_before)
+                assert np.array_equal(Y, Y_before)
+                for a, b in zip(model.weights + model.biases, params_before):
+                    assert np.array_equal(a, b)
 
 
 def test_batch_dlogits_leaves_its_logits_untouched():
@@ -258,7 +264,7 @@ def test_batch_dlogits_leaves_its_logits_untouched():
         logits = rng.normal(0, 3, size=(9, 4)).astype(dtype)
         Y = np.eye(4, dtype=dtype)[rng.integers(0, 4, size=9)]
         before, Y_before = logits.copy(), Y.copy()
-        d = _batch_dlogits(logits, Y, kind)
+        d = _batch_dlogits(logits, Y, kind, _dlogits_work(9, 4, dtype))
         assert d.dtype == dtype and not np.shares_memory(d, logits)
         assert np.array_equal(logits, before)
         assert np.array_equal(Y, Y_before)

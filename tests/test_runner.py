@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 
@@ -229,7 +230,6 @@ def test_select_tie_break_is_seeded():
 
 def test_apply_combos():
     base = al.TbalConfig(train_budget=20, seed_size=10, query_batch=5,
-                         posthoc_method="top_label_hb",
                          posthoc=al.TopLabelBinningConfig())
     trained = _apply_train_combo(base, {"learning_rate": 0.5, "max_epochs": 3})
     assert trained.train.learning_rate == 0.5
@@ -237,9 +237,9 @@ def test_apply_combos():
     assert base.train.learning_rate == 0.01
     tuned = _apply_posthoc_combo(trained, {"points_per_bin": 7})
     assert tuned.posthoc.points_per_bin == 7
-    # only a method with searchable keys reaches the post-hoc phase
+    # a key the method's config lacks is never applied
     soft = al.TbalConfig(train_budget=20, seed_size=10, query_batch=5)
-    with pytest.raises(ValueError, match="posthoc config required"):
+    with pytest.raises(TypeError, match="points_per_bin"):
         _apply_posthoc_combo(soft, {"points_per_bin": 7})
 
 
@@ -261,6 +261,22 @@ def test_first_round_eval_runs_the_classifier_once_over_hyp(
     _first_round_eval(cfg.tbal, pool_ds, val, hyp, 3)
     assert sum(c.shape == hyp.features.shape
                and np.array_equal(c, hyp.features) for c in calls) == 1
+
+
+def test_first_round_eval_scores_the_runs_first_round(tmp_path):
+    # the search scores the first round a run with the same seed makes
+    cfg = experiment(OVERLAPPING, tmp_path)
+    pool_ds, val, hyp = materialize_dataset(cfg)
+    for seed in (3, 8):
+        models = {}
+        report = al.run_tbal(
+            dataclasses.replace(cfg.tbal, master_seed=seed), pool_ds, val,
+            round_hook=lambda i, model, *_: models.setdefault(i, model))
+        cov, err = al.empirical_metrics(al.SoftmaxConfidence(),
+                                        report.rounds[0].thresholds,
+                                        models[1], hyp)
+        assert _first_round_eval(cfg.tbal, pool_ds, val, hyp, seed) == (
+            cov, 0.0 if err is None else err)
 
 
 def hpo_experiment(tmp_path, name="hpo", method="top_label_hb"):

@@ -20,7 +20,7 @@ from oracles import thresholds_from_jsonable
 
 def test_threshold_vector_accepts_inf_rejects_out_of_range():
     tv = al.ThresholdVector(np.array([0.5, np.inf, 0.0, 1.0]))
-    assert tv.num_classes == 4
+    assert tv.values.shape == (4,)
     with pytest.raises(ValueError):
         al.ThresholdVector(np.array([-0.1, 0.5]))
     with pytest.raises(ValueError):
