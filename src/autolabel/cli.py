@@ -31,6 +31,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _load(args):
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be at least 0, got {args.seed}")
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=args.seed)

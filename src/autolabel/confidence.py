@@ -1,10 +1,9 @@
 """Confidence functions over a trained classifier's representations.
 
 A confidence function is a post-hoc map from a batch's classifier outputs --
-its logits and its penultimate activations -- to per-class score vectors. It
-never runs the classifier itself: ``thresholds.predicted_scores`` runs one
-forward pass per set and hands the representations to ``scores``. Four
-variants:
+its logits and its penultimate activations -- to per-class score vectors.
+Neither it nor its fit runs the classifier: both read a round's one forward
+pass over its validation set, the fit only the calibration rows. Variants:
 
 * softmax response        -- the classifier's own softmax, no fitting
 * temperature scaling     -- softmax of logits / T, T fit at the calibration
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledSet
-from .mlp import MlpClassifier, _check_fields, _flat_views, softmax
+from .mlp import _check_fields, _flat_views, softmax
 from .rng import stream
 
 
@@ -111,8 +110,8 @@ class TopLabelHistogramConfidence(ConfidenceModel):
 LOG_T_BOUNDS = (-5.0, 5.0)
 
 
-def fit_temperature(h: MlpClassifier,
-                    d_cal: LabeledSet) -> TemperatureConfidence:
+def fit_temperature(logits: np.ndarray,
+                    labels: np.ndarray) -> TemperatureConfidence:
     """Fit T at the minimum of the mean calibration NLL of softmax(logits / T).
 
     One bounded scalar solve over log T on ``LOG_T_BOUNDS``. T = 1 is
@@ -122,10 +121,10 @@ def fit_temperature(h: MlpClassifier,
     # imported here, so runs with the other three methods never load scipy
     from scipy.optimize import minimize_scalar
 
-    if len(d_cal) == 0:
+    if len(labels) == 0:
         raise ValueError("empty calibration set")
-    logits = np.asarray(h.logits(d_cal.features), dtype=np.float64)
-    label_logits = logits[np.arange(len(d_cal)), d_cal.labels]
+    logits = np.asarray(logits, dtype=np.float64)
+    label_logits = logits[np.arange(len(labels)), labels]
     row_max = logits.max(axis=1)
 
     def nll(theta: float) -> float:
@@ -141,7 +140,7 @@ def fit_temperature(h: MlpClassifier,
     return TemperatureConfidence(float(np.exp(theta)))
 
 
-def fit_top_label_hb(h: MlpClassifier, d_cal: LabeledSet,
+def fit_top_label_hb(logits: np.ndarray, labels: np.ndarray,
                      points_per_bin: int) -> TopLabelHistogramConfidence:
     """Build per-class uniform-mass bins from calibration data.
 
@@ -151,18 +150,17 @@ def fit_top_label_hb(h: MlpClassifier, d_cal: LabeledSet,
     """
     if points_per_bin < 1:
         raise ValueError("points_per_bin must be >= 1")
-    if len(d_cal) < points_per_bin:
+    if len(labels) < points_per_bin:
         raise ValueError(
             f"need at least points_per_bin={points_per_bin} calibration points"
         )
-    logits = h.logits(d_cal.features)
     probs = softmax(logits)
     preds = np.argmax(logits, axis=1)
-    correct = (preds == d_cal.labels).astype(np.float64)
+    correct = (preds == labels).astype(np.float64)
     boundaries: dict = {}
     values: dict = {}
     fallback = []
-    for y in range(h.num_classes):
+    for y in range(logits.shape[1]):
         mask = preds == y
         m = int(mask.sum())
         if m == 0:
@@ -333,7 +331,8 @@ def objective_grad(params: ConfidenceNetParams, Z: np.ndarray,
     return value, out
 
 
-def fit_confidence_net(h: MlpClassifier, d_cal: LabeledSet,
+def fit_confidence_net(logits: np.ndarray, penultimate: np.ndarray,
+                       labels: np.ndarray,
                        cfg: ConfidenceNetConfig) -> ConfidenceNet:
     """Optimize the smoothed objective with Adam; returns the fitted net.
 
@@ -350,15 +349,14 @@ def fit_confidence_net(h: MlpClassifier, d_cal: LabeledSet,
     computed in two more, with the float32 operations of the per-tensor
     update in the same order.
     """
-    if len(d_cal) == 0:
+    if len(labels) == 0:
         raise ValueError("empty calibration set")
-    k = h.num_classes
-    logits, penultimate = h.representations(d_cal.features)
     Z = np.asarray(np.concatenate([logits, penultimate], axis=1),
                    dtype=np.float32)
     preds = np.argmax(logits, axis=1)
-    wrong = (preds != d_cal.labels)
-    init = init_confidence_net_params(k, h.penultimate_dim, cfg.seed)
+    wrong = (preds != labels)
+    init = init_confidence_net_params(logits.shape[1], penultimate.shape[1],
+                                      cfg.seed)
     # Adam steps once over the flat W1|W2|t_raw buffer; decay hits W1|W2 only
     shapes = (init.W1.shape, init.W2.shape, init.t_raw.shape)
     theta = np.concatenate([init.W1.ravel(), init.W2.ravel(), init.t_raw])

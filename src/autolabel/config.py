@@ -55,6 +55,30 @@ _REQUIRED = object()
 _ABSENT = object()
 
 
+def _number(val, path: str, integer=False, lo=None, hi=None):
+    """``val``, the JSON value at ``path``, as an int for an integer key
+    and a float otherwise.
+
+    A bool is not a number. json.load reads NaN, +-Infinity and integer
+    literals of any size; for a float key each of these is a RangeError.
+    """
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise TypeMismatchError(f"{path}: expected a number")
+    if integer and not isinstance(val, int):
+        raise TypeMismatchError(f"{path}: expected an integer")
+    if not integer:
+        try:
+            val = float(val)
+        except OverflowError:
+            raise RangeError(f"{path}: integer too large for a float") from None
+        if not math.isfinite(val):
+            # NaN fails no comparison, so the range check would pass it
+            raise RangeError(f"{path}: value {val} is not finite")
+    if lo is not None and val < lo or hi is not None and val > hi:
+        raise RangeError(f"{path}: value {val} outside [{lo}, {hi}]")
+    return val
+
+
 class _Section:
     """One JSON object being consumed key by key."""
 
@@ -78,18 +102,7 @@ class _Section:
         val, present = self._fetch(key, default)
         if not present:
             return val
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise TypeMismatchError(f"{self.path}.{key}: expected a number")
-        if integer and not isinstance(val, int):
-            raise TypeMismatchError(f"{self.path}.{key}: expected an integer")
-        if isinstance(val, float) and not math.isfinite(val):
-            # json.load reads NaN and +-Infinity, and NaN fails no comparison
-            raise RangeError(f"{self.path}.{key}: value {val} is not finite")
-        if lo is not None and val < lo or hi is not None and val > hi:
-            raise RangeError(
-                f"{self.path}.{key}: value {val} outside [{lo}, {hi}]"
-            )
-        return int(val) if integer else float(val)
+        return _number(val, f"{self.path}.{key}", integer, lo, hi)
 
     def string(self, key, default=_REQUIRED, choices=None):
         val, present = self._fetch(key, default)
@@ -111,26 +124,8 @@ class _Section:
             raise TypeMismatchError(
                 f"{self.path}.{key}: expected a non-empty list"
             )
-        out = []
-        for i, v in enumerate(val):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise TypeMismatchError(
-                    f"{self.path}.{key}[{i}]: expected a number"
-                )
-            if integer and not isinstance(v, int):
-                raise TypeMismatchError(
-                    f"{self.path}.{key}[{i}]: expected an integer"
-                )
-            if isinstance(v, float) and not math.isfinite(v):
-                raise RangeError(
-                    f"{self.path}.{key}[{i}]: value {v} is not finite"
-                )
-            if lo is not None and v < lo:
-                raise RangeError(
-                    f"{self.path}.{key}[{i}]: value {v} outside [{lo}, None]"
-                )
-            out.append(int(v) if integer else float(v))
-        return out
+        return [_number(v, f"{self.path}.{key}[{i}]", integer, lo)
+                for i, v in enumerate(val)]
 
     def raw(self, key, default=_REQUIRED):
         val, _ = self._fetch(key, default)
@@ -228,15 +223,9 @@ def _parse_dataset(sec: _Section, base_dir: str):
                     f"{sec.path}.means: expected {classes} lists of {dim} "
                     "numbers"
                 )
-            for i, row in enumerate(means_raw):
-                for j, v in enumerate(row):
-                    if isinstance(v, bool) or not isinstance(v, (int, float)):
-                        raise TypeMismatchError(
-                            f"{sec.path}.means[{i}][{j}]: expected a number"
-                        )
-            means = np.array(means_raw, dtype=np.float64)
-            if not np.isfinite(means).all():
-                raise RangeError(f"{sec.path}.means: values must be finite")
+            means = np.array([[_number(v, f"{sec.path}.means[{i}][{j}]")
+                                for j, v in enumerate(row)]
+                               for i, row in enumerate(means_raw)])
         sec.finish()
         return SyntheticSpec(classes, dim, means, sigma, pool_size, val_size,
                              hyp_size)

@@ -266,9 +266,9 @@ def random_query(pool: Pool, n: int, seed: int,
     return labeled, pool.without(chosen)
 
 
-def random_split(labeled: LabeledSet, fraction: float,
-                 seed: int) -> tuple[LabeledSet, LabeledSet]:
-    """Split a labeled set into (first, second) parts.
+def random_split(m: int, fraction: float,
+                 seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split positions 0..m-1 into (first, second) ascending parts.
 
     ``fraction`` is the share of points in the first part, rounded to the
     nearest integer but clamped so both parts are non-empty. Requires at least
@@ -276,7 +276,6 @@ def random_split(labeled: LabeledSet, fraction: float,
     """
     if not (0.0 < fraction < 1.0):
         raise ValueError("fraction must lie strictly between 0 and 1")
-    m = len(labeled)
     if m < 2:
         raise ValueError("need at least 2 points to split")
     size = int(np.floor(fraction * m + 0.5))
@@ -285,7 +284,7 @@ def random_split(labeled: LabeledSet, fraction: float,
     perm = rng.permutation(m)
     first = np.sort(perm[:size])
     second = np.sort(perm[size:])
-    return labeled.take(first), labeled.take(second)
+    return first, second
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +412,8 @@ def _load_idx(path: str, num_classes, labels_path=None) -> Dataset:
         raise RowCountMismatchError(
             f"{feats.shape[0]} images but {labels.shape[0]} labels"
         )
+    if not labels.size:
+        raise DataFormatError("idx pair holds no items")
     k = int(num_classes) if num_classes else int(labels.max()) + 1
     return Dataset(feats, labels, k)
 

@@ -8,6 +8,10 @@ its class threshold, drop validation points in that same region, then spend
 the next slice of the human budget on uncertain pool points. Rounds repeat
 until the pool empties or the train-label budget is spent.
 
+A round runs the classifier once per set: one pass over validation feeds
+the post-hoc fit, the thresholds, the filter and the score dump, and one
+over the pool feeds the selection and the query.
+
 All randomness flows from the config's master seed through per-(round,
 purpose) child streams, so runs are bit-reproducible and changing, say, the
 post-hoc method never perturbs the query draws.
@@ -167,16 +171,15 @@ class TbalReport:
 # per-round pieces
 
 
-def auto_label_select(g, t: ThresholdVector, h, pool: Pool,
-                      round_index: int) -> tuple[LabeledSet, Pool]:
+def auto_label_select(t: ThresholdVector, pool: Pool, top: np.ndarray,
+                      preds: np.ndarray, round_index: int):
     """Label-and-remove every pool point whose confidence clears its threshold.
 
-    Selected points receive the classifier's prediction as their label, tagged
-    source "auto".
+    ``top, preds`` are ``predicted_scores`` of ``pool``'s rows. Selected
+    points receive the classifier's prediction as their label, tagged source
+    "auto". Returns (auto-labeled set, pool left, mask of ``pool``'s rows
+    left).
     """
-    if pool.size == 0:
-        return LabeledSet.empty(pool.dataset), pool
-    top, preds = predicted_scores(g, h, pool.features)
     sel = top >= t.per_point(preds)
     chosen = pool.active[sel]
     labeled = LabeledSet(
@@ -186,7 +189,7 @@ def auto_label_select(g, t: ThresholdVector, h, pool: Pool,
         sources=np.full(chosen.shape, "auto", dtype="<U5"),
         rounds=np.full(chosen.shape, round_index, dtype=np.int64),
     )
-    return labeled, pool.without(chosen)
+    return labeled, pool.without(chosen), ~sel
 
 
 def filter_validation(t: ThresholdVector, val: LabeledSet, top: np.ndarray,
@@ -198,17 +201,18 @@ def filter_validation(t: ThresholdVector, val: LabeledSet, top: np.ndarray,
     return val.take(np.flatnonzero(top < t.per_point(preds)))
 
 
-def active_query(h, pool: Pool, n_b: int, C: float, seed: int,
-                 round_index: int) -> tuple[LabeledSet, Pool]:
+def active_query(logits: np.ndarray, pool: Pool, n_b: int, C: float,
+                 seed: int, round_index: int) -> tuple[LabeledSet, Pool]:
     """Margin-random querying: sample n_b points among the C*n_b least-margin.
 
+    ``logits`` are the classifier's logits of ``pool``'s rows, in its order.
     Margins always come from the classifier's raw softmax, whatever post-hoc
     confidence the round used. Ties in margin break by pool index so the
     candidate set is deterministic.
     """
     if pool.size == 0:
         raise ValueError("cannot query an empty pool")
-    margins = margin_scores(softmax(h.logits(pool.features)))
+    margins = margin_scores(softmax(logits))
     n_cand = min(int(C * n_b + 1e-9), pool.size)
     order = np.lexsort((pool.active, margins))
     candidates = pool.active[order[:n_cand]]
@@ -220,28 +224,29 @@ def active_query(h, pool: Pool, n_b: int, C: float, seed: int,
     return labeled, pool.without(chosen)
 
 
-def fit_posthoc(cfg, model, d_cal: LabeledSet, seed: int):
+def fit_posthoc(cfg, logits: np.ndarray, penultimate: np.ndarray,
+                labels: np.ndarray, seed: int):
     """Fit the confidence function the class of ``cfg`` names on
     calibration data.
 
-    Returns (model_g, warning-or-None). Softmax fits nothing and never runs
-    the classifier. When histogram binning lacks enough calibration points
-    it degrades to raw softmax with a warning instead of aborting the run.
+    Returns (model_g, warning-or-None). Softmax fits nothing. When
+    histogram binning lacks enough calibration points it degrades to raw
+    softmax with a warning instead of aborting the run.
     """
     if isinstance(cfg, SoftmaxConfig):
         return SoftmaxConfidence(), None
     if isinstance(cfg, TemperatureConfig):
-        return fit_temperature(model, d_cal), None
+        return fit_temperature(logits, labels), None
     if isinstance(cfg, TopLabelBinningConfig):
-        if len(d_cal) < cfg.points_per_bin:
+        if len(labels) < cfg.points_per_bin:
             return SoftmaxConfidence(), (
-                f"calibration set ({len(d_cal)}) smaller than points_per_bin "
+                f"calibration set ({len(labels)}) smaller than points_per_bin "
                 f"({cfg.points_per_bin}); using raw softmax this round"
             )
-        return fit_top_label_hb(model, d_cal, cfg.points_per_bin), None
+        return fit_top_label_hb(logits, labels, cfg.points_per_bin), None
     if isinstance(cfg, ConfidenceNetConfig):
         cfg = dataclasses.replace(cfg, seed=seed)
-        return fit_confidence_net(model, d_cal, cfg), None
+        return fit_confidence_net(logits, penultimate, labels, cfg), None
     raise ValueError(f"unknown posthoc config {type(cfg).__name__}")
 
 
@@ -259,18 +264,24 @@ def fit_round(cfg: TbalConfig, d_train: LabeledSet, val: LabeledSet,
               round_index: int, dims):
     """Train + split + fit confidence + estimate thresholds for one round.
 
-    Returns (model, g, thresholds, d_cal, d_th, warning-or-None). Shared by
-    the main loop and by first-round-only hyperparameter search.
+    Returns (model, g, thresholds, top, preds, cal, th, warning-or-None):
+    ``top, preds`` are ``predicted_scores`` of ``val``'s one pass, and the
+    calibration and threshold halves are its row positions ``cal, th``.
+    Shared by the main loop and by first-round-only hyperparameter search.
     """
     train_cfg = dataclasses.replace(
         cfg.train, seed=child_seed(cfg.master_seed, round_index, "train"))
     model = train_model(train_cfg, d_train, dims)
-    d_cal, d_th = random_split(
-        val, cfg.cal_fraction, child_seed(cfg.master_seed, round_index, "split"))
-    g, warning = fit_posthoc(cfg.posthoc, model, d_cal,
+    logits, penultimate = model.representations(val.features)
+    cal, th = random_split(len(val), cfg.cal_fraction,
+                           child_seed(cfg.master_seed, round_index, "split"))
+    g, warning = fit_posthoc(cfg.posthoc, logits[cal], penultimate[cal],
+                             val.labels[cal],
                              child_seed(cfg.master_seed, round_index, "posthoc"))
-    t_hat = estimate_thresholds(g, model, d_th, cfg.thresholds)
-    return model, g, t_hat, d_cal, d_th, warning
+    top, preds = predicted_scores(g, logits, penultimate)
+    t_hat = estimate_thresholds(top[th], preds[th], val.take(th),
+                                cfg.thresholds)
+    return model, g, t_hat, top, preds, cal, th, warning
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +295,8 @@ def run_tbal(cfg: TbalConfig, pool_data: Dataset, d_val: LabeledSet,
     ``round_hook(round_index, model, val, top, preds)``, when given, observes
     each round before validation is filtered (used by the runner to dump
     per-round score files); ``top, preds`` are ``predicted_scores`` of
-    ``val``, the one pass the filter also uses. It must not mutate anything.
+    ``val``, the one pass the thresholds and the filter also use. It must
+    not mutate anything.
     """
     if cfg.seed_size > pool_data.n:
         raise ValueError("seed_size exceeds pool size")
@@ -304,18 +316,20 @@ def run_tbal(cfg: TbalConfig, pool_data: Dataset, d_val: LabeledSet,
                 f"round {i}: validation exhausted ({len(val)} point(s) left); "
                 "stopping with pool unlabeled")
             break
-        model, g, t_hat, d_cal, d_th, warn = fit_round(cfg, d_train, val, i, dims)
+        model, g, t_hat, val_top, val_preds, cal, th, warn = fit_round(
+            cfg, d_train, val, i, dims)
         if warn:
             warnings.append(f"round {i}: {warn}")
-        val_top, val_preds = predicted_scores(g, model, val.features)
         if round_hook is not None:
             round_hook(i, model, val, val_top, val_preds)
         pool_before = pool.size
-        auto_set, pool = auto_label_select(g, t_hat, model, pool, i)
+        logits, penultimate = model.representations(pool.features)
+        auto_set, pool, left = auto_label_select(
+            t_hat, pool, *predicted_scores(g, logits, penultimate), i)
         val = filter_validation(t_hat, val, val_top, val_preds)
         if pool.size > 0:
             query, pool = active_query(
-                model, pool, cfg.query_batch, cfg.active_multiplier,
+                logits[left], pool, cfg.query_batch, cfg.active_multiplier,
                 child_seed(cfg.master_seed, i, "active"), round_index=i)
         else:
             query = LabeledSet.empty(pool_data)
@@ -330,8 +344,8 @@ def run_tbal(cfg: TbalConfig, pool_data: Dataset, d_val: LabeledSet,
             round_index=i,
             n_train=len(d_train),
             n_val=len(val),
-            n_cal=len(d_cal),
-            n_th=len(d_th),
+            n_cal=len(cal),
+            n_th=len(th),
             thresholds=t_hat,
             n_auto=len(auto_set),
             n_queried=len(query),

@@ -98,10 +98,6 @@ class MlpClassifier:
     def num_classes(self) -> int:
         return self.weights[-1].shape[1]
 
-    @property
-    def penultimate_dim(self) -> int:
-        return self.weights[-1].shape[0]
-
     # ------------------------------------------------------------------
     # inference
 
@@ -126,9 +122,6 @@ class MlpClassifier:
         logits = A @ self.weights[-1]
         logits += self.biases[-1]
         return logits, A
-
-    def logits(self, X: np.ndarray) -> np.ndarray:
-        return self.representations(X)[0]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

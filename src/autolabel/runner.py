@@ -41,7 +41,7 @@ from .loop import (
     seed_query,
 )
 from .rng import child_seed
-from .thresholds import empirical_metrics
+from .thresholds import empirical_metrics, predicted_scores
 
 
 class OutputExistsError(RuntimeError):
@@ -197,8 +197,9 @@ def _first_round_eval(tbal_cfg: TbalConfig, pool_ds: Dataset,
     """Seed-query + one fit round, scored on the held-out hyp split."""
     cfg = dataclasses.replace(tbal_cfg, master_seed=run_seed)
     seed_set, _, dims = seed_query(cfg, pool_ds)
-    model, g, t_hat, _, _, _ = fit_round(cfg, seed_set, val, 1, dims)
-    cov, err = empirical_metrics(g, t_hat, model, hyp)
+    model, g, t_hat, *_ = fit_round(cfg, seed_set, val, 1, dims)
+    top, preds = predicted_scores(g, *model.representations(hyp.features))
+    cov, err = empirical_metrics(t_hat, top, preds, hyp.labels)
     # an empty selection shows zero mistakes; it still loses on coverage
     return cov, 0.0 if err is None else err
 

@@ -88,35 +88,32 @@ class ThresholdConfig:
         object.__setattr__(self, "grid", g)
 
 
-def predicted_scores(g, h, X: np.ndarray):
-    """(score of the predicted class, predictions) for the rows of X.
-
-    The one place a confidence function meets the classifier: one forward
-    pass gives the logits and penultimate activations, the predictions are
-    the logits' argmax (ties to the lowest index), and ``g`` scores the same
-    representations.
+def predicted_scores(g, logits: np.ndarray, penultimate: np.ndarray):
+    """(score of the predicted class, predictions) of the classifier's
+    ``representations`` of a set: the predictions are the logits' argmax
+    (ties to the lowest index), and ``g`` scores the same rows.
     """
-    logits, penultimate = h.representations(X)
     preds = np.argmax(logits, axis=1)
     top = g.scores(logits, penultimate)[np.arange(preds.shape[0]), preds]
     return top, preds
 
 
-def empirical_metrics(g, t: ThresholdVector, h, labeled: LabeledSet):
+def empirical_metrics(t: ThresholdVector, top: np.ndarray, preds: np.ndarray,
+                      labels: np.ndarray):
     """(coverage, error among selected points) of thresholding at t.
 
+    ``top, preds`` are ``predicted_scores`` of the rows ``labels`` labels.
     Coverage is the fraction of points whose predicted-class confidence
     clears its class threshold; the error is None when nothing is selected.
     """
-    if len(labeled) == 0:
+    if top.shape[0] == 0:
         raise ValueError("empty set")
-    top, preds = predicted_scores(g, h, labeled.features)
     sel = top >= t.per_point(preds)
     coverage = float(np.mean(sel))
     m = int(sel.sum())
     if m == 0:
         return coverage, None
-    return coverage, float((labeled.labels != preds)[sel].sum() / m)
+    return coverage, float((labels != preds)[sel].sum() / m)
 
 
 def std_estimate(err_hat, m):
@@ -172,20 +169,19 @@ def select_class_threshold(top: np.ndarray, wrong: np.ndarray,
     return float(cfg.grid[ok][np.argmax(passes)])
 
 
-def estimate_thresholds(g, h, d_th: LabeledSet,
+def estimate_thresholds(top: np.ndarray, preds: np.ndarray, d_th: LabeledSet,
                         cfg: ThresholdConfig) -> ThresholdVector:
     """Per-class thresholds from held-out labeled data.
 
-    Points are grouped per cfg.group_by; each class picks the smallest grid
-    threshold whose in-group coverage reaches coverage_floor and whose
-    safety-padded error estimate stays within eps_a. Classes with no
-    qualifying threshold (including empty groups) get +inf and auto-label
-    nothing.
+    ``top, preds`` are ``predicted_scores`` of ``d_th``'s rows. Points are
+    grouped per cfg.group_by; each class picks the smallest grid threshold
+    whose in-group coverage reaches coverage_floor and whose safety-padded
+    error estimate stays within eps_a. Classes with no qualifying threshold
+    (including empty groups) get +inf and auto-label nothing.
     """
     if len(d_th) == 0:
         raise ValueError("empty threshold-estimation set")
     k = d_th.dataset.num_classes
-    top, preds = predicted_scores(g, h, d_th.features)
     wrong = d_th.labels != preds
     group_key = d_th.labels if cfg.group_by == "true_label" else preds
     out = np.full(k, np.inf)

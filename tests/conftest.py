@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import autolabel as al
+from autolabel.thresholds import predicted_scores
 
 CROSS_MEANS = np.array([[3.0, 0.0], [0.0, 3.0], [-3.0, 0.0], [0.0, -3.0]])
 
@@ -37,6 +38,24 @@ class FixedScores:
 
     def scores(self, logits, penultimate):
         return self._scores[np.asarray(penultimate[:, 0], dtype=np.int64)]
+
+
+def scored(g, h, X):
+    """``predicted_scores`` of ``g`` on one ``representations`` pass of h
+    over the rows of X."""
+    return predicted_scores(g, *h.representations(X))
+
+
+def metrics_on(g, t, h, labeled):
+    """``empirical_metrics`` at t of ``g``'s scores of ``labeled``."""
+    return al.empirical_metrics(t, *scored(g, h, labeled.features),
+                                labeled.labels)
+
+
+def thresholds_on(g, h, labeled, cfg):
+    """``estimate_thresholds`` on ``g``'s scores of ``labeled``."""
+    return al.estimate_thresholds(*scored(g, h, labeled.features), labeled,
+                                  cfg)
 
 
 def uniform_thresholds(t, k=2):

@@ -157,7 +157,7 @@ def mc_population_metrics(g, t: ThresholdVector, h, sampler, n: int,
         raise ValueError("need n >= 1 samples")
     rng = np.random.default_rng(seed)
     X, y = sampler(rng, n)
-    top, preds = predicted_scores(g, h, X)
+    top, preds = predicted_scores(g, *h.representations(X))
     sel = top >= t.per_point(preds)
     m = int(sel.sum())
     cov = m / n
@@ -208,7 +208,7 @@ def surrogate_metrics(g, t: ThresholdVector, h, labeled, alpha: float,
     """
     if len(labeled) == 0:
         raise ValueError("empty set")
-    top, preds = predicted_scores(g, h, labeled.features)
+    top, preds = predicted_scores(g, *h.representations(labeled.features))
     u = sigmoid(alpha, top - t.per_point(preds))
     wrong = labeled.labels != preds
     return (float(np.mean(u)),

@@ -48,7 +48,14 @@ from numcheck import (
 )
 from autolabel.rng import child_seed
 
-from conftest import FixedModel, FixedScores, indexed_set, uniform_thresholds
+from conftest import (
+    FixedModel,
+    FixedScores,
+    indexed_set,
+    metrics_on,
+    thresholds_on,
+    uniform_thresholds,
+)
 from oracles import (
     TOY_ALPHAS,
     TOY_T_SWEEP,
@@ -84,7 +91,7 @@ def test_estimators_equal_bruteforce_on_1000_instances():
         selected = [scores[i, preds[i]] >= tvec.values[preds[i]]
                     for i in range(n)]
         m = sum(selected)
-        cov, got = al.empirical_metrics(g, tvec, h, labeled)
+        cov, got = metrics_on(g, tvec, h, labeled)
         assert cov == m / n
         wrong_sel = sum(1 for i in range(n)
                         if selected[i] and preds[i] != true[i])
@@ -135,7 +142,7 @@ def test_threshold_selection_equals_exhaustive_scan_on_1000_instances():
         )
         labeled = indexed_set(true, k)
         h, g = FixedModel(preds), FixedScores(scores)
-        t_hat = al.estimate_thresholds(g, h, labeled, cfg)
+        t_hat = thresholds_on(g, h, labeled, cfg)
 
         top = scores[np.arange(n), preds]
         wrong = preds != true
@@ -187,7 +194,7 @@ def test_every_analytic_gradient_matches_finite_differences():
             def loss_at(v):
                 parts = _flat_views(v, [a.shape for a in tensors])
                 net = al.MlpClassifier(parts[:depth + 1], parts[depth + 1:])
-                return batch_loss(net.logits(X), y, kind)
+                return batch_loss(net.representations(X)[0], y, kind)
 
             numeric = central_difference(loss_at, flat.copy())
             analytic = np.concatenate([a.ravel() for a in grads_w + grads_b])
@@ -335,7 +342,8 @@ def run_mixture(posthoc, r):
 
     def hook(i, model, *_):
         if i == 1 and "acc" not in box:
-            preds = np.argmax(model.logits(pool_ds.features), axis=1)
+            preds = np.argmax(model.representations(pool_ds.features)[0],
+                              axis=1)
             box["acc"] = float(np.mean(preds == pool_ds.hidden_labels))
 
     cfg = al.TbalConfig(
@@ -494,8 +502,8 @@ def test_bundled_digits_parity_and_error_control():
 
             def hook(i, model, *_):
                 if i == 1 and "acc" not in box:
-                    preds = np.argmax(model.logits(pool_ds.features),
-                                      axis=1)
+                    logits, _ = model.representations(pool_ds.features)
+                    preds = np.argmax(logits, axis=1)
                     box["acc"] = float(np.mean(preds == pool_ds.hidden_labels))
 
             cfg = single_round_config(posthoc, 150, r)

@@ -38,7 +38,8 @@ def test_tracer_finds_and_counts_every_fit_target():
     try:
         assert tracer.missing == []
         h = al.mlp.train_model(train, labeled, [2, 6, 4])
-        fit_confidence_net(h, labeled, net)
+        fit_confidence_net(*h.representations(labeled.features),
+                           labeled.labels, net)
     finally:
         restore()
     assert (al.mlp.train_model, al.confidence.objective_grad,

@@ -144,6 +144,25 @@ def test_non_finite_config_number_exit_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_integer_beyond_float_range_exit_1(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    text = open(cfg).read().replace('"sigma": 0.6', '"sigma": 1' + "0" * 400)
+    (tmp_path / "exp.json").write_text(text)
+    assert main(["run", "--config", cfg]) == 1
+    assert "config.dataset.sigma: integer too large for a float" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "hpo"])
+def test_negative_seed_exit_1(tmp_path, capsys, command):
+    cfg = write_config(tmp_path)
+    assert main([command, "--config", cfg, "--seed", "-3"]) == 1
+    assert "config error: --seed must be at least 0, got -3" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

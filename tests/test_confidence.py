@@ -28,6 +28,8 @@ from conftest import (
     FixedModel,
     indexed_set,
     label_everything,
+    metrics_on,
+    scored,
     single_class_instance,
     uniform_thresholds,
 )
@@ -117,7 +119,7 @@ def test_temperature_requires_positive():
 
 
 def nll_at(h, T, labeled):
-    z = h.logits(labeled.features) / T
+    z = h.representations(labeled.features)[0] / T
     sh = z - z.max(axis=1, keepdims=True)
     lse = np.log(np.exp(sh).sum(axis=1))
     return float(np.mean(lse - sh[np.arange(len(labeled)), labeled.labels]))
@@ -125,7 +127,8 @@ def nll_at(h, T, labeled):
 
 def test_fit_temperature_never_worse_than_identity(blob_model, blobs):
     cal = label_everything(blobs)
-    tm = fit_temperature(blob_model, cal)
+    tm = fit_temperature(blob_model.representations(cal.features)[0],
+                         cal.labels)
     assert 0.5 <= tm.temperature <= 2.0
     assert nll_at(blob_model, tm.temperature, cal) <= nll_at(blob_model, 1.0,
                                                              cal) + 1e-12
@@ -137,7 +140,8 @@ def test_fit_temperature_detects_overconfidence(blob_model, blobs):
                              rng.integers(0, 4, size=blobs.n),
                              np.full(blobs.n, "human", dtype="<U5"),
                              np.zeros(blobs.n, dtype=np.int64))
-    tm = fit_temperature(blob_model, shuffled)
+    tm = fit_temperature(blob_model.representations(shuffled.features)[0],
+                         shuffled.labels)
     assert tm.temperature > 1.0
     # brute-force grid oracle agrees on the direction
     grid = [0.1, 0.2, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0]
@@ -147,7 +151,8 @@ def test_fit_temperature_detects_overconfidence(blob_model, blobs):
 
 def test_fit_temperature_empty_set(blob_model, blobs):
     with pytest.raises(ValueError):
-        fit_temperature(blob_model, al.LabeledSet.empty(blobs))
+        fit_temperature(blob_model.representations(blobs.features[:0])[0],
+                        np.zeros(0, np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +161,10 @@ def test_fit_temperature_empty_set(blob_model, blobs):
 
 def test_hb_all_correct_gives_unit_bins(blob_model, blobs):
     cal = label_everything(blobs)
-    preds = np.argmax(blob_model.logits(blobs.features), axis=1)
+    preds = np.argmax(blob_model.representations(blobs.features)[0], axis=1)
     right = cal.take(np.where(preds == blobs.hidden_labels)[0])
-    g = fit_top_label_hb(blob_model, right, points_per_bin=25)
+    g = fit_top_label_hb(blob_model.representations(right.features)[0],
+                         right.labels, points_per_bin=25)
     for y, vals in g.values.items():
         assert np.all(vals == 1.0)
 
@@ -166,7 +172,7 @@ def test_hb_all_correct_gives_unit_bins(blob_model, blobs):
 def test_hb_two_bin_hand_example(blob_model, blobs):
     # four points predicted as the same class; correctness in ascending
     # score order is (1, 0, 1, 1) -> two bins valued 0.5 and 1.0
-    probs = al.softmax(blob_model.logits(blobs.features))
+    probs = al.softmax(blob_model.representations(blobs.features)[0])
     preds = np.argmax(probs, axis=1)
     cls = np.bincount(preds).argmax()
     pos = np.where(preds == cls)[0]
@@ -177,7 +183,8 @@ def test_hb_two_bin_hand_example(blob_model, blobs):
     cal = al.LabeledSet(blobs, pos, labels.astype(np.int64),
                         np.full(4, "human", dtype="<U5"),
                         np.zeros(4, dtype=np.int64))
-    g = fit_top_label_hb(blob_model, cal, points_per_bin=2)
+    g = fit_top_label_hb(blob_model.representations(cal.features)[0],
+                         cal.labels, points_per_bin=2)
     assert np.allclose(g.values[cls], [0.5, 1.0])
     # the other classes had no calibration points and fall back to softmax
     assert set(g.fallback_classes) == {c for c in range(4) if c != cls}
@@ -189,13 +196,14 @@ def test_hb_two_bin_hand_example(blob_model, blobs):
 
 def test_hb_bin_values_bounded(blob_model, blobs):
     cal = label_everything(blobs)
-    g = fit_top_label_hb(blob_model, cal, points_per_bin=10)
+    g = fit_top_label_hb(blob_model.representations(cal.features)[0],
+                         cal.labels, points_per_bin=10)
     for vals in g.values.values():
         assert np.all((0.0 <= vals) & (vals <= 1.0))
 
 
 def test_hb_fallback_class_scores_raw_softmax(blob_model, blobs):
-    probs = al.softmax(blob_model.logits(blobs.features))
+    probs = al.softmax(blob_model.representations(blobs.features)[0])
     preds = np.argmax(probs, axis=1)
     cls = np.bincount(preds).argmax()
     other = (cls + 1) % 4
@@ -203,7 +211,8 @@ def test_hb_fallback_class_scores_raw_softmax(blob_model, blobs):
     cal = al.LabeledSet(blobs, pos, np.full(6, cls, dtype=np.int64),
                         np.full(6, "human", dtype="<U5"),
                         np.zeros(6, dtype=np.int64))
-    g = fit_top_label_hb(blob_model, cal, points_per_bin=3)
+    g = fit_top_label_hb(blob_model.representations(cal.features)[0],
+                         cal.labels, points_per_bin=3)
     assert other in g.fallback_classes
     qpos = np.where(preds == other)[0][:5]
     if qpos.size:
@@ -215,7 +224,8 @@ def test_hb_fallback_class_scores_raw_softmax(blob_model, blobs):
 def test_hb_needs_enough_points(blob_model, blobs):
     cal = label_everything(blobs).take(range(10))
     with pytest.raises(ValueError):
-        fit_top_label_hb(blob_model, cal, points_per_bin=25)
+        fit_top_label_hb(blob_model.representations(cal.features)[0],
+                         cal.labels, points_per_bin=25)
 
 
 @pytest.mark.parametrize("value, message", [
@@ -236,22 +246,15 @@ def test_hb_bins_the_predicted_class_on_float32_softmax_ties():
     assert np.argmax(al.softmax(tied)) == 0
 
     class TiedModel:
-        num_classes = 2
-
-        def logits(self, X):
-            return np.repeat(tied, len(X), axis=0)
-
         def representations(self, X):
-            return self.logits(X), X
+            return np.repeat(tied, len(X), axis=0), X
 
-    fitted = fit_top_label_hb(TiedModel(), indexed_set([1], 2),
-                              points_per_bin=1)
+    fitted = fit_top_label_hb(tied, np.array([1]), points_per_bin=1)
     assert fitted.fallback_classes == (0,)
     g = TopLabelHistogramConfidence({0: np.array([]), 1: np.array([])},
                                     {0: np.array([0.9]), 1: np.array([0.1])},
                                     ())
-    top, preds = al.thresholds.predicted_scores(g, TiedModel(),
-                                                np.zeros((1, 1)))
+    top, preds = scored(g, TiedModel(), np.zeros((1, 1)))
     assert preds.tolist() == [1]
     assert top[0] == np.float32(0.1)
 
@@ -290,7 +293,7 @@ def test_surrogate_tracks_empirical_within_exponential_bound():
         labeled, h, g = single_class_instance(tops, rng.uniform(size=n) < 0.5)
         alpha = float(rng.choice([50.0, 100.0, 500.0]))
         sur, _ = surrogate_metrics(g, uniform_thresholds(t), h, labeled, alpha)
-        emp, _ = al.empirical_metrics(g, uniform_thresholds(t), h, labeled)
+        emp, _ = metrics_on(g, uniform_thresholds(t), h, labeled)
         assert abs(sur - emp) <= np.exp(-alpha * delta) + 1e-12
 
 
@@ -328,7 +331,7 @@ def test_surrogates_reject_empty():
 
 
 def test_confidence_net_zero_weights_uniform(blob_model, blobs):
-    p = 4 + blob_model.penultimate_dim
+    p = 4 + blob_model.weights[-1].shape[0]
     params = ConfidenceNetParams(np.zeros((p, 2 * p)), np.zeros((2 * p, 4)),
                                  np.zeros(4))
     s = ConfidenceNet(params).scores(
@@ -337,8 +340,8 @@ def test_confidence_net_zero_weights_uniform(blob_model, blobs):
 
 
 def test_confidence_net_shape_validation(blob_model):
-    p = 4 + blob_model.penultimate_dim
-    good = init_confidence_net_params(4, blob_model.penultimate_dim, 0)
+    p = 4 + blob_model.weights[-1].shape[0]
+    good = init_confidence_net_params(4, blob_model.weights[-1].shape[0], 0)
     ConfidenceNet(good)
     with pytest.raises(ValueError):
         ConfidenceNet(ConfidenceNetParams(
@@ -355,10 +358,10 @@ def test_confidence_net_shape_validation(blob_model):
 
 
 def test_confidence_net_scores_concatenate_representations(blob_model, blobs):
-    params = init_confidence_net_params(4, blob_model.penultimate_dim, 0)
+    params = init_confidence_net_params(4, blob_model.weights[-1].shape[0], 0)
     z1, z2 = blob_model.representations(blobs.features[:7])
     Z = np.concatenate([z1, z2], axis=1)
-    assert Z.shape == (7, 4 + blob_model.penultimate_dim)
+    assert Z.shape == (7, 4 + blob_model.weights[-1].shape[0])
     want = al.softmax(np.tanh(Z @ params.W1) @ params.W2)
     assert np.array_equal(ConfidenceNet(params).scores(z1, z2), want)
 
@@ -460,12 +463,12 @@ def test_objective_gradients_match_finite_differences():
 def test_fit_confidence_net_on_perfect_classifier():
     ds, cal, h = mixture_1d([[-10.0], [10.0]], 80, seed=2, train_seed=3,
                             epochs=50)
-    assert np.mean(np.argmax(h.logits(ds.features), axis=1)
+    assert np.mean(np.argmax(h.representations(ds.features)[0], axis=1)
                    == ds.hidden_labels) == 1.0
     cfg = ConfidenceNetConfig(lam=100.0, alpha=1.0, seed=7, batch_size=128,
                               max_epochs=200)
     before = [w.copy() for w in h.weights] + [b.copy() for b in h.biases]
-    net = fit_confidence_net(h, cal, cfg)
+    net = fit_confidence_net(*h.representations(cal.features), cal.labels, cfg)
     after = list(h.weights) + list(h.biases)
     for a, b in zip(before, after):
         assert np.array_equal(a, b)  # classifier frozen
@@ -473,7 +476,7 @@ def test_fit_confidence_net_on_perfect_classifier():
     cov1, err1 = surrogate_metrics(net, t_prime, h, cal, cfg.alpha)
     assert err1 == 0.0
     init = ConfidenceNet(init_confidence_net_params(
-        2, h.penultimate_dim, cfg.seed))
+        2, h.weights[-1].shape[0], cfg.seed))
     cov0, _ = surrogate_metrics(init, uniform_thresholds(0.5), h, cal,
                                 cfg.alpha)
     assert cov1 > cov0
@@ -482,8 +485,8 @@ def test_fit_confidence_net_on_perfect_classifier():
 def test_fit_confidence_net_deterministic():
     ds, cal, h = mixture_1d([[-1.0], [1.0]], 60, seed=4, train_seed=5)
     cfg = ConfidenceNetConfig(seed=9, max_epochs=40)
-    n1 = fit_confidence_net(h, cal, cfg)
-    n2 = fit_confidence_net(h, cal, cfg)
+    n1 = fit_confidence_net(*h.representations(cal.features), cal.labels, cfg)
+    n2 = fit_confidence_net(*h.representations(cal.features), cal.labels, cfg)
     assert np.array_equal(n1.params.W1, n2.params.W1)
     assert np.array_equal(n1.params.W2, n2.params.W2)
     assert np.array_equal(n1.params.t_raw, n2.params.t_raw)
@@ -502,17 +505,16 @@ def test_fit_confidence_net_beats_softmax_sweep_on_overlap():
     # overlapping classes: the learned scorer should cover at least as much
     # as the best raw-softmax threshold does at the same achieved error
     ds, cal, h = mixture_1d([[-1.0], [1.0]], 200, seed=5, train_seed=1)
-    net = fit_confidence_net(
-        h, cal, ConfidenceNetConfig(lam=100.0, alpha=1.0, seed=3))
+    net = fit_confidence_net(*h.representations(cal.features), cal.labels,
+                             ConfidenceNetConfig(lam=100.0, alpha=1.0, seed=3))
     tv = al.ThresholdVector(sigmoid(1.0, net.params.t_raw))
-    cov_f, err_f = al.empirical_metrics(net, tv, h, cal)
+    cov_f, err_f = metrics_on(net, tv, h, cal)
     err_cap = 0.0 if err_f is None else err_f
     sm = SoftmaxConfidence()
-    tops, _ = al.thresholds.predicted_scores(sm, h, ds.features)
+    tops, _ = scored(sm, h, ds.features)
     best = 0.0
     for tau in np.concatenate([[0.0], np.unique(tops)]):
-        cov, err = al.empirical_metrics(sm, uniform_thresholds(float(tau)), h,
-                                        cal)
+        cov, err = metrics_on(sm, uniform_thresholds(float(tau)), h, cal)
         if (0.0 if err is None else err) <= err_cap + 1e-12 and cov > best:
             best = cov
     assert cov_f >= best - 0.05
@@ -520,8 +522,8 @@ def test_fit_confidence_net_beats_softmax_sweep_on_overlap():
 
 def test_fit_confidence_net_empty_cal(blob_model, blobs):
     with pytest.raises(ValueError):
-        fit_confidence_net(blob_model, al.LabeledSet.empty(blobs),
-                           ConfidenceNetConfig())
+        fit_confidence_net(*blob_model.representations(blobs.features[:0]),
+                           np.zeros(0, np.int64), ConfidenceNetConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -532,14 +534,13 @@ def test_write_score_dump_roundtrip(tmp_path, blob_model, blobs):
     cal = label_everything(blobs).take(range(25))
     g = SoftmaxConfidence()
     out = tmp_path / "scores.csv"
-    write_score_dump(str(out), cal, *al.thresholds.predicted_scores(
-        g, blob_model, cal.features))
+    write_score_dump(str(out), cal, *scored(g, blob_model, cal.features))
     with open(out, newline="") as f:
         rows = list(csv.reader(f))
     assert rows[0] == ["point_id", "true_label", "predicted_label",
                        "score_of_predicted", "correct_flag"]
     assert len(rows) == 26
-    preds = np.argmax(blob_model.logits(cal.features), axis=1)
+    preds = np.argmax(blob_model.representations(cal.features)[0], axis=1)
     scores = g.scores(*blob_model.representations(cal.features))
     for i, row in enumerate(rows[1:]):
         assert int(row[0]) == cal.ids[i]
@@ -584,8 +585,7 @@ def test_write_score_dump_bytes_equal_csv_writer(tmp_path, dtype):
         rng.permutation(n)[:500])
     h = FixedModel(preds)
     out = tmp_path / "scores.csv"
-    top, got_preds = al.thresholds.predicted_scores(ScoresAs(scores), h,
-                                                    labeled.features)
+    top, got_preds = scored(ScoresAs(scores), h, labeled.features)
     write_score_dump(str(out), labeled, top, got_preds)
     assert top.dtype == dtype
     assert out.read_bytes() == csv_writer_dump(labeled, got_preds, top)

@@ -123,7 +123,8 @@ def test_means_validation():
         parse_config_dict(doc(**{"dataset.means": [[1, 0], [0, 1]]}))
     with pytest.raises(TypeMismatchError, match=r"config\.dataset\.means"):
         parse_config_dict(doc(**{"dataset.means": "origin"}))
-    with pytest.raises(RangeError, match=r"config\.dataset\.means: .*finite"):
+    with pytest.raises(RangeError,
+                       match=r"config\.dataset\.means\[1\]\[1\]: .*finite"):
         parse_config_dict(doc(**{"dataset.means": [[1, 0], [0, float("nan")],
                                                    [-1, 0], [0, -1]]}))
 
@@ -334,6 +335,23 @@ def test_non_finite_list_and_grid_values_are_rejected(value):
     with pytest.raises(RangeError,
                        match=r"^config\.hpo\.posthoc_grid\.alpha: .*finite"):
         parse_config_dict(d)
+
+
+HUGE = 10 ** 400  # a JSON integer literal beyond float range
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"dataset.sigma": HUGE}, r"dataset\.sigma"),
+    ({"tbal.grid": [0.5, HUGE]}, r"tbal\.grid\[1\]"),
+    ({"dataset.means": [[1, 0], [0, 1], [-1, HUGE], [0, -1]]},
+     r"dataset\.means\[2\]\[1\]"),
+    ({"tbal.train": {"learning_rate": HUGE}}, r"tbal\.train\.learning_rate"),
+], ids=["sigma", "grid", "means", "train"])
+def test_integers_beyond_float_range_are_rejected(overrides, key):
+    with pytest.raises(RangeError,
+                       match=rf"^config\.{key}: integer too large for a "
+                             "float$"):
+        parse_config_dict(doc(**overrides))
 
 
 @pytest.mark.parametrize("hidden,index", [([0], 0), ([-3], 0), ([16, 0], 1)])

@@ -121,7 +121,8 @@ def test_random_query_properties():
 def test_random_split_partitions(m, frac, seed):
     ds = four_blobs(n=150)
     labeled = label_everything(ds).take(np.arange(m))
-    first, second = al.random_split(labeled, frac, seed)
+    first, second = (labeled.take(pos)
+                     for pos in al.random_split(len(labeled), frac, seed))
     assert len(first) >= 1 and len(second) >= 1
     assert len(first) + len(second) == m
     expect = min(max(int(np.floor(frac * m + 0.5)), 1), m - 1)
@@ -134,9 +135,9 @@ def test_random_split_bad_inputs():
     ds = four_blobs(n=10)
     labeled = label_everything(ds)
     with pytest.raises(ValueError):
-        al.random_split(labeled, 1.5, 0)
+        al.random_split(len(labeled), 1.5, 0)
     with pytest.raises(ValueError):
-        al.random_split(labeled.take([0]), 0.5, 0)
+        al.random_split(len(labeled.take([0])), 0.5, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +244,15 @@ def test_idx_label_out_of_range(tmp_path):
     path = write_idx_pair(tmp_path, images, [0, 9])
     with pytest.raises(al.LabelOutOfRangeError):
         al.load_dataset(path, "idx", num_classes=5)
+
+
+@pytest.mark.parametrize("num_classes", [None, 3])
+def test_idx_pair_without_items(tmp_path, num_classes):
+    # like a csv header with no rows; without num_classes the inferred class
+    # count used to be numpy's max of an empty array
+    path = write_idx_pair(tmp_path, np.zeros((0, 2, 2), np.uint8), [])
+    with pytest.raises(al.DataFormatError, match="^idx pair holds no items$"):
+        al.load_dataset(path, "idx", num_classes=num_classes)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from autolabel.confidence import (
 from autolabel.mlp import _batch_dlogits, _dlogits_work, init_mlp
 from autolabel.rng import stream
 
-from conftest import indexed_set, label_everything
+from conftest import label_everything
 from numcheck import objective_scratch
 
 CLASS_COUNTS = (2, 4, 10, 13)
@@ -124,9 +124,9 @@ def ref_fit_confidence_net(h, d_cal, cfg):
     k = h.num_classes
     z1, z2 = h.representations(d_cal.features)
     Z = np.asarray(np.concatenate([z1, z2], axis=1), dtype=np.float32)
-    preds = np.argmax(h.logits(d_cal.features), axis=1)
+    preds = np.argmax(z1, axis=1)
     wrong = (preds != d_cal.labels)
-    params = init_confidence_net_params(k, h.penultimate_dim, cfg.seed)
+    params = init_confidence_net_params(k, z2.shape[1], cfg.seed)
     mom = ConfidenceNetParams(np.zeros_like(params.W1),
                               np.zeros_like(params.W2),
                               np.zeros_like(params.t_raw))
@@ -165,16 +165,6 @@ def ref_fit_confidence_net(h, d_cal, cfg):
 
 # ---------------------------------------------------------------------------
 # seeded worlds
-
-
-class LogitRows:
-    """Classifier stub: feature column 0 is a row index into fixed logits."""
-
-    def __init__(self, logits):
-        self._logits = logits
-
-    def logits(self, X):
-        return self._logits[np.asarray(X[:, 0], dtype=np.int64)]
 
 
 def mixture_set(k, n, seed, dim=3):
@@ -217,7 +207,7 @@ def test_fit_temperature_reaches_the_grid_nll_minimum():
         else:
             z[rows, labels] = z.min(axis=1) - 0.5
         logits = (z * scale).astype(np.float32)
-        fit = fit_temperature(LogitRows(logits), indexed_set(labels, k))
+        fit = fit_temperature(logits, labels)
         got = ref_nll(logits, labels, fit.temperature)
         best = min(ref_nll(logits, labels, np.exp(theta)) for theta in grid)
         assert got <= best + NLL_TOL, (k, scale, rule, got, best)
@@ -240,7 +230,7 @@ def test_fit_temperature_keeps_one_at_its_optimum():
                                bounds=LOG_T_BOUNDS, method="bounded",
                                options={"xatol": 1e-12})
         logits = z / np.exp(best.x)
-        fit = fit_temperature(LogitRows(logits), indexed_set(labels, k))
+        fit = fit_temperature(logits, labels)
         assert fit.temperature == 1.0, k
 
 
@@ -343,7 +333,8 @@ def test_fit_confidence_net_equals_reference_adam_bit_for_bit():
                                   alpha=(1.0, 4.0)[i % 3 == 0],
                                   weight_decay=wd, batch_size=16,
                                   max_epochs=5, seed=i)
-        net = fit_confidence_net(h, cal, cfg)
+        net = fit_confidence_net(*h.representations(cal.features), cal.labels,
+                                 cfg)
         want = ref_fit_confidence_net(h, cal, cfg)
         for name in ("W1", "W2", "t_raw"):
             a, b = getattr(net.params, name), getattr(want, name)

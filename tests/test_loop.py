@@ -7,14 +7,16 @@ import pytest
 import autolabel as al
 from autolabel.confidence import ConfidenceNetConfig, TopLabelBinningConfig
 from autolabel.loop import dump_report, dump_round_log, fit_round
+from autolabel.rng import child_seed
 
 from conftest import (
     CROSS_MEANS,
     FixedModel,
     FixedScores,
-    four_blobs,
     indexed_set,
     label_everything,
+    metrics_on,
+    scored,
     uniform_thresholds,
 )
 from oracles import thresholds_from_jsonable
@@ -104,12 +106,13 @@ def piece_fixture():
 
 def test_auto_label_select_sentinels():
     labeled, pool, h, g, tops, preds = piece_fixture()
-    nothing, pool2 = al.auto_label_select(g, uniform_thresholds(np.inf),
-                                          h, pool, 1)
+    nothing, pool2, _ = al.auto_label_select(
+        uniform_thresholds(np.inf), pool, *scored(g, h, pool.features), 1)
     assert len(nothing) == 0
     assert np.array_equal(pool2.active, pool.active)
-    everything, pool3 = al.auto_label_select(
-        g, al.ThresholdVector(np.zeros(2)), h, pool, 1)
+    everything, pool3, _ = al.auto_label_select(
+        al.ThresholdVector(np.zeros(2)), pool, *scored(g, h, pool.features),
+        1)
     assert len(everything) == 5
     assert pool3.size == 0
     assert np.all(everything.sources == "auto")
@@ -119,20 +122,22 @@ def test_auto_label_select_sentinels():
 def test_auto_label_select_matches_coverage():
     labeled, pool, h, g, tops, preds = piece_fixture()
     tv = al.ThresholdVector(np.array([0.5, 0.7]))
-    chosen, pool2 = al.auto_label_select(g, tv, h, pool, 2)
-    cov, _ = al.empirical_metrics(g, tv, h, labeled)
+    chosen, pool2, left = al.auto_label_select(
+        tv, pool, *scored(g, h, pool.features), 2)
+    cov, _ = metrics_on(g, tv, h, labeled)
     assert len(chosen) == int(round(cov * 5))
     assert pool2.size == 5 - len(chosen)
     sel = tops >= tv.values[preds]
     assert np.array_equal(chosen.indices, np.flatnonzero(sel))
     assert np.all(chosen.rounds == 2)
+    # the mask of rows left lines the selection's pass up with the pool left
+    assert np.array_equal(pool.active[left], pool2.active)
 
 
 def test_filter_validation_partition():
     labeled, pool, h, g, tops, preds = piece_fixture()
     tv = al.ThresholdVector(np.array([0.5, 0.7]))
-    got_top, got_preds = al.thresholds.predicted_scores(g, h,
-                                                        labeled.features)
+    got_top, got_preds = scored(g, h, labeled.features)
     kept = al.filter_validation(tv, labeled, got_top, got_preds)
     dropped = tops >= tv.values[preds]
     assert np.array_equal(np.sort(kept.indices), np.flatnonzero(~dropped))
@@ -150,14 +155,6 @@ def test_filter_validation_partition():
 # active query
 
 
-class LogitStub:
-    def __init__(self, logits):
-        self._logits = np.asarray(logits, dtype=np.float64)
-
-    def logits(self, X):
-        return self._logits[np.asarray(X[:, 0], dtype=np.int64)]
-
-
 def margins_to_logits(margins):
     m = np.asarray(margins, dtype=np.float64)
     a = np.log((1 + m) / (1 - m))
@@ -167,28 +164,28 @@ def margins_to_logits(margins):
 def test_active_query_candidate_set():
     margins = [0.9, 0.1, 0.8, 0.2, 0.05, 0.7]
     labeled = indexed_set([0] * 6, 2)
-    h = LogitStub(margins_to_logits(margins))
+    logits = margins_to_logits(margins)
     allowed = {4, 1, 3, 5}  # indices of the four smallest margins
     for seed in range(30):
-        chosen, pool2 = al.active_query(h, al.Pool.full(labeled.dataset), 2,
-                                        2.0, seed, 1)
+        chosen, pool2 = al.active_query(
+            logits, al.Pool.full(labeled.dataset), 2, 2.0, seed, 1)
         assert len(chosen) == 2
         assert set(chosen.indices) <= allowed
         assert pool2.size == 4
         assert np.all(chosen.sources == "human")
     # every pair drawn over seeds stays inside the candidate set, and the
     # randomization actually varies the picks
-    picks = {tuple(al.active_query(h, al.Pool.full(labeled.dataset), 2, 2.0, s,
-                                   1)[0].indices) for s in range(30)}
+    picks = {tuple(al.active_query(logits, al.Pool.full(labeled.dataset), 2,
+                                   2.0, s, 1)[0].indices) for s in range(30)}
     assert len(picks) > 1
 
 
 def test_active_query_small_pool_clamps():
     margins = [0.5, 0.4, 0.3]
     labeled = indexed_set([0] * 3, 2)
-    h = LogitStub(margins_to_logits(margins))
-    chosen, pool2 = al.active_query(h, al.Pool.full(labeled.dataset), 5, 2.0,
-                                    0, 1)
+    logits = margins_to_logits(margins)
+    chosen, pool2 = al.active_query(logits, al.Pool.full(labeled.dataset), 5,
+                                    2.0, 0, 1)
     assert len(chosen) == 3
     assert pool2.size == 0
 
@@ -196,13 +193,14 @@ def test_active_query_small_pool_clamps():
 def test_active_query_determinism_and_empty_pool():
     margins = [0.5, 0.4, 0.3, 0.2]
     labeled = indexed_set([0] * 4, 2)
-    h = LogitStub(margins_to_logits(margins))
-    a, _ = al.active_query(h, al.Pool.full(labeled.dataset), 2, 2.0, 9, 1)
-    b, _ = al.active_query(h, al.Pool.full(labeled.dataset), 2, 2.0, 9, 1)
+    logits = margins_to_logits(margins)
+    pool = al.Pool.full(labeled.dataset)
+    a, _ = al.active_query(logits, pool, 2, 2.0, 9, 1)
+    b, _ = al.active_query(logits, pool, 2, 2.0, 9, 1)
     assert np.array_equal(a.indices, b.indices)
     empty = al.Pool.full(labeled.dataset).without(np.arange(4))
     with pytest.raises(ValueError):
-        al.active_query(h, empty, 1, 2.0, 0, 1)
+        al.active_query(logits[:0], empty, 1, 2.0, 0, 1)
 
 
 def test_active_query_uses_raw_softmax_margins():
@@ -210,9 +208,10 @@ def test_active_query_uses_raw_softmax_margins():
     rng = np.random.default_rng(0)
     margins = rng.uniform(0.01, 0.99, size=20)
     labeled = indexed_set([0] * 20, 2)
-    h = LogitStub(margins_to_logits(margins))
+    logits = margins_to_logits(margins)
     want = set(np.argsort(margins, kind="stable")[:8])
-    chosen, _ = al.active_query(h, al.Pool.full(labeled.dataset), 4, 2.0, 3, 1)
+    chosen, _ = al.active_query(logits, al.Pool.full(labeled.dataset), 4, 2.0,
+                                3, 1)
     assert set(chosen.indices) <= want
 
 
@@ -225,8 +224,10 @@ def test_fit_round_zero_tolerance_thresholds_have_zero_group_error():
     cfg = base_config(eps_a=0.0, c1=0.0, coverage_floor=0.01)
     seed_set = label_everything(pool_ds).take(range(40))
     dims = [2, 32, 4]
-    model, g, t_hat, d_cal, d_th, warn = fit_round(cfg, seed_set, val, 1, dims)
-    tops, preds = al.thresholds.predicted_scores(g, model, d_th.features)
+    model, g, t_hat, top, preds, cal, th, warn = fit_round(cfg, seed_set, val,
+                                                           1, dims)
+    d_th = val.take(th)
+    tops, preds = top[th], preds[th]
     wrong = d_th.labels != preds
     for y in range(4):
         t = t_hat.values[y]
@@ -239,11 +240,9 @@ def test_fit_round_zero_tolerance_thresholds_have_zero_group_error():
 
 
 @pytest.mark.parametrize("method", tuple(al.loop.POSTHOC_CONFIGS))
-def test_round_runs_the_classifier_once_per_set(monkeypatch, tmp_path, method):
+def test_round_runs_the_classifier_once_per_set(monkeypatch, method):
     pool_ds, val = overlapping_world()
     cfg = base_config(posthoc=al.loop.POSTHOC_CONFIGS[method]())
-    seed_set = label_everything(pool_ds).take(range(30))
-    pool = al.Pool.full(pool_ds)
     calls = []
     original = al.MlpClassifier.representations
 
@@ -251,35 +250,45 @@ def test_round_runs_the_classifier_once_per_set(monkeypatch, tmp_path, method):
         calls.append(np.array(X, copy=True))
         return original(self, X)
 
-    def passes(X):
-        return sum(c.shape == X.shape and np.array_equal(c, X) for c in calls)
+    def same(a, b):
+        return a.shape == b.shape and np.array_equal(a, b)
 
+    vals = {}
     monkeypatch.setattr(al.MlpClassifier, "representations", counted)
-    model, g, t_hat, d_cal, d_th, _ = fit_round(cfg, seed_set, val, 1,
-                                                 [2, 32, 4])
-    al.auto_label_select(g, t_hat, model, pool, 1)
-    # the filter and the score dump share one scoring pass over val
-    top, preds = al.thresholds.predicted_scores(g, model, val.features)
-    al.filter_validation(t_hat, val, top, preds)
-    al.write_score_dump(str(tmp_path / "scores.csv"), val, top, preds)
-    fitted = method != "softmax"  # raw softmax fits nothing on d_cal
-    assert passes(d_cal.features) == int(fitted)
-    assert passes(d_th.features) == 1
-    assert passes(pool.features) == 1
-    assert passes(val.features) == 1
-    assert len(calls) == 3 + int(fitted)
+    report = al.run_tbal(cfg, pool_ds, val,
+                         round_hook=lambda i, m, v, *_: vals.setdefault(i, v))
+    assert len(report.rounds) >= 2
+    assert any(rec.n_auto for rec in report.rounds)
+    # the passes come in round order: validation, then pool, nothing else
+    assert len(calls) == 2 * len(report.rounds)
+    out = report.output
+    for i, rec in enumerate(report.rounds, start=1):
+        round_val = vals[i]
+        pool_rows = np.setdiff1d(np.arange(pool_ds.n),
+                                 out.indices[out.rounds < i])
+        auto = out.indices[(out.rounds == i) & (out.sources == "auto")]
+        cal, th = al.random_split(len(round_val), cfg.cal_fraction,
+                                  child_seed(cfg.master_seed, i, "split"))
+        assert (rec.n_cal, rec.n_th) == (len(cal), len(th))
+        assert same(calls[2 * i - 2], round_val.features)
+        assert same(calls[2 * i - 1], pool_ds.features[pool_rows])
+        unrun = [round_val.take(cal).features, round_val.take(th).features]
+        if len(auto):  # with nothing auto-labeled the pool left is the pool
+            unrun.append(pool_ds.features[np.setdiff1d(pool_rows, auto)])
+        for rows in unrun:
+            assert not any(same(c, rows) for c in calls)
 
 
 def test_fit_round_deterministic():
     pool_ds, val = overlapping_world()
     cfg = base_config()
     seed_set = label_everything(pool_ds).take(range(30))
-    m1, g1, t1, c1, th1, _ = fit_round(cfg, seed_set, val, 1, [2, 32, 4])
-    m2, g2, t2, c2, th2, _ = fit_round(cfg, seed_set, val, 1, [2, 32, 4])
+    m1, g1, t1, _, _, c1, th1, _ = fit_round(cfg, seed_set, val, 1, [2, 32, 4])
+    m2, g2, t2, _, _, c2, th2, _ = fit_round(cfg, seed_set, val, 1, [2, 32, 4])
     assert all(np.array_equal(a, b) for a, b in zip(m1.weights, m2.weights))
     assert np.array_equal(t1.values, t2.values)
-    assert np.array_equal(c1.indices, c2.indices)
-    assert np.array_equal(th1.indices, th2.indices)
+    assert np.array_equal(c1, c2)
+    assert np.array_equal(th1, th2)
 
 
 # ---------------------------------------------------------------------------

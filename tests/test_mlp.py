@@ -11,10 +11,9 @@ from autolabel.mlp import (
     _dlogits_work,
     init_mlp,
 )
-from autolabel.thresholds import predicted_scores
 from numcheck import backprop_scratch, central_difference, relative_error
 
-from conftest import four_blobs, label_everything
+from conftest import four_blobs, label_everything, scored
 from oracles import batch_loss
 
 
@@ -39,7 +38,7 @@ def test_forward_zero_weights_uniform():
     logits, penultimate = model.representations(x)
     assert logits.shape == (1, k) and penultimate.shape == (1, 6)
     assert np.allclose(al.softmax(logits), 1 / k)
-    _, preds = predicted_scores(al.SoftmaxConfidence(), model, x)
+    _, preds = scored(al.SoftmaxConfidence(), model, x)
     assert np.array_equal(preds, [0])  # ties go to the lowest index
 
 
@@ -47,7 +46,7 @@ def test_forward_probs_normalized_and_argmax_consistent():
     model = tiny_model()
     rng = np.random.default_rng(1)
     X = rng.normal(0, 3, size=(1000, 3))
-    logits = model.logits(X)
+    logits = model.representations(X)[0]
     probs = al.softmax(logits)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
     assert np.array_equal(np.argmax(probs, axis=1), np.argmax(logits, axis=1))
@@ -212,7 +211,7 @@ def test_backprop_matches_finite_differences_through_network():
                 trial_model = al.MlpClassifier(
                     [w if i == li else model.weights[i] for i in range(2)],
                     model.biases)
-                return batch_loss(trial_model.logits(X), y, kind)
+                return batch_loss(trial_model.representations(X)[0], y, kind)
             numeric = central_difference(f_w, model.weights[li].copy())
             assert relative_error(grads_w[li], numeric) <= 1e-4
 
@@ -220,7 +219,7 @@ def test_backprop_matches_finite_differences_through_network():
                 trial_model = al.MlpClassifier(
                     model.weights,
                     [b if i == li else model.biases[i] for i in range(2)])
-                return batch_loss(trial_model.logits(X), y, kind)
+                return batch_loss(trial_model.representations(X)[0], y, kind)
             numeric_b = central_difference(f_b, model.biases[li].copy())
             assert relative_error(grads_b[li], numeric_b) <= 1e-4
 
@@ -280,7 +279,7 @@ def test_train_separable_reaches_full_accuracy():
     labeled = label_everything(ds)
     cfg = al.TrainConfig(max_epochs=50, learning_rate=0.05, seed=3)
     model = al.train_model(cfg, labeled, [1, 8, 2])
-    acc = np.mean(np.argmax(model.logits(ds.features), axis=1)
+    acc = np.mean(np.argmax(model.representations(ds.features)[0], axis=1)
                   == ds.hidden_labels)
     assert acc == 1.0
 
@@ -293,7 +292,7 @@ def test_train_single_point_loss_decreases():
         cfg = al.TrainConfig(max_epochs=epochs, learning_rate=0.01, seed=4,
                              momentum=0.0)
         model = al.train_model(cfg, labeled, [2, 8, 4])
-        losses.append(batch_loss(model.logits(labeled.features),
+        losses.append(batch_loss(model.representations(labeled.features)[0],
                                  labeled.labels))
     assert all(b < a for a, b in zip(losses, losses[1:]))
 

@@ -1,4 +1,5 @@
 import copy
+import csv
 import dataclasses
 import json
 import os
@@ -8,6 +9,7 @@ import pytest
 
 import autolabel as al
 from autolabel.config import parse_config_dict
+from autolabel.rng import child_seed
 from autolabel.runner import (
     OutputExistsError,
     _apply_posthoc_combo,
@@ -17,6 +19,8 @@ from autolabel.runner import (
     _select,
     materialize_dataset,
 )
+
+from conftest import indexed_set, metrics_on
 
 SEPARABLE = {
     "master_seed": 11,
@@ -257,10 +261,15 @@ def test_first_round_eval_runs_the_classifier_once_over_hyp(
         calls.append(np.array(X, copy=True))
         return original(self, X)
 
+    def passes(X):
+        return sum(c.shape == X.shape and np.array_equal(c, X) for c in calls)
+
     monkeypatch.setattr(al.MlpClassifier, "representations", counted)
     _first_round_eval(cfg.tbal, pool_ds, val, hyp, 3)
-    assert sum(c.shape == hyp.features.shape
-               and np.array_equal(c, hyp.features) for c in calls) == 1
+    # one pass over validation in fit_round, one over hyp, and no other
+    assert passes(hyp.features) == 1
+    assert passes(val.features) == 1
+    assert len(calls) == 2
 
 
 def test_first_round_eval_scores_the_runs_first_round(tmp_path):
@@ -272,11 +281,40 @@ def test_first_round_eval_scores_the_runs_first_round(tmp_path):
         report = al.run_tbal(
             dataclasses.replace(cfg.tbal, master_seed=seed), pool_ds, val,
             round_hook=lambda i, model, *_: models.setdefault(i, model))
-        cov, err = al.empirical_metrics(al.SoftmaxConfidence(),
-                                        report.rounds[0].thresholds,
-                                        models[1], hyp)
+        cov, err = metrics_on(al.SoftmaxConfidence(),
+                              report.rounds[0].thresholds, models[1], hyp)
         assert _first_round_eval(cfg.tbal, pool_ds, val, hyp, seed) == (
             cov, 0.0 if err is None else err)
+
+
+@pytest.mark.parametrize("method", tuple(al.loop.POSTHOC_CONFIGS))
+def test_logged_thresholds_are_estimated_on_the_score_dump(tmp_path, method):
+    # a round's thresholds read the threshold half of the one validation
+    # scoring that its score dump writes
+    d = copy.deepcopy(OVERLAPPING)
+    d["tbal"].update(eps_a=0.3, posthoc={"method": method})
+    cfg = experiment(d, tmp_path, repeats=1)
+    al.run_experiment(cfg)
+    run_dir = tmp_path / "out" / "run_00"
+    run_seed = child_seed(cfg.master_seed, "run", 0)
+    rounds = [json.loads(line) for line in
+              (run_dir / "rounds.jsonl").read_text().splitlines()]
+    assert len(rounds) >= 2
+    assert any(t is not None for rec in rounds for t in rec["thresholds"])
+    for rec in rounds:
+        i = rec["round_index"]
+        with open(run_dir / f"scores_round_{i:03d}.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        labels, preds = (np.array([int(r[key]) for r in rows])
+                         for key in ("true_label", "predicted_label"))
+        top = np.array([float(r["score_of_predicted"]) for r in rows])
+        _, th = al.random_split(len(rows), cfg.tbal.cal_fraction,
+                                child_seed(run_seed, i, "split"))
+        assert rec["n_th"] == len(th)
+        want = al.estimate_thresholds(
+            top[th], preds[th], indexed_set(labels[th], 4),
+            cfg.tbal.thresholds)
+        assert rec["thresholds"] == want.to_jsonable()
 
 
 def hpo_experiment(tmp_path, name="hpo", method="top_label_hb"):

@@ -34,9 +34,9 @@ fits = []
 fit_temperature = autolabel.loop.fit_temperature
 
 
-def recording_fit(model, d_cal):
-    conf = fit_temperature(model, d_cal)
-    fits.append((model, d_cal, conf.temperature))
+def recording_fit(logits, labels):
+    conf = fit_temperature(logits, labels)
+    fits.append((logits, labels, conf.temperature))
     return conf
 
 
@@ -84,6 +84,6 @@ def test_temperature_run_loads_scipy_at_its_first_fit(tmp_path):
     scipy_modules, fits = run_fresh(tmp_path, "temperature")
     assert "scipy.optimize" in scipy_modules
     assert fits
-    for model, d_cal, temperature in fits:
-        assert autolabel.fit_temperature(model, d_cal).temperature \
+    for logits, labels, temperature in fits:
+        assert autolabel.fit_temperature(logits, labels).temperature \
             == temperature

@@ -8,7 +8,9 @@ from conftest import (
     FixedModel,
     FixedScores,
     indexed_set,
+    metrics_on,
     single_class_instance,
+    thresholds_on,
     uniform_thresholds,
 )
 from oracles import thresholds_from_jsonable
@@ -84,42 +86,38 @@ def test_default_grid_shape():
 def test_coverage_extremes():
     labeled, h, g = single_class_instance([0.9, 0.8, 0.7, 0.4],
                                           [True, True, True, True])
-    assert al.empirical_metrics(g, uniform_thresholds(0.0), h,
-                                labeled)[0] == 1.0
-    assert al.empirical_metrics(g, uniform_thresholds(np.inf), h,
-                                labeled)[0] == 0.0
+    assert metrics_on(g, uniform_thresholds(0.0), h, labeled)[0] == 1.0
+    assert metrics_on(g, uniform_thresholds(np.inf), h, labeled)[0] == 0.0
 
 
 def test_coverage_hand_example():
     labeled, h, g = single_class_instance([0.9, 0.8, 0.7, 0.4],
                                           [True, True, True, True])
-    assert al.empirical_metrics(g, uniform_thresholds(0.75), h,
-                                labeled)[0] == pytest.approx(0.5)
+    assert metrics_on(g, uniform_thresholds(0.75), h,
+                      labeled)[0] == pytest.approx(0.5)
 
 
 def test_error_hand_example():
     labeled, h, g = single_class_instance([0.9, 0.8, 0.7, 0.4],
                                           [True, False, True, False])
-    assert al.empirical_metrics(g, uniform_thresholds(0.75), h,
-                                labeled)[1] == pytest.approx(0.5)
-    assert al.empirical_metrics(g, uniform_thresholds(np.inf), h,
-                                labeled) == (0.0, None)
+    assert metrics_on(g, uniform_thresholds(0.75), h,
+                      labeled)[1] == pytest.approx(0.5)
+    assert metrics_on(g, uniform_thresholds(np.inf), h, labeled) == (0.0, None)
     all_good, h2, g2 = single_class_instance([0.9, 0.8], [True, True])
-    assert al.empirical_metrics(g2, uniform_thresholds(0.5), h2,
-                                all_good) == (1.0, 0.0)
+    assert metrics_on(g2, uniform_thresholds(0.5), h2, all_good) == (1.0, 0.0)
 
 
 def test_estimators_reject_empty_set():
     labeled, h, g = single_class_instance([0.9], [True])
     empty = labeled.take([])
     with pytest.raises(ValueError):
-        al.empirical_metrics(g, uniform_thresholds(0.5), h, empty)
+        metrics_on(g, uniform_thresholds(0.5), h, empty)
 
 
 def test_coverage_selection_is_inclusive_at_the_threshold():
     labeled, h, g = single_class_instance([0.75, 0.5], [True, True])
-    assert al.empirical_metrics(g, uniform_thresholds(0.75), h,
-                                labeled)[0] == pytest.approx(0.5)
+    assert metrics_on(g, uniform_thresholds(0.75), h,
+                      labeled)[0] == pytest.approx(0.5)
 
 
 def test_coverage_monotone_in_threshold():
@@ -129,7 +127,7 @@ def test_coverage_monotone_in_threshold():
         tops = rng.uniform(0, 1, size=n)
         labeled, h, g = single_class_instance(tops, rng.uniform(size=n) < 0.7)
         grid = np.sort(rng.uniform(0, 1, size=10))
-        covs = [al.empirical_metrics(g, uniform_thresholds(t), h, labeled)[0]
+        covs = [metrics_on(g, uniform_thresholds(t), h, labeled)[0]
                 for t in grid]
         assert all(b <= a for a, b in zip(covs, covs[1:]))
 
@@ -147,7 +145,7 @@ def test_estimators_match_bruteforce_enumeration():
         tvec = al.ThresholdVector(rng.uniform(0, 1, size=k))
         selected = [scores[i, preds[i]] >= tvec.values[preds[i]]
                     for i in range(n)]
-        cov, got = al.empirical_metrics(g, tvec, h, labeled)
+        cov, got = metrics_on(g, tvec, h, labeled)
         assert cov == pytest.approx(sum(selected) / n)
         wrong_sel = [s and preds[i] != true[i] for i, s in enumerate(selected)]
         if sum(selected) == 0:
@@ -185,7 +183,7 @@ def test_selection_worked_example():
     labeled, h, g = single_class_instance(tops, correct)
     cfg = al.ThresholdConfig(grid=np.array([0.0, 0.25, 0.5, 0.75]),
                              coverage_floor=0.2, c1=0.25, eps_a=0.1)
-    t_hat = al.estimate_thresholds(g, h, labeled, cfg)
+    t_hat = thresholds_on(g, h, labeled, cfg)
     assert t_hat.values[0] == pytest.approx(0.75)
     assert np.isinf(t_hat.values[1])  # no point has true label 1
 
@@ -195,7 +193,7 @@ def test_selection_zero_error_takes_smallest_covering_threshold():
     labeled, h, g = single_class_instance(tops, [True, True, True])
     cfg = al.ThresholdConfig(grid=np.array([0.1, 0.5, 0.8]),
                              coverage_floor=0.05, c1=0.25, eps_a=0.05)
-    t_hat = al.estimate_thresholds(g, h, labeled, cfg)
+    t_hat = thresholds_on(g, h, labeled, cfg)
     assert t_hat.values[0] == pytest.approx(0.1)
 
 
@@ -210,7 +208,7 @@ def test_selection_infeasible_is_infinite():
     labeled, h, g = single_class_instance(tops, [False, False])
     cfg = al.ThresholdConfig(grid=np.array([0.1, 0.95]), coverage_floor=0.5,
                              c1=0.25, eps_a=0.05)
-    t_hat = al.estimate_thresholds(g, h, labeled, cfg)
+    t_hat = thresholds_on(g, h, labeled, cfg)
     assert np.isinf(t_hat.values[0])
 
 
@@ -221,11 +219,11 @@ def test_selection_coverage_floor_can_force_larger_error():
     labeled, h, g = single_class_instance(tops, [True, True, False, False])
     cfg = al.ThresholdConfig(grid=np.array([0.1, 0.5]), coverage_floor=0.9,
                              c1=0.0, eps_a=0.1)
-    assert np.isinf(al.estimate_thresholds(g, h, labeled, cfg).values[0])
+    assert np.isinf(thresholds_on(g, h, labeled, cfg).values[0])
     # relaxing the floor lets the clean prefix through
     cfg2 = al.ThresholdConfig(grid=np.array([0.1, 0.5]), coverage_floor=0.25,
                               c1=0.0, eps_a=0.1)
-    assert al.estimate_thresholds(g, h, labeled, cfg2).values[0] == 0.5
+    assert thresholds_on(g, h, labeled, cfg2).values[0] == 0.5
 
 
 def scan_oracle(top, wrong, grid, coverage_floor, c1, eps_a):
@@ -337,7 +335,7 @@ def test_returned_thresholds_are_safe_on_their_groups():
         h, g = FixedModel(preds), FixedScores(scores)
         cfg = al.ThresholdConfig(coverage_floor=0.05,
                                  eps_a=float(rng.uniform(0.05, 0.3)))
-        t_hat = al.estimate_thresholds(g, h, labeled, cfg)
+        t_hat = thresholds_on(g, h, labeled, cfg)
         tops = scores[np.arange(n), preds]
         wrong = preds != true
         for y in range(k):
@@ -360,9 +358,9 @@ def test_group_by_predicted_label_switch():
     g = FixedScores([[0.1, 0.9]])
     grid = np.array([0.5])
     base = dict(grid=grid, coverage_floor=0.05, c1=0.0, eps_a=1.0)
-    by_true = al.estimate_thresholds(
+    by_true = thresholds_on(
         g, h, labeled, al.ThresholdConfig(group_by="true_label", **base))
     assert by_true.values[0] == 0.5 and np.isinf(by_true.values[1])
-    by_pred = al.estimate_thresholds(
+    by_pred = thresholds_on(
         g, h, labeled, al.ThresholdConfig(group_by="predicted_label", **base))
     assert np.isinf(by_pred.values[0]) and by_pred.values[1] == 0.5
