@@ -21,7 +21,7 @@ import csv as _csv
 import mmap
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,18 +58,16 @@ def _has_duplicates(a: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable feature/label store.
+    """Immutable feature/label store; a row's index is its point id.
 
     features      : (n, d) float32
     hidden_labels : (n,) int64 ground truth; oracle access only
     num_classes   : k >= 2
-    ids           : (n,) int64 stable unique point ids
     """
 
     features: np.ndarray
     hidden_labels: np.ndarray
     num_classes: int
-    ids: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         feats = np.ascontiguousarray(self.features, dtype=np.float32)
@@ -86,18 +84,8 @@ class Dataset:
             raise LabelOutOfRangeError(
                 f"labels must lie in [0, {self.num_classes})"
             )
-        ids = self.ids
-        if ids is None:
-            ids = np.arange(feats.shape[0], dtype=np.int64)
-        else:
-            ids = np.asarray(ids, dtype=np.int64)
-            if ids.shape != (feats.shape[0],):
-                raise ValueError("ids must have one entry per row")
-            if _has_duplicates(ids):
-                raise ValueError("ids must be unique")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "hidden_labels", labels)
-        object.__setattr__(self, "ids", ids)
 
     @property
     def n(self) -> int:
@@ -106,16 +94,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    def subset(self, indices) -> "Dataset":
-        """New Dataset restricted to ``indices`` (ids preserved)."""
-        idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            features=self.features[idx],
-            hidden_labels=self.hidden_labels[idx],
-            num_classes=self.num_classes,
-            ids=self.ids[idx],
-        )
 
 
 @dataclass
@@ -161,7 +139,8 @@ class LabeledSet:
 
     @property
     def ids(self) -> np.ndarray:
-        return self.dataset.ids[self.indices]
+        """The point ids written to files: the rows' dataset indices."""
+        return self.indices
 
     @classmethod
     def empty(cls, dataset: Dataset) -> "LabeledSet":
@@ -220,10 +199,6 @@ class Pool:
                 raise ValueError("duplicate indices in pool")
             if self.active.min() < 0 or self.active.max() >= self.dataset.n:
                 raise IndexError("pool index out of range")
-
-    @classmethod
-    def full(cls, dataset: Dataset) -> "Pool":
-        return cls(dataset, np.arange(dataset.n, dtype=np.int64))
 
     @property
     def size(self) -> int:
@@ -515,19 +490,20 @@ def load_dataset(path: str, format: str, num_classes: int | None = None,
     return _LOADERS[format](path, num_classes)
 
 
-def carve(dataset: Dataset, sizes: "list[int]", seed: int) -> "list[Dataset]":
-    """Disjoint random subsets with the given sizes; remainder is dropped.
+def carve(n: int, sizes: "list[int]", seed: int) -> "list[np.ndarray]":
+    """Disjoint random sets of rows 0..n-1 with the given sizes, each
+    ascending; the remainder is dropped.
 
-    Used to split one source dataset into pool / validation / held-out parts.
+    Used to split one source dataset into pool / validation / held-out row
+    sets, which then index that dataset rather than copy it.
     """
     total = int(np.sum(sizes))
-    if total > dataset.n:
-        raise ValueError(f"cannot carve {total} points from {dataset.n}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(dataset.n)
+    if total > n:
+        raise ValueError(f"cannot carve {total} points from {n}")
+    perm = np.random.default_rng(seed).permutation(n)
     out = []
     at = 0
     for s in sizes:
-        out.append(dataset.subset(np.sort(perm[at:at + s])))
+        out.append(np.sort(perm[at:at + s]))
         at += s
     return out

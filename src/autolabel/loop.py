@@ -36,7 +36,7 @@ from .confidence import (
     fit_temperature,
     fit_top_label_hb,
 )
-from .data import Dataset, LabeledSet, Pool, random_query, random_split
+from .data import LabeledSet, Pool, random_query, random_split
 from .mlp import (
     TrainConfig,
     _check_fields,
@@ -250,14 +250,15 @@ def fit_posthoc(cfg, logits: np.ndarray, penultimate: np.ndarray,
     raise ValueError(f"unknown posthoc config {type(cfg).__name__}")
 
 
-def seed_query(cfg: TbalConfig, pool_data: Dataset):
+def seed_query(cfg: TbalConfig, pool: Pool):
     """(seed set, pool left, dims): round 0's random query of
-    ``cfg.seed_size`` human labels, and the classifier's width list
-    [d_in, hidden..., k], as every run starts."""
-    seed_set, pool = random_query(
-        Pool.full(pool_data), cfg.seed_size,
-        child_seed(cfg.master_seed, 0, "seed_query"), round_index=0)
-    return seed_set, pool, [pool_data.dim, *cfg.hidden, pool_data.num_classes]
+    ``cfg.seed_size`` human labels from the initial ``pool``, and the
+    classifier's width list [d_in, hidden..., k], as every run starts."""
+    seed_set, left = random_query(
+        pool, cfg.seed_size, child_seed(cfg.master_seed, 0, "seed_query"),
+        round_index=0)
+    data = pool.dataset
+    return seed_set, left, [data.dim, *cfg.hidden, data.num_classes]
 
 
 def fit_round(cfg: TbalConfig, d_train: LabeledSet, val: LabeledSet,
@@ -288,9 +289,12 @@ def fit_round(cfg: TbalConfig, d_train: LabeledSet, val: LabeledSet,
 # the loop
 
 
-def run_tbal(cfg: TbalConfig, pool_data: Dataset, d_val: LabeledSet,
+def run_tbal(cfg: TbalConfig, initial_pool: Pool, d_val: LabeledSet,
              round_hook=None) -> TbalReport:
     """Run the full workflow on an unlabeled pool plus human validation data.
+
+    The pool and the validation set may be row sets of one Dataset; every
+    label the run assigns indexes ``initial_pool.dataset``.
 
     ``round_hook(round_index, model, val, top, preds)``, when given, observes
     each round before validation is filtered (used by the runner to dump
@@ -298,11 +302,12 @@ def run_tbal(cfg: TbalConfig, pool_data: Dataset, d_val: LabeledSet,
     ``val``, the one pass the thresholds and the filter also use. It must
     not mutate anything.
     """
-    if cfg.seed_size > pool_data.n:
+    if cfg.seed_size > initial_pool.size:
         raise ValueError("seed_size exceeds pool size")
     if len(d_val) < 2:
         raise ValueError("need at least 2 validation points")
-    seed_set, pool, dims = seed_query(cfg, pool_data)
+    data = initial_pool.dataset
+    seed_set, pool, dims = seed_query(cfg, initial_pool)
     d_train = seed_set
     out = seed_set
     val = d_val
@@ -332,11 +337,11 @@ def run_tbal(cfg: TbalConfig, pool_data: Dataset, d_val: LabeledSet,
                 logits[left], pool, cfg.query_batch, cfg.active_multiplier,
                 child_seed(cfg.master_seed, i, "active"), round_index=i)
         else:
-            query = LabeledSet.empty(pool_data)
+            query = LabeledSet.empty(data)
         out = out.merged_with(auto_set).merged_with(query)
         d_train = d_train.merged_with(query)
         if len(auto_set):
-            truth = pool_data.hidden_labels[auto_set.indices]
+            truth = data.hidden_labels[auto_set.indices]
             auto_err = float(np.mean(auto_set.labels != truth))
         else:
             auto_err = None
@@ -358,16 +363,16 @@ def run_tbal(cfg: TbalConfig, pool_data: Dataset, d_val: LabeledSet,
     auto_mask = out.sources == "auto"
     n_auto = int(auto_mask.sum())
     if n_auto:
-        truth = pool_data.hidden_labels[out.indices[auto_mask]]
+        truth = data.hidden_labels[out.indices[auto_mask]]
         final_error = float(np.mean(out.labels[auto_mask] != truth))
     else:
         final_error = None
     return TbalReport(
         rounds=records,
         output=out,
-        n_initial_pool=pool_data.n,
+        n_initial_pool=initial_pool.size,
         final_error=final_error,
-        final_coverage=n_auto / pool_data.n,
+        final_coverage=n_auto / initial_pool.size,
         warnings=warnings,
     )
 

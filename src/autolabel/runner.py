@@ -12,7 +12,6 @@ import dataclasses
 import itertools
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +25,8 @@ from .config import (
 )
 from .confidence import SoftmaxConfig, write_score_dump
 from .data import (
-    Dataset,
     LabeledSet,
+    Pool,
     carve,
     load_dataset,
     synth_gaussian_mixture,
@@ -49,11 +48,12 @@ class OutputExistsError(RuntimeError):
 
 
 def materialize_dataset(cfg: ExperimentConfig):
-    """(pool Dataset, validation LabeledSet, hyp LabeledSet or None).
+    """(initial Pool, validation LabeledSet, hyp LabeledSet or None).
 
-    The carve into pool/validation/held-out splits depends only on the master
-    seed, so repeat runs share identical data and differ purely in algorithmic
-    randomness.
+    All three are row sets of the one loaded or generated Dataset, which
+    nothing copies. The carve into pool/validation/held-out rows depends only
+    on the master seed, so repeat runs share identical data and differ purely
+    in algorithmic randomness.
     """
     spec = cfg.dataset
     if isinstance(spec, SyntheticSpec):
@@ -71,26 +71,28 @@ def materialize_dataset(cfg: ExperimentConfig):
         raise ValueError(
             f"dataset has {base.n} points, config asks for {need}"
         )
-    val_ds, hyp_ds, pool_ds = carve(
-        base, [spec.val_size, spec.hyp_size, spec.pool_size],
+    val_rows, hyp_rows, pool_rows = carve(
+        base.n, [spec.val_size, spec.hyp_size, spec.pool_size],
         child_seed(cfg.master_seed, "carve"))
-    val = LabeledSet.from_oracle(val_ds, np.arange(val_ds.n), 0, "human")
+    val = LabeledSet.from_oracle(base, val_rows, 0, "human")
     hyp = None
     if spec.hyp_size:
-        hyp = LabeledSet.from_oracle(hyp_ds, np.arange(hyp_ds.n), 0, "human")
-    return pool_ds, val, hyp
+        hyp = LabeledSet.from_oracle(base, hyp_rows, 0, "human")
+    return Pool(base, pool_rows), val, hyp
 
 
 def _map(fn, tasks, jobs: int) -> list:
     """[fn(*task) for task in tasks], over ``jobs`` worker processes when
     jobs > 1; results keep the order of ``tasks`` either way."""
     if jobs > 1:
+        # imported here: a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, *zip(*tasks)))
     return [fn(*task) for task in tasks]
 
 
-def _one_run(tbal_cfg: TbalConfig, pool_ds: Dataset, val: LabeledSet,
+def _one_run(tbal_cfg: TbalConfig, pool: Pool, val: LabeledSet,
              run_dir: str) -> dict:
     os.makedirs(run_dir, exist_ok=True)
 
@@ -99,7 +101,7 @@ def _one_run(tbal_cfg: TbalConfig, pool_ds: Dataset, val: LabeledSet,
             os.path.join(run_dir, f"scores_round_{round_index:03d}.csv"),
             round_val, top, preds)
 
-    report = run_tbal(tbal_cfg, pool_ds, val, round_hook=hook)
+    report = run_tbal(tbal_cfg, pool, val, round_hook=hook)
     dump_round_log(report, os.path.join(run_dir, "rounds.jsonl"))
     dump_report(report, os.path.join(run_dir, "report.json"))
     return {
@@ -131,12 +133,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
             f"{summary_path} exists; pass force to overwrite"
         )
     os.makedirs(out, exist_ok=True)
-    pool_ds, val, _ = materialize_dataset(cfg)
+    pool, val, _ = materialize_dataset(cfg)
     tasks = []
     for r in range(cfg.repeats):
         run_cfg = dataclasses.replace(
             cfg.tbal, master_seed=child_seed(cfg.master_seed, "run", r))
-        tasks.append((run_cfg, pool_ds, val, os.path.join(out, f"run_{r:02d}")))
+        tasks.append((run_cfg, pool, val, os.path.join(out, f"run_{r:02d}")))
     results = _map(_one_run, tasks, jobs)
     coverages = [r["final_coverage"] for r in results]
     errors = [r["final_error"] for r in results if r["final_error"] is not None]
@@ -192,11 +194,11 @@ def _combo_list(grid: dict):
     return combos
 
 
-def _first_round_eval(tbal_cfg: TbalConfig, pool_ds: Dataset,
-                      val: LabeledSet, hyp: LabeledSet, run_seed: int):
+def _first_round_eval(tbal_cfg: TbalConfig, pool: Pool, val: LabeledSet,
+                      hyp: LabeledSet, run_seed: int):
     """Seed-query + one fit round, scored on the held-out hyp split."""
     cfg = dataclasses.replace(tbal_cfg, master_seed=run_seed)
-    seed_set, _, dims = seed_query(cfg, pool_ds)
+    seed_set, _, dims = seed_query(cfg, pool)
     model, g, t_hat, *_ = fit_round(cfg, seed_set, val, 1, dims)
     top, preds = predicted_scores(g, *model.representations(hyp.features))
     cov, err = empirical_metrics(t_hat, top, preds, hyp.labels)
@@ -234,13 +236,13 @@ def _select(records: "list[dict]", eps_a: float, tie_seed: int,
     return winner["combo_id"]
 
 
-def _eval_phase(phase: str, combos, apply_fn, tbal_cfg, pool_ds, val, hyp,
+def _eval_phase(phase: str, combos, apply_fn, tbal_cfg, pool, val, hyp,
                 repeats, master_seed, jobs) -> "list[dict]":
     tasks = []
     for idx, combo in enumerate(combos):
         cfg_c = apply_fn(tbal_cfg, combo)
         for r in range(repeats):
-            tasks.append((cfg_c, pool_ds, val, hyp,
+            tasks.append((cfg_c, pool, val, hyp,
                           child_seed(master_seed, "hpo-run", r)))
     flat = _map(_first_round_eval, tasks, jobs)
     records = []
@@ -280,7 +282,7 @@ def hyperparameter_search(cfg: ExperimentConfig, out_dir: str | None = None,
     if os.path.exists(result_path) and not force:
         raise OutputExistsError(f"{result_path} exists; pass force to overwrite")
     os.makedirs(out, exist_ok=True)
-    pool_ds, val, hyp = materialize_dataset(cfg)
+    pool, val, hyp = materialize_dataset(cfg)
     if hyp is None:
         raise ValueError("hpo requires dataset.hyp_size >= 1")
     spec: HpoSpec = cfg.hpo
@@ -288,7 +290,7 @@ def hyperparameter_search(cfg: ExperimentConfig, out_dir: str | None = None,
     train_combos = _combo_list(spec.train_grid)
     softmax_cfg = dataclasses.replace(cfg.tbal, posthoc=SoftmaxConfig())
     train_records = _eval_phase(
-        "train", train_combos, _apply_train_combo, softmax_cfg, pool_ds, val,
+        "train", train_combos, _apply_train_combo, softmax_cfg, pool, val,
         hyp, cfg.repeats, cfg.master_seed, jobs)
     train_winner_id = _select(train_records, cfg.tbal.thresholds.eps_a,
                               spec.tie_break_seed, "train")
@@ -299,7 +301,7 @@ def hyperparameter_search(cfg: ExperimentConfig, out_dir: str | None = None,
     if spec.posthoc_grid:
         posthoc_records = _eval_phase(
             "posthoc", _combo_list(spec.posthoc_grid), _apply_posthoc_combo,
-            fixed, pool_ds, val, hyp, cfg.repeats, cfg.master_seed, jobs)
+            fixed, pool, val, hyp, cfg.repeats, cfg.master_seed, jobs)
         posthoc_winner_id = _select(posthoc_records, cfg.tbal.thresholds.eps_a,
                                     spec.tie_break_seed, "posthoc")
         posthoc_winner = next(r["params"] for r in posthoc_records

@@ -16,6 +16,11 @@ def label_everything(ds, round_index=0):
     return al.LabeledSet.from_oracle(ds, np.arange(ds.n), round_index)
 
 
+def whole_pool(ds):
+    """Pool holding every row of ``ds``."""
+    return al.Pool(ds, np.arange(ds.n))
+
+
 class FixedModel:
     """Classifier stub: feature column 0 is a row index into fixed outputs."""
 

@@ -20,7 +20,10 @@
 * ``batch_loss`` -- the mean classifier loss whose logit gradient training
   runs, for the finite-difference gradient checks;
 * ``thresholds_from_jsonable`` and ``write_rawf32`` -- the inverses of the
-  round log's threshold lists and of the rawf32 loader.
+  round log's threshold lists and of the rawf32 loader;
+* ``copied_splits`` -- pool, validation and hyp as copies of their rows,
+  each over a Dataset of its own, the way the runner once made them; a run
+  on them must match a run on the row sets of the one loaded Dataset.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from autolabel.confidence import sigmoid
-from autolabel.data import Dataset
+from autolabel.data import Dataset, LabeledSet, Pool
 from autolabel.thresholds import ThresholdVector, predicted_scores
 
 
@@ -256,3 +259,24 @@ def write_rawf32(dataset: Dataset, path: str) -> None:
         f.write(f"n={dataset.n}\nd={dataset.dim}\nk={dataset.num_classes}\n")
     with open(path + ".labels", "wb") as f:
         f.write(labels.tobytes())
+
+
+def copied_splits(pool: Pool, val: LabeledSet, hyp: LabeledSet | None):
+    """(pool, validation, hyp or None) with each set's rows of the shared
+    Dataset copied into a Dataset of their own, whole.
+
+    Row ``j`` of a copy is row ``rows[j]`` of the shared Dataset, where
+    ``rows`` is the set's ascending ``active`` or ``indices``.
+    """
+    def copy(rows):
+        base = pool.dataset
+        return Dataset(base.features[rows], base.hidden_labels[rows],
+                       base.num_classes)
+
+    def whole(labeled):
+        data = copy(labeled.indices)
+        return LabeledSet.from_oracle(data, np.arange(data.n), 0, "human")
+
+    pool_data = copy(pool.active)
+    return (Pool(pool_data, np.arange(pool_data.n)), whole(val),
+            None if hyp is None else whole(hyp))

@@ -55,6 +55,7 @@ from conftest import (
     metrics_on,
     thresholds_on,
     uniform_thresholds,
+    whole_pool,
 )
 from oracles import (
     TOY_ALPHAS,
@@ -335,16 +336,16 @@ def heavy_tail_mixture(n, seed):
 def run_mixture(posthoc, r):
     ds = heavy_tail_mixture(MIX_POOL + MIX_VAL,
                             child_seed(MIX_MASTER, "world", r))
-    pool_ds, val_ds = al.carve(ds, [MIX_POOL, MIX_VAL],
-                               seed=child_seed(MIX_MASTER, "carve", r))
-    d_val = al.LabeledSet.from_oracle(val_ds, np.arange(val_ds.n), 0, "human")
+    pool_rows, val_rows = al.carve(ds.n, [MIX_POOL, MIX_VAL],
+                                   seed=child_seed(MIX_MASTER, "carve", r))
+    pool = al.Pool(ds, pool_rows)
+    d_val = al.LabeledSet.from_oracle(ds, val_rows, 0, "human")
     box = {}
 
     def hook(i, model, *_):
         if i == 1 and "acc" not in box:
-            preds = np.argmax(model.representations(pool_ds.features)[0],
-                              axis=1)
-            box["acc"] = float(np.mean(preds == pool_ds.hidden_labels))
+            preds = np.argmax(model.representations(pool.features)[0], axis=1)
+            box["acc"] = float(np.mean(preds == ds.hidden_labels[pool_rows]))
 
     cfg = al.TbalConfig(
         train_budget=MIX_BUDGET, seed_size=MIX_BUDGET, query_batch=75,
@@ -355,7 +356,7 @@ def run_mixture(posthoc, r):
         hidden=(64,),
         train=al.TrainConfig(max_epochs=250, learning_rate=0.1),
         posthoc=posthoc, master_seed=r)
-    report = al.run_tbal(cfg, pool_ds, d_val, round_hook=hook)
+    report = al.run_tbal(cfg, pool, d_val, round_hook=hook)
     return report, box["acc"]
 
 
@@ -465,7 +466,7 @@ def test_full_size_digit_run_when_idx_files_are_present():
         pool_ds, d_val = split_off_validation(base, 500, r)
         for name, posthoc in methods:
             cfg = single_round_config(posthoc, 500, r)
-            report = al.run_tbal(cfg, pool_ds, d_val)
+            report = al.run_tbal(cfg, whole_pool(pool_ds), d_val)
             cov[name].append(report.final_coverage)
             err[name].append(report.final_error)
     net_errs = [e for e in err["confidence_net"] if e is not None]
@@ -507,7 +508,8 @@ def test_bundled_digits_parity_and_error_control():
                     box["acc"] = float(np.mean(preds == pool_ds.hidden_labels))
 
             cfg = single_round_config(posthoc, 150, r)
-            report = al.run_tbal(cfg, pool_ds, d_val, round_hook=hook)
+            report = al.run_tbal(cfg, whole_pool(pool_ds), d_val,
+                                 round_hook=hook)
             cov[name].append(report.final_coverage)
             err[name].append(report.final_error)
             if name == "softmax":

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import autolabel as al
 from autolabel.data import idx_labels_path
 
-from conftest import four_blobs, label_everything
+from conftest import four_blobs, label_everything, whole_pool
 from oracles import write_rawf32
 
 
@@ -19,20 +19,12 @@ def test_dataset_validation():
     feats = np.zeros((3, 2), dtype=np.float32)
     ds = al.Dataset(feats, [0, 1, 1], 2)
     assert ds.n == 3 and ds.dim == 2
-    assert np.array_equal(ds.ids, [0, 1, 2])
     with pytest.raises(al.RowCountMismatchError):
         al.Dataset(feats, [0, 1], 2)
     with pytest.raises(al.LabelOutOfRangeError):
         al.Dataset(feats, [0, 1, 2], 2)
     with pytest.raises(ValueError):
         al.Dataset(feats, [0, 1, 1], 1)
-
-
-def test_dataset_subset_keeps_ids():
-    ds = four_blobs(n=40)
-    sub = ds.subset([5, 7, 9])
-    assert np.array_equal(sub.ids, [5, 7, 9])
-    assert np.array_equal(sub.features, ds.features[[5, 7, 9]])
 
 
 def test_labeled_set_validation():
@@ -57,15 +49,11 @@ def test_labeled_set_validation():
 def test_repeated_indices_are_rejected(ids):
     """Repeats anywhere, not only next to each other, name the container."""
     ds = four_blobs(n=20)
-    feats = np.zeros((4, 2), dtype=np.float32)
-    with pytest.raises(ValueError, match=r"^ids must be unique$"):
-        al.Dataset(feats, [0, 1, 1, 0], 2, ids=ids)
     with pytest.raises(ValueError, match=r"^duplicate indices in LabeledSet$"):
         al.LabeledSet(ds, ids, [0] * 4, ["human"] * 4, [0] * 4)
     with pytest.raises(ValueError, match=r"^duplicate indices in pool$"):
         al.Pool(ds, ids)
     distinct = [0, 1, 2, 3]
-    al.Dataset(feats, [0, 1, 1, 0], 2, ids=distinct)
     al.LabeledSet(ds, distinct, [0] * 4, ["human"] * 4, [0] * 4)
     al.Pool(ds, distinct[::-1])
 
@@ -88,7 +76,7 @@ def test_labeled_set_from_oracle_and_concat():
 
 def test_pool_without():
     ds = four_blobs(n=10)
-    pool = al.Pool.full(ds)
+    pool = whole_pool(ds)
     smaller = pool.without([3, 4])
     assert smaller.size == 8
     assert 3 not in smaller.active
@@ -102,7 +90,7 @@ def test_pool_without():
 
 def test_random_query_properties():
     ds = four_blobs(n=50)
-    pool = al.Pool.full(ds)
+    pool = whole_pool(ds)
     got, rest = al.random_query(pool, 20, seed=3)
     assert len(got) == 20 and rest.size == 30
     assert np.all(np.diff(got.indices) > 0)
@@ -165,13 +153,17 @@ def test_synth_mixture_input_validation():
 
 
 def test_carve_disjoint_and_sized():
-    ds = four_blobs(n=100)
-    a, b, c = al.carve(ds, [20, 30, 40], seed=5)
-    assert (a.n, b.n, c.n) == (20, 30, 40)
-    ids = set(a.ids) | set(b.ids) | set(c.ids)
-    assert len(ids) == 90
+    a, b, c = al.carve(100, [20, 30, 40], seed=5)
+    assert (len(a), len(b), len(c)) == (20, 30, 40)
+    rows = np.concatenate([a, b, c])
+    assert len(set(rows.tolist())) == 90
+    assert rows.min() >= 0 and rows.max() < 100
+    # each set ascending: the draw's slices, sorted
+    perm = np.random.default_rng(5).permutation(100)
+    for got, at, size in ((a, 0, 20), (b, 20, 30), (c, 50, 40)):
+        assert np.array_equal(got, np.sort(perm[at:at + size]))
     with pytest.raises(ValueError):
-        al.carve(ds, [60, 60], seed=5)
+        al.carve(100, [60, 60], seed=5)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +332,8 @@ def test_rawf32_features_are_read_only(tmp_path):
         back.features[0, 0] = 1.0
 
 
-def test_materialized_splits_do_not_share_the_loaded_features(
-        tmp_path, monkeypatch):
+def test_materialized_splits_index_the_loaded_features(tmp_path,
+                                                       monkeypatch):
     from autolabel import runner
     from autolabel.config import parse_config_dict
 
@@ -359,11 +351,16 @@ def test_materialized_splits_do_not_share_the_loaded_features(
                     "pool_size": 30, "val_size": 20, "hyp_size": 10},
         "tbal": {"train_budget": 10, "seed_size": 5, "query_batch": 5},
     }, base_dir=str(tmp_path))
-    pool_ds, val, hyp = runner.materialize_dataset(cfg)
+    pool, val, hyp = runner.materialize_dataset(cfg)
     mapped = loaded[0].features
-    for split in (pool_ds, val.dataset, hyp.dataset):
-        assert not np.shares_memory(split.features, mapped)
-        assert np.array_equal(split.features, mapped[split.ids])
+    # every split is a row set of the map, never a copy of it
+    for split, rows in ((pool, pool.active), (val, val.indices),
+                        (hyp, hyp.indices)):
+        assert split.dataset is loaded[0]
+        assert np.shares_memory(split.dataset.features, mapped)
+        assert np.array_equal(split.features, mapped[rows])
+    assert sorted(np.concatenate([pool.active, val.indices, hyp.indices])) \
+        == list(range(60))
 
 
 def test_rawf32_label_out_of_range(tmp_path):

@@ -18,6 +18,7 @@ from conftest import (
     metrics_on,
     scored,
     uniform_thresholds,
+    whole_pool,
 )
 from oracles import thresholds_from_jsonable
 
@@ -25,8 +26,13 @@ from oracles import thresholds_from_jsonable
 def overlapping_world(n_pool=300, n_val=120, sigma=2.2, seed=3):
     ds = al.synth_gaussian_mixture(4, 2, CROSS_MEANS, sigma, n_pool + n_val,
                                    seed)
-    pool_ds, val_ds = al.carve(ds, [n_pool, n_val], seed=seed + 1)
-    return pool_ds, label_everything(val_ds)
+    pool_rows, val_rows = al.carve(ds.n, [n_pool, n_val], seed=seed + 1)
+    return al.Pool(ds, pool_rows), al.LabeledSet.from_oracle(ds, val_rows, 0)
+
+
+def first_of(pool, m):
+    """Human labels for the first ``m`` rows of ``pool``."""
+    return al.LabeledSet.from_oracle(pool.dataset, pool.active[:m], 0)
 
 
 THRESHOLD_FIELDS = {f.name for f in dataclasses.fields(al.ThresholdConfig)}
@@ -99,8 +105,7 @@ def piece_fixture():
     tops = [0.9, 0.6, 0.8, 0.3, 0.5]
     scores = np.zeros((5, 2))
     scores[np.arange(5), preds] = tops
-    pool = al.Pool.full(labeled.dataset)
-    return labeled, al.Pool.full(labeled.dataset), FixedModel(preds), \
+    return labeled, whole_pool(labeled.dataset), FixedModel(preds), \
         FixedScores(scores), np.array(tops), np.array(preds)
 
 
@@ -168,14 +173,14 @@ def test_active_query_candidate_set():
     allowed = {4, 1, 3, 5}  # indices of the four smallest margins
     for seed in range(30):
         chosen, pool2 = al.active_query(
-            logits, al.Pool.full(labeled.dataset), 2, 2.0, seed, 1)
+            logits, whole_pool(labeled.dataset), 2, 2.0, seed, 1)
         assert len(chosen) == 2
         assert set(chosen.indices) <= allowed
         assert pool2.size == 4
         assert np.all(chosen.sources == "human")
     # every pair drawn over seeds stays inside the candidate set, and the
     # randomization actually varies the picks
-    picks = {tuple(al.active_query(logits, al.Pool.full(labeled.dataset), 2,
+    picks = {tuple(al.active_query(logits, whole_pool(labeled.dataset), 2,
                                    2.0, s, 1)[0].indices) for s in range(30)}
     assert len(picks) > 1
 
@@ -184,7 +189,7 @@ def test_active_query_small_pool_clamps():
     margins = [0.5, 0.4, 0.3]
     labeled = indexed_set([0] * 3, 2)
     logits = margins_to_logits(margins)
-    chosen, pool2 = al.active_query(logits, al.Pool.full(labeled.dataset), 5,
+    chosen, pool2 = al.active_query(logits, whole_pool(labeled.dataset), 5,
                                     2.0, 0, 1)
     assert len(chosen) == 3
     assert pool2.size == 0
@@ -194,11 +199,11 @@ def test_active_query_determinism_and_empty_pool():
     margins = [0.5, 0.4, 0.3, 0.2]
     labeled = indexed_set([0] * 4, 2)
     logits = margins_to_logits(margins)
-    pool = al.Pool.full(labeled.dataset)
+    pool = whole_pool(labeled.dataset)
     a, _ = al.active_query(logits, pool, 2, 2.0, 9, 1)
     b, _ = al.active_query(logits, pool, 2, 2.0, 9, 1)
     assert np.array_equal(a.indices, b.indices)
-    empty = al.Pool.full(labeled.dataset).without(np.arange(4))
+    empty = whole_pool(labeled.dataset).without(np.arange(4))
     with pytest.raises(ValueError):
         al.active_query(logits[:0], empty, 1, 2.0, 0, 1)
 
@@ -210,7 +215,7 @@ def test_active_query_uses_raw_softmax_margins():
     labeled = indexed_set([0] * 20, 2)
     logits = margins_to_logits(margins)
     want = set(np.argsort(margins, kind="stable")[:8])
-    chosen, _ = al.active_query(logits, al.Pool.full(labeled.dataset), 4, 2.0,
+    chosen, _ = al.active_query(logits, whole_pool(labeled.dataset), 4, 2.0,
                                 3, 1)
     assert set(chosen.indices) <= want
 
@@ -220,9 +225,9 @@ def test_active_query_uses_raw_softmax_margins():
 
 
 def test_fit_round_zero_tolerance_thresholds_have_zero_group_error():
-    pool_ds, val = overlapping_world()
+    pool, val = overlapping_world()
     cfg = base_config(eps_a=0.0, c1=0.0, coverage_floor=0.01)
-    seed_set = label_everything(pool_ds).take(range(40))
+    seed_set = first_of(pool, 40)
     dims = [2, 32, 4]
     model, g, t_hat, top, preds, cal, th, warn = fit_round(cfg, seed_set, val,
                                                            1, dims)
@@ -241,7 +246,7 @@ def test_fit_round_zero_tolerance_thresholds_have_zero_group_error():
 
 @pytest.mark.parametrize("method", tuple(al.loop.POSTHOC_CONFIGS))
 def test_round_runs_the_classifier_once_per_set(monkeypatch, method):
-    pool_ds, val = overlapping_world()
+    pool, val = overlapping_world()
     cfg = base_config(posthoc=al.loop.POSTHOC_CONFIGS[method]())
     calls = []
     original = al.MlpClassifier.representations
@@ -255,7 +260,7 @@ def test_round_runs_the_classifier_once_per_set(monkeypatch, method):
 
     vals = {}
     monkeypatch.setattr(al.MlpClassifier, "representations", counted)
-    report = al.run_tbal(cfg, pool_ds, val,
+    report = al.run_tbal(cfg, pool, val,
                          round_hook=lambda i, m, v, *_: vals.setdefault(i, v))
     assert len(report.rounds) >= 2
     assert any(rec.n_auto for rec in report.rounds)
@@ -264,25 +269,25 @@ def test_round_runs_the_classifier_once_per_set(monkeypatch, method):
     out = report.output
     for i, rec in enumerate(report.rounds, start=1):
         round_val = vals[i]
-        pool_rows = np.setdiff1d(np.arange(pool_ds.n),
-                                 out.indices[out.rounds < i])
+        pool_rows = np.setdiff1d(pool.active, out.indices[out.rounds < i])
         auto = out.indices[(out.rounds == i) & (out.sources == "auto")]
         cal, th = al.random_split(len(round_val), cfg.cal_fraction,
                                   child_seed(cfg.master_seed, i, "split"))
         assert (rec.n_cal, rec.n_th) == (len(cal), len(th))
         assert same(calls[2 * i - 2], round_val.features)
-        assert same(calls[2 * i - 1], pool_ds.features[pool_rows])
+        assert same(calls[2 * i - 1], pool.dataset.features[pool_rows])
         unrun = [round_val.take(cal).features, round_val.take(th).features]
         if len(auto):  # with nothing auto-labeled the pool left is the pool
-            unrun.append(pool_ds.features[np.setdiff1d(pool_rows, auto)])
+            unrun.append(
+                pool.dataset.features[np.setdiff1d(pool_rows, auto)])
         for rows in unrun:
             assert not any(same(c, rows) for c in calls)
 
 
 def test_fit_round_deterministic():
-    pool_ds, val = overlapping_world()
+    pool, val = overlapping_world()
     cfg = base_config()
-    seed_set = label_everything(pool_ds).take(range(30))
+    seed_set = first_of(pool, 30)
     m1, g1, t1, _, _, c1, th1, _ = fit_round(cfg, seed_set, val, 1, [2, 32, 4])
     m2, g2, t2, _, _, c2, th2, _ = fit_round(cfg, seed_set, val, 1, [2, 32, 4])
     assert all(np.array_equal(a, b) for a, b in zip(m1.weights, m2.weights))
@@ -296,42 +301,43 @@ def test_fit_round_deterministic():
 
 
 def test_run_preconditions():
-    pool_ds, val = overlapping_world(n_pool=20, n_val=10)
+    pool, val = overlapping_world(n_pool=20, n_val=10)
     with pytest.raises(ValueError):
-        al.run_tbal(base_config(train_budget=60, seed_size=30), pool_ds,
+        al.run_tbal(base_config(train_budget=60, seed_size=30), pool,
                     val.take([0]))
     with pytest.raises(ValueError):
-        al.run_tbal(base_config(train_budget=60, seed_size=30), pool_ds, val)
+        al.run_tbal(base_config(train_budget=60, seed_size=30), pool, val)
 
 
 def test_single_round_on_separable_world():
     means = np.array([[-8.0, 0.0], [8.0, 0.0]])
     ds = al.synth_gaussian_mixture(2, 2, means, 0.5, 260, seed=7)
-    pool_ds, val_ds = al.carve(ds, [200, 60], seed=8)
+    pool_rows, val_rows = al.carve(ds.n, [200, 60], seed=8)
     cfg = al.TbalConfig(train_budget=40, seed_size=40, query_batch=10,
                         master_seed=1,
                         train=al.TrainConfig(max_epochs=30, learning_rate=0.05,
                                              seed=0))
-    report = al.run_tbal(cfg, pool_ds, label_everything(val_ds))
+    report = al.run_tbal(cfg, al.Pool(ds, pool_rows),
+                         al.LabeledSet.from_oracle(ds, val_rows, 0))
     assert len(report.rounds) == 1
     assert report.final_error == 0.0
     assert report.final_coverage >= 0.7
     # auto labels agree with the hidden truth, point by point
     auto = report.output.sources == "auto"
-    truth = pool_ds.hidden_labels[report.output.indices[auto]]
+    truth = ds.hidden_labels[report.output.indices[auto]]
     assert np.array_equal(report.output.labels[auto], truth)
 
 
 def test_loop_accounting_and_budget():
-    pool_ds, val = overlapping_world()
+    pool, val = overlapping_world()
     cfg = base_config(train_budget=70, seed_size=30, query_batch=15)
     seen_vals = []
-    report = al.run_tbal(cfg, pool_ds, val,
+    report = al.run_tbal(cfg, pool, val,
                          round_hook=lambda i, m, v, top, preds: seen_vals.append(
                              set(v.indices.tolist())))
     assert len(report.rounds) >= 2
     # pool deltas chain exactly
-    remaining = pool_ds.n - cfg.seed_size
+    remaining = pool.size - cfg.seed_size
     for rec in report.rounds:
         remaining = remaining - rec.n_auto - rec.n_queried
         assert rec.n_pool_remaining == remaining
@@ -350,39 +356,38 @@ def test_loop_accounting_and_budget():
     for earlier, later in zip(seen_vals, seen_vals[1:]):
         assert later <= earlier
     # coverage consistent with the output
-    assert report.final_coverage == pytest.approx(n_auto / pool_ds.n)
+    assert report.final_coverage == pytest.approx(n_auto / pool.size)
 
 
 def test_final_error_is_the_auto_label_mismatch_rate():
     # a loose tolerance on overlapping data lets wrong auto-labels through;
     # the report's error must be their mismatch rate against the hidden
     # labels, looked up by point id
-    pool_ds, val = overlapping_world()
-    report = al.run_tbal(base_config(eps_a=0.3), pool_ds, val)
+    pool, val = overlapping_world()
+    report = al.run_tbal(base_config(eps_a=0.3), pool, val)
     out = report.output
     auto = out.sources == "auto"
-    row_of = {int(pid): row for row, pid in enumerate(pool_ds.ids)}
-    truth = pool_ds.hidden_labels[[row_of[int(pid)] for pid in out.ids[auto]]]
+    truth = pool.dataset.hidden_labels[out.ids[auto]]
     mistakes = int(np.sum(out.labels[auto] != truth))
     assert mistakes > 0
     assert report.final_error == mistakes / int(auto.sum())
 
 
 def test_loop_deterministic_reports():
-    pool_ds, val = overlapping_world()
+    pool, val = overlapping_world()
     cfg = base_config(posthoc=al.TemperatureConfig(), master_seed=17)
-    r1 = al.run_tbal(cfg, pool_ds, val)
-    r2 = al.run_tbal(cfg, pool_ds, val)
+    r1 = al.run_tbal(cfg, pool, val)
+    r2 = al.run_tbal(cfg, pool, val)
     assert r1.to_jsonable() == r2.to_jsonable()
 
 
 def test_seed_query_independent_of_posthoc_method():
-    pool_ds, val = overlapping_world()
+    pool, val = overlapping_world()
     reports = {}
     for method in ("softmax", "temperature"):
         cfg = base_config(posthoc=al.loop.POSTHOC_CONFIGS[method](),
                           master_seed=23)
-        rep = al.run_tbal(cfg, pool_ds, val)
+        rep = al.run_tbal(cfg, pool, val)
         seed_ids = rep.output.indices[(rep.output.sources == "human")
                                       & (rep.output.rounds == 0)]
         reports[method] = np.sort(seed_ids)
@@ -404,7 +409,7 @@ def test_validation_exhaustion_stops_with_warning():
         thresholds=al.ThresholdConfig(eps_a=1.0, coverage_floor=0.01, c1=0.0,
                                       grid=np.array([0.9])), master_seed=2,
         train=al.TrainConfig(max_epochs=40, learning_rate=0.05, seed=1))
-    report = al.run_tbal(cfg, pool_ds, label_everything(val_ds))
+    report = al.run_tbal(cfg, whole_pool(pool_ds), label_everything(val_ds))
     assert any("validation" in w for w in report.warnings)
     # the loop stopped early: unlabeled points remain
     assert report.rounds[-1].n_pool_remaining > 0
@@ -415,10 +420,10 @@ def test_all_infinite_round_still_queries():
     # demanding full-group coverage at a near-unit threshold is infeasible on
     # overlapping data, so every threshold comes out infinite; the loop must
     # keep buying labels rather than stall
-    pool_ds, val = overlapping_world(n_pool=80, n_val=40)
+    pool, val = overlapping_world(n_pool=80, n_val=40)
     cfg = base_config(train_budget=45, seed_size=15, query_batch=15,
                       coverage_floor=1.0, grid=np.array([0.999999]))
-    report = al.run_tbal(cfg, pool_ds, val)
+    report = al.run_tbal(cfg, pool, val)
     assert len(report.rounds) >= 2
     for rec in report.rounds:
         assert rec.n_auto == 0
@@ -433,13 +438,13 @@ def test_all_infinite_round_still_queries():
 
 
 def test_round_log_and_report_serialization(tmp_path):
-    pool_ds, val = overlapping_world()
+    pool, val = overlapping_world()
     cfg = base_config()
-    report = al.run_tbal(cfg, pool_ds, val)
+    report = al.run_tbal(cfg, pool, val)
     log1 = tmp_path / "rounds1.jsonl"
     log2 = tmp_path / "rounds2.jsonl"
     dump_round_log(report, str(log1))
-    dump_round_log(al.run_tbal(cfg, pool_ds, val), str(log2))
+    dump_round_log(al.run_tbal(cfg, pool, val), str(log2))
     assert log1.read_bytes() == log2.read_bytes()
     lines = log1.read_text().splitlines()
     assert len(lines) == len(report.rounds)
@@ -451,7 +456,7 @@ def test_round_log_and_report_serialization(tmp_path):
     rep_path = tmp_path / "report.json"
     dump_report(report, str(rep_path))
     doc = json.loads(rep_path.read_text())
-    assert doc["n_initial_pool"] == pool_ds.n
+    assert doc["n_initial_pool"] == pool.size
     assert doc["n_rounds"] == len(report.rounds)
     assert len(doc["output"]["ids"]) == len(report.output)
     # infinite thresholds serialize as nulls and come back as inf
@@ -469,28 +474,28 @@ def reference_dump_report(report, path):
 
 @pytest.fixture(scope="module")
 def reports():
-    pool_ds, val = overlapping_world()
-    run = al.run_tbal(base_config(), pool_ds, val)
+    pool, val = overlapping_world()
+    run = al.run_tbal(base_config(), pool, val)
     assert len(run.rounds) >= 2
-    empty = al.LabeledSet.empty(pool_ds)
+    empty = al.LabeledSet.empty(pool.dataset)
     cases = {"run": run}
     cases["empty"] = al.TbalReport(
-        rounds=[], output=empty, n_initial_pool=pool_ds.n, final_error=None,
+        rounds=[], output=empty, n_initial_pool=pool.size, final_error=None,
         final_coverage=0.0, warnings=[])
     cases["warnings"] = al.TbalReport(
-        rounds=run.rounds[:1], output=empty, n_initial_pool=pool_ds.n,
+        rounds=run.rounds[:1], output=empty, n_initial_pool=pool.size,
         final_error=None, final_coverage=0.0,
         warnings=['say "no"', "back\\slash \\n", "naïve — ü 漢", "two\nlines",
                   '\n  "output": {}', "tab\there"])
-    # glyph scale: 30,000 labeled points stamped with rounds 0 to 5
+    # glyph scale: 30,000 labeled points stamped with rounds 0 to 5, their
+    # ids scattered over ten times as many rows
     n = 30_000
     rng = np.random.default_rng(5)
-    big = al.Dataset(np.zeros((n, 1), np.float32),
-                     rng.integers(0, 10, size=n), 10,
-                     ids=rng.permutation(10 * n)[:n])
+    big = al.Dataset(np.zeros((10 * n, 1), np.float32),
+                     rng.integers(0, 10, size=10 * n), 10)
     human = rng.random(n) < 0.05
     output = al.LabeledSet(
-        big, rng.permutation(n), rng.integers(0, 10, size=n),
+        big, rng.permutation(10 * n)[:n], rng.integers(0, 10, size=n),
         np.where(human, "human", "auto"), rng.integers(0, 6, size=n))
     cases["glyph_scale"] = al.TbalReport(
         rounds=run.rounds, output=output, n_initial_pool=n, final_error=0.0625,

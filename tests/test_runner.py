@@ -21,6 +21,7 @@ from autolabel.runner import (
 )
 
 from conftest import indexed_set, metrics_on
+from oracles import copied_splits
 
 SEPARABLE = {
     "master_seed": 11,
@@ -55,22 +56,22 @@ def experiment(base, tmp_path, name="out", **overrides):
 
 def test_materialize_sizes_and_determinism(tmp_path):
     cfg = experiment(OVERLAPPING, tmp_path)
-    pool_ds, val, hyp = materialize_dataset(cfg)
-    assert pool_ds.n == 150
+    pool, val, hyp = materialize_dataset(cfg)
+    assert pool.size == 150
     assert len(val) == 60
     assert len(hyp) == 40
     assert np.all(val.sources == "human")
     pool2, val2, hyp2 = materialize_dataset(cfg)
-    assert np.array_equal(pool_ds.features, pool2.features)
+    assert np.array_equal(pool.features, pool2.features)
     assert np.array_equal(val.labels, val2.labels)
     assert np.array_equal(hyp.labels, hyp2.labels)
 
 
 def test_materialize_no_hyp_split(tmp_path):
     cfg = experiment(SEPARABLE, tmp_path)
-    pool_ds, val, hyp = materialize_dataset(cfg)
+    pool, val, hyp = materialize_dataset(cfg)
     assert hyp is None
-    assert pool_ds.n == 120
+    assert pool.size == 120
 
 
 def test_materialize_depends_on_master_seed(tmp_path):
@@ -90,6 +91,60 @@ def test_materialize_file_too_small(tmp_path):
     cfg = parse_config_dict(d, base_dir=str(tmp_path))
     with pytest.raises(ValueError, match="asks for"):
         materialize_dataset(cfg)
+
+
+@pytest.mark.parametrize("posthoc", [
+    {"method": "softmax"}, {"method": "temperature"},
+    # a calibration half of 30 is too small for 40 per bin: warns each round
+    {"method": "top_label_hb", "points_per_bin": 40},
+    {"method": "confidence_net"},
+])
+def test_runs_on_row_sets_match_runs_on_copied_splits(tmp_path, posthoc):
+    d = copy.deepcopy(OVERLAPPING)
+    d["tbal"]["posthoc"] = posthoc
+    cfg = experiment(d, tmp_path)
+    pool, val, hyp = materialize_dataset(cfg)
+    pool_copy, val_copy, _ = copied_splits(pool, val, hyp)
+
+    def run(p, v):
+        scored = []
+        report = al.run_tbal(cfg.tbal, p, v, round_hook=lambda i, m, rv, top,
+                             preds: scored.append((rv.indices, top, preds)))
+        return report, scored
+
+    (got, got_scored), (want, want_scored) = (run(pool, val),
+                                              run(pool_copy, val_copy))
+    assert len(got.rounds) >= 2
+    assert any(r.n_auto for r in got.rounds)
+    assert [r.to_jsonable() for r in got.rounds] \
+        == [r.to_jsonable() for r in want.rounds]
+    assert got.warnings == want.warnings
+    if posthoc["method"] == "top_label_hb":
+        assert got.warnings
+    assert (got.final_error, got.final_coverage, got.n_initial_pool) \
+        == (want.final_error, want.final_coverage, want.n_initial_pool)
+    for key in ("labels", "sources", "rounds"):
+        assert np.array_equal(getattr(got.output, key),
+                              getattr(want.output, key))
+    assert np.array_equal(got.output.indices,
+                          pool.active[want.output.indices])
+    # every round scores the same validation rows to the same bits
+    for (rows, top, preds), (copy_rows, copy_top, copy_preds) in zip(
+            got_scored, want_scored, strict=True):
+        assert np.array_equal(rows, val.indices[copy_rows])
+        assert np.array_equal(top, copy_top)
+        assert np.array_equal(preds, copy_preds)
+
+
+def test_hpo_on_row_sets_matches_hpo_on_copied_splits(tmp_path, monkeypatch):
+    from autolabel import runner
+
+    al.hyperparameter_search(hpo_experiment(tmp_path, name="rows"))
+    monkeypatch.setattr(runner, "materialize_dataset",
+                        lambda cfg: copied_splits(*materialize_dataset(cfg)))
+    al.hyperparameter_search(hpo_experiment(tmp_path, name="copies"))
+    assert (tmp_path / "rows" / "hpo_result.json").read_bytes() \
+        == (tmp_path / "copies" / "hpo_result.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +308,7 @@ def test_first_round_eval_runs_the_classifier_once_over_hyp(
     d = copy.deepcopy(OVERLAPPING)
     d["tbal"]["posthoc"] = {"method": method}
     cfg = experiment(d, tmp_path)
-    pool_ds, val, hyp = materialize_dataset(cfg)
+    pool, val, hyp = materialize_dataset(cfg)
     calls = []
     original = al.MlpClassifier.representations
 
@@ -265,7 +320,7 @@ def test_first_round_eval_runs_the_classifier_once_over_hyp(
         return sum(c.shape == X.shape and np.array_equal(c, X) for c in calls)
 
     monkeypatch.setattr(al.MlpClassifier, "representations", counted)
-    _first_round_eval(cfg.tbal, pool_ds, val, hyp, 3)
+    _first_round_eval(cfg.tbal, pool, val, hyp, 3)
     # one pass over validation in fit_round, one over hyp, and no other
     assert passes(hyp.features) == 1
     assert passes(val.features) == 1
@@ -275,15 +330,15 @@ def test_first_round_eval_runs_the_classifier_once_over_hyp(
 def test_first_round_eval_scores_the_runs_first_round(tmp_path):
     # the search scores the first round a run with the same seed makes
     cfg = experiment(OVERLAPPING, tmp_path)
-    pool_ds, val, hyp = materialize_dataset(cfg)
+    pool, val, hyp = materialize_dataset(cfg)
     for seed in (3, 8):
         models = {}
         report = al.run_tbal(
-            dataclasses.replace(cfg.tbal, master_seed=seed), pool_ds, val,
+            dataclasses.replace(cfg.tbal, master_seed=seed), pool, val,
             round_hook=lambda i, model, *_: models.setdefault(i, model))
         cov, err = metrics_on(al.SoftmaxConfidence(),
                               report.rounds[0].thresholds, models[1], hyp)
-        assert _first_round_eval(cfg.tbal, pool_ds, val, hyp, seed) == (
+        assert _first_round_eval(cfg.tbal, pool, val, hyp, seed) == (
             cov, 0.0 if err is None else err)
 
 

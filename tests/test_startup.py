@@ -1,8 +1,11 @@
-"""Start-up stays free of scipy.
+"""Start-up stays free of scipy and of the process pool.
 
 Only the temperature fit calls into scipy, and it imports it where it is
-called, so a run with any other confidence function never loads it. Each case starts a fresh interpreter, because this test process
-has scipy loaded already.
+called, so a run with any other confidence function never loads it. The
+process pool (``concurrent.futures.process``, ``multiprocessing``) is
+imported only by a run with jobs > 1, so no case here loads it. Each case
+starts a fresh interpreter, because this test process has both loaded
+already.
 """
 
 import json
@@ -44,6 +47,8 @@ autolabel.loop.fit_temperature = recording_fit
 run_experiment(cfg, out_dir=out_dir)
 with open(fits_path, "wb") as f:
     pickle.dump(fits, f)
+print(json.dumps([m for m in ("concurrent.futures.process", "multiprocessing")
+                  if m in sys.modules]))
 print(json.dumps(sorted(m for m in sys.modules
                         if m == "scipy" or m.startswith("scipy."))))
 """
@@ -71,7 +76,11 @@ def run_fresh(tmp_path, method):
     assert (tmp_path / "out" / "run_00" / "rounds.jsonl").exists()
     with open(fits_path, "rb") as f:
         fits = pickle.load(f)
-    return json.loads(proc.stdout.strip().splitlines()[-1]), fits
+    pool_modules, scipy_modules = map(json.loads,
+                                      proc.stdout.strip().splitlines()[-2:])
+    # every case is a jobs=1 run
+    assert pool_modules == []
+    return scipy_modules, fits
 
 
 def test_softmax_run_loads_no_scipy(tmp_path):
