@@ -356,6 +356,8 @@ def _parse_tbal(sec: _Section) -> TbalConfig:
         method = posthoc.string("method", choices=set(POSTHOC_CONFIGS))
         extra["posthoc"] = _build(posthoc, POSTHOC_CONFIGS[method])
         posthoc.finish()
+    # legacy key: thresholds are always estimated on predicted-class groups
+    sec.string("group_by", None, choices={"predicted_label"})
     grid_size = sec.number("grid_size", None, integer=True, lo=2)
     grid = sec.list_of_numbers("grid", None)
     if grid_size is not None and grid is not None:

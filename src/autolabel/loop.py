@@ -67,10 +67,10 @@ class TbalConfig:
     """Everything one workflow run needs besides the data itself.
 
     ``thresholds`` holds the error tolerance eps_a, the coverage floor, the
-    C1 safety margin, the threshold grid and the grouping, as
-    ``estimate_thresholds`` reads them; ``train`` holds the classifier's
-    fitting settings, and ``posthoc``, one of the ``POSTHOC_CONFIGS``
-    classes, names the confidence function and holds its settings.
+    C1 safety margin and the threshold grid, as ``estimate_thresholds``
+    reads them; ``train`` holds the classifier's fitting settings, and
+    ``posthoc``, one of the ``POSTHOC_CONFIGS`` classes, names the
+    confidence function and holds its settings.
     """
 
     train_budget: int
@@ -180,7 +180,7 @@ def auto_label_select(t: ThresholdVector, pool: Pool, top: np.ndarray,
     "auto". Returns (auto-labeled set, pool left, mask of ``pool``'s rows
     left).
     """
-    sel = top >= t.per_point(preds)
+    sel = t.selects(top, preds)
     chosen = pool.active[sel]
     labeled = LabeledSet(
         dataset=pool.dataset,
@@ -198,7 +198,7 @@ def filter_validation(t: ThresholdVector, val: LabeledSet, top: np.ndarray,
 
     ``top, preds`` are ``predicted_scores`` of ``val``'s rows.
     """
-    return val.take(np.flatnonzero(top < t.per_point(preds)))
+    return val.take(np.flatnonzero(~t.selects(top, preds)))
 
 
 def active_query(logits: np.ndarray, pool: Pool, n_b: int, C: float,
@@ -280,8 +280,8 @@ def fit_round(cfg: TbalConfig, d_train: LabeledSet, val: LabeledSet,
                              val.labels[cal],
                              child_seed(cfg.master_seed, round_index, "posthoc"))
     top, preds = predicted_scores(g, logits, penultimate)
-    t_hat = estimate_thresholds(top[th], preds[th], val.take(th),
-                                cfg.thresholds)
+    t_hat = estimate_thresholds(top[th], preds[th], val.labels[th],
+                                val.dataset.num_classes, cfg.thresholds)
     return model, g, t_hat, top, preds, cal, th, warning
 
 

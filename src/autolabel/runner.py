@@ -82,12 +82,14 @@ def materialize_dataset(cfg: ExperimentConfig):
 
 
 def _map(fn, tasks, jobs: int) -> list:
-    """[fn(*task) for task in tasks], over ``jobs`` worker processes when
-    jobs > 1; results keep the order of ``tasks`` either way."""
-    if jobs > 1:
+    """[fn(*task) for task in tasks], over at most ``jobs`` worker processes
+    and never more than tasks; results keep the order of ``tasks``."""
+    # the pool starts all max_workers processes on its first submit
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         # imported here: a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, *zip(*tasks)))
     return [fn(*task) for task in tasks]
 

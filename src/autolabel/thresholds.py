@@ -5,8 +5,8 @@ PREDICTED class is >= the threshold for that class (ties inclusive). Thresholds
 may be +inf, meaning "never auto-label this class".
 
 ``ThresholdConfig`` holds every setting of the selection: the error tolerance
-eps_a, the coverage floor, the C1 safety margin, the candidate grid and the
-grouping. A run's ``TbalConfig`` carries one as ``thresholds``.
+eps_a, the coverage floor, the C1 safety margin and the candidate grid. A
+run's ``TbalConfig`` carries one as ``thresholds``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LabeledSet
 from .mlp import _check_fields
 
 
@@ -39,8 +38,9 @@ class ThresholdVector:
             raise ValueError("finite thresholds must lie in [0, 1]")
         object.__setattr__(self, "values", v)
 
-    def per_point(self, predicted: np.ndarray) -> np.ndarray:
-        return self.values[np.asarray(predicted, dtype=np.int64)]
+    def selects(self, top: np.ndarray, preds: np.ndarray) -> np.ndarray:
+        """Mask: each point's top score >= its predicted class's threshold."""
+        return top >= self.values[preds]
 
     def to_jsonable(self) -> list:
         # +inf has no strict-JSON spelling; serialize it as null
@@ -55,15 +55,12 @@ class ThresholdConfig:
     coverage_floor : minimum selectable fraction of the class group
     c1             : multiplier on the binomial std added to the error estimate
     eps_a          : auto-labeling error tolerance the selection must respect
-    group_by       : "true_label" groups estimation points by their true
-                     class, "predicted_label" by the classifier's prediction
     """
 
     grid: np.ndarray = field(default_factory=default_grid)
     coverage_floor: float = 0.05
     c1: float = 0.25
     eps_a: float = 0.05
-    group_by: str = "true_label"
 
     def __post_init__(self):
         _check_fields(self, finite=("coverage_floor", "c1", "eps_a"))
@@ -82,9 +79,6 @@ class ThresholdConfig:
             raise ValueError("c1 must be >= 0")
         if not (0.0 <= self.eps_a <= 1.0):
             raise ValueError("eps_a must be in [0, 1]")
-        if self.group_by not in ("true_label", "predicted_label"):
-            raise ValueError("group_by must be 'true_label' or "
-                             f"'predicted_label', got {self.group_by!r}")
         object.__setattr__(self, "grid", g)
 
 
@@ -108,7 +102,7 @@ def empirical_metrics(t: ThresholdVector, top: np.ndarray, preds: np.ndarray,
     """
     if top.shape[0] == 0:
         raise ValueError("empty set")
-    sel = top >= t.per_point(preds)
+    sel = t.selects(top, preds)
     coverage = float(np.mean(sel))
     m = int(sel.sum())
     if m == 0:
@@ -169,23 +163,21 @@ def select_class_threshold(top: np.ndarray, wrong: np.ndarray,
     return float(cfg.grid[ok][np.argmax(passes)])
 
 
-def estimate_thresholds(top: np.ndarray, preds: np.ndarray, d_th: LabeledSet,
-                        cfg: ThresholdConfig) -> ThresholdVector:
-    """Per-class thresholds from held-out labeled data.
+def estimate_thresholds(top: np.ndarray, preds: np.ndarray, labels: np.ndarray,
+                        k: int, cfg: ThresholdConfig) -> ThresholdVector:
+    """Per-class thresholds for k classes from held-out labeled data.
 
-    ``top, preds`` are ``predicted_scores`` of ``d_th``'s rows. Points are
-    grouped per cfg.group_by; each class picks the smallest grid threshold
-    whose in-group coverage reaches coverage_floor and whose safety-padded
-    error estimate stays within eps_a. Classes with no qualifying threshold
-    (including empty groups) get +inf and auto-label nothing.
+    ``top, preds`` are ``predicted_scores`` of the rows ``labels`` labels.
+    Class y's group is the points predicted as y, which its threshold
+    auto-labels; y takes the smallest grid threshold whose in-group coverage
+    reaches coverage_floor and whose safety-padded error estimate stays
+    within eps_a, or +inf (auto-label nothing) when none qualifies.
     """
-    if len(d_th) == 0:
+    if labels.shape[0] == 0:
         raise ValueError("empty threshold-estimation set")
-    k = d_th.dataset.num_classes
-    wrong = d_th.labels != preds
-    group_key = d_th.labels if cfg.group_by == "true_label" else preds
+    wrong = labels != preds
     out = np.full(k, np.inf)
     for y in range(k):
-        sel = group_key == y
+        sel = preds == y
         out[y] = select_class_threshold(top[sel], wrong[sel], cfg)
     return ThresholdVector(out)

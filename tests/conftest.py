@@ -59,7 +59,8 @@ def metrics_on(g, t, h, labeled):
 
 def thresholds_on(g, h, labeled, cfg):
     """``estimate_thresholds`` on ``g``'s scores of ``labeled``."""
-    return al.estimate_thresholds(*scored(g, h, labeled.features), labeled,
+    return al.estimate_thresholds(*scored(g, h, labeled.features),
+                                  labeled.labels, labeled.dataset.num_classes,
                                   cfg)
 
 
@@ -77,14 +78,15 @@ def indexed_set(true_labels, k):
 
 
 def single_class_instance(top_scores, correct):
-    """A k=2 set where every true label is 0 and wrong points predict class 1."""
+    """A k=2 set where every point is predicted as class 0, so all form
+    class 0's threshold group, and wrong points truly belong to class 1."""
     top_scores = np.asarray(top_scores, dtype=np.float64)
     correct = np.asarray(correct, dtype=bool)
     n = top_scores.shape[0]
-    labeled = indexed_set(np.zeros(n, dtype=np.int64), 2)
-    preds = np.where(correct, 0, 1)
+    labeled = indexed_set(np.where(correct, 0, 1), 2)
     scores = np.zeros((n, 2))
-    scores[np.arange(n), preds] = top_scores
+    scores[:, 0] = top_scores
+    preds = np.zeros(n, dtype=np.int64)
     return labeled, FixedModel(preds), FixedScores(scores)
 
 

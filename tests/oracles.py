@@ -161,7 +161,7 @@ def mc_population_metrics(g, t: ThresholdVector, h, sampler, n: int,
     rng = np.random.default_rng(seed)
     X, y = sampler(rng, n)
     top, preds = predicted_scores(g, *h.representations(X))
-    sel = top >= t.per_point(preds)
+    sel = top >= t.values[preds]
     m = int(sel.sum())
     cov = m / n
     cov_se = float(np.sqrt(cov * (1.0 - cov) / n))
@@ -212,7 +212,7 @@ def surrogate_metrics(g, t: ThresholdVector, h, labeled, alpha: float,
     if len(labeled) == 0:
         raise ValueError("empty set")
     top, preds = predicted_scores(g, *h.representations(labeled.features))
-    u = sigmoid(alpha, top - t.per_point(preds))
+    u = sigmoid(alpha, top - t.values[preds])
     wrong = labeled.labels != preds
     return (float(np.mean(u)),
             float((u * wrong).sum() / (u.sum() + denom_epsilon)))

@@ -139,7 +139,6 @@ def test_threshold_selection_equals_exhaustive_scan_on_1000_instances():
             coverage_floor=float(rng.uniform(0.01, 0.8)),
             c1=float(rng.choice([0.0, 0.25, 1.0])),
             eps_a=float(rng.uniform(0.0, 0.4)),
-            group_by=str(rng.choice(["true_label", "predicted_label"])),
         )
         labeled = indexed_set(true, k)
         h, g = FixedModel(preds), FixedScores(scores)
@@ -147,9 +146,8 @@ def test_threshold_selection_equals_exhaustive_scan_on_1000_instances():
 
         top = scores[np.arange(n), preds]
         wrong = preds != true
-        group_key = true if cfg.group_by == "true_label" else preds
         for y in range(k):
-            members = np.flatnonzero(group_key == y)
+            members = np.flatnonzero(preds == y)
             want = scan_for_group(
                 [top[i] for i in members], [bool(wrong[i]) for i in members],
                 list(grid), cfg.coverage_floor, cfg.c1, cfg.eps_a)
@@ -351,8 +349,7 @@ def run_mixture(posthoc, r):
         train_budget=MIX_BUDGET, seed_size=MIX_BUDGET, query_batch=75,
         cal_fraction=0.5,
         thresholds=al.ThresholdConfig(
-            eps_a=0.05, coverage_floor=0.05, c1=0.25, grid=DENSE_GRID,
-            group_by="predicted_label"),
+            eps_a=0.05, coverage_floor=0.05, c1=0.25, grid=DENSE_GRID),
         hidden=(64,),
         train=al.TrainConfig(max_epochs=250, learning_rate=0.1),
         posthoc=posthoc, master_seed=r)
@@ -428,8 +425,7 @@ def single_round_config(posthoc, budget, r):
         train_budget=budget, seed_size=budget, query_batch=budget // 2,
         cal_fraction=0.5,
         thresholds=al.ThresholdConfig(
-            eps_a=0.05, coverage_floor=0.05, c1=0.25, grid=DENSE_GRID,
-            group_by="predicted_label"),
+            eps_a=0.05, coverage_floor=0.05, c1=0.25, grid=DENSE_GRID),
         hidden=(128,),
         train=al.TrainConfig(max_epochs=150, learning_rate=0.1),
         posthoc=posthoc, master_seed=r)

@@ -33,6 +33,7 @@ def test_tracer_finds_and_counts_every_fit_target():
     labeled = label_everything(four_blobs(n=40))
     train = al.TrainConfig(max_epochs=3, batch_size=16, seed=0)
     net = ConfidenceNetConfig(max_epochs=2, batch_size=16, seed=0)
+    top = np.linspace(0.3, 1.0, 40)
     tracer = tracing.Tracer()
     restore = tracing.instrument(tracer, al)
     try:
@@ -40,6 +41,8 @@ def test_tracer_finds_and_counts_every_fit_target():
         h = al.mlp.train_model(train, labeled, [2, 6, 4])
         fit_confidence_net(*h.representations(labeled.features),
                            labeled.labels, net)
+        al.thresholds.estimate_thresholds(top, labeled.labels, labeled.labels,
+                                          4, al.ThresholdConfig())
     finally:
         restore()
     assert (al.mlp.train_model, al.confidence.objective_grad,
@@ -51,4 +54,6 @@ def test_tracer_finds_and_counts_every_fit_target():
     assert counts["confidence.grad_rows"] == 2 * 40
     assert counts["mlp.forward_calls"] == 1
     assert counts["mlp.forward_rows"] == 40
+    assert counts["thresholds.calls"] == 1
+    assert counts["thresholds.points"] == 40
     assert np.isfinite(counts["mlp.train_s"]) and counts["mlp.train_s"] > 0

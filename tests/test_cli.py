@@ -69,6 +69,7 @@ def test_bad_threshold_settings_exit_1(tmp_path, capsys, tbal):
      "config.tbal.posthoc.learning_rate"),
     ({"hidden": [0]}, "config.tbal.hidden[0]"),
     ({"hidden": [-3]}, "config.tbal.hidden[0]"),
+    ({"group_by": "true_label"}, "config.tbal.group_by"),
 ])
 def test_removed_or_out_of_range_tbal_keys_exit_1(tmp_path, capsys, tbal,
                                                   key):

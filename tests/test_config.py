@@ -400,6 +400,16 @@ def test_bad_threshold_settings_fail_at_parse_time(setting):
         parse_config_dict(d)
 
 
+def test_group_by_accepts_only_predicted_label():
+    # thresholds are always estimated on predicted-class groups; the key
+    # stays only so configs that name that grouping still parse
+    named = parse_config_dict(doc(**{"tbal.group_by": "predicted_label"}))
+    assert repr(named) == repr(parse_config_dict(doc()))
+    with pytest.raises(RangeError,
+                       match=r"^config\.tbal\.group_by: 'true_label' not one"):
+        parse_config_dict(doc(**{"tbal.group_by": "true_label"}))
+
+
 # (section within tbal or None, key, value): a bad value of a key a config
 # class checks is reported under that key, not under its section
 CLASS_CHECKED_KEYS = [

@@ -238,8 +238,7 @@ def test_fit_round_zero_tolerance_thresholds_have_zero_group_error():
         t = t_hat.values[y]
         if not np.isfinite(t):
             continue
-        grp = d_th.labels == y
-        sel = grp & (tops >= t)
+        sel = (preds == y) & (tops >= t)
         assert sel.sum() >= 1
         assert wrong[sel].sum() == 0
 

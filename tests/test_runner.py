@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import csv
 import dataclasses
@@ -16,11 +17,12 @@ from autolabel.runner import (
     _apply_train_combo,
     _combo_list,
     _first_round_eval,
+    _map,
     _select,
     materialize_dataset,
 )
 
-from conftest import indexed_set, metrics_on
+from conftest import metrics_on
 from oracles import copied_splits
 
 SEPARABLE = {
@@ -214,6 +216,36 @@ def test_parallel_jobs_match_serial(tmp_path):
         == (tmp_path / "parallel" / "summary.json").read_bytes()
 
 
+@pytest.mark.parametrize("jobs,n_tasks,workers", [
+    (64, 2, [2]), (64, 1, []), (2, 5, [2]), (1, 3, [])])
+def test_map_starts_no_more_workers_than_tasks(monkeypatch, jobs, n_tasks,
+                                                workers):
+    made = []
+
+    class RecordingExecutor:
+        """Stands in for ProcessPoolExecutor: records ``max_workers`` and
+        maps in this process, so no worker is ever started."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingExecutor)
+    tasks = [(i, 10) for i in range(n_tasks)]
+    assert _map(pow, tasks, jobs) == [pow(i, 10) for i in range(n_tasks)]
+    assert made == workers
+
+
+
 def test_run_scores_validation_once_per_round(monkeypatch, tmp_path):
     # the round's score dump and its validation filter share one pass
     cfg = experiment(OVERLAPPING, tmp_path, repeats=1)
@@ -366,10 +398,34 @@ def test_logged_thresholds_are_estimated_on_the_score_dump(tmp_path, method):
         _, th = al.random_split(len(rows), cfg.tbal.cal_fraction,
                                 child_seed(run_seed, i, "split"))
         assert rec["n_th"] == len(th)
-        want = al.estimate_thresholds(
-            top[th], preds[th], indexed_set(labels[th], 4),
-            cfg.tbal.thresholds)
+        want = al.estimate_thresholds(top[th], preds[th], labels[th], 4,
+                                      cfg.tbal.thresholds)
         assert rec["thresholds"] == want.to_jsonable()
+
+
+CIRCLE_MIXTURE = {
+    "repeats": 1,
+    "dataset": {"kind": "synthetic", "classes": 4, "dim": 2, "sigma": 1.5,
+                "pool_size": 4000, "val_size": 2000},
+    "tbal": {"train_budget": 500, "seed_size": 100, "query_batch": 100},
+}
+
+
+def test_default_settings_bound_the_circle_mixture_error(tmp_path):
+    """Each class's threshold is estimated on the points predicted as it,
+    the points it auto-labels. Grouping by true label instead left the
+    mean final error of these six runs at 0.092 with default settings;
+    predicted-class groups give 0.058.
+
+    The mean still exceeds eps_a = 0.05: the c1 padding of a group whose
+    observed error is zero is zero, however few points it holds. The bound
+    sits between the two groupings and does not hide that.
+    """
+    errors = [
+        al.run_experiment(experiment(CIRCLE_MIXTURE, tmp_path, name=f"s{s}",
+                                     master_seed=s))["runs"][0]["final_error"]
+        for s in range(6)]
+    assert np.mean(errors) <= 0.08
 
 
 def hpo_experiment(tmp_path, name="hpo", method="top_label_hb"):

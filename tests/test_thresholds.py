@@ -33,8 +33,11 @@ def test_threshold_vector_accepts_inf_rejects_out_of_range():
 
 def test_threshold_vector_per_point_and_json():
     tv = al.ThresholdVector(np.array([0.2, np.inf, 0.8]))
-    assert np.array_equal(tv.per_point(np.array([2, 0, 2, 1])),
-                          np.array([0.8, 0.2, 0.8, np.inf]))
+    # ties select; an +inf class selects nothing, not even a score of 1
+    assert np.array_equal(
+        tv.selects(np.array([0.8, 0.1, 0.79, 1.0, 0.2]),
+                   np.array([2, 0, 2, 1, 0])),
+        np.array([True, False, False, False, True]))
     as_json = tv.to_jsonable()
     assert as_json == [0.2, None, 0.8]
     back = thresholds_from_jsonable(as_json)
@@ -55,8 +58,6 @@ def test_threshold_config_validation():
         al.ThresholdConfig(c1=-0.1)
     with pytest.raises(ValueError):
         al.ThresholdConfig(eps_a=1.2)
-    with pytest.raises(ValueError):
-        al.ThresholdConfig(group_by="colour")
 
 
 @pytest.mark.parametrize("kw", [
@@ -185,7 +186,7 @@ def test_selection_worked_example():
                              coverage_floor=0.2, c1=0.25, eps_a=0.1)
     t_hat = thresholds_on(g, h, labeled, cfg)
     assert t_hat.values[0] == pytest.approx(0.75)
-    assert np.isinf(t_hat.values[1])  # no point has true label 1
+    assert np.isinf(t_hat.values[1])  # no point is predicted as class 1
 
 
 def test_selection_zero_error_takes_smallest_covering_threshold():
@@ -342,8 +343,7 @@ def test_returned_thresholds_are_safe_on_their_groups():
             t = t_hat.values[y]
             if not np.isfinite(t):
                 continue
-            grp = true == y
-            sel = grp & (tops >= t)
+            sel = (preds == y) & (tops >= t)
             m = int(sel.sum())
             assert m >= 1
             err = wrong[sel].sum() / m
@@ -351,16 +351,12 @@ def test_returned_thresholds_are_safe_on_their_groups():
 
 
 def test_group_by_predicted_label_switch():
-    # one point whose true label is 0 but prediction is 1: under true-label
-    # grouping it lands in group 0, under predicted-label grouping in group 1
+    # one point whose true label is 0 but prediction is 1 lands in the group
+    # of its prediction, class 1; class 0's group is empty
     labeled = indexed_set([0], 2)
     h = FixedModel([1])
     g = FixedScores([[0.1, 0.9]])
-    grid = np.array([0.5])
-    base = dict(grid=grid, coverage_floor=0.05, c1=0.0, eps_a=1.0)
-    by_true = thresholds_on(
-        g, h, labeled, al.ThresholdConfig(group_by="true_label", **base))
-    assert by_true.values[0] == 0.5 and np.isinf(by_true.values[1])
-    by_pred = thresholds_on(
-        g, h, labeled, al.ThresholdConfig(group_by="predicted_label", **base))
+    cfg = al.ThresholdConfig(grid=np.array([0.5]), coverage_floor=0.05,
+                             c1=0.0, eps_a=1.0)
+    by_pred = thresholds_on(g, h, labeled, cfg)
     assert np.isinf(by_pred.values[0]) and by_pred.values[1] == 0.5
