@@ -231,13 +231,12 @@ class ConfidenceNetConfig:
     weight_decay: float = 0.01
     batch_size: int = 64
     max_epochs: int = 500
-    seed: int = 0
     denom_epsilon: float = 1e-8
 
     def __post_init__(self):
         _check_fields(self, finite=("lam", "alpha", "learning_rate",
                                     "weight_decay", "denom_epsilon"),
-                      integers=("batch_size", "max_epochs", "seed"))
+                      integers=("batch_size", "max_epochs"))
         for name in ("lam", "alpha", "learning_rate", "denom_epsilon"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
@@ -332,15 +331,15 @@ def objective_grad(params: ConfidenceNetParams, Z: np.ndarray,
 
 
 def fit_confidence_net(logits: np.ndarray, penultimate: np.ndarray,
-                       labels: np.ndarray,
-                       cfg: ConfidenceNetConfig) -> ConfidenceNet:
+                       labels: np.ndarray, cfg: ConfidenceNetConfig,
+                       seed: int) -> ConfidenceNet:
     """Optimize the smoothed objective with Adam; returns the fitted net.
 
     The classifier is frozen: only W1, W2 and the auxiliary thresholds move.
     The auxiliary thresholds, ``sigmoid(1, net.params.t_raw)``, steer the
-    fit only; threshold estimation never sees them. Mini-batches are drawn
-    by per-epoch seeded shuffles; weight decay is decoupled and applied to
-    the weight matrices only.
+    fit only; threshold estimation never sees them. The initial weights and
+    each epoch's mini-batch shuffle are drawn from ``seed``'s streams;
+    weight decay is decoupled and applied to the weight matrices only.
 
     Every step writes into buffers made once per fit: the batch's rows are
     gathered into batch-sized buffers, ``objective_grad`` keeps its
@@ -356,7 +355,7 @@ def fit_confidence_net(logits: np.ndarray, penultimate: np.ndarray,
     preds = np.argmax(logits, axis=1)
     wrong = (preds != labels)
     init = init_confidence_net_params(logits.shape[1], penultimate.shape[1],
-                                      cfg.seed)
+                                      seed)
     # Adam steps once over the flat W1|W2|t_raw buffer; decay hits W1|W2 only
     shapes = (init.W1.shape, init.W2.shape, init.t_raw.shape)
     theta = np.concatenate([init.W1.ravel(), init.W2.ravel(), init.t_raw])
@@ -382,7 +381,7 @@ def fit_confidence_net(logits: np.ndarray, penultimate: np.ndarray,
     wd = np.float32(cfg.weight_decay)
     step = 0
     for epoch in range(cfg.max_epochs):
-        order = stream(cfg.seed, "shuffle", epoch).permutation(n)
+        order = stream(seed, "shuffle", epoch).permutation(n)
         for lo in range(0, n, cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
             mb = batch.size
@@ -429,7 +428,7 @@ def write_score_dump(path: str, labeled: LabeledSet, top: np.ndarray,
     ever needs CSV quoting.
     """
     labels = labeled.labels
-    rows = zip(labeled.ids.tolist(), labels.tolist(), preds.tolist(),
+    rows = zip(labeled.indices.tolist(), labels.tolist(), preds.tolist(),
                top.tolist(), (labels == preds).astype(np.int64).tolist())
     with open(path, "w", newline="") as f:
         f.write("point_id,true_label,predicted_label,score_of_predicted,"

@@ -255,19 +255,13 @@ def _parse_dataset(sec: _Section, base_dir: str):
                     val_size, hyp_size)
 
 
-# fields no config key sets: the per-round seeds and the run's master seed
-# are derived from the top-level master_seed
-_DERIVED_FIELDS = {"seed", "master_seed"}
-
-
 @functools.cache
 def _keys(cls) -> dict:
     """{key: int, float or str} for each config key of config class cls:
     its fields of those types, in field order."""
     types = typing.get_type_hints(cls)
     return {f.name: types[f.name] for f in dataclasses.fields(cls)
-            if types[f.name] in (int, float, str)
-            and f.name not in _DERIVED_FIELDS}
+            if types[f.name] in (int, float, str)}
 
 
 def _build(sec: _Section, cls, **extra):

@@ -137,11 +137,6 @@ class LabeledSet:
     def features(self) -> np.ndarray:
         return self.dataset.features[self.indices]
 
-    @property
-    def ids(self) -> np.ndarray:
-        """The point ids written to files: the rows' dataset indices."""
-        return self.indices
-
     @classmethod
     def empty(cls, dataset: Dataset) -> "LabeledSet":
         z = np.zeros(0, dtype=np.int64)
@@ -255,10 +250,7 @@ def random_split(m: int, fraction: float,
         raise ValueError("need at least 2 points to split")
     size = int(np.floor(fraction * m + 0.5))
     size = min(max(size, 1), m - 1)
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(m)
-    first = np.sort(perm[:size])
-    second = np.sort(perm[size:])
+    first, second = carve(m, [size, m - size], seed)
     return first, second
 
 
@@ -495,7 +487,8 @@ def carve(n: int, sizes: "list[int]", seed: int) -> "list[np.ndarray]":
     ascending; the remainder is dropped.
 
     Used to split one source dataset into pool / validation / held-out row
-    sets, which then index that dataset rather than copy it.
+    sets, which then index that dataset rather than copy it, and by
+    ``random_split`` for a round's two validation halves.
     """
     total = int(np.sum(sizes))
     if total > n:

@@ -5,14 +5,15 @@ surviving validation data into a calibration half (fits the confidence
 function) and a threshold half (estimates per-class thresholds with a safety
 margin), auto-label every pool point whose predicted-class confidence clears
 its class threshold, drop validation points in that same region, then spend
-the next slice of the human budget on uncertain pool points. Rounds repeat
-until the pool empties or the train-label budget is spent.
+the next slice of the human budget on uncertain pool points. A round buys a
+batch only if the next round can train on all of it within the budget, and
+rounds repeat until the pool empties or a round buys nothing.
 
 A round runs the classifier once per set: one pass over validation feeds
 the post-hoc fit, the thresholds, the filter and the score dump, and one
 over the pool feeds the selection and the query.
 
-All randomness flows from the config's master seed through per-(round,
+All randomness flows from the seed ``run_tbal`` takes through per-(round,
 purpose) child streams, so runs are bit-reproducible and changing, say, the
 post-hoc method never perturbs the query draws.
 """
@@ -83,12 +84,10 @@ class TbalConfig:
     posthoc: (SoftmaxConfig | TemperatureConfig | TopLabelBinningConfig
               | ConfidenceNetConfig) = field(default_factory=SoftmaxConfig)
     active_multiplier: float = 2.0
-    master_seed: int = 0
 
     def __post_init__(self):
         _check_fields(self, finite=("cal_fraction", "active_multiplier"),
-                      integers=("train_budget", "seed_size", "query_batch",
-                                "master_seed"))
+                      integers=("train_budget", "seed_size", "query_batch"))
         if self.train_budget < 1:
             raise ValueError("train_budget must be >= 1")
         if not (1 <= self.seed_size <= self.train_budget):
@@ -125,19 +124,11 @@ class RoundRecord:
     auto_coverage: float
 
     def to_jsonable(self) -> dict:
-        return {
-            "round_index": self.round_index,
-            "n_train": self.n_train,
-            "n_val": self.n_val,
-            "n_cal": self.n_cal,
-            "n_th": self.n_th,
-            "thresholds": self.thresholds.to_jsonable(),
-            "n_auto": self.n_auto,
-            "n_queried": self.n_queried,
-            "n_pool_remaining": self.n_pool_remaining,
-            "auto_error": self.auto_error,
-            "auto_coverage": self.auto_coverage,
-        }
+        # not dataclasses.asdict, which deep-copies the threshold array
+        doc = {f.name: getattr(self, f.name)
+               for f in dataclasses.fields(self)}
+        doc["thresholds"] = self.thresholds.to_jsonable()
+        return doc
 
 
 @dataclass
@@ -159,7 +150,7 @@ class TbalReport:
             "warnings": list(self.warnings),
             "rounds": [r.to_jsonable() for r in self.rounds],
             "output": {
-                "ids": out.ids.tolist(),
+                "ids": out.indices.tolist(),
                 "labels": out.labels.tolist(),
                 "sources": out.sources.tolist(),
                 "rounds": out.rounds.tolist(),
@@ -245,40 +236,38 @@ def fit_posthoc(cfg, logits: np.ndarray, penultimate: np.ndarray,
             )
         return fit_top_label_hb(logits, labels, cfg.points_per_bin), None
     if isinstance(cfg, ConfidenceNetConfig):
-        cfg = dataclasses.replace(cfg, seed=seed)
-        return fit_confidence_net(logits, penultimate, labels, cfg), None
+        return fit_confidence_net(logits, penultimate, labels, cfg, seed), None
     raise ValueError(f"unknown posthoc config {type(cfg).__name__}")
 
 
-def seed_query(cfg: TbalConfig, pool: Pool):
-    """(seed set, pool left, dims): round 0's random query of
-    ``cfg.seed_size`` human labels from the initial ``pool``, and the
-    classifier's width list [d_in, hidden..., k], as every run starts."""
-    seed_set, left = random_query(
-        pool, cfg.seed_size, child_seed(cfg.master_seed, 0, "seed_query"),
-        round_index=0)
-    data = pool.dataset
-    return seed_set, left, [data.dim, *cfg.hidden, data.num_classes]
+def seed_query(cfg: TbalConfig, pool: Pool, seed: int):
+    """(seed set, pool left): round 0's random query of ``cfg.seed_size``
+    human labels from the initial ``pool``, as every run with ``seed``
+    starts."""
+    return random_query(pool, cfg.seed_size, child_seed(seed, 0, "seed_query"),
+                        round_index=0)
 
 
 def fit_round(cfg: TbalConfig, d_train: LabeledSet, val: LabeledSet,
-              round_index: int, dims):
+              round_index: int, seed: int):
     """Train + split + fit confidence + estimate thresholds for one round.
 
     Returns (model, g, thresholds, top, preds, cal, th, warning-or-None):
     ``top, preds`` are ``predicted_scores`` of ``val``'s one pass, and the
     calibration and threshold halves are its row positions ``cal, th``.
+    Each step draws from its own child of the run's ``seed`` for this round.
     Shared by the main loop and by first-round-only hyperparameter search.
     """
-    train_cfg = dataclasses.replace(
-        cfg.train, seed=child_seed(cfg.master_seed, round_index, "train"))
-    model = train_model(train_cfg, d_train, dims)
+    data = d_train.dataset
+    dims = [data.dim, *cfg.hidden, data.num_classes]
+    model = train_model(cfg.train, d_train, dims,
+                        child_seed(seed, round_index, "train"))
     logits, penultimate = model.representations(val.features)
     cal, th = random_split(len(val), cfg.cal_fraction,
-                           child_seed(cfg.master_seed, round_index, "split"))
+                           child_seed(seed, round_index, "split"))
     g, warning = fit_posthoc(cfg.posthoc, logits[cal], penultimate[cal],
                              val.labels[cal],
-                             child_seed(cfg.master_seed, round_index, "posthoc"))
+                             child_seed(seed, round_index, "posthoc"))
     top, preds = predicted_scores(g, logits, penultimate)
     t_hat = estimate_thresholds(top[th], preds[th], val.labels[th],
                                 val.dataset.num_classes, cfg.thresholds)
@@ -290,11 +279,17 @@ def fit_round(cfg: TbalConfig, d_train: LabeledSet, val: LabeledSet,
 
 
 def run_tbal(cfg: TbalConfig, initial_pool: Pool, d_val: LabeledSet,
-             round_hook=None) -> TbalReport:
+             seed: int, round_hook=None) -> TbalReport:
     """Run the full workflow on an unlabeled pool plus human validation data.
 
     The pool and the validation set may be row sets of one Dataset; every
-    label the run assigns indexes ``initial_pool.dataset``.
+    label the run assigns indexes ``initial_pool.dataset``. Every random
+    draw of the run derives from ``seed``.
+
+    A round queries a batch of ``cfg.query_batch`` human labels only when
+    the next round can train on all of it within ``cfg.train_budget``; the
+    run ends after a round that queries nothing, so it never spends more
+    than the budget.
 
     ``round_hook(round_index, model, val, top, preds)``, when given, observes
     each round before validation is filtered (used by the runner to dump
@@ -307,22 +302,20 @@ def run_tbal(cfg: TbalConfig, initial_pool: Pool, d_val: LabeledSet,
     if len(d_val) < 2:
         raise ValueError("need at least 2 validation points")
     data = initial_pool.dataset
-    seed_set, pool, dims = seed_query(cfg, initial_pool)
-    d_train = seed_set
-    out = seed_set
+    d_train, pool = seed_query(cfg, initial_pool, seed)
+    out = d_train
     val = d_val
-    n_t = cfg.seed_size
     records: list[RoundRecord] = []
     warnings: list[str] = []
     i = 1
-    while pool.size > 0 and n_t <= cfg.train_budget:
+    while pool.size > 0:
         if len(val) < 2:
             warnings.append(
                 f"round {i}: validation exhausted ({len(val)} point(s) left); "
                 "stopping with pool unlabeled")
             break
         model, g, t_hat, val_top, val_preds, cal, th, warn = fit_round(
-            cfg, d_train, val, i, dims)
+            cfg, d_train, val, i, seed)
         if warn:
             warnings.append(f"round {i}: {warn}")
         if round_hook is not None:
@@ -332,10 +325,11 @@ def run_tbal(cfg: TbalConfig, initial_pool: Pool, d_val: LabeledSet,
         auto_set, pool, left = auto_label_select(
             t_hat, pool, *predicted_scores(g, logits, penultimate), i)
         val = filter_validation(t_hat, val, val_top, val_preds)
-        if pool.size > 0:
+        n_train = len(d_train)
+        if pool.size > 0 and n_train + cfg.query_batch <= cfg.train_budget:
             query, pool = active_query(
                 logits[left], pool, cfg.query_batch, cfg.active_multiplier,
-                child_seed(cfg.master_seed, i, "active"), round_index=i)
+                child_seed(seed, i, "active"), round_index=i)
         else:
             query = LabeledSet.empty(data)
         out = out.merged_with(auto_set).merged_with(query)
@@ -347,7 +341,7 @@ def run_tbal(cfg: TbalConfig, initial_pool: Pool, d_val: LabeledSet,
             auto_err = None
         records.append(RoundRecord(
             round_index=i,
-            n_train=len(d_train),
+            n_train=n_train,
             n_val=len(val),
             n_cal=len(cal),
             n_th=len(th),
@@ -358,7 +352,8 @@ def run_tbal(cfg: TbalConfig, initial_pool: Pool, d_val: LabeledSet,
             auto_error=auto_err,
             auto_coverage=len(auto_set) / pool_before,
         ))
-        n_t += cfg.query_batch
+        if not len(query):
+            break
         i += 1
     auto_mask = out.sources == "auto"
     n_auto = int(auto_mask.sum())

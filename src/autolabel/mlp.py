@@ -6,7 +6,7 @@ float32 numpy. Two losses are supported: plain cross-entropy and squentropy
 (cross-entropy plus the mean squared logit over the incorrect classes).
 
 Everything a fitted model computes is deterministic; training is deterministic
-given the TrainConfig seed.
+given the seed ``train_model`` takes.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ def _check_fields(config, finite=(), integers=()) -> None:
     not a finite number (``finite``) or not an integer (``integers``).
 
     Range checks are comparisons, which NaN passes; a float count fails
-    only later, deep in a fit, and a float seed or width is truncated. A
-    bool is neither: True would pass as 1.
+    only later, deep in a fit, and a float width is truncated. A bool is
+    neither: True would pass as 1.
     """
     for name in finite:
         value = getattr(config, name)
@@ -54,11 +54,10 @@ class TrainConfig:
     weight_decay: float = 0.0
     batch_size: int = 32
     max_epochs: int = 50
-    seed: int = 0
 
     def __post_init__(self):
         _check_fields(self, finite=("learning_rate", "momentum", "weight_decay"),
-                      integers=("batch_size", "max_epochs", "seed"))
+                      integers=("batch_size", "max_epochs"))
         if self.loss not in ("vanilla", "squentropy"):
             raise ValueError(f"loss must be 'vanilla' or 'squentropy', "
                              f"got {self.loss!r}")
@@ -227,12 +226,14 @@ def _flat_views(buf: np.ndarray, shapes) -> "list[np.ndarray]":
     return views
 
 
-def train_model(config: TrainConfig, train_set: LabeledSet, dims) -> MlpClassifier:
+def train_model(config: TrainConfig, train_set: LabeledSet, dims,
+                seed: int) -> MlpClassifier:
     """Mini-batch SGD with momentum and decoupled weight decay.
 
     ``dims`` is the full width list [d_in, hidden..., k]; it must agree with
-    the dataset's feature dim and class count. Data is reshuffled every epoch
-    from the config's seed stream; the final-epoch model is returned.
+    the dataset's feature dim and class count. The initial weights and each
+    epoch's reshuffle are drawn from ``seed``'s streams; the final-epoch
+    model is returned.
 
     The update per step, with velocity v and gradient grad:
 
@@ -268,7 +269,7 @@ def train_model(config: TrainConfig, train_set: LabeledSet, dims) -> MlpClassifi
             f"arch output dim {dims[-1]} != num_classes "
             f"{train_set.dataset.num_classes}"
         )
-    init = init_mlp(dims, config.seed)
+    init = init_mlp(dims, seed)
     tensors = [a for pair in zip(init.weights, init.biases) for a in pair]
     shapes = [a.shape for a in tensors]
     params = np.concatenate([a.ravel() for a in tensors])
@@ -293,7 +294,7 @@ def train_model(config: TrainConfig, train_set: LabeledSet, dims) -> MlpClassifi
     mu = np.float32(config.momentum)
     lr_wd = lr * np.float32(config.weight_decay)
     for epoch in range(config.max_epochs):
-        order = stream(config.seed, "shuffle", epoch).permutation(m)
+        order = stream(seed, "shuffle", epoch).permutation(m)
         # a training set is at most the label budget: copy it in shuffled
         # order once per epoch and slice the batches; "clip" skips the
         # checking copy, and a permutation is in range

@@ -10,6 +10,7 @@ builtin hash() is salted per process and must never be used here.
 from __future__ import annotations
 
 import hashlib
+import numbers
 
 import numpy as np
 
@@ -18,8 +19,12 @@ def child_seed(master: int, *tags) -> int:
     """Derive a 64-bit seed from a master seed and a tag path.
 
     Tags may be ints or strings; they are joined with '/' so ("a", 1) and
-    ("a1",) cannot collide.
+    ("a1",) cannot collide. Every seed a run draws from passes through
+    here, so this is its one check: ``master`` must be an integer and not a
+    bool (a float seed would be truncated, and True would pass as 1).
     """
+    if isinstance(master, bool) or not isinstance(master, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {master!r}")
     h = hashlib.sha256()
     h.update(str(int(master)).encode("ascii"))
     for tag in tags:

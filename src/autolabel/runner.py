@@ -94,7 +94,7 @@ def _map(fn, tasks, jobs: int) -> list:
     return [fn(*task) for task in tasks]
 
 
-def _one_run(tbal_cfg: TbalConfig, pool: Pool, val: LabeledSet,
+def _one_run(tbal_cfg: TbalConfig, pool: Pool, val: LabeledSet, seed: int,
              run_dir: str) -> dict:
     os.makedirs(run_dir, exist_ok=True)
 
@@ -103,7 +103,7 @@ def _one_run(tbal_cfg: TbalConfig, pool: Pool, val: LabeledSet,
             os.path.join(run_dir, f"scores_round_{round_index:03d}.csv"),
             round_val, top, preds)
 
-    report = run_tbal(tbal_cfg, pool, val, round_hook=hook)
+    report = run_tbal(tbal_cfg, pool, val, seed, round_hook=hook)
     dump_round_log(report, os.path.join(run_dir, "rounds.jsonl"))
     dump_report(report, os.path.join(run_dir, "report.json"))
     return {
@@ -136,11 +136,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         )
     os.makedirs(out, exist_ok=True)
     pool, val, _ = materialize_dataset(cfg)
-    tasks = []
-    for r in range(cfg.repeats):
-        run_cfg = dataclasses.replace(
-            cfg.tbal, master_seed=child_seed(cfg.master_seed, "run", r))
-        tasks.append((run_cfg, pool, val, os.path.join(out, f"run_{r:02d}")))
+    tasks = [(cfg.tbal, pool, val, child_seed(cfg.master_seed, "run", r),
+              os.path.join(out, f"run_{r:02d}")) for r in range(cfg.repeats)]
     results = _map(_one_run, tasks, jobs)
     coverages = [r["final_coverage"] for r in results]
     errors = [r["final_error"] for r in results if r["final_error"] is not None]
@@ -199,9 +196,8 @@ def _combo_list(grid: dict):
 def _first_round_eval(tbal_cfg: TbalConfig, pool: Pool, val: LabeledSet,
                       hyp: LabeledSet, run_seed: int):
     """Seed-query + one fit round, scored on the held-out hyp split."""
-    cfg = dataclasses.replace(tbal_cfg, master_seed=run_seed)
-    seed_set, _, dims = seed_query(cfg, pool)
-    model, g, t_hat, *_ = fit_round(cfg, seed_set, val, 1, dims)
+    seed_set, _ = seed_query(tbal_cfg, pool, run_seed)
+    model, g, t_hat, *_ = fit_round(tbal_cfg, seed_set, val, 1, run_seed)
     top, preds = predicted_scores(g, *model.representations(hyp.features))
     cov, err = empirical_metrics(t_hat, top, preds, hyp.labels)
     # an empty selection shows zero mistakes; it still loses on coverage

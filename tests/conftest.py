@@ -98,5 +98,5 @@ def blobs():
 @pytest.fixture
 def blob_model(blobs):
     labeled = label_everything(blobs)
-    cfg = al.TrainConfig(max_epochs=30, seed=11)
-    return al.train_model(cfg, labeled, [2, 16, 4])
+    return al.train_model(al.TrainConfig(max_epochs=30), labeled, [2, 16, 4],
+                          11)

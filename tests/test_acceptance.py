@@ -352,8 +352,8 @@ def run_mixture(posthoc, r):
             eps_a=0.05, coverage_floor=0.05, c1=0.25, grid=DENSE_GRID),
         hidden=(64,),
         train=al.TrainConfig(max_epochs=250, learning_rate=0.1),
-        posthoc=posthoc, master_seed=r)
-    report = al.run_tbal(cfg, pool, d_val, round_hook=hook)
+        posthoc=posthoc)
+    report = al.run_tbal(cfg, pool, d_val, r, round_hook=hook)
     return report, box["acc"]
 
 
@@ -420,7 +420,7 @@ def test_rerunning_the_mixture_reproduces_round_logs_byte_exact(
 DIGIT_MASTER = 313
 
 
-def single_round_config(posthoc, budget, r):
+def single_round_config(posthoc, budget):
     return al.TbalConfig(
         train_budget=budget, seed_size=budget, query_batch=budget // 2,
         cal_fraction=0.5,
@@ -428,7 +428,7 @@ def single_round_config(posthoc, budget, r):
             eps_a=0.05, coverage_floor=0.05, c1=0.25, grid=DENSE_GRID),
         hidden=(128,),
         train=al.TrainConfig(max_epochs=150, learning_rate=0.1),
-        posthoc=posthoc, master_seed=r)
+        posthoc=posthoc)
 
 
 def split_off_validation(base, n_val, r):
@@ -461,8 +461,8 @@ def test_full_size_digit_run_when_idx_files_are_present():
     for r in range(5):
         pool_ds, d_val = split_off_validation(base, 500, r)
         for name, posthoc in methods:
-            cfg = single_round_config(posthoc, 500, r)
-            report = al.run_tbal(cfg, whole_pool(pool_ds), d_val)
+            cfg = single_round_config(posthoc, 500)
+            report = al.run_tbal(cfg, whole_pool(pool_ds), d_val, r)
             cov[name].append(report.final_coverage)
             err[name].append(report.final_error)
     net_errs = [e for e in err["confidence_net"] if e is not None]
@@ -503,8 +503,8 @@ def test_bundled_digits_parity_and_error_control():
                     preds = np.argmax(logits, axis=1)
                     box["acc"] = float(np.mean(preds == pool_ds.hidden_labels))
 
-            cfg = single_round_config(posthoc, 150, r)
-            report = al.run_tbal(cfg, whole_pool(pool_ds), d_val,
+            cfg = single_round_config(posthoc, 150)
+            report = al.run_tbal(cfg, whole_pool(pool_ds), d_val, r,
                                  round_hook=hook)
             cov[name].append(report.final_coverage)
             err[name].append(report.final_error)

@@ -31,16 +31,17 @@ def test_tracer_finds_and_counts_every_fit_target():
     originals = (al.mlp.train_model, al.confidence.objective_grad,
                  al.mlp.MlpClassifier.representations)
     labeled = label_everything(four_blobs(n=40))
-    train = al.TrainConfig(max_epochs=3, batch_size=16, seed=0)
-    net = ConfidenceNetConfig(max_epochs=2, batch_size=16, seed=0)
+    train = al.TrainConfig(max_epochs=3, batch_size=16)
+    net = ConfidenceNetConfig(max_epochs=2, batch_size=16)
     top = np.linspace(0.3, 1.0, 40)
     tracer = tracing.Tracer()
     restore = tracing.instrument(tracer, al)
     try:
         assert tracer.missing == []
-        h = al.mlp.train_model(train, labeled, [2, 6, 4])
+        # the tracer reads config and train_set at positions 0 and 1
+        h = al.mlp.train_model(train, labeled, [2, 6, 4], 0)
         fit_confidence_net(*h.representations(labeled.features),
-                           labeled.labels, net)
+                           labeled.labels, net, 0)
         al.thresholds.estimate_thresholds(top, labeled.labels, labeled.labels,
                                           4, al.ThresholdConfig())
     finally:

@@ -39,9 +39,8 @@ from oracles import surrogate_metrics
 def mixture_1d(means, n, seed, train_seed, epochs=40):
     ds = al.synth_gaussian_mixture(2, 1, np.array(means), 1.0, n, seed=seed)
     cal = label_everything(ds)
-    h = al.train_model(
-        al.TrainConfig(max_epochs=epochs, learning_rate=0.05, seed=train_seed),
-        cal, [1, 8, 2])
+    h = al.train_model(al.TrainConfig(max_epochs=epochs, learning_rate=0.05),
+                       cal, [1, 8, 2], train_seed)
     return ds, cal, h
 
 
@@ -379,13 +378,22 @@ def test_confidence_net_config_validation():
     ("lam", float("nan")), ("lam", float("inf")), ("alpha", float("inf")),
     ("alpha", float("nan")), ("learning_rate", float("nan")),
     ("weight_decay", float("inf")), ("denom_epsilon", float("nan")),
-    ("batch_size", 2.5), ("max_epochs", 2.5), ("seed", 1.0),
+    ("batch_size", 2.5), ("max_epochs", 2.5),
     ("max_epochs", True), ("lam", True),
 ])
 def test_confidence_net_config_rejects_non_finite_and_non_integer_fields(
         field, value):
     with pytest.raises(ValueError, match=field):
         ConfidenceNetConfig(**{field: value})
+
+
+@pytest.mark.parametrize("seed", [1.0, True])
+def test_fit_confidence_net_rejects_a_seed_that_is_not_an_integer(
+        blob_model, blobs, seed):
+    labels = label_everything(blobs).labels
+    with pytest.raises(ValueError, match=r"^seed must be an integer"):
+        fit_confidence_net(*blob_model.representations(blobs.features),
+                           labels, ConfidenceNetConfig(max_epochs=1), seed)
 
 
 def test_objective_grad_writes_the_same_bits_into_out():
@@ -465,10 +473,11 @@ def test_fit_confidence_net_on_perfect_classifier():
                             epochs=50)
     assert np.mean(np.argmax(h.representations(ds.features)[0], axis=1)
                    == ds.hidden_labels) == 1.0
-    cfg = ConfidenceNetConfig(lam=100.0, alpha=1.0, seed=7, batch_size=128,
+    cfg = ConfidenceNetConfig(lam=100.0, alpha=1.0, batch_size=128,
                               max_epochs=200)
     before = [w.copy() for w in h.weights] + [b.copy() for b in h.biases]
-    net = fit_confidence_net(*h.representations(cal.features), cal.labels, cfg)
+    net = fit_confidence_net(*h.representations(cal.features), cal.labels, cfg,
+                             7)
     after = list(h.weights) + list(h.biases)
     for a, b in zip(before, after):
         assert np.array_equal(a, b)  # classifier frozen
@@ -476,7 +485,7 @@ def test_fit_confidence_net_on_perfect_classifier():
     cov1, err1 = surrogate_metrics(net, t_prime, h, cal, cfg.alpha)
     assert err1 == 0.0
     init = ConfidenceNet(init_confidence_net_params(
-        2, h.weights[-1].shape[0], cfg.seed))
+        2, h.weights[-1].shape[0], 7))
     cov0, _ = surrogate_metrics(init, uniform_thresholds(0.5), h, cal,
                                 cfg.alpha)
     assert cov1 > cov0
@@ -484,9 +493,11 @@ def test_fit_confidence_net_on_perfect_classifier():
 
 def test_fit_confidence_net_deterministic():
     ds, cal, h = mixture_1d([[-1.0], [1.0]], 60, seed=4, train_seed=5)
-    cfg = ConfidenceNetConfig(seed=9, max_epochs=40)
-    n1 = fit_confidence_net(*h.representations(cal.features), cal.labels, cfg)
-    n2 = fit_confidence_net(*h.representations(cal.features), cal.labels, cfg)
+    cfg = ConfidenceNetConfig(max_epochs=40)
+    n1 = fit_confidence_net(*h.representations(cal.features), cal.labels, cfg,
+                            9)
+    n2 = fit_confidence_net(*h.representations(cal.features), cal.labels, cfg,
+                            9)
     assert np.array_equal(n1.params.W1, n2.params.W1)
     assert np.array_equal(n1.params.W2, n2.params.W2)
     assert np.array_equal(n1.params.t_raw, n2.params.t_raw)
@@ -506,7 +517,7 @@ def test_fit_confidence_net_beats_softmax_sweep_on_overlap():
     # as the best raw-softmax threshold does at the same achieved error
     ds, cal, h = mixture_1d([[-1.0], [1.0]], 200, seed=5, train_seed=1)
     net = fit_confidence_net(*h.representations(cal.features), cal.labels,
-                             ConfidenceNetConfig(lam=100.0, alpha=1.0, seed=3))
+                             ConfidenceNetConfig(lam=100.0, alpha=1.0), 3)
     tv = al.ThresholdVector(sigmoid(1.0, net.params.t_raw))
     cov_f, err_f = metrics_on(net, tv, h, cal)
     err_cap = 0.0 if err_f is None else err_f
@@ -523,7 +534,7 @@ def test_fit_confidence_net_beats_softmax_sweep_on_overlap():
 def test_fit_confidence_net_empty_cal(blob_model, blobs):
     with pytest.raises(ValueError):
         fit_confidence_net(*blob_model.representations(blobs.features[:0]),
-                           np.zeros(0, np.int64), ConfidenceNetConfig())
+                           np.zeros(0, np.int64), ConfidenceNetConfig(), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +554,7 @@ def test_write_score_dump_roundtrip(tmp_path, blob_model, blobs):
     preds = np.argmax(blob_model.representations(cal.features)[0], axis=1)
     scores = g.scores(*blob_model.representations(cal.features))
     for i, row in enumerate(rows[1:]):
-        assert int(row[0]) == cal.ids[i]
+        assert int(row[0]) == cal.indices[i]
         assert int(row[1]) == cal.labels[i]
         assert int(row[2]) == preds[i]
         assert float(row[3]) == scores[i, preds[i]]  # repr round-trips exactly
@@ -566,7 +577,8 @@ def csv_writer_dump(labeled, preds, top) -> bytes:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["point_id", "true_label", "predicted_label",
                 "score_of_predicted", "correct_flag"])
-    for pid, lab, pred, sc in zip(labeled.ids, labeled.labels, preds, top):
+    for pid, lab, pred, sc in zip(labeled.indices, labeled.labels, preds,
+                                  top):
         w.writerow([int(pid), int(lab), int(pred), repr(float(sc)),
                     int(lab == pred)])
     return buf.getvalue().encode()

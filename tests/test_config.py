@@ -183,6 +183,19 @@ def test_posthoc_sections():
             "method": "temperature", "points_per_bin": 10}}))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("tbal.master_seed", 3),
+    ("tbal.train", {"seed": 3}),
+    ("tbal.posthoc", {"method": "confidence_net", "seed": 3}),
+])
+def test_seeds_are_not_section_keys(key, value):
+    # every run and round seed derives from the top-level master_seed
+    path = key if isinstance(value, int) else f"{key}.seed"
+    with pytest.raises(UnknownKeyError,
+                       match=rf"^config\.{re.escape(path)}: unknown key"):
+        parse_config_dict(doc(**{key: value}))
+
+
 def test_hpo_parsing():
     d = doc(**{"dataset.hyp_size": 50,
                "tbal.posthoc": {"method": "confidence_net"},

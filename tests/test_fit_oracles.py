@@ -96,8 +96,8 @@ def ref_backprop(model, Xb, yb, kind):
     return grads_w, grads_b
 
 
-def ref_train_model(config, train_set, dims):
-    model = init_mlp(dims, config.seed)
+def ref_train_model(config, train_set, dims, seed):
+    model = init_mlp(dims, seed)
     X = np.ascontiguousarray(train_set.features, dtype=np.float32)
     y = train_set.labels
     m = X.shape[0]
@@ -107,7 +107,7 @@ def ref_train_model(config, train_set, dims):
     vel_w = [np.zeros_like(w) for w in model.weights]
     vel_b = [np.zeros_like(b) for b in model.biases]
     for epoch in range(config.max_epochs):
-        order = stream(config.seed, "shuffle", epoch).permutation(m)
+        order = stream(seed, "shuffle", epoch).permutation(m)
         for lo in range(0, m, config.batch_size):
             batch = order[lo:lo + config.batch_size]
             grads_w, grads_b = ref_backprop(model, X[batch], y[batch],
@@ -120,13 +120,13 @@ def ref_train_model(config, train_set, dims):
     return model
 
 
-def ref_fit_confidence_net(h, d_cal, cfg):
+def ref_fit_confidence_net(h, d_cal, cfg, seed):
     k = h.num_classes
     z1, z2 = h.representations(d_cal.features)
     Z = np.asarray(np.concatenate([z1, z2], axis=1), dtype=np.float32)
     preds = np.argmax(z1, axis=1)
     wrong = (preds != d_cal.labels)
-    params = init_confidence_net_params(k, z2.shape[1], cfg.seed)
+    params = init_confidence_net_params(k, z2.shape[1], seed)
     mom = ConfidenceNetParams(np.zeros_like(params.W1),
                               np.zeros_like(params.W2),
                               np.zeros_like(params.t_raw))
@@ -139,7 +139,7 @@ def ref_fit_confidence_net(h, d_cal, cfg):
     n = Z.shape[0]
     step = 0
     for epoch in range(cfg.max_epochs):
-        order = stream(cfg.seed, "shuffle", epoch).permutation(n)
+        order = stream(seed, "shuffle", epoch).permutation(n)
         for lo in range(0, n, cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
             _, g = objective_grad(params, Z[batch], preds[batch], wrong[batch],
@@ -243,11 +243,10 @@ def test_train_model_equals_reference_sgd_bit_for_bit():
         train = mixture_set(k, 50, seed=200 + i)
         cfg = al.TrainConfig(loss=loss, learning_rate=0.05,
                              momentum=(0.9, 0.0)[i % 5 == 4], weight_decay=wd,
-                             batch_size=(7, 16, 64)[i % 3], max_epochs=6,
-                             seed=i)
+                             batch_size=(7, 16, 64)[i % 3], max_epochs=6)
         dims = [3, *hidden, k]
-        got = al.train_model(cfg, train, dims)
-        want = ref_train_model(cfg, train, dims)
+        got = al.train_model(cfg, train, dims, i)
+        want = ref_train_model(cfg, train, dims, i)
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
             assert a.shape == b.shape and a.dtype == b.dtype == np.float32
             assert np.array_equal(a, b), (k, loss, wd, hidden)
@@ -260,10 +259,10 @@ def test_train_model_equals_reference_sgd_bit_for_bit_at_a_wider_input():
     for i, (wd, loss) in enumerate(cases):
         train = mixture_set(10, 100, seed=400 + i, dim=40)
         cfg = al.TrainConfig(loss=loss, learning_rate=0.05, weight_decay=wd,
-                             batch_size=32, max_epochs=4, seed=i)
+                             batch_size=32, max_epochs=4)
         dims = [40, 24, 10]
-        got = al.train_model(cfg, train, dims)
-        want = ref_train_model(cfg, train, dims)
+        got = al.train_model(cfg, train, dims, i)
+        want = ref_train_model(cfg, train, dims, i)
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
             assert a.shape == b.shape and a.dtype == b.dtype == np.float32
             assert np.array_equal(a, b), (wd, loss)
@@ -279,9 +278,9 @@ def test_train_model_equals_reference_sgd_bit_for_bit_at_the_benchmark_shapes():
     for i, ((dims, n, lr, epochs), loss) in enumerate(cases):
         train = mixture_set(dims[-1], n, seed=500 + i, dim=dims[0])
         cfg = al.TrainConfig(loss=loss, learning_rate=lr, batch_size=32,
-                             max_epochs=epochs, seed=i)
-        got = al.train_model(cfg, train, dims)
-        want = ref_train_model(cfg, train, dims)
+                             max_epochs=epochs)
+        got = al.train_model(cfg, train, dims, i)
+        want = ref_train_model(cfg, train, dims, i)
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
             assert a.shape == b.shape and a.dtype == b.dtype == np.float32
             assert np.array_equal(a, b), (dims, loss)
@@ -332,10 +331,10 @@ def test_fit_confidence_net_equals_reference_adam_bit_for_bit():
         cfg = ConfidenceNetConfig(lam=(100.0, 10.0)[i % 2],
                                   alpha=(1.0, 4.0)[i % 3 == 0],
                                   weight_decay=wd, batch_size=16,
-                                  max_epochs=5, seed=i)
+                                  max_epochs=5)
         net = fit_confidence_net(*h.representations(cal.features), cal.labels,
-                                 cfg)
-        want = ref_fit_confidence_net(h, cal, cfg)
+                                 cfg, i)
+        want = ref_fit_confidence_net(h, cal, cfg, i)
         for name in ("W1", "W2", "t_raw"):
             a, b = getattr(net.params, name), getattr(want, name)
             assert a.shape == b.shape and a.dtype == b.dtype == np.float32

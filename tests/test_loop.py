@@ -37,14 +37,17 @@ def first_of(pool, m):
 
 THRESHOLD_FIELDS = {f.name for f in dataclasses.fields(al.ThresholdConfig)}
 
+# the run seed of the tests that do not vary it
+SEED = 5
+
 
 def base_config(**kw):
     """A small TbalConfig; the ThresholdConfig fields among ``kw`` build its
     ``thresholds``."""
     thresholds = {k: kw.pop(k) for k in list(kw) if k in THRESHOLD_FIELDS}
     defaults = dict(train_budget=60, seed_size=30, query_batch=15,
-                    thresholds=al.ThresholdConfig(**thresholds), master_seed=5,
-                    train=al.TrainConfig(max_epochs=15, seed=0))
+                    thresholds=al.ThresholdConfig(**thresholds),
+                    train=al.TrainConfig(max_epochs=15))
     defaults.update(kw)
     return al.TbalConfig(**defaults)
 
@@ -86,13 +89,20 @@ def test_config_validation():
     ("active_multiplier", float("inf")), ("active_multiplier", float("nan")),
     ("eps_a", float("nan")), ("coverage_floor", float("nan")),
     ("train_budget", 60.0), ("seed_size", 2.5), ("query_batch", 15.5),
-    ("master_seed", 5.5), ("hidden", (8.5,)),
+    ("cal_fraction", float("nan")), ("hidden", (8.5,)),
     ("seed_size", True), ("query_batch", True), ("hidden", (True,)),
-    ("master_seed", False), ("train_budget", True),
+    ("active_multiplier", True), ("train_budget", True),
 ])
 def test_config_rejects_non_finite_and_non_integer_fields(field, value):
     with pytest.raises(ValueError, match=rf"^{field} must be"):
         base_config(**{field: value})
+
+
+@pytest.mark.parametrize("seed", [5.5, False])
+def test_run_tbal_rejects_a_seed_that_is_not_an_integer(seed):
+    pool, val = overlapping_world(n_pool=60, n_val=20)
+    with pytest.raises(ValueError, match=r"^seed must be an integer"):
+        al.run_tbal(base_config(), pool, val, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +238,8 @@ def test_fit_round_zero_tolerance_thresholds_have_zero_group_error():
     pool, val = overlapping_world()
     cfg = base_config(eps_a=0.0, c1=0.0, coverage_floor=0.01)
     seed_set = first_of(pool, 40)
-    dims = [2, 32, 4]
     model, g, t_hat, top, preds, cal, th, warn = fit_round(cfg, seed_set, val,
-                                                           1, dims)
+                                                           1, SEED)
     d_th = val.take(th)
     tops, preds = top[th], preds[th]
     wrong = d_th.labels != preds
@@ -259,7 +268,7 @@ def test_round_runs_the_classifier_once_per_set(monkeypatch, method):
 
     vals = {}
     monkeypatch.setattr(al.MlpClassifier, "representations", counted)
-    report = al.run_tbal(cfg, pool, val,
+    report = al.run_tbal(cfg, pool, val, SEED,
                          round_hook=lambda i, m, v, *_: vals.setdefault(i, v))
     assert len(report.rounds) >= 2
     assert any(rec.n_auto for rec in report.rounds)
@@ -271,7 +280,7 @@ def test_round_runs_the_classifier_once_per_set(monkeypatch, method):
         pool_rows = np.setdiff1d(pool.active, out.indices[out.rounds < i])
         auto = out.indices[(out.rounds == i) & (out.sources == "auto")]
         cal, th = al.random_split(len(round_val), cfg.cal_fraction,
-                                  child_seed(cfg.master_seed, i, "split"))
+                                  child_seed(SEED, i, "split"))
         assert (rec.n_cal, rec.n_th) == (len(cal), len(th))
         assert same(calls[2 * i - 2], round_val.features)
         assert same(calls[2 * i - 1], pool.dataset.features[pool_rows])
@@ -287,12 +296,36 @@ def test_fit_round_deterministic():
     pool, val = overlapping_world()
     cfg = base_config()
     seed_set = first_of(pool, 30)
-    m1, g1, t1, _, _, c1, th1, _ = fit_round(cfg, seed_set, val, 1, [2, 32, 4])
-    m2, g2, t2, _, _, c2, th2, _ = fit_round(cfg, seed_set, val, 1, [2, 32, 4])
+    m1, g1, t1, _, _, c1, th1, _ = fit_round(cfg, seed_set, val, 1, SEED)
+    m2, g2, t2, _, _, c2, th2, _ = fit_round(cfg, seed_set, val, 1, SEED)
     assert all(np.array_equal(a, b) for a, b in zip(m1.weights, m2.weights))
     assert np.array_equal(t1.values, t2.values)
     assert np.array_equal(c1, c2)
     assert np.array_equal(th1, th2)
+
+
+def test_fit_round_derives_each_seed_from_the_run_seed():
+    # round i trains, splits and fits the post-hoc net on the run seed's
+    # children for (i, purpose), and on nothing else
+    pool, val = overlapping_world()
+    cfg = base_config(posthoc=ConfidenceNetConfig(max_epochs=5))
+    d_train = first_of(pool, 30)
+    seed, i = 8, 2
+    model, g, _, _, _, cal, th, _ = fit_round(cfg, d_train, val, i, seed)
+    want = al.train_model(cfg.train, d_train, [2, *cfg.hidden, 4],
+                          child_seed(seed, i, "train"))
+    for a, b in zip(model.weights + model.biases, want.weights + want.biases):
+        assert a.tobytes() == b.tobytes()
+    want_cal, want_th = al.random_split(len(val), cfg.cal_fraction,
+                                        child_seed(seed, i, "split"))
+    assert np.array_equal(cal, want_cal) and np.array_equal(th, want_th)
+    logits, penultimate = want.representations(val.features)
+    net = al.fit_confidence_net(logits[cal], penultimate[cal],
+                                val.labels[cal], cfg.posthoc,
+                                child_seed(seed, i, "posthoc"))
+    for name in ("W1", "W2", "t_raw"):
+        assert (getattr(g.params, name).tobytes()
+                == getattr(net.params, name).tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +336,10 @@ def test_run_preconditions():
     pool, val = overlapping_world(n_pool=20, n_val=10)
     with pytest.raises(ValueError):
         al.run_tbal(base_config(train_budget=60, seed_size=30), pool,
-                    val.take([0]))
+                    val.take([0]), SEED)
     with pytest.raises(ValueError):
-        al.run_tbal(base_config(train_budget=60, seed_size=30), pool, val)
+        al.run_tbal(base_config(train_budget=60, seed_size=30), pool, val,
+                    SEED)
 
 
 def test_single_round_on_separable_world():
@@ -313,12 +347,12 @@ def test_single_round_on_separable_world():
     ds = al.synth_gaussian_mixture(2, 2, means, 0.5, 260, seed=7)
     pool_rows, val_rows = al.carve(ds.n, [200, 60], seed=8)
     cfg = al.TbalConfig(train_budget=40, seed_size=40, query_batch=10,
-                        master_seed=1,
-                        train=al.TrainConfig(max_epochs=30, learning_rate=0.05,
-                                             seed=0))
+                        train=al.TrainConfig(max_epochs=30, learning_rate=0.05))
     report = al.run_tbal(cfg, al.Pool(ds, pool_rows),
-                         al.LabeledSet.from_oracle(ds, val_rows, 0))
+                         al.LabeledSet.from_oracle(ds, val_rows, 0), 1)
     assert len(report.rounds) == 1
+    # the budget is spent on the seed set: the round buys nothing
+    assert report.rounds[0].n_queried == 0
     assert report.final_error == 0.0
     assert report.final_coverage >= 0.7
     # auto labels agree with the hidden truth, point by point
@@ -331,15 +365,18 @@ def test_loop_accounting_and_budget():
     pool, val = overlapping_world()
     cfg = base_config(train_budget=70, seed_size=30, query_batch=15)
     seen_vals = []
-    report = al.run_tbal(cfg, pool, val,
+    report = al.run_tbal(cfg, pool, val, SEED,
                          round_hook=lambda i, m, v, top, preds: seen_vals.append(
                              set(v.indices.tolist())))
     assert len(report.rounds) >= 2
-    # pool deltas chain exactly
+    # pool deltas chain exactly, and each round logs the size it trained on
     remaining = pool.size - cfg.seed_size
+    n_train = cfg.seed_size
     for rec in report.rounds:
         remaining = remaining - rec.n_auto - rec.n_queried
         assert rec.n_pool_remaining == remaining
+        assert rec.n_train == n_train
+        n_train += rec.n_queried
     # output holds every labeled point exactly once
     out = report.output
     assert len(np.unique(out.indices)) == len(out)
@@ -347,10 +384,12 @@ def test_loop_accounting_and_budget():
     n_human = int((out.sources == "human").sum())
     assert n_auto == sum(r.n_auto for r in report.rounds)
     assert n_human == cfg.seed_size + sum(r.n_queried for r in report.rounds)
-    # the budget guard allows at most one extra batch
+    # every human label is trained on, within the budget; the last round
+    # buys nothing, since no round would train on it
     assert n_human - sum(r.n_queried for r in report.rounds) == cfg.seed_size
     assert cfg.seed_size + sum(r.n_queried for r in report.rounds) \
-        <= cfg.train_budget + cfg.query_batch
+        <= cfg.train_budget
+    assert report.rounds[-1].n_queried == 0
     # validation only ever shrinks, as a set
     for earlier, later in zip(seen_vals, seen_vals[1:]):
         assert later <= earlier
@@ -363,10 +402,10 @@ def test_final_error_is_the_auto_label_mismatch_rate():
     # the report's error must be their mismatch rate against the hidden
     # labels, looked up by point id
     pool, val = overlapping_world()
-    report = al.run_tbal(base_config(eps_a=0.3), pool, val)
+    report = al.run_tbal(base_config(eps_a=0.3), pool, val, SEED)
     out = report.output
     auto = out.sources == "auto"
-    truth = pool.dataset.hidden_labels[out.ids[auto]]
+    truth = pool.dataset.hidden_labels[out.indices[auto]]
     mistakes = int(np.sum(out.labels[auto] != truth))
     assert mistakes > 0
     assert report.final_error == mistakes / int(auto.sum())
@@ -374,9 +413,9 @@ def test_final_error_is_the_auto_label_mismatch_rate():
 
 def test_loop_deterministic_reports():
     pool, val = overlapping_world()
-    cfg = base_config(posthoc=al.TemperatureConfig(), master_seed=17)
-    r1 = al.run_tbal(cfg, pool, val)
-    r2 = al.run_tbal(cfg, pool, val)
+    cfg = base_config(posthoc=al.TemperatureConfig())
+    r1 = al.run_tbal(cfg, pool, val, 17)
+    r2 = al.run_tbal(cfg, pool, val, 17)
     assert r1.to_jsonable() == r2.to_jsonable()
 
 
@@ -384,9 +423,8 @@ def test_seed_query_independent_of_posthoc_method():
     pool, val = overlapping_world()
     reports = {}
     for method in ("softmax", "temperature"):
-        cfg = base_config(posthoc=al.loop.POSTHOC_CONFIGS[method](),
-                          master_seed=23)
-        rep = al.run_tbal(cfg, pool, val)
+        cfg = base_config(posthoc=al.loop.POSTHOC_CONFIGS[method]())
+        rep = al.run_tbal(cfg, pool, val, 23)
         seed_ids = rep.output.indices[(rep.output.sources == "human")
                                       & (rep.output.rounds == 0)]
         reports[method] = np.sort(seed_ids)
@@ -406,9 +444,9 @@ def test_validation_exhaustion_stops_with_warning():
     cfg = al.TbalConfig(
         train_budget=50, seed_size=40, query_batch=1,
         thresholds=al.ThresholdConfig(eps_a=1.0, coverage_floor=0.01, c1=0.0,
-                                      grid=np.array([0.9])), master_seed=2,
-        train=al.TrainConfig(max_epochs=40, learning_rate=0.05, seed=1))
-    report = al.run_tbal(cfg, whole_pool(pool_ds), label_everything(val_ds))
+                                      grid=np.array([0.9])),
+        train=al.TrainConfig(max_epochs=40, learning_rate=0.05))
+    report = al.run_tbal(cfg, whole_pool(pool_ds), label_everything(val_ds), 2)
     assert any("validation" in w for w in report.warnings)
     # the loop stopped early: unlabeled points remain
     assert report.rounds[-1].n_pool_remaining > 0
@@ -418,16 +456,18 @@ def test_validation_exhaustion_stops_with_warning():
 def test_all_infinite_round_still_queries():
     # demanding full-group coverage at a near-unit threshold is infeasible on
     # overlapping data, so every threshold comes out infinite; the loop must
-    # keep buying labels rather than stall
+    # keep buying labels rather than stall, until the budget is spent
     pool, val = overlapping_world(n_pool=80, n_val=40)
     cfg = base_config(train_budget=45, seed_size=15, query_batch=15,
                       coverage_floor=1.0, grid=np.array([0.999999]))
-    report = al.run_tbal(cfg, pool, val)
+    report = al.run_tbal(cfg, pool, val, SEED)
     assert len(report.rounds) >= 2
     for rec in report.rounds:
         assert rec.n_auto == 0
         assert np.all(np.isinf(rec.thresholds.values))
+    for rec in report.rounds[:-1]:
         assert rec.n_queried > 0
+    assert report.rounds[-1].n_queried == 0
     assert report.final_coverage == 0.0
     assert report.final_error is None
 
@@ -439,11 +479,11 @@ def test_all_infinite_round_still_queries():
 def test_round_log_and_report_serialization(tmp_path):
     pool, val = overlapping_world()
     cfg = base_config()
-    report = al.run_tbal(cfg, pool, val)
+    report = al.run_tbal(cfg, pool, val, SEED)
     log1 = tmp_path / "rounds1.jsonl"
     log2 = tmp_path / "rounds2.jsonl"
     dump_round_log(report, str(log1))
-    dump_round_log(al.run_tbal(cfg, pool, val), str(log2))
+    dump_round_log(al.run_tbal(cfg, pool, val, SEED), str(log2))
     assert log1.read_bytes() == log2.read_bytes()
     lines = log1.read_text().splitlines()
     assert len(lines) == len(report.rounds)
@@ -474,7 +514,7 @@ def reference_dump_report(report, path):
 @pytest.fixture(scope="module")
 def reports():
     pool, val = overlapping_world()
-    run = al.run_tbal(base_config(), pool, val)
+    run = al.run_tbal(base_config(), pool, val, SEED)
     assert len(run.rounds) >= 2
     empty = al.LabeledSet.empty(pool.dataset)
     cases = {"run": run}
@@ -515,7 +555,7 @@ def test_dump_report_matches_the_indenting_json_encoder(tmp_path, reports,
 def test_report_output_lists_hold_python_ints_and_strs(reports):
     report = reports["run"]
     out = report.to_jsonable()["output"]
-    for key, arr in (("ids", report.output.ids),
+    for key, arr in (("ids", report.output.indices),
                      ("labels", report.output.labels),
                      ("rounds", report.output.rounds)):
         assert all(type(v) is int for v in out[key])

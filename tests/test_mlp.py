@@ -277,8 +277,8 @@ def test_train_separable_reaches_full_accuracy():
     means = np.array([[-10.0], [10.0]])
     ds = al.synth_gaussian_mixture(2, 1, means, 1.0, 60, seed=2)
     labeled = label_everything(ds)
-    cfg = al.TrainConfig(max_epochs=50, learning_rate=0.05, seed=3)
-    model = al.train_model(cfg, labeled, [1, 8, 2])
+    cfg = al.TrainConfig(max_epochs=50, learning_rate=0.05)
+    model = al.train_model(cfg, labeled, [1, 8, 2], 3)
     acc = np.mean(np.argmax(model.representations(ds.features)[0], axis=1)
                   == ds.hidden_labels)
     assert acc == 1.0
@@ -289,9 +289,9 @@ def test_train_single_point_loss_decreases():
     labeled = label_everything(ds).take([0])
     losses = []
     for epochs in range(6):
-        cfg = al.TrainConfig(max_epochs=epochs, learning_rate=0.01, seed=4,
+        cfg = al.TrainConfig(max_epochs=epochs, learning_rate=0.01,
                              momentum=0.0)
-        model = al.train_model(cfg, labeled, [2, 8, 4])
+        model = al.train_model(cfg, labeled, [2, 8, 4], 4)
         losses.append(batch_loss(model.representations(labeled.features)[0],
                                  labeled.labels))
     assert all(b < a for a, b in zip(losses, losses[1:]))
@@ -300,9 +300,9 @@ def test_train_single_point_loss_decreases():
 def test_train_determinism():
     ds = four_blobs(n=60)
     labeled = label_everything(ds)
-    cfg = al.TrainConfig(max_epochs=10, seed=9)
-    m1 = al.train_model(cfg, labeled, [2, 8, 4])
-    m2 = al.train_model(cfg, labeled, [2, 8, 4])
+    cfg = al.TrainConfig(max_epochs=10)
+    m1 = al.train_model(cfg, labeled, [2, 8, 4], 9)
+    m2 = al.train_model(cfg, labeled, [2, 8, 4], 9)
     for a, b in zip(m1.weights + m1.biases, m2.weights + m2.biases):
         assert np.array_equal(a, b)
     # the returned model owns its arrays; none is a view of training buffers
@@ -320,9 +320,9 @@ def test_train_zero_decay_is_plain_momentum_sgd():
     # with wd=0 the update must be bit-for-bit plain SGD+momentum
     ds = four_blobs(n=40)
     labeled = label_everything(ds)
-    a = al.train_model(al.TrainConfig(max_epochs=5, weight_decay=0.0, seed=1),
-                       labeled, [2, 6, 4])
-    b = al.train_model(al.TrainConfig(max_epochs=5, seed=1), labeled, [2, 6, 4])
+    a = al.train_model(al.TrainConfig(max_epochs=5, weight_decay=0.0),
+                       labeled, [2, 6, 4], 1)
+    b = al.train_model(al.TrainConfig(max_epochs=5), labeled, [2, 6, 4], 1)
     for wa, wb in zip(a.weights + a.biases, b.weights + b.biases):
         assert np.array_equal(wa, wb)
 
@@ -330,11 +330,9 @@ def test_train_zero_decay_is_plain_momentum_sgd():
 def test_train_weight_decay_shrinks_norms():
     ds = four_blobs(n=40)
     labeled = label_everything(ds)
-    free = al.train_model(al.TrainConfig(max_epochs=20, seed=1), labeled,
-                          [2, 6, 4])
-    decayed = al.train_model(
-        al.TrainConfig(max_epochs=20, weight_decay=0.1, seed=1), labeled,
-        [2, 6, 4])
+    free = al.train_model(al.TrainConfig(max_epochs=20), labeled, [2, 6, 4], 1)
+    decayed = al.train_model(al.TrainConfig(max_epochs=20, weight_decay=0.1),
+                             labeled, [2, 6, 4], 1)
     assert np.linalg.norm(decayed.weights[0]) < np.linalg.norm(free.weights[0])
 
 
@@ -342,8 +340,8 @@ def test_train_weight_decay_shrinks_norms():
     ("learning_rate", float("nan")), ("learning_rate", float("inf")),
     ("momentum", float("nan")), ("weight_decay", float("inf")),
     ("weight_decay", float("nan")), ("batch_size", 2.5),
-    ("max_epochs", 2.5), ("batch_size", 32.0), ("seed", 2.5),
-    ("batch_size", True), ("seed", True), ("learning_rate", True),
+    ("max_epochs", 2.5), ("batch_size", 32.0), ("max_epochs", True),
+    ("batch_size", True), ("weight_decay", True), ("learning_rate", True),
     ("momentum", np.False_),
 ])
 def test_train_config_rejects_non_finite_and_non_integer_fields(field, value):
@@ -351,19 +349,26 @@ def test_train_config_rejects_non_finite_and_non_integer_fields(field, value):
         al.TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("seed", [2.5, True])
+def test_train_model_rejects_a_seed_that_is_not_an_integer(seed):
+    labeled = label_everything(four_blobs(n=10))
+    with pytest.raises(ValueError, match=r"^seed must be an integer"):
+        al.train_model(al.TrainConfig(max_epochs=1), labeled, [2, 8, 4], seed)
+
+
 def test_train_arch_mismatch():
     ds = four_blobs(n=10)
     labeled = label_everything(ds)
     with pytest.raises(ValueError):
-        al.train_model(al.TrainConfig(), labeled, [3, 8, 4])
+        al.train_model(al.TrainConfig(), labeled, [3, 8, 4], 0)
     with pytest.raises(ValueError):
-        al.train_model(al.TrainConfig(), labeled, [2, 8, 5])
+        al.train_model(al.TrainConfig(), labeled, [2, 8, 5], 0)
 
 
 def test_train_rejects_empty_set():
     ds = four_blobs(n=10)
     with pytest.raises(ValueError):
-        al.train_model(al.TrainConfig(), al.LabeledSet.empty(ds), [2, 8, 4])
+        al.train_model(al.TrainConfig(), al.LabeledSet.empty(ds), [2, 8, 4], 0)
 
 
 # ---------------------------------------------------------------------------

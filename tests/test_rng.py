@@ -1,6 +1,7 @@
 import hashlib
 
 import numpy as np
+import pytest
 
 from autolabel.rng import child_seed, stream
 
@@ -16,6 +17,21 @@ def test_child_seed_distinguishes_tag_boundaries():
     assert child_seed(0, "a", 1) != child_seed(0, "a1")
     assert child_seed(0, "ab") != child_seed(0, "a", "b")
     assert child_seed(1, "x") != child_seed(11, "x")
+
+
+def test_child_seed_accepts_numpy_integers():
+    assert child_seed(np.int64(7), 3, "train") == child_seed(7, 3, "train")
+
+
+@pytest.mark.parametrize("master", [2.5, 1.0, 5.5, True, False, np.False_,
+                                    "7", None])
+def test_child_seed_rejects_a_master_that_is_not_an_integer(master):
+    # every seed a run draws from derives through child_seed: a float would
+    # be truncated and a bool would pass as 0 or 1
+    with pytest.raises(ValueError, match=r"^seed must be an integer"):
+        child_seed(master, 0)
+    with pytest.raises(ValueError, match=r"^seed must be an integer"):
+        stream(master)
 
 
 def test_stream_reproducible():

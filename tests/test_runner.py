@@ -1,7 +1,6 @@
 import concurrent.futures
 import copy
 import csv
-import dataclasses
 import json
 import os
 
@@ -110,8 +109,9 @@ def test_runs_on_row_sets_match_runs_on_copied_splits(tmp_path, posthoc):
 
     def run(p, v):
         scored = []
-        report = al.run_tbal(cfg.tbal, p, v, round_hook=lambda i, m, rv, top,
-                             preds: scored.append((rv.indices, top, preds)))
+        report = al.run_tbal(
+            cfg.tbal, p, v, 0, round_hook=lambda i, m, rv, top, preds:
+            scored.append((rv.indices, top, preds)))
         return report, scored
 
     (got, got_scored), (want, want_scored) = (run(pool, val),
@@ -261,7 +261,7 @@ def test_run_scores_validation_once_per_round(monkeypatch, tmp_path):
     al.run_experiment(cfg)
     dumps = sorted((tmp_path / "out" / "run_00").glob("scores_round_*.csv"))
     assert len(dumps) >= 2
-    row_of = {int(pid): row for row, pid in enumerate(val.ids)}
+    row_of = {int(pid): row for row, pid in enumerate(val.indices)}
     for path in dumps:
         ids = np.loadtxt(path, delimiter=",", skiprows=1, usecols=0,
                          dtype=np.int64, ndmin=1)
@@ -366,7 +366,7 @@ def test_first_round_eval_scores_the_runs_first_round(tmp_path):
     for seed in (3, 8):
         models = {}
         report = al.run_tbal(
-            dataclasses.replace(cfg.tbal, master_seed=seed), pool, val,
+            cfg.tbal, pool, val, seed,
             round_hook=lambda i, model, *_: models.setdefault(i, model))
         cov, err = metrics_on(al.SoftmaxConfidence(),
                               report.rounds[0].thresholds, models[1], hyp)
