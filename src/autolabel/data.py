@@ -100,24 +100,20 @@ class Dataset:
 class LabeledSet:
     """Rows of a Dataset together with assigned labels.
 
-    Assigned labels come from the oracle (source "human") or from the
-    auto-labeler (source "auto"); they need not match the hidden truth.
+    Assigned labels come from the oracle or from the auto-labeler; they need
+    not match the hidden truth.
     """
 
     dataset: Dataset
     indices: np.ndarray  # (m,) int64 row indices into dataset, unique
     labels: np.ndarray   # (m,) int64 assigned labels
-    sources: np.ndarray  # (m,) unicode, each "human" or "auto"
-    rounds: np.ndarray   # (m,) int64 round stamp
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.int64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.sources = np.asarray(self.sources, dtype="<U5")
-        self.rounds = np.asarray(self.rounds, dtype=np.int64)
         m = self.indices.shape[0]
-        if not (self.labels.shape == self.sources.shape == self.rounds.shape == (m,)):
-            raise ValueError("index/label/source/round arrays must align")
+        if self.labels.shape != (m,):
+            raise ValueError("index and label arrays must align")
         if m:
             if _has_duplicates(self.indices):
                 raise ValueError("duplicate indices in LabeledSet")
@@ -125,10 +121,6 @@ class LabeledSet:
                 raise IndexError("index out of range for dataset")
             if self.labels.min() < 0 or self.labels.max() >= self.dataset.num_classes:
                 raise LabelOutOfRangeError("assigned label out of range")
-            known = (self.sources == "human") | (self.sources == "auto")
-            if not known.all():
-                bad = set(np.unique(self.sources[~known]))
-                raise ValueError(f"unknown source tags: {sorted(bad)}")
 
     def __len__(self) -> int:
         return int(self.indices.shape[0])
@@ -140,28 +132,20 @@ class LabeledSet:
     @classmethod
     def empty(cls, dataset: Dataset) -> "LabeledSet":
         z = np.zeros(0, dtype=np.int64)
-        return cls(dataset, z, z.copy(), np.zeros(0, dtype="<U5"), z.copy())
+        return cls(dataset, z, z.copy())
 
     @classmethod
-    def from_oracle(cls, dataset: Dataset, indices, round_index: int,
-                    source: str = "human") -> "LabeledSet":
+    def from_oracle(cls, dataset: Dataset, indices) -> "LabeledSet":
         """Label ``indices`` with the dataset's ground truth (an oracle query)."""
         idx = np.asarray(indices, dtype=np.int64)
-        return cls(
-            dataset=dataset,
-            indices=idx,
-            labels=dataset.hidden_labels[idx].copy(),
-            sources=np.full(idx.shape, source, dtype="<U5"),
-            rounds=np.full(idx.shape, round_index, dtype=np.int64),
-        )
+        return cls(dataset, idx, dataset.hidden_labels[idx].copy())
 
     def take(self, positions) -> "LabeledSet":
         """Subset by positions within this set (not dataset indices)."""
         pos = np.asarray(positions)
         if pos.size == 0:
             pos = pos.astype(np.int64)
-        return LabeledSet(self.dataset, self.indices[pos], self.labels[pos],
-                          self.sources[pos], self.rounds[pos])
+        return LabeledSet(self.dataset, self.indices[pos], self.labels[pos])
 
     def merged_with(self, other: "LabeledSet") -> "LabeledSet":
         """This set's rows followed by ``other``'s; an empty side is skipped."""
@@ -175,8 +159,6 @@ class LabeledSet:
             self.dataset,
             np.concatenate([self.indices, other.indices]),
             np.concatenate([self.labels, other.labels]),
-            np.concatenate([self.sources, other.sources]),
-            np.concatenate([self.rounds, other.rounds]),
         )
 
 
@@ -218,12 +200,10 @@ class Pool:
 # sampling / splitting
 
 
-def random_query(pool: Pool, n: int, seed: int,
-                 round_index: int = 0) -> tuple[LabeledSet, Pool]:
+def random_query(pool: Pool, n: int, seed: int) -> tuple[LabeledSet, Pool]:
     """Query the oracle for n uniform-random pool points.
 
-    Returns the newly labeled set (source "human", indices ascending) and the
-    shrunken pool.
+    Returns the newly labeled set (indices ascending) and the shrunken pool.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -232,8 +212,7 @@ def random_query(pool: Pool, n: int, seed: int,
     rng = np.random.default_rng(seed)
     pick = rng.choice(pool.size, size=n, replace=False)
     chosen = np.sort(pool.active[pick])
-    labeled = LabeledSet.from_oracle(pool.dataset, chosen, round_index, "human")
-    return labeled, pool.without(chosen)
+    return LabeledSet.from_oracle(pool.dataset, chosen), pool.without(chosen)
 
 
 def random_split(m: int, fraction: float,
@@ -371,7 +350,7 @@ def idx_labels_path(images_path: str) -> str:
     return os.path.join(os.path.dirname(images_path), cand)
 
 
-def _load_idx(path: str, num_classes, labels_path=None) -> Dataset:
+def _load_idx(path: str, num_classes, labels_path) -> Dataset:
     feats = _load_idx_images(path)
     lp = labels_path if labels_path is not None else idx_labels_path(path)
     labels = _load_idx_labels(lp)
@@ -385,7 +364,15 @@ def _load_idx(path: str, num_classes, labels_path=None) -> Dataset:
     return Dataset(feats, labels, k)
 
 
-def _load_csv(path: str, num_classes) -> Dataset:
+def _own_labels(format: str, labels_path) -> None:
+    """A csv or rawf32 dataset holds its labels: refuse a labels file."""
+    if labels_path is not None:
+        raise ValueError(f"labels_path {labels_path!r}: a {format} dataset "
+                         "holds its own labels; only idx reads labels_path")
+
+
+def _load_csv(path: str, num_classes, labels_path) -> Dataset:
+    _own_labels("csv", labels_path)
     with open(path, newline="") as f:
         reader = _csv.reader(f)
         try:
@@ -447,7 +434,8 @@ def _parse_meta(path: str) -> dict:
     return meta
 
 
-def _load_rawf32(path: str, num_classes) -> Dataset:
+def _load_rawf32(path: str, num_classes, labels_path) -> Dataset:
+    _own_labels("rawf32", labels_path)
     meta = _parse_meta(path + ".meta")
     n, d, k = meta["n"], meta["d"], meta["k"]
     if num_classes and int(num_classes) != k:
@@ -472,14 +460,14 @@ _LOADERS = {"idx": _load_idx, "csv": _load_csv, "rawf32": _load_rawf32}
 
 def load_dataset(path: str, format: str, num_classes: int | None = None,
                  labels_path: str | None = None) -> Dataset:
-    """Load a Dataset from disk. ``format`` is one of idx | csv | rawf32."""
+    """Load a Dataset from disk. ``format`` is one of idx | csv | rawf32;
+    ``labels_path`` names an idx pair's labels file, and only idx takes one.
+    """
     if format not in _LOADERS:
         raise ValueError(
             f"unknown format {format!r}; expected one of {sorted(_LOADERS)}"
         )
-    if format == "idx":
-        return _load_idx(path, num_classes, labels_path)
-    return _LOADERS[format](path, num_classes)
+    return _LOADERS[format](path, num_classes, labels_path)
 
 
 def carve(n: int, sizes: "list[int]", seed: int) -> "list[np.ndarray]":

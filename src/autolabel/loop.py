@@ -133,8 +133,14 @@ class RoundRecord:
 
 @dataclass
 class TbalReport:
+    """A run's rounds and its output: every labeled point, in labeling
+    order, with its source ("human" or "auto") and the round that labeled
+    it (0 for the seed set)."""
+
     rounds: "list[RoundRecord]"
     output: LabeledSet
+    output_sources: np.ndarray
+    output_rounds: np.ndarray
     n_initial_pool: int
     final_error: float | None
     final_coverage: float
@@ -152,8 +158,8 @@ class TbalReport:
             "output": {
                 "ids": out.indices.tolist(),
                 "labels": out.labels.tolist(),
-                "sources": out.sources.tolist(),
-                "rounds": out.rounds.tolist(),
+                "sources": self.output_sources.tolist(),
+                "rounds": self.output_rounds.tolist(),
             },
         }
 
@@ -163,23 +169,16 @@ class TbalReport:
 
 
 def auto_label_select(t: ThresholdVector, pool: Pool, top: np.ndarray,
-                      preds: np.ndarray, round_index: int):
+                      preds: np.ndarray):
     """Label-and-remove every pool point whose confidence clears its threshold.
 
     ``top, preds`` are ``predicted_scores`` of ``pool``'s rows. Selected
-    points receive the classifier's prediction as their label, tagged source
-    "auto". Returns (auto-labeled set, pool left, mask of ``pool``'s rows
-    left).
+    points receive the classifier's prediction as their label. Returns
+    (auto-labeled set, pool left, mask of ``pool``'s rows left).
     """
     sel = t.selects(top, preds)
     chosen = pool.active[sel]
-    labeled = LabeledSet(
-        dataset=pool.dataset,
-        indices=chosen,
-        labels=np.asarray(preds[sel], dtype=np.int64),
-        sources=np.full(chosen.shape, "auto", dtype="<U5"),
-        rounds=np.full(chosen.shape, round_index, dtype=np.int64),
-    )
+    labeled = LabeledSet(pool.dataset, chosen, preds[sel])
     return labeled, pool.without(chosen), ~sel
 
 
@@ -193,7 +192,7 @@ def filter_validation(t: ThresholdVector, val: LabeledSet, top: np.ndarray,
 
 
 def active_query(logits: np.ndarray, pool: Pool, n_b: int, C: float,
-                 seed: int, round_index: int) -> tuple[LabeledSet, Pool]:
+                 seed: int) -> tuple[LabeledSet, Pool]:
     """Margin-random querying: sample n_b points among the C*n_b least-margin.
 
     ``logits`` are the classifier's logits of ``pool``'s rows, in its order.
@@ -211,8 +210,7 @@ def active_query(logits: np.ndarray, pool: Pool, n_b: int, C: float,
     rng = np.random.default_rng(seed)
     pick = rng.choice(n_cand, size=take, replace=False)
     chosen = np.sort(candidates[pick])
-    labeled = LabeledSet.from_oracle(pool.dataset, chosen, round_index, "human")
-    return labeled, pool.without(chosen)
+    return LabeledSet.from_oracle(pool.dataset, chosen), pool.without(chosen)
 
 
 def fit_posthoc(cfg, logits: np.ndarray, penultimate: np.ndarray,
@@ -244,8 +242,7 @@ def seed_query(cfg: TbalConfig, pool: Pool, seed: int):
     """(seed set, pool left): round 0's random query of ``cfg.seed_size``
     human labels from the initial ``pool``, as every run with ``seed``
     starts."""
-    return random_query(pool, cfg.seed_size, child_seed(seed, 0, "seed_query"),
-                        round_index=0)
+    return random_query(pool, cfg.seed_size, child_seed(seed, 0, "seed_query"))
 
 
 def fit_round(cfg: TbalConfig, d_train: LabeledSet, val: LabeledSet,
@@ -258,9 +255,7 @@ def fit_round(cfg: TbalConfig, d_train: LabeledSet, val: LabeledSet,
     Each step draws from its own child of the run's ``seed`` for this round.
     Shared by the main loop and by first-round-only hyperparameter search.
     """
-    data = d_train.dataset
-    dims = [data.dim, *cfg.hidden, data.num_classes]
-    model = train_model(cfg.train, d_train, dims,
+    model = train_model(cfg.train, d_train, cfg.hidden,
                         child_seed(seed, round_index, "train"))
     logits, penultimate = model.representations(val.features)
     cal, th = random_split(len(val), cfg.cal_fraction,
@@ -303,7 +298,8 @@ def run_tbal(cfg: TbalConfig, initial_pool: Pool, d_val: LabeledSet,
         raise ValueError("need at least 2 validation points")
     data = initial_pool.dataset
     d_train, pool = seed_query(cfg, initial_pool, seed)
-    out = d_train
+    # (set, source, round) of every labeled set, in labeling order
+    parts = [(d_train, "human", 0)]
     val = d_val
     records: list[RoundRecord] = []
     warnings: list[str] = []
@@ -323,16 +319,16 @@ def run_tbal(cfg: TbalConfig, initial_pool: Pool, d_val: LabeledSet,
         pool_before = pool.size
         logits, penultimate = model.representations(pool.features)
         auto_set, pool, left = auto_label_select(
-            t_hat, pool, *predicted_scores(g, logits, penultimate), i)
+            t_hat, pool, *predicted_scores(g, logits, penultimate))
         val = filter_validation(t_hat, val, val_top, val_preds)
         n_train = len(d_train)
         if pool.size > 0 and n_train + cfg.query_batch <= cfg.train_budget:
             query, pool = active_query(
                 logits[left], pool, cfg.query_batch, cfg.active_multiplier,
-                child_seed(seed, i, "active"), round_index=i)
+                child_seed(seed, i, "active"))
         else:
             query = LabeledSet.empty(data)
-        out = out.merged_with(auto_set).merged_with(query)
+        parts += [(auto_set, "auto", i), (query, "human", i)]
         d_train = d_train.merged_with(query)
         if len(auto_set):
             truth = data.hidden_labels[auto_set.indices]
@@ -355,7 +351,12 @@ def run_tbal(cfg: TbalConfig, initial_pool: Pool, d_val: LabeledSet,
         if not len(query):
             break
         i += 1
-    auto_mask = out.sources == "auto"
+    sets, sources, stamps = zip(*parts)
+    sizes = [len(s) for s in sets]
+    out = LabeledSet(data, np.concatenate([s.indices for s in sets]),
+                     np.concatenate([s.labels for s in sets]))
+    sources, stamps = np.repeat(sources, sizes), np.repeat(stamps, sizes)
+    auto_mask = sources == "auto"
     n_auto = int(auto_mask.sum())
     if n_auto:
         truth = data.hidden_labels[out.indices[auto_mask]]
@@ -365,6 +366,8 @@ def run_tbal(cfg: TbalConfig, initial_pool: Pool, d_val: LabeledSet,
     return TbalReport(
         rounds=records,
         output=out,
+        output_sources=sources,
+        output_rounds=stamps,
         n_initial_pool=initial_pool.size,
         final_error=final_error,
         final_coverage=n_auto / initial_pool.size,

@@ -226,14 +226,14 @@ def _flat_views(buf: np.ndarray, shapes) -> "list[np.ndarray]":
     return views
 
 
-def train_model(config: TrainConfig, train_set: LabeledSet, dims,
+def train_model(config: TrainConfig, train_set: LabeledSet, hidden,
                 seed: int) -> MlpClassifier:
     """Mini-batch SGD with momentum and decoupled weight decay.
 
-    ``dims`` is the full width list [d_in, hidden..., k]; it must agree with
-    the dataset's feature dim and class count. The initial weights and each
-    epoch's reshuffle are drawn from ``seed``'s streams; the final-epoch
-    model is returned.
+    ``hidden`` lists the hidden widths; the network's widths are
+    [d_in, *hidden, k], with the input width and the class count read from
+    ``train_set``'s dataset. The initial weights and each epoch's reshuffle
+    are drawn from ``seed``'s streams; the final-epoch model is returned.
 
     The update per step, with velocity v and gradient grad:
 
@@ -259,17 +259,9 @@ def train_model(config: TrainConfig, train_set: LabeledSet, dims,
     """
     if len(train_set) < 1:
         raise ValueError("empty training set")
-    dims = list(int(v) for v in dims)
-    if dims[0] != train_set.dataset.dim:
-        raise ValueError(
-            f"arch input dim {dims[0]} != data dim {train_set.dataset.dim}"
-        )
-    if dims[-1] != train_set.dataset.num_classes:
-        raise ValueError(
-            f"arch output dim {dims[-1]} != num_classes "
-            f"{train_set.dataset.num_classes}"
-        )
-    init = init_mlp(dims, seed)
+    data = train_set.dataset
+    init = init_mlp([data.dim, *(int(w) for w in hidden), data.num_classes],
+                    seed)
     tensors = [a for pair in zip(init.weights, init.biases) for a in pair]
     shapes = [a.shape for a in tensors]
     params = np.concatenate([a.ravel() for a in tensors])
@@ -281,7 +273,7 @@ def train_model(config: TrainConfig, train_set: LabeledSet, dims,
     grad_views = _flat_views(grad, shapes)
     grads = (grad_views[0::2], grad_views[1::2])
     X = np.ascontiguousarray(train_set.features, dtype=np.float32)
-    onehot = np.eye(dims[-1], dtype=params.dtype)[train_set.labels]
+    onehot = np.eye(data.num_classes, dtype=params.dtype)[train_set.labels]
     m, size = X.shape[0], config.batch_size
     Xs, Ys = np.empty_like(X), np.empty_like(onehot)
     starts = range(0, m, size)

@@ -74,27 +74,42 @@ def materialize_dataset(cfg: ExperimentConfig):
     val_rows, hyp_rows, pool_rows = carve(
         base.n, [spec.val_size, spec.hyp_size, spec.pool_size],
         child_seed(cfg.master_seed, "carve"))
-    val = LabeledSet.from_oracle(base, val_rows, 0, "human")
+    val = LabeledSet.from_oracle(base, val_rows)
     hyp = None
     if spec.hyp_size:
-        hyp = LabeledSet.from_oracle(base, hyp_rows, 0, "human")
+        hyp = LabeledSet.from_oracle(base, hyp_rows)
     return Pool(base, pool_rows), val, hyp
 
 
-def _map(fn, tasks, jobs: int) -> list:
-    """[fn(*task) for task in tasks], over at most ``jobs`` worker processes
-    and never more than tasks; results keep the order of ``tasks``."""
+_SHARED: tuple = ()  # a worker process's ``shared`` arguments of _map
+
+
+def _share(shared: tuple) -> None:
+    global _SHARED
+    _SHARED = shared
+
+
+def _call_shared(fn, task: tuple):
+    return fn(*_SHARED, *task)
+
+
+def _map(fn, shared: tuple, tasks, jobs: int) -> list:
+    """[fn(*shared, *task) for task in tasks], over at most ``jobs`` worker
+    processes and never more than tasks; results keep the order of
+    ``tasks``. ``shared`` (the data) goes to each worker once, as it starts.
+    """
     # the pool starts all max_workers processes on its first submit
     workers = min(jobs, len(tasks))
     if workers > 1:
         # imported here: a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, *zip(*tasks)))
-    return [fn(*task) for task in tasks]
+        with ProcessPoolExecutor(max_workers=workers, initializer=_share,
+                                 initargs=(shared,)) as pool:
+            return list(pool.map(_call_shared, [fn] * len(tasks), tasks))
+    return [fn(*shared, *task) for task in tasks]
 
 
-def _one_run(tbal_cfg: TbalConfig, pool: Pool, val: LabeledSet, seed: int,
+def _one_run(pool: Pool, val: LabeledSet, tbal_cfg: TbalConfig, seed: int,
              run_dir: str) -> dict:
     os.makedirs(run_dir, exist_ok=True)
 
@@ -136,9 +151,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         )
     os.makedirs(out, exist_ok=True)
     pool, val, _ = materialize_dataset(cfg)
-    tasks = [(cfg.tbal, pool, val, child_seed(cfg.master_seed, "run", r),
+    tasks = [(cfg.tbal, child_seed(cfg.master_seed, "run", r),
               os.path.join(out, f"run_{r:02d}")) for r in range(cfg.repeats)]
-    results = _map(_one_run, tasks, jobs)
+    results = _map(_one_run, (pool, val), tasks, jobs)
     coverages = [r["final_coverage"] for r in results]
     errors = [r["final_error"] for r in results if r["final_error"] is not None]
     cov_mean, cov_std = _mean_std(coverages)
@@ -193,8 +208,8 @@ def _combo_list(grid: dict):
     return combos
 
 
-def _first_round_eval(tbal_cfg: TbalConfig, pool: Pool, val: LabeledSet,
-                      hyp: LabeledSet, run_seed: int):
+def _first_round_eval(pool: Pool, val: LabeledSet, hyp: LabeledSet,
+                      tbal_cfg: TbalConfig, run_seed: int):
     """Seed-query + one fit round, scored on the held-out hyp split."""
     seed_set, _ = seed_query(tbal_cfg, pool, run_seed)
     model, g, t_hat, *_ = fit_round(tbal_cfg, seed_set, val, 1, run_seed)
@@ -240,9 +255,8 @@ def _eval_phase(phase: str, combos, apply_fn, tbal_cfg, pool, val, hyp,
     for idx, combo in enumerate(combos):
         cfg_c = apply_fn(tbal_cfg, combo)
         for r in range(repeats):
-            tasks.append((cfg_c, pool, val, hyp,
-                          child_seed(master_seed, "hpo-run", r)))
-    flat = _map(_first_round_eval, tasks, jobs)
+            tasks.append((cfg_c, child_seed(master_seed, "hpo-run", r)))
+    flat = _map(_first_round_eval, (pool, val, hyp), tasks, jobs)
     records = []
     for idx, combo in enumerate(combos):
         chunk = flat[idx * repeats:(idx + 1) * repeats]

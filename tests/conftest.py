@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,13 +10,26 @@ from autolabel.thresholds import predicted_scores
 CROSS_MEANS = np.array([[3.0, 0.0], [0.0, 3.0], [-3.0, 0.0], [0.0, -3.0]])
 
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_module(name):
+    """``bench/<name>.py``, loaded by path: the benchmark is not a package,
+    and the tests read its code rather than a copy."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def four_blobs(n=400, sigma=1.0, seed=1):
     """Well-separated 4-class 2-D mixture; a small MLP gets ~99% on it."""
     return al.synth_gaussian_mixture(4, 2, CROSS_MEANS, sigma, n, seed)
 
 
-def label_everything(ds, round_index=0):
-    return al.LabeledSet.from_oracle(ds, np.arange(ds.n), round_index)
+def label_everything(ds):
+    return al.LabeledSet.from_oracle(ds, np.arange(ds.n))
 
 
 def whole_pool(ds):
@@ -74,7 +90,7 @@ def indexed_set(true_labels, k):
     labels = np.asarray(true_labels, dtype=np.int64)
     n = labels.shape[0]
     ds = al.Dataset(np.arange(n, dtype=np.float32).reshape(n, 1), labels, k)
-    return al.LabeledSet.from_oracle(ds, np.arange(n), 0)
+    return al.LabeledSet.from_oracle(ds, np.arange(n))
 
 
 def single_class_instance(top_scores, correct):
@@ -98,5 +114,5 @@ def blobs():
 @pytest.fixture
 def blob_model(blobs):
     labeled = label_everything(blobs)
-    return al.train_model(al.TrainConfig(max_epochs=30), labeled, [2, 16, 4],
+    return al.train_model(al.TrainConfig(max_epochs=30), labeled, [16],
                           11)

@@ -275,7 +275,7 @@ def copied_splits(pool: Pool, val: LabeledSet, hyp: LabeledSet | None):
 
     def whole(labeled):
         data = copy(labeled.indices)
-        return LabeledSet.from_oracle(data, np.arange(data.n), 0, "human")
+        return LabeledSet.from_oracle(data, np.arange(data.n))
 
     pool_data = copy(pool.active)
     return (Pool(pool_data, np.arange(pool_data.n)), whole(val),

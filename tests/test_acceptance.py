@@ -17,9 +17,10 @@ In order:
    confidence function auto-labels several times what raw softmax
    confidence can at the same bounded error;
 6. the same pipeline at handwritten-digit scale: the full-size idx run is
-   gated on the data files being on disk (loud skip otherwise), and a
-   bundled-digits stand-in always runs with parity and error-control
-   assertions;
+   gated on the data files being on disk (loud skip otherwise), a
+   bundled-digits stand-in runs with parity and error-control assertions
+   when scikit-learn is installed, and an offline 28x28 glyph stand-in
+   always runs with the full-size half's assertions;
 7. rerunning the 2-D comparison reproduces every round-log byte;
 8. Monte-Carlo population estimates agree with the 1-D closed forms within
    three standard errors.
@@ -51,6 +52,7 @@ from autolabel.rng import child_seed
 from conftest import (
     FixedModel,
     FixedScores,
+    bench_module,
     indexed_set,
     metrics_on,
     thresholds_on,
@@ -337,7 +339,7 @@ def run_mixture(posthoc, r):
     pool_rows, val_rows = al.carve(ds.n, [MIX_POOL, MIX_VAL],
                                    seed=child_seed(MIX_MASTER, "carve", r))
     pool = al.Pool(ds, pool_rows)
-    d_val = al.LabeledSet.from_oracle(ds, val_rows, 0, "human")
+    d_val = al.LabeledSet.from_oracle(ds, val_rows)
     box = {}
 
     def hook(i, model, *_):
@@ -414,7 +416,7 @@ def test_rerunning_the_mixture_reproduces_round_logs_byte_exact(
 
 
 # ---------------------------------------------------------------------------
-# 6. handwritten digits: full-size gated run, bundled stand-in always on
+# 6. handwritten digits: full-size gated run, bundled and glyph stand-ins
 
 
 DIGIT_MASTER = 313
@@ -438,7 +440,7 @@ def split_off_validation(base, n_val, r):
     X, y, k = base.features, base.hidden_labels, base.num_classes
     pool_ds = al.Dataset(X[perm[:pool_n]], y[perm[:pool_n]], k)
     val_ds = al.Dataset(X[perm[pool_n:]], y[perm[pool_n:]], k)
-    d_val = al.LabeledSet.from_oracle(val_ds, np.arange(val_ds.n), 0, "human")
+    d_val = al.LabeledSet.from_oracle(val_ds, np.arange(val_ds.n))
     return pool_ds, d_val
 
 
@@ -518,6 +520,43 @@ def test_bundled_digits_parity_and_error_control():
     assert float(np.mean(cov["confidence_net"])) >= softmax_mean - 0.05
     assert 0.88 <= float(np.mean(accs)) <= 0.96, accs
     assert time.perf_counter() - start < 900.0
+
+
+def test_offline_glyph_stand_in_net_gap_and_mean_error():
+    # The offline image-scale companion: the benchmark's 28x28 glyph world
+    # (bench/worlds.py, loaded by path, so there is no copy), 12,000 images
+    # per world seed s = 1000..1004, carved into a 10,000-point pool and
+    # 2,000 validation points, run with seed s at the 150-label budget.
+    # It asserts what the full-size half asserts. Observed when frozen (one
+    # BLAS thread, about 9 s in all), mean coverage / mean error: softmax
+    # 0.6174 / 0.0637, temperature 0.6256 / 0.0646, confidence net
+    # 0.6993 / 0.0548. Not asserted: the stand-in's per-run bound (every
+    # error <= 0.06) fails on 9 of these 15 runs (4 softmax, 4
+    # temperature, 1 net; worst 0.0729). The c1-padded thresholds do not
+    # keep the eps_a promise here, a known defect of threshold selection
+    # that this check records rather than hides.
+    worlds = bench_module("worlds")
+    start = time.perf_counter()
+    methods = (("softmax", al.SoftmaxConfig()),
+               ("temperature", al.TemperatureConfig()),
+               ("confidence_net", gentle_net_config()))
+    cov = {name: [] for name, _ in methods}
+    err = {name: [] for name, _ in methods}
+    for s in range(1000, 1005):
+        ds = al.Dataset(*worlds.glyphs(12000, s))
+        pool_rows, val_rows = al.carve(ds.n, [10000, 2000], s)
+        pool = al.Pool(ds, pool_rows)
+        d_val = al.LabeledSet.from_oracle(ds, val_rows)
+        for name, posthoc in methods:
+            report = al.run_tbal(single_round_config(posthoc, 150), pool,
+                                 d_val, s)
+            cov[name].append(report.final_coverage)
+            err[name].append(report.final_error)
+    net_errs = [e for e in err["confidence_net"] if e is not None]
+    assert np.mean(cov["confidence_net"]) >= np.mean(cov["softmax"]) + 0.05, \
+        cov
+    assert net_errs and float(np.mean(net_errs)) <= 0.06, err
+    assert time.perf_counter() - start < 120.0
 
 
 # ---------------------------------------------------------------------------

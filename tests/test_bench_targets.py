@@ -1,33 +1,22 @@
 """The benchmark's tracer finds, and counts through, every call it wraps.
 
 `bench/tracer.py` looks up the package's functions by name and reads some
-of their arguments by position. A renamed or re-signed function only shows
-in a traced benchmark run, so this checks the lookup and the counters on a
-tiny fit, and that `restore` puts every original back.
+of their arguments by position. A renamed or re-signed function, or one the
+package stopped calling, only shows in a traced benchmark run, so this
+checks the lookup and the counters on a tiny fit and a tiny run, and that
+`restore` puts every original back.
 """
-
-import importlib.util
-from pathlib import Path
 
 import numpy as np
 
 import autolabel as al
 from autolabel.confidence import ConfidenceNetConfig, fit_confidence_net
 
-from conftest import four_blobs, label_everything
-
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-
-
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import CROSS_MEANS, bench_module, four_blobs, label_everything
 
 
 def test_tracer_finds_and_counts_every_fit_target():
-    tracing = load_tracer()
+    tracing = bench_module("tracer")
     originals = (al.mlp.train_model, al.confidence.objective_grad,
                  al.mlp.MlpClassifier.representations)
     labeled = label_everything(four_blobs(n=40))
@@ -39,7 +28,7 @@ def test_tracer_finds_and_counts_every_fit_target():
     try:
         assert tracer.missing == []
         # the tracer reads config and train_set at positions 0 and 1
-        h = al.mlp.train_model(train, labeled, [2, 6, 4], 0)
+        h = al.mlp.train_model(train, labeled, [6], 0)
         fit_confidence_net(*h.representations(labeled.features),
                            labeled.labels, net, 0)
         al.thresholds.estimate_thresholds(top, labeled.labels, labeled.labels,
@@ -58,3 +47,29 @@ def test_tracer_finds_and_counts_every_fit_target():
     assert counts["thresholds.calls"] == 1
     assert counts["thresholds.points"] == 40
     assert np.isfinite(counts["mlp.train_s"]) and counts["mlp.train_s"] > 0
+
+
+def test_a_traced_run_enters_every_loop_span():
+    # a two-round run that auto-labels and queries: the selection, the
+    # validation filter, the query, the training-set merge and the pool's
+    # shrinking each run under their spans
+    tracing = bench_module("tracer")
+    ds = al.synth_gaussian_mixture(4, 2, CROSS_MEANS, 2.0, 300, 3)
+    pool_rows, val_rows = al.carve(ds.n, [200, 100], 4)
+    cfg = al.TbalConfig(train_budget=40, seed_size=20, query_batch=20,
+                        thresholds=al.ThresholdConfig(eps_a=0.3),
+                        train=al.TrainConfig(max_epochs=5))
+    tracer = tracing.Tracer()
+    restore = tracing.instrument(tracer, al)
+    try:
+        assert tracer.missing == []
+        report = al.run_tbal(cfg, al.Pool(ds, pool_rows),
+                             al.LabeledSet.from_oracle(ds, val_rows), 0)
+    finally:
+        restore()
+    assert report.rounds[0].n_queried == 20 and len(report.rounds) == 2
+    assert sum(rec.n_auto for rec in report.rounds) > 0
+    assert tracer.layer_metrics()["loop.rounds"] == 2
+    entered = {name for name, *_ in tracer.spans}
+    assert {"loop", "loop.select", "loop.filter", "loop.query", "data.merge",
+            "data.pool_without"} <= entered

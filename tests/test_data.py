@@ -30,19 +30,13 @@ def test_dataset_validation():
 def test_labeled_set_validation():
     ds = four_blobs(n=20)
     with pytest.raises(ValueError, match="duplicate"):
-        al.LabeledSet(ds, [1, 1], [0, 0], ["human", "human"], [0, 0])
+        al.LabeledSet(ds, [1, 1], [0, 0])
     with pytest.raises(al.LabelOutOfRangeError):
-        al.LabeledSet(ds, [1, 2], [0, 7], ["human", "human"], [0, 0])
-    with pytest.raises(ValueError, match="source"):
-        al.LabeledSet(ds, [1], [0], ["robot"], [0])
-    # each unknown tag listed once, sorted, as np.unique gives them
-    tags = ["robot", "human", "x", "auto", "robot"]
-    bad = sorted(set(np.unique(np.asarray(tags, dtype="<U5")))
-                 - {"human", "auto"})
-    with pytest.raises(ValueError) as info:
-        al.LabeledSet(ds, [0, 1, 2, 3, 4], [0] * 5, tags, [0] * 5)
-    assert str(info.value) == f"unknown source tags: {bad}"
-    assert [str(t) for t in bad] == ["robot", "x"]
+        al.LabeledSet(ds, [1, 2], [0, 7])
+    with pytest.raises(IndexError):
+        al.LabeledSet(ds, [1, 20], [0, 0])
+    with pytest.raises(ValueError, match="align"):
+        al.LabeledSet(ds, [1, 2], [0])
 
 
 @pytest.mark.parametrize("ids", [[3, 1, 3, 0], [2, 2, 0, 1], [0, 1, 5, 5]])
@@ -50,26 +44,26 @@ def test_repeated_indices_are_rejected(ids):
     """Repeats anywhere, not only next to each other, name the container."""
     ds = four_blobs(n=20)
     with pytest.raises(ValueError, match=r"^duplicate indices in LabeledSet$"):
-        al.LabeledSet(ds, ids, [0] * 4, ["human"] * 4, [0] * 4)
+        al.LabeledSet(ds, ids, [0] * 4)
     with pytest.raises(ValueError, match=r"^duplicate indices in pool$"):
         al.Pool(ds, ids)
     distinct = [0, 1, 2, 3]
-    al.LabeledSet(ds, distinct, [0] * 4, ["human"] * 4, [0] * 4)
+    al.LabeledSet(ds, distinct, [0] * 4)
     al.Pool(ds, distinct[::-1])
 
 
 def test_labeled_set_from_oracle_and_concat():
     ds = four_blobs(n=30)
-    a = al.LabeledSet.from_oracle(ds, [0, 1, 2], 0)
-    b = al.LabeledSet.from_oracle(ds, [5, 6], 1, source="auto")
+    a = al.LabeledSet.from_oracle(ds, [0, 1, 2])
+    b = al.LabeledSet(ds, [5, 6], [3, 3])
     both = a.merged_with(b)
     assert len(both) == 5
+    assert both.indices.tolist() == [0, 1, 2, 5, 6]
     assert np.array_equal(both.labels[:3], ds.hidden_labels[[0, 1, 2]])
-    assert list(both.sources) == ["human"] * 3 + ["auto"] * 2
-    assert list(both.rounds) == [0, 0, 0, 1, 1]
+    assert both.labels[3:].tolist() == [3, 3]
     empty = al.LabeledSet.empty(ds)
     assert a.merged_with(empty) is a and empty.merged_with(b) is b
-    elsewhere = al.LabeledSet.from_oracle(four_blobs(n=30), [0], 0)
+    elsewhere = al.LabeledSet.from_oracle(four_blobs(n=30), [0])
     with pytest.raises(ValueError, match="different datasets"):
         a.merged_with(elsewhere)
 
@@ -380,6 +374,19 @@ def test_rawf32_missing_meta_key(tmp_path):
     open(path + ".meta", "w").write("n=10\nd=2\n")
     with pytest.raises(al.DataFormatError, match="missing k="):
         al.load_dataset(path, "rawf32")
+
+
+@pytest.mark.parametrize("format", ["csv", "rawf32"])
+def test_a_labels_path_is_refused_where_the_data_holds_its_labels(tmp_path,
+                                                                  format):
+    path = str(tmp_path / "data")
+    if format == "csv":
+        open(path, "w").write("f0,label\n0.5,0\n1.5,1\n")
+    else:
+        write_rawf32(four_blobs(n=10), path)
+    assert al.load_dataset(path, format).n in (2, 10)
+    with pytest.raises(ValueError, match=rf"^labels_path .*a {format} "):
+        al.load_dataset(path, format, labels_path="/nonexistent/labels")
 
 
 def test_unknown_format():

@@ -27,12 +27,12 @@ def overlapping_world(n_pool=300, n_val=120, sigma=2.2, seed=3):
     ds = al.synth_gaussian_mixture(4, 2, CROSS_MEANS, sigma, n_pool + n_val,
                                    seed)
     pool_rows, val_rows = al.carve(ds.n, [n_pool, n_val], seed=seed + 1)
-    return al.Pool(ds, pool_rows), al.LabeledSet.from_oracle(ds, val_rows, 0)
+    return al.Pool(ds, pool_rows), al.LabeledSet.from_oracle(ds, val_rows)
 
 
 def first_of(pool, m):
     """Human labels for the first ``m`` rows of ``pool``."""
-    return al.LabeledSet.from_oracle(pool.dataset, pool.active[:m], 0)
+    return al.LabeledSet.from_oracle(pool.dataset, pool.active[:m])
 
 
 THRESHOLD_FIELDS = {f.name for f in dataclasses.fields(al.ThresholdConfig)}
@@ -122,15 +122,13 @@ def piece_fixture():
 def test_auto_label_select_sentinels():
     labeled, pool, h, g, tops, preds = piece_fixture()
     nothing, pool2, _ = al.auto_label_select(
-        uniform_thresholds(np.inf), pool, *scored(g, h, pool.features), 1)
+        uniform_thresholds(np.inf), pool, *scored(g, h, pool.features))
     assert len(nothing) == 0
     assert np.array_equal(pool2.active, pool.active)
     everything, pool3, _ = al.auto_label_select(
-        al.ThresholdVector(np.zeros(2)), pool, *scored(g, h, pool.features),
-        1)
+        al.ThresholdVector(np.zeros(2)), pool, *scored(g, h, pool.features))
     assert len(everything) == 5
     assert pool3.size == 0
-    assert np.all(everything.sources == "auto")
     assert np.array_equal(everything.labels, preds)
 
 
@@ -138,13 +136,12 @@ def test_auto_label_select_matches_coverage():
     labeled, pool, h, g, tops, preds = piece_fixture()
     tv = al.ThresholdVector(np.array([0.5, 0.7]))
     chosen, pool2, left = al.auto_label_select(
-        tv, pool, *scored(g, h, pool.features), 2)
+        tv, pool, *scored(g, h, pool.features))
     cov, _ = metrics_on(g, tv, h, labeled)
     assert len(chosen) == int(round(cov * 5))
     assert pool2.size == 5 - len(chosen)
     sel = tops >= tv.values[preds]
     assert np.array_equal(chosen.indices, np.flatnonzero(sel))
-    assert np.all(chosen.rounds == 2)
     # the mask of rows left lines the selection's pass up with the pool left
     assert np.array_equal(pool.active[left], pool2.active)
 
@@ -183,15 +180,14 @@ def test_active_query_candidate_set():
     allowed = {4, 1, 3, 5}  # indices of the four smallest margins
     for seed in range(30):
         chosen, pool2 = al.active_query(
-            logits, whole_pool(labeled.dataset), 2, 2.0, seed, 1)
+            logits, whole_pool(labeled.dataset), 2, 2.0, seed)
         assert len(chosen) == 2
         assert set(chosen.indices) <= allowed
         assert pool2.size == 4
-        assert np.all(chosen.sources == "human")
     # every pair drawn over seeds stays inside the candidate set, and the
     # randomization actually varies the picks
     picks = {tuple(al.active_query(logits, whole_pool(labeled.dataset), 2,
-                                   2.0, s, 1)[0].indices) for s in range(30)}
+                                   2.0, s)[0].indices) for s in range(30)}
     assert len(picks) > 1
 
 
@@ -200,7 +196,7 @@ def test_active_query_small_pool_clamps():
     labeled = indexed_set([0] * 3, 2)
     logits = margins_to_logits(margins)
     chosen, pool2 = al.active_query(logits, whole_pool(labeled.dataset), 5,
-                                    2.0, 0, 1)
+                                    2.0, 0)
     assert len(chosen) == 3
     assert pool2.size == 0
 
@@ -210,12 +206,12 @@ def test_active_query_determinism_and_empty_pool():
     labeled = indexed_set([0] * 4, 2)
     logits = margins_to_logits(margins)
     pool = whole_pool(labeled.dataset)
-    a, _ = al.active_query(logits, pool, 2, 2.0, 9, 1)
-    b, _ = al.active_query(logits, pool, 2, 2.0, 9, 1)
+    a, _ = al.active_query(logits, pool, 2, 2.0, 9)
+    b, _ = al.active_query(logits, pool, 2, 2.0, 9)
     assert np.array_equal(a.indices, b.indices)
     empty = whole_pool(labeled.dataset).without(np.arange(4))
     with pytest.raises(ValueError):
-        al.active_query(logits[:0], empty, 1, 2.0, 0, 1)
+        al.active_query(logits[:0], empty, 1, 2.0, 0)
 
 
 def test_active_query_uses_raw_softmax_margins():
@@ -226,7 +222,7 @@ def test_active_query_uses_raw_softmax_margins():
     logits = margins_to_logits(margins)
     want = set(np.argsort(margins, kind="stable")[:8])
     chosen, _ = al.active_query(logits, whole_pool(labeled.dataset), 4, 2.0,
-                                3, 1)
+                                3)
     assert set(chosen.indices) <= want
 
 
@@ -274,11 +270,11 @@ def test_round_runs_the_classifier_once_per_set(monkeypatch, method):
     assert any(rec.n_auto for rec in report.rounds)
     # the passes come in round order: validation, then pool, nothing else
     assert len(calls) == 2 * len(report.rounds)
-    out = report.output
+    out, stamps = report.output, report.output_rounds
     for i, rec in enumerate(report.rounds, start=1):
         round_val = vals[i]
-        pool_rows = np.setdiff1d(pool.active, out.indices[out.rounds < i])
-        auto = out.indices[(out.rounds == i) & (out.sources == "auto")]
+        pool_rows = np.setdiff1d(pool.active, out.indices[stamps < i])
+        auto = out.indices[(stamps == i) & (report.output_sources == "auto")]
         cal, th = al.random_split(len(round_val), cfg.cal_fraction,
                                   child_seed(SEED, i, "split"))
         assert (rec.n_cal, rec.n_th) == (len(cal), len(th))
@@ -312,7 +308,7 @@ def test_fit_round_derives_each_seed_from_the_run_seed():
     d_train = first_of(pool, 30)
     seed, i = 8, 2
     model, g, _, _, _, cal, th, _ = fit_round(cfg, d_train, val, i, seed)
-    want = al.train_model(cfg.train, d_train, [2, *cfg.hidden, 4],
+    want = al.train_model(cfg.train, d_train, cfg.hidden,
                           child_seed(seed, i, "train"))
     for a, b in zip(model.weights + model.biases, want.weights + want.biases):
         assert a.tobytes() == b.tobytes()
@@ -349,14 +345,14 @@ def test_single_round_on_separable_world():
     cfg = al.TbalConfig(train_budget=40, seed_size=40, query_batch=10,
                         train=al.TrainConfig(max_epochs=30, learning_rate=0.05))
     report = al.run_tbal(cfg, al.Pool(ds, pool_rows),
-                         al.LabeledSet.from_oracle(ds, val_rows, 0), 1)
+                         al.LabeledSet.from_oracle(ds, val_rows), 1)
     assert len(report.rounds) == 1
     # the budget is spent on the seed set: the round buys nothing
     assert report.rounds[0].n_queried == 0
     assert report.final_error == 0.0
     assert report.final_coverage >= 0.7
     # auto labels agree with the hidden truth, point by point
-    auto = report.output.sources == "auto"
+    auto = report.output_sources == "auto"
     truth = ds.hidden_labels[report.output.indices[auto]]
     assert np.array_equal(report.output.labels[auto], truth)
 
@@ -380,8 +376,8 @@ def test_loop_accounting_and_budget():
     # output holds every labeled point exactly once
     out = report.output
     assert len(np.unique(out.indices)) == len(out)
-    n_auto = int((out.sources == "auto").sum())
-    n_human = int((out.sources == "human").sum())
+    n_auto = int((report.output_sources == "auto").sum())
+    n_human = int((report.output_sources == "human").sum())
     assert n_auto == sum(r.n_auto for r in report.rounds)
     assert n_human == cfg.seed_size + sum(r.n_queried for r in report.rounds)
     # every human label is trained on, within the budget; the last round
@@ -404,11 +400,39 @@ def test_final_error_is_the_auto_label_mismatch_rate():
     pool, val = overlapping_world()
     report = al.run_tbal(base_config(eps_a=0.3), pool, val, SEED)
     out = report.output
-    auto = out.sources == "auto"
+    auto = report.output_sources == "auto"
     truth = pool.dataset.hidden_labels[out.indices[auto]]
     mistakes = int(np.sum(out.labels[auto] != truth))
     assert mistakes > 0
     assert report.final_error == mistakes / int(auto.sum())
+
+
+def test_report_stamps_each_label_with_its_source_and_round():
+    # the output lists the seed set, then each round's auto set and its
+    # query, in labeling order; each entry's source and round say which
+    pool, val = overlapping_world()
+    cfg = base_config(eps_a=0.3, train_budget=75, seed_size=30,
+                      query_batch=15)
+    report = al.run_tbal(cfg, pool, val, SEED)
+    assert len(report.rounds) >= 3
+    assert any(rec.n_auto for rec in report.rounds)
+    sources, stamps = report.output_sources, report.output_rounds
+    assert sources.shape == stamps.shape == (len(report.output),)
+    want_sources = ["human"] * cfg.seed_size
+    want_stamps = [0] * cfg.seed_size
+    for rec in report.rounds:
+        want_sources += ["auto"] * rec.n_auto + ["human"] * rec.n_queried
+        want_stamps += [rec.round_index] * (rec.n_auto + rec.n_queried)
+    assert sources.tolist() == want_sources
+    assert stamps.tolist() == want_stamps
+    # every human entry carries the truth; the error is the auto entries'
+    out = report.output
+    truth = pool.dataset.hidden_labels[out.indices]
+    human = sources == "human"
+    assert np.array_equal(out.labels[human], truth[human])
+    assert report.final_error == float(np.mean(out.labels[~human]
+                                               != truth[~human]))
+    assert report.final_coverage == (~human).sum() / pool.size
 
 
 def test_loop_deterministic_reports():
@@ -425,8 +449,8 @@ def test_seed_query_independent_of_posthoc_method():
     for method in ("softmax", "temperature"):
         cfg = base_config(posthoc=al.loop.POSTHOC_CONFIGS[method]())
         rep = al.run_tbal(cfg, pool, val, 23)
-        seed_ids = rep.output.indices[(rep.output.sources == "human")
-                                      & (rep.output.rounds == 0)]
+        seed_ids = rep.output.indices[(rep.output_sources == "human")
+                                      & (rep.output_rounds == 0)]
         reports[method] = np.sort(seed_ids)
     assert np.array_equal(reports["softmax"], reports["temperature"])
 
@@ -516,13 +540,15 @@ def reports():
     pool, val = overlapping_world()
     run = al.run_tbal(base_config(), pool, val, SEED)
     assert len(run.rounds) >= 2
-    empty = al.LabeledSet.empty(pool.dataset)
+    empty = dict(output=al.LabeledSet.empty(pool.dataset),
+                 output_sources=np.zeros(0, "<U5"),
+                 output_rounds=np.zeros(0, np.int64))
     cases = {"run": run}
     cases["empty"] = al.TbalReport(
-        rounds=[], output=empty, n_initial_pool=pool.size, final_error=None,
+        rounds=[], **empty, n_initial_pool=pool.size, final_error=None,
         final_coverage=0.0, warnings=[])
     cases["warnings"] = al.TbalReport(
-        rounds=run.rounds[:1], output=empty, n_initial_pool=pool.size,
+        rounds=run.rounds[:1], **empty, n_initial_pool=pool.size,
         final_error=None, final_coverage=0.0,
         warnings=['say "no"', "back\\slash \\n", "naïve — ü 漢", "two\nlines",
                   '\n  "output": {}', "tab\there"])
@@ -534,10 +560,12 @@ def reports():
                      rng.integers(0, 10, size=10 * n), 10)
     human = rng.random(n) < 0.05
     output = al.LabeledSet(
-        big, rng.permutation(10 * n)[:n], rng.integers(0, 10, size=n),
-        np.where(human, "human", "auto"), rng.integers(0, 6, size=n))
+        big, rng.permutation(10 * n)[:n], rng.integers(0, 10, size=n))
     cases["glyph_scale"] = al.TbalReport(
-        rounds=run.rounds, output=output, n_initial_pool=n, final_error=0.0625,
+        rounds=run.rounds, output=output,
+        output_sources=np.where(human, "human", "auto"),
+        output_rounds=rng.integers(0, 6, size=n), n_initial_pool=n,
+        final_error=0.0625,
         final_coverage=0.95, warnings=["round 3: a warning"])
     return cases
 
@@ -557,8 +585,8 @@ def test_report_output_lists_hold_python_ints_and_strs(reports):
     out = report.to_jsonable()["output"]
     for key, arr in (("ids", report.output.indices),
                      ("labels", report.output.labels),
-                     ("rounds", report.output.rounds)):
+                     ("rounds", report.output_rounds)):
         assert all(type(v) is int for v in out[key])
         assert out[key] == [int(v) for v in arr]
     assert all(type(v) is str for v in out["sources"])
-    assert out["sources"] == [str(v) for v in report.output.sources]
+    assert out["sources"] == [str(v) for v in report.output_sources]

@@ -278,7 +278,7 @@ def test_train_separable_reaches_full_accuracy():
     ds = al.synth_gaussian_mixture(2, 1, means, 1.0, 60, seed=2)
     labeled = label_everything(ds)
     cfg = al.TrainConfig(max_epochs=50, learning_rate=0.05)
-    model = al.train_model(cfg, labeled, [1, 8, 2], 3)
+    model = al.train_model(cfg, labeled, [8], 3)
     acc = np.mean(np.argmax(model.representations(ds.features)[0], axis=1)
                   == ds.hidden_labels)
     assert acc == 1.0
@@ -291,7 +291,7 @@ def test_train_single_point_loss_decreases():
     for epochs in range(6):
         cfg = al.TrainConfig(max_epochs=epochs, learning_rate=0.01,
                              momentum=0.0)
-        model = al.train_model(cfg, labeled, [2, 8, 4], 4)
+        model = al.train_model(cfg, labeled, [8], 4)
         losses.append(batch_loss(model.representations(labeled.features)[0],
                                  labeled.labels))
     assert all(b < a for a, b in zip(losses, losses[1:]))
@@ -301,8 +301,8 @@ def test_train_determinism():
     ds = four_blobs(n=60)
     labeled = label_everything(ds)
     cfg = al.TrainConfig(max_epochs=10)
-    m1 = al.train_model(cfg, labeled, [2, 8, 4], 9)
-    m2 = al.train_model(cfg, labeled, [2, 8, 4], 9)
+    m1 = al.train_model(cfg, labeled, [8], 9)
+    m2 = al.train_model(cfg, labeled, [8], 9)
     for a, b in zip(m1.weights + m1.biases, m2.weights + m2.biases):
         assert np.array_equal(a, b)
     # the returned model owns its arrays; none is a view of training buffers
@@ -321,8 +321,8 @@ def test_train_zero_decay_is_plain_momentum_sgd():
     ds = four_blobs(n=40)
     labeled = label_everything(ds)
     a = al.train_model(al.TrainConfig(max_epochs=5, weight_decay=0.0),
-                       labeled, [2, 6, 4], 1)
-    b = al.train_model(al.TrainConfig(max_epochs=5), labeled, [2, 6, 4], 1)
+                       labeled, [6], 1)
+    b = al.train_model(al.TrainConfig(max_epochs=5), labeled, [6], 1)
     for wa, wb in zip(a.weights + a.biases, b.weights + b.biases):
         assert np.array_equal(wa, wb)
 
@@ -330,9 +330,9 @@ def test_train_zero_decay_is_plain_momentum_sgd():
 def test_train_weight_decay_shrinks_norms():
     ds = four_blobs(n=40)
     labeled = label_everything(ds)
-    free = al.train_model(al.TrainConfig(max_epochs=20), labeled, [2, 6, 4], 1)
+    free = al.train_model(al.TrainConfig(max_epochs=20), labeled, [6], 1)
     decayed = al.train_model(al.TrainConfig(max_epochs=20, weight_decay=0.1),
-                             labeled, [2, 6, 4], 1)
+                             labeled, [6], 1)
     assert np.linalg.norm(decayed.weights[0]) < np.linalg.norm(free.weights[0])
 
 
@@ -353,22 +353,24 @@ def test_train_config_rejects_non_finite_and_non_integer_fields(field, value):
 def test_train_model_rejects_a_seed_that_is_not_an_integer(seed):
     labeled = label_everything(four_blobs(n=10))
     with pytest.raises(ValueError, match=r"^seed must be an integer"):
-        al.train_model(al.TrainConfig(max_epochs=1), labeled, [2, 8, 4], seed)
+        al.train_model(al.TrainConfig(max_epochs=1), labeled, [8], seed)
 
 
-def test_train_arch_mismatch():
-    ds = four_blobs(n=10)
-    labeled = label_everything(ds)
-    with pytest.raises(ValueError):
-        al.train_model(al.TrainConfig(), labeled, [3, 8, 4], 0)
-    with pytest.raises(ValueError):
-        al.train_model(al.TrainConfig(), labeled, [2, 8, 5], 0)
+def test_train_reads_input_width_and_class_count_from_the_data():
+    # a 3-d, 5-class set: only the hidden widths are passed
+    ds = al.synth_gaussian_mixture(5, 3, np.eye(5, 3) * 4.0, 1.0, 20, seed=0)
+    model = al.train_model(al.TrainConfig(max_epochs=1),
+                           label_everything(ds), [7, 6], 0)
+    assert [w.shape for w in model.weights] == [(3, 7), (7, 6), (6, 5)]
+    assert (model.input_dim, model.num_classes) == (3, 5)
+    with pytest.raises(ValueError, match="hidden"):
+        al.train_model(al.TrainConfig(), label_everything(ds), [], 0)
 
 
 def test_train_rejects_empty_set():
     ds = four_blobs(n=10)
     with pytest.raises(ValueError):
-        al.train_model(al.TrainConfig(), al.LabeledSet.empty(ds), [2, 8, 4], 0)
+        al.train_model(al.TrainConfig(), al.LabeledSet.empty(ds), [8], 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import concurrent.futures
 import copy
 import csv
+import io
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -61,7 +63,7 @@ def test_materialize_sizes_and_determinism(tmp_path):
     assert pool.size == 150
     assert len(val) == 60
     assert len(hyp) == 40
-    assert np.all(val.sources == "human")
+    assert np.array_equal(val.labels, val.dataset.hidden_labels[val.indices])
     pool2, val2, hyp2 = materialize_dataset(cfg)
     assert np.array_equal(pool.features, pool2.features)
     assert np.array_equal(val.labels, val2.labels)
@@ -125,9 +127,9 @@ def test_runs_on_row_sets_match_runs_on_copied_splits(tmp_path, posthoc):
         assert got.warnings
     assert (got.final_error, got.final_coverage, got.n_initial_pool) \
         == (want.final_error, want.final_coverage, want.n_initial_pool)
-    for key in ("labels", "sources", "rounds"):
-        assert np.array_equal(getattr(got.output, key),
-                              getattr(want.output, key))
+    for key in ("output_sources", "output_rounds"):
+        assert np.array_equal(getattr(got, key), getattr(want, key))
+    assert np.array_equal(got.output.labels, want.output.labels)
     assert np.array_equal(got.output.indices,
                           pool.active[want.output.indices])
     # every round scores the same validation rows to the same bits
@@ -216,18 +218,29 @@ def test_parallel_jobs_match_serial(tmp_path):
         == (tmp_path / "parallel" / "summary.json").read_bytes()
 
 
-@pytest.mark.parametrize("jobs,n_tasks,workers", [
-    (64, 2, [2]), (64, 1, []), (2, 5, [2]), (1, 3, [])])
-def test_map_starts_no_more_workers_than_tasks(monkeypatch, jobs, n_tasks,
-                                                workers):
-    made = []
+def test_parallel_hpo_matches_serial(tmp_path):
+    al.hyperparameter_search(hpo_experiment(tmp_path, name="serial"), jobs=1)
+    al.hyperparameter_search(hpo_experiment(tmp_path, name="parallel"),
+                             jobs=2)
+    assert (tmp_path / "serial" / "hpo_result.json").read_bytes() \
+        == (tmp_path / "parallel" / "hpo_result.json").read_bytes()
+
+
+@pytest.fixture
+def recording_executor(monkeypatch):
+    """Stands in for ProcessPoolExecutor and maps in this process, so no
+    worker is ever started. Returns the record: each pool's
+    ``max_workers`` under "made", and every argument tuple a pool's map
+    call sends under "sent"."""
+    from autolabel import runner
+    record = {"made": [], "sent": []}
+    # the initializer sets this process's copy of the shared arguments
+    monkeypatch.setattr(runner, "_SHARED", ())
 
     class RecordingExecutor:
-        """Stands in for ProcessPoolExecutor: records ``max_workers`` and
-        maps in this process, so no worker is ever started."""
-
-        def __init__(self, max_workers):
-            made.append(max_workers)
+        def __init__(self, max_workers, initializer, initargs):
+            record["made"].append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -236,13 +249,46 @@ def test_map_starts_no_more_workers_than_tasks(monkeypatch, jobs, n_tasks,
             return False
 
         def map(self, fn, *iterables):
-            return map(fn, *iterables)
+            sent = list(zip(*iterables))
+            record["sent"] += sent
+            return [fn(*args) for args in sent]
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingExecutor)
-    tasks = [(i, 10) for i in range(n_tasks)]
-    assert _map(pow, tasks, jobs) == [pow(i, 10) for i in range(n_tasks)]
-    assert made == workers
+    return record
+
+
+@pytest.mark.parametrize("jobs,n_tasks,workers", [
+    (64, 2, [2]), (64, 1, []), (2, 5, [2]), (1, 3, [])])
+def test_map_starts_no_more_workers_than_tasks(recording_executor, jobs,
+                                                n_tasks, workers):
+    tasks = [(i,) for i in range(n_tasks)]
+    assert _map(pow, (10,), tasks, jobs) == [pow(10, i) for i in range(n_tasks)]
+    assert recording_executor["made"] == workers
+
+
+class _RefuseData(pickle.Pickler):
+    """Pickles to nowhere, failing on a Dataset, Pool or LabeledSet."""
+
+    def __init__(self):
+        super().__init__(io.BytesIO())
+
+    def reducer_override(self, obj):
+        if isinstance(obj, (al.Dataset, al.Pool, al.LabeledSet)):
+            raise AssertionError(f"a task holds a {type(obj).__name__}")
+        return NotImplemented
+
+
+def test_parallel_tasks_send_no_data(recording_executor, tmp_path):
+    # the data goes to each worker once, as _map's shared arguments; what
+    # is sent per run or per hpo evaluation is a config, a seed and a path
+    al.run_experiment(experiment(OVERLAPPING, tmp_path, name="runs"), jobs=2)
+    al.hyperparameter_search(hpo_experiment(tmp_path), jobs=2)
+    sent = recording_executor["sent"]
+    assert recording_executor["made"] == [2, 2, 2]
+    assert len(sent) == 3 + 2 * 2 + 2 * 2
+    for args in sent:
+        _RefuseData().dump(args)
 
 
 
@@ -352,7 +398,7 @@ def test_first_round_eval_runs_the_classifier_once_over_hyp(
         return sum(c.shape == X.shape and np.array_equal(c, X) for c in calls)
 
     monkeypatch.setattr(al.MlpClassifier, "representations", counted)
-    _first_round_eval(cfg.tbal, pool, val, hyp, 3)
+    _first_round_eval(pool, val, hyp, cfg.tbal, 3)
     # one pass over validation in fit_round, one over hyp, and no other
     assert passes(hyp.features) == 1
     assert passes(val.features) == 1
@@ -370,7 +416,7 @@ def test_first_round_eval_scores_the_runs_first_round(tmp_path):
             round_hook=lambda i, model, *_: models.setdefault(i, model))
         cov, err = metrics_on(al.SoftmaxConfidence(),
                               report.rounds[0].thresholds, models[1], hyp)
-        assert _first_round_eval(cfg.tbal, pool, val, hyp, seed) == (
+        assert _first_round_eval(pool, val, hyp, cfg.tbal, seed) == (
             cov, 0.0 if err is None else err)
 
 
