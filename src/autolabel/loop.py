@@ -245,18 +245,24 @@ def seed_query(cfg: TbalConfig, pool: Pool, seed: int):
     return random_query(pool, cfg.seed_size, child_seed(seed, 0, "seed_query"))
 
 
-def fit_round(cfg: TbalConfig, d_train: LabeledSet, val: LabeledSet,
-              round_index: int, seed: int):
-    """Train + split + fit confidence + estimate thresholds for one round.
+def train_round(cfg: TbalConfig, d_train: LabeledSet, round_index: int,
+                seed: int):
+    """The classifier of round ``round_index``, trained on ``d_train`` from
+    the run ``seed``'s child for (round, "train")."""
+    return train_model(cfg.train, d_train, cfg.hidden,
+                       child_seed(seed, round_index, "train"))
 
-    Returns (model, g, thresholds, top, preds, cal, th, warning-or-None):
+
+def fit_round(cfg: TbalConfig, model, val: LabeledSet, round_index: int,
+              seed: int):
+    """Split + fit confidence + estimate thresholds for one round's ``model``.
+
+    Returns (g, thresholds, top, preds, cal, th, warning-or-None):
     ``top, preds`` are ``predicted_scores`` of ``val``'s one pass, and the
     calibration and threshold halves are its row positions ``cal, th``.
     Each step draws from its own child of the run's ``seed`` for this round.
     Shared by the main loop and by first-round-only hyperparameter search.
     """
-    model = train_model(cfg.train, d_train, cfg.hidden,
-                        child_seed(seed, round_index, "train"))
     logits, penultimate = model.representations(val.features)
     cal, th = random_split(len(val), cfg.cal_fraction,
                            child_seed(seed, round_index, "split"))
@@ -266,7 +272,7 @@ def fit_round(cfg: TbalConfig, d_train: LabeledSet, val: LabeledSet,
     top, preds = predicted_scores(g, logits, penultimate)
     t_hat = estimate_thresholds(top[th], preds[th], val.labels[th],
                                 val.dataset.num_classes, cfg.thresholds)
-    return model, g, t_hat, top, preds, cal, th, warning
+    return g, t_hat, top, preds, cal, th, warning
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +316,9 @@ def run_tbal(cfg: TbalConfig, initial_pool: Pool, d_val: LabeledSet,
                 f"round {i}: validation exhausted ({len(val)} point(s) left); "
                 "stopping with pool unlabeled")
             break
-        model, g, t_hat, val_top, val_preds, cal, th, warn = fit_round(
-            cfg, d_train, val, i, seed)
+        model = train_round(cfg, d_train, i, seed)
+        g, t_hat, val_top, val_preds, cal, th, warn = fit_round(
+            cfg, model, val, i, seed)
         if warn:
             warnings.append(f"round {i}: {warn}")
         if round_hook is not None:

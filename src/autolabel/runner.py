@@ -38,6 +38,7 @@ from .loop import (
     fit_round,
     run_tbal,
     seed_query,
+    train_round,
 )
 from .rng import child_seed
 from .thresholds import empirical_metrics, predicted_scores
@@ -134,6 +135,19 @@ def _mean_std(values):
     return float(arr.mean()), float(arr.std())
 
 
+def _output_path(cfg: ExperimentConfig, out_dir: str | None, name: str,
+                 force: bool) -> str:
+    """The path of file ``name`` in the output directory (``out_dir``, else
+    the config's), which it makes; an existing file is refused without
+    ``force``."""
+    out = out_dir if out_dir is not None else cfg.output_dir
+    path = os.path.join(out, name)
+    if os.path.exists(path) and not force:
+        raise OutputExistsError(f"{path} exists; pass force to overwrite")
+    os.makedirs(out, exist_ok=True)
+    return path
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                    force: bool = False, jobs: int = 1) -> dict:
     """Execute `repeats` seeded runs and write logs plus a summary.
@@ -143,13 +157,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         ...
         summary.json
     """
-    out = out_dir if out_dir is not None else cfg.output_dir
-    summary_path = os.path.join(out, "summary.json")
-    if os.path.exists(summary_path) and not force:
-        raise OutputExistsError(
-            f"{summary_path} exists; pass force to overwrite"
-        )
-    os.makedirs(out, exist_ok=True)
+    summary_path = _output_path(cfg, out_dir, "summary.json", force)
+    out = os.path.dirname(summary_path)
     pool, val, _ = materialize_dataset(cfg)
     tasks = [(cfg.tbal, child_seed(cfg.master_seed, "run", r),
               os.path.join(out, f"run_{r:02d}")) for r in range(cfg.repeats)]
@@ -189,15 +198,6 @@ class HpoResult:
     train_winner_id: str
     posthoc_winner_id: str
 
-    def to_jsonable(self) -> dict:
-        return {
-            "records": self.records,
-            "train_winner": self.train_winner,
-            "train_winner_id": self.train_winner_id,
-            "posthoc_winner": self.posthoc_winner,
-            "posthoc_winner_id": self.posthoc_winner_id,
-        }
-
 
 def _combo_list(grid: dict):
     """Cartesian product of a {name: [values]} grid, stable order."""
@@ -209,24 +209,21 @@ def _combo_list(grid: dict):
 
 
 def _first_round_eval(pool: Pool, val: LabeledSet, hyp: LabeledSet,
-                      tbal_cfg: TbalConfig, run_seed: int):
-    """Seed-query + one fit round, scored on the held-out hyp split."""
-    seed_set, _ = seed_query(tbal_cfg, pool, run_seed)
-    model, g, t_hat, *_ = fit_round(tbal_cfg, seed_set, val, 1, run_seed)
+                      tbal_cfg: TbalConfig, run_seed: int, model):
+    """Seed-query + one fit round, scored on the held-out hyp split.
+
+    Returns (coverage, error, the round's classifier). ``model``, when not
+    None, is that classifier already trained: the round trains on the seed
+    set alone, so it depends only on ``run_seed`` and the training config.
+    """
+    if model is None:
+        seed_set, _ = seed_query(tbal_cfg, pool, run_seed)
+        model = train_round(tbal_cfg, seed_set, 1, run_seed)
+    g, t_hat, *_ = fit_round(tbal_cfg, model, val, 1, run_seed)
     top, preds = predicted_scores(g, *model.representations(hyp.features))
     cov, err = empirical_metrics(t_hat, top, preds, hyp.labels)
     # an empty selection shows zero mistakes; it still loses on coverage
-    return cov, 0.0 if err is None else err
-
-
-def _apply_train_combo(tbal_cfg: TbalConfig, combo: dict) -> TbalConfig:
-    return dataclasses.replace(
-        tbal_cfg, train=dataclasses.replace(tbal_cfg.train, **combo))
-
-
-def _apply_posthoc_combo(tbal_cfg: TbalConfig, combo: dict) -> TbalConfig:
-    return dataclasses.replace(
-        tbal_cfg, posthoc=dataclasses.replace(tbal_cfg.posthoc, **combo))
+    return cov, 0.0 if err is None else err, model
 
 
 def _select(records: "list[dict]", eps_a: float, tie_seed: int,
@@ -249,34 +246,6 @@ def _select(records: "list[dict]", eps_a: float, tie_seed: int,
     return winner["combo_id"]
 
 
-def _eval_phase(phase: str, combos, apply_fn, tbal_cfg, pool, val, hyp,
-                repeats, master_seed, jobs) -> "list[dict]":
-    tasks = []
-    for idx, combo in enumerate(combos):
-        cfg_c = apply_fn(tbal_cfg, combo)
-        for r in range(repeats):
-            tasks.append((cfg_c, child_seed(master_seed, "hpo-run", r)))
-    flat = _map(_first_round_eval, (pool, val, hyp), tasks, jobs)
-    records = []
-    for idx, combo in enumerate(combos):
-        chunk = flat[idx * repeats:(idx + 1) * repeats]
-        covs = [c for c, _ in chunk]
-        errs = [e for _, e in chunk]
-        cov_mean, cov_std = _mean_std(covs)
-        err_mean, err_std = _mean_std(errs)
-        records.append({
-            "combo_id": f"{phase}-{idx:03d}",
-            "phase": phase,
-            "params": combo,
-            "mean_coverage": cov_mean,
-            "std_coverage": cov_std,
-            "mean_error": err_mean,
-            "std_error": err_std,
-            "selected": False,
-        })
-    return records
-
-
 def hyperparameter_search(cfg: ExperimentConfig, out_dir: str | None = None,
                           force: bool = False, jobs: int = 1) -> HpoResult:
     """Two-phase additive grid search on the first-round protocol.
@@ -285,52 +254,61 @@ def hyperparameter_search(cfg: ExperimentConfig, out_dir: str | None = None,
     the winner is method-independent); phase "posthoc" fixes that winner and
     sweeps the post-hoc grid, which is empty, and skipped, for a method with
     no hyperparameters. Each combo is scored by `repeats` seeded first-round runs
-    evaluated on the held-out hyp split.
+    evaluated on the held-out hyp split. Phase "posthoc" scores its combos
+    on the classifiers the train winner's runs trained, one per repeat.
     """
     if cfg.hpo is None:
         raise ConfigError("config has no hpo section")
-    out = out_dir if out_dir is not None else cfg.output_dir
-    result_path = os.path.join(out, "hpo_result.json")
-    if os.path.exists(result_path) and not force:
-        raise OutputExistsError(f"{result_path} exists; pass force to overwrite")
-    os.makedirs(out, exist_ok=True)
+    result_path = _output_path(cfg, out_dir, "hpo_result.json", force)
     pool, val, hyp = materialize_dataset(cfg)
     if hyp is None:
         raise ValueError("hpo requires dataset.hyp_size >= 1")
     spec: HpoSpec = cfg.hpo
+    repeats = cfg.repeats
+    seeds = [child_seed(cfg.master_seed, "hpo-run", r) for r in range(repeats)]
+    base = dataclasses.replace(cfg.tbal, posthoc=SoftmaxConfig())
+    models = [None] * repeats
+    records, winners = [], {}
+    for phase in ("train", "posthoc"):
+        grid = getattr(spec, f"{phase}_grid")
+        if not grid:
+            winners.update({f"{phase}_winner": {},
+                            f"{phase}_winner_id": "none"})
+            continue
+        combos = _combo_list(grid)
+        cfgs = [dataclasses.replace(base, **{phase: dataclasses.replace(
+            getattr(base, phase), **combo)}) for combo in combos]
+        flat = _map(_first_round_eval, (pool, val, hyp),
+                    [(c, s, m) for c in cfgs for s, m in zip(seeds, models)],
+                    jobs)
+        runs = [flat[i * repeats:(i + 1) * repeats] for i in range(len(combos))]
+        phase_records = []
+        for idx, (combo, chunk) in enumerate(zip(combos, runs)):
+            covs, errs, _ = zip(*chunk)
+            cov_mean, cov_std = _mean_std(covs)
+            err_mean, err_std = _mean_std(errs)
+            phase_records.append({
+                "combo_id": f"{phase}-{idx:03d}",
+                "phase": phase,
+                "params": combo,
+                "mean_coverage": cov_mean,
+                "std_coverage": cov_std,
+                "mean_error": err_mean,
+                "std_error": err_std,
+                "selected": False,
+            })
+        winner_id = _select(phase_records, cfg.tbal.thresholds.eps_a,
+                            spec.tie_break_seed, phase)
+        w = [r["combo_id"] for r in phase_records].index(winner_id)
+        winners.update({f"{phase}_winner": combos[w],
+                        f"{phase}_winner_id": winner_id})
+        records += phase_records
+        # the next phase runs the configured method on the winner's models
+        base = dataclasses.replace(cfgs[w], posthoc=cfg.tbal.posthoc)
+        models = [m for _, _, m in runs[w]]
 
-    train_combos = _combo_list(spec.train_grid)
-    softmax_cfg = dataclasses.replace(cfg.tbal, posthoc=SoftmaxConfig())
-    train_records = _eval_phase(
-        "train", train_combos, _apply_train_combo, softmax_cfg, pool, val,
-        hyp, cfg.repeats, cfg.master_seed, jobs)
-    train_winner_id = _select(train_records, cfg.tbal.thresholds.eps_a,
-                              spec.tie_break_seed, "train")
-    train_winner = next(r["params"] for r in train_records
-                        if r["combo_id"] == train_winner_id)
-
-    fixed = _apply_train_combo(cfg.tbal, train_winner)
-    if spec.posthoc_grid:
-        posthoc_records = _eval_phase(
-            "posthoc", _combo_list(spec.posthoc_grid), _apply_posthoc_combo,
-            fixed, pool, val, hyp, cfg.repeats, cfg.master_seed, jobs)
-        posthoc_winner_id = _select(posthoc_records, cfg.tbal.thresholds.eps_a,
-                                    spec.tie_break_seed, "posthoc")
-        posthoc_winner = next(r["params"] for r in posthoc_records
-                              if r["combo_id"] == posthoc_winner_id)
-    else:
-        posthoc_records = []
-        posthoc_winner_id = "none"
-        posthoc_winner = {}
-
-    result = HpoResult(
-        records=train_records + posthoc_records,
-        train_winner=train_winner,
-        posthoc_winner=posthoc_winner,
-        train_winner_id=train_winner_id,
-        posthoc_winner_id=posthoc_winner_id,
-    )
+    result = HpoResult(records=records, **winners)
     with open(result_path, "w") as f:
-        json.dump(result.to_jsonable(), f, sort_keys=True, indent=2)
+        json.dump(dataclasses.asdict(result), f, sort_keys=True, indent=2)
         f.write("\n")
     return result

@@ -6,7 +6,7 @@ import pytest
 
 import autolabel as al
 from autolabel.confidence import ConfidenceNetConfig, TopLabelBinningConfig
-from autolabel.loop import dump_report, dump_round_log, fit_round
+from autolabel.loop import dump_report, dump_round_log, fit_round, train_round
 from autolabel.rng import child_seed
 
 from conftest import (
@@ -227,15 +227,14 @@ def test_active_query_uses_raw_softmax_margins():
 
 
 # ---------------------------------------------------------------------------
-# fit_round
+# train_round + fit_round
 
 
 def test_fit_round_zero_tolerance_thresholds_have_zero_group_error():
     pool, val = overlapping_world()
     cfg = base_config(eps_a=0.0, c1=0.0, coverage_floor=0.01)
-    seed_set = first_of(pool, 40)
-    model, g, t_hat, top, preds, cal, th, warn = fit_round(cfg, seed_set, val,
-                                                           1, SEED)
+    model = train_round(cfg, first_of(pool, 40), 1, SEED)
+    g, t_hat, top, preds, cal, th, warn = fit_round(cfg, model, val, 1, SEED)
     d_th = val.take(th)
     tops, preds = top[th], preds[th]
     wrong = d_th.labels != preds
@@ -292,8 +291,9 @@ def test_fit_round_deterministic():
     pool, val = overlapping_world()
     cfg = base_config()
     seed_set = first_of(pool, 30)
-    m1, g1, t1, _, _, c1, th1, _ = fit_round(cfg, seed_set, val, 1, SEED)
-    m2, g2, t2, _, _, c2, th2, _ = fit_round(cfg, seed_set, val, 1, SEED)
+    m1, m2 = (train_round(cfg, seed_set, 1, SEED) for _ in range(2))
+    g1, t1, _, _, c1, th1, _ = fit_round(cfg, m1, val, 1, SEED)
+    g2, t2, _, _, c2, th2, _ = fit_round(cfg, m2, val, 1, SEED)
     assert all(np.array_equal(a, b) for a, b in zip(m1.weights, m2.weights))
     assert np.array_equal(t1.values, t2.values)
     assert np.array_equal(c1, c2)
@@ -307,7 +307,8 @@ def test_fit_round_derives_each_seed_from_the_run_seed():
     cfg = base_config(posthoc=ConfidenceNetConfig(max_epochs=5))
     d_train = first_of(pool, 30)
     seed, i = 8, 2
-    model, g, _, _, _, cal, th, _ = fit_round(cfg, d_train, val, i, seed)
+    model = train_round(cfg, d_train, i, seed)
+    g, _, _, _, cal, th, _ = fit_round(cfg, model, val, i, seed)
     want = al.train_model(cfg.train, d_train, cfg.hidden,
                           child_seed(seed, i, "train"))
     for a, b in zip(model.weights + model.biases, want.weights + want.biases):

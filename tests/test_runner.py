@@ -1,6 +1,7 @@
 import concurrent.futures
 import copy
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -10,15 +11,14 @@ import numpy as np
 import pytest
 
 import autolabel as al
-from autolabel.config import parse_config_dict
+from autolabel.config import HpoSpec, parse_config_dict
 from autolabel.rng import child_seed
 from autolabel.runner import (
     OutputExistsError,
-    _apply_posthoc_combo,
-    _apply_train_combo,
     _combo_list,
     _first_round_eval,
     _map,
+    _mean_std,
     _select,
     materialize_dataset,
 )
@@ -281,7 +281,9 @@ class _RefuseData(pickle.Pickler):
 
 def test_parallel_tasks_send_no_data(recording_executor, tmp_path):
     # the data goes to each worker once, as _map's shared arguments; what
-    # is sent per run or per hpo evaluation is a config, a seed and a path
+    # is sent per run is a config, a seed and a path, and per hpo
+    # evaluation a config, a seed and, in phase two, the classifier that
+    # phase one trained for that repeat
     al.run_experiment(experiment(OVERLAPPING, tmp_path, name="runs"), jobs=2)
     al.hyperparameter_search(hpo_experiment(tmp_path), jobs=2)
     sent = recording_executor["sent"]
@@ -365,19 +367,37 @@ def test_select_tie_break_is_seeded():
             for s in range(40)} == seen
 
 
-def test_apply_combos():
-    base = al.TbalConfig(train_budget=20, seed_size=10, query_batch=5,
-                         posthoc=al.TopLabelBinningConfig())
-    trained = _apply_train_combo(base, {"learning_rate": 0.5, "max_epochs": 3})
+def test_apply_combos(monkeypatch, tmp_path):
+    # each phase's combos replace the TbalConfig field it is named after
+    from autolabel import runner
+    seen = []
+
+    def record(pool, val, hyp, tbal_cfg, seed, model):
+        seen.append(tbal_cfg)
+        return 0.5, 0.0, model
+
+    monkeypatch.setattr(runner, "_first_round_eval", record)
+    cfg = dataclasses.replace(hpo_experiment(tmp_path), hpo=HpoSpec(
+        {"learning_rate": [0.5], "max_epochs": [3]},
+        {"points_per_bin": [7]}, 0))
+    base = cfg.tbal
+    al.hyperparameter_search(cfg)
+    assert len(seen) == 2 * cfg.repeats
+    trained, tuned = seen[0], seen[-1]
     assert trained.train.learning_rate == 0.5
     assert trained.train.max_epochs == 3
-    assert base.train.learning_rate == 0.01
-    tuned = _apply_posthoc_combo(trained, {"points_per_bin": 7})
+    assert trained.posthoc == al.SoftmaxConfig()
+    assert tuned.train == trained.train
     assert tuned.posthoc.points_per_bin == 7
+    fresh = hpo_experiment(tmp_path).tbal
+    assert (base.train, base.posthoc) == (fresh.train, fresh.posthoc)
+    assert base.train.learning_rate == 0.01
     # a key the method's config lacks is never applied
-    soft = al.TbalConfig(train_budget=20, seed_size=10, query_batch=5)
+    soft = dataclasses.replace(
+        hpo_experiment(tmp_path, name="soft", method="softmax"),
+        hpo=HpoSpec({"max_epochs": [3]}, {"points_per_bin": [7]}, 0))
     with pytest.raises(TypeError, match="points_per_bin"):
-        _apply_posthoc_combo(soft, {"points_per_bin": 7})
+        al.hyperparameter_search(soft)
 
 
 @pytest.mark.parametrize("method", tuple(al.loop.POSTHOC_CONFIGS))
@@ -398,7 +418,7 @@ def test_first_round_eval_runs_the_classifier_once_over_hyp(
         return sum(c.shape == X.shape and np.array_equal(c, X) for c in calls)
 
     monkeypatch.setattr(al.MlpClassifier, "representations", counted)
-    _first_round_eval(pool, val, hyp, cfg.tbal, 3)
+    _first_round_eval(pool, val, hyp, cfg.tbal, 3, None)
     # one pass over validation in fit_round, one over hyp, and no other
     assert passes(hyp.features) == 1
     assert passes(val.features) == 1
@@ -416,8 +436,12 @@ def test_first_round_eval_scores_the_runs_first_round(tmp_path):
             round_hook=lambda i, model, *_: models.setdefault(i, model))
         cov, err = metrics_on(al.SoftmaxConfidence(),
                               report.rounds[0].thresholds, models[1], hyp)
-        assert _first_round_eval(pool, val, hyp, cfg.tbal, seed) == (
-            cov, 0.0 if err is None else err)
+        got_cov, got_err, model = _first_round_eval(pool, val, hyp, cfg.tbal,
+                                                    seed, None)
+        assert (got_cov, got_err) == (cov, 0.0 if err is None else err)
+        for a, b in zip(model.weights + model.biases,
+                        models[1].weights + models[1].biases):
+            assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("method", tuple(al.loop.POSTHOC_CONFIGS))
@@ -496,7 +520,7 @@ def test_hpo_end_to_end(tmp_path):
     assert set(result.posthoc_winner) == {"points_per_bin"}
     assert sum(r["selected"] for r in result.records) == 2
     doc = json.loads((tmp_path / "hpo" / "hpo_result.json").read_text())
-    assert doc == result.to_jsonable()
+    assert doc == dataclasses.asdict(result)
     with pytest.raises(OutputExistsError):
         al.hyperparameter_search(cfg)
     # reruns reproduce the file byte for byte
@@ -504,6 +528,41 @@ def test_hpo_end_to_end(tmp_path):
     al.hyperparameter_search(cfg2)
     assert (tmp_path / "hpo" / "hpo_result.json").read_bytes() \
         == (tmp_path / "hpo2" / "hpo_result.json").read_bytes()
+
+
+def test_posthoc_phase_reuses_the_train_winners_classifiers(
+        monkeypatch, tmp_path):
+    # a serial search trains each (train combo, repeat) classifier once,
+    # and scores every post-hoc combo as a freshly trained run would
+    from autolabel import loop
+    trained = []
+    original = loop.train_model
+
+    def counted(*args):
+        trained.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(loop, "train_model", counted)
+    # the winner is not the first combo, so reusing the wrong one shows
+    cfg = dataclasses.replace(hpo_experiment(tmp_path), hpo=HpoSpec(
+        {"max_epochs": [8, 4]}, {"points_per_bin": [5, 10]}, 0))
+    result = al.hyperparameter_search(cfg)
+    assert result.train_winner_id == "train-001"
+    assert len(trained) == 2 * cfg.repeats
+    pool, val, hyp = materialize_dataset(cfg)
+    fixed = dataclasses.replace(cfg.tbal, train=dataclasses.replace(
+        cfg.tbal.train, **result.train_winner))
+    posthoc = [r for r in result.records if r["phase"] == "posthoc"]
+    assert len(posthoc) == 2
+    for rec in posthoc:
+        tbal = dataclasses.replace(fixed, posthoc=dataclasses.replace(
+            fixed.posthoc, **rec["params"]))
+        covs, errs, _ = zip(*(
+            _first_round_eval(pool, val, hyp, tbal,
+                              child_seed(cfg.master_seed, "hpo-run", r), None)
+            for r in range(cfg.repeats)))
+        assert rec["mean_coverage"] == _mean_std(covs)[0]
+        assert rec["mean_error"] == _mean_std(errs)[0]
 
 
 def test_hpo_softmax_skips_posthoc_phase(tmp_path):
