@@ -43,10 +43,9 @@ from .confidence import (
 from .thresholds import (
     ThresholdConfig,
     ThresholdVector,
-    default_grid,
     empirical_metrics,
     estimate_thresholds,
-    std_estimate,
+    uniform_grid,
 )
 from .loop import (
     RoundRecord,

@@ -36,19 +36,13 @@ from .rng import stream
 
 
 def sigmoid(alpha: float, z):
-    """Scaled logistic 1/(1+exp(-alpha*z)), overflow-safe, elementwise.
-
-    Keeps the input's float dtype for arrays; returns a plain float for
-    scalar input.
-    """
+    """Scaled logistic 1/(1+exp(-alpha*z)), overflow-safe, elementwise;
+    keeps the input's float dtype."""
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
     x = np.multiply(alpha, z)
     e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    if np.ndim(z) == 0:
-        return float(out)
-    return out
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class ConfidenceModel:
@@ -266,16 +260,16 @@ class ConfidenceNet(ConfidenceModel):
         return softmax(np.tanh(Z @ self.params.W1) @ self.params.W2)
 
 
-def init_confidence_net_params(k: int, d2: int, seed: int,
-                               dtype=np.float32) -> ConfidenceNetParams:
+def init_confidence_net_params(k: int, d2: int,
+                               seed: int) -> ConfidenceNetParams:
     p = k + d2
     rng = stream(seed, "init")
     b1 = 1.0 / np.sqrt(p)
     b2 = 1.0 / np.sqrt(2 * p)
     return ConfidenceNetParams(
-        W1=rng.uniform(-b1, b1, size=(p, 2 * p)).astype(dtype),
-        W2=rng.uniform(-b2, b2, size=(2 * p, k)).astype(dtype),
-        t_raw=np.zeros(k, dtype=dtype),
+        W1=rng.uniform(-b1, b1, size=(p, 2 * p)).astype(np.float32),
+        W2=rng.uniform(-b2, b2, size=(2 * p, k)).astype(np.float32),
+        t_raw=np.zeros(k, dtype=np.float32),
     )
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .loop import POSTHOC_CONFIGS, TbalConfig
 from .mlp import TrainConfig
-from .thresholds import ThresholdConfig
+from .thresholds import ThresholdConfig, uniform_grid
 
 
 class ConfigError(ValueError):
@@ -357,7 +357,7 @@ def _parse_tbal(sec: _Section) -> TbalConfig:
     if grid_size is not None and grid is not None:
         raise ConfigError(f"{sec.path}.grid: give grid or grid_size, not both")
     if grid_size is not None:
-        grid = np.linspace(1.0 / grid_size, 1.0, grid_size)
+        grid = uniform_grid(grid_size)
     thresholds = _build(sec, ThresholdConfig,
                         **({} if grid is None else {"grid": grid}))
     hidden = sec.list_of_numbers("hidden", None, integer=True, lo=1)

@@ -18,6 +18,7 @@ Supported on-disk formats:
 from __future__ import annotations
 
 import csv as _csv
+import math
 import mmap
 import os
 import struct
@@ -279,16 +280,17 @@ def _read_exact(f, count: int, what: str) -> bytes:
     return buf
 
 
-def _map_exact(path: str, count: int, what: str, trailing: str):
-    """The file, which must hold exactly ``count`` bytes, mapped read-only.
+def _map_exact(path: str, offset: int, count: int, what: str, trailing: str):
+    """The ``count`` bytes after the file's first ``offset``, which must end
+    the file, as a read-only buffer over a map of it.
 
     Sizes come from ``os.fstat`` and raise as ``_read_exact`` would; nothing
     is read here. An array over the map keeps it open and pages the file in
-    as it is read, so a gather from it copies each byte once. An empty file
-    cannot be mapped and gives an empty buffer.
+    as it is read, so a gather from it copies each byte once. An empty
+    payload is not mapped and gives an empty buffer.
     """
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
+        size = os.fstat(f.fileno()).st_size - offset
         if not 0 <= count <= size:
             raise TruncatedPayloadError(
                 f"{what}: expected {count} bytes, file ended after {size}"
@@ -297,45 +299,35 @@ def _map_exact(path: str, count: int, what: str, trailing: str):
             raise DataFormatError(f"trailing bytes after {trailing}")
         if count == 0:
             return b""
-        return mmap.mmap(f.fileno(), count, access=mmap.ACCESS_READ)
+        mapped = mmap.mmap(f.fileno(), offset + count, access=mmap.ACCESS_READ)
+        return memoryview(mapped)[offset:]
 
 
-def _load_idx_images(path: str) -> np.ndarray:
+def _load_idx_file(path: str, magic: int, what: str) -> np.ndarray:
+    """An idx file's uint8 payload as (items, bytes per item).
+
+    The magic's low byte is the number of big-endian int32 dims after it;
+    the first dim counts the items. ``what`` ("image" or "label") names the
+    file in every error.
+    """
+    ndim = magic & 0xFF
     with open(path, "rb") as f:
-        magic, = struct.unpack(">i", _read_exact(f, 4, "idx image header"))
-        if magic != IDX_IMAGES_MAGIC:
+        got, = struct.unpack(">i", _read_exact(f, 4, f"idx {what} header"))
+        if got != magic:
             raise MagicNumberError(
-                f"bad image magic 0x{magic & 0xFFFFFFFF:08x}, "
-                f"want 0x{IDX_IMAGES_MAGIC:08x}"
+                f"bad {what} magic 0x{got & 0xFFFFFFFF:08x}, "
+                f"want 0x{magic:08x}"
             )
-        count, rows, cols = struct.unpack(
-            ">iii", _read_exact(f, 12, "idx image header")
-        )
-        if count < 0 or rows <= 0 or cols <= 0:
-            raise DataFormatError(f"bad idx dims {count}x{rows}x{cols}")
-        raw = _read_exact(f, count * rows * cols, "idx image payload")
-        extra = f.read(1)
-        if extra:
-            raise DataFormatError("trailing bytes after idx image payload")
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
-    return (pixels.astype(np.float32)) / 255.0
-
-
-def _load_idx_labels(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic, = struct.unpack(">i", _read_exact(f, 4, "idx label header"))
-        if magic != IDX_LABELS_MAGIC:
-            raise MagicNumberError(
-                f"bad label magic 0x{magic & 0xFFFFFFFF:08x}, "
-                f"want 0x{IDX_LABELS_MAGIC:08x}"
-            )
-        count, = struct.unpack(">i", _read_exact(f, 4, "idx label header"))
-        if count < 0:
-            raise DataFormatError(f"negative idx label count {count}")
-        raw = _read_exact(f, count, "idx label payload")
-        if f.read(1):
-            raise DataFormatError("trailing bytes after idx label payload")
-    return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+        dims = struct.unpack(f">{ndim}i",
+                             _read_exact(f, 4 * ndim, f"idx {what} header"))
+    if ndim == 1 and dims[0] < 0:
+        raise DataFormatError(f"negative idx {what} count {dims[0]}")
+    if dims[0] < 0 or min(dims[1:], default=1) <= 0:
+        raise DataFormatError(f"bad idx dims {'x'.join(map(str, dims))}")
+    payload = _map_exact(path, 4 + 4 * ndim, math.prod(dims),
+                         f"idx {what} payload", f"idx {what} payload")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(
+        dims[0], math.prod(dims[1:]))
 
 
 def idx_labels_path(images_path: str) -> str:
@@ -351,9 +343,11 @@ def idx_labels_path(images_path: str) -> str:
 
 
 def _load_idx(path: str, num_classes, labels_path) -> Dataset:
-    feats = _load_idx_images(path)
+    feats = _load_idx_file(path, IDX_IMAGES_MAGIC, "image").astype(
+        np.float32) / 255.0
     lp = labels_path if labels_path is not None else idx_labels_path(path)
-    labels = _load_idx_labels(lp)
+    labels = _load_idx_file(lp, IDX_LABELS_MAGIC, "label")[:, 0].astype(
+        np.int64)
     if labels.shape[0] != feats.shape[0]:
         raise RowCountMismatchError(
             f"{feats.shape[0]} images but {labels.shape[0]} labels"
@@ -442,10 +436,11 @@ def _load_rawf32(path: str, num_classes, labels_path) -> Dataset:
         raise DataFormatError(
             f"meta says k={k} but num_classes={num_classes} requested"
         )
-    feats = np.frombuffer(_map_exact(path, n * d * 4, "rawf32 feature payload",
+    feats = np.frombuffer(_map_exact(path, 0, n * d * 4,
+                                     "rawf32 feature payload",
                                      "rawf32 features"),
                           dtype="<f4").reshape(n, d)
-    labels = np.frombuffer(_map_exact(path + ".labels", n * 4,
+    labels = np.frombuffer(_map_exact(path + ".labels", 0, n * 4,
                                       "rawf32 label payload", "rawf32 labels"),
                            dtype="<u4").astype(np.int64)
     if labels.size and labels.max() >= k:

@@ -50,6 +50,7 @@ from .rng import child_seed
 from .thresholds import (
     ThresholdConfig,
     ThresholdVector,
+    empirical_metrics,
     estimate_thresholds,
     predicted_scores,
 )
@@ -323,10 +324,12 @@ def run_tbal(cfg: TbalConfig, initial_pool: Pool, d_val: LabeledSet,
             warnings.append(f"round {i}: {warn}")
         if round_hook is not None:
             round_hook(i, model, val, val_top, val_preds)
-        pool_before = pool.size
         logits, penultimate = model.representations(pool.features)
-        auto_set, pool, left = auto_label_select(
-            t_hat, pool, *predicted_scores(g, logits, penultimate))
+        top, preds = predicted_scores(g, logits, penultimate)
+        # truth is read here to score the round, never to choose its labels
+        coverage, auto_err = empirical_metrics(
+            t_hat, top, preds, data.hidden_labels[pool.active])
+        auto_set, pool, left = auto_label_select(t_hat, pool, top, preds)
         val = filter_validation(t_hat, val, val_top, val_preds)
         n_train = len(d_train)
         if pool.size > 0 and n_train + cfg.query_batch <= cfg.train_budget:
@@ -337,11 +340,6 @@ def run_tbal(cfg: TbalConfig, initial_pool: Pool, d_val: LabeledSet,
             query = LabeledSet.empty(data)
         parts += [(auto_set, "auto", i), (query, "human", i)]
         d_train = d_train.merged_with(query)
-        if len(auto_set):
-            truth = data.hidden_labels[auto_set.indices]
-            auto_err = float(np.mean(auto_set.labels != truth))
-        else:
-            auto_err = None
         records.append(RoundRecord(
             round_index=i,
             n_train=n_train,
@@ -353,7 +351,7 @@ def run_tbal(cfg: TbalConfig, initial_pool: Pool, d_val: LabeledSet,
             n_queried=len(query),
             n_pool_remaining=pool.size,
             auto_error=auto_err,
-            auto_coverage=len(auto_set) / pool_before,
+            auto_coverage=coverage,
         ))
         if not len(query):
             break

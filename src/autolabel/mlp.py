@@ -124,7 +124,7 @@ class MlpClassifier:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, stabilized by max subtraction. Works on 1-D too.
+    """Row-wise softmax of (n, k) logits, stabilized by max subtraction.
 
     The row max is a chain of ``np.maximum`` over the columns: numpy reduces
     a short last axis many times slower. A max is exact in any order, NaN
@@ -132,16 +132,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     maps to 1, so the output bits are those of the ``z.max(axis=1)`` form.
     """
     z = np.asarray(logits)
-    squeeze = z.ndim == 1
-    if squeeze:
-        z = z[None, :]
     top = z[:, :1].copy()
     for j in range(1, z.shape[1]):
         np.maximum(top, z[:, j:j + 1], out=top)
     shifted = z - top
     e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-    return out[0] if squeeze else out
+    return e / e.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ import numpy as np
 from .mlp import _check_fields
 
 
-def default_grid() -> np.ndarray:
-    """200 uniform candidate thresholds 0.005 .. 1.0."""
-    return np.linspace(0.005, 1.0, 200)
+def uniform_grid(size: int) -> np.ndarray:
+    """``size`` uniform candidate thresholds 1/size .. 1.0."""
+    return np.linspace(1.0 / size, 1.0, size)
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,14 @@ class ThresholdVector:
 class ThresholdConfig:
     """Settings for estimate_thresholds.
 
-    grid           : ascending candidate thresholds in [0,1]
+    grid           : ascending candidate thresholds in [0,1]; uniform_grid(200)
+                     by default
     coverage_floor : minimum selectable fraction of the class group
     c1             : multiplier on the binomial std added to the error estimate
     eps_a          : auto-labeling error tolerance the selection must respect
     """
 
-    grid: np.ndarray = field(default_factory=default_grid)
+    grid: np.ndarray = field(default_factory=lambda: uniform_grid(200))
     coverage_floor: float = 0.05
     c1: float = 0.25
     eps_a: float = 0.05
@@ -110,20 +111,13 @@ def empirical_metrics(t: ThresholdVector, top: np.ndarray, preds: np.ndarray,
     return coverage, float((labels != preds)[sel].sum() / m)
 
 
-def std_estimate(err_hat, m):
-    """Binomial standard error sqrt(p(1-p)/m) of an error estimate on m points.
-
-    Takes scalars (returns a float) or arrays of matching shape (returns an
-    array), elementwise in float64.
+def _padded_error(wrong, m, c1: float):
+    """The c1 rule's bound on the error among m selected points, ``wrong``
+    of them mistakes: the estimate wrong/m plus c1 binomial standard errors
+    sqrt(p(1-p)/m). Elementwise over arrays; every m must be >= 1.
     """
-    err_hat = np.asarray(err_hat, dtype=np.float64)
-    m = np.asarray(m)
-    if np.any(m < 1):
-        raise ValueError("need at least one selected point")
-    if not np.all((0.0 <= err_hat) & (err_hat <= 1.0)):
-        raise ValueError("err_hat must be in [0, 1]")
-    std = np.sqrt(err_hat * (1.0 - err_hat) / m)
-    return float(std) if std.ndim == 0 else std
+    err = wrong / m
+    return err + c1 * np.sqrt(err * (1.0 - err) / m)
 
 
 def select_class_threshold(top: np.ndarray, wrong: np.ndarray,
@@ -155,9 +149,7 @@ def select_class_threshold(top: np.ndarray, wrong: np.ndarray,
     w = wrong_below[-1] - wrong_below[first]
     # coverage_floor > 0, so every ok entry selects a point
     ok = m / n >= cfg.coverage_floor
-    m_ok = m[ok]
-    err = w[ok] / m_ok
-    passes = err + cfg.c1 * std_estimate(err, m_ok) <= cfg.eps_a
+    passes = _padded_error(w[ok], m[ok], cfg.c1) <= cfg.eps_a
     if not passes.any():
         return np.inf
     return float(cfg.grid[ok][np.argmax(passes)])

@@ -150,7 +150,7 @@ def test_grid_and_grid_size_are_exclusive():
     listed = parse_config_dict(doc(**{"tbal.grid": [0.3, 0.6, 0.9]}))
     assert np.array_equal(listed.tbal.thresholds.grid, [0.3, 0.6, 0.9])
     assert np.array_equal(parse_config_dict(doc()).tbal.thresholds.grid,
-                          al.default_grid())
+                          al.uniform_grid(200))
 
 
 def test_posthoc_sections():

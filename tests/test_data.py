@@ -232,6 +232,62 @@ def test_idx_label_out_of_range(tmp_path):
         al.load_dataset(path, "idx", num_classes=5)
 
 
+def test_idx_features_are_the_pixels_over_255(tmp_path):
+    images = np.arange(2 * 16 * 8, dtype=np.int64).reshape(2, 16, 8) % 256
+    path = write_idx_pair(tmp_path, images, [0, 1])
+    ds = al.load_dataset(path, "idx")
+    want = images.astype(np.uint8).reshape(2, 128).astype(np.float32) / 255.0
+    assert ds.features.dtype == np.float32
+    assert ds.features.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("file, what", [("images", "image"),
+                                        ("labels", "label")])
+def test_idx_trailing_bytes(tmp_path, file, what):
+    path = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), [0, 1])
+    target = path if file == "images" else idx_labels_path(path)
+    with open(target, "ab") as f:
+        f.write(b"\x00")
+    with pytest.raises(al.DataFormatError) as err:
+        al.load_dataset(path, "idx")
+    assert type(err.value) is al.DataFormatError
+    assert str(err.value) == f"trailing bytes after idx {what} payload"
+
+
+def test_idx_header_cut_inside_its_dims(tmp_path):
+    path = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), [0, 1])
+    with open(path, "r+b") as f:
+        f.truncate(10)
+    with pytest.raises(al.TruncatedPayloadError) as err:
+        al.load_dataset(path, "idx")
+    assert str(err.value) == \
+        "idx image header: expected 12 bytes, file ended after 6"
+
+
+def test_idx_bad_dims(tmp_path):
+    path = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), [0, 1])
+    with open(path, "r+b") as f:
+        f.write(struct.pack(">iiii", 0x803, 2, 0, 2))
+    with pytest.raises(al.DataFormatError, match="^bad idx dims 2x0x2$"):
+        al.load_dataset(path, "idx")
+    path = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), [0, 1],
+                          label_count=-1)
+    with pytest.raises(al.DataFormatError,
+                       match="^negative idx label count -1$"):
+        al.load_dataset(path, "idx")
+
+
+def test_idx_dims_beyond_any_file_are_a_truncated_payload(tmp_path):
+    # the byte count is an exact product, however large the dims
+    path = tmp_path / "t10k-images-idx3-ubyte"
+    big = 2**31 - 1
+    path.write_bytes(struct.pack(">iiii", 0x803, big, big, big) + b"\x00")
+    with pytest.raises(al.TruncatedPayloadError) as err:
+        al.load_dataset(str(path), "idx")
+    assert str(err.value) == (f"idx image payload: expected {big ** 3} "
+                              "bytes, file ended after 1")
+
+
 @pytest.mark.parametrize("num_classes", [None, 3])
 def test_idx_pair_without_items(tmp_path, num_classes):
     # like a csv header with no rows; without num_classes the inferred class

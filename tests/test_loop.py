@@ -528,6 +528,36 @@ def test_round_log_and_report_serialization(tmp_path):
     assert tv.values.shape == (4,)
 
 
+@pytest.mark.parametrize("kw", [{}, {"eps_a": 0.3, "c1": 0.0}])
+def test_round_log_statistics_recount_from_the_output(kw):
+    # each round's coverage is its auto-labels over the pool it started
+    # with, and its error their mismatch rate against the hidden labels,
+    # recounted from the output rows that round stamped "auto"
+    pool, val = overlapping_world()
+    cfg = base_config(**kw)
+    report = al.run_tbal(cfg, pool, val, SEED)
+    assert len(report.rounds) >= 3
+    out = report.output
+    truth = pool.dataset.hidden_labels[out.indices]
+    pool_before = pool.size - cfg.seed_size
+    for rec in report.rounds:
+        assert rec.auto_coverage == rec.n_auto / pool_before
+        assert round(rec.auto_coverage * pool_before) == rec.n_auto
+        mine = (report.output_sources == "auto") & (
+            report.output_rounds == rec.round_index)
+        assert int(mine.sum()) == rec.n_auto
+        if rec.n_auto:
+            wrong = int(np.sum(out.labels[mine] != truth[mine]))
+            assert rec.auto_error == wrong / rec.n_auto
+        else:
+            assert rec.auto_error is None
+        pool_before -= rec.n_auto + rec.n_queried
+        assert rec.n_pool_remaining == pool_before
+    assert any(rec.auto_error for rec in report.rounds)
+    if kw:
+        assert any(rec.auto_error is None for rec in report.rounds)
+
+
 def reference_dump_report(report, path):
     """The writer ``dump_report`` replaces, frozen: the whole document
     through json's indenting encoder."""

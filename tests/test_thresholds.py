@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import autolabel as al
-from autolabel.thresholds import select_class_threshold
+from autolabel.thresholds import _padded_error, select_class_threshold
 
 from conftest import (
     FixedModel,
@@ -73,11 +73,14 @@ def test_threshold_config_rejects_non_finite_values(kw):
 
 
 def test_default_grid_shape():
-    g = al.default_grid()
+    g = al.uniform_grid(200)
     assert g.shape == (200,)
     assert g[0] == pytest.approx(0.005)
     assert g[-1] == pytest.approx(1.0)
     assert np.all(np.diff(g) > 0)
+    assert np.array_equal(al.uniform_grid(4), [0.25, 0.5, 0.75, 1.0])
+    assert np.array_equal(al.ThresholdConfig().grid,
+                          np.linspace(0.005, 1.0, 200))
 
 
 # ---------------------------------------------------------------------------
@@ -155,23 +158,18 @@ def test_estimators_match_bruteforce_enumeration():
             assert got == pytest.approx(sum(wrong_sel) / sum(selected))
 
 
-def test_std_estimate_closed_forms():
-    assert al.std_estimate(0.0, 10) == 0.0
-    assert al.std_estimate(0.5, 25) == pytest.approx(0.1)
-    assert al.std_estimate(0.2, 100) == pytest.approx(0.04)
-    with pytest.raises(ValueError):
-        al.std_estimate(0.5, 0)
-    with pytest.raises(ValueError):
-        al.std_estimate(1.5, 10)
-    errs, ms = np.array([0.0, 0.5, 0.2]), np.array([10, 25, 100])
-    stds = al.std_estimate(errs, ms)
-    assert isinstance(stds, np.ndarray)
-    assert stds == pytest.approx([0.0, 0.1, 0.04])
-    assert list(stds) == [al.std_estimate(e, m) for e, m in zip(errs, ms)]
-    with pytest.raises(ValueError):
-        al.std_estimate(np.array([0.5, 0.5]), np.array([3, 0]))
-    with pytest.raises(ValueError):
-        al.std_estimate(np.array([0.5, -0.1]), np.array([3, 3]))
+def test_padded_error_closed_forms():
+    wrong, m = np.array([0, 5, 20, 7]), np.array([10, 25, 100, 7])
+    assert np.array_equal(_padded_error(wrong, m, 0.0), wrong / m)
+    for c1 in (0.25, 1.0, 3.0):
+        got = _padded_error(wrong, m, c1)
+        # no mistakes or all mistakes: no spread, the estimate alone
+        assert got[0] == 0.0 and got[3] == 1.0
+        assert got[1] == pytest.approx(0.2 + c1 * 0.08)
+        assert got[2] == pytest.approx(0.2 + c1 * 0.04)
+        # elementwise: each entry is its own scalar call, bit for bit
+        assert list(got) == [_padded_error(w, k, c1)
+                             for w, k in zip(wrong, m)]
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +345,8 @@ def test_returned_thresholds_are_safe_on_their_groups():
             m = int(sel.sum())
             assert m >= 1
             err = wrong[sel].sum() / m
-            assert err + cfg.c1 * al.std_estimate(err, m) <= cfg.eps_a + 1e-12
+            pad = cfg.c1 * (err * (1 - err) / m) ** 0.5
+            assert err + pad <= cfg.eps_a + 1e-12
 
 
 def test_group_by_predicted_label_switch():
