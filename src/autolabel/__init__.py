@@ -28,7 +28,6 @@ from .confidence import (
     ConfidenceNet,
     ConfidenceNetConfig,
     ConfidenceNetParams,
-    SoftmaxConfidence,
     SoftmaxConfig,
     TemperatureConfidence,
     TemperatureConfig,

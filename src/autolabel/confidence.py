@@ -5,7 +5,7 @@ its logits and its penultimate activations -- to per-class score vectors.
 Neither it nor its fit runs the classifier: both read a round's one forward
 pass over its validation set, the fit only the calibration rows. Variants:
 
-* softmax response        -- the classifier's own softmax, no fitting
+* softmax response        -- the raw softmax: temperature scaling at T = 1
 * temperature scaling     -- softmax of logits / T, T fit at the calibration
                              NLL minimum
 * top-label histogram     -- uniform-mass binning of the predicted-class score
@@ -16,7 +16,8 @@ pass over its validation set, the fit only the calibration rows. Variants:
 
 Each variant's frozen config class (``SoftmaxConfig``, ``TemperatureConfig``,
 ``TopLabelBinningConfig``, ``ConfidenceNetConfig``) names it and holds its
-settings; ``loop.fit_posthoc`` fits the variant a config names.
+settings; ``POSTHOC_CONFIGS`` maps each method's name to its class, and
+``fit_posthoc`` fits the variant a config names.
 
 Only the predicted class's score is ever compared to a threshold downstream,
 but all variants return full k-vectors. The histogram variant patches only the
@@ -52,15 +53,9 @@ class ConfidenceModel:
         raise NotImplementedError
 
 
-class SoftmaxConfidence(ConfidenceModel):
-    """The classifier's raw softmax; nothing to fit."""
-
-    def scores(self, logits: np.ndarray, penultimate: np.ndarray) -> np.ndarray:
-        return softmax(logits)
-
-
 class TemperatureConfidence(ConfidenceModel):
-    """softmax(logits / T). T rescales sharpness, never the argmax."""
+    """softmax(logits / T). T rescales sharpness, never the argmax; at
+    T = 1 (``x / 1.0`` is exact) it is the classifier's raw softmax."""
 
     def __init__(self, temperature: float):
         if not (temperature > 0):
@@ -407,6 +402,42 @@ def fit_confidence_net(logits: np.ndarray, penultimate: np.ndarray,
                 np.multiply(lr * wd, weights, out=num[:nw])
                 weights -= num[:nw]
     return ConfidenceNet(params.copy())
+
+
+# ---------------------------------------------------------------------------
+# the post-hoc methods
+
+
+# each post-hoc method's name and config class
+POSTHOC_CONFIGS = {
+    "softmax": SoftmaxConfig,
+    "temperature": TemperatureConfig,
+    "top_label_hb": TopLabelBinningConfig,
+    "confidence_net": ConfidenceNetConfig,
+}
+
+
+def fit_posthoc(cfg, logits: np.ndarray, penultimate: np.ndarray,
+                labels: np.ndarray, seed: int):
+    """Fit the confidence function the class of ``cfg``, one of the
+    ``POSTHOC_CONFIGS`` classes, names on calibration data.
+
+    Returns (model_g, warning-or-None). Softmax fits nothing. When
+    histogram binning lacks enough calibration points it degrades to raw
+    softmax with a warning instead of aborting the run.
+    """
+    if isinstance(cfg, SoftmaxConfig):
+        return TemperatureConfidence(1.0), None
+    if isinstance(cfg, TemperatureConfig):
+        return fit_temperature(logits, labels), None
+    if isinstance(cfg, TopLabelBinningConfig):
+        if len(labels) < cfg.points_per_bin:
+            return TemperatureConfidence(1.0), (
+                f"calibration set ({len(labels)}) smaller than points_per_bin "
+                f"({cfg.points_per_bin}); using raw softmax this round"
+            )
+        return fit_top_label_hb(logits, labels, cfg.points_per_bin), None
+    return fit_confidence_net(logits, penultimate, labels, cfg, seed), None
 
 
 # ---------------------------------------------------------------------------

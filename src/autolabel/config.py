@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loop import POSTHOC_CONFIGS, TbalConfig
-from .mlp import TrainConfig
+from .confidence import POSTHOC_CONFIGS
+from .loop import TbalConfig
+from .mlp import TrainConfig, _check_fields
 from .thresholds import ThresholdConfig, uniform_grid
 
 
@@ -55,7 +56,7 @@ _REQUIRED = object()
 _ABSENT = object()
 
 
-def _number(val, path: str, integer=False, lo=None, hi=None):
+def _number(val, path: str, integer=False, lo=None):
     """``val``, the JSON value at ``path``, as an int for an integer key
     and a float otherwise.
 
@@ -74,8 +75,8 @@ def _number(val, path: str, integer=False, lo=None, hi=None):
         if not math.isfinite(val):
             # NaN fails no comparison, so the range check would pass it
             raise RangeError(f"{path}: value {val} is not finite")
-    if lo is not None and val < lo or hi is not None and val > hi:
-        raise RangeError(f"{path}: value {val} outside [{lo}, {hi}]")
+    if lo is not None and val < lo:
+        raise RangeError(f"{path}: value {val} below minimum {lo}")
     return val
 
 
@@ -97,12 +98,11 @@ class _Section:
         self.seen.add(key)
         return self.mapping[key], True
 
-    def number(self, key, default=_REQUIRED, lo=None, hi=None,
-               integer=False):
+    def number(self, key, default=_REQUIRED, lo=None, integer=False):
         val, present = self._fetch(key, default)
         if not present:
             return val
-        return _number(val, f"{self.path}.{key}", integer, lo, hi)
+        return _number(val, f"{self.path}.{key}", integer, lo)
 
     def string(self, key, default=_REQUIRED, choices=None):
         val, present = self._fetch(key, default)
@@ -186,18 +186,24 @@ class ExperimentConfig:
     master_seed: int
     hpo: HpoSpec | None
 
+    def __post_init__(self):
+        _check_fields(self, integers=("repeats",))
+        if self.repeats < 1:
+            raise ValueError("repeats must be >= 1")
 
-def default_circle_means(classes: int, dim: int, radius: float = 3.0):
-    """Class means evenly spaced on a circle in the first two dims."""
+
+def default_circle_means(classes: int, dim: int):
+    """Class means evenly spaced on a circle of radius 3 in the first two
+    dims (on [-3, 3] when dim is 1)."""
     if dim < 1:
         raise RangeError("dataset.dim: must be >= 1")
     means = np.zeros((classes, dim))
     if dim == 1:
-        means[:, 0] = np.linspace(-radius, radius, classes)
+        means[:, 0] = np.linspace(-3.0, 3.0, classes)
     else:
         angles = 2.0 * np.pi * np.arange(classes) / classes
-        means[:, 0] = radius * np.cos(angles)
-        means[:, 1] = radius * np.sin(angles)
+        means[:, 0] = 3.0 * np.cos(angles)
+        means[:, 1] = 3.0 * np.sin(angles)
     return means
 
 

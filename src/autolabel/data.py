@@ -51,10 +51,15 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 
-def _has_duplicates(a: np.ndarray) -> bool:
-    """Whether a 1-D array repeats a value: sort, compare neighbours."""
-    s = np.sort(a)
-    return bool((s[1:] == s[:-1]).any())
+def _check_rows(rows: np.ndarray, n: int, name: str) -> None:
+    """The rule of every row set: ``rows``, the row indices of the set
+    ``name``, are distinct (sort, compare neighbours) and lie in [0, n)."""
+    if rows.size:
+        s = np.sort(rows)
+        if (s[1:] == s[:-1]).any():
+            raise ValueError(f"duplicate indices in {name}")
+        if s[0] < 0 or s[-1] >= n:
+            raise IndexError(f"{name} index out of range")
 
 
 @dataclass(frozen=True)
@@ -115,13 +120,10 @@ class LabeledSet:
         m = self.indices.shape[0]
         if self.labels.shape != (m,):
             raise ValueError("index and label arrays must align")
-        if m:
-            if _has_duplicates(self.indices):
-                raise ValueError("duplicate indices in LabeledSet")
-            if self.indices.min() < 0 or self.indices.max() >= self.dataset.n:
-                raise IndexError("index out of range for dataset")
-            if self.labels.min() < 0 or self.labels.max() >= self.dataset.num_classes:
-                raise LabelOutOfRangeError("assigned label out of range")
+        _check_rows(self.indices, self.dataset.n, "LabeledSet")
+        if m and (self.labels.min() < 0
+                  or self.labels.max() >= self.dataset.num_classes):
+            raise LabelOutOfRangeError("assigned label out of range")
 
     def __len__(self) -> int:
         return int(self.indices.shape[0])
@@ -172,11 +174,7 @@ class Pool:
 
     def __post_init__(self):
         self.active = np.asarray(self.active, dtype=np.int64)
-        if self.active.size:
-            if _has_duplicates(self.active):
-                raise ValueError("duplicate indices in pool")
-            if self.active.min() < 0 or self.active.max() >= self.dataset.n:
-                raise IndexError("pool index out of range")
+        _check_rows(self.active, self.dataset.n, "pool")
 
     @property
     def size(self) -> int:
@@ -422,9 +420,12 @@ def _parse_meta(path: str) -> dict:
                 raise DataFormatError(
                     f"{path}:{lineno}: non-integer value {val!r}"
                 ) from None
-    for key in ("n", "d", "k"):
+    for key, least in (("n", 0), ("d", 1), ("k", 2)):
         if key not in meta:
             raise DataFormatError(f"{path}: missing {key}=")
+        if meta[key] < least:
+            raise DataFormatError(
+                f"{path}: {key}={meta[key]}, must be >= {least}")
     return meta
 
 
@@ -443,10 +444,6 @@ def _load_rawf32(path: str, num_classes, labels_path) -> Dataset:
     labels = np.frombuffer(_map_exact(path + ".labels", 0, n * 4,
                                       "rawf32 label payload", "rawf32 labels"),
                            dtype="<u4").astype(np.int64)
-    if labels.size and labels.max() >= k:
-        raise LabelOutOfRangeError(
-            f"label {labels.max()} out of range for k={k}"
-        )
     return Dataset(feats, labels, k)
 
 

@@ -28,14 +28,12 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .confidence import (
+    POSTHOC_CONFIGS,
     ConfidenceNetConfig,
-    SoftmaxConfidence,
     SoftmaxConfig,
     TemperatureConfig,
     TopLabelBinningConfig,
-    fit_confidence_net,
-    fit_temperature,
-    fit_top_label_hb,
+    fit_posthoc,
 )
 from .data import LabeledSet, Pool, random_query, random_split
 from .mlp import (
@@ -54,14 +52,6 @@ from .thresholds import (
     estimate_thresholds,
     predicted_scores,
 )
-
-# each post-hoc method's name and config class
-POSTHOC_CONFIGS = {
-    "softmax": SoftmaxConfig,
-    "temperature": TemperatureConfig,
-    "top_label_hb": TopLabelBinningConfig,
-    "confidence_net": ConfidenceNetConfig,
-}
 
 
 @dataclass(frozen=True)
@@ -212,31 +202,6 @@ def active_query(logits: np.ndarray, pool: Pool, n_b: int, C: float,
     pick = rng.choice(n_cand, size=take, replace=False)
     chosen = np.sort(candidates[pick])
     return LabeledSet.from_oracle(pool.dataset, chosen), pool.without(chosen)
-
-
-def fit_posthoc(cfg, logits: np.ndarray, penultimate: np.ndarray,
-                labels: np.ndarray, seed: int):
-    """Fit the confidence function the class of ``cfg`` names on
-    calibration data.
-
-    Returns (model_g, warning-or-None). Softmax fits nothing. When
-    histogram binning lacks enough calibration points it degrades to raw
-    softmax with a warning instead of aborting the run.
-    """
-    if isinstance(cfg, SoftmaxConfig):
-        return SoftmaxConfidence(), None
-    if isinstance(cfg, TemperatureConfig):
-        return fit_temperature(logits, labels), None
-    if isinstance(cfg, TopLabelBinningConfig):
-        if len(labels) < cfg.points_per_bin:
-            return SoftmaxConfidence(), (
-                f"calibration set ({len(labels)}) smaller than points_per_bin "
-                f"({cfg.points_per_bin}); using raw softmax this round"
-            )
-        return fit_top_label_hb(logits, labels, cfg.points_per_bin), None
-    if isinstance(cfg, ConfidenceNetConfig):
-        return fit_confidence_net(logits, penultimate, labels, cfg, seed), None
-    raise ValueError(f"unknown posthoc config {type(cfg).__name__}")
 
 
 def seed_query(cfg: TbalConfig, pool: Pool, seed: int):

@@ -72,4 +72,4 @@ def test_a_traced_run_enters_every_loop_span():
     assert tracer.layer_metrics()["loop.rounds"] == 2
     entered = {name for name, *_ in tracer.spans}
     assert {"loop", "loop.select", "loop.filter", "loop.query", "data.merge",
-            "data.pool_without"} <= entered
+            "data.pool_without", "confidence.fit"} <= entered

@@ -10,7 +10,6 @@ from autolabel.confidence import (
     ConfidenceNet,
     ConfidenceNetConfig,
     ConfidenceNetParams,
-    SoftmaxConfidence,
     TemperatureConfidence,
     fit_confidence_net,
     fit_temperature,
@@ -80,18 +79,29 @@ def test_sigmoid_monotone():
 
 def test_softmax_confidence_equals_model_probs(blob_model, blobs):
     logits, penultimate = blob_model.representations(blobs.features)
-    s = SoftmaxConfidence().scores(logits, penultimate)
+    s = TemperatureConfidence(1.0).scores(logits, penultimate)
     assert np.array_equal(s, al.softmax(logits))
     assert s.shape == (blobs.n, 4)
     assert np.allclose(s.sum(axis=1), 1.0, atol=1e-6)
 
 
 def test_temperature_one_is_identity(blob_model):
+    # x / 1.0 is exact, so T = 1 gives the raw softmax's bits, at the
+    # extremes of either float type as well as on a trained net's logits
     rng = np.random.default_rng(0)
     X = rng.normal(0, 3, size=(1000, 2)).astype(np.float32)
-    reps = blob_model.representations(X)
-    assert np.allclose(TemperatureConfidence(1.0).scores(*reps),
-                       SoftmaxConfidence().scores(*reps))
+    trained = blob_model.representations(X)[0]
+    for dtype in (np.float32, np.float64):
+        info = np.finfo(dtype)
+        special = [0.0, -0.0, info.max, -info.max, info.smallest_subnormal,
+                   -info.smallest_subnormal, np.inf, -np.inf, 1.5]
+        rows = np.array(list(itertools.product(special, repeat=3)), dtype)
+        for logits in (rows, trained.astype(dtype)):
+            with np.errstate(all="ignore"):
+                got = TemperatureConfidence(1.0).scores(logits, None)
+                want = al.softmax(logits)
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
 
 
 def test_temperature_huge_is_uniform(blob_model):
@@ -105,7 +115,7 @@ def test_temperature_preserves_argmax(blob_model):
     rng = np.random.default_rng(2)
     X = rng.normal(0, 3, size=(300, 2)).astype(np.float32)
     reps = blob_model.representations(X)
-    base = np.argmax(SoftmaxConfidence().scores(*reps), axis=1)
+    base = np.argmax(TemperatureConfidence(1.0).scores(*reps), axis=1)
     for T in (0.05, 0.7, 3.0, 40.0):
         assert np.array_equal(
             np.argmax(TemperatureConfidence(T).scores(*reps), axis=1), base)
@@ -514,7 +524,7 @@ def test_fit_confidence_net_beats_softmax_sweep_on_overlap():
     tv = al.ThresholdVector(sigmoid(1.0, net.params.t_raw))
     cov_f, err_f = metrics_on(net, tv, h, cal)
     err_cap = 0.0 if err_f is None else err_f
-    sm = SoftmaxConfidence()
+    sm = TemperatureConfidence(1.0)
     tops, _ = scored(sm, h, ds.features)
     best = 0.0
     for tau in np.concatenate([[0.0], np.unique(tops)]):
@@ -536,7 +546,7 @@ def test_fit_confidence_net_empty_cal(blob_model, blobs):
 
 def test_write_score_dump_roundtrip(tmp_path, blob_model, blobs):
     cal = label_everything(blobs).take(range(25))
-    g = SoftmaxConfidence()
+    g = TemperatureConfidence(1.0)
     out = tmp_path / "scores.csv"
     write_score_dump(str(out), cal, *scored(g, blob_model, cal.features))
     with open(out, newline="") as f:

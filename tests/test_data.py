@@ -423,6 +423,25 @@ def test_rawf32_label_out_of_range(tmp_path):
         al.load_dataset(path, "rawf32")
 
 
+@pytest.mark.parametrize("meta,payload,key", [
+    ("n=-2\nd=-3\nk=4\n", 24, "n=-2"),
+    ("n=-1\nd=3\nk=4\n", 0, "n=-1"),
+    ("n=2\nd=0\nk=4\n", 0, "d=0"),
+    ("n=2\nd=1\nk=1\n", 8, "k=1"),
+], ids=["n-and-d-negative", "n-negative", "d-zero", "k-one"])
+def test_rawf32_meta_out_of_range_is_refused_by_key(tmp_path, meta, payload,
+                                                    key):
+    # a negative n, a d below 1 or a k below 2 is a typed error naming the
+    # key, whatever the payload sizes; n=0 loads (test_rawf32_zero_rows_load)
+    path = str(tmp_path / "blob.f32")
+    open(path, "wb").write(bytes(payload))
+    open(path + ".labels", "wb").write(bytes(8))
+    open(path + ".meta", "w").write(meta)
+    with pytest.raises(al.DataFormatError,
+                       match=rf"\.meta: {key}, must be >= "):
+        al.load_dataset(path, "rawf32")
+
+
 def test_rawf32_missing_meta_key(tmp_path):
     ds = four_blobs(n=10)
     path = str(tmp_path / "blob.f32")

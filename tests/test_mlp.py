@@ -38,7 +38,7 @@ def test_forward_zero_weights_uniform():
     logits, penultimate = model.representations(x)
     assert logits.shape == (1, k) and penultimate.shape == (1, 6)
     assert np.allclose(al.softmax(logits), 1 / k)
-    _, preds = scored(al.SoftmaxConfidence(), model, x)
+    _, preds = scored(al.TemperatureConfidence(1.0), model, x)
     assert np.array_equal(preds, [0])  # ties go to the lowest index
 
 

@@ -434,7 +434,7 @@ def test_first_round_eval_scores_the_runs_first_round(tmp_path):
         report = al.run_tbal(
             cfg.tbal, pool, val, seed,
             round_hook=lambda i, model, *_: models.setdefault(i, model))
-        cov, err = metrics_on(al.SoftmaxConfidence(),
+        cov, err = metrics_on(al.TemperatureConfidence(1.0),
                               report.rounds[0].thresholds, models[1], hyp)
         got_cov, got_err, model = _first_round_eval(pool, val, hyp, cfg.tbal,
                                                     seed, None)
@@ -594,3 +594,16 @@ def test_hpo_repeats_are_paired_across_combos(tmp_path):
     assert a["mean_coverage"] == b["mean_coverage"]
     assert a["mean_error"] == b["mean_error"]
     assert os.path.exists(tmp_path / "paired" / "hpo_result.json")
+
+
+@pytest.mark.parametrize("runner", [al.run_experiment,
+                                    al.hyperparameter_search])
+@pytest.mark.parametrize("repeats", [0, -1, 1.0])
+def test_an_experiment_without_whole_repeats_is_refused(tmp_path, runner,
+                                                        repeats):
+    # no runs would average to a NaN summary, and a search with no repeat
+    # scores nothing; neither runner starts, nor writes anything
+    cfg = hpo_experiment(tmp_path)
+    with pytest.raises(ValueError, match=r"^repeats must be "):
+        runner(dataclasses.replace(cfg, repeats=repeats))
+    assert not (tmp_path / "hpo").exists()

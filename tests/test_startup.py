@@ -25,7 +25,7 @@ import json, pickle, sys
 
 import autolabel
 import autolabel.cli
-import autolabel.loop
+import autolabel.confidence
 from autolabel.config import parse_config
 from autolabel.runner import materialize_dataset, run_experiment
 
@@ -34,7 +34,7 @@ autolabel.cli.build_parser()
 cfg = parse_config(cfg_path)
 materialize_dataset(cfg)
 fits = []
-fit_temperature = autolabel.loop.fit_temperature
+fit_temperature = autolabel.confidence.fit_temperature
 
 
 def recording_fit(logits, labels):
@@ -43,7 +43,7 @@ def recording_fit(logits, labels):
     return conf
 
 
-autolabel.loop.fit_temperature = recording_fit
+autolabel.confidence.fit_temperature = recording_fit
 run_experiment(cfg, out_dir=out_dir)
 with open(fits_path, "wb") as f:
     pickle.dump(fits, f)
