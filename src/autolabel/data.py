@@ -404,6 +404,10 @@ def _load_csv(path: str, num_classes, labels_path) -> Dataset:
     return Dataset(np.asarray(feats, dtype=np.float32), labs, k)
 
 
+# the rawf32 meta's keys, each given once, and the least value of each
+_META_LEAST = {"n": 0, "d": 1, "k": 2}
+
+
 def _parse_meta(path: str) -> dict:
     meta = {}
     with open(path) as f:
@@ -414,13 +418,18 @@ def _parse_meta(path: str) -> dict:
             if "=" not in line:
                 raise DataFormatError(f"{path}:{lineno}: expected key=value")
             key, _, val = line.partition("=")
+            key = key.strip()
+            if key not in _META_LEAST:
+                raise DataFormatError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in meta:
+                raise DataFormatError(f"{path}:{lineno}: repeated key {key!r}")
             try:
-                meta[key.strip()] = int(val)
+                meta[key] = int(val)
             except ValueError:
                 raise DataFormatError(
                     f"{path}:{lineno}: non-integer value {val!r}"
                 ) from None
-    for key, least in (("n", 0), ("d", 1), ("k", 2)):
+    for key, least in _META_LEAST.items():
         if key not in meta:
             raise DataFormatError(f"{path}: missing {key}=")
         if meta[key] < least:

@@ -229,7 +229,8 @@ def fit_round(cfg: TbalConfig, model, val: LabeledSet, round_index: int,
     Each step draws from its own child of the run's ``seed`` for this round.
     Shared by the main loop and by first-round-only hyperparameter search.
     """
-    logits, penultimate = model.representations(val.features)
+    logits, penultimate = model.representations(
+        val.dataset.features, val.indices)
     cal, th = random_split(len(val), cfg.cal_fraction,
                            child_seed(seed, round_index, "split"))
     g, warning = fit_posthoc(cfg.posthoc, logits[cal], penultimate[cal],
@@ -289,7 +290,8 @@ def run_tbal(cfg: TbalConfig, initial_pool: Pool, d_val: LabeledSet,
             warnings.append(f"round {i}: {warn}")
         if round_hook is not None:
             round_hook(i, model, val, val_top, val_preds)
-        logits, penultimate = model.representations(pool.features)
+        logits, penultimate = model.representations(data.features,
+                                                    pool.active)
         top, preds = predicted_scores(g, logits, penultimate)
         # truth is read here to score the round, never to choose its labels
         coverage, auto_err = empirical_metrics(

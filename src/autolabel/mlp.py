@@ -100,27 +100,65 @@ class MlpClassifier:
     # ------------------------------------------------------------------
     # inference
 
-    def representations(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Batch (logits, penultimate activations) for rows of X.
+    def representations(self, X: np.ndarray,
+                        rows=None) -> tuple[np.ndarray, np.ndarray]:
+        """Batch (logits, penultimate activations) for ``X[rows]``, or for
+        every row of X when ``rows`` is None.
 
         Each layer adds its bias and takes the tanh in the array its product
         made: the float operations of ``np.tanh(A @ w + b)``, in that order,
         with one array per layer. (A bias of a wider dtype than its layer's
         product would be rounded to the product's; the models this package
-        builds are float32 throughout.)
+        builds are float32 throughout.) Given ``rows``, the first layer's
+        product reads them from X in chunks (``_rows_product``), so no copy
+        of ``X[rows]`` is made; the result is that of ``X[rows]``, bit for
+        bit.
         """
         A = np.asarray(X)
         if A.ndim != 2 or A.shape[1] != self.input_dim:
             raise ValueError(
                 f"input has shape {A.shape}, model wants (*, {self.input_dim})"
             )
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            A = A @ w
+        for i, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
+            A = A @ w if i or rows is None else _rows_product(A, rows, w)
             A += b
             np.tanh(A, out=A)
         logits = A @ self.weights[-1]
         logits += self.biases[-1]
         return logits, A
+
+
+# floats of X a chunk of ``_rows_product`` gathers: a 4 MiB float32 block
+CHUNK_FLOATS = 2 ** 20
+
+
+def _rows_product(X: np.ndarray, rows, w: np.ndarray) -> np.ndarray:
+    """``X[rows] @ w``, made without a copy of ``X[rows]``.
+
+    The rows are gathered in chunks of ``CHUNK_FLOATS // d`` rows (a short
+    tail joins the last chunk) into one reused buffer, and each chunk's
+    product is written into its rows of the result. OpenBLAS picks its
+    sgemm kernel by the product's size (0.3.31 switches at 10**6
+    multiply-adds), so a row's bits depend on how many rows share its call.
+    A chunk this size holds over 10**6 multiply-adds at any width, as does
+    a whole pass of more than one chunk, and a pass of one chunk is one
+    call as before. That is why only the first layer, the one that reads
+    X, is chunked.
+    """
+    rows = np.asarray(rows)
+    n = len(rows)
+    # "clip" below skips numpy's own check: make it here, once
+    if n and (rows.min() < 0 or rows.max() >= X.shape[0]):
+        raise IndexError(f"rows out of range for {X.shape[0]} rows")
+    size = max(1, CHUNK_FLOATS // X.shape[1])
+    bounds = [*range(0, max(n - size, 0) + 1, size), n]
+    out = np.empty((n, w.shape[1]), np.result_type(X.dtype, w.dtype))
+    buf = np.empty((n - bounds[-2], X.shape[1]), X.dtype)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        chunk = buf[:hi - lo]
+        np.take(X, rows[lo:hi], axis=0, out=chunk, mode="clip")
+        np.matmul(chunk, w, out=out[lo:hi])
+    return out
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -130,14 +168,17 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     a short last axis many times slower. A max is exact in any order, NaN
     included, and a +-0 tie only flips the sign of a zero that ``exp``
     maps to 1, so the output bits are those of the ``z.max(axis=1)`` form.
+    The exp and the division run in place in the one (n, k) array the
+    subtraction made, the same operations in the same order.
     """
     z = np.asarray(logits)
     top = z[:, :1].copy()
     for j in range(1, z.shape[1]):
         np.maximum(top, z[:, j:j + 1], out=top)
-    shifted = z - top
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = z - top
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 # ---------------------------------------------------------------------------

@@ -220,7 +220,8 @@ def _first_round_eval(pool: Pool, val: LabeledSet, hyp: LabeledSet,
         seed_set, _ = seed_query(tbal_cfg, pool, run_seed)
         model = train_round(tbal_cfg, seed_set, 1, run_seed)
     g, t_hat, *_ = fit_round(tbal_cfg, model, val, 1, run_seed)
-    top, preds = predicted_scores(g, *model.representations(hyp.features))
+    top, preds = predicted_scores(
+        g, *model.representations(hyp.dataset.features, hyp.indices))
     cov, err = empirical_metrics(t_hat, top, preds, hyp.labels)
     # an empty selection shows zero mistakes; it still loses on coverage
     return cov, 0.0 if err is None else err, model

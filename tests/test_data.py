@@ -451,6 +451,25 @@ def test_rawf32_missing_meta_key(tmp_path):
         al.load_dataset(path, "rawf32")
 
 
+@pytest.mark.parametrize("meta,line,what", [
+    ("n=10\nd=2\nk=4\nn=5\n", 4, "repeated key 'n'"),
+    ("n=10\n# sizes\nd=2\nd = 2\nk=4\n", 4, "repeated key 'd'"),
+    ("n=10\nd=2\nk=4\nsize=7\n", 4, "unknown key 'size'"),
+    ("N=10\nd=2\nk=4\n", 1, "unknown key 'N'"),
+], ids=["repeated-n", "repeated-d-spaced", "unknown-size", "unknown-case"])
+def test_rawf32_meta_refuses_repeated_and_unknown_keys(tmp_path, meta, line,
+                                                       what):
+    # a repeated key must not win silently, nor an unknown one be dropped:
+    # each is a typed error naming the key and its line
+    ds = four_blobs(n=10)
+    path = str(tmp_path / "blob.f32")
+    write_rawf32(ds, path)
+    open(path + ".meta", "w").write(meta)
+    with pytest.raises(al.DataFormatError,
+                       match=rf"\.meta:{line}: {what}$"):
+        al.load_dataset(path, "rawf32")
+
+
 @pytest.mark.parametrize("format", ["csv", "rawf32"])
 def test_a_labels_path_is_refused_where_the_data_holds_its_labels(tmp_path,
                                                                   format):

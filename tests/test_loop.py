@@ -254,9 +254,9 @@ def test_round_runs_the_classifier_once_per_set(monkeypatch, method):
     calls = []
     original = al.MlpClassifier.representations
 
-    def counted(self, X):
-        calls.append(np.array(X, copy=True))
-        return original(self, X)
+    def counted(self, X, rows=None):
+        calls.append(np.array(X if rows is None else X[rows], copy=True))
+        return original(self, X, rows)
 
     def same(a, b):
         return a.shape == b.shape and np.array_equal(a, b)
@@ -285,6 +285,29 @@ def test_round_runs_the_classifier_once_per_set(monkeypatch, method):
                 pool.dataset.features[np.setdiff1d(pool_rows, auto)])
         for rows in unrun:
             assert not any(same(c, rows) for c in calls)
+
+
+def test_a_run_copies_no_pool_or_validation_features(monkeypatch):
+    # the passes read their rows from the dataset: the pool's features are
+    # never gathered, and the only labeled sets gathered are training sets
+    pool, val = overlapping_world()
+    cfg = base_config()
+    assert len(val) > cfg.train_budget
+    read = []
+    original = al.LabeledSet.features
+
+    def refused(self):
+        raise AssertionError("Pool.features was read")
+
+    def recorded(self):
+        read.append(len(self))
+        return original.fget(self)
+
+    monkeypatch.setattr(al.Pool, "features", property(refused))
+    monkeypatch.setattr(al.LabeledSet, "features", property(recorded))
+    report = al.run_tbal(cfg, pool, val, SEED)
+    assert len(report.rounds) >= 2
+    assert read and max(read) <= cfg.train_budget
 
 
 def test_fit_round_deterministic():

@@ -1,10 +1,13 @@
+import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import autolabel as al
 from autolabel.mlp import (
+    CHUNK_FLOATS,
     _backprop,
     _backprop_work,
     _batch_dlogits,
@@ -123,6 +126,70 @@ def test_forward_dimension_mismatch():
         model.representations(np.zeros((1, 5)))
     with pytest.raises(ValueError):
         model.representations(np.zeros(3))  # one point is a (1, d) batch
+
+
+# ---------------------------------------------------------------------------
+# forward passes over rows of a dataset
+
+# the benchmark's two networks, then first layers whose products sit near
+# the sizes where OpenBLAS changes its sgemm kernel
+PASS_DIMS = [[784, 128, 10], [2, 64, 4], [784, 8, 2], [784, 2, 2], [64, 4, 3]]
+
+
+def pass_row_count(d: int, count: str) -> int:
+    size = CHUNK_FLOATS // d
+    return {"0": 0, "1": 1, "chunk-1": size - 1, "2chunks-1": 2 * size - 1,
+            "2chunks": 2 * size, "2chunks+1": 2 * size + 1,
+            "30000": 30000}[count]
+
+
+def digests(arrays):
+    return [(a.dtype, a.shape, hashlib.sha256(a).hexdigest()) for a in arrays]
+
+
+@pytest.mark.parametrize("count", ["0", "1", "chunk-1", "2chunks-1",
+                                   "2chunks", "2chunks+1", "30000"])
+@pytest.mark.parametrize("dims", PASS_DIMS, ids=lambda d: "-".join(map(str, d)))
+def test_a_pass_over_rows_equals_the_pass_over_the_gathered_rows(dims, count):
+    # the chunked first layer must give every row the bits the one product
+    # over X[rows] gives it; rows may repeat, so a small X serves every count
+    # (the 30,000 rows are sorted, as a pool's are). Compared by digest: at
+    # d = 2 two chunks are a million rows.
+    n = pass_row_count(dims[0], count)
+    model = init_mlp(dims, 5)
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((3000, dims[0]), dtype=np.float32)
+    rows = rng.integers(0, len(X), n)
+    if count == "30000":
+        rows.sort()
+    want = digests(model.representations(X[rows]))
+    assert digests(model.representations(X, rows)) == want
+
+
+@pytest.mark.parametrize("bad", [-1, 3000, -3001])
+def test_a_pass_refuses_rows_outside_the_data(bad):
+    # the gathers skip numpy's index check, so the pass makes its own: a
+    # negative row is refused too, though X[-1] would be the last row
+    model = init_mlp([784, 8, 2], 0)
+    X = np.zeros((3000, 784), dtype=np.float32)
+    with pytest.raises(IndexError, match="out of range"):
+        model.representations(X, np.array([0, bad, 1]))
+
+
+def test_a_30000_row_pass_over_784_features_peaks_below_40_mb():
+    # the rows gathered at once would be 94 MB; the pass holds its layer
+    # outputs (16.6 MB) and a chunk buffer of at most two chunks (8.4 MB)
+    model = init_mlp([784, 128, 10], 0)
+    rng = np.random.default_rng(2)
+    X = rng.standard_normal((3000, 784), dtype=np.float32)
+    rows = np.sort(rng.integers(0, len(X), 30000))
+    tracemalloc.start()
+    try:
+        model.representations(X, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_model_shape_validation():

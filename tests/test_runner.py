@@ -301,9 +301,9 @@ def test_run_scores_validation_once_per_round(monkeypatch, tmp_path):
     calls = []
     original = al.MlpClassifier.representations
 
-    def counted(self, X):
-        calls.append(np.array(X, copy=True))
-        return original(self, X)
+    def counted(self, X, rows=None):
+        calls.append(np.array(X if rows is None else X[rows], copy=True))
+        return original(self, X, rows)
 
     monkeypatch.setattr(al.MlpClassifier, "representations", counted)
     al.run_experiment(cfg)
@@ -410,9 +410,9 @@ def test_first_round_eval_runs_the_classifier_once_over_hyp(
     calls = []
     original = al.MlpClassifier.representations
 
-    def counted(self, X):
-        calls.append(np.array(X, copy=True))
-        return original(self, X)
+    def counted(self, X, rows=None):
+        calls.append(np.array(X if rows is None else X[rows], copy=True))
+        return original(self, X, rows)
 
     def passes(X):
         return sum(c.shape == X.shape and np.array_equal(c, X) for c in calls)
