@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledSet
-from .mlp import _check_fields, _flat_views, softmax
+from .mlp import _check_fields, _epoch_batches, _flat_views, softmax
 from .rng import stream
 
 
@@ -330,12 +330,12 @@ def fit_confidence_net(logits: np.ndarray, penultimate: np.ndarray,
     each epoch's mini-batch shuffle are drawn from ``seed``'s streams;
     weight decay is decoupled and applied to the weight matrices only.
 
-    Every step writes into buffers made once per fit: the batch's rows are
-    gathered into batch-sized buffers, ``objective_grad`` keeps its
-    activations in two scratch buffers and writes the gradient into views
-    of one flat W1|W2|t_raw buffer, and the Adam moments and update are
-    computed in two more, with the float32 operations of the per-tensor
-    update in the same order.
+    Every step writes into buffers made once per fit: ``_epoch_batches``
+    gives the shuffled batches of features, predictions and mistakes,
+    ``objective_grad`` keeps its activations in two scratch buffers and
+    writes the gradient into views of one flat W1|W2|t_raw buffer, and the
+    Adam moments and update are computed in two more, with the float32
+    operations of the per-tensor update in the same order.
     """
     if len(labels) == 0:
         raise ValueError("empty calibration set")
@@ -357,50 +357,37 @@ def fit_confidence_net(logits: np.ndarray, penultimate: np.ndarray,
     sec = np.zeros_like(theta)
     num = np.empty_like(theta)
     den = np.empty_like(theta)
-    n = Z.shape[0]
-    rows = min(n, cfg.batch_size)
-    shape = (rows, init.W1.shape[1])
+    shape = (min(len(Z), cfg.batch_size), init.W1.shape[1])
     work = (np.empty(shape, Z.dtype), np.empty(shape, Z.dtype))
-    # the calibration set can be large: gather each batch into buffers of
-    # one batch, not each epoch into a copy of the set
-    Zb, preds_b, wrong_b = (np.empty((rows, *a.shape[1:]), a.dtype)
-                            for a in (Z, preds, wrong))
     b1, b2, adam_eps = 0.9, 0.999, 1e-8
     lr = np.float32(cfg.learning_rate)
     wd = np.float32(cfg.weight_decay)
     step = 0
-    for epoch in range(cfg.max_epochs):
-        order = stream(seed, "shuffle", epoch).permutation(n)
-        for lo in range(0, n, cfg.batch_size):
-            batch = order[lo:lo + cfg.batch_size]
-            mb = batch.size
-            for a, b in ((Z, Zb), (preds, preds_b), (wrong, wrong_b)):
-                # a permutation is in range: "clip" skips the checking copy
-                np.take(a, batch, axis=0, out=b[:mb], mode="clip")
-            objective_grad(params, Zb[:mb], preds_b[:mb], wrong_b[:mb],
-                           cfg.lam, cfg.alpha, cfg.denom_epsilon, out=grads,
-                           work=work)
-            step += 1
-            c1 = np.float32(1.0 - b1 ** step)
-            c2 = np.float32(1.0 - b2 ** step)
-            mom *= np.float32(b1)
-            np.multiply(np.float32(1 - b1), grad, out=num)
-            mom += num
-            sec *= np.float32(b2)
-            np.multiply(np.float32(1 - b2), grad, out=num)
-            num *= grad
-            sec += num
-            # lr * (mom / c1) / (sqrt(sec / c2) + eps)
-            np.divide(mom, c1, out=num)
-            np.multiply(lr, num, out=num)
-            np.divide(sec, c2, out=den)
-            np.sqrt(den, out=den)
-            den += np.float32(adam_eps)
-            num /= den
-            theta -= num
-            if wd > 0:
-                np.multiply(lr * wd, weights, out=num[:nw])
-                weights -= num[:nw]
+    for Zb, preds_b, wrong_b in _epoch_batches(
+            (Z, preds, wrong), cfg.batch_size, cfg.max_epochs, seed):
+        objective_grad(params, Zb, preds_b, wrong_b, cfg.lam, cfg.alpha,
+                       cfg.denom_epsilon, out=grads, work=work)
+        step += 1
+        c1 = np.float32(1.0 - b1 ** step)
+        c2 = np.float32(1.0 - b2 ** step)
+        mom *= np.float32(b1)
+        np.multiply(np.float32(1 - b1), grad, out=num)
+        mom += num
+        sec *= np.float32(b2)
+        np.multiply(np.float32(1 - b2), grad, out=num)
+        num *= grad
+        sec += num
+        # lr * (mom / c1) / (sqrt(sec / c2) + eps)
+        np.divide(mom, c1, out=num)
+        np.multiply(lr, num, out=num)
+        np.divide(sec, c2, out=den)
+        np.sqrt(den, out=den)
+        den += np.float32(adam_eps)
+        num /= den
+        theta -= num
+        if wd > 0:
+            np.multiply(lr * wd, weights, out=num[:nw])
+            weights -= num[:nw]
     return ConfidenceNet(params.copy())
 
 

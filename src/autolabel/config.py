@@ -245,20 +245,14 @@ def _parse_dataset(sec: _Section, base_dir: str):
             f"{sec.path}.labels_path: only the idx format reads a separate "
             f"labels file; {fmt} carries its own labels"
         )
-    resolved = path if os.path.isabs(path) else os.path.join(base_dir, path)
-    if not os.path.exists(resolved):
-        raise ConfigError(f"{sec.path}.path: no such file {resolved!r}")
-    if labels_path is not None:
-        labels_resolved = (labels_path if os.path.isabs(labels_path)
-                           else os.path.join(base_dir, labels_path))
-        if not os.path.exists(labels_resolved):
-            raise ConfigError(
-                f"{sec.path}.labels_path: no such file {labels_resolved!r}"
-            )
-    else:
-        labels_resolved = None
-    return FileSpec(resolved, fmt, num_classes, labels_resolved, pool_size,
-                    val_size, hyp_size)
+    # os.path.join keeps an absolute name as it is
+    files = {key: os.path.join(base_dir, name) for key, name in
+             (("path", path), ("labels_path", labels_path)) if name is not None}
+    for key, resolved in files.items():
+        if not os.path.exists(resolved):
+            raise ConfigError(f"{sec.path}.{key}: no such file {resolved!r}")
+    return FileSpec(files["path"], fmt, num_classes, files.get("labels_path"),
+                    pool_size, val_size, hyp_size)
 
 
 @functools.cache
@@ -387,11 +381,14 @@ def parse_config_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
         raise RangeError(
             "config.dataset.hyp_size: must be >= 1 when hpo is configured"
         )
-    if not os.path.isabs(output_dir):
-        output_dir = os.path.join(base_dir, output_dir)
+    if tbal.seed_size > dataset.pool_size:
+        raise RangeError(
+            f"config.tbal.seed_size: {tbal.seed_size} exceeds "
+            f"dataset.pool_size {dataset.pool_size}"
+        )
     return ExperimentConfig(dataset=dataset, tbal=tbal, repeats=repeats,
-                            output_dir=output_dir, master_seed=master_seed,
-                            hpo=hpo)
+                            output_dir=os.path.join(base_dir, output_dir),
+                            master_seed=master_seed, hpo=hpo)
 
 
 def parse_config(path: str) -> ExperimentConfig:

@@ -48,7 +48,6 @@ from .rng import child_seed
 from .thresholds import (
     ThresholdConfig,
     ThresholdVector,
-    empirical_metrics,
     estimate_thresholds,
     predicted_scores,
 )
@@ -126,7 +125,9 @@ class RoundRecord:
 class TbalReport:
     """A run's rounds and its output: every labeled point, in labeling
     order, with its source ("human" or "auto") and the round that labeled
-    it (0 for the seed set)."""
+    it (0 for the seed set). ``final_error`` is the rounds' mistakes over
+    their auto-labels, ``final_coverage`` their auto-labels over the
+    initial pool."""
 
     rounds: "list[RoundRecord]"
     output: LabeledSet
@@ -276,6 +277,8 @@ def run_tbal(cfg: TbalConfig, initial_pool: Pool, d_val: LabeledSet,
     val = d_val
     records: list[RoundRecord] = []
     warnings: list[str] = []
+    # auto-labels and mistakes over all rounds
+    total_auto = total_wrong = 0
     i = 1
     while pool.size > 0:
         if len(val) < 2:
@@ -293,10 +296,13 @@ def run_tbal(cfg: TbalConfig, initial_pool: Pool, d_val: LabeledSet,
         logits, penultimate = model.representations(data.features,
                                                     pool.active)
         top, preds = predicted_scores(g, logits, penultimate)
-        # truth is read here to score the round, never to choose its labels
-        coverage, auto_err = empirical_metrics(
-            t_hat, top, preds, data.hidden_labels[pool.active])
         auto_set, pool, left = auto_label_select(t_hat, pool, top, preds)
+        n_auto = len(auto_set)
+        # truth is read here to score the round, never to choose its labels
+        wrong = int(np.count_nonzero(
+            auto_set.labels != data.hidden_labels[auto_set.indices]))
+        total_auto += n_auto
+        total_wrong += wrong
         val = filter_validation(t_hat, val, val_top, val_preds)
         n_train = len(d_train)
         if pool.size > 0 and n_train + cfg.query_batch <= cfg.train_budget:
@@ -314,11 +320,11 @@ def run_tbal(cfg: TbalConfig, initial_pool: Pool, d_val: LabeledSet,
             n_cal=len(cal),
             n_th=len(th),
             thresholds=t_hat,
-            n_auto=len(auto_set),
+            n_auto=n_auto,
             n_queried=len(query),
             n_pool_remaining=pool.size,
-            auto_error=auto_err,
-            auto_coverage=coverage,
+            auto_error=wrong / n_auto if n_auto else None,
+            auto_coverage=n_auto / len(top),  # of the pool it started with
         ))
         if not len(query):
             break
@@ -327,22 +333,14 @@ def run_tbal(cfg: TbalConfig, initial_pool: Pool, d_val: LabeledSet,
     sizes = [len(s) for s in sets]
     out = LabeledSet(data, np.concatenate([s.indices for s in sets]),
                      np.concatenate([s.labels for s in sets]))
-    sources, stamps = np.repeat(sources, sizes), np.repeat(stamps, sizes)
-    auto_mask = sources == "auto"
-    n_auto = int(auto_mask.sum())
-    if n_auto:
-        truth = data.hidden_labels[out.indices[auto_mask]]
-        final_error = float(np.mean(out.labels[auto_mask] != truth))
-    else:
-        final_error = None
     return TbalReport(
         rounds=records,
         output=out,
-        output_sources=sources,
-        output_rounds=stamps,
+        output_sources=np.repeat(sources, sizes),
+        output_rounds=np.repeat(stamps, sizes),
         n_initial_pool=initial_pool.size,
-        final_error=final_error,
-        final_coverage=n_auto / initial_pool.size,
+        final_error=total_wrong / total_auto if total_auto else None,
+        final_coverage=total_auto / initial_pool.size,
         warnings=warnings,
     )
 

@@ -263,6 +263,28 @@ def _flat_views(buf: np.ndarray, shapes) -> "list[np.ndarray]":
     return views
 
 
+def _epoch_batches(arrays, batch_size: int, epochs: int, seed: int):
+    """Each batch of ``epochs`` shuffled passes over ``arrays`` (which share
+    their row count n), as one view per array.
+
+    Epoch e copies each array in the order
+    ``stream(seed, "shuffle", e).permutation(n)`` into a buffer made once
+    and yields its batches of ``batch_size`` rows (the last may be short).
+    The views are made once too, so a batch holds its rows only until the
+    next epoch starts.
+    """
+    n = len(arrays[0])
+    bufs = [np.empty(a.shape, a.dtype) for a in arrays]
+    batches = [tuple(b[lo:lo + batch_size] for b in bufs)
+               for lo in range(0, n, batch_size)]
+    for epoch in range(epochs):
+        order = stream(seed, "shuffle", epoch).permutation(n)
+        for a, b in zip(arrays, bufs):
+            # a permutation is in range: "clip" skips the checking copy
+            np.take(a, order, axis=0, out=b, mode="clip")
+        yield from batches
+
+
 def train_model(config: TrainConfig, train_set: LabeledSet, hidden,
                 seed: int) -> MlpClassifier:
     """Mini-batch SGD with momentum and decoupled weight decay.
@@ -281,12 +303,10 @@ def train_model(config: TrainConfig, train_set: LabeledSet, hidden,
     never folded into the gradient (decoupled). Weights, biases, velocities
     and gradients each live in one flat float32 buffer, and the step is
     written over the gradient once the velocity has taken it. The targets
-    are float32 one-hot rows, made once per fit; every epoch copies the
-    features and targets in shuffled order into two buffers. Batch
-    boundaries depend only on the row count and the batch size, so the
-    fit's batch plan is made once: each batch's slices of those buffers and
-    its scratch (``_backprop_work``; full batches share one, a short last
-    batch has its own). A step then only runs numpy calls on arrays it
+    are float32 one-hot rows, made once per fit, and ``_epoch_batches``
+    gives the shuffled batches of features and targets. Each batch size
+    has its scratch (``_backprop_work``; full batches share one, a short
+    last batch has its own), so a step only runs numpy calls on arrays it
     already has. Each element sees the float32 operations of a per-layer
     update in the same order, so the result is bit-identical. The decay
     term is computed only when weight_decay > 0. Leaving it out is exact:
@@ -312,32 +332,21 @@ def train_model(config: TrainConfig, train_set: LabeledSet, hidden,
     X = np.ascontiguousarray(train_set.features, dtype=np.float32)
     onehot = np.eye(data.num_classes, dtype=params.dtype)[train_set.labels]
     m, size = X.shape[0], config.batch_size
-    Xs, Ys = np.empty_like(X), np.empty_like(onehot)
-    starts = range(0, m, size)
     works = {rows: _backprop_work(model, rows, params.dtype)
-             for rows in {min(size, m - lo) for lo in starts}}
-    plan = [(Xs[lo:lo + size], Ys[lo:lo + size], works[min(size, m - lo)])
-            for lo in starts]
+             for rows in {min(size, m - lo) for lo in range(0, m, size)}}
     kind = config.loss
     lr = np.float32(config.learning_rate)
     mu = np.float32(config.momentum)
     lr_wd = lr * np.float32(config.weight_decay)
-    for epoch in range(config.max_epochs):
-        order = stream(seed, "shuffle", epoch).permutation(m)
-        # a training set is at most the label budget: copy it in shuffled
-        # order once per epoch and slice the batches; "clip" skips the
-        # checking copy, and a permutation is in range
-        np.take(X, order, axis=0, out=Xs, mode="clip")
-        np.take(onehot, order, axis=0, out=Ys, mode="clip")
-        for Xb, Yb, work in plan:
-            _backprop(model, Xb, Yb, kind, out=grads, work=work)
-            vel *= mu
-            vel += grad
-            np.multiply(lr, vel, out=grad)
-            if lr_wd > 0:
-                np.multiply(lr_wd, params, out=decay)
-                grad += decay
-            params -= grad
+    for Xb, Yb in _epoch_batches((X, onehot), size, config.max_epochs, seed):
+        _backprop(model, Xb, Yb, kind, out=grads, work=works[len(Xb)])
+        vel *= mu
+        vel += grad
+        np.multiply(lr, vel, out=grad)
+        if lr_wd > 0:
+            np.multiply(lr_wd, params, out=decay)
+            grad += decay
+        params -= grad
     return MlpClassifier([w.copy() for w in model.weights],
                          [b.copy() for b in model.biases])
 

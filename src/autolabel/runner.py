@@ -212,19 +212,22 @@ def _first_round_eval(pool: Pool, val: LabeledSet, hyp: LabeledSet,
                       tbal_cfg: TbalConfig, run_seed: int, model):
     """Seed-query + one fit round, scored on the held-out hyp split.
 
-    Returns (coverage, error, the round's classifier). ``model``, when not
-    None, is that classifier already trained: the round trains on the seed
-    set alone, so it depends only on ``run_seed`` and the training config.
+    ``model``, when not None, is the round's classifier already trained:
+    the round trains on the seed set alone, so it depends only on
+    ``run_seed`` and the training config. Returns (coverage, error, the
+    classifier this call trained, or None when it was given one), so no
+    classifier is sent back to the process that already holds it.
     """
+    trained = None
     if model is None:
         seed_set, _ = seed_query(tbal_cfg, pool, run_seed)
-        model = train_round(tbal_cfg, seed_set, 1, run_seed)
+        model = trained = train_round(tbal_cfg, seed_set, 1, run_seed)
     g, t_hat, *_ = fit_round(tbal_cfg, model, val, 1, run_seed)
     top, preds = predicted_scores(
         g, *model.representations(hyp.dataset.features, hyp.indices))
     cov, err = empirical_metrics(t_hat, top, preds, hyp.labels)
     # an empty selection shows zero mistakes; it still loses on coverage
-    return cov, 0.0 if err is None else err, model
+    return cov, 0.0 if err is None else err, trained
 
 
 def _select(records: "list[dict]", eps_a: float, tie_seed: int,

@@ -65,3 +65,18 @@ def test_every_definition_is_used_inside_the_package():
         and uses[node.name] == sum(name == node.name for name in reads(node))
     ]
     assert unused == [], f"defined but run by nothing in the package: {unused}"
+
+
+def test_one_function_draws_the_shuffle_stream():
+    # both fits take their batches from one epoch schedule
+    def tags(tree):
+        return sum(isinstance(node, ast.Constant) and node.value == "shuffle"
+                   for node in ast.walk(tree))
+
+    trees = {path.name: ast.parse(path.read_text())
+             for path in SRC.glob("*.py")}
+    assert sum(map(tags, trees.values())) == 1
+    owner, = (node for node in ast.walk(trees["mlp.py"])
+              if isinstance(node, ast.FunctionDef)
+              and node.name == "_epoch_batches")
+    assert tags(owner) == 1

@@ -108,6 +108,19 @@ def test_labels_path_on_csv_exit_1(tmp_path, capsys):
     assert "config.dataset.labels_path" in capsys.readouterr().err
 
 
+def test_seed_set_larger_than_the_pool_exit_1(tmp_path, capsys):
+    # a run that could never start is refused before any output is made
+    cfg = write_config(
+        tmp_path,
+        dataset={"kind": "synthetic", "classes": 2, "dim": 2,
+                 "means": [[-8.0, 0.0], [8.0, 0.0]], "sigma": 0.6,
+                 "pool_size": 10, "val_size": 40},
+        tbal={"train_budget": 30, "seed_size": 20, "query_batch": 10})
+    assert main(["run", "--config", cfg]) == 1
+    assert "config error: config.tbal.seed_size" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_existing_output_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["run", "--config", cfg]) == 0

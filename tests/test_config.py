@@ -379,7 +379,7 @@ def test_file_dataset_path_resolution(tmp_path):
     data = tmp_path / "points.csv"
     data.write_text("0.0,1.0,0\n1.0,0.0,1\n")
     d = doc(dataset={"kind": "file", "path": "points.csv", "format": "csv",
-                     "pool_size": 1, "val_size": 2})
+                     "pool_size": 1, "val_size": 2}, **{"tbal.seed_size": 1})
     cfg = parse_config_dict(d, base_dir=str(tmp_path))
     assert cfg.dataset.path == str(data)
     assert cfg.dataset.format == "csv"
@@ -400,6 +400,27 @@ def test_file_dataset_path_resolution(tmp_path):
     with_labels["dataset"]["labels_path"] = "missing-labels.idx"
     with pytest.raises(ConfigError, match="labels_path"):
         parse_config_dict(with_labels, base_dir=str(tmp_path))
+
+
+def test_absolute_names_pass_through_unchanged(tmp_path):
+    points, labels = tmp_path / "points.idx", tmp_path / "labels.idx"
+    points.write_bytes(b"")
+    labels.write_bytes(b"")
+    d = doc(dataset={"kind": "file", "path": str(points), "format": "idx",
+                     "labels_path": str(labels), "pool_size": 1,
+                     "val_size": 2},
+            output_dir=str(tmp_path / "out"), **{"tbal.seed_size": 1})
+    cfg = parse_config_dict(d, base_dir="/nowhere")
+    assert (cfg.dataset.path, cfg.dataset.labels_path, cfg.output_dir) \
+        == (str(points), str(labels), str(tmp_path / "out"))
+
+
+def test_a_seed_set_larger_than_the_pool_is_refused():
+    with pytest.raises(RangeError, match=r"^config\.tbal\.seed_size: 30 "
+                                         r"exceeds dataset\.pool_size 29$"):
+        parse_config_dict(doc(**{"dataset.pool_size": 29}))
+    assert parse_config_dict(doc(**{"dataset.pool_size": 30})).tbal \
+        .seed_size == 30
 
 
 @pytest.mark.parametrize("setting", [
@@ -476,7 +497,7 @@ def test_labels_path_is_rejected_outside_idx(tmp_path, fmt):
     (tmp_path / "labels.bin").write_bytes(b"not a label file")
     d = doc(dataset={"kind": "file", "path": "points", "format": fmt,
                      "labels_path": "labels.bin", "pool_size": 1,
-                     "val_size": 2})
+                     "val_size": 2}, **{"tbal.seed_size": 1})
     with pytest.raises(RangeError, match=r"config\.dataset\.labels_path"):
         parse_config_dict(d, base_dir=str(tmp_path))
     d["dataset"]["format"] = "idx"

@@ -12,8 +12,10 @@ from autolabel.mlp import (
     _backprop_work,
     _batch_dlogits,
     _dlogits_work,
+    _epoch_batches,
     init_mlp,
 )
+from autolabel.rng import stream
 from numcheck import backprop_scratch, central_difference, relative_error
 
 from conftest import four_blobs, label_everything, scored
@@ -335,6 +337,29 @@ def test_batch_dlogits_leaves_its_logits_untouched():
 
 # ---------------------------------------------------------------------------
 # training
+
+
+@pytest.mark.parametrize("n", [5, 8, 17])
+def test_epoch_batches_follow_each_epochs_shuffle(n):
+    # batch 8: fewer rows than a batch, exactly one batch, and two batches
+    # and a one-row tail; every array is cut the same way
+    batch, epochs, seed = 8, 2, 23
+    arrays = (np.arange(n * 3, dtype=np.float32).reshape(n, 3),
+              np.arange(n) * 10, np.arange(n) % 2 == 0)
+    # a batch holds its rows only until the next epoch starts: copy it
+    got = [[v.copy() for v in views]
+           for views in _epoch_batches(arrays, batch, epochs, seed)]
+    sizes = [min(batch, n - lo) for lo in range(0, n, batch)]
+    assert len(got) == epochs * len(sizes)
+    for epoch in range(epochs):
+        mine = got[epoch * len(sizes):(epoch + 1) * len(sizes)]
+        assert [len(views[0]) for views in mine] == sizes
+        order = stream(seed, "shuffle", epoch).permutation(n)
+        for j, a in enumerate(arrays):
+            joined = np.concatenate([views[j] for views in mine])
+            assert joined.dtype == a.dtype
+            assert np.array_equal(joined, a[order])
+    assert list(_epoch_batches(arrays, batch, 0, seed)) == []
 
 
 def test_train_separable_reaches_full_accuracy():

@@ -90,6 +90,7 @@ def test_materialize_file_too_small(tmp_path):
     d = copy.deepcopy(SEPARABLE)
     d["dataset"] = {"kind": "file", "path": "tiny.csv", "format": "csv",
                     "pool_size": 10, "val_size": 5}
+    d["tbal"].update(train_budget=10, seed_size=10)
     d["output_dir"] = "out"
     cfg = parse_config_dict(d, base_dir=str(tmp_path))
     with pytest.raises(ValueError, match="asks for"):
@@ -230,10 +231,10 @@ def test_parallel_hpo_matches_serial(tmp_path):
 def recording_executor(monkeypatch):
     """Stands in for ProcessPoolExecutor and maps in this process, so no
     worker is ever started. Returns the record: each pool's
-    ``max_workers`` under "made", and every argument tuple a pool's map
-    call sends under "sent"."""
+    ``max_workers`` under "made", every argument tuple a pool's map call
+    sends under "sent", and every result it sends back under "returned"."""
     from autolabel import runner
-    record = {"made": [], "sent": []}
+    record = {"made": [], "sent": [], "returned": []}
     # the initializer sets this process's copy of the shared arguments
     monkeypatch.setattr(runner, "_SHARED", ())
 
@@ -251,7 +252,9 @@ def recording_executor(monkeypatch):
         def map(self, fn, *iterables):
             sent = list(zip(*iterables))
             record["sent"] += sent
-            return [fn(*args) for args in sent]
+            returned = [fn(*args) for args in sent]
+            record["returned"] += returned
+            return returned
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingExecutor)
@@ -292,6 +295,19 @@ def test_parallel_tasks_send_no_data(recording_executor, tmp_path):
     for args in sent:
         _RefuseData().dump(args)
 
+
+
+def test_only_phase_one_sends_classifiers_back(recording_executor, tmp_path):
+    # phase two scores its combos on classifiers the parent already holds
+    cfg = hpo_experiment(tmp_path)
+    al.hyperparameter_search(cfg, jobs=2)
+    returned = recording_executor["returned"]
+    phase_one = 2 * cfg.repeats  # two train combos, each over every repeat
+    assert len(returned) == phase_one + 2 * cfg.repeats
+    assert all(isinstance(model, al.MlpClassifier)
+               for *_, model in returned[:phase_one])
+    assert not any(isinstance(value, al.MlpClassifier)
+                   for result in returned[phase_one:] for value in result)
 
 
 def test_run_scores_validation_once_per_round(monkeypatch, tmp_path):
