@@ -180,7 +180,7 @@ class TopLabelBinningConfig:
     points_per_bin: int = 25
 
     def __post_init__(self):
-        _check_fields(self, integers=("points_per_bin",))
+        _check_fields(self)
         if self.points_per_bin < 1:
             raise ValueError("points_per_bin must be >= 1")
 
@@ -223,9 +223,7 @@ class ConfidenceNetConfig:
     denom_epsilon: float = 1e-8
 
     def __post_init__(self):
-        _check_fields(self, finite=("lam", "alpha", "learning_rate",
-                                    "weight_decay", "denom_epsilon"),
-                      integers=("batch_size", "max_epochs"))
+        _check_fields(self)
         for name in ("lam", "alpha", "learning_rate", "denom_epsilon"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")

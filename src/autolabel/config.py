@@ -10,25 +10,25 @@ The config dataclasses are the schema of the sections they are built from
 posthoc and the hpo grids have one class each): a section's keys are its
 class's int, float and str fields, a key left out takes the field's
 default, and the class's own checks give the ranges; the posthoc section's
-"method" names its class. The parser checks types, finiteness and unknown
-or missing keys, and the ranges of the keys no class holds.
+"method" names its class. A field's type is its annotation, which the
+parser reads (``mlp._keys``) and the class checks (``mlp._check_fields``).
+The parser checks types, finiteness and unknown or missing keys, and the
+ranges of the keys no class holds.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 import os
-import typing
 from dataclasses import dataclass
 
 import numpy as np
 
 from .confidence import POSTHOC_CONFIGS
 from .loop import TbalConfig
-from .mlp import TrainConfig, _check_fields
+from .mlp import TrainConfig, _check_fields, _keys
 from .thresholds import ThresholdConfig, uniform_grid
 
 
@@ -90,54 +90,44 @@ class _Section:
         self.path = path
         self.seen: set = set()
 
-    def _fetch(self, key, default):
+    def _fetch(self, key, default, read):
+        """``read(value, path)`` of the value at ``key``, or ``default``
+        when the key is absent; a required key must be present."""
         if key not in self.mapping:
             if default is _REQUIRED:
                 raise MissingKeyError(f"{self.path}.{key}: required key missing")
-            return default, False
+            return default
         self.seen.add(key)
-        return self.mapping[key], True
+        return read(self.mapping[key], f"{self.path}.{key}")
 
     def number(self, key, default=_REQUIRED, lo=None, integer=False):
-        val, present = self._fetch(key, default)
-        if not present:
-            return val
-        return _number(val, f"{self.path}.{key}", integer, lo)
+        return self._fetch(key, default,
+                           lambda val, path: _number(val, path, integer, lo))
 
     def string(self, key, default=_REQUIRED, choices=None):
-        val, present = self._fetch(key, default)
-        if not present:
+        def read(val, path):
+            if not isinstance(val, str):
+                raise TypeMismatchError(f"{path}: expected a string")
+            if choices is not None and val not in choices:
+                raise RangeError(
+                    f"{path}: {val!r} not one of {sorted(choices)}")
             return val
-        if not isinstance(val, str):
-            raise TypeMismatchError(f"{self.path}.{key}: expected a string")
-        if choices is not None and val not in choices:
-            raise RangeError(
-                f"{self.path}.{key}: {val!r} not one of {sorted(choices)}"
-            )
-        return val
+        return self._fetch(key, default, read)
 
     def list_of_numbers(self, key, default=_REQUIRED, integer=False, lo=None):
-        val, present = self._fetch(key, default)
-        if not present:
-            return val
-        if not isinstance(val, list) or not val:
-            raise TypeMismatchError(
-                f"{self.path}.{key}: expected a non-empty list"
-            )
-        return [_number(v, f"{self.path}.{key}[{i}]", integer, lo)
-                for i, v in enumerate(val)]
+        def read(val, path):
+            if not isinstance(val, list) or not val:
+                raise TypeMismatchError(f"{path}: expected a non-empty list")
+            return [_number(v, f"{path}[{i}]", integer, lo)
+                    for i, v in enumerate(val)]
+        return self._fetch(key, default, read)
 
     def raw(self, key, default=_REQUIRED):
-        val, _ = self._fetch(key, default)
-        return val
+        return self._fetch(key, default, lambda val, path: val)
 
     def section(self, key, required=True):
-        if key not in self.mapping:
-            if required:
-                raise MissingKeyError(f"{self.path}.{key}: required key missing")
-            return None
-        self.seen.add(key)
-        return _Section(self.mapping[key], f"{self.path}.{key}")
+        # an explicit null is not an object: _Section refuses it
+        return self._fetch(key, _REQUIRED if required else None, _Section)
 
     def finish(self):
         unknown = sorted(set(self.mapping) - self.seen)
@@ -187,7 +177,7 @@ class ExperimentConfig:
     hpo: HpoSpec | None
 
     def __post_init__(self):
-        _check_fields(self, integers=("repeats",))
+        _check_fields(self)
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
 
@@ -253,15 +243,6 @@ def _parse_dataset(sec: _Section, base_dir: str):
             raise ConfigError(f"{sec.path}.{key}: no such file {resolved!r}")
     return FileSpec(files["path"], fmt, num_classes, files.get("labels_path"),
                     pool_size, val_size, hyp_size)
-
-
-@functools.cache
-def _keys(cls) -> dict:
-    """{key: int, float or str} for each config key of config class cls:
-    its fields of those types, in field order."""
-    types = typing.get_type_hints(cls)
-    return {f.name: types[f.name] for f in dataclasses.fields(cls)
-            if types[f.name] in (int, float, str)}
 
 
 def _build(sec: _Section, cls, **extra):

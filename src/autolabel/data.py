@@ -269,36 +269,32 @@ def synth_gaussian_mixture(num_classes: int, dim: int, means, sigma: float,
 # loaders
 
 
-def _read_exact(f, count: int, what: str) -> bytes:
-    buf = f.read(count)
-    if len(buf) != count:
-        raise TruncatedPayloadError(
-            f"{what}: expected {count} bytes, file ended after {len(buf)}"
-        )
-    return buf
+def _mapped(path: str):
+    """The whole file at ``path`` as a read-only buffer over a map of it;
+    an empty file, which cannot be mapped, gives ``b""``.
 
-
-def _map_exact(path: str, offset: int, count: int, what: str, trailing: str):
-    """The ``count`` bytes after the file's first ``offset``, which must end
-    the file, as a read-only buffer over a map of it.
-
-    Sizes come from ``os.fstat`` and raise as ``_read_exact`` would; nothing
-    is read here. An array over the map keeps it open and pages the file in
-    as it is read, so a gather from it copies each byte once. An empty
-    payload is not mapped and gives an empty buffer.
+    Nothing is read here. An array over the map keeps it open and pages the
+    file in as it is read, so a gather from it copies each byte once.
     """
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size - offset
-        if not 0 <= count <= size:
-            raise TruncatedPayloadError(
-                f"{what}: expected {count} bytes, file ended after {size}"
-            )
-        if size > count:
-            raise DataFormatError(f"trailing bytes after {trailing}")
-        if count == 0:
+        if os.fstat(f.fileno()).st_size == 0:
             return b""
-        mapped = mmap.mmap(f.fileno(), offset + count, access=mmap.ACCESS_READ)
-        return memoryview(mapped)[offset:]
+        return memoryview(mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ))
+
+
+def _exact(buf, offset: int, count: int, what: str, trailing=None):
+    """``buf[offset:offset + count]``; a ``buf`` that ends before it is a
+    TruncatedPayloadError naming ``what``. Given ``trailing``, the slice
+    must end ``buf``, and a byte after it is an error naming ``trailing``.
+    """
+    size = len(buf) - offset
+    if count > size:
+        raise TruncatedPayloadError(
+            f"{what}: expected {count} bytes, file ended after {size}"
+        )
+    if trailing is not None and size > count:
+        raise DataFormatError(f"trailing bytes after {trailing}")
+    return buf[offset:offset + count]
 
 
 def _load_idx_file(path: str, magic: int, what: str) -> np.ndarray:
@@ -306,24 +302,24 @@ def _load_idx_file(path: str, magic: int, what: str) -> np.ndarray:
 
     The magic's low byte is the number of big-endian int32 dims after it;
     the first dim counts the items. ``what`` ("image" or "label") names the
-    file in every error.
+    file in every error. The header and the payload are slices of one map
+    of the file.
     """
     ndim = magic & 0xFF
-    with open(path, "rb") as f:
-        got, = struct.unpack(">i", _read_exact(f, 4, f"idx {what} header"))
-        if got != magic:
-            raise MagicNumberError(
-                f"bad {what} magic 0x{got & 0xFFFFFFFF:08x}, "
-                f"want 0x{magic:08x}"
-            )
-        dims = struct.unpack(f">{ndim}i",
-                             _read_exact(f, 4 * ndim, f"idx {what} header"))
+    buf = _mapped(path)
+    got, = struct.unpack(">i", _exact(buf, 0, 4, f"idx {what} header"))
+    if got != magic:
+        raise MagicNumberError(
+            f"bad {what} magic 0x{got & 0xFFFFFFFF:08x}, want 0x{magic:08x}"
+        )
+    dims = struct.unpack(f">{ndim}i",
+                         _exact(buf, 4, 4 * ndim, f"idx {what} header"))
     if ndim == 1 and dims[0] < 0:
         raise DataFormatError(f"negative idx {what} count {dims[0]}")
     if dims[0] < 0 or min(dims[1:], default=1) <= 0:
         raise DataFormatError(f"bad idx dims {'x'.join(map(str, dims))}")
-    payload = _map_exact(path, 4 + 4 * ndim, math.prod(dims),
-                         f"idx {what} payload", f"idx {what} payload")
+    payload = _exact(buf, 4 + 4 * ndim, math.prod(dims),
+                     f"idx {what} payload", f"idx {what} payload")
     return np.frombuffer(payload, dtype=np.uint8).reshape(
         dims[0], math.prod(dims[1:]))
 
@@ -446,12 +442,11 @@ def _load_rawf32(path: str, num_classes, labels_path) -> Dataset:
         raise DataFormatError(
             f"meta says k={k} but num_classes={num_classes} requested"
         )
-    feats = np.frombuffer(_map_exact(path, 0, n * d * 4,
-                                     "rawf32 feature payload",
-                                     "rawf32 features"),
+    feats = np.frombuffer(_exact(_mapped(path), 0, n * d * 4,
+                                 "rawf32 feature payload", "rawf32 features"),
                           dtype="<f4").reshape(n, d)
-    labels = np.frombuffer(_map_exact(path + ".labels", 0, n * 4,
-                                      "rawf32 label payload", "rawf32 labels"),
+    labels = np.frombuffer(_exact(_mapped(path + ".labels"), 0, n * 4,
+                                  "rawf32 label payload", "rawf32 labels"),
                            dtype="<u4").astype(np.int64)
     return Dataset(feats, labels, k)
 

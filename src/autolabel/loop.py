@@ -39,12 +39,11 @@ from .data import LabeledSet, Pool, random_query, random_split
 from .mlp import (
     TrainConfig,
     _check_fields,
-    _is_integer,
     margin_scores,
     softmax,
     train_model,
 )
-from .rng import child_seed
+from .rng import _is_integer, child_seed
 from .thresholds import (
     ThresholdConfig,
     ThresholdVector,
@@ -76,8 +75,7 @@ class TbalConfig:
     active_multiplier: float = 2.0
 
     def __post_init__(self):
-        _check_fields(self, finite=("cal_fraction", "active_multiplier"),
-                      integers=("train_budget", "seed_size", "query_batch"))
+        _check_fields(self)
         if self.train_budget < 1:
             raise ValueError("train_budget must be >= 1")
         if not (1 <= self.seed_size <= self.train_budget):

@@ -11,37 +11,42 @@ given the seed ``train_model`` takes.
 
 from __future__ import annotations
 
+import functools
 import math
-import numbers
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .data import LabeledSet
-from .rng import stream
+from .rng import _is_integer, stream
 
 
-def _is_integer(value) -> bool:
-    """An integer that is not a bool: Python counts True as the integer 1."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+@functools.cache
+def _keys(cls) -> dict:
+    """{key: int, float or str} for each config key of config class cls:
+    its fields of those types, in field order."""
+    types = typing.get_type_hints(cls)
+    return {f.name: types[f.name] for f in fields(cls)
+            if types[f.name] in (int, float, str)}
 
 
-def _check_fields(config, finite=(), integers=()) -> None:
-    """Raise ValueError naming the first listed field of ``config`` that is
-    not a finite number (``finite``) or not an integer (``integers``).
+def _check_fields(config) -> None:
+    """Raise ValueError naming the first int or float field of ``config``,
+    in field order, that is not an integer or not a finite number.
 
-    Range checks are comparisons, which NaN passes; a float count fails
-    only later, deep in a fit, and a float width is truncated. A bool is
-    neither: True would pass as 1.
+    A field's type is its annotation, read as the config parser reads it
+    (``_keys``). Range checks are comparisons, which NaN passes; a float
+    count fails only later, deep in a fit, and a float width is truncated.
+    A bool is neither: True would pass as 1.
     """
-    for name in finite:
+    for name, kind in _keys(type(config)).items():
         value = getattr(config, name)
-        if isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
+        if kind is int and not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if kind is float and (isinstance(value, (bool, np.bool_))
+                              or not math.isfinite(value)):
             raise ValueError(f"{name} must be a finite number, got {value!r}")
-    for name in integers:
-        if not _is_integer(getattr(config, name)):
-            raise ValueError(f"{name} must be an integer, "
-                             f"got {getattr(config, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +61,7 @@ class TrainConfig:
     max_epochs: int = 50
 
     def __post_init__(self):
-        _check_fields(self, finite=("learning_rate", "momentum", "weight_decay"),
-                      integers=("batch_size", "max_epochs"))
+        _check_fields(self)
         if self.loss not in ("vanilla", "squentropy"):
             raise ValueError(f"loss must be 'vanilla' or 'squentropy', "
                              f"got {self.loss!r}")

@@ -15,6 +15,11 @@ import numbers
 import numpy as np
 
 
+def _is_integer(value) -> bool:
+    """An integer that is not a bool: Python counts True as the integer 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def child_seed(master: int, *tags) -> int:
     """Derive a 64-bit seed from a master seed and a tag path.
 
@@ -23,7 +28,7 @@ def child_seed(master: int, *tags) -> int:
     here, so this is its one check: ``master`` must be an integer and not a
     bool (a float seed would be truncated, and True would pass as 1).
     """
-    if isinstance(master, bool) or not isinstance(master, numbers.Integral):
+    if not _is_integer(master):
         raise ValueError(f"seed must be an integer, got {master!r}")
     h = hashlib.sha256()
     h.update(str(int(master)).encode("ascii"))

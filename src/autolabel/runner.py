@@ -138,14 +138,21 @@ def _mean_std(values):
 def _output_path(cfg: ExperimentConfig, out_dir: str | None, name: str,
                  force: bool) -> str:
     """The path of file ``name`` in the output directory (``out_dir``, else
-    the config's), which it makes; an existing file is refused without
-    ``force``."""
+    the config's); an existing file is refused without ``force``. Nothing
+    is made: the directory appears when the first file is written."""
     out = out_dir if out_dir is not None else cfg.output_dir
     path = os.path.join(out, name)
     if os.path.exists(path) and not force:
         raise OutputExistsError(f"{path} exists; pass force to overwrite")
-    os.makedirs(out, exist_ok=True)
     return path
+
+
+def _write_json(path: str, doc) -> None:
+    # an empty output directory is the current one, as for the run dirs
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+    with open(path, "w") as f:
+        json.dump(doc, f, sort_keys=True, indent=2)
+        f.write("\n")
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
@@ -180,9 +187,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     else:
         summary["final_error_mean"] = None
         summary["final_error_std"] = None
-    with open(summary_path, "w") as f:
-        json.dump(summary, f, sort_keys=True, indent=2)
-        f.write("\n")
+    _write_json(summary_path, summary)
     return summary
 
 
@@ -312,7 +317,5 @@ def hyperparameter_search(cfg: ExperimentConfig, out_dir: str | None = None,
         models = [m for _, _, m in runs[w]]
 
     result = HpoResult(records=records, **winners)
-    with open(result_path, "w") as f:
-        json.dump(dataclasses.asdict(result), f, sort_keys=True, indent=2)
-        f.write("\n")
+    _write_json(result_path, dataclasses.asdict(result))
     return result

@@ -64,7 +64,7 @@ class ThresholdConfig:
     eps_a: float = 0.05
 
     def __post_init__(self):
-        _check_fields(self, finite=("coverage_floor", "c1", "eps_a"))
+        _check_fields(self)
         g = np.asarray(self.grid, dtype=np.float64)
         if g.ndim != 1 or g.size == 0:
             raise ValueError("grid must be a non-empty 1-D array")

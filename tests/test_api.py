@@ -80,3 +80,41 @@ def test_one_function_draws_the_shuffle_stream():
               if isinstance(node, ast.FunctionDef)
               and node.name == "_epoch_batches")
     assert tags(owner) == 1
+
+
+def owners(match) -> "set[tuple[str, str | None]]":
+    """(module, innermost enclosing function, None outside any) of every
+    node of the package's modules that ``match`` accepts."""
+    found = set()
+
+    def visit(node, module, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if match(node):
+            found.add((module, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for path in SRC.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.name, None)
+    return found
+
+
+def calls_to(name):
+    return lambda node: (isinstance(node, ast.Call)
+                         and isinstance(node.func, ast.Name)
+                         and node.func.id == name)
+
+
+def test_one_function_holds_each_input_rule():
+    # the integer rule
+    assert owners(lambda node: isinstance(node, ast.Attribute)
+                  and node.attr == "Integral") == {("rng.py", "_is_integer")}
+    # the missing-key rule
+    assert owners(calls_to("MissingKeyError")) == {("config.py", "_fetch")}
+    # a config's field types are its annotations: no call lists fields
+    checks = [node for path in SRC.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if calls_to("_check_fields")(node)]
+    assert len(checks) == 6
+    assert all(len(call.args) == 1 and not call.keywords for call in checks)

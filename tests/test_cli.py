@@ -121,6 +121,31 @@ def test_seed_set_larger_than_the_pool_exit_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "hpo"])
+def test_dataset_smaller_than_the_config_exit_2_and_writes_nothing(
+        tmp_path, capsys, command):
+    # the data load before any output is made
+    (tmp_path / "four.csv").write_text("x,label\n0,0\n1,1\n2,0\n3,1\n")
+    cfg = write_config(
+        tmp_path,
+        dataset={"kind": "file", "path": "four.csv", "format": "csv",
+                 "pool_size": 3, "val_size": 2, "hyp_size": 1},
+        tbal={"train_budget": 3, "seed_size": 3, "query_batch": 1},
+        hpo={"train_grid": {"max_epochs": [3]}})
+    assert main([command, "--config", cfg]) == 2
+    assert "ValueError: dataset has 4 points, config asks for 6" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_out_is_the_current_directory(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", cfg, "--out", ""]) == 0
+    assert (tmp_path / "summary.json").exists()
+    assert (tmp_path / "run_00" / "report.json").exists()
+
+
 def test_run_existing_output_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["run", "--config", cfg]) == 0

@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import json
 import re
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +98,12 @@ def test_type_mismatches():
         parse_config_dict(doc(tbal=[1, 2]))
     with pytest.raises(TypeMismatchError, match=r"config\.tbal\.hidden\[1\]"):
         parse_config_dict(doc(**{"tbal.hidden": [32, "big"]}))
+    # an explicit null is not an absent optional section
+    with pytest.raises(TypeMismatchError, match=r"^config\.hpo: expected an "
+                                                "object$"):
+        parse_config_dict(doc(hpo=None))
+    with pytest.raises(TypeMismatchError, match=r"^config\.tbal\.train: "):
+        parse_config_dict(doc(**{"tbal.train": None}))
 
 
 def test_range_errors():
@@ -300,6 +308,40 @@ def test_every_section_key_is_searchable(method, grid, values):
     with pytest.raises(UnknownKeyError, match=rf"config\.hpo\.{grid}\.seed: "
                                               "not a searchable"):
         parse_config_dict(d)
+
+
+# a valid instance of each config class, built fresh for each case
+VALID_CONFIGS = {
+    al.TrainConfig: al.TrainConfig,
+    al.TbalConfig: lambda: al.TbalConfig(train_budget=60, seed_size=30,
+                                         query_batch=15),
+    al.ThresholdConfig: al.ThresholdConfig,
+    al.TopLabelBinningConfig: al.TopLabelBinningConfig,
+    al.ConfidenceNetConfig: al.ConfidenceNetConfig,
+    al.ExperimentConfig: lambda: parse_config_dict(doc()),
+}
+BAD_VALUES = {float: [float("nan"), float("inf"), True], int: [2.0, True]}
+# (class, field, bad value) for every int and float field, by annotation
+NUMBER_FIELD_CASES = [
+    (cls, f.name, value) for cls in VALID_CONFIGS
+    for f in dataclasses.fields(cls)
+    for value in BAD_VALUES.get(typing.get_type_hints(cls)[f.name], [])
+]
+
+
+def test_number_field_cases_cover_every_config_class():
+    assert {cls for cls, _, _ in NUMBER_FIELD_CASES} == set(VALID_CONFIGS)
+    assert (al.ExperimentConfig, "master_seed", 2.0) in NUMBER_FIELD_CASES
+
+
+@pytest.mark.parametrize(
+    "cls, field, value", NUMBER_FIELD_CASES,
+    ids=[f"{cls.__name__}.{field}-{value!r}"
+         for cls, field, value in NUMBER_FIELD_CASES])
+def test_every_number_field_is_type_checked(cls, field, value):
+    valid = VALID_CONFIGS[cls]()
+    with pytest.raises(ValueError, match=rf"^{field} must be "):
+        dataclasses.replace(valid, **{field: value})
 
 
 # every number key whose range check a NaN or an infinity used to pass

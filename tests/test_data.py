@@ -264,6 +264,18 @@ def test_idx_header_cut_inside_its_dims(tmp_path):
         "idx image header: expected 12 bytes, file ended after 6"
 
 
+@pytest.mark.parametrize("size", [0, 2])
+def test_idx_images_file_cut_inside_its_magic(tmp_path, size):
+    # an empty file is not mapped; it reads as a file that ended at once
+    path = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), [0, 1])
+    with open(path, "r+b") as f:
+        f.truncate(size)
+    with pytest.raises(al.TruncatedPayloadError) as err:
+        al.load_dataset(path, "idx")
+    assert str(err.value) == \
+        f"idx image header: expected 4 bytes, file ended after {size}"
+
+
 def test_idx_bad_dims(tmp_path):
     path = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), [0, 1])
     with open(path, "r+b") as f:
@@ -350,6 +362,17 @@ def test_rawf32_truncated(tmp_path):
         al.load_dataset(path, "rawf32")
     assert str(err.value) == (
         "rawf32 feature payload: expected 80 bytes, file ended after 76")
+
+
+def test_rawf32_empty_feature_file(tmp_path):
+    ds = al.Dataset(np.zeros((2, 4), np.float32), np.array([0, 1]), 2)
+    path = str(tmp_path / "blob.f32")
+    write_rawf32(ds, path)
+    open(path, "wb").close()
+    with pytest.raises(al.TruncatedPayloadError) as err:
+        al.load_dataset(path, "rawf32")
+    assert str(err.value) == (
+        "rawf32 feature payload: expected 32 bytes, file ended after 0")
 
 
 def test_rawf32_trailing_feature_bytes(tmp_path):
