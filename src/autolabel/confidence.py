@@ -97,19 +97,88 @@ class TopLabelHistogramConfidence(ConfidenceModel):
 
 # the interval of log T the temperature fit searches: T in [e^-5, e^5]
 LOG_T_BOUNDS = (-5.0, 5.0)
+# the bounded search's absolute tolerance in x and its cap on evaluations
+_XATOL = 1e-5
+_MAX_EVALS = 500
+
+
+def _bounded_minimum(f, a: float, b: float) -> tuple:
+    """(x, f(x)) at the minimum of f on [a, b] that Brent's bounded method
+    finds: golden-section steps with parabolic interpolation.
+
+    The loop of ``scipy.optimize.minimize_scalar(method="bounded")``,
+    operation for operation, with its defaults xatol 1e-5 and at most 500
+    evaluations, so both return the same bits; its numpy scalar calls are
+    kept, so NaN and signed zeros take the same branches.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + _XATOL / 3.0
+    tol2 = 2.0 * tol1
+
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        parabolic = False
+        if np.abs(e) > tol1:  # fit a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            parabolic = (np.abs(p) < np.abs(0.5 * q * r) and p > q * (a - xf)
+                         and p < q * (b - xf))
+        if parabolic:
+            rat = (p + 0.0) / q
+            x = xf + rat
+            if (x - a) < tol2 or (b - x) < tol2:
+                rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+        else:  # a golden-section step into the larger side
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + _XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAX_EVALS:
+            break
+    return xf, fx
 
 
 def fit_temperature(logits: np.ndarray,
                     labels: np.ndarray) -> TemperatureConfidence:
     """Fit T at the minimum of the mean calibration NLL of softmax(logits / T).
 
-    One bounded scalar solve over log T on ``LOG_T_BOUNDS``. T = 1 is
+    One search over log T on ``LOG_T_BOUNDS``: Brent's bounded method, as
+    ``scipy.optimize.minimize_scalar(method="bounded")`` runs it, with xatol
+    1e-5 and at most 500 evaluations (``_bounded_minimum``). T = 1 is
     returned unless the solution's NLL is lower, so the fit is never worse
     than no scaling on the calibration data.
     """
-    # imported here, so runs with the other three methods never load scipy
-    from scipy.optimize import minimize_scalar
-
     if len(labels) == 0:
         raise ValueError("empty calibration set")
     logits = np.asarray(logits, dtype=np.float64)
@@ -124,8 +193,8 @@ def fit_temperature(logits: np.ndarray,
         total = np.exp(logits * c - z_max[:, None]).sum(axis=1)
         return float(np.mean(np.log(total) - (label_logits * c - z_max)))
 
-    best = minimize_scalar(nll, bounds=LOG_T_BOUNDS, method="bounded")
-    theta = float(best.x) if best.fun < nll(0.0) else 0.0
+    x, fx = _bounded_minimum(nll, *LOG_T_BOUNDS)
+    theta = float(x) if fx < nll(0.0) else 0.0
     return TemperatureConfidence(float(np.exp(theta)))
 
 

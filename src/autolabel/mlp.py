@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import typing
 from dataclasses import dataclass, fields
 
@@ -38,13 +39,15 @@ def _check_fields(config) -> None:
     A field's type is its annotation, read as the config parser reads it
     (``_keys``). Range checks are comparisons, which NaN passes; a float
     count fails only later, deep in a fit, and a float width is truncated.
-    A bool is neither: True would pass as 1.
+    A bool is neither: True would pass as 1. Nor is a string or None, which
+    ``math.isfinite`` would refuse with a TypeError that names no field.
     """
     for name, kind in _keys(type(config)).items():
         value = getattr(config, name)
         if kind is int and not _is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if kind is float and (isinstance(value, (bool, np.bool_))
+                              or not isinstance(value, numbers.Real)
                               or not math.isfinite(value)):
             raise ValueError(f"{name} must be a finite number, got {value!r}")
 

@@ -320,7 +320,8 @@ VALID_CONFIGS = {
     al.ConfidenceNetConfig: al.ConfidenceNetConfig,
     al.ExperimentConfig: lambda: parse_config_dict(doc()),
 }
-BAD_VALUES = {float: [float("nan"), float("inf"), True], int: [2.0, True]}
+BAD_VALUES = {float: [float("nan"), float("inf"), True, "0.1", None],
+              int: [2.0, True, "3", None]}
 # (class, field, bad value) for every int and float field, by annotation
 NUMBER_FIELD_CASES = [
     (cls, f.name, value) for cls in VALID_CONFIGS

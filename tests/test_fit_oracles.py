@@ -4,8 +4,9 @@ Training steps over flat parameter buffers, but each float operation runs in
 the same order as in the straightforward loops below, so every fitted
 parameter must be equal bit for bit, not merely close. The loops are frozen
 reference copies; they are not the library's code and must not be "fixed"
-to match it. The temperature fit is one bounded solve; its NLL is checked
-against the best of a dense grid over the same interval.
+to match it. The temperature fit is one bounded search; it returns scipy's
+``minimize_scalar(method="bounded")`` answer bit for bit, and its NLL is
+checked against the best of a dense grid over the same interval.
 """
 
 import itertools
@@ -14,10 +15,12 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 import autolabel as al
+from autolabel import confidence
 from autolabel.confidence import (
     ConfidenceNetConfig,
     ConfidenceNetParams,
     LOG_T_BOUNDS,
+    _bounded_minimum,
     fit_confidence_net,
     fit_temperature,
     init_confidence_net_params,
@@ -183,6 +186,71 @@ def sharp_classifier(k, seed, hidden=(6,), scale=3.0, dim=3):
 
 # ---------------------------------------------------------------------------
 # oracles
+
+
+def scipy_minimum(f, a, b):
+    best = minimize_scalar(f, bounds=(a, b), method="bounded")
+    return best.x, best.fun
+
+
+def same_bits(got, want):
+    """Both (x, f(x)) pairs hold the same float64 bits, signed zeros and
+    NaN included."""
+    return all(np.float64(g).tobytes() == np.float64(w).tobytes()
+               for g, w in zip(got, want))
+
+
+def test_bounded_minimum_equals_scipy_bit_for_bit():
+    nan = float("nan")
+    cases = [
+        (lambda x: (x - 0.3) ** 2, -5.0, 5.0),      # minimum inside
+        (lambda x: (x - 0.3) ** 2, 0.0, 1.0),
+        (lambda x: np.cosh(x - 2.0) + 0.1 * x, -5.0, 5.0),
+        (lambda x: abs(x), -1.0, 1.0),               # minimum at 0.0
+        (lambda x: x, -5.0, 5.0),                    # monotone: an end
+        (lambda x: -x, -5.0, 5.0),
+        (lambda x: float(np.exp(3.0 * x)), -2.0, 7.0),
+        (lambda x: 1.0, -5.0, 5.0),                  # constant
+        (lambda x: 0.0 if x < 0.7 else 1.0, -5.0, 5.0),  # steps
+        (lambda x: 1.0 if x < -1.3 else 0.0, -5.0, 5.0),
+        (lambda x: nan if x > 1.0 else (x - 2.0) ** 2, -5.0, 5.0),  # NaN
+        (lambda x: nan if x < 0.0 else x * x, -5.0, 5.0),
+        (lambda x: nan, -5.0, 5.0),
+        (lambda x: (x - 0.3) ** 2, 2.0, 2.0),        # a == b
+    ]
+    for i, (f, a, b) in enumerate(cases):
+        assert same_bits(_bounded_minimum(f, a, b), scipy_minimum(f, a, b)), i
+
+
+def test_fit_temperature_search_equals_scipy_bit_for_bit(monkeypatch):
+    # each fit's own NLL closure is searched by both; label rules: random,
+    # every label the predicted class (NLL falls towards small T), and one
+    # class for every row
+    pairs = []
+
+    def both(f, a, b):
+        got = _bounded_minimum(f, a, b)
+        pairs.append((got, scipy_minimum(f, a, b)))
+        return got
+
+    monkeypatch.setattr(confidence, "_bounded_minimum", both)
+    rng = np.random.default_rng(26)
+    for i in range(300):
+        k = CLASS_COUNTS[i % len(CLASS_COUNTS)]
+        n = int(rng.integers(1, 120))
+        scale = 10.0 ** rng.uniform(-2.0, np.log10(300.0))
+        logits = (rng.normal(size=(n, k)) * scale).astype(np.float32)
+        rule = i // len(CLASS_COUNTS) % 3
+        if rule == 0:
+            labels = rng.integers(0, k, size=n)
+        elif rule == 1:
+            labels = np.argmax(logits, axis=1)
+        else:
+            labels = np.full(n, rng.integers(0, k))
+        fit_temperature(logits, labels)
+    assert len(pairs) == 300
+    for i, (got, want) in enumerate(pairs):
+        assert same_bits(got, want), i
 
 
 def test_fit_temperature_reaches_the_grid_nll_minimum():

@@ -1,11 +1,10 @@
-"""Start-up stays free of scipy and of the process pool.
+"""Runs stay free of scipy and of the process pool.
 
-Only the temperature fit calls into scipy, and it imports it where it is
-called, so a run with any other confidence function never loads it. The
-process pool (``concurrent.futures.process``, ``multiprocessing``) is
-imported only by a run with jobs > 1, so no case here loads it. Each case
-starts a fresh interpreter, because this test process has both loaded
-already.
+No run path imports scipy: the temperature fit runs its own bounded search,
+so a run with any of the post-hoc methods never loads it. The process pool
+(``concurrent.futures.process``, ``multiprocessing``) is imported only by a
+run with jobs > 1, so no case here loads it. Each case starts a fresh
+interpreter, because this test process has both loaded already.
 """
 
 import json
@@ -15,7 +14,10 @@ import pickle
 import subprocess
 import sys
 
+import pytest
+
 import autolabel
+from autolabel.confidence import POSTHOC_CONFIGS
 
 SRC = pathlib.Path(autolabel.__file__).parent.parent
 
@@ -83,16 +85,12 @@ def run_fresh(tmp_path, method):
     return scipy_modules, fits
 
 
-def test_softmax_run_loads_no_scipy(tmp_path):
-    scipy_modules, fits = run_fresh(tmp_path, "softmax")
+@pytest.mark.parametrize("method", POSTHOC_CONFIGS)
+def test_a_run_loads_no_scipy(tmp_path, method):
+    scipy_modules, fits = run_fresh(tmp_path, method)
     assert scipy_modules == []
-    assert fits == []
-
-
-def test_temperature_run_loads_scipy_at_its_first_fit(tmp_path):
-    scipy_modules, fits = run_fresh(tmp_path, "temperature")
-    assert "scipy.optimize" in scipy_modules
-    assert fits
+    # every recorded fit re-fits to the same T in this process
+    assert bool(fits) == (method == "temperature")
     for logits, labels, temperature in fits:
         assert autolabel.fit_temperature(logits, labels).temperature \
             == temperature
