@@ -27,7 +27,6 @@ from .confidence import (
     ConfidenceModel,
     ConfidenceNet,
     ConfidenceNetConfig,
-    ConfidenceNetParams,
     SoftmaxConfig,
     TemperatureConfidence,
     TemperatureConfig,
@@ -56,6 +55,6 @@ from .loop import (
     run_tbal,
 )
 from .config import ConfigError, ExperimentConfig, parse_config
-from .runner import HpoResult, hyperparameter_search, run_experiment
+from .runner import hyperparameter_search, run_experiment
 
 __version__ = "0.1.0"

@@ -55,8 +55,9 @@ def _cmd_hpo(args) -> int:
     cfg = _load(args)
     result = hyperparameter_search(cfg, out_dir=args.out, force=args.force,
                                    jobs=args.jobs)
-    print(f"train winner {result.train_winner_id}: {result.train_winner}")
-    print(f"posthoc winner {result.posthoc_winner_id}: {result.posthoc_winner}")
+    for phase in ("train", "posthoc"):
+        print(f"{phase} winner {result[f'{phase}_winner_id']}: "
+              f"{result[f'{phase}_winner']}")
     return 0
 
 

@@ -20,8 +20,9 @@ settings; ``POSTHOC_CONFIGS`` maps each method's name to its class, and
 ``fit_posthoc`` fits the variant a config names.
 
 Only the predicted class's score is ever compared to a threshold downstream,
-but all variants return full k-vectors. The histogram variant patches only the
-predicted entry and therefore does not sum to 1 by design.
+but all variants return full k-vectors. The histogram variant bins each
+binned class's whole softmax column with that class's bins, so its rows do
+not sum to 1 by design.
 """
 
 from __future__ import annotations
@@ -67,13 +68,13 @@ class TemperatureConfidence(ConfidenceModel):
 
 
 class TopLabelHistogramConfidence(ConfidenceModel):
-    """Per-class uniform-mass binning of the predicted-class softmax score.
+    """Per-class uniform-mass binning of the softmax score.
 
-    scores() starts from the raw softmax row and replaces only the predicted
-    entry with its bin value, so rows need not sum to 1. The predicted class
-    is the logits' argmax, as in ``predicted_scores``, so a float32 softmax
-    tie still bins the entry that is thresholded. Classes that had no
-    calibration points keep the raw softmax row (fallback, recorded).
+    scores() replaces each binned class's softmax column with its bin
+    values, so rows need not sum to 1. Only a row's predicted entry is read
+    downstream, and the fit bins each class's calibration points predicted
+    as it, the logits' argmax as in ``predicted_scores``. Classes that had
+    no calibration points keep their raw softmax column (fallback, recorded).
     """
 
     def __init__(self, boundaries: dict, values: dict, fallback_classes: tuple):
@@ -83,16 +84,10 @@ class TopLabelHistogramConfidence(ConfidenceModel):
 
     def scores(self, logits: np.ndarray, penultimate: np.ndarray) -> np.ndarray:
         probs = softmax(logits)
-        preds = np.argmax(logits, axis=1)
-        out = probs.copy()
-        for y in self.values:
-            mask = preds == y
-            if not np.any(mask):
-                continue
-            top = probs[mask, y]
-            idx = np.searchsorted(self.boundaries[y], top, side="right")
-            out[mask, y] = self.values[y][idx]
-        return out
+        for y, vals in self.values.items():
+            idx = np.searchsorted(self.boundaries[y], probs[:, y], side="right")
+            probs[:, y] = vals[idx]
+        return probs
 
 
 # the interval of log T the temperature fit searches: T in [e^-5, e^5]
@@ -258,23 +253,6 @@ class TopLabelBinningConfig:
 # confidence net
 
 
-@dataclass
-class ConfidenceNetParams:
-    """Learnable state: two bias-free layers plus unconstrained thresholds.
-
-    W1: (k+d2, 2(k+d2)); W2: (2(k+d2), k); t_raw: (k,). Thresholds are read
-    through the logistic when needed in (0,1).
-    """
-
-    W1: np.ndarray
-    W2: np.ndarray
-    t_raw: np.ndarray
-
-    def copy(self) -> "ConfidenceNetParams":
-        return ConfidenceNetParams(self.W1.copy(), self.W2.copy(),
-                                   self.t_raw.copy())
-
-
 @dataclass(frozen=True)
 class ConfidenceNetConfig:
     """Optimizer settings for the smoothed selection objective.
@@ -305,48 +283,53 @@ class ConfidenceNetConfig:
 
 
 class ConfidenceNet(ConfidenceModel):
-    """softmax(W2 tanh(W1 [logits, penultimate])) over classifier reps."""
+    """softmax(W2 tanh(W1 [logits, penultimate])) over classifier reps.
 
-    def __init__(self, params: ConfidenceNetParams):
-        p, k = params.W1.shape[0], params.t_raw.size
-        if params.W1.shape != (p, 2 * p):
-            raise ValueError(f"W1 must be ({p}, {2 * p}), got {params.W1.shape}")
-        if params.W2.shape != (2 * p, k):
+    Two bias-free layers plus unconstrained auxiliary thresholds: W1 is
+    (k+d2, 2(k+d2)), W2 is (2(k+d2), k) and t_raw is (k,), read through the
+    logistic when needed in (0,1). The fit's gradients are held in a
+    ConfidenceNet of the same shapes.
+    """
+
+    def __init__(self, W1: np.ndarray, W2: np.ndarray, t_raw: np.ndarray):
+        p, k = W1.shape[0], t_raw.size
+        if W1.shape != (p, 2 * p):
+            raise ValueError(f"W1 must be ({p}, {2 * p}), got {W1.shape}")
+        if W2.shape != (2 * p, k):
             raise ValueError("W2 shape mismatch")
-        if params.t_raw.shape != (k,):
+        if t_raw.shape != (k,):
             raise ValueError("t_raw shape mismatch")
-        self.params = params
+        self.W1, self.W2, self.t_raw = W1, W2, t_raw
 
     def scores(self, logits: np.ndarray, penultimate: np.ndarray) -> np.ndarray:
         Z = np.concatenate([logits, penultimate], axis=1)
-        return softmax(np.tanh(Z @ self.params.W1) @ self.params.W2)
+        return softmax(np.tanh(Z @ self.W1) @ self.W2)
 
 
-def init_confidence_net_params(k: int, d2: int,
-                               seed: int) -> ConfidenceNetParams:
+def init_confidence_net(k: int, d2: int, seed: int) -> ConfidenceNet:
     p = k + d2
     rng = stream(seed, "init")
     b1 = 1.0 / np.sqrt(p)
     b2 = 1.0 / np.sqrt(2 * p)
-    return ConfidenceNetParams(
+    return ConfidenceNet(
         W1=rng.uniform(-b1, b1, size=(p, 2 * p)).astype(np.float32),
         W2=rng.uniform(-b2, b2, size=(2 * p, k)).astype(np.float32),
         t_raw=np.zeros(k, dtype=np.float32),
     )
 
 
-def objective_grad(params: ConfidenceNetParams, Z: np.ndarray,
+def objective_grad(net: ConfidenceNet, Z: np.ndarray,
                    yhat: np.ndarray, wrong: np.ndarray, lam: float,
                    alpha: float, denom_epsilon: float, out, work):
-    """(value, ConfidenceNetParams-shaped gradients) of the batch objective.
+    """(value, gradients shaped like ``net``) of the batch objective.
 
     The value is -(smoothed coverage) + lam * (smoothed selection error):
     each point is weighted by u = sigmoid(alpha, score_of_predicted -
     threshold_of_predicted), coverage is the mean of u, and the error is the
     u-weighted wrong mass over the u-weighted selected mass.
 
-    The gradients are written into ``out`` (a ConfidenceNetParams of
-    arrays shaped like ``params``), which is returned. ``work`` is two
+    The gradients are written into ``out`` (a ConfidenceNet of arrays
+    shaped like ``net``'s), which is returned. ``work`` is two
     arrays of at least ``len(Z)`` rows and W1's width, for the hidden
     activations and their gradient. The tanh, the softmax-gradient product
     and the hidden layer's gradient are computed in place, with the
@@ -356,12 +339,12 @@ def objective_grad(params: ConfidenceNetParams, Z: np.ndarray,
     m = Z.shape[0]
     rows = np.arange(m)
     wrongf = np.asarray(wrong, dtype=Z.dtype)
-    A = np.matmul(Z, params.W1, out=work[0][:m])
+    A = np.matmul(Z, net.W1, out=work[0][:m])
     np.tanh(A, out=A)
-    V = A @ params.W2
+    V = A @ net.W2
     Q = softmax(V)
     s = Q[rows, yhat]
-    tvec = sigmoid(1.0, params.t_raw)
+    tvec = sigmoid(1.0, net.t_raw)
     delta = s - tvec[yhat]
     u = sigmoid(alpha, delta)
     S = u.sum()
@@ -376,7 +359,7 @@ def objective_grad(params: ConfidenceNetParams, Z: np.ndarray,
     Gv *= cs[:, None]
     Gv[rows, yhat] += cs
     np.matmul(A.T, Gv, out=out.W2)
-    dPre = np.matmul(Gv, params.W2.T, out=work[1][:m])
+    dPre = np.matmul(Gv, net.W2.T, out=work[1][:m])
     np.multiply(A, A, out=A)
     np.subtract(1.0, A, out=A)
     dPre *= A
@@ -392,7 +375,7 @@ def fit_confidence_net(logits: np.ndarray, penultimate: np.ndarray,
     """Optimize the smoothed objective with Adam; returns the fitted net.
 
     The classifier is frozen: only W1, W2 and the auxiliary thresholds move.
-    The auxiliary thresholds, ``sigmoid(1, net.params.t_raw)``, steer the
+    The auxiliary thresholds, ``sigmoid(1, net.t_raw)``, steer the
     fit only; threshold estimation never sees them. The initial weights and
     each epoch's mini-batch shuffle are drawn from ``seed``'s streams;
     weight decay is decoupled and applied to the weight matrices only.
@@ -410,16 +393,15 @@ def fit_confidence_net(logits: np.ndarray, penultimate: np.ndarray,
                    dtype=np.float32)
     preds = np.argmax(logits, axis=1)
     wrong = (preds != labels)
-    init = init_confidence_net_params(logits.shape[1], penultimate.shape[1],
-                                      seed)
+    init = init_confidence_net(logits.shape[1], penultimate.shape[1], seed)
     # Adam steps once over the flat W1|W2|t_raw buffer; decay hits W1|W2 only
     shapes = (init.W1.shape, init.W2.shape, init.t_raw.shape)
     theta = np.concatenate([init.W1.ravel(), init.W2.ravel(), init.t_raw])
-    params = ConfidenceNetParams(*_flat_views(theta, shapes))
+    net = ConfidenceNet(*_flat_views(theta, shapes))
     nw = init.W1.size + init.W2.size
     weights = theta[:nw]
     grad = np.empty_like(theta)
-    grads = ConfidenceNetParams(*_flat_views(grad, shapes))
+    grads = ConfidenceNet(*_flat_views(grad, shapes))
     mom = np.zeros_like(theta)
     sec = np.zeros_like(theta)
     num = np.empty_like(theta)
@@ -432,7 +414,7 @@ def fit_confidence_net(logits: np.ndarray, penultimate: np.ndarray,
     step = 0
     for Zb, preds_b, wrong_b in _epoch_batches(
             (Z, preds, wrong), cfg.batch_size, cfg.max_epochs, seed):
-        objective_grad(params, Zb, preds_b, wrong_b, cfg.lam, cfg.alpha,
+        objective_grad(net, Zb, preds_b, wrong_b, cfg.lam, cfg.alpha,
                        cfg.denom_epsilon, out=grads, work=work)
         step += 1
         c1 = np.float32(1.0 - b1 ** step)
@@ -455,7 +437,7 @@ def fit_confidence_net(logits: np.ndarray, penultimate: np.ndarray,
         if wd > 0:
             np.multiply(lr * wd, weights, out=num[:nw])
             weights -= num[:nw]
-    return ConfidenceNet(params.copy())
+    return ConfidenceNet(net.W1.copy(), net.W2.copy(), net.t_raw.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import dataclasses
 import itertools
 import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,15 +194,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
 # hyperparameter search (first-round protocol, two additive phases)
 
 
-@dataclass
-class HpoResult:
-    records: "list[dict]"
-    train_winner: dict
-    posthoc_winner: dict
-    train_winner_id: str
-    posthoc_winner_id: str
-
-
 def _combo_list(grid: dict):
     """Cartesian product of a {name: [values]} grid, stable order."""
     names = sorted(grid)
@@ -256,8 +246,9 @@ def _select(records: "list[dict]", eps_a: float, tie_seed: int,
 
 
 def hyperparameter_search(cfg: ExperimentConfig, out_dir: str | None = None,
-                          force: bool = False, jobs: int = 1) -> HpoResult:
-    """Two-phase additive grid search on the first-round protocol.
+                          force: bool = False, jobs: int = 1) -> dict:
+    """Two-phase additive grid search on the first-round protocol; returns
+    the document it writes to hpo_result.json.
 
     Phase "train" sweeps the training grid (confidence fixed to raw softmax so
     the winner is method-independent); phase "posthoc" fixes that winner and
@@ -316,6 +307,6 @@ def hyperparameter_search(cfg: ExperimentConfig, out_dir: str | None = None,
         base = dataclasses.replace(cfgs[w], posthoc=cfg.tbal.posthoc)
         models = [m for _, _, m in runs[w]]
 
-    result = HpoResult(records=records, **winners)
-    _write_json(result_path, dataclasses.asdict(result))
+    result = {"records": records, **winners}
+    _write_json(result_path, result)
     return result

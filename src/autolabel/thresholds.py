@@ -33,9 +33,9 @@ class ThresholdVector:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("thresholds must be a non-empty 1-D vector")
-        finite = v[np.isfinite(v)]
-        if finite.size and (finite.min() < 0 or finite.max() > 1):
-            raise ValueError("finite thresholds must lie in [0, 1]")
+        # NaN fails both tests; -inf, which would select every point, too
+        if not np.all(((v >= 0) & (v <= 1)) | (v == np.inf)):
+            raise ValueError("thresholds must lie in [0, 1] or be +inf")
         object.__setattr__(self, "values", v)
 
     def selects(self, top: np.ndarray, preds: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from autolabel.confidence import ConfidenceNetParams
+from autolabel.confidence import ConfidenceNet
 from autolabel.mlp import _backprop_work
 
 
@@ -31,8 +31,8 @@ def objective_scratch(params, Z: np.ndarray):
     the dtype ``Z`` and the weights promote to."""
     shape = (Z.shape[0], params.W1.shape[1])
     dtype = np.result_type(Z, params.W1, params.W2)
-    return (ConfidenceNetParams(np.empty_like(params.W1),
-                                np.empty_like(params.W2),
+    return (ConfidenceNet(np.empty_like(params.W1),
+                          np.empty_like(params.W2),
                                 np.empty_like(params.t_raw)),
             (np.empty(shape, dtype), np.empty(shape, dtype)))
 

@@ -17,6 +17,9 @@
 * ``surrogate_metrics`` -- the sigmoid-smoothed coverage and selection error
   of a fitted confidence function, the quantities the confidence-net
   objective trades off, evaluated through ``predicted_scores``;
+* ``patched_histogram_scores`` -- top-label histogram binning as it once
+  scored: the raw softmax with only each row's predicted entry replaced by
+  its bin value, the prediction the logits' argmax;
 * ``batch_loss`` -- the mean classifier loss whose logit gradient training
   runs, for the finite-difference gradient checks;
 * ``thresholds_from_jsonable`` and ``write_rawf32`` -- the inverses of the
@@ -34,6 +37,7 @@ import numpy as np
 
 from autolabel.confidence import sigmoid
 from autolabel.data import Dataset, LabeledSet, Pool
+from autolabel.mlp import softmax
 from autolabel.thresholds import ThresholdVector, predicted_scores
 
 
@@ -216,6 +220,22 @@ def surrogate_metrics(g, t: ThresholdVector, h, labeled, alpha: float,
     wrong = labeled.labels != preds
     return (float(np.mean(u)),
             float((u * wrong).sum() / (u.sum() + denom_epsilon)))
+
+
+def patched_histogram_scores(g, logits: np.ndarray) -> np.ndarray:
+    """(n, k) scores of the fitted histogram binning ``g``: the raw softmax
+    with each row's predicted entry, the logits' argmax, replaced by its
+    bin value for a class that has bins."""
+    probs = softmax(logits)
+    preds = np.argmax(logits, axis=1)
+    out = probs.copy()
+    for y in g.values:
+        mask = preds == y
+        if not np.any(mask):
+            continue
+        idx = np.searchsorted(g.boundaries[y], probs[mask, y], side="right")
+        out[mask, y] = g.values[y][idx]
+    return out
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

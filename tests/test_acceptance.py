@@ -201,13 +201,13 @@ def test_every_analytic_gradient_matches_finite_differences():
             analytic = np.concatenate([a.ravel() for a in grads_w + grads_b])
             assert relative_error(analytic, numeric) <= 1e-4
 
-    from autolabel.confidence import ConfidenceNetParams
+    from autolabel.confidence import ConfidenceNet
     for _ in range(100):
         k = int(rng.integers(2, 4))
         d2 = int(rng.integers(2, 9))
         m = int(rng.integers(2, 33))
         p = k + d2
-        params = ConfidenceNetParams(
+        params = ConfidenceNet(
             rng.normal(0, 0.6, size=(p, 2 * p)),
             rng.normal(0, 0.6, size=(2 * p, k)),
             rng.normal(0, 0.8, size=k))
@@ -222,9 +222,9 @@ def test_every_analytic_gradient_matches_finite_differences():
         def repack(flat):
             a = p * 2 * p
             b = a + 2 * p * k
-            return ConfidenceNetParams(flat[:a].reshape(p, 2 * p),
-                                       flat[a:b].reshape(2 * p, k),
-                                       flat[b:])
+            return ConfidenceNet(flat[:a].reshape(p, 2 * p),
+                                 flat[a:b].reshape(2 * p, k),
+                                 flat[b:])
 
         flat = np.concatenate([params.W1.ravel(), params.W2.ravel(),
                                params.t_raw])

@@ -82,6 +82,19 @@ def test_one_function_draws_the_shuffle_stream():
     assert tags(owner) == 1
 
 
+def test_no_scores_method_predicts():
+    # the prediction is the logits' argmax, which predicted_scores owns; a
+    # confidence function's own copy of it once disagreed on float32 ties
+    tree = ast.parse((SRC / "confidence.py").read_text())
+    methods = [node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "scores"]
+    assert len(methods) == 4
+    names = {getattr(node.func, "attr", getattr(node.func, "id", None))
+             for method in methods for node in ast.walk(method)
+             if isinstance(node, ast.Call)}
+    assert "argmax" not in names
+
+
 def owners(match) -> "set[tuple[str, str | None]]":
     """(module, innermost enclosing function, None outside any) of every
     node of the package's modules that ``match`` accepts."""

@@ -9,18 +9,18 @@ import autolabel as al
 from autolabel.confidence import (
     ConfidenceNet,
     ConfidenceNetConfig,
-    ConfidenceNetParams,
     TemperatureConfidence,
     fit_confidence_net,
     fit_temperature,
     fit_top_label_hb,
-    init_confidence_net_params,
+    init_confidence_net,
     objective_grad,
     TopLabelHistogramConfidence,
     sigmoid,
     write_score_dump,
 )
 from autolabel.mlp import _flat_views
+from autolabel.thresholds import predicted_scores
 from numcheck import central_difference, objective_scratch, relative_error
 
 from conftest import (
@@ -32,7 +32,7 @@ from conftest import (
     single_class_instance,
     uniform_thresholds,
 )
-from oracles import surrogate_metrics
+from oracles import patched_histogram_scores, surrogate_metrics
 
 
 def mixture_1d(means, n, seed, train_seed, epochs=40):
@@ -261,6 +261,34 @@ def test_hb_bins_the_predicted_class_on_float32_softmax_ties():
     assert top[0] == np.float32(0.1)
 
 
+def test_hb_predicted_scores_equal_the_patch_only_scorer_bit_for_bit():
+    # binning whole columns leaves every predicted entry as patching only
+    # that entry did: on exact ties, on the [0, 1e-8] float32 near-tie, on
+    # scores equal to a bin edge, and for classes without bins
+    rng = np.random.default_rng(27)
+    for k, n, per_bin in ((2, 40, 3), (3, 200, 7), (4, 120, 25), (10, 500, 4)):
+        cal = rng.normal(0, 2.0, size=(n, k)).astype(np.float32)
+        cal[:, -1] -= 100.0  # the last class is never predicted: fallback
+        labels = rng.integers(0, k, size=n)
+        g = fit_top_label_hb(cal, labels, points_per_bin=per_bin)
+        assert k - 1 in g.fallback_classes
+        logits = rng.normal(0, 2.0, size=(300, k)).astype(np.float32)
+        logits[:20, 1] = logits[:20, 0]  # exact ties in the first two
+        logits[20:40] = logits[20:40, :1]  # every class tied
+        logits[40] = 0.0
+        logits[40, 1] = 1e-8
+        logits[41:51, -1] += 20.0  # rows predicting the fallback class
+        logits = np.concatenate([logits, cal])  # scores on the bin edges
+        assert np.argmax(al.softmax(logits[40:41])) == 0
+        top, preds = predicted_scores(g, logits, None)
+        want = patched_histogram_scores(g, logits)
+        assert np.array_equal(preds, np.argmax(logits, axis=1))
+        assert np.isin(k - 1, preds) and preds[40] == 1
+        want_top = want[np.arange(len(preds)), preds]
+        assert top.dtype == want_top.dtype == np.float32
+        assert top.tobytes() == want_top.tobytes(), k
+
+
 # ---------------------------------------------------------------------------
 # surrogates
 
@@ -334,38 +362,33 @@ def test_surrogates_reject_empty():
 
 def test_confidence_net_zero_weights_uniform(blob_model, blobs):
     p = 4 + blob_model.weights[-1].shape[0]
-    params = ConfidenceNetParams(np.zeros((p, 2 * p)), np.zeros((2 * p, 4)),
-                                 np.zeros(4))
-    s = ConfidenceNet(params).scores(
-        *blob_model.representations(blobs.features[:10]))
+    net = ConfidenceNet(np.zeros((p, 2 * p)), np.zeros((2 * p, 4)),
+                        np.zeros(4))
+    s = net.scores(*blob_model.representations(blobs.features[:10]))
     assert np.allclose(s, 0.25)
 
 
 def test_confidence_net_shape_validation(blob_model):
     p = 4 + blob_model.weights[-1].shape[0]
-    good = init_confidence_net_params(4, blob_model.weights[-1].shape[0], 0)
-    ConfidenceNet(good)
+    good = init_confidence_net(4, blob_model.weights[-1].shape[0], 0)
+    ConfidenceNet(good.W1, good.W2, good.t_raw)
     with pytest.raises(ValueError):
-        ConfidenceNet(ConfidenceNetParams(
-            np.zeros((p + 1, 2 * p)), good.W2, good.t_raw))
+        ConfidenceNet(np.zeros((p + 1, 2 * p)), good.W2, good.t_raw)
     with pytest.raises(ValueError):
-        ConfidenceNet(ConfidenceNetParams(
-            good.W1, np.zeros((2 * p, 5)), good.t_raw))
+        ConfidenceNet(good.W1, np.zeros((2 * p, 5)), good.t_raw)
     with pytest.raises(ValueError):
-        ConfidenceNet(ConfidenceNetParams(
-            good.W1, good.W2, np.zeros(5)))
+        ConfidenceNet(good.W1, good.W2, np.zeros(5))
     with pytest.raises(ValueError):
-        ConfidenceNet(ConfidenceNetParams(
-            good.W1, good.W2, np.zeros((4, 1))))
+        ConfidenceNet(good.W1, good.W2, np.zeros((4, 1)))
 
 
 def test_confidence_net_scores_concatenate_representations(blob_model, blobs):
-    params = init_confidence_net_params(4, blob_model.weights[-1].shape[0], 0)
+    net = init_confidence_net(4, blob_model.weights[-1].shape[0], 0)
     z1, z2 = blob_model.representations(blobs.features[:7])
     Z = np.concatenate([z1, z2], axis=1)
     assert Z.shape == (7, 4 + blob_model.weights[-1].shape[0])
-    want = al.softmax(np.tanh(Z @ params.W1) @ params.W2)
-    assert np.array_equal(ConfidenceNet(params).scores(z1, z2), want)
+    want = al.softmax(np.tanh(Z @ net.W1) @ net.W2)
+    assert np.array_equal(net.scores(z1, z2), want)
 
 
 def test_confidence_net_config_validation():
@@ -406,10 +429,10 @@ def test_objective_grad_writes_the_same_bits_into_out():
     # the bits of fresh scratch
     rng = np.random.default_rng(22)
     for k, d2, m in ((2, 3, 1), (3, 5, 17), (10, 8, 64)):
-        params = init_confidence_net_params(k, d2, seed=m)
+        params = init_confidence_net(k, d2, seed=m)
         params.t_raw[:] = rng.normal(0, 0.8, size=k)
         flat = np.empty(params.W1.size + params.W2.size + k, np.float32)
-        out = ConfidenceNetParams(*_flat_views(
+        out = ConfidenceNet(*_flat_views(
             flat, (params.W1.shape, params.W2.shape, (k,))))
         width = 2 * (k + d2)
         work = (np.empty((m + 3, width), np.float32),
@@ -441,7 +464,7 @@ def test_objective_gradients_match_finite_differences():
         d2 = int(rng.integers(2, 9))
         m = int(rng.integers(2, 33))
         p = k + d2
-        params = ConfidenceNetParams(
+        params = ConfidenceNet(
             rng.normal(0, 0.6, size=(p, 2 * p)),
             rng.normal(0, 0.6, size=(2 * p, k)),
             rng.normal(0, 0.8, size=k))
@@ -456,9 +479,9 @@ def test_objective_gradients_match_finite_differences():
         def repack(flat):
             a = p * 2 * p
             b = a + 2 * p * k
-            return ConfidenceNetParams(flat[:a].reshape(p, 2 * p),
-                                       flat[a:b].reshape(2 * p, k),
-                                       flat[b:])
+            return ConfidenceNet(flat[:a].reshape(p, 2 * p),
+                                 flat[a:b].reshape(2 * p, k),
+                                 flat[b:])
 
         flat = np.concatenate([params.W1.ravel(), params.W2.ravel(),
                                params.t_raw])
@@ -484,11 +507,10 @@ def test_fit_confidence_net_on_perfect_classifier():
     after = list(h.weights) + list(h.biases)
     for a, b in zip(before, after):
         assert np.array_equal(a, b)  # classifier frozen
-    t_prime = al.ThresholdVector(sigmoid(1.0, net.params.t_raw))
+    t_prime = al.ThresholdVector(sigmoid(1.0, net.t_raw))
     cov1, err1 = surrogate_metrics(net, t_prime, h, cal, cfg.alpha)
     assert err1 == 0.0
-    init = ConfidenceNet(init_confidence_net_params(
-        2, h.weights[-1].shape[0], 7))
+    init = init_confidence_net(2, h.weights[-1].shape[0], 7)
     cov0, _ = surrogate_metrics(init, uniform_thresholds(0.5), h, cal,
                                 cfg.alpha)
     assert cov1 > cov0
@@ -501,16 +523,16 @@ def test_fit_confidence_net_deterministic():
                             9)
     n2 = fit_confidence_net(*h.representations(cal.features), cal.labels, cfg,
                             9)
-    assert np.array_equal(n1.params.W1, n2.params.W1)
-    assert np.array_equal(n1.params.W2, n2.params.W2)
-    assert np.array_equal(n1.params.t_raw, n2.params.t_raw)
+    assert np.array_equal(n1.W1, n2.W1)
+    assert np.array_equal(n1.W2, n2.W2)
+    assert np.array_equal(n1.t_raw, n2.t_raw)
     # the fitted net owns its arrays; none is a view of the optimizer buffer
     p = 2 + 8
-    params = [n1.params.W1, n1.params.W2, n1.params.t_raw]
+    params = [n1.W1, n1.W2, n1.t_raw]
     for a, shape in zip(params, [(p, 2 * p), (2 * p, 2), (2,)]):
         assert a.shape == shape and a.dtype == np.float32
         assert a.flags.c_contiguous and a.flags.owndata
-    others = [n2.params.W1, n2.params.W2, n2.params.t_raw]
+    others = [n2.W1, n2.W2, n2.t_raw]
     for a, b in itertools.combinations(params + others, 2):
         assert not np.shares_memory(a, b)
 
@@ -521,7 +543,7 @@ def test_fit_confidence_net_beats_softmax_sweep_on_overlap():
     ds, cal, h = mixture_1d([[-1.0], [1.0]], 200, seed=5, train_seed=1)
     net = fit_confidence_net(*h.representations(cal.features), cal.labels,
                              ConfidenceNetConfig(lam=100.0, alpha=1.0), 3)
-    tv = al.ThresholdVector(sigmoid(1.0, net.params.t_raw))
+    tv = al.ThresholdVector(sigmoid(1.0, net.t_raw))
     cov_f, err_f = metrics_on(net, tv, h, cal)
     err_cap = 0.0 if err_f is None else err_f
     sm = TemperatureConfidence(1.0)

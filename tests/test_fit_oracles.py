@@ -17,13 +17,13 @@ from scipy.optimize import minimize_scalar
 import autolabel as al
 from autolabel import confidence
 from autolabel.confidence import (
+    ConfidenceNet,
     ConfidenceNetConfig,
-    ConfidenceNetParams,
     LOG_T_BOUNDS,
     _bounded_minimum,
     fit_confidence_net,
     fit_temperature,
-    init_confidence_net_params,
+    init_confidence_net,
     objective_grad,
 )
 from autolabel.mlp import _batch_dlogits, _dlogits_work, init_mlp
@@ -129,13 +129,13 @@ def ref_fit_confidence_net(h, d_cal, cfg, seed):
     Z = np.asarray(np.concatenate([z1, z2], axis=1), dtype=np.float32)
     preds = np.argmax(z1, axis=1)
     wrong = (preds != d_cal.labels)
-    params = init_confidence_net_params(k, z2.shape[1], seed)
-    mom = ConfidenceNetParams(np.zeros_like(params.W1),
-                              np.zeros_like(params.W2),
-                              np.zeros_like(params.t_raw))
-    sec = ConfidenceNetParams(np.zeros_like(params.W1),
-                              np.zeros_like(params.W2),
-                              np.zeros_like(params.t_raw))
+    params = init_confidence_net(k, z2.shape[1], seed)
+    mom = ConfidenceNet(np.zeros_like(params.W1),
+                        np.zeros_like(params.W2),
+                        np.zeros_like(params.t_raw))
+    sec = ConfidenceNet(np.zeros_like(params.W1),
+                        np.zeros_like(params.W2),
+                        np.zeros_like(params.t_raw))
     b1, b2, adam_eps = 0.9, 0.999, 1e-8
     lr = np.float32(cfg.learning_rate)
     wd = np.float32(cfg.weight_decay)
@@ -404,6 +404,6 @@ def test_fit_confidence_net_equals_reference_adam_bit_for_bit():
                                  cfg, i)
         want = ref_fit_confidence_net(h, cal, cfg, i)
         for name in ("W1", "W2", "t_raw"):
-            a, b = getattr(net.params, name), getattr(want, name)
+            a, b = getattr(net, name), getattr(want, name)
             assert a.shape == b.shape and a.dtype == b.dtype == np.float32
             assert np.array_equal(a, b), (k, wd, hidden, name)

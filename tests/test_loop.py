@@ -344,8 +344,8 @@ def test_fit_round_derives_each_seed_from_the_run_seed():
                                 val.labels[cal], cfg.posthoc,
                                 child_seed(seed, i, "posthoc"))
     for name in ("W1", "W2", "t_raw"):
-        assert (getattr(g.params, name).tobytes()
-                == getattr(net.params, name).tobytes())
+        assert (getattr(g, name).tobytes()
+                == getattr(net, name).tobytes())
 
 
 # ---------------------------------------------------------------------------

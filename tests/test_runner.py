@@ -528,15 +528,15 @@ def hpo_experiment(tmp_path, name="hpo", method="top_label_hb"):
 def test_hpo_end_to_end(tmp_path):
     cfg = hpo_experiment(tmp_path)
     result = al.hyperparameter_search(cfg)
-    phases = [r["phase"] for r in result.records]
+    phases = [r["phase"] for r in result["records"]]
     assert phases == ["train", "train", "posthoc", "posthoc"]
-    assert result.train_winner_id.startswith("train-")
-    assert result.posthoc_winner_id.startswith("posthoc-")
-    assert set(result.train_winner) == {"max_epochs"}
-    assert set(result.posthoc_winner) == {"points_per_bin"}
-    assert sum(r["selected"] for r in result.records) == 2
+    assert result["train_winner_id"].startswith("train-")
+    assert result["posthoc_winner_id"].startswith("posthoc-")
+    assert set(result["train_winner"]) == {"max_epochs"}
+    assert set(result["posthoc_winner"]) == {"points_per_bin"}
+    assert sum(r["selected"] for r in result["records"]) == 2
     doc = json.loads((tmp_path / "hpo" / "hpo_result.json").read_text())
-    assert doc == dataclasses.asdict(result)
+    assert doc == result
     with pytest.raises(OutputExistsError):
         al.hyperparameter_search(cfg)
     # reruns reproduce the file byte for byte
@@ -563,12 +563,12 @@ def test_posthoc_phase_reuses_the_train_winners_classifiers(
     cfg = dataclasses.replace(hpo_experiment(tmp_path), hpo=HpoSpec(
         {"max_epochs": [8, 4]}, {"points_per_bin": [5, 10]}, 0))
     result = al.hyperparameter_search(cfg)
-    assert result.train_winner_id == "train-001"
+    assert result["train_winner_id"] == "train-001"
     assert len(trained) == 2 * cfg.repeats
     pool, val, hyp = materialize_dataset(cfg)
     fixed = dataclasses.replace(cfg.tbal, train=dataclasses.replace(
-        cfg.tbal.train, **result.train_winner))
-    posthoc = [r for r in result.records if r["phase"] == "posthoc"]
+        cfg.tbal.train, **result["train_winner"]))
+    posthoc = [r for r in result["records"] if r["phase"] == "posthoc"]
     assert len(posthoc) == 2
     for rec in posthoc:
         tbal = dataclasses.replace(fixed, posthoc=dataclasses.replace(
@@ -586,9 +586,9 @@ def test_hpo_softmax_skips_posthoc_phase(tmp_path):
     for method in ("softmax", "temperature"):
         cfg = hpo_experiment(tmp_path, name=method, method=method)
         result = al.hyperparameter_search(cfg)
-        assert [r["phase"] for r in result.records] == ["train", "train"]
-        assert result.posthoc_winner_id == "none"
-        assert result.posthoc_winner == {}
+        assert [r["phase"] for r in result["records"]] == ["train", "train"]
+        assert result["posthoc_winner_id"] == "none"
+        assert result["posthoc_winner"] == {}
 
 
 def test_hpo_requires_config_section(tmp_path):
@@ -606,7 +606,7 @@ def test_hpo_repeats_are_paired_across_combos(tmp_path):
     d["output_dir"] = "paired"
     cfg = parse_config_dict(d, base_dir=str(tmp_path))
     result = al.hyperparameter_search(cfg)
-    a, b = [r for r in result.records if r["phase"] == "train"]
+    a, b = [r for r in result["records"] if r["phase"] == "train"]
     assert a["mean_coverage"] == b["mean_coverage"]
     assert a["mean_error"] == b["mean_error"]
     assert os.path.exists(tmp_path / "paired" / "hpo_result.json")

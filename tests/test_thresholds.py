@@ -27,6 +27,11 @@ def test_threshold_vector_accepts_inf_rejects_out_of_range():
         al.ThresholdVector(np.array([-0.1, 0.5]))
     with pytest.raises(ValueError):
         al.ThresholdVector(np.array([0.5, 1.5]))
+    # -inf would select every point of its class, and both log as null
+    with pytest.raises(ValueError):
+        al.ThresholdVector(np.array([-np.inf, 0.5]))
+    with pytest.raises(ValueError):
+        al.ThresholdVector(np.array([np.nan, 0.5]))
     with pytest.raises(ValueError):
         al.ThresholdVector(np.array([]))
 
