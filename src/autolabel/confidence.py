@@ -73,14 +73,13 @@ class TopLabelHistogramConfidence(ConfidenceModel):
     scores() replaces each binned class's softmax column with its bin
     values, so rows need not sum to 1. Only a row's predicted entry is read
     downstream, and the fit bins each class's calibration points predicted
-    as it, the logits' argmax as in ``predicted_scores``. Classes that had
-    no calibration points keep their raw softmax column (fallback, recorded).
+    as it, the logits' argmax as in ``predicted_scores``. A class with no
+    calibration points has no key in ``values``; it keeps its softmax column.
     """
 
-    def __init__(self, boundaries: dict, values: dict, fallback_classes: tuple):
+    def __init__(self, boundaries: dict, values: dict):
         self.boundaries = boundaries  # class -> ascending inner bin edges
         self.values = values          # class -> per-bin correct fraction
-        self.fallback_classes = tuple(fallback_classes)
 
     def scores(self, logits: np.ndarray, penultimate: np.ndarray) -> np.ndarray:
         probs = softmax(logits)
@@ -212,12 +211,10 @@ def fit_top_label_hb(logits: np.ndarray, labels: np.ndarray,
     correct = (preds == labels).astype(np.float64)
     boundaries: dict = {}
     values: dict = {}
-    fallback = []
     for y in range(logits.shape[1]):
         mask = preds == y
         m = int(mask.sum())
         if m == 0:
-            fallback.append(y)
             continue
         top = probs[mask, y]
         ok = correct[mask]
@@ -226,7 +223,7 @@ def fit_top_label_hb(logits: np.ndarray, labels: np.ndarray,
         groups = np.array_split(order, n_bins)
         values[y] = np.array([ok[grp].mean() for grp in groups])
         boundaries[y] = np.array([top[grp[0]] for grp in groups[1:]])
-    return TopLabelHistogramConfidence(boundaries, values, tuple(fallback))
+    return TopLabelHistogramConfidence(boundaries, values)
 
 
 @dataclass(frozen=True)
@@ -338,7 +335,6 @@ def objective_grad(net: ConfidenceNet, Z: np.ndarray,
     """
     m = Z.shape[0]
     rows = np.arange(m)
-    wrongf = np.asarray(wrong, dtype=Z.dtype)
     A = np.matmul(Z, net.W1, out=work[0][:m])
     np.tanh(A, out=A)
     V = A @ net.W2
@@ -348,11 +344,11 @@ def objective_grad(net: ConfidenceNet, Z: np.ndarray,
     delta = s - tvec[yhat]
     u = sigmoid(alpha, delta)
     S = u.sum()
-    M = (u * wrongf).sum()
+    M = (u * wrong).sum()
     denom = S + denom_epsilon
     value = float(-u.mean() + lam * (M / denom))
     # d value / d u_i, then chain through the sigmoid, softmax, and layers
-    du = -1.0 / m + lam * (wrongf * denom - M) / (denom * denom)
+    du = -1.0 / m + lam * (wrong * denom - M) / (denom * denom)
     c = du * alpha * u * (1.0 - u)
     cs = c * s
     Gv = np.negative(Q, out=Q)

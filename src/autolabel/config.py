@@ -185,8 +185,6 @@ class ExperimentConfig:
 def default_circle_means(classes: int, dim: int):
     """Class means evenly spaced on a circle of radius 3 in the first two
     dims (on [-3, 3] when dim is 1)."""
-    if dim < 1:
-        raise RangeError("dataset.dim: must be >= 1")
     means = np.zeros((classes, dim))
     if dim == 1:
         means[:, 0] = np.linspace(-3.0, 3.0, classes)
@@ -205,7 +203,7 @@ def _parse_dataset(sec: _Section, base_dir: str):
     if kind == "synthetic":
         classes = sec.number("classes", integer=True, lo=2)
         dim = sec.number("dim", integer=True, lo=1)
-        sigma = sec.number("sigma", lo=0.0)
+        sigma = sec.number("sigma")
         if sigma <= 0:
             raise RangeError(f"{sec.path}.sigma: must be positive")
         means_raw = sec.raw("means", None)

@@ -141,7 +141,7 @@ class LabeledSet:
     def from_oracle(cls, dataset: Dataset, indices) -> "LabeledSet":
         """Label ``indices`` with the dataset's ground truth (an oracle query)."""
         idx = np.asarray(indices, dtype=np.int64)
-        return cls(dataset, idx, dataset.hidden_labels[idx].copy())
+        return cls(dataset, idx, dataset.hidden_labels[idx])
 
     def take(self, positions) -> "LabeledSet":
         """Subset by positions within this set (not dataset indices)."""
@@ -187,8 +187,6 @@ class Pool:
     def without(self, indices) -> "Pool":
         """Pool minus ``indices`` (dataset row indices, must be active)."""
         drop = np.asarray(indices, dtype=np.int64)
-        if drop.size == 0:
-            return Pool(self.dataset, self.active.copy())
         mask = np.isin(self.active, drop)
         if mask.sum() != drop.size:
             raise ValueError("attempt to remove indices not in the pool")

@@ -167,9 +167,9 @@ def auto_label_select(t: ThresholdVector, pool: Pool, top: np.ndarray,
     (auto-labeled set, pool left, mask of ``pool``'s rows left).
     """
     sel = t.selects(top, preds)
-    chosen = pool.active[sel]
-    labeled = LabeledSet(pool.dataset, chosen, preds[sel])
-    return labeled, pool.without(chosen), ~sel
+    left = ~sel
+    labeled = LabeledSet(pool.dataset, pool.active[sel], preds[sel])
+    return labeled, Pool(pool.dataset, pool.active[left]), left
 
 
 def filter_validation(t: ThresholdVector, val: LabeledSet, top: np.ndarray,
@@ -264,8 +264,6 @@ def run_tbal(cfg: TbalConfig, initial_pool: Pool, d_val: LabeledSet,
     ``val``, the one pass the thresholds and the filter also use. It must
     not mutate anything.
     """
-    if cfg.seed_size > initial_pool.size:
-        raise ValueError("seed_size exceeds pool size")
     if len(d_val) < 2:
         raise ValueError("need at least 2 validation points")
     data = initial_pool.dataset
@@ -275,6 +273,9 @@ def run_tbal(cfg: TbalConfig, initial_pool: Pool, d_val: LabeledSet,
     val = d_val
     records: list[RoundRecord] = []
     warnings: list[str] = []
+    if pool.size == 0:
+        warnings.append("round 1: the seed query took the whole pool; "
+                        "no round ran")
     # auto-labels and mistakes over all rounds
     total_auto = total_wrong = 0
     i = 1

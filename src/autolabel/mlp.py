@@ -247,8 +247,6 @@ def _batch_dlogits(logits: np.ndarray, Yb: np.ndarray, kind: str, work):
 
 def init_mlp(dims, seed: int) -> MlpClassifier:
     """Fresh model, each layer U[-1/sqrt(fan_in), +1/sqrt(fan_in)], float32."""
-    if len(dims) < 3:
-        raise ValueError("dims must list input, >=1 hidden, output sizes")
     rng = stream(seed, "init")
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):

@@ -44,7 +44,7 @@ from .thresholds import empirical_metrics, predicted_scores
 
 
 class OutputExistsError(RuntimeError):
-    """Refusing to clobber an existing summary without --force."""
+    """Refusing to clobber an existing output without --force."""
 
 
 def materialize_dataset(cfg: ExperimentConfig):
@@ -56,17 +56,16 @@ def materialize_dataset(cfg: ExperimentConfig):
     in algorithmic randomness.
     """
     spec = cfg.dataset
+    need = spec.pool_size + spec.val_size + spec.hyp_size
     if isinstance(spec, SyntheticSpec):
-        total = spec.pool_size + spec.val_size + spec.hyp_size
         base = synth_gaussian_mixture(
-            spec.classes, spec.dim, spec.means, spec.sigma, total,
+            spec.classes, spec.dim, spec.means, spec.sigma, need,
             child_seed(cfg.master_seed, "data"))
     elif isinstance(spec, FileSpec):
         base = load_dataset(spec.path, spec.format, spec.num_classes,
                             spec.labels_path)
     else:
         raise TypeError(f"unknown dataset spec {type(spec).__name__}")
-    need = spec.pool_size + spec.val_size + spec.hyp_size
     if need > base.n:
         raise ValueError(
             f"dataset has {base.n} points, config asks for {need}"
@@ -112,6 +111,10 @@ def _map(fn, shared: tuple, tasks, jobs: int) -> list:
 def _one_run(pool: Pool, val: LabeledSet, tbal_cfg: TbalConfig, seed: int,
              run_dir: str) -> dict:
     os.makedirs(run_dir, exist_ok=True)
+    # a forced rerun with fewer rounds leaves no earlier run's score files
+    for name in os.listdir(run_dir):
+        if name.startswith("scores_round_") and name.endswith(".csv"):
+            os.remove(os.path.join(run_dir, name))
 
     def hook(round_index, model, round_val, top, preds):
         write_score_dump(
@@ -136,9 +139,9 @@ def _mean_std(values):
 
 def _output_path(cfg: ExperimentConfig, out_dir: str | None, name: str,
                  force: bool) -> str:
-    """The path of file ``name`` in the output directory (``out_dir``, else
-    the config's); an existing file is refused without ``force``. Nothing
-    is made: the directory appears when the first file is written."""
+    """The path of ``name``, a file or run directory, in the output directory
+    (``out_dir``, else the config's); an existing one is refused without
+    ``force``. Nothing is made: the directory appears with the first file."""
     out = out_dir if out_dir is not None else cfg.output_dir
     path = os.path.join(out, name)
     if os.path.exists(path) and not force:
@@ -164,28 +167,25 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         summary.json
     """
     summary_path = _output_path(cfg, out_dir, "summary.json", force)
-    out = os.path.dirname(summary_path)
+    run_dirs = [_output_path(cfg, out_dir, f"run_{r:02d}", force)
+                for r in range(cfg.repeats)]
     pool, val, _ = materialize_dataset(cfg)
-    tasks = [(cfg.tbal, child_seed(cfg.master_seed, "run", r),
-              os.path.join(out, f"run_{r:02d}")) for r in range(cfg.repeats)]
+    tasks = [(cfg.tbal, child_seed(cfg.master_seed, "run", r), run_dir)
+             for r, run_dir in enumerate(run_dirs)]
     results = _map(_one_run, (pool, val), tasks, jobs)
     coverages = [r["final_coverage"] for r in results]
     errors = [r["final_error"] for r in results if r["final_error"] is not None]
     cov_mean, cov_std = _mean_std(coverages)
+    err_mean, err_std = _mean_std(errors) if errors else (None, None)
     summary = {
         "n_runs": cfg.repeats,
         "runs": results,
         "final_coverage_mean": cov_mean,
         "final_coverage_std": cov_std,
+        "final_error_mean": err_mean,
+        "final_error_std": err_std,
         "runs_without_auto_labels": cfg.repeats - len(errors),
     }
-    if errors:
-        err_mean, err_std = _mean_std(errors)
-        summary["final_error_mean"] = err_mean
-        summary["final_error_std"] = err_std
-    else:
-        summary["final_error_mean"] = None
-        summary["final_error_std"] = None
     _write_json(summary_path, summary)
     return summary
 

@@ -139,10 +139,11 @@ def select_class_threshold(top: np.ndarray, wrong: np.ndarray,
         return np.inf
     top = np.asarray(top, dtype=np.float64)
     keep = ~np.isnan(top)
-    order = np.argsort(top[keep], kind="stable")
-    sorted_top = top[keep][order]
+    top, wrong = top[keep], wrong[keep]
+    order = np.argsort(top, kind="stable")
+    sorted_top = top[order]
     wrong_below = np.concatenate(
-        ([0], np.cumsum(wrong[keep][order], dtype=np.int64)))
+        ([0], np.cumsum(wrong[order], dtype=np.int64)))
     # grid value t selects sorted_top[first:], the points with top >= t
     first = np.searchsorted(sorted_top, cfg.grid, side="left")
     m = sorted_top.shape[0] - first

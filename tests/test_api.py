@@ -6,7 +6,8 @@ belongs under tests/. The check is syntactic: an exported name must be read
 than ``__init__.py``. Its own ``def``/``class`` line and the import lines
 that re-export it do not count. Every function, class and method a module
 defines, dunders excepted, must be read the same way somewhere outside its
-own definition.
+own definition, and every attribute a method sets on ``self`` must be
+read as an attribute somewhere in the package.
 """
 
 import ast
@@ -65,6 +66,24 @@ def test_every_definition_is_used_inside_the_package():
         and uses[node.name] == sum(name == node.name for name in reads(node))
     ]
     assert unused == [], f"defined but run by nothing in the package: {unused}"
+
+
+def test_every_attribute_set_on_self_is_read_inside_the_package():
+    # a stored field that nothing reads is state kept for no one, as the
+    # histogram's fallback classes were: the classes missing from its values
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    loads = {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)}
+    unread = sorted({
+        f"{module}:{node.attr}"
+        for module, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+        and node.attr not in loads
+    })
+    assert unread == [], f"set on self but read by nothing: {unread}"
 
 
 def test_one_function_draws_the_shuffle_stream():

@@ -191,7 +191,7 @@ def test_hb_two_bin_hand_example(blob_model, blobs):
                          cal.labels, points_per_bin=2)
     assert np.allclose(g.values[cls], [0.5, 1.0])
     # the other classes had no calibration points and fall back to softmax
-    assert set(g.fallback_classes) == {c for c in range(4) if c != cls}
+    assert set(g.values) == {cls}
     # scoring the calibration points returns their own bin's value
     got = g.scores(*blob_model.representations(blobs.features[pos]))
     got = got[np.arange(4), cls]
@@ -215,7 +215,7 @@ def test_hb_fallback_class_scores_raw_softmax(blob_model, blobs):
     cal = al.LabeledSet(blobs, pos, np.full(6, cls))
     g = fit_top_label_hb(blob_model.representations(cal.features)[0],
                          cal.labels, points_per_bin=3)
-    assert other in g.fallback_classes
+    assert other not in g.values
     qpos = np.where(preds == other)[0][:5]
     if qpos.size:
         got = g.scores(*blob_model.representations(blobs.features[qpos]))
@@ -252,10 +252,9 @@ def test_hb_bins_the_predicted_class_on_float32_softmax_ties():
             return np.repeat(tied, len(X), axis=0), X
 
     fitted = fit_top_label_hb(tied, np.array([1]), points_per_bin=1)
-    assert fitted.fallback_classes == (0,)
+    assert set(fitted.values) == {1}
     g = TopLabelHistogramConfidence({0: np.array([]), 1: np.array([])},
-                                    {0: np.array([0.9]), 1: np.array([0.1])},
-                                    ())
+                                    {0: np.array([0.9]), 1: np.array([0.1])})
     top, preds = scored(g, TiedModel(), np.zeros((1, 1)))
     assert preds.tolist() == [1]
     assert top[0] == np.float32(0.1)
@@ -271,7 +270,7 @@ def test_hb_predicted_scores_equal_the_patch_only_scorer_bit_for_bit():
         cal[:, -1] -= 100.0  # the last class is never predicted: fallback
         labels = rng.integers(0, k, size=n)
         g = fit_top_label_hb(cal, labels, points_per_bin=per_bin)
-        assert k - 1 in g.fallback_classes
+        assert k - 1 not in g.values
         logits = rng.normal(0, 2.0, size=(300, k)).astype(np.float32)
         logits[:20, 1] = logits[:20, 0]  # exact ties in the first two
         logits[20:40] = logits[20:40, :1]  # every class tied

@@ -362,6 +362,19 @@ def test_run_preconditions():
                     SEED)
 
 
+def test_seed_query_taking_the_whole_pool_warns():
+    # a seed set as large as the pool leaves nothing to auto-label: the run
+    # makes no round, and says so
+    pool, val = overlapping_world(n_pool=20, n_val=10)
+    report = al.run_tbal(base_config(train_budget=60, seed_size=20), pool,
+                         val, SEED)
+    assert report.rounds == []
+    assert report.warnings == [
+        "round 1: the seed query took the whole pool; no round ran"]
+    assert report.final_coverage == 0.0 and report.final_error is None
+    assert len(report.output) == 20
+
+
 def test_single_round_on_separable_world():
     means = np.array([[-8.0, 0.0], [8.0, 0.0]])
     ds = al.synth_gaussian_mixture(2, 2, means, 0.5, 260, seed=7)

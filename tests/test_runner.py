@@ -211,6 +211,35 @@ def test_refuses_to_overwrite_without_force(tmp_path):
     assert again == first
 
 
+def test_refuses_a_run_dir_left_without_a_summary(tmp_path):
+    # a run that crashed left run_01/ but no summary.json
+    cfg = experiment(OVERLAPPING, tmp_path, repeats=2)
+    left = tmp_path / "out" / "run_01"
+    left.mkdir(parents=True)
+    (left / "rounds.jsonl").write_text("kept\n")
+    with pytest.raises(OutputExistsError, match=r"run_01 exists"):
+        al.run_experiment(cfg)
+    assert sorted(os.listdir(tmp_path / "out")) == ["run_01"]
+    assert (left / "rounds.jsonl").read_text() == "kept\n"
+    al.run_experiment(cfg, force=True)
+    assert (left / "rounds.jsonl").read_text() != "kept\n"
+
+
+def test_forced_rerun_leaves_no_earlier_score_files(tmp_path):
+    def score_files():
+        return sorted(name for name in os.listdir(tmp_path / "out" / "run_00")
+                      if name.startswith("scores_round_"))
+
+    al.run_experiment(experiment(OVERLAPPING, tmp_path, repeats=1))
+    assert len(score_files()) == 3
+    shorter = copy.deepcopy(OVERLAPPING)
+    shorter["tbal"]["train_budget"] = 30
+    summary = al.run_experiment(experiment(shorter, tmp_path, repeats=1),
+                                force=True)
+    assert summary["runs"][0]["n_rounds"] == 2
+    assert score_files() == ["scores_round_001.csv", "scores_round_002.csv"]
+
+
 def test_parallel_jobs_match_serial(tmp_path):
     cfg_s = experiment(OVERLAPPING, tmp_path, name="serial", repeats=2)
     cfg_p = experiment(OVERLAPPING, tmp_path, name="parallel", repeats=2)
