@@ -12,7 +12,8 @@ pass over its validation set, the fit only the calibration rows. Variants:
 * confidence net          -- a small tanh network over the classifier's
                              representations, trained to maximize a smoothed
                              selection-coverage objective with a smoothed
-                             selection-error penalty
+                             selection-error penalty, and scored in bounded
+                             row chunks
 
 Each variant's frozen config class (``SoftmaxConfig``, ``TemperatureConfig``,
 ``TopLabelBinningConfig``, ``ConfidenceNetConfig``) names it and holds its
@@ -33,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledSet
-from .mlp import _check_fields, _epoch_batches, _flat_views, softmax
+from .mlp import (_check_fields, _chunk_bounds, _epoch_batches, _flat_views,
+                  softmax)
 from .rng import stream
 
 
@@ -44,7 +46,8 @@ def sigmoid(alpha: float, z):
         raise ValueError("alpha must be positive and finite")
     x = np.multiply(alpha, z)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 class ConfidenceModel:
@@ -279,13 +282,19 @@ class ConfidenceNetConfig:
             raise ValueError("weight_decay must be >= 0")
 
 
+# hidden floats a chunk of ``ConfidenceNet.scores`` holds: a 2 MiB float32
+# block
+NET_CHUNK_FLOATS = 2 ** 19
+
+
 class ConfidenceNet(ConfidenceModel):
     """softmax(W2 tanh(W1 [logits, penultimate])) over classifier reps.
 
     Two bias-free layers plus unconstrained auxiliary thresholds: W1 is
     (k+d2, 2(k+d2)), W2 is (2(k+d2), k) and t_raw is (k,), read through the
     logistic when needed in (0,1). The fit's gradients are held in a
-    ConfidenceNet of the same shapes.
+    ConfidenceNet of the same shapes. ``scores`` runs in bounded row
+    chunks, so no pass holds a whole set's hidden activations.
     """
 
     def __init__(self, W1: np.ndarray, W2: np.ndarray, t_raw: np.ndarray):
@@ -299,8 +308,36 @@ class ConfidenceNet(ConfidenceModel):
         self.W1, self.W2, self.t_raw = W1, W2, t_raw
 
     def scores(self, logits: np.ndarray, penultimate: np.ndarray) -> np.ndarray:
-        Z = np.concatenate([logits, penultimate], axis=1)
-        return softmax(np.tanh(Z @ self.W1) @ self.W2)
+        """``softmax(np.tanh(Z @ W1) @ W2)`` for ``Z = [logits |
+        penultimate]``, bit for bit, in ``mlp._chunk_bounds``'s row chunks:
+        ``NET_CHUNK_FLOATS // (2p)`` rows each for float32 products, one
+        chunk otherwise.
+
+        Each chunk's rows of ``Z`` are copied into one reused (c, p)
+        buffer, multiplied into one reused (c, 2p) hidden buffer, which
+        takes the tanh in place, and the chunk's ``@ W2`` is written into
+        its rows of one (n, k) array; the softmax runs once on that. As in
+        ``mlp._rows_product``, a pass of more than one chunk does over
+        10**6 multiply-adds in each product of each chunk for k, p >= 2,
+        above OpenBLAS's small-kernel switch, and a pass of one chunk makes
+        one call per layer, so the bits are those of the whole-set
+        products.
+        """
+        n, k = logits.shape
+        p = self.W1.shape[0]
+        bounds = _chunk_bounds(n, 2 * p, NET_CHUNK_FLOATS, np.result_type(
+            logits, penultimate, self.W1, self.W2))
+        Z = np.empty((n - bounds[-2], p), np.result_type(logits, penultimate))
+        H = np.empty((len(Z), 2 * p), np.result_type(Z, self.W1))
+        V = np.empty((n, self.W2.shape[1]), np.result_type(H, self.W2))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            z, h = Z[:hi - lo], H[:hi - lo]
+            z[:, :k] = logits[lo:hi]
+            z[:, k:] = penultimate[lo:hi]
+            np.matmul(z, self.W1, out=h)
+            np.tanh(h, out=h)
+            np.matmul(h, self.W2, out=V[lo:hi])
+        return softmax(V)
 
 
 def init_confidence_net(k: int, d2: int, seed: int) -> ConfidenceNet:
@@ -318,12 +355,13 @@ def init_confidence_net(k: int, d2: int, seed: int) -> ConfidenceNet:
 def objective_grad(net: ConfidenceNet, Z: np.ndarray,
                    yhat: np.ndarray, wrong: np.ndarray, lam: float,
                    alpha: float, denom_epsilon: float, out, work):
-    """(value, gradients shaped like ``net``) of the batch objective.
+    """Gradients, shaped like ``net``, of the batch objective.
 
-    The value is -(smoothed coverage) + lam * (smoothed selection error):
-    each point is weighted by u = sigmoid(alpha, score_of_predicted -
-    threshold_of_predicted), coverage is the mean of u, and the error is the
-    u-weighted wrong mass over the u-weighted selected mass.
+    The objective is -(smoothed coverage) + lam * (smoothed selection
+    error): each point is weighted by u = sigmoid(alpha, score_of_predicted
+    - threshold_of_predicted), coverage is the mean of u, and the error is
+    the u-weighted wrong mass over the u-weighted selected mass. The fit
+    reads only its gradient, so its value is not computed here.
 
     The gradients are written into ``out`` (a ConfidenceNet of arrays
     shaped like ``net``'s), which is returned. ``work`` is two
@@ -346,8 +384,7 @@ def objective_grad(net: ConfidenceNet, Z: np.ndarray,
     S = u.sum()
     M = (u * wrong).sum()
     denom = S + denom_epsilon
-    value = float(-u.mean() + lam * (M / denom))
-    # d value / d u_i, then chain through the sigmoid, softmax, and layers
+    # d objective / d u_i, then chain through the sigmoid, softmax, and layers
     du = -1.0 / m + lam * (wrong * denom - M) / (denom * denom)
     c = du * alpha * u * (1.0 - u)
     cs = c * s
@@ -362,7 +399,7 @@ def objective_grad(net: ConfidenceNet, Z: np.ndarray,
     np.matmul(Z.T, dPre, out=out.W1)
     dt = np.bincount(yhat, weights=-c, minlength=tvec.shape[0])
     out.t_raw[...] = dt * tvec * (1.0 - tvec)
-    return value, out
+    return out
 
 
 def fit_confidence_net(logits: np.ndarray, penultimate: np.ndarray,

@@ -139,14 +139,33 @@ class MlpClassifier:
 CHUNK_FLOATS = 2 ** 20
 
 
+def _chunk_bounds(n: int, width: int, floats: int, dtype) -> list:
+    """Row bounds ``[0, ..., n]`` of the chunks a pass over n rows of
+    ``width`` floats, whose products are of ``dtype``, takes.
+
+    A float32 pass takes chunks of ``floats // width`` rows (at least
+    one), and a short tail joins the last chunk, which is the largest; it
+    is one chunk when n is below two chunks' rows. Any other pass is one
+    chunk: above its small-kernel switch OpenBLAS's sgemm gives a row the
+    same bits in a call of any row count, but its dgemm does not (seen at
+    0.3.31 on AVX-512 in float64 products 260 or more columns wide, where
+    a row's bits depend on where it falls among the call's rows).
+    """
+    if np.dtype(dtype) != np.float32:
+        return [0, n]
+    size = max(1, floats // width)
+    return [*range(0, max(n - size, 0) + 1, size), n]
+
+
 def _rows_product(X: np.ndarray, rows, w: np.ndarray) -> np.ndarray:
     """``X[rows] @ w``, made without a copy of ``X[rows]``.
 
-    The rows are gathered in chunks of ``CHUNK_FLOATS // d`` rows (a short
-    tail joins the last chunk) into one reused buffer, and each chunk's
-    product is written into its rows of the result. OpenBLAS picks its
-    sgemm kernel by the product's size (0.3.31 switches at 10**6
-    multiply-adds), so a row's bits depend on how many rows share its call.
+    The rows are gathered in ``_chunk_bounds``'s chunks (of
+    ``CHUNK_FLOATS // d`` rows when the product is float32) into one
+    reused buffer, and each chunk's product is written into its rows of
+    the result. OpenBLAS picks its sgemm kernel by the product's size
+    (0.3.31 switches at 10**6 multiply-adds), so a row's bits depend on
+    how many rows share its call.
     A chunk this size holds over 10**6 multiply-adds at any width, as does
     a whole pass of more than one chunk, and a pass of one chunk is one
     call as before. That is why only the first layer, the one that reads
@@ -157,9 +176,8 @@ def _rows_product(X: np.ndarray, rows, w: np.ndarray) -> np.ndarray:
     # "clip" below skips numpy's own check: make it here, once
     if n and (rows.min() < 0 or rows.max() >= X.shape[0]):
         raise IndexError(f"rows out of range for {X.shape[0]} rows")
-    size = max(1, CHUNK_FLOATS // X.shape[1])
-    bounds = [*range(0, max(n - size, 0) + 1, size), n]
     out = np.empty((n, w.shape[1]), np.result_type(X.dtype, w.dtype))
+    bounds = _chunk_bounds(n, X.shape[1], CHUNK_FLOATS, out.dtype)
     buf = np.empty((n - bounds[-2], X.shape[1]), X.dtype)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         chunk = buf[:hi - lo]

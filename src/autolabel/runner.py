@@ -8,6 +8,7 @@ time-dependent is written.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -92,20 +93,30 @@ def _call_shared(fn, task: tuple):
     return fn(*_SHARED, *task)
 
 
+@contextlib.contextmanager
+def _mapper(shared: tuple, workers: int):
+    """Yields ``run(fn, tasks)``, which returns [fn(*shared, *task) for task
+    in tasks] in the order of ``tasks``: over one pool of ``workers``
+    processes, kept for the ``with`` block, when that is more than one.
+    ``shared`` (the data) goes to each worker once, as it starts.
+    """
+    if workers <= 1:
+        yield lambda fn, tasks: [fn(*shared, *task) for task in tasks]
+        return
+    # imported here: a serial run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers, initializer=_share,
+                             initargs=(shared,)) as pool:
+        yield lambda fn, tasks: list(
+            pool.map(_call_shared, [fn] * len(tasks), tasks))
+
+
 def _map(fn, shared: tuple, tasks, jobs: int) -> list:
     """[fn(*shared, *task) for task in tasks], over at most ``jobs`` worker
-    processes and never more than tasks; results keep the order of
-    ``tasks``. ``shared`` (the data) goes to each worker once, as it starts.
-    """
+    processes and never more than tasks (``_mapper``)."""
     # the pool starts all max_workers processes on its first submit
-    workers = min(jobs, len(tasks))
-    if workers > 1:
-        # imported here: a serial run never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers, initializer=_share,
-                                 initargs=(shared,)) as pool:
-            return list(pool.map(_call_shared, [fn] * len(tasks), tasks))
-    return [fn(*shared, *task) for task in tasks]
+    with _mapper(shared, min(jobs, len(tasks))) as run:
+        return run(fn, tasks)
 
 
 def _one_run(pool: Pool, val: LabeledSet, tbal_cfg: TbalConfig, seed: int,
@@ -256,6 +267,8 @@ def hyperparameter_search(cfg: ExperimentConfig, out_dir: str | None = None,
     no hyperparameters. Each combo is scored by `repeats` seeded first-round runs
     evaluated on the held-out hyp split. Phase "posthoc" scores its combos
     on the classifiers the train winner's runs trained, one per repeat.
+    With ``jobs`` > 1 both phases run on one pool of workers, as many as
+    the larger phase has evaluations, at most ``jobs``.
     """
     if cfg.hpo is None:
         raise ConfigError("config has no hpo section")
@@ -269,43 +282,46 @@ def hyperparameter_search(cfg: ExperimentConfig, out_dir: str | None = None,
     base = dataclasses.replace(cfg.tbal, posthoc=SoftmaxConfig())
     models = [None] * repeats
     records, winners = [], {}
-    for phase in ("train", "posthoc"):
-        grid = getattr(spec, f"{phase}_grid")
-        if not grid:
-            winners.update({f"{phase}_winner": {},
-                            f"{phase}_winner_id": "none"})
-            continue
-        combos = _combo_list(grid)
-        cfgs = [dataclasses.replace(base, **{phase: dataclasses.replace(
-            getattr(base, phase), **combo)}) for combo in combos]
-        flat = _map(_first_round_eval, (pool, val, hyp),
-                    [(c, s, m) for c in cfgs for s, m in zip(seeds, models)],
-                    jobs)
-        runs = [flat[i * repeats:(i + 1) * repeats] for i in range(len(combos))]
-        phase_records = []
-        for idx, (combo, chunk) in enumerate(zip(combos, runs)):
-            covs, errs, _ = zip(*chunk)
-            cov_mean, cov_std = _mean_std(covs)
-            err_mean, err_std = _mean_std(errs)
-            phase_records.append({
-                "combo_id": f"{phase}-{idx:03d}",
-                "phase": phase,
-                "params": combo,
-                "mean_coverage": cov_mean,
-                "std_coverage": cov_std,
-                "mean_error": err_mean,
-                "std_error": err_std,
-                "selected": False,
-            })
-        winner_id = _select(phase_records, cfg.tbal.thresholds.eps_a,
-                            spec.tie_break_seed, phase)
-        w = [r["combo_id"] for r in phase_records].index(winner_id)
-        winners.update({f"{phase}_winner": combos[w],
-                        f"{phase}_winner_id": winner_id})
-        records += phase_records
-        # the next phase runs the configured method on the winner's models
-        base = dataclasses.replace(cfgs[w], posthoc=cfg.tbal.posthoc)
-        models = [m for _, _, m in runs[w]]
+    combos_of = {phase: _combo_list(grid) for phase in ("train", "posthoc")
+                 if (grid := getattr(spec, f"{phase}_grid"))}
+    most = repeats * max(map(len, combos_of.values()), default=0)
+    with _mapper((pool, val, hyp), min(jobs, most)) as run:
+        for phase in ("train", "posthoc"):
+            if phase not in combos_of:
+                winners.update({f"{phase}_winner": {},
+                                f"{phase}_winner_id": "none"})
+                continue
+            combos = combos_of[phase]
+            cfgs = [dataclasses.replace(base, **{phase: dataclasses.replace(
+                getattr(base, phase), **combo)}) for combo in combos]
+            flat = run(_first_round_eval, [(c, s, m) for c in cfgs
+                                           for s, m in zip(seeds, models)])
+            runs = [flat[i * repeats:(i + 1) * repeats]
+                    for i in range(len(combos))]
+            phase_records = []
+            for idx, (combo, chunk) in enumerate(zip(combos, runs)):
+                covs, errs, _ = zip(*chunk)
+                cov_mean, cov_std = _mean_std(covs)
+                err_mean, err_std = _mean_std(errs)
+                phase_records.append({
+                    "combo_id": f"{phase}-{idx:03d}",
+                    "phase": phase,
+                    "params": combo,
+                    "mean_coverage": cov_mean,
+                    "std_coverage": cov_std,
+                    "mean_error": err_mean,
+                    "std_error": err_std,
+                    "selected": False,
+                })
+            winner_id = _select(phase_records, cfg.tbal.thresholds.eps_a,
+                                spec.tie_break_seed, phase)
+            w = [r["combo_id"] for r in phase_records].index(winner_id)
+            winners.update({f"{phase}_winner": combos[w],
+                            f"{phase}_winner_id": winner_id})
+            records += phase_records
+            # the next phase runs the configured method on the winner's models
+            base = dataclasses.replace(cfgs[w], posthoc=cfg.tbal.posthoc)
+            models = [m for _, _, m in runs[w]]
 
     result = {"records": records, **winners}
     _write_json(result_path, result)

@@ -17,6 +17,11 @@
 * ``surrogate_metrics`` -- the sigmoid-smoothed coverage and selection error
   of a fitted confidence function, the quantities the confidence-net
   objective trades off, evaluated through ``predicted_scores``;
+* ``net_scores`` -- the confidence net's scores as one expression over the
+  whole set, the bits its chunked ``scores`` must give;
+* ``objective_value`` -- the confidence net's batch objective, whose
+  gradient ``objective_grad`` computes, for the finite-difference gradient
+  checks;
 * ``patched_histogram_scores`` -- top-label histogram binning as it once
   scored: the raw softmax with only each row's predicted entry replaced by
   its bin value, the prediction the logits' argmax;
@@ -236,6 +241,25 @@ def patched_histogram_scores(g, logits: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(g.boundaries[y], probs[mask, y], side="right")
         out[mask, y] = g.values[y][idx]
     return out
+
+
+def net_scores(net, logits: np.ndarray, penultimate: np.ndarray) -> np.ndarray:
+    """(n, k) scores of the confidence net ``net``: softmax(tanh(Z @ W1) @
+    W2) of the concatenated rows Z = [logits | penultimate], whole-set."""
+    Z = np.concatenate([logits, penultimate], axis=1)
+    return softmax(np.tanh(Z @ net.W1) @ net.W2)
+
+
+def objective_value(net, Z: np.ndarray, yhat: np.ndarray, wrong: np.ndarray,
+                    lam: float, alpha: float, denom_epsilon: float) -> float:
+    """The batch objective ``objective_grad`` differentiates:
+    -(smoothed coverage) + lam * (smoothed selection error) of the net's
+    predicted-class scores at its auxiliary thresholds
+    sigmoid(1, t_raw)."""
+    s = softmax(np.tanh(Z @ net.W1) @ net.W2)[np.arange(len(Z)), yhat]
+    u = sigmoid(alpha, s - sigmoid(1.0, net.t_raw)[yhat])
+    error = (u * wrong).sum() / (u.sum() + denom_epsilon)
+    return float(-u.mean() + lam * error)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -1,12 +1,15 @@
 import csv
+import hashlib
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import autolabel as al
 from autolabel.confidence import (
+    NET_CHUNK_FLOATS,
     ConfidenceNet,
     ConfidenceNetConfig,
     TemperatureConfidence,
@@ -32,7 +35,12 @@ from conftest import (
     single_class_instance,
     uniform_thresholds,
 )
-from oracles import patched_histogram_scores, surrogate_metrics
+from oracles import (
+    net_scores,
+    objective_value,
+    patched_histogram_scores,
+    surrogate_metrics,
+)
 
 
 def mixture_1d(means, n, seed, train_seed, epochs=40):
@@ -390,6 +398,51 @@ def test_confidence_net_scores_concatenate_representations(blob_model, blobs):
     assert np.array_equal(net.scores(z1, z2), want)
 
 
+def net_row_count(p: int, count: str) -> int:
+    c = NET_CHUNK_FLOATS // (2 * p)
+    return {"1": 1, "c-1": c - 1, "c": c, "c+1": c + 1, "2c-1": 2 * c - 1,
+            "2c": 2 * c, "2c+1": 2 * c + 1, "30000": 30000}[count]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("count", ["1", "c-1", "c", "c+1", "2c-1", "2c",
+                                   "2c+1", "30000"])
+@pytest.mark.parametrize("d2", [8, 64, 128, 200])
+@pytest.mark.parametrize("k", [2, 4, 10, 13])
+def test_chunked_net_scores_equal_the_whole_set_expression(k, d2, count,
+                                                           dtype):
+    # the chunked pass must give every row the bits and the dtype of
+    # softmax(tanh(Z @ W1) @ W2) over the whole set, at row counts on each
+    # side of one and two chunks; compared by digest, as the sets are large
+    n = net_row_count(k + d2, count)
+    net = init_confidence_net(k, d2, seed=k * d2)
+    rng = np.random.default_rng(n)
+    logits = (3.0 * rng.standard_normal((n, k))).astype(dtype)
+    penultimate = np.tanh(rng.standard_normal((n, d2))).astype(dtype)
+    got = net.scores(logits, penultimate)
+    want = net_scores(net, logits, penultimate)
+    assert got.dtype == want.dtype == np.result_type(dtype, np.float32)
+    assert got.shape == want.shape == (n, k)
+    assert hashlib.sha256(got).digest() == hashlib.sha256(want).digest()
+
+
+def test_net_scores_over_30000_rows_peak_below_10_mb():
+    # the whole-set expression allocates 82.8 MB at this shape; the chunked
+    # pass holds a chunk's rows and hidden activations of at most two
+    # chunks (5.6 MB) and the (n, k) products and softmax (2.4 MB)
+    net = init_confidence_net(10, 128, seed=0)
+    rng = np.random.default_rng(3)
+    logits = rng.standard_normal((30000, 10), dtype=np.float32)
+    penultimate = np.tanh(rng.standard_normal((30000, 128), dtype=np.float32))
+    tracemalloc.start()
+    try:
+        net.scores(logits, penultimate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+
+
 def test_confidence_net_config_validation():
     ConfidenceNetConfig()
     for bad in (dict(lam=0.0), dict(alpha=-1.0), dict(learning_rate=0.0),
@@ -443,10 +496,10 @@ def test_objective_grad_writes_the_same_bits_into_out():
             args = (Z, yhat, wrong, 10.0, 4.0, 1e-8)
             before = [a.copy()
                       for a in (Z, params.W1, params.W2, params.t_raw)]
-            want_value, want = objective_grad(params, *args,
-                                              *objective_scratch(params, Z))
-            value, got = objective_grad(params, *args, out=out, work=work)
-            assert got is out and value == want_value
+            want = objective_grad(params, *args,
+                                  *objective_scratch(params, Z))
+            got = objective_grad(params, *args, out=out, work=work)
+            assert got is out
             for name in ("W1", "W2", "t_raw"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype == np.float32
@@ -473,7 +526,7 @@ def test_objective_gradients_match_finite_differences():
         lam = float(rng.choice([1.0, 10.0, 100.0]))
         alpha = float(rng.choice([0.1, 1.0, 4.0]))
         args = (Z, yhat, wrong, lam, alpha, 1e-8)
-        _, g = objective_grad(params, *args, *objective_scratch(params, Z))
+        g = objective_grad(params, *args, *objective_scratch(params, Z))
 
         def repack(flat):
             a = p * 2 * p
@@ -485,9 +538,7 @@ def test_objective_gradients_match_finite_differences():
         flat = np.concatenate([params.W1.ravel(), params.W2.ravel(),
                                params.t_raw])
         numeric = central_difference(
-            lambda v: objective_grad(repack(v), *args,
-                                     *objective_scratch(params, Z))[0],
-            flat.copy())
+            lambda v: objective_value(repack(v), *args), flat.copy())
         analytic = np.concatenate([g.W1.ravel(), g.W2.ravel(), g.t_raw])
         assert relative_error(analytic, numeric) <= 1e-4
         checked += 1

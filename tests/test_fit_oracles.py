@@ -145,9 +145,9 @@ def ref_fit_confidence_net(h, d_cal, cfg, seed):
         order = stream(seed, "shuffle", epoch).permutation(n)
         for lo in range(0, n, cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
-            _, g = objective_grad(params, Z[batch], preds[batch], wrong[batch],
-                                  cfg.lam, cfg.alpha, cfg.denom_epsilon,
-                                  *objective_scratch(params, Z[batch]))
+            g = objective_grad(params, Z[batch], preds[batch], wrong[batch],
+                               cfg.lam, cfg.alpha, cfg.denom_epsilon,
+                               *objective_scratch(params, Z[batch]))
             step += 1
             c1 = np.float32(1.0 - b1 ** step)
             c2 = np.float32(1.0 - b2 ** step)

@@ -168,6 +168,22 @@ def test_a_pass_over_rows_equals_the_pass_over_the_gathered_rows(dims, count):
     assert digests(model.representations(X, rows)) == want
 
 
+@pytest.mark.parametrize("count", ["chunk-1", "2chunks-1", "2chunks",
+                                   "2chunks+1"])
+def test_a_float64_pass_over_rows_equals_the_pass_over_the_gathered_rows(
+        count):
+    # float64 rows make float64 products, in which OpenBLAS's dgemm makes a
+    # row's bits depend on its place among the call's rows (seen in products
+    # 260 or more columns wide): such a pass must be one product
+    n = pass_row_count(784, count)
+    model = init_mlp([784, 300, 3], 5)
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((3000, 784))
+    rows = rng.integers(0, len(X), n)
+    want = digests(model.representations(X[rows]))
+    assert digests(model.representations(X, rows)) == want
+
+
 @pytest.mark.parametrize("bad", [-1, 3000, -3001])
 def test_a_pass_refuses_rows_outside_the_data(bad):
     # the gathers skip numpy's index check, so the pass makes its own: a

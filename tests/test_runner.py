@@ -312,14 +312,15 @@ class _RefuseData(pickle.Pickler):
 
 
 def test_parallel_tasks_send_no_data(recording_executor, tmp_path):
-    # the data goes to each worker once, as _map's shared arguments; what
-    # is sent per run is a config, a seed and a path, and per hpo
-    # evaluation a config, a seed and, in phase two, the classifier that
-    # phase one trained for that repeat
+    # the data goes to each worker once, as the pool's shared arguments,
+    # and a search starts one pool for both its phases; what is sent per
+    # run is a config, a seed and a path, and per hpo evaluation a config,
+    # a seed and, in phase two, the classifier that phase one trained for
+    # that repeat
     al.run_experiment(experiment(OVERLAPPING, tmp_path, name="runs"), jobs=2)
     al.hyperparameter_search(hpo_experiment(tmp_path), jobs=2)
     sent = recording_executor["sent"]
-    assert recording_executor["made"] == [2, 2, 2]
+    assert recording_executor["made"] == [2, 2]
     assert len(sent) == 3 + 2 * 2 + 2 * 2
     for args in sent:
         _RefuseData().dump(args)
