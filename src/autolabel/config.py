@@ -1,9 +1,9 @@
 """Experiment configuration: JSON on disk, validated dataclasses in memory.
 
 Parsing is strict: unknown keys, missing required keys, type mismatches, and
-out-of-range values are all distinct errors naming the full key path, so a
-typo can never silently fall back to a default. The grammar is documented in
-the README.
+out-of-range values are all distinct errors naming the full key path, and
+a key repeated within an object is an error naming it, so a typo can never
+silently fall back to a default. The grammar is documented in the README.
 
 The config dataclasses are the schema of the sections they are built from
 (``TbalConfig`` and ``ThresholdConfig`` share the tbal section; train,
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confidence import POSTHOC_CONFIGS
+from .data import _LOADERS
 from .loop import TbalConfig
 from .mlp import TrainConfig, _check_fields, _keys
 from .thresholds import ThresholdConfig, uniform_grid
@@ -224,7 +225,7 @@ def _parse_dataset(sec: _Section, base_dir: str):
         return SyntheticSpec(classes, dim, means, sigma, pool_size, val_size,
                              hyp_size)
     path = sec.string("path")
-    fmt = sec.string("format", choices={"idx", "csv", "rawf32"})
+    fmt = sec.string("format", choices=set(_LOADERS))
     num_classes = sec.number("num_classes", None, integer=True, lo=2)
     labels_path = sec.string("labels_path", None)
     sec.finish()
@@ -374,11 +375,23 @@ def parse_config(path: str) -> ExperimentConfig:
     """Read and validate a JSON experiment config."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path!r}")
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+
+    def unique_keys(pairs):
+        # json would let the last of a repeated key win, silently
+        doc = {}
+        for key, val in pairs:
+            if key in doc:
+                raise ConfigError(f"{path}: repeated key {key!r}")
+            doc[key] = val
+        return doc
+
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f, object_pairs_hook=unique_keys)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read the config ({exc})") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise TypeMismatchError(f"{path}: top level must be an object")
     return parse_config_dict(doc, base_dir=os.path.dirname(os.path.abspath(path)))

@@ -334,31 +334,18 @@ def idx_labels_path(images_path: str) -> str:
     return os.path.join(os.path.dirname(images_path), cand)
 
 
-def _load_idx(path: str, num_classes, labels_path) -> Dataset:
+def _load_idx(path: str, labels_path):
     feats = _load_idx_file(path, IDX_IMAGES_MAGIC, "image").astype(
         np.float32) / 255.0
     lp = labels_path if labels_path is not None else idx_labels_path(path)
     labels = _load_idx_file(lp, IDX_LABELS_MAGIC, "label")[:, 0].astype(
         np.int64)
-    if labels.shape[0] != feats.shape[0]:
-        raise RowCountMismatchError(
-            f"{feats.shape[0]} images but {labels.shape[0]} labels"
-        )
-    if not labels.size:
+    if not (len(feats) or len(labels)):
         raise DataFormatError("idx pair holds no items")
-    k = int(num_classes) if num_classes else int(labels.max()) + 1
-    return Dataset(feats, labels, k)
+    return feats, labels, None
 
 
-def _own_labels(format: str, labels_path) -> None:
-    """A csv or rawf32 dataset holds its labels: refuse a labels file."""
-    if labels_path is not None:
-        raise ValueError(f"labels_path {labels_path!r}: a {format} dataset "
-                         "holds its own labels; only idx reads labels_path")
-
-
-def _load_csv(path: str, num_classes, labels_path) -> Dataset:
-    _own_labels("csv", labels_path)
+def _load_csv(path: str, labels_path):
     with open(path, newline="") as f:
         reader = _csv.reader(f)
         try:
@@ -393,9 +380,8 @@ def _load_csv(path: str, num_classes, labels_path) -> Dataset:
                 ) from None
     if not feats:
         raise DataFormatError("csv has a header but no data rows")
-    labs = np.asarray(labels, dtype=np.int64)
-    k = int(num_classes) if num_classes else int(labs.max()) + 1
-    return Dataset(np.asarray(feats, dtype=np.float32), labs, k)
+    return (np.asarray(feats, dtype=np.float32),
+            np.asarray(labels, dtype=np.int64), None)
 
 
 # the rawf32 meta's keys, each given once, and the least value of each
@@ -432,23 +418,20 @@ def _parse_meta(path: str) -> dict:
     return meta
 
 
-def _load_rawf32(path: str, num_classes, labels_path) -> Dataset:
-    _own_labels("rawf32", labels_path)
+def _load_rawf32(path: str, labels_path):
     meta = _parse_meta(path + ".meta")
-    n, d, k = meta["n"], meta["d"], meta["k"]
-    if num_classes and int(num_classes) != k:
-        raise DataFormatError(
-            f"meta says k={k} but num_classes={num_classes} requested"
-        )
+    n, d = meta["n"], meta["d"]
     feats = np.frombuffer(_exact(_mapped(path), 0, n * d * 4,
                                  "rawf32 feature payload", "rawf32 features"),
                           dtype="<f4").reshape(n, d)
     labels = np.frombuffer(_exact(_mapped(path + ".labels"), 0, n * 4,
                                   "rawf32 label payload", "rawf32 labels"),
                            dtype="<u4").astype(np.int64)
-    return Dataset(feats, labels, k)
+    return feats, labels, meta["k"]
 
 
+# each format's reader: (path, labels_path) -> (float32 (n, d) features,
+# int64 labels, the class count the file declares or None)
 _LOADERS = {"idx": _load_idx, "csv": _load_csv, "rawf32": _load_rawf32}
 
 
@@ -456,12 +439,26 @@ def load_dataset(path: str, format: str, num_classes: int | None = None,
                  labels_path: str | None = None) -> Dataset:
     """Load a Dataset from disk. ``format`` is one of idx | csv | rawf32;
     ``labels_path`` names an idx pair's labels file, and only idx takes one.
+    The class count is the file's own (rawf32's meta ``k``), which a given
+    ``num_classes`` must match, else ``num_classes``, else the largest
+    label plus one.
     """
     if format not in _LOADERS:
         raise ValueError(
             f"unknown format {format!r}; expected one of {sorted(_LOADERS)}"
         )
-    return _LOADERS[format](path, num_classes, labels_path)
+    if labels_path is not None and format != "idx":
+        raise ValueError(f"labels_path {labels_path!r}: a {format} dataset "
+                         "holds its own labels; only idx reads labels_path")
+    feats, labels, k = _LOADERS[format](path, labels_path)
+    if k is None:
+        # no labels give 0 classes, so Dataset names the row-count mismatch
+        k = int(num_classes or labels.max(initial=-1) + 1)
+    elif num_classes and int(num_classes) != k:
+        raise DataFormatError(
+            f"meta says k={k} but num_classes={num_classes} requested"
+        )
+    return Dataset(feats, labels, k)
 
 
 def carve(n: int, sizes: "list[int]", seed: int) -> "list[np.ndarray]":
@@ -472,6 +469,8 @@ def carve(n: int, sizes: "list[int]", seed: int) -> "list[np.ndarray]":
     sets, which then index that dataset rather than copy it, and by
     ``random_split`` for a round's two validation halves.
     """
+    if min(sizes, default=0) < 0:
+        raise ValueError(f"cannot carve a set of {min(sizes)} points")
     total = int(np.sum(sizes))
     if total > n:
         raise ValueError(f"cannot carve {total} points from {n}")

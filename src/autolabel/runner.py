@@ -81,7 +81,7 @@ def materialize_dataset(cfg: ExperimentConfig):
     return Pool(base, pool_rows), val, hyp
 
 
-_SHARED: tuple = ()  # a worker process's ``shared`` arguments of _map
+_SHARED: tuple = ()  # a worker process's ``shared`` arguments of _mapper
 
 
 def _share(shared: tuple) -> None:
@@ -109,14 +109,6 @@ def _mapper(shared: tuple, workers: int):
                              initargs=(shared,)) as pool:
         yield lambda fn, tasks: list(
             pool.map(_call_shared, [fn] * len(tasks), tasks))
-
-
-def _map(fn, shared: tuple, tasks, jobs: int) -> list:
-    """[fn(*shared, *task) for task in tasks], over at most ``jobs`` worker
-    processes and never more than tasks (``_mapper``)."""
-    # the pool starts all max_workers processes on its first submit
-    with _mapper(shared, min(jobs, len(tasks))) as run:
-        return run(fn, tasks)
 
 
 def _one_run(pool: Pool, val: LabeledSet, tbal_cfg: TbalConfig, seed: int,
@@ -183,7 +175,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     pool, val, _ = materialize_dataset(cfg)
     tasks = [(cfg.tbal, child_seed(cfg.master_seed, "run", r), run_dir)
              for r, run_dir in enumerate(run_dirs)]
-    results = _map(_one_run, (pool, val), tasks, jobs)
+    # the pool starts all max_workers processes on its first submit
+    with _mapper((pool, val), min(jobs, len(tasks))) as run:
+        results = run(_one_run, tasks)
     coverages = [r["final_coverage"] for r in results]
     errors = [r["final_error"] for r in results if r["final_error"] is not None]
     cov_mean, cov_std = _mean_std(coverages)

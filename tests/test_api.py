@@ -150,3 +150,12 @@ def test_one_function_holds_each_input_rule():
               if calls_to("_check_fields")(node)]
     assert len(checks) == 6
     assert all(len(call.args) == 1 and not call.keywords for call in checks)
+    # a file format is a reader; load_dataset builds the one Dataset and
+    # refuses a labels file for a format that holds its own labels
+    in_data = lambda found: {owner for module, owner in found
+                             if module == "data.py"}
+    assert in_data(owners(calls_to("Dataset"))) \
+        == {"load_dataset", "synth_gaussian_mixture"}
+    assert in_data(owners(lambda node: isinstance(node, ast.Raise)
+                          and "only idx reads" in ast.unparse(node))) \
+        == {"load_dataset"}

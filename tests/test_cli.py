@@ -52,6 +52,31 @@ def test_run_config_error_exit_1(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
 
 
+def test_repeated_config_key_exit_1(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    text = open(cfg).read().replace('"seed_size": 30,',
+                                    '"seed_size": 30, "seed_size": 20,')
+    assert text.count('"seed_size"') == 2
+    (tmp_path / "exp.json").write_text(text)
+    assert main(["run", "--config", cfg]) == 1
+    assert f"config error: {cfg}: repeated key 'seed_size'" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_config_exit_1(tmp_path, capsys, kind):
+    cfg = write_config(tmp_path)
+    if kind == "directory":
+        cfg = str(tmp_path)
+    else:
+        text = open(cfg).read().replace('"out"', '"\u00e9"')
+        (tmp_path / "exp.json").write_bytes(text.encode("latin-1"))
+    assert main(["run", "--config", cfg]) == 1
+    assert f"config error: {cfg}: cannot read the config (" \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tbal", [
     {"coverage_floor": 0}, {"grid": [0.9, 0.5]}, {"grid": [0.5, 1.5]}])
 def test_bad_threshold_settings_exit_1(tmp_path, capsys, tbal):

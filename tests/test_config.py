@@ -445,6 +445,19 @@ def test_file_dataset_path_resolution(tmp_path):
         parse_config_dict(with_labels, base_dir=str(tmp_path))
 
 
+def test_file_formats_are_the_data_readers(tmp_path, monkeypatch):
+    # the parser keeps no list of its own: a format is a key of _LOADERS
+    from autolabel import data
+    (tmp_path / "points.npy").write_bytes(b"")
+    d = doc(dataset={"kind": "file", "path": "points.npy", "format": "npy",
+                     "pool_size": 1, "val_size": 2}, **{"tbal.seed_size": 1})
+    with pytest.raises(RangeError, match=r"config\.dataset\.format"):
+        parse_config_dict(d, base_dir=str(tmp_path))
+    monkeypatch.setitem(data._LOADERS, "npy", None)
+    assert parse_config_dict(d, base_dir=str(tmp_path)).dataset.format \
+        == "npy"
+
+
 def test_absolute_names_pass_through_unchanged(tmp_path):
     points, labels = tmp_path / "points.idx", tmp_path / "labels.idx"
     points.write_bytes(b"")
@@ -574,6 +587,19 @@ def test_parse_config_file_errors(tmp_path):
     listy.write_text("[1, 2]")
     with pytest.raises(TypeMismatchError, match="top level"):
         parse_config(str(listy))
+
+
+@pytest.mark.parametrize("text,key", [
+    ('{"repeats": 1, "repeats": 2}', "repeats"),
+    ('{"tbal": {"eps_a": 0.01, "eps_a": 0.5}}', "eps_a"),
+], ids=["top-level", "nested"])
+def test_parse_config_refuses_a_repeated_key(tmp_path, text, key):
+    # JSON would let the last value win, silently
+    path = tmp_path / "exp.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError,
+                       match=rf"^{re.escape(str(path))}: repeated key '{key}'$"):
+        parse_config(str(path))
 
 
 def test_parse_config_round_trip(tmp_path):

@@ -160,6 +160,13 @@ def test_carve_disjoint_and_sized():
         al.carve(100, [60, 60], seed=5)
 
 
+def test_carve_refuses_a_negative_size():
+    # a slice of length -1 is empty, and the next set would start a row
+    # early, at a row the set before it already holds
+    with pytest.raises(ValueError, match="^cannot carve a set of -1 points$"):
+        al.carve(10, [2, -1, 3], seed=0)
+
+
 # ---------------------------------------------------------------------------
 # idx format
 
@@ -221,6 +228,12 @@ def test_idx_truncated(tmp_path):
 def test_idx_row_count_mismatch(tmp_path):
     images = np.zeros((3, 2, 2), dtype=np.uint8)
     path = write_idx_pair(tmp_path, images, [0, 1], label_count=2)
+    with pytest.raises(al.RowCountMismatchError):
+        al.load_dataset(path, "idx")
+
+
+def test_idx_labels_file_without_items_is_a_row_count_mismatch(tmp_path):
+    path = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), [])
     with pytest.raises(al.RowCountMismatchError):
         al.load_dataset(path, "idx")
 
@@ -504,6 +517,47 @@ def test_a_labels_path_is_refused_where_the_data_holds_its_labels(tmp_path,
     assert al.load_dataset(path, format).n in (2, 10)
     with pytest.raises(ValueError, match=rf"^labels_path .*a {format} "):
         al.load_dataset(path, format, labels_path="/nonexistent/labels")
+
+
+def write_format(tmp_path, format, labels):
+    """A file of ``format`` holding ``labels``; rawf32's meta says k=5."""
+    n = len(labels)
+    if format == "idx":
+        return write_idx_pair(tmp_path, np.zeros((n, 2, 2), np.uint8), labels)
+    path = str(tmp_path / "data")
+    if format == "csv":
+        open(path, "w").write("f0,label\n"
+                              + "".join(f"0.5,{c}\n" for c in labels))
+    else:
+        write_rawf32(al.Dataset(np.zeros((n, 2), np.float32), labels, 5),
+                     path)
+    return path
+
+
+@pytest.mark.parametrize("format", ["idx", "csv", "rawf32"])
+def test_one_class_count_rule_for_every_format(tmp_path, format):
+    # the file's own count, which a given one must match; else the given
+    # one; else the largest label plus one
+    path = write_format(tmp_path, format, [0, 2, 1, 2])
+    declared = 5 if format == "rawf32" else None
+    assert al.load_dataset(path, format).num_classes == (declared or 3)
+    if declared:
+        assert al.load_dataset(path, format, 5).num_classes == 5
+        with pytest.raises(al.DataFormatError,
+                           match="^meta says k=5 but num_classes=6 "
+                                 "requested$"):
+            al.load_dataset(path, format, num_classes=6)
+    else:
+        assert al.load_dataset(path, format, 6).num_classes == 6
+
+
+def test_a_truncated_rawf32_reports_its_truncation_before_its_k(tmp_path):
+    # the reader's checks come first; the class-count rule is load_dataset's
+    path = write_format(tmp_path, "rawf32", [0, 2, 1, 2])
+    with open(path, "r+b") as f:
+        f.truncate(4)
+    with pytest.raises(al.TruncatedPayloadError):
+        al.load_dataset(path, "rawf32", num_classes=6)
 
 
 def test_unknown_format():

@@ -17,7 +17,6 @@ from autolabel.runner import (
     OutputExistsError,
     _combo_list,
     _first_round_eval,
-    _map,
     _mean_std,
     _select,
     materialize_dataset,
@@ -292,10 +291,21 @@ def recording_executor(monkeypatch):
 
 @pytest.mark.parametrize("jobs,n_tasks,workers", [
     (64, 2, [2]), (64, 1, []), (2, 5, [2]), (1, 3, [])])
-def test_map_starts_no_more_workers_than_tasks(recording_executor, jobs,
+def test_map_starts_no_more_workers_than_tasks(recording_executor,
+                                                monkeypatch, tmp_path, jobs,
                                                 n_tasks, workers):
-    tasks = [(i,) for i in range(n_tasks)]
-    assert _map(pow, (10,), tasks, jobs) == [pow(10, i) for i in range(n_tasks)]
+    # one task per repeat; each run reports its own index, so the summary
+    # shows the results in the order of the runs
+    from autolabel import runner
+
+    def one_run(pool, val, tbal_cfg, seed, run_dir):
+        return {"final_coverage": float(run_dir[-2:]), "final_error": None}
+
+    monkeypatch.setattr(runner, "_one_run", one_run)
+    summary = al.run_experiment(
+        experiment(SEPARABLE, tmp_path, repeats=n_tasks), jobs=jobs)
+    assert [r["final_coverage"] for r in summary["runs"]] \
+        == list(range(n_tasks))
     assert recording_executor["made"] == workers
 
 
