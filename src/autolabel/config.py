@@ -227,13 +227,9 @@ def _parse_dataset(sec: _Section, base_dir: str):
     path = sec.string("path")
     fmt = sec.string("format", choices=set(_LOADERS))
     num_classes = sec.number("num_classes", None, integer=True, lo=2)
-    labels_path = sec.string("labels_path", None)
+    # only idx reads a separate labels file: elsewhere the key is unknown
+    labels_path = sec.string("labels_path", None) if fmt == "idx" else None
     sec.finish()
-    if labels_path is not None and fmt != "idx":
-        raise RangeError(
-            f"{sec.path}.labels_path: only the idx format reads a separate "
-            f"labels file; {fmt} carries its own labels"
-        )
     # os.path.join keeps an absolute name as it is
     files = {key: os.path.join(base_dir, name) for key, name in
              (("path", path), ("labels_path", labels_path)) if name is not None}
@@ -373,8 +369,6 @@ def parse_config_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
 
 def parse_config(path: str) -> ExperimentConfig:
     """Read and validate a JSON experiment config."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path!r}")
 
     def unique_keys(pairs):
         # json would let the last of a repeated key win, silently

@@ -10,8 +10,8 @@ batch only if the next round can train on all of it within the budget, and
 rounds repeat until the pool empties or a round buys nothing.
 
 A round runs the classifier once per set: one pass over validation feeds
-the post-hoc fit, the thresholds, the filter and the score dump, and one
-over the pool feeds the selection and the query.
+the post-hoc fit, the thresholds and the filter, and one over the pool
+feeds the selection and the query. Each round's record keeps its fit.
 
 All randomness flows from the seed ``run_tbal`` takes through per-(round,
 purpose) child streams, so runs are bit-reproducible and changing, say, the
@@ -29,6 +29,7 @@ import numpy as np
 
 from .confidence import (
     POSTHOC_CONFIGS,
+    ConfidenceModel,
     ConfidenceNetConfig,
     SoftmaxConfig,
     TemperatureConfig,
@@ -95,6 +96,23 @@ class TbalConfig:
                              f"classes, not {type(self.posthoc).__name__}")
 
 
+@dataclass(frozen=True)
+class RoundFit:
+    """One round's fit on ``val``: confidence function ``g``, thresholds,
+    ``predicted_scores`` of ``val``'s one pass (``top, preds``), the row
+    positions of the calibration and threshold halves, and the post-hoc
+    fit's warning or None."""
+
+    val: LabeledSet
+    g: ConfidenceModel
+    thresholds: ThresholdVector
+    top: np.ndarray
+    preds: np.ndarray
+    cal: np.ndarray
+    th: np.ndarray
+    warning: str | None
+
+
 @dataclass
 class RoundRecord:
     """What one round did; serialized as one line of the round log."""
@@ -102,9 +120,7 @@ class RoundRecord:
     round_index: int
     n_train: int
     n_val: int
-    n_cal: int
-    n_th: int
-    thresholds: ThresholdVector
+    fit: RoundFit
     n_auto: int
     n_queried: int
     n_pool_remaining: int
@@ -112,10 +128,12 @@ class RoundRecord:
     auto_coverage: float
 
     def to_jsonable(self) -> dict:
-        # not dataclasses.asdict, which deep-copies the threshold array
+        # not dataclasses.asdict, which deep-copies the fit's arrays
         doc = {f.name: getattr(self, f.name)
-               for f in dataclasses.fields(self)}
-        doc["thresholds"] = self.thresholds.to_jsonable()
+               for f in dataclasses.fields(self) if f.name != "fit"}
+        fit = self.fit
+        doc.update(thresholds=fit.thresholds.to_jsonable(),
+                   n_cal=len(fit.cal), n_th=len(fit.th))
         return doc
 
 
@@ -219,12 +237,10 @@ def train_round(cfg: TbalConfig, d_train: LabeledSet, round_index: int,
 
 
 def fit_round(cfg: TbalConfig, model, val: LabeledSet, round_index: int,
-              seed: int):
-    """Split + fit confidence + estimate thresholds for one round's ``model``.
+              seed: int) -> RoundFit:
+    """Split + fit confidence + estimate thresholds for one round's ``model``
+    on ``val``, from one pass of the classifier over it.
 
-    Returns (g, thresholds, top, preds, cal, th, warning-or-None):
-    ``top, preds`` are ``predicted_scores`` of ``val``'s one pass, and the
-    calibration and threshold halves are its row positions ``cal, th``.
     Each step draws from its own child of the run's ``seed`` for this round.
     Shared by the main loop and by first-round-only hyperparameter search.
     """
@@ -238,7 +254,7 @@ def fit_round(cfg: TbalConfig, model, val: LabeledSet, round_index: int,
     top, preds = predicted_scores(g, logits, penultimate)
     t_hat = estimate_thresholds(top[th], preds[th], val.labels[th],
                                 val.dataset.num_classes, cfg.thresholds)
-    return g, t_hat, top, preds, cal, th, warning
+    return RoundFit(val, g, t_hat, top, preds, cal, th, warning)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +262,7 @@ def fit_round(cfg: TbalConfig, model, val: LabeledSet, round_index: int,
 
 
 def run_tbal(cfg: TbalConfig, initial_pool: Pool, d_val: LabeledSet,
-             seed: int, round_hook=None) -> TbalReport:
+             seed: int) -> TbalReport:
     """Run the full workflow on an unlabeled pool plus human validation data.
 
     The pool and the validation set may be row sets of one Dataset; every
@@ -257,12 +273,6 @@ def run_tbal(cfg: TbalConfig, initial_pool: Pool, d_val: LabeledSet,
     the next round can train on all of it within ``cfg.train_budget``; the
     run ends after a round that queries nothing, so it never spends more
     than the budget.
-
-    ``round_hook(round_index, model, val, top, preds)``, when given, observes
-    each round before validation is filtered (used by the runner to dump
-    per-round score files); ``top, preds`` are ``predicted_scores`` of
-    ``val``, the one pass the thresholds and the filter also use. It must
-    not mutate anything.
     """
     if len(d_val) < 2:
         raise ValueError("need at least 2 validation points")
@@ -286,23 +296,21 @@ def run_tbal(cfg: TbalConfig, initial_pool: Pool, d_val: LabeledSet,
                 "stopping with pool unlabeled")
             break
         model = train_round(cfg, d_train, i, seed)
-        g, t_hat, val_top, val_preds, cal, th, warn = fit_round(
-            cfg, model, val, i, seed)
-        if warn:
-            warnings.append(f"round {i}: {warn}")
-        if round_hook is not None:
-            round_hook(i, model, val, val_top, val_preds)
+        fit = fit_round(cfg, model, val, i, seed)
+        if fit.warning:
+            warnings.append(f"round {i}: {fit.warning}")
         logits, penultimate = model.representations(data.features,
                                                     pool.active)
-        top, preds = predicted_scores(g, logits, penultimate)
-        auto_set, pool, left = auto_label_select(t_hat, pool, top, preds)
+        top, preds = predicted_scores(fit.g, logits, penultimate)
+        auto_set, pool, left = auto_label_select(fit.thresholds, pool, top,
+                                                 preds)
         n_auto = len(auto_set)
         # truth is read here to score the round, never to choose its labels
         wrong = int(np.count_nonzero(
             auto_set.labels != data.hidden_labels[auto_set.indices]))
         total_auto += n_auto
         total_wrong += wrong
-        val = filter_validation(t_hat, val, val_top, val_preds)
+        val = filter_validation(fit.thresholds, val, fit.top, fit.preds)
         n_train = len(d_train)
         if pool.size > 0 and n_train + cfg.query_batch <= cfg.train_budget:
             query, pool = active_query(
@@ -316,9 +324,7 @@ def run_tbal(cfg: TbalConfig, initial_pool: Pool, d_val: LabeledSet,
             round_index=i,
             n_train=n_train,
             n_val=len(val),
-            n_cal=len(cal),
-            n_th=len(th),
-            thresholds=t_hat,
+            fit=fit,
             n_auto=n_auto,
             n_queried=len(query),
             n_pool_remaining=pool.size,

@@ -118,13 +118,11 @@ def _one_run(pool: Pool, val: LabeledSet, tbal_cfg: TbalConfig, seed: int,
     for name in os.listdir(run_dir):
         if name.startswith("scores_round_") and name.endswith(".csv"):
             os.remove(os.path.join(run_dir, name))
-
-    def hook(round_index, model, round_val, top, preds):
-        write_score_dump(
-            os.path.join(run_dir, f"scores_round_{round_index:03d}.csv"),
-            round_val, top, preds)
-
-    report = run_tbal(tbal_cfg, pool, val, seed, round_hook=hook)
+    report = run_tbal(tbal_cfg, pool, val, seed)
+    for rec in report.rounds:
+        write_score_dump(os.path.join(
+            run_dir, f"scores_round_{rec.round_index:03d}.csv"),
+            rec.fit.val, rec.fit.top, rec.fit.preds)
     dump_round_log(report, os.path.join(run_dir, "rounds.jsonl"))
     dump_report(report, os.path.join(run_dir, "report.json"))
     return {
@@ -222,10 +220,10 @@ def _first_round_eval(pool: Pool, val: LabeledSet, hyp: LabeledSet,
     if model is None:
         seed_set, _ = seed_query(tbal_cfg, pool, run_seed)
         model = trained = train_round(tbal_cfg, seed_set, 1, run_seed)
-    g, t_hat, *_ = fit_round(tbal_cfg, model, val, 1, run_seed)
+    fit = fit_round(tbal_cfg, model, val, 1, run_seed)
     top, preds = predicted_scores(
-        g, *model.representations(hyp.dataset.features, hyp.indices))
-    cov, err = empirical_metrics(t_hat, top, preds, hyp.labels)
+        fit.g, *model.representations(hyp.dataset.features, hyp.indices))
+    cov, err = empirical_metrics(fit.thresholds, top, preds, hyp.labels)
     # an empty selection shows zero mistakes; it still loses on coverage
     return cov, 0.0 if err is None else err, trained
 

@@ -1,3 +1,4 @@
+import contextlib
 import importlib.util
 from pathlib import Path
 
@@ -21,6 +22,22 @@ def bench_module(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@contextlib.contextmanager
+def kept_classifiers():
+    """Yields a list that collects, in round order, the classifier of every
+    round that ``run_tbal`` trains inside the block."""
+    models = []
+    original = al.loop.train_round
+
+    def keep(*args, **kwargs):
+        models.append(original(*args, **kwargs))
+        return models[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(al.loop, "train_round", keep)
+        yield models
 
 
 def four_blobs(n=400, sigma=1.0, seed=1):

@@ -29,6 +29,9 @@
   runs, for the finite-difference gradient checks;
 * ``thresholds_from_jsonable`` and ``write_rawf32`` -- the inverses of the
   round log's threshold lists and of the rawf32 loader;
+* ``oracle_coverage`` -- the best coverage one threshold shared by all
+  classes reaches at a realized error of at most eps, chosen on the truth:
+  coverage at matched error, the frontier the paper's claim is about;
 * ``copied_splits`` -- pool, validation and hyp as copies of their rows,
   each over a Dataset of its own, the way the runner once made them; a run
   on them must match a run on the row sets of the one loaded Dataset.
@@ -324,3 +327,25 @@ def copied_splits(pool: Pool, val: LabeledSet, hyp: LabeledSet | None):
     pool_data = copy(pool.active)
     return (Pool(pool_data, np.arange(pool_data.n)), whole(val),
             None if hyp is None else whole(hyp))
+
+
+def oracle_coverage(top: np.ndarray, wrong: np.ndarray, eps: float,
+                    n_initial: int) -> float:
+    """The largest share of an initial pool of ``n_initial`` points that one
+    threshold, shared by all classes, selects from the scored points with
+    realized error <= ``eps``.
+
+    ``top`` are the points' predicted-class scores and ``wrong`` flags the
+    wrong predictions. A threshold selects every point scoring at or above
+    it, so it cuts only between distinct scores, and the order of tied
+    points never matters.
+    """
+    top = np.asarray(top)
+    order = np.argsort(-top, kind="stable")
+    ranked = top[order]
+    n_wrong = np.cumsum(np.asarray(wrong, dtype=np.int64)[order])
+    n_sel = np.arange(1, len(ranked) + 1)
+    # the last position of each run of tied scores
+    cuts = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    ok = cuts[n_wrong[cuts] / n_sel[cuts] <= eps]
+    return float(ok[-1] + 1) / n_initial if len(ok) else 0.0

@@ -20,7 +20,8 @@ In order:
    gated on the data files being on disk (loud skip otherwise), a
    bundled-digits stand-in runs with parity and error-control assertions
    when scikit-learn is installed, and an offline 28x28 glyph stand-in
-   always runs with the full-size half's assertions;
+   always runs with the full-size half's assertions, plus the paper's
+   claim at matched error: the net's oracle coverage beats softmax's;
 7. rerunning the 2-D comparison reproduces every round-log byte;
 8. Monte-Carlo population estimates agree with the 1-D closed forms within
    three standard errors.
@@ -48,12 +49,14 @@ from numcheck import (
     relative_error,
 )
 from autolabel.rng import child_seed
+from autolabel.thresholds import predicted_scores
 
 from conftest import (
     FixedModel,
     FixedScores,
     bench_module,
     indexed_set,
+    kept_classifiers,
     metrics_on,
     thresholds_on,
     uniform_thresholds,
@@ -68,6 +71,7 @@ from oracles import (
     batch_loss,
     mc_population_metrics,
     objective_value,
+    oracle_coverage,
     sweep_grid,
     toy_1d_metrics,
 )
@@ -339,13 +343,6 @@ def run_mixture(posthoc, r):
                                    seed=child_seed(MIX_MASTER, "carve", r))
     pool = al.Pool(ds, pool_rows)
     d_val = al.LabeledSet.from_oracle(ds, val_rows)
-    box = {}
-
-    def hook(i, model, *_):
-        if i == 1 and "acc" not in box:
-            preds = np.argmax(model.representations(pool.features)[0], axis=1)
-            box["acc"] = float(np.mean(preds == ds.hidden_labels[pool_rows]))
-
     cfg = al.TbalConfig(
         train_budget=MIX_BUDGET, seed_size=MIX_BUDGET, query_batch=75,
         cal_fraction=0.5,
@@ -354,8 +351,10 @@ def run_mixture(posthoc, r):
         hidden=(64,),
         train=al.TrainConfig(max_epochs=250, learning_rate=0.1),
         posthoc=posthoc)
-    report = al.run_tbal(cfg, pool, d_val, r, round_hook=hook)
-    return report, box["acc"]
+    with kept_classifiers() as models:
+        report = al.run_tbal(cfg, pool, d_val, r)
+    preds = np.argmax(models[0].representations(pool.features)[0], axis=1)
+    return report, float(np.mean(preds == ds.hidden_labels[pool_rows]))
 
 
 @pytest.fixture(scope="module")
@@ -496,21 +495,15 @@ def test_bundled_digits_parity_and_error_control():
     for r in range(5):
         pool_ds, d_val = split_off_validation(base, 500, r)
         for name, posthoc in methods:
-            box = {}
-
-            def hook(i, model, *_):
-                if i == 1 and "acc" not in box:
-                    logits, _ = model.representations(pool_ds.features)
-                    preds = np.argmax(logits, axis=1)
-                    box["acc"] = float(np.mean(preds == pool_ds.hidden_labels))
-
             cfg = single_round_config(posthoc, 150)
-            report = al.run_tbal(cfg, whole_pool(pool_ds), d_val, r,
-                                 round_hook=hook)
+            with kept_classifiers() as models:
+                report = al.run_tbal(cfg, whole_pool(pool_ds), d_val, r)
             cov[name].append(report.final_coverage)
             err[name].append(report.final_error)
             if name == "softmax":
-                accs.append(box["acc"])
+                logits, _ = models[0].representations(pool_ds.features)
+                preds = np.argmax(logits, axis=1)
+                accs.append(float(np.mean(preds == pool_ds.hidden_labels)))
     softmax_mean = float(np.mean(cov["softmax"]))
     for name, _ in methods:
         assert float(np.mean(cov[name])) >= 0.60, (name, cov[name])
@@ -534,6 +527,16 @@ def test_offline_glyph_stand_in_net_gap_and_mean_error():
     # temperature, 1 net; worst 0.0729). The c1-padded thresholds do not
     # keep the eps_a promise here, a known defect of threshold selection
     # that this check records rather than hides.
+    #
+    # The paper's claim is coverage at matched error, so the check also
+    # reads each run's round-1 classifier and confidence function against
+    # the oracle: the largest share of the pool one threshold shared by all
+    # classes selects at realized error <= eps, chosen on the truth
+    # (oracles.oracle_coverage). Observed when frozen, mean oracle coverage
+    # at eps = 0.05 / 0.03: softmax 0.5749 / 0.4654, temperature
+    # 0.5828 / 0.4696, confidence net 0.7267 / 0.6305. The net's per-seed
+    # gains over softmax at 0.05 are 0.199, 0.164, 0.149, 0.167 and 0.079,
+    # the same with one BLAS thread and with two on a 2-vCPU host.
     worlds = bench_module("worlds")
     start = time.perf_counter()
     methods = (("softmax", al.SoftmaxConfig()),
@@ -541,20 +544,36 @@ def test_offline_glyph_stand_in_net_gap_and_mean_error():
                ("confidence_net", gentle_net_config()))
     cov = {name: [] for name, _ in methods}
     err = {name: [] for name, _ in methods}
+    oracle = {name: [] for name, _ in methods}
     for s in range(1000, 1005):
         ds = al.Dataset(*worlds.glyphs(12000, s))
         pool_rows, val_rows = al.carve(ds.n, [10000, 2000], s)
         pool = al.Pool(ds, pool_rows)
         d_val = al.LabeledSet.from_oracle(ds, val_rows)
         for name, posthoc in methods:
-            report = al.run_tbal(single_round_config(posthoc, 150), pool,
-                                 d_val, s)
+            with kept_classifiers() as models:
+                report = al.run_tbal(single_round_config(posthoc, 150), pool,
+                                     d_val, s)
             cov[name].append(report.final_coverage)
             err[name].append(report.final_error)
+            # the round's classifier and confidence function on the pool
+            # the round started with: all of it but the seed set
+            seed_rows = report.output.indices[report.output_rounds == 0]
+            rows = np.setdiff1d(pool_rows, seed_rows)
+            top, preds = predicted_scores(
+                report.rounds[0].fit.g, *models[0].representations(
+                    ds.features, rows))
+            oracle[name].append(oracle_coverage(
+                top, preds != ds.hidden_labels[rows], 0.05, pool.size))
     net_errs = [e for e in err["confidence_net"] if e is not None]
     assert np.mean(cov["confidence_net"]) >= np.mean(cov["softmax"]) + 0.05, \
         cov
     assert net_errs and float(np.mean(net_errs)) <= 0.06, err
+    # at matched error the net's ordering beats softmax's, in every seed
+    assert np.mean(oracle["confidence_net"]) \
+        >= np.mean(oracle["softmax"]) + 0.10, oracle
+    assert all(net > soft for net, soft in zip(oracle["confidence_net"],
+                                               oracle["softmax"])), oracle
     assert time.perf_counter() - start < 120.0
 
 

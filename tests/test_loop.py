@@ -234,12 +234,13 @@ def test_fit_round_zero_tolerance_thresholds_have_zero_group_error():
     pool, val = overlapping_world()
     cfg = base_config(eps_a=0.0, c1=0.0, coverage_floor=0.01)
     model = train_round(cfg, first_of(pool, 40), 1, SEED)
-    g, t_hat, top, preds, cal, th, warn = fit_round(cfg, model, val, 1, SEED)
+    fit = fit_round(cfg, model, val, 1, SEED)
+    th = fit.th
     d_th = val.take(th)
-    tops, preds = top[th], preds[th]
+    tops, preds = fit.top[th], fit.preds[th]
     wrong = d_th.labels != preds
     for y in range(4):
-        t = t_hat.values[y]
+        t = fit.thresholds.values[y]
         if not np.isfinite(t):
             continue
         sel = (preds == y) & (tops >= t)
@@ -261,22 +262,23 @@ def test_round_runs_the_classifier_once_per_set(monkeypatch, method):
     def same(a, b):
         return a.shape == b.shape and np.array_equal(a, b)
 
-    vals = {}
     monkeypatch.setattr(al.MlpClassifier, "representations", counted)
-    report = al.run_tbal(cfg, pool, val, SEED,
-                         round_hook=lambda i, m, v, *_: vals.setdefault(i, v))
+    report = al.run_tbal(cfg, pool, val, SEED)
     assert len(report.rounds) >= 2
     assert any(rec.n_auto for rec in report.rounds)
     # the passes come in round order: validation, then pool, nothing else
     assert len(calls) == 2 * len(report.rounds)
     out, stamps = report.output, report.output_rounds
     for i, rec in enumerate(report.rounds, start=1):
-        round_val = vals[i]
+        round_val = rec.fit.val
         pool_rows = np.setdiff1d(pool.active, out.indices[stamps < i])
         auto = out.indices[(stamps == i) & (report.output_sources == "auto")]
         cal, th = al.random_split(len(round_val), cfg.cal_fraction,
                                   child_seed(SEED, i, "split"))
-        assert (rec.n_cal, rec.n_th) == (len(cal), len(th))
+        assert np.array_equal(rec.fit.cal, cal)
+        assert np.array_equal(rec.fit.th, th)
+        logged = rec.to_jsonable()
+        assert (logged["n_cal"], logged["n_th"]) == (len(cal), len(th))
         assert same(calls[2 * i - 2], round_val.features)
         assert same(calls[2 * i - 1], pool.dataset.features[pool_rows])
         unrun = [round_val.take(cal).features, round_val.take(th).features]
@@ -315,12 +317,11 @@ def test_fit_round_deterministic():
     cfg = base_config()
     seed_set = first_of(pool, 30)
     m1, m2 = (train_round(cfg, seed_set, 1, SEED) for _ in range(2))
-    g1, t1, _, _, c1, th1, _ = fit_round(cfg, m1, val, 1, SEED)
-    g2, t2, _, _, c2, th2, _ = fit_round(cfg, m2, val, 1, SEED)
+    f1, f2 = fit_round(cfg, m1, val, 1, SEED), fit_round(cfg, m2, val, 1, SEED)
     assert all(np.array_equal(a, b) for a, b in zip(m1.weights, m2.weights))
-    assert np.array_equal(t1.values, t2.values)
-    assert np.array_equal(c1, c2)
-    assert np.array_equal(th1, th2)
+    assert np.array_equal(f1.thresholds.values, f2.thresholds.values)
+    assert np.array_equal(f1.cal, f2.cal)
+    assert np.array_equal(f1.th, f2.th)
 
 
 def test_fit_round_derives_each_seed_from_the_run_seed():
@@ -331,7 +332,8 @@ def test_fit_round_derives_each_seed_from_the_run_seed():
     d_train = first_of(pool, 30)
     seed, i = 8, 2
     model = train_round(cfg, d_train, i, seed)
-    g, _, _, _, cal, th, _ = fit_round(cfg, model, val, i, seed)
+    fit = fit_round(cfg, model, val, i, seed)
+    g, cal, th = fit.g, fit.cal, fit.th
     want = al.train_model(cfg.train, d_train, cfg.hidden,
                           child_seed(seed, i, "train"))
     for a, b in zip(model.weights + model.biases, want.weights + want.biases):
@@ -397,10 +399,8 @@ def test_single_round_on_separable_world():
 def test_loop_accounting_and_budget():
     pool, val = overlapping_world()
     cfg = base_config(train_budget=70, seed_size=30, query_batch=15)
-    seen_vals = []
-    report = al.run_tbal(cfg, pool, val, SEED,
-                         round_hook=lambda i, m, v, top, preds: seen_vals.append(
-                             set(v.indices.tolist())))
+    report = al.run_tbal(cfg, pool, val, SEED)
+    seen_vals = [set(rec.fit.val.indices.tolist()) for rec in report.rounds]
     assert len(report.rounds) >= 2
     # pool deltas chain exactly, and each round logs the size it trained on
     remaining = pool.size - cfg.seed_size
@@ -525,7 +525,7 @@ def test_all_infinite_round_still_queries():
     assert len(report.rounds) >= 2
     for rec in report.rounds:
         assert rec.n_auto == 0
-        assert np.all(np.isinf(rec.thresholds.values))
+        assert np.all(np.isinf(rec.fit.thresholds.values))
     for rec in report.rounds[:-1]:
         assert rec.n_queried > 0
     assert report.rounds[-1].n_queried == 0

@@ -22,7 +22,7 @@ from autolabel.runner import (
     materialize_dataset,
 )
 
-from conftest import metrics_on
+from conftest import kept_classifiers, metrics_on
 from oracles import copied_splits
 
 SEPARABLE = {
@@ -110,11 +110,9 @@ def test_runs_on_row_sets_match_runs_on_copied_splits(tmp_path, posthoc):
     pool_copy, val_copy, _ = copied_splits(pool, val, hyp)
 
     def run(p, v):
-        scored = []
-        report = al.run_tbal(
-            cfg.tbal, p, v, 0, round_hook=lambda i, m, rv, top, preds:
-            scored.append((rv.indices, top, preds)))
-        return report, scored
+        report = al.run_tbal(cfg.tbal, p, v, 0)
+        return report, [(rec.fit.val.indices, rec.fit.top, rec.fit.preds)
+                        for rec in report.rounds]
 
     (got, got_scored), (want, want_scored) = (run(pool, val),
                                               run(pool_copy, val_copy))
@@ -224,7 +222,7 @@ def test_refuses_a_run_dir_left_without_a_summary(tmp_path):
     assert (left / "rounds.jsonl").read_text() != "kept\n"
 
 
-def test_forced_rerun_leaves_no_earlier_score_files(tmp_path):
+def test_forced_rerun_leaves_no_earlier_score_files(tmp_path, monkeypatch):
     def score_files():
         return sorted(name for name in os.listdir(tmp_path / "out" / "run_00")
                       if name.startswith("scores_round_"))
@@ -237,6 +235,19 @@ def test_forced_rerun_leaves_no_earlier_score_files(tmp_path):
                                 force=True)
     assert summary["runs"][0]["n_rounds"] == 2
     assert score_files() == ["scores_round_001.csv", "scores_round_002.csv"]
+    # a run that fails in round 2 leaves no score file, round 1's included
+    original = al.loop.train_round
+
+    def failing(cfg, d_train, round_index, seed):
+        if round_index == 2:
+            raise RuntimeError("round 2 fails")
+        return original(cfg, d_train, round_index, seed)
+
+    monkeypatch.setattr(al.loop, "train_round", failing)
+    with pytest.raises(RuntimeError, match="round 2 fails"):
+        al.run_experiment(experiment(OVERLAPPING, tmp_path, repeats=1),
+                          force=True)
+    assert score_files() == []
 
 
 def test_parallel_jobs_match_serial(tmp_path):
@@ -486,17 +497,15 @@ def test_first_round_eval_scores_the_runs_first_round(tmp_path):
     cfg = experiment(OVERLAPPING, tmp_path)
     pool, val, hyp = materialize_dataset(cfg)
     for seed in (3, 8):
-        models = {}
-        report = al.run_tbal(
-            cfg.tbal, pool, val, seed,
-            round_hook=lambda i, model, *_: models.setdefault(i, model))
+        with kept_classifiers() as models:
+            report = al.run_tbal(cfg.tbal, pool, val, seed)
         cov, err = metrics_on(al.TemperatureConfidence(1.0),
-                              report.rounds[0].thresholds, models[1], hyp)
+                              report.rounds[0].fit.thresholds, models[0], hyp)
         got_cov, got_err, model = _first_round_eval(pool, val, hyp, cfg.tbal,
                                                     seed, None)
         assert (got_cov, got_err) == (cov, 0.0 if err is None else err)
         for a, b in zip(model.weights + model.biases,
-                        models[1].weights + models[1].biases):
+                        models[0].weights + models[0].biases):
             assert a.tobytes() == b.tobytes()
 
 
