@@ -32,9 +32,6 @@ from .confidence import (
     TemperatureConfig,
     TopLabelBinningConfig,
     TopLabelHistogramConfidence,
-    fit_confidence_net,
-    fit_temperature,
-    fit_top_label_hb,
     sigmoid,
     write_score_dump,
 )

@@ -15,10 +15,11 @@ pass over its validation set, the fit only the calibration rows. Variants:
                              selection-error penalty, and scored in bounded
                              row chunks
 
-Each variant's frozen config class (``SoftmaxConfig``, ``TemperatureConfig``,
-``TopLabelBinningConfig``, ``ConfidenceNetConfig``) names it and holds its
-settings; ``POSTHOC_CONFIGS`` maps each method's name to its class, and
-``fit_posthoc`` fits the variant a config names.
+Each variant is one frozen config class (``SoftmaxConfig``,
+``TemperatureConfig``, ``TopLabelBinningConfig``, ``ConfidenceNetConfig``):
+its ``method`` names it, its fields hold its settings, and its ``fit`` fits
+it. ``PosthocConfig``, their union, is the one list of methods;
+``POSTHOC_CONFIGS`` maps each method's name to its class.
 
 Only the predicted class's score is ever compared to a threshold downstream,
 but all variants return full k-vectors. The histogram variant bins each
@@ -166,81 +167,55 @@ def _bounded_minimum(f, a: float, b: float) -> tuple:
     return xf, fx
 
 
-def fit_temperature(logits: np.ndarray,
-                    labels: np.ndarray) -> TemperatureConfidence:
-    """Fit T at the minimum of the mean calibration NLL of softmax(logits / T).
-
-    One search over log T on ``LOG_T_BOUNDS``: Brent's bounded method, as
-    ``scipy.optimize.minimize_scalar(method="bounded")`` runs it, with xatol
-    1e-5 and at most 500 evaluations (``_bounded_minimum``). T = 1 is
-    returned unless the solution's NLL is lower, so the fit is never worse
-    than no scaling on the calibration data.
-    """
-    if len(labels) == 0:
-        raise ValueError("empty calibration set")
-    logits = np.asarray(logits, dtype=np.float64)
-    label_logits = logits[np.arange(len(labels)), labels]
-    row_max = logits.max(axis=1)
-
-    def nll(theta: float) -> float:
-        """Mean NLL at log T = theta."""
-        c = np.exp(-theta)
-        # max(c * z) == c * max(z) exactly for c > 0: rounding is monotone
-        z_max = c * row_max
-        total = np.exp(logits * c - z_max[:, None]).sum(axis=1)
-        return float(np.mean(np.log(total) - (label_logits * c - z_max)))
-
-    x, fx = _bounded_minimum(nll, *LOG_T_BOUNDS)
-    theta = float(x) if fx < nll(0.0) else 0.0
-    return TemperatureConfidence(float(np.exp(theta)))
-
-
-def fit_top_label_hb(logits: np.ndarray, labels: np.ndarray,
-                     points_per_bin: int) -> TopLabelHistogramConfidence:
-    """Build per-class uniform-mass bins from calibration data.
-
-    For each class, calibration points predicted as that class are sorted by
-    their softmax top score and split into round(m/points_per_bin) near-equal
-    contiguous bins; each bin's value is its fraction of correct predictions.
-    """
-    if points_per_bin < 1:
-        raise ValueError("points_per_bin must be >= 1")
-    if len(labels) < points_per_bin:
-        raise ValueError(
-            f"need at least points_per_bin={points_per_bin} calibration points"
-        )
-    probs = softmax(logits)
-    preds = np.argmax(logits, axis=1)
-    correct = (preds == labels).astype(np.float64)
-    boundaries: dict = {}
-    values: dict = {}
-    for y in range(logits.shape[1]):
-        mask = preds == y
-        m = int(mask.sum())
-        if m == 0:
-            continue
-        top = probs[mask, y]
-        ok = correct[mask]
-        order = np.argsort(top, kind="stable")
-        n_bins = max(1, int(round(m / points_per_bin)))
-        groups = np.array_split(order, n_bins)
-        values[y] = np.array([ok[grp].mean() for grp in groups])
-        boundaries[y] = np.array([top[grp[0]] for grp in groups[1:]])
-    return TopLabelHistogramConfidence(boundaries, values)
-
-
 @dataclass(frozen=True)
 class SoftmaxConfig:
-    """Softmax response; nothing to set."""
+    """Softmax response; nothing to set or fit."""
+
+    method = "softmax"
+
+    def fit(self, logits, penultimate, labels, seed):
+        return TemperatureConfidence(1.0), None
 
 
 @dataclass(frozen=True)
 class TemperatureConfig:
     """Temperature scaling; T is fit, nothing to set."""
 
+    method = "temperature"
+
+    def fit(self, logits, penultimate, labels, seed):
+        """Fit T at the minimum of the mean calibration NLL of
+        softmax(logits / T).
+
+        One search over log T on ``LOG_T_BOUNDS``: Brent's bounded method,
+        as ``scipy.optimize.minimize_scalar(method="bounded")`` runs it,
+        with xatol 1e-5 and at most 500 evaluations (``_bounded_minimum``).
+        T = 1 is returned unless the solution's NLL is lower, so the fit is
+        never worse than no scaling on the calibration data.
+        """
+        if len(labels) == 0:
+            raise ValueError("empty calibration set")
+        logits = np.asarray(logits, dtype=np.float64)
+        label_logits = logits[np.arange(len(labels)), labels]
+        row_max = logits.max(axis=1)
+
+        def nll(theta: float) -> float:
+            """Mean NLL at log T = theta."""
+            c = np.exp(-theta)
+            # max(c * z) == c * max(z) exactly for c > 0: rounding is monotone
+            z_max = c * row_max
+            total = np.exp(logits * c - z_max[:, None]).sum(axis=1)
+            return float(np.mean(np.log(total) - (label_logits * c - z_max)))
+
+        x, fx = _bounded_minimum(nll, *LOG_T_BOUNDS)
+        theta = float(x) if fx < nll(0.0) else 0.0
+        return TemperatureConfidence(float(np.exp(theta))), None
+
 
 @dataclass(frozen=True)
 class TopLabelBinningConfig:
+    method = "top_label_hb"
+
     points_per_bin: int = 25
 
     def __post_init__(self):
@@ -248,38 +223,43 @@ class TopLabelBinningConfig:
         if self.points_per_bin < 1:
             raise ValueError("points_per_bin must be >= 1")
 
+    def fit(self, logits, penultimate, labels, seed):
+        """Build per-class uniform-mass bins from calibration data.
+
+        For each class, calibration points predicted as that class are
+        sorted by their softmax top score and split into
+        round(m/points_per_bin) near-equal contiguous bins; each bin's value
+        is its fraction of correct predictions. With fewer calibration
+        points than ``points_per_bin`` it degrades to raw softmax with a
+        warning instead of aborting the run.
+        """
+        if len(labels) < self.points_per_bin:
+            return TemperatureConfidence(1.0), (
+                f"calibration set ({len(labels)}) smaller than points_per_bin "
+                f"({self.points_per_bin}); using raw softmax this round"
+            )
+        probs = softmax(logits)
+        preds = np.argmax(logits, axis=1)
+        correct = (preds == labels).astype(np.float64)
+        boundaries: dict = {}
+        values: dict = {}
+        for y in range(logits.shape[1]):
+            mask = preds == y
+            m = int(mask.sum())
+            if m == 0:
+                continue
+            top = probs[mask, y]
+            ok = correct[mask]
+            order = np.argsort(top, kind="stable")
+            n_bins = max(1, int(round(m / self.points_per_bin)))
+            groups = np.array_split(order, n_bins)
+            values[y] = np.array([ok[grp].mean() for grp in groups])
+            boundaries[y] = np.array([top[grp[0]] for grp in groups[1:]])
+        return TopLabelHistogramConfidence(boundaries, values), None
+
 
 # ---------------------------------------------------------------------------
 # confidence net
-
-
-@dataclass(frozen=True)
-class ConfidenceNetConfig:
-    """Optimizer settings for the smoothed selection objective.
-
-    lam    : weight of the smoothed-error penalty (> 0)
-    alpha  : sigmoid sharpness in both surrogate terms (> 0)
-    """
-
-    lam: float = 100.0
-    alpha: float = 1.0
-    learning_rate: float = 0.01
-    weight_decay: float = 0.01
-    batch_size: int = 64
-    max_epochs: int = 500
-    denom_epsilon: float = 1e-8
-
-    def __post_init__(self):
-        _check_fields(self)
-        for name in ("lam", "alpha", "learning_rate", "denom_epsilon"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.max_epochs < 0:
-            raise ValueError("max_epochs must be >= 0")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
 
 
 # hidden floats a chunk of ``ConfidenceNet.scores`` holds: a 2 MiB float32
@@ -402,111 +382,123 @@ def objective_grad(net: ConfidenceNet, Z: np.ndarray,
     return out
 
 
-def fit_confidence_net(logits: np.ndarray, penultimate: np.ndarray,
-                       labels: np.ndarray, cfg: ConfidenceNetConfig,
-                       seed: int) -> ConfidenceNet:
-    """Optimize the smoothed objective with Adam; returns the fitted net.
+@dataclass(frozen=True)
+class ConfidenceNetConfig:
+    """Optimizer settings for the smoothed selection objective.
 
-    The classifier is frozen: only W1, W2 and the auxiliary thresholds move.
-    The auxiliary thresholds, ``sigmoid(1, net.t_raw)``, steer the
-    fit only; threshold estimation never sees them. The initial weights and
-    each epoch's mini-batch shuffle are drawn from ``seed``'s streams;
-    weight decay is decoupled and applied to the weight matrices only.
-
-    Every step writes into buffers made once per fit: ``_epoch_batches``
-    gives the shuffled batches of features, predictions and mistakes,
-    ``objective_grad`` keeps its activations in two scratch buffers and
-    writes the gradient into views of one flat W1|W2|t_raw buffer, and the
-    Adam moments and update are computed in two more, with the float32
-    operations of the per-tensor update in the same order.
+    lam    : weight of the smoothed-error penalty (> 0)
+    alpha  : sigmoid sharpness in both surrogate terms (> 0)
     """
-    if len(labels) == 0:
-        raise ValueError("empty calibration set")
-    Z = np.asarray(np.concatenate([logits, penultimate], axis=1),
-                   dtype=np.float32)
-    preds = np.argmax(logits, axis=1)
-    wrong = (preds != labels)
-    init = init_confidence_net(logits.shape[1], penultimate.shape[1], seed)
-    # Adam steps once over the flat W1|W2|t_raw buffer; decay hits W1|W2 only
-    shapes = (init.W1.shape, init.W2.shape, init.t_raw.shape)
-    theta = np.concatenate([init.W1.ravel(), init.W2.ravel(), init.t_raw])
-    net = ConfidenceNet(*_flat_views(theta, shapes))
-    nw = init.W1.size + init.W2.size
-    weights = theta[:nw]
-    grad = np.empty_like(theta)
-    grads = ConfidenceNet(*_flat_views(grad, shapes))
-    mom = np.zeros_like(theta)
-    sec = np.zeros_like(theta)
-    num = np.empty_like(theta)
-    den = np.empty_like(theta)
-    shape = (min(len(Z), cfg.batch_size), init.W1.shape[1])
-    work = (np.empty(shape, Z.dtype), np.empty(shape, Z.dtype))
-    b1, b2, adam_eps = 0.9, 0.999, 1e-8
-    lr = np.float32(cfg.learning_rate)
-    wd = np.float32(cfg.weight_decay)
-    step = 0
-    for Zb, preds_b, wrong_b in _epoch_batches(
-            (Z, preds, wrong), cfg.batch_size, cfg.max_epochs, seed):
-        objective_grad(net, Zb, preds_b, wrong_b, cfg.lam, cfg.alpha,
-                       cfg.denom_epsilon, out=grads, work=work)
-        step += 1
-        c1 = np.float32(1.0 - b1 ** step)
-        c2 = np.float32(1.0 - b2 ** step)
-        mom *= np.float32(b1)
-        np.multiply(np.float32(1 - b1), grad, out=num)
-        mom += num
-        sec *= np.float32(b2)
-        np.multiply(np.float32(1 - b2), grad, out=num)
-        num *= grad
-        sec += num
-        # lr * (mom / c1) / (sqrt(sec / c2) + eps)
-        np.divide(mom, c1, out=num)
-        np.multiply(lr, num, out=num)
-        np.divide(sec, c2, out=den)
-        np.sqrt(den, out=den)
-        den += np.float32(adam_eps)
-        num /= den
-        theta -= num
-        if wd > 0:
-            np.multiply(lr * wd, weights, out=num[:nw])
-            weights -= num[:nw]
-    return ConfidenceNet(net.W1.copy(), net.W2.copy(), net.t_raw.copy())
+
+    method = "confidence_net"
+
+    lam: float = 100.0
+    alpha: float = 1.0
+    learning_rate: float = 0.01
+    weight_decay: float = 0.01
+    batch_size: int = 64
+    max_epochs: int = 500
+    denom_epsilon: float = 1e-8
+
+    def __post_init__(self):
+        _check_fields(self)
+        for name in ("lam", "alpha", "learning_rate", "denom_epsilon"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.max_epochs < 0:
+            raise ValueError("max_epochs must be >= 0")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
+
+    def fit(self, logits, penultimate, labels, seed):
+        """Optimize the smoothed objective with Adam; returns the fitted net.
+
+        The classifier is frozen: only W1, W2 and the auxiliary thresholds
+        move. The auxiliary thresholds, ``sigmoid(1, net.t_raw)``, steer the
+        fit only; threshold estimation never sees them. The initial weights
+        and each epoch's mini-batch shuffle are drawn from ``seed``'s
+        streams; weight decay is decoupled and applied to the weight
+        matrices only.
+
+        Every step writes into buffers made once per fit: ``_epoch_batches``
+        gives the shuffled batches of features, predictions and mistakes,
+        ``objective_grad`` keeps its activations in two scratch buffers and
+        writes the gradient into views of one flat W1|W2|t_raw buffer, and
+        the Adam moments and update are computed in two more, with the
+        float32 operations of the per-tensor update in the same order.
+        """
+        if len(labels) == 0:
+            raise ValueError("empty calibration set")
+        Z = np.asarray(np.concatenate([logits, penultimate], axis=1),
+                       dtype=np.float32)
+        preds = np.argmax(logits, axis=1)
+        wrong = (preds != labels)
+        init = init_confidence_net(logits.shape[1], penultimate.shape[1], seed)
+        # Adam steps once over the flat W1|W2|t_raw buffer; decay hits
+        # W1|W2 only
+        shapes = (init.W1.shape, init.W2.shape, init.t_raw.shape)
+        theta = np.concatenate([init.W1.ravel(), init.W2.ravel(), init.t_raw])
+        net = ConfidenceNet(*_flat_views(theta, shapes))
+        nw = init.W1.size + init.W2.size
+        weights = theta[:nw]
+        grad = np.empty_like(theta)
+        grads = ConfidenceNet(*_flat_views(grad, shapes))
+        mom = np.zeros_like(theta)
+        sec = np.zeros_like(theta)
+        num = np.empty_like(theta)
+        den = np.empty_like(theta)
+        shape = (min(len(Z), self.batch_size), init.W1.shape[1])
+        work = (np.empty(shape, Z.dtype), np.empty(shape, Z.dtype))
+        b1, b2, adam_eps = 0.9, 0.999, 1e-8
+        lr = np.float32(self.learning_rate)
+        wd = np.float32(self.weight_decay)
+        step = 0
+        for Zb, preds_b, wrong_b in _epoch_batches(
+                (Z, preds, wrong), self.batch_size, self.max_epochs, seed):
+            objective_grad(net, Zb, preds_b, wrong_b, self.lam, self.alpha,
+                           self.denom_epsilon, out=grads, work=work)
+            step += 1
+            c1 = np.float32(1.0 - b1 ** step)
+            c2 = np.float32(1.0 - b2 ** step)
+            mom *= np.float32(b1)
+            np.multiply(np.float32(1 - b1), grad, out=num)
+            mom += num
+            sec *= np.float32(b2)
+            np.multiply(np.float32(1 - b2), grad, out=num)
+            num *= grad
+            sec += num
+            # lr * (mom / c1) / (sqrt(sec / c2) + eps)
+            np.divide(mom, c1, out=num)
+            np.multiply(lr, num, out=num)
+            np.divide(sec, c2, out=den)
+            np.sqrt(den, out=den)
+            den += np.float32(adam_eps)
+            num /= den
+            theta -= num
+            if wd > 0:
+                np.multiply(lr * wd, weights, out=num[:nw])
+                weights -= num[:nw]
+        return ConfidenceNet(net.W1.copy(), net.W2.copy(),
+                             net.t_raw.copy()), None
 
 
 # ---------------------------------------------------------------------------
 # the post-hoc methods
 
 
-# each post-hoc method's name and config class
-POSTHOC_CONFIGS = {
-    "softmax": SoftmaxConfig,
-    "temperature": TemperatureConfig,
-    "top_label_hb": TopLabelBinningConfig,
-    "confidence_net": ConfidenceNetConfig,
-}
+# the post-hoc methods, and each method's name to its config class
+PosthocConfig = (SoftmaxConfig | TemperatureConfig | TopLabelBinningConfig
+                 | ConfidenceNetConfig)
+POSTHOC_CONFIGS = {cls.method: cls for cls in PosthocConfig.__args__}
 
 
-def fit_posthoc(cfg, logits: np.ndarray, penultimate: np.ndarray,
-                labels: np.ndarray, seed: int):
-    """Fit the confidence function the class of ``cfg``, one of the
-    ``POSTHOC_CONFIGS`` classes, names on calibration data.
-
-    Returns (model_g, warning-or-None). Softmax fits nothing. When
-    histogram binning lacks enough calibration points it degrades to raw
-    softmax with a warning instead of aborting the run.
-    """
-    if isinstance(cfg, SoftmaxConfig):
-        return TemperatureConfidence(1.0), None
-    if isinstance(cfg, TemperatureConfig):
-        return fit_temperature(logits, labels), None
-    if isinstance(cfg, TopLabelBinningConfig):
-        if len(labels) < cfg.points_per_bin:
-            return TemperatureConfidence(1.0), (
-                f"calibration set ({len(labels)}) smaller than points_per_bin "
-                f"({cfg.points_per_bin}); using raw softmax this round"
-            )
-        return fit_top_label_hb(logits, labels, cfg.points_per_bin), None
-    return fit_confidence_net(logits, penultimate, labels, cfg, seed), None
+def fit_posthoc(cfg: PosthocConfig, logits: np.ndarray,
+                penultimate: np.ndarray, labels: np.ndarray, seed: int):
+    """Fit the confidence function ``cfg`` names on calibration data:
+    (model_g, warning-or-None), as ``cfg.fit`` returns it."""
+    return cfg.fit(logits, penultimate, labels, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -303,9 +303,7 @@ def _parse_hpo(sec: _Section, posthoc_cls):
     else:
         # nothing to search; the post-hoc phase is skipped
         if sec.raw("posthoc_grid", None) not in ({}, None):
-            method = next(name for name, cls in POSTHOC_CONFIGS.items()
-                          if cls is posthoc_cls)
-            raise RangeError(f"{sec.path}.posthoc_grid: {method} "
+            raise RangeError(f"{sec.path}.posthoc_grid: {posthoc_cls.method} "
                              "has no hyperparameters")
         posthoc_grid = {}
     tie = sec.number("tie_break_seed", 0, integer=True, lo=0)

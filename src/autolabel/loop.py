@@ -27,15 +27,8 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .confidence import (
-    POSTHOC_CONFIGS,
-    ConfidenceModel,
-    ConfidenceNetConfig,
-    SoftmaxConfig,
-    TemperatureConfig,
-    TopLabelBinningConfig,
-    fit_posthoc,
-)
+from .confidence import (ConfidenceModel, PosthocConfig, SoftmaxConfig,
+                         fit_posthoc)
 from .data import LabeledSet, Pool, random_query, random_split
 from .mlp import (
     TrainConfig,
@@ -60,7 +53,7 @@ class TbalConfig:
     ``thresholds`` holds the error tolerance eps_a, the coverage floor, the
     C1 safety margin and the threshold grid, as ``estimate_thresholds``
     reads them; ``train`` holds the classifier's fitting settings, and
-    ``posthoc``, one of the ``POSTHOC_CONFIGS`` classes, names the
+    ``posthoc``, one of the ``PosthocConfig`` classes, names the
     confidence function and holds its settings.
     """
 
@@ -71,8 +64,7 @@ class TbalConfig:
     thresholds: ThresholdConfig = field(default_factory=ThresholdConfig)
     hidden: tuple = (32,)
     train: TrainConfig = field(default_factory=TrainConfig)
-    posthoc: (SoftmaxConfig | TemperatureConfig | TopLabelBinningConfig
-              | ConfidenceNetConfig) = field(default_factory=SoftmaxConfig)
+    posthoc: PosthocConfig = field(default_factory=SoftmaxConfig)
     active_multiplier: float = 2.0
 
     def __post_init__(self):
@@ -91,8 +83,8 @@ class TbalConfig:
                                       for w in self.hidden):
             raise ValueError("hidden must be a non-empty tuple of integer "
                              "widths >= 1")
-        if not isinstance(self.posthoc, tuple(POSTHOC_CONFIGS.values())):
-            raise ValueError(f"posthoc must be one of the POSTHOC_CONFIGS "
+        if not isinstance(self.posthoc, PosthocConfig):
+            raise ValueError(f"posthoc must be one of the PosthocConfig "
                              f"classes, not {type(self.posthoc).__name__}")
 
 

@@ -40,7 +40,7 @@ from .loop import (
     seed_query,
     train_round,
 )
-from .rng import child_seed
+from .rng import child_seed, stream
 from .thresholds import empirical_metrics, predicted_scores
 
 
@@ -241,8 +241,7 @@ def _select(records: "list[dict]", eps_a: float, tie_seed: int,
         best = min(r["mean_error"] for r in records)
         tied = [r for r in records if r["mean_error"] == best]
         rule = "min_error_fallback"
-    rng = np.random.default_rng(child_seed(tie_seed, "tie", phase))
-    winner = tied[int(rng.integers(len(tied)))]
+    winner = tied[int(stream(tie_seed, "tie", phase).integers(len(tied)))]
     winner["selected"] = True
     winner["selection_rule"] = rule
     return winner["combo_id"]

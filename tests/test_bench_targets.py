@@ -10,7 +10,7 @@ checks the lookup and the counters on a tiny fit and a tiny run, and that
 import numpy as np
 
 import autolabel as al
-from autolabel.confidence import ConfidenceNetConfig, fit_confidence_net
+from autolabel.confidence import ConfidenceNetConfig
 
 from conftest import CROSS_MEANS, bench_module, four_blobs, label_everything
 
@@ -29,8 +29,7 @@ def test_tracer_finds_and_counts_every_fit_target():
         assert tracer.missing == []
         # the tracer reads config and train_set at positions 0 and 1
         h = al.mlp.train_model(train, labeled, [6], 0)
-        fit_confidence_net(*h.representations(labeled.features),
-                           labeled.labels, net, 0)
+        net.fit(*h.representations(labeled.features), labeled.labels, 0)
         al.thresholds.estimate_thresholds(top, labeled.labels, labeled.labels,
                                           4, al.ThresholdConfig())
     finally:

@@ -13,9 +13,8 @@ from autolabel.confidence import (
     ConfidenceNet,
     ConfidenceNetConfig,
     TemperatureConfidence,
-    fit_confidence_net,
-    fit_temperature,
-    fit_top_label_hb,
+    TemperatureConfig,
+    TopLabelBinningConfig,
     init_confidence_net,
     objective_grad,
     TopLabelHistogramConfidence,
@@ -143,8 +142,8 @@ def nll_at(h, T, labeled):
 
 def test_fit_temperature_never_worse_than_identity(blob_model, blobs):
     cal = label_everything(blobs)
-    tm = fit_temperature(blob_model.representations(cal.features)[0],
-                         cal.labels)
+    tm, _ = TemperatureConfig().fit(*blob_model.representations(cal.features),
+                                     cal.labels, 0)
     assert 0.5 <= tm.temperature <= 2.0
     assert nll_at(blob_model, tm.temperature, cal) <= nll_at(blob_model, 1.0,
                                                              cal) + 1e-12
@@ -154,8 +153,8 @@ def test_fit_temperature_detects_overconfidence(blob_model, blobs):
     rng = np.random.default_rng(7)
     shuffled = al.LabeledSet(blobs, np.arange(blobs.n),
                              rng.integers(0, 4, size=blobs.n))
-    tm = fit_temperature(blob_model.representations(shuffled.features)[0],
-                         shuffled.labels)
+    tm, _ = TemperatureConfig().fit(
+        *blob_model.representations(shuffled.features), shuffled.labels, 0)
     assert tm.temperature > 1.0
     # brute-force grid oracle agrees on the direction
     grid = [0.1, 0.2, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0]
@@ -165,8 +164,9 @@ def test_fit_temperature_detects_overconfidence(blob_model, blobs):
 
 def test_fit_temperature_empty_set(blob_model, blobs):
     with pytest.raises(ValueError):
-        fit_temperature(blob_model.representations(blobs.features[:0])[0],
-                        np.zeros(0, np.int64))
+        TemperatureConfig().fit(
+            *blob_model.representations(blobs.features[:0]),
+            np.zeros(0, np.int64), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +177,8 @@ def test_hb_all_correct_gives_unit_bins(blob_model, blobs):
     cal = label_everything(blobs)
     preds = np.argmax(blob_model.representations(blobs.features)[0], axis=1)
     right = cal.take(np.where(preds == blobs.hidden_labels)[0])
-    g = fit_top_label_hb(blob_model.representations(right.features)[0],
-                         right.labels, points_per_bin=25)
+    g, _ = TopLabelBinningConfig(points_per_bin=25).fit(
+        *blob_model.representations(right.features), right.labels, 0)
     for y, vals in g.values.items():
         assert np.all(vals == 1.0)
 
@@ -195,8 +195,8 @@ def test_hb_two_bin_hand_example(blob_model, blobs):
     want_correct = [True, False, True, True]
     labels = np.where(want_correct, cls, (cls + 1) % 4)
     cal = al.LabeledSet(blobs, pos, labels)
-    g = fit_top_label_hb(blob_model.representations(cal.features)[0],
-                         cal.labels, points_per_bin=2)
+    g, _ = TopLabelBinningConfig(points_per_bin=2).fit(
+        *blob_model.representations(cal.features), cal.labels, 0)
     assert np.allclose(g.values[cls], [0.5, 1.0])
     # the other classes had no calibration points and fall back to softmax
     assert set(g.values) == {cls}
@@ -208,8 +208,8 @@ def test_hb_two_bin_hand_example(blob_model, blobs):
 
 def test_hb_bin_values_bounded(blob_model, blobs):
     cal = label_everything(blobs)
-    g = fit_top_label_hb(blob_model.representations(cal.features)[0],
-                         cal.labels, points_per_bin=10)
+    g, _ = TopLabelBinningConfig(points_per_bin=10).fit(
+        *blob_model.representations(cal.features), cal.labels, 0)
     for vals in g.values.values():
         assert np.all((0.0 <= vals) & (vals <= 1.0))
 
@@ -221,8 +221,8 @@ def test_hb_fallback_class_scores_raw_softmax(blob_model, blobs):
     other = (cls + 1) % 4
     pos = np.where(preds == cls)[0][:6]
     cal = al.LabeledSet(blobs, pos, np.full(6, cls))
-    g = fit_top_label_hb(blob_model.representations(cal.features)[0],
-                         cal.labels, points_per_bin=3)
+    g, _ = TopLabelBinningConfig(points_per_bin=3).fit(
+        *blob_model.representations(cal.features), cal.labels, 0)
     assert other not in g.values
     qpos = np.where(preds == other)[0][:5]
     if qpos.size:
@@ -232,10 +232,13 @@ def test_hb_fallback_class_scores_raw_softmax(blob_model, blobs):
 
 
 def test_hb_needs_enough_points(blob_model, blobs):
+    # fewer calibration points than one bin holds: raw softmax and a warning
     cal = label_everything(blobs).take(range(10))
-    with pytest.raises(ValueError):
-        fit_top_label_hb(blob_model.representations(cal.features)[0],
-                         cal.labels, points_per_bin=25)
+    g, warning = TopLabelBinningConfig(points_per_bin=25).fit(
+        *blob_model.representations(cal.features), cal.labels, 0)
+    assert isinstance(g, TemperatureConfidence) and g.temperature == 1.0
+    assert warning == ("calibration set (10) smaller than points_per_bin "
+                       "(25); using raw softmax this round")
 
 
 @pytest.mark.parametrize("value, message", [
@@ -259,7 +262,8 @@ def test_hb_bins_the_predicted_class_on_float32_softmax_ties():
         def representations(self, X):
             return np.repeat(tied, len(X), axis=0), X
 
-    fitted = fit_top_label_hb(tied, np.array([1]), points_per_bin=1)
+    fitted, _ = TopLabelBinningConfig(points_per_bin=1).fit(
+        tied, None, np.array([1]), 0)
     assert set(fitted.values) == {1}
     g = TopLabelHistogramConfidence({0: np.array([]), 1: np.array([])},
                                     {0: np.array([0.9]), 1: np.array([0.1])})
@@ -277,7 +281,8 @@ def test_hb_predicted_scores_equal_the_patch_only_scorer_bit_for_bit():
         cal = rng.normal(0, 2.0, size=(n, k)).astype(np.float32)
         cal[:, -1] -= 100.0  # the last class is never predicted: fallback
         labels = rng.integers(0, k, size=n)
-        g = fit_top_label_hb(cal, labels, points_per_bin=per_bin)
+        g, _ = TopLabelBinningConfig(points_per_bin=per_bin).fit(
+            cal, None, labels, 0)
         assert k - 1 not in g.values
         logits = rng.normal(0, 2.0, size=(300, k)).astype(np.float32)
         logits[:20, 1] = logits[:20, 0]  # exact ties in the first two
@@ -470,8 +475,8 @@ def test_fit_confidence_net_rejects_a_seed_that_is_not_an_integer(
         blob_model, blobs, seed):
     labels = label_everything(blobs).labels
     with pytest.raises(ValueError, match=r"^seed must be an integer"):
-        fit_confidence_net(*blob_model.representations(blobs.features),
-                           labels, ConfidenceNetConfig(max_epochs=1), seed)
+        ConfidenceNetConfig(max_epochs=1).fit(
+            *blob_model.representations(blobs.features), labels, seed)
 
 
 def test_objective_grad_writes_the_same_bits_into_out():
@@ -552,8 +557,7 @@ def test_fit_confidence_net_on_perfect_classifier():
     cfg = ConfidenceNetConfig(lam=100.0, alpha=1.0, batch_size=128,
                               max_epochs=200)
     before = [w.copy() for w in h.weights] + [b.copy() for b in h.biases]
-    net = fit_confidence_net(*h.representations(cal.features), cal.labels, cfg,
-                             7)
+    net, _ = cfg.fit(*h.representations(cal.features), cal.labels, 7)
     after = list(h.weights) + list(h.biases)
     for a, b in zip(before, after):
         assert np.array_equal(a, b)  # classifier frozen
@@ -569,10 +573,8 @@ def test_fit_confidence_net_on_perfect_classifier():
 def test_fit_confidence_net_deterministic():
     ds, cal, h = mixture_1d([[-1.0], [1.0]], 60, seed=4, train_seed=5)
     cfg = ConfidenceNetConfig(max_epochs=40)
-    n1 = fit_confidence_net(*h.representations(cal.features), cal.labels, cfg,
-                            9)
-    n2 = fit_confidence_net(*h.representations(cal.features), cal.labels, cfg,
-                            9)
+    n1, _ = cfg.fit(*h.representations(cal.features), cal.labels, 9)
+    n2, _ = cfg.fit(*h.representations(cal.features), cal.labels, 9)
     assert np.array_equal(n1.W1, n2.W1)
     assert np.array_equal(n1.W2, n2.W2)
     assert np.array_equal(n1.t_raw, n2.t_raw)
@@ -591,8 +593,8 @@ def test_fit_confidence_net_beats_softmax_sweep_on_overlap():
     # overlapping classes: the learned scorer should cover at least as much
     # as the best raw-softmax threshold does at the same achieved error
     ds, cal, h = mixture_1d([[-1.0], [1.0]], 200, seed=5, train_seed=1)
-    net = fit_confidence_net(*h.representations(cal.features), cal.labels,
-                             ConfidenceNetConfig(lam=100.0, alpha=1.0), 3)
+    net, _ = ConfidenceNetConfig(lam=100.0, alpha=1.0).fit(
+        *h.representations(cal.features), cal.labels, 3)
     tv = al.ThresholdVector(sigmoid(1.0, net.t_raw))
     cov_f, err_f = metrics_on(net, tv, h, cal)
     err_cap = 0.0 if err_f is None else err_f
@@ -608,8 +610,9 @@ def test_fit_confidence_net_beats_softmax_sweep_on_overlap():
 
 def test_fit_confidence_net_empty_cal(blob_model, blobs):
     with pytest.raises(ValueError):
-        fit_confidence_net(*blob_model.representations(blobs.features[:0]),
-                           np.zeros(0, np.int64), ConfidenceNetConfig(), 0)
+        ConfidenceNetConfig().fit(
+            *blob_model.representations(blobs.features[:0]),
+            np.zeros(0, np.int64), 0)
 
 
 # ---------------------------------------------------------------------------

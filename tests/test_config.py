@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import autolabel as al
+from autolabel.confidence import POSTHOC_CONFIGS
 from autolabel.config import (
     ConfigError,
     MissingKeyError,
@@ -19,6 +20,7 @@ from autolabel.config import (
     parse_config,
     parse_config_dict,
 )
+from autolabel.mlp import _keys
 
 BASE = {
     "dataset": {"kind": "synthetic", "classes": 4, "dim": 2, "sigma": 1.0,
@@ -528,8 +530,11 @@ def test_range_errors_name_the_key(section, key, value):
         parse_config_dict(d)
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_block(language: str, after: str) -> str:
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = README.read_text()
     start = text.index(after)
     return re.search(rf"```{language}\n(.*?)```", text[start:], re.S).group(1)
 
@@ -546,6 +551,19 @@ def test_readme_examples_parse():
     exec(quick[:quick.index("report = ")], namespace)
     assert namespace["cfg"].thresholds.eps_a == 0.05
 
+
+
+def test_readme_config_section_names_every_key_and_method():
+    # a key or a method added in code is documented where configs are, so
+    # a method written as one class cannot go unlisted
+    text = README.read_text()
+    section = text[text.index("## Config files"):text.index("## Outputs")]
+    classes = (al.TbalConfig, al.ThresholdConfig, al.TrainConfig,
+               al.ExperimentConfig, *POSTHOC_CONFIGS.values())
+    names = {key for cls in classes for key in _keys(cls)}
+    missing = sorted(name for name in names | set(POSTHOC_CONFIGS)
+                     if f"`{name}`" not in section)
+    assert missing == []
 
 @pytest.mark.parametrize("fmt", ["csv", "rawf32"])
 def test_labels_path_is_rejected_outside_idx(tmp_path, fmt):

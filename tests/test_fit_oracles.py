@@ -20,9 +20,8 @@ from autolabel.confidence import (
     ConfidenceNet,
     ConfidenceNetConfig,
     LOG_T_BOUNDS,
+    TemperatureConfig,
     _bounded_minimum,
-    fit_confidence_net,
-    fit_temperature,
     init_confidence_net,
     objective_grad,
 )
@@ -247,7 +246,7 @@ def test_fit_temperature_search_equals_scipy_bit_for_bit(monkeypatch):
             labels = np.argmax(logits, axis=1)
         else:
             labels = np.full(n, rng.integers(0, k))
-        fit_temperature(logits, labels)
+        TemperatureConfig().fit(logits, None, labels, 0)
     assert len(pairs) == 300
     for i, (got, want) in enumerate(pairs):
         assert same_bits(got, want), i
@@ -275,7 +274,7 @@ def test_fit_temperature_reaches_the_grid_nll_minimum():
         else:
             z[rows, labels] = z.min(axis=1) - 0.5
         logits = (z * scale).astype(np.float32)
-        fit = fit_temperature(logits, labels)
+        fit, _ = TemperatureConfig().fit(logits, None, labels, 0)
         got = ref_nll(logits, labels, fit.temperature)
         best = min(ref_nll(logits, labels, np.exp(theta)) for theta in grid)
         assert got <= best + NLL_TOL, (k, scale, rule, got, best)
@@ -298,7 +297,7 @@ def test_fit_temperature_keeps_one_at_its_optimum():
                                bounds=LOG_T_BOUNDS, method="bounded",
                                options={"xatol": 1e-12})
         logits = z / np.exp(best.x)
-        fit = fit_temperature(logits, labels)
+        fit, _ = TemperatureConfig().fit(logits, None, labels, 0)
         assert fit.temperature == 1.0, k
 
 
@@ -400,8 +399,7 @@ def test_fit_confidence_net_equals_reference_adam_bit_for_bit():
                                   alpha=(1.0, 4.0)[i % 3 == 0],
                                   weight_decay=wd, batch_size=16,
                                   max_epochs=5)
-        net = fit_confidence_net(*h.representations(cal.features), cal.labels,
-                                 cfg, i)
+        net, _ = cfg.fit(*h.representations(cal.features), cal.labels, i)
         want = ref_fit_confidence_net(h, cal, cfg, i)
         for name in ("W1", "W2", "t_raw"):
             a, b = getattr(net, name), getattr(want, name)

@@ -248,10 +248,10 @@ def test_fit_round_zero_tolerance_thresholds_have_zero_group_error():
         assert wrong[sel].sum() == 0
 
 
-@pytest.mark.parametrize("method", tuple(al.loop.POSTHOC_CONFIGS))
+@pytest.mark.parametrize("method", tuple(al.confidence.POSTHOC_CONFIGS))
 def test_round_runs_the_classifier_once_per_set(monkeypatch, method):
     pool, val = overlapping_world()
-    cfg = base_config(posthoc=al.loop.POSTHOC_CONFIGS[method]())
+    cfg = base_config(posthoc=al.confidence.POSTHOC_CONFIGS[method]())
     calls = []
     original = al.MlpClassifier.representations
 
@@ -342,9 +342,8 @@ def test_fit_round_derives_each_seed_from_the_run_seed():
                                         child_seed(seed, i, "split"))
     assert np.array_equal(cal, want_cal) and np.array_equal(th, want_th)
     logits, penultimate = want.representations(val.features)
-    net = al.fit_confidence_net(logits[cal], penultimate[cal],
-                                val.labels[cal], cfg.posthoc,
-                                child_seed(seed, i, "posthoc"))
+    net, _ = cfg.posthoc.fit(logits[cal], penultimate[cal], val.labels[cal],
+                             child_seed(seed, i, "posthoc"))
     for name in ("W1", "W2", "t_raw"):
         assert (getattr(g, name).tobytes()
                 == getattr(net, name).tobytes())
@@ -484,7 +483,7 @@ def test_seed_query_independent_of_posthoc_method():
     pool, val = overlapping_world()
     reports = {}
     for method in ("softmax", "temperature"):
-        cfg = base_config(posthoc=al.loop.POSTHOC_CONFIGS[method]())
+        cfg = base_config(posthoc=al.confidence.POSTHOC_CONFIGS[method]())
         rep = al.run_tbal(cfg, pool, val, 23)
         seed_ids = rep.output.indices[(rep.output_sources == "human")
                                       & (rep.output_rounds == 0)]
@@ -513,6 +512,21 @@ def test_validation_exhaustion_stops_with_warning():
     assert report.rounds[-1].n_pool_remaining > 0
     assert len(report.output) < pool_ds.n
 
+
+def test_a_small_calibration_set_bins_nothing_and_scores_raw_softmax():
+    # 40 validation points split into 20 for calibration, fewer than one
+    # bin's 25: the round scores with raw softmax and says so
+    pool, val = overlapping_world(n_val=40)
+    binned, raw = (al.run_tbal(base_config(train_budget=30, seed_size=30,
+                                           posthoc=posthoc), pool, val, SEED)
+                   for posthoc in (TopLabelBinningConfig(points_per_bin=25),
+                                   al.SoftmaxConfig()))
+    assert binned.warnings == [
+        "round 1: calibration set (20) smaller than points_per_bin (25); "
+        "using raw softmax this round"]
+    assert len(binned.rounds) == len(raw.rounds) == 1
+    assert binned.rounds[0].to_jsonable() == raw.rounds[0].to_jsonable()
+    assert np.array_equal(binned.rounds[0].fit.top, raw.rounds[0].fit.top)
 
 def test_all_infinite_round_still_queries():
     # demanding full-group coverage at a near-unit threshold is infeasible on

@@ -467,7 +467,7 @@ def test_apply_combos(monkeypatch, tmp_path):
         al.hyperparameter_search(soft)
 
 
-@pytest.mark.parametrize("method", tuple(al.loop.POSTHOC_CONFIGS))
+@pytest.mark.parametrize("method", tuple(al.confidence.POSTHOC_CONFIGS))
 def test_first_round_eval_runs_the_classifier_once_over_hyp(
         monkeypatch, tmp_path, method):
     d = copy.deepcopy(OVERLAPPING)
@@ -509,7 +509,7 @@ def test_first_round_eval_scores_the_runs_first_round(tmp_path):
             assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("method", tuple(al.loop.POSTHOC_CONFIGS))
+@pytest.mark.parametrize("method", tuple(al.confidence.POSTHOC_CONFIGS))
 def test_logged_thresholds_are_estimated_on_the_score_dump(tmp_path, method):
     # a round's thresholds read the threshold half of the one validation
     # scoring that its score dump writes

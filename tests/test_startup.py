@@ -36,16 +36,16 @@ autolabel.cli.build_parser()
 cfg = parse_config(cfg_path)
 materialize_dataset(cfg)
 fits = []
-fit_temperature = autolabel.confidence.fit_temperature
+fit_temperature = autolabel.confidence.TemperatureConfig.fit
 
 
-def recording_fit(logits, labels):
-    conf = fit_temperature(logits, labels)
+def recording_fit(self, logits, penultimate, labels, seed):
+    conf, warning = fit_temperature(self, logits, penultimate, labels, seed)
     fits.append((logits, labels, conf.temperature))
-    return conf
+    return conf, warning
 
 
-autolabel.confidence.fit_temperature = recording_fit
+autolabel.confidence.TemperatureConfig.fit = recording_fit
 run_experiment(cfg, out_dir=out_dir)
 with open(fits_path, "wb") as f:
     pickle.dump(fits, f)
@@ -92,5 +92,5 @@ def test_a_run_loads_no_scipy(tmp_path, method):
     # every recorded fit re-fits to the same T in this process
     assert bool(fits) == (method == "temperature")
     for logits, labels, temperature in fits:
-        assert autolabel.fit_temperature(logits, labels).temperature \
-            == temperature
+        conf, _ = autolabel.TemperatureConfig().fit(logits, None, labels, 0)
+        assert conf.temperature == temperature
