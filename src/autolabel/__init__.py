@@ -1,5 +1,15 @@
 """Threshold-based auto-labeling with learned post-hoc confidence."""
 
+import os
+
+# One BLAS thread per process, unless the caller set a count: the --jobs
+# process pool is the parallelism, and a product's bits depend on the
+# thread count. This must run before numpy's first import to take effect;
+# the pool's workers inherit it.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
+
 from .data import (
     DataFormatError,
     Dataset,

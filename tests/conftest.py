@@ -1,12 +1,19 @@
 import contextlib
 import importlib.util
+import os
 from pathlib import Path
 
-import numpy as np
-import pytest
+# One BLAS thread, as a run of the package defaults to, before numpy's first
+# import: check 6's stand-in numbers were frozen at one thread.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _name in THREAD_VARS:
+    os.environ.setdefault(_name, "1")
 
-import autolabel as al
-from autolabel.thresholds import predicted_scores
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+import autolabel as al  # noqa: E402
+from autolabel.thresholds import predicted_scores  # noqa: E402
 
 CROSS_MEANS = np.array([[3.0, 0.0], [0.0, 3.0], [-3.0, 0.0], [0.0, -3.0]])
 
