@@ -1,14 +1,23 @@
 """Threshold-based auto-labeling with learned post-hoc confidence."""
 
 import os
+import sys
+import warnings
 
 # One BLAS thread per process, unless the caller set a count: the --jobs
 # process pool is the parallelism, and a product's bits depend on the
 # thread count. This must run before numpy's first import to take effect;
 # the pool's workers inherit it.
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" in sys.modules and not any(v in os.environ for v in _THREAD_VARS):
+    warnings.warn(
+        "numpy was imported before autolabel with none of "
+        f"{', '.join(_THREAD_VARS)} set, so BLAS keeps its own thread count "
+        "and a run's bytes depend on it; set one of them to 1 for the "
+        "one-thread bytes", RuntimeWarning, stacklevel=2)
+for _name in _THREAD_VARS:
     os.environ.setdefault(_name, "1")
-del _name
+del _name, _THREAD_VARS
 
 from .data import (
     DataFormatError,

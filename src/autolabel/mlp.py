@@ -328,10 +328,11 @@ def train_model(config: TrainConfig, train_set: LabeledSet, hidden,
     written over the gradient once the velocity has taken it. The targets
     are float32 one-hot rows, made once per fit, and ``_epoch_batches``
     gives the shuffled batches of features and targets. Each batch size
-    has its scratch (``_backprop_work``; full batches share one, a short
-    last batch has its own), so a step only runs numpy calls on arrays it
-    already has. Each element sees the float32 operations of a per-layer
-    update in the same order, so the result is bit-identical. The decay
+    has its plan (``_backprop_plan``; full batches share one, a short last
+    batch has its own), made once per fit, so a step only runs numpy calls
+    on arrays and argument tuples it already has. Each element sees the
+    float32 operations of a per-layer update in the same order, so the
+    result is bit-identical. The decay
     term is computed only when weight_decay > 0. Leaving it out is exact:
     float addition is commutative, and for a finite weight adding
     0 * w = +-0 changes at most the sign of a zero step, which subtracting
@@ -355,14 +356,14 @@ def train_model(config: TrainConfig, train_set: LabeledSet, hidden,
     X = np.ascontiguousarray(train_set.features, dtype=np.float32)
     onehot = np.eye(data.num_classes, dtype=params.dtype)[train_set.labels]
     m, size = X.shape[0], config.batch_size
-    works = {rows: _backprop_work(model, rows, params.dtype)
+    plans = {rows: _backprop_plan(model, grads, rows, params.dtype)
              for rows in {min(size, m - lo) for lo in range(0, m, size)}}
     kind = config.loss
     lr = np.float32(config.learning_rate)
     mu = np.float32(config.momentum)
     lr_wd = lr * np.float32(config.weight_decay)
     for Xb, Yb in _epoch_batches((X, onehot), size, config.max_epochs, seed):
-        _backprop(model, Xb, Yb, kind, out=grads, work=works[len(Xb)])
+        _backprop(Xb, Yb, kind, plans[len(Xb)])
         vel *= mu
         vel += grad
         np.multiply(lr, vel, out=grad)
@@ -374,28 +375,43 @@ def train_model(config: TrainConfig, train_set: LabeledSet, hidden,
                          [b.copy() for b in model.biases])
 
 
-def _backprop_work(model: MlpClassifier, rows: int, dtype):
-    """Scratch for ``_backprop`` on batches of exactly ``rows`` rows.
+def _backprop_plan(model: MlpClassifier, grads, rows: int, dtype):
+    """What ``_backprop`` steps through on batches of exactly ``rows`` rows.
 
-    (outputs, hidden_T, deltas, dlogits): each layer's output,
-    (rows, layer width); the transposed views of the hidden outputs; for
-    each hidden layer the loss gradient at its output; and
-    ``_dlogits_work`` for the logits.
+    ``grads`` is (grads_w, grads_b), two lists of arrays shaped like the
+    model's weights and biases, which the step writes. The plan is
+    (hidden, last, backward, first, dlogits_work, grads):
+
+    hidden   : per hidden layer, (w, b, out) with out its (rows, width)
+               output, in ``dtype`` like all scratch here
+    last     : (w, b, logits) of the output layer
+    backward : per layer from the last down to the second, (a_T, grad_w,
+               grad_b, a, w_T, delta): its input activation a and a's
+               transpose, its gradients, its transposed weights, and the
+               loss gradient at a
+    first    : (grad_w, grad_b) of the first layer, whose input is the batch
+    dlogits_work : ``_dlogits_work`` for the logits
+
+    The weights are the model's arrays, not copies, so a plan stays valid
+    while a fit updates them in place.
     """
+    grads_w, grads_b = grads
     outputs = [np.empty((rows, w.shape[1]), dtype) for w in model.weights]
-    return (outputs, [a.T for a in outputs[:-1]],
-            [np.empty_like(a) for a in outputs[:-1]],
-            _dlogits_work(rows, model.num_classes, dtype))
+    layers = list(zip(model.weights, model.biases, outputs))
+    backward = tuple((a.T, gw, gb, a, w.T, np.empty_like(a))
+                     for a, gw, gb, w in zip(outputs[-2::-1], grads_w[:0:-1],
+                                             grads_b[:0:-1],
+                                             model.weights[:0:-1]))
+    return (tuple(layers[:-1]), layers[-1], backward, (grads_w[0], grads_b[0]),
+            _dlogits_work(rows, model.num_classes, dtype), grads)
 
 
-def _backprop(model: MlpClassifier, Xb: np.ndarray, Yb: np.ndarray, kind: str,
-              out, work):
+def _backprop(Xb: np.ndarray, Yb: np.ndarray, kind: str, plan):
     """Gradients of the mean batch loss w.r.t. every weight and bias.
 
-    ``Yb`` holds the batch's one-hot targets. Returns (grads_w, grads_b),
-    written into ``out`` (two lists of arrays shaped like the model's
-    weights and biases). ``work`` is scratch from ``_backprop_work`` for
-    ``len(Xb)`` rows.
+    ``Yb`` holds the batch's one-hot targets, and ``plan`` is
+    ``_backprop_plan`` of the model for ``len(Xb)`` rows. Returns the
+    plan's (grads_w, grads_b), which the step writes.
 
     The forward pass writes a layer's product, adds the bias and takes the
     tanh in its output buffer; the backward pass overwrites each hidden
@@ -403,28 +419,30 @@ def _backprop(model: MlpClassifier, Xb: np.ndarray, Yb: np.ndarray, kind: str,
     multiplies it into the gradient flowing back. Each element sees the
     operations of ``tanh(A @ w + b)`` and ``(dZ @ w.T) * (1 - a**2)`` in
     that order, so the result does not depend on the scratch's prior
-    contents. ``Xb``, ``Yb`` and the model are only read.
+    contents. ``np.dot`` into the scratch runs the BLAS call ``@`` runs,
+    with the same bits and less dispatch. ``Xb``, ``Yb`` and the weights
+    are only read.
     """
-    grads_w, grads_b = out
-    outputs, hidden_T, deltas, dlogits_work = work
-    last = len(model.weights) - 1
+    hidden, (w, b, logits), backward, (grad_w, grad_b), work, grads = plan
     A = Xb
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        A = np.matmul(A, w, out=outputs[l])
-        A += b
-        if l < last:
-            np.tanh(A, out=A)
-    dZ = _batch_dlogits(A, Yb, kind, dlogits_work)
-    for l in range(last, -1, -1):
-        np.matmul(hidden_T[l - 1] if l else Xb.T, dZ, out=grads_w[l])
-        np.add.reduce(dZ, axis=0, out=grads_b[l])
-        if l:  # the input's gradient is never needed
-            a = outputs[l - 1]
-            np.square(a, out=a)
-            np.subtract(1.0, a, out=a)
-            dZ = np.matmul(dZ, model.weights[l].T, out=deltas[l - 1])
-            dZ *= a
-    return grads_w, grads_b
+    for w_l, b_l, out in hidden:
+        np.dot(A, w_l, out=out)
+        out += b_l
+        A = np.tanh(out, out=out)
+    np.dot(A, w, out=logits)
+    logits += b
+    dZ = _batch_dlogits(logits, Yb, kind, work)
+    for a_T, gw, gb, a, w_T, delta in backward:
+        np.dot(a_T, dZ, out=gw)
+        np.add.reduce(dZ, axis=0, out=gb)
+        np.square(a, out=a)
+        np.subtract(1.0, a, out=a)
+        np.dot(dZ, w_T, out=delta)
+        delta *= a
+        dZ = delta
+    np.dot(Xb.T, dZ, out=grad_w)
+    np.add.reduce(dZ, axis=0, out=grad_b)
+    return grads
 
 
 # ---------------------------------------------------------------------------

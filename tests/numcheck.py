@@ -3,7 +3,7 @@
 Used by the test suite to validate every analytic gradient in the package;
 the same harness backs the gradient tests of the classifier losses, the
 confidence-net objective and acceptance check 3. The gradient functions
-write into scratch their callers make; ``backprop_scratch`` and
+write into scratch their callers make; ``backprop_plan`` and
 ``objective_scratch`` make it fresh for one batch.
 """
 
@@ -12,17 +12,17 @@ from __future__ import annotations
 import numpy as np
 
 from autolabel.confidence import ConfidenceNet
-from autolabel.mlp import _backprop_work
+from autolabel.mlp import _backprop_plan
 
 
-def backprop_scratch(model, X: np.ndarray):
-    """(out, work) for ``_backprop`` of the batch ``X``: new arrays, the
+def backprop_plan(model, X: np.ndarray):
+    """``_backprop_plan`` of the model for the batch ``X``: new arrays, the
     gradients shaped like the model's tensors and the scratch in the dtype
     the batch and the model promote to."""
     dtype = np.result_type(X, *model.weights, *model.biases)
-    return (([np.empty_like(w) for w in model.weights],
-             [np.empty_like(b) for b in model.biases]),
-            _backprop_work(model, X.shape[0], dtype))
+    grads = ([np.empty_like(w) for w in model.weights],
+             [np.empty_like(b) for b in model.biases])
+    return _backprop_plan(model, grads, X.shape[0], dtype)
 
 
 def objective_scratch(params, Z: np.ndarray):

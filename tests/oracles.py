@@ -27,6 +27,9 @@
   its bin value, the prediction the logits' argmax;
 * ``batch_loss`` -- the mean classifier loss whose logit gradient training
   runs, for the finite-difference gradient checks;
+* ``batch_dlogits``, ``backprop_reference`` and ``sgd_reference`` -- the
+  classifier's fit as a plain per-layer loop in expression form, whose
+  weights ``train_model`` must equal bit for bit;
 * ``thresholds_from_jsonable`` and ``write_rawf32`` -- the inverses of the
   round log's threshold lists and of the rawf32 loader;
 * ``oracle_coverage`` -- the best coverage one threshold shared by all
@@ -45,7 +48,7 @@ import numpy as np
 
 from autolabel.confidence import sigmoid
 from autolabel.data import Dataset, LabeledSet, Pool
-from autolabel.mlp import softmax
+from autolabel.mlp import MlpClassifier, _epoch_batches, init_mlp, softmax
 from autolabel.thresholds import ThresholdVector, predicted_scores
 
 
@@ -288,6 +291,70 @@ def batch_loss(logits: np.ndarray, labels: np.ndarray,
         sq = (np.sum(logits ** 2, axis=1) - logits[rows, labels] ** 2) / (k - 1)
         return float(np.mean(ce + sq))
     return float(np.mean(ce))
+
+
+def batch_dlogits(logits: np.ndarray, labels: np.ndarray,
+                  kind: str = "vanilla") -> np.ndarray:
+    """The gradient of ``batch_loss`` w.r.t. the logits, in the dtype of
+    ``logits``: softmax minus the one-hot labels, plus for squentropy
+    2 / (k - 1) times each off-label logit, over the batch size."""
+    m, k = logits.shape
+    rows = np.arange(m)
+    d = np.exp(_log_softmax(logits))
+    d[rows, labels] -= 1.0
+    if kind == "squentropy":
+        extra = (2.0 / (k - 1)) * logits
+        extra[rows, labels] = 0.0
+        d = d + extra
+    return d / np.asarray(m, dtype=d.dtype)
+
+
+def backprop_reference(model: MlpClassifier, Xb: np.ndarray,
+                       yb: np.ndarray, kind: str):
+    """(grads_w, grads_b) of the mean batch loss, layer by layer with
+    ``@``: tanh(A @ w + b) forward, and (dZ @ w.T) * (1 - a**2) back."""
+    acts = [Xb]
+    A = Xb
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        A = np.tanh(A @ w + b)
+        acts.append(A)
+    logits = A @ model.weights[-1] + model.biases[-1]
+    dZ = batch_dlogits(logits, yb, kind)
+    grads_w = [None] * len(model.weights)
+    grads_b = [None] * len(model.biases)
+    for l in range(len(model.weights) - 1, -1, -1):
+        grads_w[l] = acts[l].T @ dZ
+        grads_b[l] = dZ.sum(axis=0)
+        if l:
+            dZ = (dZ @ model.weights[l].T) * (1.0 - acts[l] ** 2)
+    return grads_w, grads_b
+
+
+def sgd_reference(config, train_set: LabeledSet, hidden,
+                  seed: int) -> MlpClassifier:
+    """``train_model(config, train_set, hidden, seed)`` as a plain loop:
+    the same initial weights (``init_mlp``) and batches
+    (``_epoch_batches``), ``backprop_reference`` gradients, and for each
+    tensor p with velocity v the float32 update
+
+        v <- momentum * v + grad
+        p <- p - (lr * v + lr * weight_decay * p)
+    """
+    data = train_set.dataset
+    model = init_mlp([data.dim, *hidden, data.num_classes], seed)
+    X = np.ascontiguousarray(train_set.features, dtype=np.float32)
+    lr = np.float32(config.learning_rate)
+    mu = np.float32(config.momentum)
+    wd = np.float32(config.weight_decay)
+    tensors = model.weights + model.biases
+    vel = [np.zeros_like(p) for p in tensors]
+    for Xb, yb in _epoch_batches((X, train_set.labels), config.batch_size,
+                                 config.max_epochs, seed):
+        grads_w, grads_b = backprop_reference(model, Xb, yb, config.loss)
+        for i, (p, g) in enumerate(zip(tensors, grads_w + grads_b)):
+            vel[i] = mu * vel[i] + g
+            p -= lr * vel[i] + lr * wd * p
+    return model
 
 
 def thresholds_from_jsonable(items) -> ThresholdVector:

@@ -43,7 +43,7 @@ from autolabel.confidence import objective_grad
 from autolabel.loop import dump_round_log
 from autolabel.mlp import _backprop, _batch_dlogits, _dlogits_work, _flat_views
 from numcheck import (
-    backprop_scratch,
+    backprop_plan,
     central_difference,
     objective_scratch,
     relative_error,
@@ -132,15 +132,23 @@ def scan_for_group(top, wrong, grid, coverage_floor, c1, eps_a):
 
 
 def test_threshold_selection_equals_exhaustive_scan_on_1000_instances():
+    # 1,000 instances of continuous scores, then 1,000 of exact ties: scores
+    # drawn from the grid itself, so repeated, with NaN among them, and in
+    # every other instance a grid that ends at 1.0 against scores of 1.0
     start = time.perf_counter()
     rng = np.random.default_rng(2002)
-    for _ in range(1000):
+    for i in range(2000):
         n = int(rng.integers(1, 61))
         k = int(rng.integers(2, 6))
         true = rng.integers(0, k, size=n)
         preds = rng.integers(0, k, size=n)
         scores = rng.uniform(0, 1, size=(n, k))
         grid = np.unique(rng.uniform(0, 1, size=int(rng.integers(1, 26))))
+        if i >= 1000:
+            if i % 2:
+                grid[-1] = 1.0
+            scores = rng.choice(grid, size=(n, k))
+            scores[rng.uniform(size=(n, k)) < 0.1] = np.nan
         cfg = al.ThresholdConfig(
             grid=grid,
             coverage_floor=float(rng.uniform(0.01, 0.8)),
@@ -192,8 +200,8 @@ def test_every_analytic_gradient_matches_finite_differences():
             m = int(rng.integers(1, 17))
             X = rng.normal(0, 1.0, size=(m, dims[0]))
             y = rng.integers(0, dims[-1], size=m)
-            grads_w, grads_b = _backprop(model, X, np.eye(dims[-1])[y],
-                                         kind, *backprop_scratch(model, X))
+            grads_w, grads_b = _backprop(X, np.eye(dims[-1])[y], kind,
+                                         backprop_plan(model, X))
             tensors = model.weights + model.biases
             flat = np.concatenate([a.ravel() for a in tensors])
 

@@ -7,7 +7,9 @@ with other bits at two threads. ``autolabel`` sets the thread variables to
 1 before numpy's first import unless the caller set them, so a fresh
 ``python -m autolabel.cli run`` with them unset must write what one with
 ``OPENBLAS_NUM_THREADS=1`` writes. On a one-CPU host both runs take one
-thread whatever the default is, so there the check cannot fail.
+thread whatever the default is, so there the check cannot fail. Where
+numpy was imported first and no thread variable is set, the default comes
+too late, and importing ``autolabel`` warns.
 """
 
 import json
@@ -15,6 +17,8 @@ import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import autolabel
 from conftest import THREAD_VARS, bench_module
@@ -59,3 +63,25 @@ def test_a_run_with_no_thread_setting_writes_the_one_thread_bytes(tmp_path):
     assert default.keys() == pinned.keys()
     for name in default:
         assert default[name] == pinned[name], name
+
+
+@pytest.mark.parametrize("code, threads, warns", [
+    ("import numpy, autolabel", {}, True),
+    ("import numpy, autolabel", {"OPENBLAS_NUM_THREADS": "1"}, False),
+    ("import autolabel, numpy", {}, False),
+])
+def test_numpy_imported_first_with_no_thread_setting_warns(code, threads,
+                                                           warns):
+    # with numpy loaded first the one-thread default comes too late, and
+    # such a run would write the bytes of BLAS's own thread count
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(threads, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          capture_output=True, text=True, env=env,
+                          check=False)
+    if warns:
+        assert proc.returncode == 1
+        assert "RuntimeWarning" in proc.stderr
+        assert all(name in proc.stderr for name in THREAD_VARS)
+    else:
+        assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,8 @@
 """Oracles for the fits.
 
 Training steps over flat parameter buffers, but each float operation runs in
-the same order as in the straightforward loops below, so every fitted
+the same order as in the straightforward loops (the confidence net's below,
+the classifier's ``sgd_reference`` in ``oracles.py``), so every fitted
 parameter must be equal bit for bit, not merely close. The loops are frozen
 reference copies; they are not the library's code and must not be "fixed"
 to match it. The temperature fit is one bounded search; it returns scipy's
@@ -30,6 +31,7 @@ from autolabel.rng import stream
 
 from conftest import label_everything
 from numcheck import objective_scratch
+from oracles import batch_dlogits, sgd_reference
 
 CLASS_COUNTS = (2, 4, 10, 13)
 # the bounded solver stops within its default xatol of 1e-5 of the best log T;
@@ -50,76 +52,6 @@ def ref_nll(logits, labels, temperature):
     z_max = z.max(axis=1)
     lse = np.log(np.exp(z - z_max[:, None]).sum(axis=1)) + z_max
     return float(np.mean(lse - z[np.arange(len(labels)), labels]))
-
-
-def ref_log_softmax(logits):
-    z = np.asarray(logits)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def ref_batch_loss_and_dlogits(logits, labels, kind):
-    m, k = logits.shape
-    rows = np.arange(m)
-    logp = ref_log_softmax(logits)
-    ce = -logp[rows, labels]
-    p = np.exp(logp)
-    d = p.copy()
-    d[rows, labels] -= 1.0
-    if kind == "squentropy":
-        sq = (np.sum(logits ** 2, axis=1) - logits[rows, labels] ** 2) / (k - 1)
-        extra = (2.0 / (k - 1)) * logits
-        extra[rows, labels] = 0.0
-        loss = float(np.mean(ce + sq))
-        d = d + np.asarray(extra, dtype=d.dtype)
-    else:
-        loss = float(np.mean(ce))
-    return loss, d / np.asarray(m, dtype=d.dtype)
-
-
-def ref_backprop(model, Xb, yb, kind):
-    acts = [Xb]
-    A = Xb
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        A = np.tanh(A @ w + b)
-        acts.append(A)
-    logits = A @ model.weights[-1] + model.biases[-1]
-    _, dlogits = ref_batch_loss_and_dlogits(logits, yb, kind)
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
-    grads_w[-1] = acts[-1].T @ dlogits
-    grads_b[-1] = dlogits.sum(axis=0)
-    dA = dlogits @ model.weights[-1].T
-    for l in range(len(model.weights) - 2, -1, -1):
-        dZ = dA * (1.0 - acts[l + 1] ** 2)
-        grads_w[l] = acts[l].T @ dZ
-        grads_b[l] = dZ.sum(axis=0)
-        dA = dZ @ model.weights[l].T
-    return grads_w, grads_b
-
-
-def ref_train_model(config, train_set, dims, seed):
-    model = init_mlp(dims, seed)
-    X = np.ascontiguousarray(train_set.features, dtype=np.float32)
-    y = train_set.labels
-    m = X.shape[0]
-    lr = np.float32(config.learning_rate)
-    mu = np.float32(config.momentum)
-    wd = np.float32(config.weight_decay)
-    vel_w = [np.zeros_like(w) for w in model.weights]
-    vel_b = [np.zeros_like(b) for b in model.biases]
-    for epoch in range(config.max_epochs):
-        order = stream(seed, "shuffle", epoch).permutation(m)
-        for lo in range(0, m, config.batch_size):
-            batch = order[lo:lo + config.batch_size]
-            grads_w, grads_b = ref_backprop(model, X[batch], y[batch],
-                                            config.loss)
-            for i in range(len(model.weights)):
-                vel_w[i] = mu * vel_w[i] + grads_w[i]
-                vel_b[i] = mu * vel_b[i] + grads_b[i]
-                model.weights[i] -= lr * vel_w[i] + lr * wd * model.weights[i]
-                model.biases[i] -= lr * vel_b[i] + lr * wd * model.biases[i]
-    return model
 
 
 def ref_fit_confidence_net(h, d_cal, cfg, seed):
@@ -302,21 +234,21 @@ def test_fit_temperature_keeps_one_at_its_optimum():
 
 
 def test_train_model_equals_reference_sgd_bit_for_bit():
-    # n = 50 with batch sizes 7 and 16 leaves a short last batch each epoch;
-    # 64 puts the whole set in one batch
-    cases = itertools.product(CLASS_COUNTS, ("vanilla", "squentropy"),
-                              (0.0, 0.01, 0.3), ((8,), (8, 5)))
-    for i, (k, loss, wd, hidden) in enumerate(cases):
+    # n = 50: batches of 10 divide it, 7 and 16 leave a short last batch each
+    # epoch (of 1 and 2 rows), and 64 puts the whole set in one batch
+    cases = itertools.product(("vanilla", "squentropy"), (0.0, 0.01, 0.1, 0.3),
+                              ((6,), (6, 5), (4, 4, 4)), (10, 7, 16, 64))
+    for i, (loss, wd, hidden, size) in enumerate(cases):
+        k = CLASS_COUNTS[i % len(CLASS_COUNTS)]
         train = mixture_set(k, 50, seed=200 + i)
         cfg = al.TrainConfig(loss=loss, learning_rate=0.05,
                              momentum=(0.9, 0.0)[i % 5 == 4], weight_decay=wd,
-                             batch_size=(7, 16, 64)[i % 3], max_epochs=6)
-        dims = [3, *hidden, k]
-        got = al.train_model(cfg, train, dims[1:-1], i)
-        want = ref_train_model(cfg, train, dims, i)
+                             batch_size=size, max_epochs=6)
+        got = al.train_model(cfg, train, hidden, i)
+        want = sgd_reference(cfg, train, hidden, i)
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
             assert a.shape == b.shape and a.dtype == b.dtype == np.float32
-            assert np.array_equal(a, b), (k, loss, wd, hidden)
+            assert np.array_equal(a, b), (k, loss, wd, hidden, size)
 
 
 def test_train_model_equals_reference_sgd_bit_for_bit_at_a_wider_input():
@@ -327,9 +259,8 @@ def test_train_model_equals_reference_sgd_bit_for_bit_at_a_wider_input():
         train = mixture_set(10, 100, seed=400 + i, dim=40)
         cfg = al.TrainConfig(loss=loss, learning_rate=0.05, weight_decay=wd,
                              batch_size=32, max_epochs=4)
-        dims = [40, 24, 10]
-        got = al.train_model(cfg, train, dims[1:-1], i)
-        want = ref_train_model(cfg, train, dims, i)
+        got = al.train_model(cfg, train, [24], i)
+        want = sgd_reference(cfg, train, [24], i)
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
             assert a.shape == b.shape and a.dtype == b.dtype == np.float32
             assert np.array_equal(a, b), (wd, loss)
@@ -347,7 +278,7 @@ def test_train_model_equals_reference_sgd_bit_for_bit_at_the_benchmark_shapes():
         cfg = al.TrainConfig(loss=loss, learning_rate=lr, batch_size=32,
                              max_epochs=epochs)
         got = al.train_model(cfg, train, dims[1:-1], i)
-        want = ref_train_model(cfg, train, dims, i)
+        want = sgd_reference(cfg, train, dims[1:-1], i)
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
             assert a.shape == b.shape and a.dtype == b.dtype == np.float32
             assert np.array_equal(a, b), (dims, loss)
@@ -384,7 +315,7 @@ def test_batch_dlogits_equals_reference_bit_for_bit_at_its_edges():
             with np.errstate(over="ignore", invalid="ignore"):
                 got = _batch_dlogits(logits, np.eye(k, dtype=dtype)[labels],
                                      kind, _dlogits_work(*logits.shape, dtype))
-                _, want = ref_batch_loss_and_dlogits(logits, labels, kind)
+                want = batch_dlogits(logits, labels, kind)
             assert got.dtype == want.dtype == dtype
             assert got.tobytes() == want.tobytes(), (name, dtype, kind)
 

@@ -9,14 +9,14 @@ import autolabel as al
 from autolabel.mlp import (
     CHUNK_FLOATS,
     _backprop,
-    _backprop_work,
+    _backprop_plan,
     _batch_dlogits,
     _dlogits_work,
     _epoch_batches,
     init_mlp,
 )
 from autolabel.rng import stream
-from numcheck import backprop_scratch, central_difference, relative_error
+from numcheck import backprop_plan, central_difference, relative_error
 
 from conftest import four_blobs, label_everything, scored
 from oracles import batch_loss
@@ -286,8 +286,8 @@ def test_backprop_matches_finite_differences_through_network():
         X = rng.normal(0, 1, size=(6, 3))
         y = rng.integers(0, 3, size=6)
         kind = "squentropy" if trial % 2 else "vanilla"
-        grads_w, grads_b = _backprop(model, X, np.eye(3)[y], kind,
-                                     *backprop_scratch(model, X))
+        grads_w, grads_b = _backprop(X, np.eye(3)[y], kind,
+                                     backprop_plan(model, X))
         for li in range(2):
             def f_w(w, li=li):
                 trial_model = al.MlpClassifier(
@@ -315,9 +315,9 @@ def test_backprop_work_buffers_give_the_same_bits():
                                         ([3, 7, 4], [6, 9, 5, 3])):
         model = init_mlp(dims, seed=len(dims))
         for mb in (16, 5):
-            work = _backprop_work(model, mb, np.float32)
             out = ([np.empty_like(w) for w in model.weights],
                    [np.empty_like(b) for b in model.biases])
+            plan = _backprop_plan(model, out, mb, np.float32)
             for step in range(2):
                 X = rng.normal(0, 1, size=(mb, dims[0])).astype(np.float32)
                 Y = np.eye(dims[-1], dtype=np.float32)[
@@ -325,9 +325,9 @@ def test_backprop_work_buffers_give_the_same_bits():
                 X_before, Y_before = X.copy(), Y.copy()
                 params_before = [a.copy()
                                  for a in model.weights + model.biases]
-                want_w, want_b = _backprop(model, X, Y, kind,
-                                           *backprop_scratch(model, X))
-                got = _backprop(model, X, Y, kind, out=out, work=work)
+                want_w, want_b = _backprop(X, Y, kind,
+                                           backprop_plan(model, X))
+                got = _backprop(X, Y, kind, plan)
                 assert got[0] is out[0] and got[1] is out[1]
                 for a, b in zip(got[0] + got[1], want_w + want_b):
                     assert a.dtype == b.dtype == np.float32

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import autolabel as al
+from autolabel import thresholds
 from autolabel.thresholds import _padded_error, select_class_threshold
 
 from conftest import (
@@ -306,6 +307,25 @@ def test_selection_matches_scan_oracle_on_ties_float32_nan_and_dense_grids():
         want = scan_oracle(top.tolist(), wrong.tolist(), dense.tolist(),
                            0.05, 0.25, 0.05)
         assert got == want
+
+
+def test_selection_evaluates_at_most_one_candidate_per_score(monkeypatch):
+    # a class of n points has at most n + 1 distinct selections, so a dense
+    # grid must not cost a bound per grid value
+    sizes = []
+
+    def counted(wrong, m, c1):
+        sizes.append(np.size(m))
+        return _padded_error(wrong, m, c1)
+
+    monkeypatch.setattr(thresholds, "_padded_error", counted)
+    rng = np.random.default_rng(35)
+    k, n = 4, 1000
+    preds = np.repeat(np.arange(k), n)
+    labels = np.where(rng.uniform(size=k * n) < 0.03, (preds + 1) % k, preds)
+    al.estimate_thresholds(rng.uniform(size=k * n), preds, labels, k,
+                           al.ThresholdConfig(grid=al.uniform_grid(20001)))
+    assert len(sizes) == k and max(sizes) <= n + 1
 
 
 def test_selection_never_selects_nan_but_counts_it_in_the_group():
