@@ -375,21 +375,31 @@ def train_model(config: TrainConfig, train_set: LabeledSet, hidden,
                          [b.copy() for b in model.biases])
 
 
+def _product(out: np.ndarray):
+    """np.matmul for an ``out`` of 2**14 elements or more, else np.dot: the
+    same BLAS call and bits, but dot dispatches faster and matmul writes a
+    large output faster (one thread: a 64 x 64 output 3.0 against 3.5 us,
+    a 784 x 128 one 118 against 106 us)."""
+    return np.matmul if out.size >= 2 ** 14 else np.dot
+
+
 def _backprop_plan(model: MlpClassifier, grads, rows: int, dtype):
     """What ``_backprop`` steps through on batches of exactly ``rows`` rows.
 
     ``grads`` is (grads_w, grads_b), two lists of arrays shaped like the
     model's weights and biases, which the step writes. The plan is
-    (hidden, last, backward, first, dlogits_work, grads):
+    (hidden, last, backward, first, dlogits_work, grads), where each
+    product is ``_product`` of the array it writes:
 
-    hidden   : per hidden layer, (w, b, out) with out its (rows, width)
-               output, in ``dtype`` like all scratch here
-    last     : (w, b, logits) of the output layer
-    backward : per layer from the last down to the second, (a_T, grad_w,
-               grad_b, a, w_T, delta): its input activation a and a's
-               transpose, its gradients, its transposed weights, and the
-               loss gradient at a
-    first    : (grad_w, grad_b) of the first layer, whose input is the batch
+    hidden   : per hidden layer, (product, w, b, out) with out its
+               (rows, width) output, in ``dtype`` like all scratch here
+    last     : (product, w, b, logits) of the output layer
+    backward : per layer from the last down to the second, (product_w,
+               a_T, grad_w, grad_b, a, product_d, w_T, delta): its input
+               activation a and a's transpose, its gradients, its
+               transposed weights, and the loss gradient at a
+    first    : (product_w, grad_w, grad_b) of the first layer, whose input
+               is the batch
     dlogits_work : ``_dlogits_work`` for the logits
 
     The weights are the model's arrays, not copies, so a plan stays valid
@@ -397,12 +407,15 @@ def _backprop_plan(model: MlpClassifier, grads, rows: int, dtype):
     """
     grads_w, grads_b = grads
     outputs = [np.empty((rows, w.shape[1]), dtype) for w in model.weights]
-    layers = list(zip(model.weights, model.biases, outputs))
-    backward = tuple((a.T, gw, gb, a, w.T, np.empty_like(a))
+    layers = [(_product(out), w, b, out)
+              for w, b, out in zip(model.weights, model.biases, outputs)]
+    backward = tuple((_product(gw), a.T, gw, gb, a, _product(a), w.T,
+                      np.empty_like(a))
                      for a, gw, gb, w in zip(outputs[-2::-1], grads_w[:0:-1],
                                              grads_b[:0:-1],
                                              model.weights[:0:-1]))
-    return (tuple(layers[:-1]), layers[-1], backward, (grads_w[0], grads_b[0]),
+    first = (_product(grads_w[0]), grads_w[0], grads_b[0])
+    return (tuple(layers[:-1]), layers[-1], backward, first,
             _dlogits_work(rows, model.num_classes, dtype), grads)
 
 
@@ -419,28 +432,29 @@ def _backprop(Xb: np.ndarray, Yb: np.ndarray, kind: str, plan):
     multiplies it into the gradient flowing back. Each element sees the
     operations of ``tanh(A @ w + b)`` and ``(dZ @ w.T) * (1 - a**2)`` in
     that order, so the result does not depend on the scratch's prior
-    contents. ``np.dot`` into the scratch runs the BLAS call ``@`` runs,
-    with the same bits and less dispatch. ``Xb``, ``Yb`` and the weights
-    are only read.
+    contents. Each product into the scratch (``np.dot`` or ``np.matmul``)
+    runs the BLAS call ``@`` runs, with the same bits and less dispatch.
+    ``Xb``, ``Yb`` and the weights are only read.
     """
-    hidden, (w, b, logits), backward, (grad_w, grad_b), work, grads = plan
+    hidden, (mul, w, b, logits), backward, first, work, grads = plan
     A = Xb
-    for w_l, b_l, out in hidden:
-        np.dot(A, w_l, out=out)
+    for mul_l, w_l, b_l, out in hidden:
+        mul_l(A, w_l, out=out)
         out += b_l
         A = np.tanh(out, out=out)
-    np.dot(A, w, out=logits)
+    mul(A, w, out=logits)
     logits += b
     dZ = _batch_dlogits(logits, Yb, kind, work)
-    for a_T, gw, gb, a, w_T, delta in backward:
-        np.dot(a_T, dZ, out=gw)
+    for mul_w, a_T, gw, gb, a, mul_d, w_T, delta in backward:
+        mul_w(a_T, dZ, out=gw)
         np.add.reduce(dZ, axis=0, out=gb)
         np.square(a, out=a)
         np.subtract(1.0, a, out=a)
-        np.dot(dZ, w_T, out=delta)
+        mul_d(dZ, w_T, out=delta)
         delta *= a
         dZ = delta
-    np.dot(Xb.T, dZ, out=grad_w)
+    mul_w, grad_w, grad_b = first
+    mul_w(Xb.T, dZ, out=grad_w)
     np.add.reduce(dZ, axis=0, out=grad_b)
     return grads
 

@@ -207,19 +207,22 @@ def _combo_list(grid: dict):
 
 
 def _first_round_eval(pool: Pool, val: LabeledSet, hyp: LabeledSet,
-                      tbal_cfg: TbalConfig, run_seed: int, model):
+                      tbal_cfg: TbalConfig, run_seed: int, model,
+                      keep: bool = True):
     """Seed-query + one fit round, scored on the held-out hyp split.
 
     ``model``, when not None, is the round's classifier already trained:
     the round trains on the seed set alone, so it depends only on
     ``run_seed`` and the training config. Returns (coverage, error, the
-    classifier this call trained, or None when it was given one), so no
-    classifier is sent back to the process that already holds it.
+    classifier this call trained, or None when it was given one or
+    ``keep`` is false), so no classifier is sent back to a process that
+    already holds it or will not read it.
     """
     trained = None
     if model is None:
         seed_set, _ = seed_query(tbal_cfg, pool, run_seed)
-        model = trained = train_round(tbal_cfg, seed_set, 1, run_seed)
+        model = train_round(tbal_cfg, seed_set, 1, run_seed)
+        trained = model if keep else None
     fit = fit_round(tbal_cfg, model, val, 1, run_seed)
     top, preds = predicted_scores(
         fit.g, *model.representations(hyp.dataset.features, hyp.indices))
@@ -285,7 +288,9 @@ def hyperparameter_search(cfg: ExperimentConfig, out_dir: str | None = None,
             combos = combos_of[phase]
             cfgs = [dataclasses.replace(base, **{phase: dataclasses.replace(
                 getattr(base, phase), **combo)}) for combo in combos]
-            flat = run(_first_round_eval, [(c, s, m) for c in cfgs
+            # phase one's classifiers come back only for a phase two
+            keep = phase == "train" and "posthoc" in combos_of
+            flat = run(_first_round_eval, [(c, s, m, keep) for c in cfgs
                                            for s, m in zip(seeds, models)])
             runs = [flat[i * repeats:(i + 1) * repeats]
                     for i in range(len(combos))]

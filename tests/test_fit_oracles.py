@@ -5,9 +5,10 @@ the same order as in the straightforward loops (the confidence net's below,
 the classifier's ``sgd_reference`` in ``oracles.py``), so every fitted
 parameter must be equal bit for bit, not merely close. The loops are frozen
 reference copies; they are not the library's code and must not be "fixed"
-to match it. The temperature fit is one bounded search; it returns scipy's
-``minimize_scalar(method="bounded")`` answer bit for bit, and its NLL is
-checked against the best of a dense grid over the same interval.
+to match it. The temperature fit bisects log T; its NLL is checked against
+scipy's ``minimize_scalar(method="bounded")`` answer and against the best of
+a dense grid over the same interval, and its T against scipy's on trained
+classifiers' calibration logits.
 """
 
 import itertools
@@ -16,13 +17,11 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 import autolabel as al
-from autolabel import confidence
 from autolabel.confidence import (
     ConfidenceNet,
     ConfidenceNetConfig,
     LOG_T_BOUNDS,
     TemperatureConfig,
-    _bounded_minimum,
     init_confidence_net,
     objective_grad,
 )
@@ -34,10 +33,10 @@ from numcheck import objective_scratch
 from oracles import batch_dlogits, sgd_reference
 
 CLASS_COUNTS = (2, 4, 10, 13)
-# the bounded solver stops within its default xatol of 1e-5 of the best log T;
-# where that lies beyond an end of the interval, the NLL's slope in log T
-# there is below 1 in these cases, so the fit's NLL is within 1e-5 of the
-# grid's best
+# the bisection stops within 3e-7 of the best log T, or of the interval's end
+# beyond which it lies, and scipy's bounded search within its default xatol
+# of 1e-5; at an end the NLL's slope in log T is below 1 in these cases, so
+# the fit's NLL is within 1e-5 of the grid's best
 LOG_T_TOL = 1e-5
 NLL_TOL = 1e-5
 
@@ -119,52 +118,18 @@ def sharp_classifier(k, seed, hidden=(6,), scale=3.0, dim=3):
 # oracles
 
 
-def scipy_minimum(f, a, b):
-    best = minimize_scalar(f, bounds=(a, b), method="bounded")
+def scipy_log_t(logits, labels):
+    """(log T, NLL) at the minimum scipy's bounded search finds, with its
+    default xatol of 1e-5."""
+    best = minimize_scalar(lambda th: ref_nll(logits, labels, np.exp(th)),
+                           bounds=LOG_T_BOUNDS, method="bounded")
     return best.x, best.fun
 
 
-def same_bits(got, want):
-    """Both (x, f(x)) pairs hold the same float64 bits, signed zeros and
-    NaN included."""
-    return all(np.float64(g).tobytes() == np.float64(w).tobytes()
-               for g, w in zip(got, want))
-
-
-def test_bounded_minimum_equals_scipy_bit_for_bit():
-    nan = float("nan")
-    cases = [
-        (lambda x: (x - 0.3) ** 2, -5.0, 5.0),      # minimum inside
-        (lambda x: (x - 0.3) ** 2, 0.0, 1.0),
-        (lambda x: np.cosh(x - 2.0) + 0.1 * x, -5.0, 5.0),
-        (lambda x: abs(x), -1.0, 1.0),               # minimum at 0.0
-        (lambda x: x, -5.0, 5.0),                    # monotone: an end
-        (lambda x: -x, -5.0, 5.0),
-        (lambda x: float(np.exp(3.0 * x)), -2.0, 7.0),
-        (lambda x: 1.0, -5.0, 5.0),                  # constant
-        (lambda x: 0.0 if x < 0.7 else 1.0, -5.0, 5.0),  # steps
-        (lambda x: 1.0 if x < -1.3 else 0.0, -5.0, 5.0),
-        (lambda x: nan if x > 1.0 else (x - 2.0) ** 2, -5.0, 5.0),  # NaN
-        (lambda x: nan if x < 0.0 else x * x, -5.0, 5.0),
-        (lambda x: nan, -5.0, 5.0),
-        (lambda x: (x - 0.3) ** 2, 2.0, 2.0),        # a == b
-    ]
-    for i, (f, a, b) in enumerate(cases):
-        assert same_bits(_bounded_minimum(f, a, b), scipy_minimum(f, a, b)), i
-
-
-def test_fit_temperature_search_equals_scipy_bit_for_bit(monkeypatch):
-    # each fit's own NLL closure is searched by both; label rules: random,
-    # every label the predicted class (NLL falls towards small T), and one
-    # class for every row
-    pairs = []
-
-    def both(f, a, b):
-        got = _bounded_minimum(f, a, b)
-        pairs.append((got, scipy_minimum(f, a, b)))
-        return got
-
-    monkeypatch.setattr(confidence, "_bounded_minimum", both)
+def test_fit_temperature_nll_is_at_most_scipys():
+    # label rules: random, every label the predicted class (NLL falls
+    # towards small T), and one class for every row; n = 1 and near-flat
+    # NLLs included, where scipy stops far from the best log T
     rng = np.random.default_rng(26)
     for i in range(300):
         k = CLASS_COUNTS[i % len(CLASS_COUNTS)]
@@ -178,10 +143,28 @@ def test_fit_temperature_search_equals_scipy_bit_for_bit(monkeypatch):
             labels = np.argmax(logits, axis=1)
         else:
             labels = np.full(n, rng.integers(0, k))
-        TemperatureConfig().fit(logits, None, labels, 0)
-    assert len(pairs) == 300
-    for i, (got, want) in enumerate(pairs):
-        assert same_bits(got, want), i
+        fit, _ = TemperatureConfig().fit(logits, None, labels, 0)
+        got = ref_nll(logits, labels, fit.temperature)
+        assert got <= scipy_log_t(logits, labels)[1] + 1e-12, (i, k, n, rule)
+
+
+def test_fit_temperature_finds_scipys_log_t_on_trained_classifiers():
+    # calibration logits of classifiers trained on seeded mixtures, whose
+    # best T lies inside the interval: both searches find it to 1e-5
+    for i, (k, sigma) in enumerate(itertools.product(CLASS_COUNTS,
+                                                     (0.6, 1.0, 1.6))):
+        rng = np.random.default_rng(700 + i)
+        means = rng.normal(0, 2.0, size=(k, 3))
+        data = label_everything(al.synth_gaussian_mixture(
+            k, 3, means, sigma, 150 + 400, 700 + i))
+        train, cal = data.take(np.arange(150)), data.take(np.arange(150, 550))
+        h = al.train_model(al.TrainConfig(learning_rate=0.1, max_epochs=20),
+                           train, [16], i)
+        logits = h.representations(cal.features)[0]
+        fit, _ = TemperatureConfig().fit(logits, None, cal.labels, 0)
+        want, _ = scipy_log_t(logits, cal.labels)
+        assert LOG_T_BOUNDS[0] + 0.1 < want < LOG_T_BOUNDS[1] - 0.1, i
+        assert abs(np.log(fit.temperature) - want) <= 1e-5, (k, sigma)
 
 
 def test_fit_temperature_reaches_the_grid_nll_minimum():

@@ -336,8 +336,8 @@ def test_parallel_tasks_send_no_data(recording_executor, tmp_path):
     # the data goes to each worker once, as the pool's shared arguments,
     # and a search starts one pool for both its phases; what is sent per
     # run is a config, a seed and a path, and per hpo evaluation a config,
-    # a seed and, in phase two, the classifier that phase one trained for
-    # that repeat
+    # a seed, whether to send a trained classifier back and, in phase two,
+    # the classifier that phase one trained for that repeat
     al.run_experiment(experiment(OVERLAPPING, tmp_path, name="runs"), jobs=2)
     al.hyperparameter_search(hpo_experiment(tmp_path), jobs=2)
     sent = recording_executor["sent"]
@@ -359,6 +359,26 @@ def test_only_phase_one_sends_classifiers_back(recording_executor, tmp_path):
                for *_, model in returned[:phase_one])
     assert not any(isinstance(value, al.MlpClassifier)
                    for result in returned[phase_one:] for value in result)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_search_without_a_posthoc_phase_sends_no_classifier_back(
+        recording_executor, monkeypatch, tmp_path, jobs):
+    # softmax has no post-hoc grid, so nothing reads phase one's classifiers
+    from autolabel import runner
+    returned = []
+    original = runner._first_round_eval
+
+    def recorded(*args):
+        returned.append(original(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(runner, "_first_round_eval", recorded)
+    cfg = hpo_experiment(tmp_path, method="softmax")
+    result = al.hyperparameter_search(cfg, jobs=jobs)
+    assert [r["phase"] for r in result["records"]] == ["train", "train"]
+    assert len(returned) == 2 * cfg.repeats
+    assert all(model is None for *_, model in returned)
 
 
 def test_run_scores_validation_once_per_round(monkeypatch, tmp_path):
@@ -439,7 +459,7 @@ def test_apply_combos(monkeypatch, tmp_path):
     from autolabel import runner
     seen = []
 
-    def record(pool, val, hyp, tbal_cfg, seed, model):
+    def record(pool, val, hyp, tbal_cfg, seed, model, keep):
         seen.append(tbal_cfg)
         return 0.5, 0.0, model
 
