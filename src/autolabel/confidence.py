@@ -134,6 +134,9 @@ class TemperatureConfig:
         s = (z - z.max(axis=1, keepdims=True)).T.copy()
         s_label = s[labels, np.arange(len(labels))]
         mean_label = s_label.mean()
+        # at a -inf logit e * s would be 0 * -inf = NaN; below the floor e is
+        # 0 at every beta > e^-5, and beta < e^5 < 2^8 cannot overflow it
+        np.maximum(s, -2.0 ** 1015, out=s)
 
         def nll(beta: float) -> float:
             total = np.exp(beta * s).sum(axis=0)
@@ -155,13 +158,12 @@ class TemperatureConfig:
 @dataclass(frozen=True)
 class TopLabelBinningConfig:
     method = "top_label_hb"
+    RANGES = {"points_per_bin": ">= 1"}
 
     points_per_bin: int = 25
 
     def __post_init__(self):
         _check_fields(self)
-        if self.points_per_bin < 1:
-            raise ValueError("points_per_bin must be >= 1")
 
     def fit(self, logits, penultimate, labels, seed):
         """Build per-class uniform-mass bins from calibration data.
@@ -331,6 +333,9 @@ class ConfidenceNetConfig:
     """
 
     method = "confidence_net"
+    RANGES = {"lam": "> 0", "alpha": "> 0", "learning_rate": "> 0",
+              "denom_epsilon": "> 0", "batch_size": ">= 1",
+              "max_epochs": ">= 0", "weight_decay": ">= 0"}
 
     lam: float = 100.0
     alpha: float = 1.0
@@ -342,15 +347,6 @@ class ConfidenceNetConfig:
 
     def __post_init__(self):
         _check_fields(self)
-        for name in ("lam", "alpha", "learning_rate", "denom_epsilon"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.max_epochs < 0:
-            raise ValueError("max_epochs must be >= 0")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
 
     def fit(self, logits, penultimate, labels, seed):
         """Optimize the smoothed objective with Adam; returns the fitted net.

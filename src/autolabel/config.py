@@ -9,11 +9,11 @@ The config dataclasses are the schema of the sections they are built from
 (``TbalConfig`` and ``ThresholdConfig`` share the tbal section; train,
 posthoc and the hpo grids have one class each): a section's keys are its
 class's int, float and str fields, a key left out takes the field's
-default, and the class's own checks give the ranges; the posthoc section's
-"method" names its class. A field's type is its annotation, which the
-parser reads (``mlp._keys``) and the class checks (``mlp._check_fields``).
-The parser checks types, finiteness and unknown or missing keys, and the
-ranges of the keys no class holds.
+default, and the class's ``RANGES`` table gives the ranges; the posthoc
+section's "method" names its class. A field's type is its annotation,
+which the parser reads (``mlp._keys``); ``mlp._check_fields`` checks it
+and then the table. The parser checks types, finiteness and unknown or
+missing keys, and the ranges of the dataset, hpo and root keys.
 """
 
 from __future__ import annotations
@@ -170,6 +170,8 @@ class HpoSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    RANGES = {"repeats": ">= 1", "master_seed": ">= 0"}
+
     dataset: "SyntheticSpec | FileSpec"
     tbal: TbalConfig
     repeats: int
@@ -179,8 +181,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_fields(self)
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
 
 
 def default_circle_means(classes: int, dim: int):

@@ -57,6 +57,9 @@ class TbalConfig:
     confidence function and holds its settings.
     """
 
+    RANGES = {"train_budget": ">= 1", "query_batch": ">= 1",
+              "cal_fraction": "in (0, 1)", "active_multiplier": ">= 1"}
+
     train_budget: int
     seed_size: int
     query_batch: int
@@ -69,16 +72,8 @@ class TbalConfig:
 
     def __post_init__(self):
         _check_fields(self)
-        if self.train_budget < 1:
-            raise ValueError("train_budget must be >= 1")
         if not (1 <= self.seed_size <= self.train_budget):
             raise ValueError("seed_size must be in [1, train_budget]")
-        if self.query_batch < 1:
-            raise ValueError("query_batch must be >= 1")
-        if not (0.0 < self.cal_fraction < 1.0):
-            raise ValueError("cal_fraction must be in (0, 1)")
-        if self.active_multiplier < 1.0:
-            raise ValueError("active_multiplier must be >= 1")
         if not self.hidden or not all(_is_integer(w) and w >= 1
                                       for w in self.hidden):
             raise ValueError("hidden must be a non-empty tuple of integer "

@@ -32,15 +32,28 @@ def _keys(cls) -> dict:
             if types[f.name] in (int, float, str)}
 
 
+def _holds(value, rule: str) -> bool:
+    """Whether ``value`` meets ``rule``: "> b", ">= b", or "in" an interval
+    whose brackets mark each end closed or open, as in "in [0, 1)"."""
+    if rule.startswith(">"):
+        bound = float(rule.split(" ")[1])
+        return value > bound or rule[1] == "=" and value == bound
+    lo, hi = map(float, rule[4:-1].split(", "))
+    return ((lo < value or rule[3] == "[" and value == lo)
+            and (value < hi or rule[-1] == "]" and value == hi))
+
+
 def _check_fields(config) -> None:
     """Raise ValueError naming the first int or float field of ``config``,
-    in field order, that is not an integer or not a finite number.
+    in field order, that is not an integer or not a finite number, then
+    the first key of its class's ``RANGES`` table that breaks its rule:
+    "<key> must be <rule>". This is the one place ranges are checked.
 
     A field's type is its annotation, read as the config parser reads it
-    (``_keys``). Range checks are comparisons, which NaN passes; a float
-    count fails only later, deep in a fit, and a float width is truncated.
-    A bool is neither: True would pass as 1. Nor is a string or None, which
-    ``math.isfinite`` would refuse with a TypeError that names no field.
+    (``_keys``). Types come first: a rule's comparisons pass NaN, a float
+    count would fail deep in a fit, and a float width would be truncated.
+    A bool is neither type (True would pass as 1), nor is a string or None
+    (``math.isfinite`` would raise a TypeError that names no field).
     """
     for name, kind in _keys(type(config)).items():
         value = getattr(config, name)
@@ -50,11 +63,18 @@ def _check_fields(config) -> None:
                               or not isinstance(value, numbers.Real)
                               or not math.isfinite(value)):
             raise ValueError(f"{name} must be a finite number, got {value!r}")
+    for name, rule in config.RANGES.items():
+        if not _holds(getattr(config, name), rule):
+            raise ValueError(f"{name} must be {rule}")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Knobs for one training run. ``loss`` is "vanilla" or "squentropy"."""
+
+    RANGES = {"learning_rate": "> 0", "batch_size": ">= 1",
+              "max_epochs": ">= 0", "momentum": "in [0, 1)",
+              "weight_decay": ">= 0"}
 
     loss: str = "vanilla"
     learning_rate: float = 0.01
@@ -68,16 +88,6 @@ class TrainConfig:
         if self.loss not in ("vanilla", "squentropy"):
             raise ValueError(f"loss must be 'vanilla' or 'squentropy', "
                              f"got {self.loss!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.max_epochs < 0:
-            raise ValueError("max_epochs must be >= 0")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
 
 
 class MlpClassifier:

@@ -58,6 +58,9 @@ class ThresholdConfig:
     eps_a          : auto-labeling error tolerance the selection must respect
     """
 
+    RANGES = {"coverage_floor": "in (0, 1]", "c1": ">= 0",
+              "eps_a": "in [0, 1]"}
+
     grid: np.ndarray = field(default_factory=lambda: uniform_grid(200))
     coverage_floor: float = 0.05
     c1: float = 0.25
@@ -74,12 +77,6 @@ class ThresholdConfig:
             raise ValueError("grid must be strictly ascending")
         if g[0] < 0 or g[-1] > 1:
             raise ValueError("grid values must lie in [0, 1]")
-        if not (0.0 < self.coverage_floor <= 1.0):
-            raise ValueError("coverage_floor must be in (0, 1]")
-        if self.c1 < 0:
-            raise ValueError("c1 must be >= 0")
-        if not (0.0 <= self.eps_a <= 1.0):
-            raise ValueError("eps_a must be in [0, 1]")
         object.__setattr__(self, "grid", g)
 
 

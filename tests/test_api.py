@@ -12,6 +12,7 @@ read as an attribute somewhere in the package.
 
 import ast
 import collections
+import inspect
 import pathlib
 
 import autolabel
@@ -159,3 +160,17 @@ def test_one_function_holds_each_input_rule():
     assert in_data(owners(lambda node: isinstance(node, ast.Raise)
                           and "only idx reads" in ast.unparse(node))) \
         == {"load_dataset"}
+
+
+
+def test_one_function_checks_the_range_tables():
+    # a range is a rule in its class's RANGES table, and its message is the
+    # rule; no class writes a range check of its own beside the table
+    assert owners(calls_to("_holds")) == {("mlp.py", "_check_fields")}
+    tabled = [cls for module in vars(autolabel).values()
+              if inspect.ismodule(module) for cls in vars(module).values()
+              if inspect.isclass(cls) and hasattr(cls, "RANGES")]
+    assert len(set(tabled)) == 6
+    for cls in tabled:
+        source = inspect.getsource(cls.__post_init__)
+        assert [key for key in cls.RANGES if f"{key} must be" in source] == []

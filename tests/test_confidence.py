@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,26 @@ def test_fit_temperature_empty_set(blob_model, blobs):
         TemperatureConfig().fit(
             *blob_model.representations(blobs.features[:0]),
             np.zeros(0, np.int64), 0)
+
+
+@pytest.mark.parametrize("scale", [3.0, 0.3])
+def test_fit_temperature_weighs_a_minus_inf_logit_as_a_huge_negative_one(
+        scale):
+    # both sets give the same softmax weights, so the same T; the optimum
+    # is interior, above 1 at scale 3 and below 1 at scale 0.3
+    rng = np.random.default_rng(0)
+    labels = rng.integers(0, 4, size=200)
+    logits = rng.normal(size=(200, 4)) * scale
+    logits[np.arange(200), labels] += scale
+    fits = []
+    for low in (-np.inf, -3e38):
+        z = logits.copy()
+        z[0, (labels[0] + 1) % 4] = low
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits.append(TemperatureConfig().fit(z, None, labels, 0)[0])
+    assert fits[0].temperature == fits[1].temperature
+    assert 1.0 < abs(np.log(fits[1].temperature)) < 4.0
 
 
 # ---------------------------------------------------------------------------

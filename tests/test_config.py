@@ -530,6 +530,84 @@ def test_range_errors_name_the_key(section, key, value):
         parse_config_dict(d)
 
 
+# each config class with a RANGES table, and the sections of a config file
+# that set its keys
+RANGE_SECTIONS = {
+    al.ExperimentConfig: (),
+    al.TbalConfig: ("tbal",),
+    al.ThresholdConfig: ("tbal",),
+    al.TrainConfig: ("tbal", "train"),
+    al.TopLabelBinningConfig: ("tbal", "posthoc"),
+    al.ConfidenceNetConfig: ("tbal", "posthoc"),
+}
+
+
+def range_edges(rule: str, kind):
+    """(inside, outside) for each bound of ``rule``: the value on its
+    inside edge and the nearest value outside, for a field of type kind."""
+    if rule.startswith("in "):
+        lo, hi = rule[4:-1].split(", ")
+        ends = [(lo, rule[3] == "[", -1), (hi, rule[-1] == "]", 1)]
+    else:
+        op, bound = rule.split(" ")
+        ends = [(bound, op == ">=", -1)]
+    step = ((lambda v, d: v + d) if kind is int
+            else lambda v, d: float(np.nextafter(v, d * np.inf)))
+    for bound, closed, out in ends:
+        bound = kind(bound)
+        yield (bound, step(bound, out)) if closed else (step(bound, -out), bound)
+
+
+RANGE_CASES = [(cls, key, rule, inside, outside)
+               for cls in RANGE_SECTIONS for key, rule in cls.RANGES.items()
+               for inside, outside in range_edges(rule, _keys(cls)[key])]
+
+
+def test_range_sections_name_every_class_with_ranges():
+    modules = (al.mlp, al.loop, al.thresholds, al.confidence, al.config)
+    tabled = {obj for module in modules for obj in vars(module).values()
+              if isinstance(obj, type) and hasattr(obj, "RANGES")}
+    assert tabled == set(RANGE_SECTIONS)
+
+
+@pytest.mark.parametrize(
+    "cls, key, rule, inside, outside", RANGE_CASES,
+    ids=[f"{cls.__name__}.{key}-{outside!r}"
+         for cls, key, _, _, outside in RANGE_CASES])
+def test_every_range_rule_holds_at_its_edge(cls, key, rule, inside, outside):
+    # the class takes the inside edge and refuses the nearest value outside
+    # with the rule as its message; a config file's value is refused under
+    # its own key path
+    sections = RANGE_SECTIONS[cls]
+    d = doc(**{"tbal.seed_size": 1,
+               "tbal.posthoc": {"method": getattr(cls, "method", "softmax")}})
+    cfg = parse_config_dict(d)
+    valid, = (obj for obj in (cfg, cfg.tbal, cfg.tbal.thresholds,
+                              cfg.tbal.train, cfg.tbal.posthoc)
+              if type(obj) is cls)
+    assert getattr(dataclasses.replace(valid, **{key: inside}), key) == inside
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(f'{key} must be {rule}')}$"):
+        dataclasses.replace(valid, **{key: outside})
+    target = d
+    for name in sections:
+        target = target.setdefault(name, {})
+    target[key] = outside
+    path = ".".join(("config", *sections, key))
+    with pytest.raises(RangeError, match=rf"^{re.escape(path)}: "):
+        parse_config_dict(d)
+
+
+def test_a_config_built_in_code_refuses_a_negative_master_seed():
+    # as a parsed one does; each repeat's seed derives from it
+    cfg = parse_config_dict(doc())
+    with pytest.raises(ValueError, match=r"^master_seed must be >= 0$"):
+        dataclasses.replace(cfg, master_seed=-1)
+    with pytest.raises(ValueError, match=r"^master_seed must be >= 0$"):
+        al.ExperimentConfig(dataset=cfg.dataset, tbal=cfg.tbal, repeats=1,
+                            output_dir="out", master_seed=-7, hpo=None)
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -564,6 +642,17 @@ def test_readme_config_section_names_every_key_and_method():
     missing = sorted(name for name in names | set(POSTHOC_CONFIGS)
                      if f"`{name}`" not in section)
     assert missing == []
+
+
+def test_readme_range_table_is_the_classes_range_tables():
+    # each row is (class, key, rule), both ways
+    text = README.read_text()
+    section = text[text.index("## Config files"):text.index("## Outputs")]
+    rows = set(re.findall(r"^\| `(\w+)` \| `(\w+)` \| `([^`]+)` \|$",
+                          section, re.M))
+    assert rows == {(cls.__name__, key, rule) for cls in RANGE_SECTIONS
+                    for key, rule in cls.RANGES.items()}
+
 
 @pytest.mark.parametrize("fmt", ["csv", "rawf32"])
 def test_labels_path_is_rejected_outside_idx(tmp_path, fmt):
