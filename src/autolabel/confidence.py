@@ -35,8 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledSet
-from .mlp import (_check_fields, _chunk_bounds, _epoch_batches, _flat_views,
-                  softmax)
+from .mlp import _Config, _chunk_bounds, _epoch_batches, _flat_views, softmax
 from .rng import stream
 
 
@@ -156,14 +155,11 @@ class TemperatureConfig:
 
 
 @dataclass(frozen=True)
-class TopLabelBinningConfig:
+class TopLabelBinningConfig(_Config):
     method = "top_label_hb"
     RANGES = {"points_per_bin": ">= 1"}
 
     points_per_bin: int = 25
-
-    def __post_init__(self):
-        _check_fields(self)
 
     def fit(self, logits, penultimate, labels, seed):
         """Build per-class uniform-mass bins from calibration data.
@@ -325,7 +321,7 @@ def objective_grad(net: ConfidenceNet, Z: np.ndarray,
 
 
 @dataclass(frozen=True)
-class ConfidenceNetConfig:
+class ConfidenceNetConfig(_Config):
     """Optimizer settings for the smoothed selection objective.
 
     lam    : weight of the smoothed-error penalty (> 0)
@@ -344,9 +340,6 @@ class ConfidenceNetConfig:
     batch_size: int = 64
     max_epochs: int = 500
     denom_epsilon: float = 1e-8
-
-    def __post_init__(self):
-        _check_fields(self)
 
     def fit(self, logits, penultimate, labels, seed):
         """Optimize the smoothed objective with Adam; returns the fitted net.

@@ -5,15 +5,13 @@ out-of-range values are all distinct errors naming the full key path, and
 a key repeated within an object is an error naming it, so a typo can never
 silently fall back to a default. The grammar is documented in the README.
 
-The config dataclasses are the schema of the sections they are built from
-(``TbalConfig`` and ``ThresholdConfig`` share the tbal section; train,
-posthoc and the hpo grids have one class each): a section's keys are its
-class's int, float and str fields, a key left out takes the field's
-default, and the class's ``RANGES`` table gives the ranges; the posthoc
-section's "method" names its class. A field's type is its annotation,
-which the parser reads (``mlp._keys``); ``mlp._check_fields`` checks it
-and then the table. The parser checks types, finiteness and unknown or
-missing keys, and the ranges of the dataset, hpo and root keys.
+Each section builds its config class, its schema (the tbal section builds
+``TbalConfig`` and ``ThresholdConfig``; posthoc's "method" names a class): a
+section's keys are its class's int, float and str fields, optional ones
+included, a key left out takes the field's default, and building the class
+checks the ranges of its ``RANGES`` table (``mlp._check_fields``). The
+parser checks types, finiteness and unknown or missing keys; it keeps no
+default or range of its own beyond the grid size and the hidden widths.
 """
 
 from __future__ import annotations
@@ -27,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confidence import POSTHOC_CONFIGS
-from .data import _LOADERS
+from .data import _LOADERS, load_dataset, synth_gaussian_mixture
 from .loop import TbalConfig
-from .mlp import TrainConfig, _check_fields, _keys
+from .mlp import TrainConfig, _Config, _keys
 from .thresholds import ThresholdConfig, uniform_grid
 
 
@@ -140,47 +138,71 @@ class _Section:
 
 
 @dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(_Config):
+    """A Gaussian mixture; ``means`` defaults to ``default_circle_means``."""
+
+    RANGES = {"pool_size": ">= 1", "val_size": ">= 2", "hyp_size": ">= 0",
+              "classes": ">= 2", "dim": ">= 1", "sigma": "> 0"}
+
+    pool_size: int
+    val_size: int
     classes: int
     dim: int
-    means: np.ndarray
     sigma: float
-    pool_size: int
-    val_size: int
-    hyp_size: int
+    hyp_size: int = 0
+    means: np.ndarray | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.means is None:
+            object.__setattr__(self, "means",
+                               default_circle_means(self.classes, self.dim))
+
+    def load(self, n: int, seed: int):
+        return synth_gaussian_mixture(self.classes, self.dim, self.means,
+                                      self.sigma, n, seed)
 
 
 @dataclass(frozen=True)
-class FileSpec:
+class FileSpec(_Config):
+    """A dataset file; ``labels_path`` names an idx pair's labels file."""
+
+    RANGES = {"pool_size": ">= 1", "val_size": ">= 2", "hyp_size": ">= 0",
+              "num_classes": ">= 2"}
+
+    pool_size: int
+    val_size: int
     path: str
     format: str
-    num_classes: int | None
-    labels_path: str | None
-    pool_size: int
-    val_size: int
-    hyp_size: int
+    hyp_size: int = 0
+    num_classes: int | None = None
+    labels_path: str | None = None
+
+    def load(self, n: int, seed: int):
+        # the file holds the points: n and seed are for a generated set
+        return load_dataset(self.path, self.format, self.num_classes,
+                            self.labels_path)
 
 
 @dataclass(frozen=True)
-class HpoSpec:
+class HpoSpec(_Config):
+    RANGES = {"tie_break_seed": ">= 0"}
+
     train_grid: dict
     posthoc_grid: dict
-    tie_break_seed: int
+    tie_break_seed: int = 0
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Config):
     RANGES = {"repeats": ">= 1", "master_seed": ">= 0"}
 
     dataset: "SyntheticSpec | FileSpec"
     tbal: TbalConfig
-    repeats: int
-    output_dir: str
-    master_seed: int
-    hpo: HpoSpec | None
-
-    def __post_init__(self):
-        _check_fields(self)
+    repeats: int = 5
+    output_dir: str = "out"
+    master_seed: int = 0
+    hpo: HpoSpec | None = None
 
 
 def default_circle_means(classes: int, dim: int):
@@ -198,59 +220,48 @@ def default_circle_means(classes: int, dim: int):
 
 def _parse_dataset(sec: _Section, base_dir: str):
     kind = sec.string("kind", choices={"synthetic", "file"})
-    pool_size = sec.number("pool_size", integer=True, lo=1)
-    val_size = sec.number("val_size", integer=True, lo=2)
-    hyp_size = sec.number("hyp_size", 0, integer=True, lo=0)
     if kind == "synthetic":
-        classes = sec.number("classes", integer=True, lo=2)
-        dim = sec.number("dim", integer=True, lo=1)
-        sigma = sec.number("sigma")
-        if sigma <= 0:
-            raise RangeError(f"{sec.path}.sigma: must be positive")
-        means_raw = sec.raw("means", None)
-        if means_raw is None:
-            means = default_circle_means(classes, dim)
-        else:
-            if not (isinstance(means_raw, list) and len(means_raw) == classes
-                    and all(isinstance(row, list) and len(row) == dim
-                            for row in means_raw)):
-                raise TypeMismatchError(
-                    f"{sec.path}.means: expected {classes} lists of {dim} "
-                    "numbers"
-                )
-            means = np.array([[_number(v, f"{sec.path}.means[{i}][{j}]")
-                                for j, v in enumerate(row)]
-                               for i, row in enumerate(means_raw)])
+        spec = _build(sec, SyntheticSpec)
+        means = sec.raw("means", None)
+        if means is not None:
+            if not (isinstance(means, list) and len(means) == spec.classes
+                    and all(isinstance(row, list) and len(row) == spec.dim
+                            for row in means)):
+                raise TypeMismatchError(f"{sec.path}.means: expected "
+                                        f"{spec.classes} lists of {spec.dim} "
+                                        "numbers")
+            spec = dataclasses.replace(spec, means=np.array(
+                [[_number(v, f"{sec.path}.means[{i}][{j}]")
+                  for j, v in enumerate(row)] for i, row in enumerate(means)]))
         sec.finish()
-        return SyntheticSpec(classes, dim, means, sigma, pool_size, val_size,
-                             hyp_size)
-    path = sec.string("path")
+        return spec
     fmt = sec.string("format", choices=set(_LOADERS))
-    num_classes = sec.number("num_classes", None, integer=True, lo=2)
     # only idx reads a separate labels file: elsewhere the key is unknown
-    labels_path = sec.string("labels_path", None) if fmt == "idx" else None
+    spec = _build(sec, FileSpec, format=fmt,
+                  **({} if fmt == "idx" else {"labels_path": None}))
     sec.finish()
     # os.path.join keeps an absolute name as it is
-    files = {key: os.path.join(base_dir, name) for key, name in
-             (("path", path), ("labels_path", labels_path)) if name is not None}
+    files = {key: os.path.join(base_dir, name) for key in ("path", "labels_path")
+             if (name := getattr(spec, key)) is not None}
     for key, resolved in files.items():
         if not os.path.exists(resolved):
             raise ConfigError(f"{sec.path}.{key}: no such file {resolved!r}")
-    return FileSpec(files["path"], fmt, num_classes, files.get("labels_path"),
-                    pool_size, val_size, hyp_size)
+    return dataclasses.replace(spec, **files)
 
 
 def _build(sec: _Section, cls, **extra):
-    """cls from the keys of ``sec`` that name its config keys, plus
-    ``extra``; a key left out takes the field's default.
+    """cls from ``extra`` and the keys of ``sec`` that name its other config
+    keys; a key left out takes the field's default.
 
     The section checks each value's type and finiteness, the class its
     range. A ValueError from the class whose message starts with a field
     name becomes a RangeError naming that key.
     """
     fields = {f.name: f for f in dataclasses.fields(cls)}
-    kwargs = {}
+    kwargs = dict(extra)
     for name, kind in _keys(cls).items():
+        if name in kwargs:
+            continue
         f = fields[name]
         required = (f.default is dataclasses.MISSING
                     and f.default_factory is dataclasses.MISSING)
@@ -262,7 +273,7 @@ def _build(sec: _Section, cls, **extra):
         if val is not _ABSENT:
             kwargs[name] = val
     try:
-        return cls(**kwargs, **extra)
+        return cls(**kwargs)
     except ValueError as exc:
         key = str(exc).split(" ", 1)[0]
         path = f"{sec.path}.{key}" if key in fields else sec.path
@@ -306,9 +317,10 @@ def _parse_hpo(sec: _Section, posthoc_cls):
             raise RangeError(f"{sec.path}.posthoc_grid: {posthoc_cls.method} "
                              "has no hyperparameters")
         posthoc_grid = {}
-    tie = sec.number("tie_break_seed", 0, integer=True, lo=0)
+    hpo = _build(sec, HpoSpec, train_grid=train_grid,
+                 posthoc_grid=posthoc_grid)
     sec.finish()
-    return HpoSpec(train_grid, posthoc_grid, tie)
+    return hpo
 
 
 def _parse_tbal(sec: _Section) -> TbalConfig:
@@ -344,12 +356,10 @@ def _parse_tbal(sec: _Section) -> TbalConfig:
 
 def parse_config_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
     root = _Section(doc, "config")
-    master_seed = root.number("master_seed", 0, integer=True, lo=0)
-    repeats = root.number("repeats", 5, integer=True, lo=1)
-    output_dir = root.string("output_dir", "out")
     dataset = _parse_dataset(root.section("dataset"), base_dir)
     tbal = _parse_tbal(root.section("tbal"))
     hpo = _parse_hpo(root.section("hpo", required=False), type(tbal.posthoc))
+    cfg = _build(root, ExperimentConfig, dataset=dataset, tbal=tbal, hpo=hpo)
     root.finish()
     if hpo is not None and dataset.hyp_size < 1:
         raise RangeError(
@@ -360,9 +370,8 @@ def parse_config_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
             f"config.tbal.seed_size: {tbal.seed_size} exceeds "
             f"dataset.pool_size {dataset.pool_size}"
         )
-    return ExperimentConfig(dataset=dataset, tbal=tbal, repeats=repeats,
-                            output_dir=os.path.join(base_dir, output_dir),
-                            master_seed=master_seed, hpo=hpo)
+    return dataclasses.replace(
+        cfg, output_dir=os.path.join(base_dir, cfg.output_dir))
 
 
 def parse_config(path: str) -> ExperimentConfig:

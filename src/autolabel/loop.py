@@ -32,7 +32,7 @@ from .confidence import (ConfidenceModel, PosthocConfig, SoftmaxConfig,
 from .data import LabeledSet, Pool, random_query, random_split
 from .mlp import (
     TrainConfig,
-    _check_fields,
+    _Config,
     margin_scores,
     softmax,
     train_model,
@@ -47,7 +47,7 @@ from .thresholds import (
 
 
 @dataclass(frozen=True)
-class TbalConfig:
+class TbalConfig(_Config):
     """Everything one workflow run needs besides the data itself.
 
     ``thresholds`` holds the error tolerance eps_a, the coverage floor, the
@@ -71,7 +71,7 @@ class TbalConfig:
     active_multiplier: float = 2.0
 
     def __post_init__(self):
-        _check_fields(self)
+        super().__post_init__()
         if not (1 <= self.seed_size <= self.train_budget):
             raise ValueError("seed_size must be in [1, train_budget]")
         if not self.hidden or not all(_is_integer(w) and w >= 1

@@ -12,8 +12,8 @@ given the seed ``train_model`` takes.
 from __future__ import annotations
 
 import functools
-import math
 import numbers
+import sys
 import typing
 from dataclasses import dataclass, fields
 
@@ -26,10 +26,10 @@ from .rng import _is_integer, stream
 @functools.cache
 def _keys(cls) -> dict:
     """{key: int, float or str} for each config key of config class cls:
-    its fields of those types, in field order."""
+    its fields of those types, or of one of them or None, in field order."""
     types = typing.get_type_hints(cls)
-    return {f.name: types[f.name] for f in fields(cls)
-            if types[f.name] in (int, float, str)}
+    return {f.name: kind for f in fields(cls) for kind in (int, float, str)
+            if types[f.name] in (kind, kind | None)}
 
 
 def _holds(value, rule: str) -> bool:
@@ -47,29 +47,40 @@ def _check_fields(config) -> None:
     """Raise ValueError naming the first int or float field of ``config``,
     in field order, that is not an integer or not a finite number, then
     the first key of its class's ``RANGES`` table that breaks its rule:
-    "<key> must be <rule>". This is the one place ranges are checked.
+    "<key> must be <rule>". This is the one place ranges are checked. An
+    optional key, one whose default is None, is unset when None.
 
     A field's type is its annotation, read as the config parser reads it
     (``_keys``). Types come first: a rule's comparisons pass NaN, a float
     count would fail deep in a fit, and a float width would be truncated.
-    A bool is neither type (True would pass as 1), nor is a string or None
-    (``math.isfinite`` would raise a TypeError that names no field).
+    A bool is neither type (True would pass as 1), nor is a string or None;
+    an integer beyond float range is not finite.
     """
     for name, kind in _keys(type(config)).items():
         value = getattr(config, name)
+        if value is None and getattr(type(config), name, 0) is None:
+            continue
         if kind is int and not _is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if kind is float and (isinstance(value, (bool, np.bool_))
                               or not isinstance(value, numbers.Real)
-                              or not math.isfinite(value)):
+                              or not abs(value) <= sys.float_info.max):
             raise ValueError(f"{name} must be a finite number, got {value!r}")
     for name, rule in config.RANGES.items():
-        if not _holds(getattr(config, name), rule):
+        value = getattr(config, name)
+        if value is not None and not _holds(value, rule):
             raise ValueError(f"{name} must be {rule}")
 
 
+class _Config:
+    """Base of the config classes: building one checks its fields."""
+
+    def __post_init__(self):
+        _check_fields(self)
+
+
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(_Config):
     """Knobs for one training run. ``loss`` is "vanilla" or "squentropy"."""
 
     RANGES = {"learning_rate": "> 0", "batch_size": ">= 1",
@@ -84,7 +95,7 @@ class TrainConfig:
     max_epochs: int = 50
 
     def __post_init__(self):
-        _check_fields(self)
+        super().__post_init__()
         if self.loss not in ("vanilla", "squentropy"):
             raise ValueError(f"loss must be 'vanilla' or 'squentropy', "
                              f"got {self.loss!r}")

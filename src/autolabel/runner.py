@@ -13,24 +13,14 @@ import dataclasses
 import itertools
 import json
 import os
+import re
+import shutil
 
 import numpy as np
 
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    FileSpec,
-    HpoSpec,
-    SyntheticSpec,
-)
+from .config import ConfigError, ExperimentConfig, HpoSpec
 from .confidence import SoftmaxConfig, write_score_dump
-from .data import (
-    LabeledSet,
-    Pool,
-    carve,
-    load_dataset,
-    synth_gaussian_mixture,
-)
+from .data import LabeledSet, Pool, carve
 from .loop import (
     TbalConfig,
     dump_report,
@@ -58,15 +48,7 @@ def materialize_dataset(cfg: ExperimentConfig):
     """
     spec = cfg.dataset
     need = spec.pool_size + spec.val_size + spec.hyp_size
-    if isinstance(spec, SyntheticSpec):
-        base = synth_gaussian_mixture(
-            spec.classes, spec.dim, spec.means, spec.sigma, need,
-            child_seed(cfg.master_seed, "data"))
-    elif isinstance(spec, FileSpec):
-        base = load_dataset(spec.path, spec.format, spec.num_classes,
-                            spec.labels_path)
-    else:
-        raise TypeError(f"unknown dataset spec {type(spec).__name__}")
+    base = spec.load(need, child_seed(cfg.master_seed, "data"))
     if need > base.n:
         raise ValueError(
             f"dataset has {base.n} points, config asks for {need}"
@@ -189,6 +171,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         "final_error_std": err_std,
         "runs_without_auto_labels": cfg.repeats - len(errors),
     }
+    out = os.path.dirname(summary_path) or os.curdir
+    # a forced rerun with fewer repeats leaves no earlier run's directory
+    for name in os.listdir(out) if force else ():
+        if re.fullmatch(r"run_\d\d+", name) and int(name[4:]) >= cfg.repeats:
+            shutil.rmtree(os.path.join(out, name))
     _write_json(summary_path, summary)
     return summary
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mlp import _check_fields
+from .mlp import _Config
 
 
 def uniform_grid(size: int) -> np.ndarray:
@@ -48,7 +48,7 @@ class ThresholdVector:
 
 
 @dataclass(frozen=True)
-class ThresholdConfig:
+class ThresholdConfig(_Config):
     """Settings for estimate_thresholds.
 
     grid           : ascending candidate thresholds in [0,1]; uniform_grid(200)
@@ -67,7 +67,7 @@ class ThresholdConfig:
     eps_a: float = 0.05
 
     def __post_init__(self):
-        _check_fields(self)
+        super().__post_init__()
         g = np.asarray(self.grid, dtype=np.float64)
         if g.ndim != 1 or g.size == 0:
             raise ValueError("grid must be a non-empty 1-D array")

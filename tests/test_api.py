@@ -149,7 +149,7 @@ def test_one_function_holds_each_input_rule():
     checks = [node for path in SRC.glob("*.py")
               for node in ast.walk(ast.parse(path.read_text()))
               if calls_to("_check_fields")(node)]
-    assert len(checks) == 6
+    assert len(checks) == 1
     assert all(len(call.args) == 1 and not call.keywords for call in checks)
     # a file format is a reader; load_dataset builds the one Dataset and
     # refuses a labels file for a format that holds its own labels
@@ -170,7 +170,40 @@ def test_one_function_checks_the_range_tables():
     tabled = [cls for module in vars(autolabel).values()
               if inspect.ismodule(module) for cls in vars(module).values()
               if inspect.isclass(cls) and hasattr(cls, "RANGES")]
-    assert len(set(tabled)) == 6
+    assert len(set(tabled)) == 9
+    assert all(issubclass(cls, autolabel.mlp._Config) for cls in tabled)
     for cls in tabled:
         source = inspect.getsource(cls.__post_init__)
         assert [key for key in cls.RANGES if f"{key} must be" in source] == []
+
+
+def test_only_the_base_config_class_checks_fields():
+    # a config class checks its fields by deriving from mlp._Config, whose
+    # __post_init__ makes the one call; a class with rules beyond its table
+    # calls that __post_init__ first
+    methods = {(path.name, cls.name, fn.name) for path in SRC.glob("*.py")
+               for cls in ast.walk(ast.parse(path.read_text()))
+               if isinstance(cls, ast.ClassDef)
+               for fn in cls.body if isinstance(fn, ast.FunctionDef)
+               and any(map(calls_to("_check_fields"), ast.walk(fn)))}
+    assert methods == {("mlp.py", "_Config", "__post_init__")}
+    assert owners(calls_to("_check_fields")) == {("mlp.py", "__post_init__")}
+
+
+def test_the_parser_keeps_no_range_or_default_of_a_config_key():
+    # a config key's default and range are its class's field default and
+    # RANGES entry; the parser's own minimums are left only for the grid
+    # size and the hidden widths, which no class has as a field, and every
+    # default it passes a section is None (the key is absent)
+    calls = [node for node in ast.walk(ast.parse(
+        (SRC / "config.py").read_text())) if isinstance(node, ast.Call)]
+    bounded = {ast.literal_eval(call.args[0]) for call in calls
+               if any(kw.arg == "lo" for kw in call.keywords)}
+    assert bounded == {"grid_size", "hidden"}
+    readers = ("number", "string", "raw", "list_of_numbers")
+    defaults = [ast.unparse(call) for call in calls
+                if getattr(call.func, "attr", None) in readers
+                and len(call.args) > 1
+                and isinstance(call.args[1], ast.Constant)
+                and call.args[1].value is not None]
+    assert defaults == []

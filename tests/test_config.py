@@ -12,8 +12,11 @@ import autolabel as al
 from autolabel.confidence import POSTHOC_CONFIGS
 from autolabel.config import (
     ConfigError,
+    FileSpec,
+    HpoSpec,
     MissingKeyError,
     RangeError,
+    SyntheticSpec,
     TypeMismatchError,
     UnknownKeyError,
     default_circle_means,
@@ -321,8 +324,13 @@ VALID_CONFIGS = {
     al.TopLabelBinningConfig: al.TopLabelBinningConfig,
     al.ConfidenceNetConfig: al.ConfidenceNetConfig,
     al.ExperimentConfig: lambda: parse_config_dict(doc()),
+    SyntheticSpec: lambda: parse_config_dict(doc()).dataset,
+    FileSpec: lambda: FileSpec(pool_size=1, val_size=2, path="points.csv",
+                               format="csv"),
+    HpoSpec: lambda: HpoSpec({"max_epochs": [3]}, {}),
 }
-BAD_VALUES = {float: [float("nan"), float("inf"), True, "0.1", None],
+BAD_VALUES = {float: [float("nan"), float("inf"), 10 ** 400, True, "0.1",
+                      None],
               int: [2.0, True, "3", None]}
 # (class, field, bad value) for every int and float field, by annotation
 NUMBER_FIELD_CASES = [
@@ -534,6 +542,9 @@ def test_range_errors_name_the_key(section, key, value):
 # that set its keys
 RANGE_SECTIONS = {
     al.ExperimentConfig: (),
+    SyntheticSpec: ("dataset",),
+    FileSpec: ("dataset",),
+    HpoSpec: ("hpo",),
     al.TbalConfig: ("tbal",),
     al.ThresholdConfig: ("tbal",),
     al.TrainConfig: ("tbal", "train"),
@@ -574,16 +585,25 @@ def test_range_sections_name_every_class_with_ranges():
     "cls, key, rule, inside, outside", RANGE_CASES,
     ids=[f"{cls.__name__}.{key}-{outside!r}"
          for cls, key, _, _, outside in RANGE_CASES])
-def test_every_range_rule_holds_at_its_edge(cls, key, rule, inside, outside):
+def test_every_range_rule_holds_at_its_edge(cls, key, rule, inside, outside,
+                                            tmp_path):
     # the class takes the inside edge and refuses the nearest value outside
     # with the rule as its message; a config file's value is refused under
     # its own key path
     sections = RANGE_SECTIONS[cls]
     d = doc(**{"tbal.seed_size": 1,
                "tbal.posthoc": {"method": getattr(cls, "method", "softmax")}})
-    cfg = parse_config_dict(d)
-    valid, = (obj for obj in (cfg, cfg.tbal, cfg.tbal.thresholds,
-                              cfg.tbal.train, cfg.tbal.posthoc)
+    if cls is FileSpec:
+        (tmp_path / "points.csv").write_text("0.0,1.0,0\n1.0,0.0,1\n")
+        d["dataset"] = {"kind": "file", "path": "points.csv", "format": "csv",
+                        "pool_size": 1, "val_size": 2}
+    if cls is HpoSpec:
+        d["dataset"]["hyp_size"] = 1
+        d["hpo"] = {"train_grid": {"max_epochs": [3]}}
+    cfg = parse_config_dict(d, base_dir=str(tmp_path))
+    valid, = (obj for obj in (cfg, cfg.dataset, cfg.hpo, cfg.tbal,
+                              cfg.tbal.thresholds, cfg.tbal.train,
+                              cfg.tbal.posthoc)
               if type(obj) is cls)
     assert getattr(dataclasses.replace(valid, **{key: inside}), key) == inside
     with pytest.raises(ValueError,
@@ -595,7 +615,7 @@ def test_every_range_rule_holds_at_its_edge(cls, key, rule, inside, outside):
     target[key] = outside
     path = ".".join(("config", *sections, key))
     with pytest.raises(RangeError, match=rf"^{re.escape(path)}: "):
-        parse_config_dict(d)
+        parse_config_dict(d, base_dir=str(tmp_path))
 
 
 def test_a_config_built_in_code_refuses_a_negative_master_seed():
@@ -606,6 +626,17 @@ def test_a_config_built_in_code_refuses_a_negative_master_seed():
     with pytest.raises(ValueError, match=r"^master_seed must be >= 0$"):
         al.ExperimentConfig(dataset=cfg.dataset, tbal=cfg.tbal, repeats=1,
                             output_dir="out", master_seed=-7, hpo=None)
+
+
+def test_an_optional_key_left_unset_skips_its_rule():
+    # num_classes None reads the class count from the labels
+    spec = FileSpec(pool_size=1, val_size=2, path="points.csv", format="csv")
+    assert spec.num_classes is None
+    assert dataclasses.replace(spec, num_classes=2).num_classes == 2
+    for value, rule in ((2.0, "an integer"), (True, "an integer"),
+                        (1, ">= 2")):
+        with pytest.raises(ValueError, match=f"^num_classes must be {rule}"):
+            dataclasses.replace(spec, num_classes=value)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -637,7 +668,8 @@ def test_readme_config_section_names_every_key_and_method():
     text = README.read_text()
     section = text[text.index("## Config files"):text.index("## Outputs")]
     classes = (al.TbalConfig, al.ThresholdConfig, al.TrainConfig,
-               al.ExperimentConfig, *POSTHOC_CONFIGS.values())
+               al.ExperimentConfig, SyntheticSpec, FileSpec, HpoSpec,
+               *POSTHOC_CONFIGS.values())
     names = {key for cls in classes for key in _keys(cls)}
     missing = sorted(name for name in names | set(POSTHOC_CONFIGS)
                      if f"`{name}`" not in section)

@@ -420,7 +420,7 @@ def test_rawf32_features_are_read_only(tmp_path):
 
 def test_materialized_splits_index_the_loaded_features(tmp_path,
                                                        monkeypatch):
-    from autolabel import runner
+    from autolabel import config, runner
     from autolabel.config import parse_config_dict
 
     write_rawf32(four_blobs(n=60), str(tmp_path / "world.f32"))
@@ -430,7 +430,7 @@ def test_materialized_splits_index_the_loaded_features(tmp_path,
         loaded.append(al.load_dataset(*args))
         return loaded[-1]
 
-    monkeypatch.setattr(runner, "load_dataset", load_and_keep)
+    monkeypatch.setattr(config, "load_dataset", load_and_keep)
     cfg = parse_config_dict({
         "master_seed": 3, "repeats": 1, "output_dir": "out",
         "dataset": {"kind": "file", "path": "world.f32", "format": "rawf32",

@@ -250,6 +250,18 @@ def test_forced_rerun_leaves_no_earlier_score_files(tmp_path, monkeypatch):
     assert score_files() == []
 
 
+def test_forced_rerun_with_fewer_repeats_leaves_no_earlier_run_dirs(
+        tmp_path):
+    out = tmp_path / "out"
+    al.run_experiment(experiment(OVERLAPPING, tmp_path, repeats=3))
+    (out / "notes").mkdir()
+    summary = al.run_experiment(experiment(OVERLAPPING, tmp_path, repeats=1),
+                                force=True)
+    assert summary["n_runs"] == 1
+    # the directory holds what the summary counts, and what no run made
+    assert sorted(os.listdir(out)) == ["notes", "run_00", "summary.json"]
+
+
 def test_parallel_jobs_match_serial(tmp_path):
     cfg_s = experiment(OVERLAPPING, tmp_path, name="serial", repeats=2)
     cfg_p = experiment(OVERLAPPING, tmp_path, name="parallel", repeats=2)
