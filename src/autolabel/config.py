@@ -17,6 +17,7 @@ default or range of its own beyond the grid size and the hidden widths.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confidence import POSTHOC_CONFIGS
-from .data import _LOADERS, load_dataset, synth_gaussian_mixture
+from .data import (_LOADERS, check_format, load_dataset, mixture_means,
+                   synth_gaussian_mixture)
 from .loop import TbalConfig
 from .mlp import TrainConfig, _Config, _keys
 from .thresholds import ThresholdConfig, uniform_grid
@@ -139,7 +141,9 @@ class _Section:
 
 @dataclass(frozen=True)
 class SyntheticSpec(_Config):
-    """A Gaussian mixture; ``means`` defaults to ``default_circle_means``."""
+    """A Gaussian mixture; ``means`` defaults to ``default_circle_means``,
+    and means left at the default follow ``classes`` and ``dim`` when
+    ``dataclasses.replace`` changes either."""
 
     RANGES = {"pool_size": ">= 1", "val_size": ">= 2", "hyp_size": ">= 0",
               "classes": ">= 2", "dim": ">= 1", "sigma": "> 0"}
@@ -154,9 +158,13 @@ class SyntheticSpec(_Config):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.means is None:
-            object.__setattr__(self, "means",
-                               default_circle_means(self.classes, self.dim))
+        means = self.means
+        # the default is one cached array per shape, so it is known by identity
+        if means is None or (isinstance(means, np.ndarray) and means.ndim == 2
+                             and means is default_circle_means(*means.shape)):
+            means = default_circle_means(self.classes, self.dim)
+        object.__setattr__(self, "means",
+                           mixture_means(means, self.classes, self.dim))
 
     def load(self, n: int, seed: int):
         return synth_gaussian_mixture(self.classes, self.dim, self.means,
@@ -178,6 +186,10 @@ class FileSpec(_Config):
     num_classes: int | None = None
     labels_path: str | None = None
 
+    def __post_init__(self):
+        super().__post_init__()
+        check_format(self.format, self.labels_path)
+
     def load(self, n: int, seed: int):
         # the file holds the points: n and seed are for a generated set
         return load_dataset(self.path, self.format, self.num_classes,
@@ -195,6 +207,10 @@ class HpoSpec(_Config):
 
 @dataclass(frozen=True)
 class ExperimentConfig(_Config):
+    """A run's settings. Building one checks the rules that span sections:
+    the seed set fits in the pool, and an hpo section has hyp rows to score
+    on and grids whose every name and value its search can run."""
+
     RANGES = {"repeats": ">= 1", "master_seed": ">= 0"}
 
     dataset: "SyntheticSpec | FileSpec"
@@ -204,10 +220,48 @@ class ExperimentConfig(_Config):
     master_seed: int = 0
     hpo: HpoSpec | None = None
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.hpo is not None:
+            for phase in ("train", "posthoc"):
+                _check_grid(getattr(self.hpo, f"{phase}_grid"),
+                            getattr(self.tbal, phase), f"hpo.{phase}_grid")
+            if self.dataset.hyp_size < 1:
+                raise ValueError("dataset.hyp_size: must be >= 1 when hpo "
+                                 "is configured")
+        if self.tbal.seed_size > self.dataset.pool_size:
+            raise ValueError(f"tbal.seed_size: {self.tbal.seed_size} exceeds "
+                             f"dataset.pool_size {self.dataset.pool_size}")
 
+
+def _check_grid(grid: dict, config, path: str) -> None:
+    """Raise ValueError naming the first entry of ``grid``, at ``path``, that
+    a search over ``config``'s keys cannot run: a grid over a class with
+    keys names at least one, each a key, with values the class takes; a
+    class with none takes only an empty grid."""
+    keys = _keys(type(config))
+    if not keys and grid != {}:
+        raise ValueError(f"{path}: {config.method} has no hyperparameters")
+    if keys and not grid:
+        raise ValueError(f"{path}: grid must name at least one "
+                         "hyperparameter")
+    for name in sorted(grid):
+        if name not in keys:
+            raise UnknownKeyError(
+                f"{path}.{name}: not a searchable hyperparameter")
+        if not isinstance(grid[name], list) or not grid[name]:
+            raise ValueError(f"{path}.{name}: expected a non-empty list")
+        for val in grid[name]:
+            try:
+                dataclasses.replace(config, **{name: val})
+            except ValueError as exc:
+                raise ValueError(f"{path}.{name}: {exc}") from None
+
+
+@functools.cache
 def default_circle_means(classes: int, dim: int):
     """Class means evenly spaced on a circle of radius 3 in the first two
-    dims (on [-3, 3] when dim is 1)."""
+    dims (on [-3, 3] when dim is 1); one shared read-only array per shape."""
     means = np.zeros((classes, dim))
     if dim == 1:
         means[:, 0] = np.linspace(-3.0, 3.0, classes)
@@ -215,6 +269,7 @@ def default_circle_means(classes: int, dim: int):
         angles = 2.0 * np.pi * np.arange(classes) / classes
         means[:, 0] = 3.0 * np.cos(angles)
         means[:, 1] = 3.0 * np.sin(angles)
+    means.flags.writeable = False
     return means
 
 
@@ -254,8 +309,9 @@ def _build(sec: _Section, cls, **extra):
     keys; a key left out takes the field's default.
 
     The section checks each value's type and finiteness, the class its
-    range. A ValueError from the class whose message starts with a field
-    name becomes a RangeError naming that key.
+    range. A ValueError from the class becomes a RangeError naming the key
+    its message starts with: a field name, or a key path below the section
+    followed by a colon, as a rule across sections names its key.
     """
     fields = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = dict(extra)
@@ -277,32 +333,27 @@ def _build(sec: _Section, cls, **extra):
     except ValueError as exc:
         key = str(exc).split(" ", 1)[0]
         path = f"{sec.path}.{key}" if key in fields else sec.path
-        raise RangeError(f"{path}: {exc}") from None
+        # an unknown hpo grid name stays an UnknownKeyError
+        kind = type(exc) if isinstance(exc, ConfigError) else RangeError
+        raise kind(f"{sec.path}.{exc}" if key.endswith(":")
+                   else f"{path}: {exc}") from None
 
 
 def _parse_grid(sec: _Section, key: str, cls) -> dict:
-    """A {name: [values]} grid over the config keys of ``cls``. Each value
-    is checked as key ``name`` of a section that builds ``cls``."""
+    """A {name: [values]} grid. Each value of a config key of ``cls`` is
+    read as key ``name`` of a section that builds ``cls``; ExperimentConfig
+    checks the names."""
     path = f"{sec.path}.{key}"
-    raw = sec.raw(key, _REQUIRED)
-    if not isinstance(raw, dict):
+    grid = sec.raw(key, _REQUIRED)
+    if not isinstance(grid, dict):
         raise TypeMismatchError(f"{path}: expected an object of lists")
-    grid = {}
-    for name in sorted(raw):
-        if name not in _keys(cls):
-            raise UnknownKeyError(
-                f"{path}.{name}: not a searchable hyperparameter"
-            )
-        vals = raw[name]
+    for name in sorted(grid.keys() & _keys(cls).keys()):
+        vals = grid[name]
         if not isinstance(vals, list) or not vals:
             raise TypeMismatchError(f"{path}.{name}: expected a non-empty list")
         for val in vals:
             _build(_Section({name: val}, path), cls)
-        grid[name] = vals
-    if not grid:
-        raise RangeError(f"{path}: grid must name at least one "
-                         "hyperparameter")
-    return grid
+    return dict(sorted(grid.items()))
 
 
 def _parse_hpo(sec: _Section, posthoc_cls):
@@ -312,13 +363,10 @@ def _parse_hpo(sec: _Section, posthoc_cls):
     if _keys(posthoc_cls):
         posthoc_grid = _parse_grid(sec, "posthoc_grid", posthoc_cls)
     else:
-        # nothing to search; the post-hoc phase is skipped
-        if sec.raw("posthoc_grid", None) not in ({}, None):
-            raise RangeError(f"{sec.path}.posthoc_grid: {posthoc_cls.method} "
-                             "has no hyperparameters")
-        posthoc_grid = {}
+        # nothing to search: ExperimentConfig takes only an empty grid
+        posthoc_grid = sec.raw("posthoc_grid", None)
     hpo = _build(sec, HpoSpec, train_grid=train_grid,
-                 posthoc_grid=posthoc_grid)
+                 posthoc_grid={} if posthoc_grid is None else posthoc_grid)
     sec.finish()
     return hpo
 
@@ -361,15 +409,6 @@ def parse_config_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
     hpo = _parse_hpo(root.section("hpo", required=False), type(tbal.posthoc))
     cfg = _build(root, ExperimentConfig, dataset=dataset, tbal=tbal, hpo=hpo)
     root.finish()
-    if hpo is not None and dataset.hyp_size < 1:
-        raise RangeError(
-            "config.dataset.hyp_size: must be >= 1 when hpo is configured"
-        )
-    if tbal.seed_size > dataset.pool_size:
-        raise RangeError(
-            f"config.tbal.seed_size: {tbal.seed_size} exceeds "
-            f"dataset.pool_size {dataset.pool_size}"
-        )
     return dataclasses.replace(
         cfg, output_dir=os.path.join(base_dir, cfg.output_dir))
 

@@ -234,6 +234,14 @@ def random_split(m: int, fraction: float,
 # synthesis
 
 
+def mixture_means(means, num_classes: int, dim: int) -> np.ndarray:
+    """``means`` as a float64 array, which must be (num_classes, dim)."""
+    means = np.asarray(means, dtype=np.float64)
+    if means.shape != (num_classes, dim):
+        raise ValueError(f"means must have shape ({num_classes}, {dim})")
+    return means
+
+
 def synth_gaussian_mixture(num_classes: int, dim: int, means, sigma: float,
                            n: int, seed: int) -> Dataset:
     """Isotropic Gaussian blobs, one per class, near-equal class counts.
@@ -242,9 +250,7 @@ def synth_gaussian_mixture(num_classes: int, dim: int, means, sigma: float,
     going to the lowest class indices. Draws happen class by class from a
     single generator, so the result is reproducible for a given seed.
     """
-    means = np.asarray(means, dtype=np.float64)
-    if means.shape != (num_classes, dim):
-        raise ValueError(f"means must have shape ({num_classes}, {dim})")
+    means = mixture_means(means, num_classes, dim)
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     if n < num_classes:
@@ -435,6 +441,18 @@ def _load_rawf32(path: str, labels_path):
 _LOADERS = {"idx": _load_idx, "csv": _load_csv, "rawf32": _load_rawf32}
 
 
+def check_format(format: str, labels_path: str | None) -> None:
+    """Raise ValueError unless ``format`` names a reader and, for any
+    format but idx, ``labels_path`` is None."""
+    if format not in _LOADERS:
+        raise ValueError(
+            f"unknown format {format!r}; expected one of {sorted(_LOADERS)}"
+        )
+    if labels_path is not None and format != "idx":
+        raise ValueError(f"labels_path {labels_path!r}: a {format} dataset "
+                         "holds its own labels; only idx reads labels_path")
+
+
 def load_dataset(path: str, format: str, num_classes: int | None = None,
                  labels_path: str | None = None) -> Dataset:
     """Load a Dataset from disk. ``format`` is one of idx | csv | rawf32;
@@ -443,13 +461,7 @@ def load_dataset(path: str, format: str, num_classes: int | None = None,
     ``num_classes`` must match, else ``num_classes``, else the largest
     label plus one.
     """
-    if format not in _LOADERS:
-        raise ValueError(
-            f"unknown format {format!r}; expected one of {sorted(_LOADERS)}"
-        )
-    if labels_path is not None and format != "idx":
-        raise ValueError(f"labels_path {labels_path!r}: a {format} dataset "
-                         "holds its own labels; only idx reads labels_path")
+    check_format(format, labels_path)
     feats, labels, k = _LOADERS[format](path, labels_path)
     if k is None:
         # no labels give 0 classes, so Dataset names the row-count mismatch

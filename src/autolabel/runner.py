@@ -246,8 +246,10 @@ def hyperparameter_search(cfg: ExperimentConfig, out_dir: str | None = None,
     the winner is method-independent); phase "posthoc" fixes that winner and
     sweeps the post-hoc grid, which is empty, and skipped, for a method with
     no hyperparameters. Each combo is scored by `repeats` seeded first-round runs
-    evaluated on the held-out hyp split. Phase "posthoc" scores its combos
-    on the classifiers the train winner's runs trained, one per repeat.
+    evaluated on the held-out hyp split, which every config with an hpo
+    section has: ``ExperimentConfig`` checks that, and the grids, when it
+    is built. Phase "posthoc" scores its combos on the classifiers the
+    train winner's runs trained, one per repeat.
     With ``jobs`` > 1 both phases run on one pool of workers, as many as
     the larger phase has evaluations, at most ``jobs``.
     """
@@ -255,8 +257,6 @@ def hyperparameter_search(cfg: ExperimentConfig, out_dir: str | None = None,
         raise ConfigError("config has no hpo section")
     result_path = _output_path(cfg, out_dir, "hpo_result.json", force)
     pool, val, hyp = materialize_dataset(cfg)
-    if hyp is None:
-        raise ValueError("hpo requires dataset.hyp_size >= 1")
     spec: HpoSpec = cfg.hpo
     repeats = cfg.repeats
     seeds = [child_seed(cfg.master_seed, "hpo-run", r) for r in range(repeats)]

@@ -151,15 +151,20 @@ def test_one_function_holds_each_input_rule():
               if calls_to("_check_fields")(node)]
     assert len(checks) == 1
     assert all(len(call.args) == 1 and not call.keywords for call in checks)
-    # a file format is a reader; load_dataset builds the one Dataset and
-    # refuses a labels file for a format that holds its own labels
+    # a file format is a reader; load_dataset builds the one Dataset, and
+    # check_format, which FileSpec and load_dataset both call, refuses an
+    # unknown format and a labels file for a format that holds its own
+    # labels; mixture_means holds the means' shape for SyntheticSpec and
+    # synth_gaussian_mixture alike
     in_data = lambda found: {owner for module, owner in found
                              if module == "data.py"}
     assert in_data(owners(calls_to("Dataset"))) \
         == {"load_dataset", "synth_gaussian_mixture"}
-    assert in_data(owners(lambda node: isinstance(node, ast.Raise)
-                          and "only idx reads" in ast.unparse(node))) \
-        == {"load_dataset"}
+    raising = lambda text: owners(lambda node: isinstance(node, ast.Raise)
+                                  and text in ast.unparse(node))
+    assert raising("only idx reads") == raising("unknown format") \
+        == {("data.py", "check_format")}
+    assert raising("means must have shape") == {("data.py", "mixture_means")}
 
 
 
@@ -207,3 +212,21 @@ def test_the_parser_keeps_no_range_or_default_of_a_config_key():
                 and isinstance(call.args[1], ast.Constant)
                 and call.args[1].value is not None]
     assert defaults == []
+
+
+def test_callers_of_a_config_keep_no_rule_of_their_own():
+    # a rule across config sections is ExperimentConfig's, which a config
+    # built in code passes through too; neither the parser nor the search
+    # raises a range error or compares a config's sizes
+    for module, name in (("config.py", "parse_config_dict"),
+                         ("runner.py", "hyperparameter_search")):
+        fn, = (node for node in ast.walk(ast.parse((SRC / module).read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name == name)
+        raised = {ast.unparse(node.exc.func) for node in ast.walk(fn)
+                  if isinstance(node, ast.Raise)
+                  and isinstance(node.exc, ast.Call)}
+        assert raised <= {"ConfigError"}, (name, raised)
+        compared = {node.attr for cmp in ast.walk(fn)
+                    if isinstance(cmp, ast.Compare) for node in ast.walk(cmp)
+                    if isinstance(node, ast.Attribute)}
+        assert not any(attr.endswith("_size") for attr in compared), name

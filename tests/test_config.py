@@ -749,3 +749,105 @@ def test_parse_config_round_trip(tmp_path):
     cfg = parse_config(str(path))
     assert cfg.output_dir == str(tmp_path / "results")
     assert cfg.tbal.query_batch == 15
+
+
+HPO_DOC = doc(**{"dataset.hyp_size": 50})
+GRID = {"max_epochs": [3]}
+# (key the error names, the same fault in a config file or None, the fault
+# built in code from the config HPO_DOC parses to)
+BUILT_IN_CODE = {
+    "seed set larger than the pool": (
+        "tbal.seed_size", {"dataset.pool_size": 29},
+        lambda cfg: dataclasses.replace(cfg, dataset=dataclasses.replace(
+            cfg.dataset, pool_size=29))),
+    "hpo without hyp rows": (
+        "dataset.hyp_size",
+        {"dataset.hyp_size": 0, "hpo": {"train_grid": GRID}},
+        lambda cfg: dataclasses.replace(cfg, hpo=HpoSpec(GRID, {}),
+                                        dataset=dataclasses.replace(
+                                            cfg.dataset, hyp_size=0))),
+    "bad grid value": (
+        "hpo.train_grid.learning_rate",
+        {"hpo": {"train_grid": {"learning_rate": [0.1, -1.0]}}},
+        lambda cfg: dataclasses.replace(cfg, hpo=HpoSpec(
+            {"learning_rate": [0.1, -1.0]}, {}))),
+    "unknown grid name": (
+        "hpo.train_grid.nope", {"hpo": {"train_grid": {"nope": [1]}}},
+        lambda cfg: dataclasses.replace(cfg, hpo=HpoSpec({"nope": [1]}, {}))),
+    "empty value list": (
+        "hpo.train_grid.learning_rate",
+        {"hpo": {"train_grid": {"learning_rate": []}}},
+        lambda cfg: dataclasses.replace(cfg, hpo=HpoSpec(
+            {"learning_rate": []}, {}))),
+    "value not a list": (
+        "hpo.train_grid.learning_rate",
+        {"hpo": {"train_grid": {"learning_rate": 0.1}}},
+        lambda cfg: dataclasses.replace(cfg, hpo=HpoSpec(
+            {"learning_rate": 0.1}, {}))),
+    "empty train grid": (
+        "hpo.train_grid", {"hpo": {"train_grid": {}}},
+        lambda cfg: dataclasses.replace(cfg, hpo=HpoSpec({}, {}))),
+    "posthoc grid under softmax": (
+        "hpo.posthoc_grid",
+        {"hpo": {"train_grid": GRID, "posthoc_grid": {"lam": [1.0]}}},
+        lambda cfg: al.ExperimentConfig(
+            dataset=cfg.dataset, tbal=cfg.tbal,
+            hpo=HpoSpec(GRID, {"lam": [1.0]}))),
+    "file format npy": (
+        "format", None,
+        lambda cfg: FileSpec(pool_size=1, val_size=2, path="points.npy",
+                             format="npy")),
+    "labels file for csv": (
+        "labels_path", None,
+        lambda cfg: FileSpec(pool_size=1, val_size=2, path="points.csv",
+                             format="csv", labels_path="labels.idx")),
+    "means not classes x dim": (
+        "means", None,
+        lambda cfg: SyntheticSpec(pool_size=200, val_size=100, classes=4,
+                                  dim=2, sigma=1.0, means=np.zeros((3, 2)))),
+}
+
+
+@pytest.mark.parametrize("key, overrides, build", BUILT_IN_CODE.values(),
+                         ids=BUILT_IN_CODE)
+def test_a_config_built_in_code_is_refused_when_it_is_built(key, overrides,
+                                                            build):
+    # so it never reaches run_experiment or hyperparameter_search; a rule
+    # across sections reads as the parser reports it, less "config."
+    cfg = parse_config_dict(HPO_DOC)
+    with pytest.raises(ValueError, match=re.escape(key)) as built:
+        build(cfg)
+    if overrides is not None:
+        with pytest.raises(ConfigError) as parsed:
+            parse_config_dict(doc(**{"dataset.hyp_size": 50, **overrides}))
+        assert str(parsed.value) == f"config.{built.value}"
+        assert str(built.value).startswith(f"{key}: ")
+
+
+def test_default_means_follow_classes_and_dim():
+    # means left at the default are the circle of the spec's own shape;
+    # means given are checked against it
+    spec = parse_config_dict(doc()).dataset
+    assert dataclasses.replace(spec, classes=3).means \
+        is default_circle_means(3, 2)
+    assert dataclasses.replace(spec, dim=1).means.shape == (4, 1)
+    given = dataclasses.replace(spec, means=np.ones((4, 2)))
+    assert np.array_equal(dataclasses.replace(given, pool_size=9).means,
+                          np.ones((4, 2)))
+    with pytest.raises(ValueError, match=r"^means must have shape \(3, 2\)$"):
+        dataclasses.replace(given, classes=3)
+    with pytest.raises(ValueError, match="read-only"):
+        spec.means[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("grid", [[], 5, "lam", {"lam": []}],
+                         ids=["list", "number", "string", "empty-values"])
+def test_a_method_with_no_keys_takes_only_an_empty_posthoc_grid(grid):
+    # any other value names a search there is not; null reads as absent
+    d = doc(**{"dataset.hyp_size": 50,
+               "hpo": {"train_grid": GRID, "posthoc_grid": grid}})
+    with pytest.raises(RangeError, match=r"^config\.hpo\.posthoc_grid: "
+                                         r"softmax has no hyperparameters$"):
+        parse_config_dict(d)
+    d["hpo"]["posthoc_grid"] = None
+    assert parse_config_dict(d).hpo.posthoc_grid == {}

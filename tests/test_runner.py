@@ -491,12 +491,12 @@ def test_apply_combos(monkeypatch, tmp_path):
     fresh = hpo_experiment(tmp_path).tbal
     assert (base.train, base.posthoc) == (fresh.train, fresh.posthoc)
     assert base.train.learning_rate == 0.01
-    # a key the method's config lacks is never applied
-    soft = dataclasses.replace(
-        hpo_experiment(tmp_path, name="soft", method="softmax"),
-        hpo=HpoSpec({"max_epochs": [3]}, {"points_per_bin": [7]}, 0))
-    with pytest.raises(TypeError, match="points_per_bin"):
-        al.hyperparameter_search(soft)
+    # a key the method's config lacks is refused before any search starts
+    with pytest.raises(ValueError, match=r"^hpo\.posthoc_grid: softmax has "
+                                         "no hyperparameters$"):
+        dataclasses.replace(
+            hpo_experiment(tmp_path, name="soft", method="softmax"),
+            hpo=HpoSpec({"max_epochs": [3]}, {"points_per_bin": [7]}, 0))
 
 
 @pytest.mark.parametrize("method", tuple(al.confidence.POSTHOC_CONFIGS))
