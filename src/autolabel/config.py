@@ -10,14 +10,17 @@ Each section builds its config class, its schema (the tbal section builds
 section's keys are its class's int, float and str fields, optional ones
 included, a key left out takes the field's default, and building the class
 checks the ranges of its ``RANGES`` table (``mlp._check_fields``). The
-parser checks types, finiteness and unknown or missing keys; it keeps no
-default or range of its own beyond the grid size and the hidden widths.
+parser reads JSON: it checks types, finiteness and unknown or missing keys,
+resolves file names and output_dir against the config's directory, and
+keeps no default or range of its own beyond the grid size and the hidden
+widths. It then builds each config object once, and the class checks the
+rest: the means' shape (``SyntheticSpec``), and the hpo grids' names and
+values with the rules across sections (``ExperimentConfig``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -81,6 +84,15 @@ def _number(val, path: str, integer=False, lo=None):
     return val
 
 
+def _rows_of_numbers(val, path: str) -> list:
+    """``val``, the JSON value at ``path``, as a list of lists of floats;
+    the rows' lengths are not checked."""
+    if not (isinstance(val, list) and all(isinstance(row, list) for row in val)):
+        raise TypeMismatchError(f"{path}: expected a list of lists of numbers")
+    return [[_number(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)]
+            for i, row in enumerate(val)]
+
+
 class _Section:
     """One JSON object being consumed key by key."""
 
@@ -141,9 +153,8 @@ class _Section:
 
 @dataclass(frozen=True)
 class SyntheticSpec(_Config):
-    """A Gaussian mixture; ``means`` defaults to ``default_circle_means``,
-    and means left at the default follow ``classes`` and ``dim`` when
-    ``dataclasses.replace`` changes either."""
+    """A Gaussian mixture; ``means`` left None are
+    ``default_circle_means(classes, dim)`` when the data is generated."""
 
     RANGES = {"pool_size": ">= 1", "val_size": ">= 2", "hyp_size": ">= 0",
               "classes": ">= 2", "dim": ">= 1", "sigma": "> 0"}
@@ -158,16 +169,14 @@ class SyntheticSpec(_Config):
 
     def __post_init__(self):
         super().__post_init__()
-        means = self.means
-        # the default is one cached array per shape, so it is known by identity
-        if means is None or (isinstance(means, np.ndarray) and means.ndim == 2
-                             and means is default_circle_means(*means.shape)):
-            means = default_circle_means(self.classes, self.dim)
-        object.__setattr__(self, "means",
-                           mixture_means(means, self.classes, self.dim))
+        if self.means is not None:
+            object.__setattr__(self, "means", mixture_means(
+                self.means, self.classes, self.dim))
 
     def load(self, n: int, seed: int):
-        return synth_gaussian_mixture(self.classes, self.dim, self.means,
+        means = (default_circle_means(self.classes, self.dim)
+                 if self.means is None else self.means)
+        return synth_gaussian_mixture(self.classes, self.dim, means,
                                       self.sigma, n, seed)
 
 
@@ -238,10 +247,13 @@ def _check_grid(grid: dict, config, path: str) -> None:
     """Raise ValueError naming the first entry of ``grid``, at ``path``, that
     a search over ``config``'s keys cannot run: a grid over a class with
     keys names at least one, each a key, with values the class takes; a
-    class with none takes only an empty grid."""
+    class with none takes only an empty grid. A grid that is not an object
+    and a value list that is empty or not a list are TypeMismatchErrors."""
     keys = _keys(type(config))
     if not keys and grid != {}:
         raise ValueError(f"{path}: {config.method} has no hyperparameters")
+    if not isinstance(grid, dict):
+        raise TypeMismatchError(f"{path}: expected an object of lists")
     if keys and not grid:
         raise ValueError(f"{path}: grid must name at least one "
                          "hyperparameter")
@@ -250,7 +262,7 @@ def _check_grid(grid: dict, config, path: str) -> None:
             raise UnknownKeyError(
                 f"{path}.{name}: not a searchable hyperparameter")
         if not isinstance(grid[name], list) or not grid[name]:
-            raise ValueError(f"{path}.{name}: expected a non-empty list")
+            raise TypeMismatchError(f"{path}.{name}: expected a non-empty list")
         for val in grid[name]:
             try:
                 dataclasses.replace(config, **{name: val})
@@ -258,10 +270,9 @@ def _check_grid(grid: dict, config, path: str) -> None:
                 raise ValueError(f"{path}.{name}: {exc}") from None
 
 
-@functools.cache
 def default_circle_means(classes: int, dim: int):
     """Class means evenly spaced on a circle of radius 3 in the first two
-    dims (on [-3, 3] when dim is 1); one shared read-only array per shape."""
+    dims (on [-3, 3] when dim is 1)."""
     means = np.zeros((classes, dim))
     if dim == 1:
         means[:, 0] = np.linspace(-3.0, 3.0, classes)
@@ -269,39 +280,31 @@ def default_circle_means(classes: int, dim: int):
         angles = 2.0 * np.pi * np.arange(classes) / classes
         means[:, 0] = 3.0 * np.cos(angles)
         means[:, 1] = 3.0 * np.sin(angles)
-    means.flags.writeable = False
     return means
 
 
 def _parse_dataset(sec: _Section, base_dir: str):
     kind = sec.string("kind", choices={"synthetic", "file"})
     if kind == "synthetic":
-        spec = _build(sec, SyntheticSpec)
+        # null reads as absent
         means = sec.raw("means", None)
-        if means is not None:
-            if not (isinstance(means, list) and len(means) == spec.classes
-                    and all(isinstance(row, list) and len(row) == spec.dim
-                            for row in means)):
-                raise TypeMismatchError(f"{sec.path}.means: expected "
-                                        f"{spec.classes} lists of {spec.dim} "
-                                        "numbers")
-            spec = dataclasses.replace(spec, means=np.array(
-                [[_number(v, f"{sec.path}.means[{i}][{j}]")
-                  for j, v in enumerate(row)] for i, row in enumerate(means)]))
+        spec = _build(sec, SyntheticSpec, means=None if means is None
+                      else _rows_of_numbers(means, f"{sec.path}.means"))
         sec.finish()
         return spec
     fmt = sec.string("format", choices=set(_LOADERS))
-    # only idx reads a separate labels file: elsewhere the key is unknown
-    spec = _build(sec, FileSpec, format=fmt,
-                  **({} if fmt == "idx" else {"labels_path": None}))
-    sec.finish()
+    # only idx reads a separate labels file: elsewhere the key is unknown;
     # os.path.join keeps an absolute name as it is
-    files = {key: os.path.join(base_dir, name) for key in ("path", "labels_path")
-             if (name := getattr(spec, key)) is not None}
+    names = {"path": sec.string("path"), "labels_path":
+             sec.string("labels_path", None) if fmt == "idx" else None}
+    files = {key: name if name is None else os.path.join(base_dir, name)
+             for key, name in names.items()}
     for key, resolved in files.items():
-        if not os.path.exists(resolved):
+        if resolved is not None and not os.path.exists(resolved):
             raise ConfigError(f"{sec.path}.{key}: no such file {resolved!r}")
-    return dataclasses.replace(spec, **files)
+    spec = _build(sec, FileSpec, format=fmt, **files)
+    sec.finish()
+    return spec
 
 
 def _build(sec: _Section, cls, **extra):
@@ -339,34 +342,18 @@ def _build(sec: _Section, cls, **extra):
                    else f"{path}: {exc}") from None
 
 
-def _parse_grid(sec: _Section, key: str, cls) -> dict:
-    """A {name: [values]} grid. Each value of a config key of ``cls`` is
-    read as key ``name`` of a section that builds ``cls``; ExperimentConfig
-    checks the names."""
-    path = f"{sec.path}.{key}"
-    grid = sec.raw(key, _REQUIRED)
-    if not isinstance(grid, dict):
-        raise TypeMismatchError(f"{path}: expected an object of lists")
-    for name in sorted(grid.keys() & _keys(cls).keys()):
-        vals = grid[name]
-        if not isinstance(vals, list) or not vals:
-            raise TypeMismatchError(f"{path}.{name}: expected a non-empty list")
-        for val in vals:
-            _build(_Section({name: val}, path), cls)
-    return dict(sorted(grid.items()))
-
-
 def _parse_hpo(sec: _Section, posthoc_cls):
+    """The hpo section; ExperimentConfig checks its grids' names and
+    values."""
     if sec is None:
         return None
-    train_grid = _parse_grid(sec, "train_grid", TrainConfig)
-    if _keys(posthoc_cls):
-        posthoc_grid = _parse_grid(sec, "posthoc_grid", posthoc_cls)
-    else:
-        # nothing to search: ExperimentConfig takes only an empty grid
-        posthoc_grid = sec.raw("posthoc_grid", None)
+    train_grid = sec.raw("train_grid")
+    keyed = bool(_keys(posthoc_cls))
+    posthoc_grid = sec.raw("posthoc_grid", _REQUIRED if keyed else None)
+    if posthoc_grid is None and not keyed:
+        posthoc_grid = {}  # nothing to search: null reads as absent
     hpo = _build(sec, HpoSpec, train_grid=train_grid,
-                 posthoc_grid={} if posthoc_grid is None else posthoc_grid)
+                 posthoc_grid=posthoc_grid)
     sec.finish()
     return hpo
 
@@ -407,10 +394,13 @@ def parse_config_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
     dataset = _parse_dataset(root.section("dataset"), base_dir)
     tbal = _parse_tbal(root.section("tbal"))
     hpo = _parse_hpo(root.section("hpo", required=False), type(tbal.posthoc))
-    cfg = _build(root, ExperimentConfig, dataset=dataset, tbal=tbal, hpo=hpo)
+    # a relative output_dir names a directory beside the config
+    output_dir = os.path.join(
+        base_dir, root.string("output_dir", ExperimentConfig.output_dir))
+    cfg = _build(root, ExperimentConfig, dataset=dataset, tbal=tbal, hpo=hpo,
+                 output_dir=output_dir)
     root.finish()
-    return dataclasses.replace(
-        cfg, output_dir=os.path.join(base_dir, cfg.output_dir))
+    return cfg
 
 
 def parse_config(path: str) -> ExperimentConfig:

@@ -236,8 +236,11 @@ def random_split(m: int, fraction: float,
 
 def mixture_means(means, num_classes: int, dim: int) -> np.ndarray:
     """``means`` as a float64 array, which must be (num_classes, dim)."""
-    means = np.asarray(means, dtype=np.float64)
-    if means.shape != (num_classes, dim):
+    try:
+        means = np.asarray(means, dtype=np.float64)
+    except ValueError:  # ragged rows have no shape
+        means = None
+    if means is None or means.shape != (num_classes, dim):
         raise ValueError(f"means must have shape ({num_classes}, {dim})")
     return means
 
@@ -252,7 +255,7 @@ def synth_gaussian_mixture(num_classes: int, dim: int, means, sigma: float,
     """
     means = mixture_means(means, num_classes, dim)
     if sigma <= 0:
-        raise ValueError("sigma must be positive")
+        raise ValueError("sigma must be > 0")
     if n < num_classes:
         raise ValueError("need at least one point per class")
     counts = np.full(num_classes, n // num_classes, dtype=np.int64)

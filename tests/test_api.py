@@ -168,6 +168,23 @@ def test_one_function_holds_each_input_rule():
 
 
 
+def test_the_parser_builds_each_config_object_once():
+    # a section's object is built from the values the parser read, never
+    # built and then rebuilt by dataclasses.replace; _check_grid's replace
+    # is the check of one grid value, not a second build of the config
+    fns = {node.name: node for node in ast.walk(ast.parse(
+        (SRC / "config.py").read_text())) if isinstance(node, ast.FunctionDef)
+        and (node.name == "parse_config_dict"
+             or node.name.startswith("_parse_"))}
+    assert set(fns) == {"parse_config_dict", "_parse_dataset", "_parse_hpo",
+                        "_parse_tbal"}
+    replacing = {name for name, fn in fns.items() for node in ast.walk(fn)
+                 if isinstance(node, ast.Call)
+                 and ast.unparse(node.func) in ("dataclasses.replace",
+                                                "replace")}
+    assert replacing == set()
+
+
 def test_one_function_checks_the_range_tables():
     # a range is a rule in its class's RANGES table, and its message is the
     # rule; no class writes a range check of its own beside the table

@@ -54,7 +54,19 @@ def test_minimal_config_defaults():
     assert cfg.tbal.thresholds.eps_a == 0.05
     assert cfg.tbal.posthoc == al.SoftmaxConfig()
     assert cfg.tbal.hidden == (32,)
-    assert np.allclose(cfg.dataset.means, default_circle_means(4, 2))
+    assert cfg.dataset.means is None
+    assert_circle_data(cfg.dataset)
+
+
+def assert_circle_data(spec):
+    # means left out are the circle of the spec's own shape when the data
+    # is generated
+    data = spec.load(40, seed=3)
+    circle = al.synth_gaussian_mixture(
+        spec.classes, spec.dim, default_circle_means(spec.classes, spec.dim),
+        spec.sigma, 40, 3)
+    assert np.array_equal(data.features, circle.features)
+    assert np.array_equal(data.hidden_labels, circle.hidden_labels)
 
 
 def test_default_circle_means():
@@ -132,14 +144,35 @@ def test_means_validation():
                                                       [-1, 0], [0, -1]]}))
     assert np.array_equal(good.dataset.means,
                           [[1, 0], [0, 1], [-1, 0], [0, -1]])
-    with pytest.raises(TypeMismatchError, match=r"config\.dataset\.means"):
-        parse_config_dict(doc(**{"dataset.means": [[1, 0], [0, 1]]}))
-    with pytest.raises(TypeMismatchError, match=r"config\.dataset\.means"):
-        parse_config_dict(doc(**{"dataset.means": "origin"}))
+    # the parser reads rows of numbers; SyntheticSpec checks their shape
+    for means in ([[1, 0], [0, 1]], [[1, 0], [0, 1], [-1, 0], [0]]):
+        with pytest.raises(RangeError, match=r"^config\.dataset\.means: "
+                                             r"means must have shape \(4, 2\)$"):
+            parse_config_dict(doc(**{"dataset.means": means}))
+    for means in ("origin", [1, 0, 0, 1]):
+        with pytest.raises(TypeMismatchError, match=r"^config\.dataset\.means: "
+                                                    "expected a list of lists"):
+            parse_config_dict(doc(**{"dataset.means": means}))
     with pytest.raises(RangeError,
                        match=r"config\.dataset\.means\[1\]\[1\]: .*finite"):
         parse_config_dict(doc(**{"dataset.means": [[1, 0], [0, float("nan")],
                                                    [-1, 0], [0, -1]]}))
+
+
+@pytest.mark.parametrize("fault, message", [
+    ({"means": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0]]},
+     "means must have shape (4, 2)"),
+    ({"sigma": 0}, "sigma must be > 0"),
+], ids=["ragged means", "sigma"])
+def test_a_direct_mixture_call_refuses_as_the_spec_does(fault, message):
+    # one rule, one message, whether the data is generated directly or
+    # from a spec built in code
+    given = {"sigma": 1.0, "means": default_circle_means(4, 2), **fault}
+    with pytest.raises(ValueError) as direct:
+        al.synth_gaussian_mixture(4, 2, given["means"], given["sigma"], 40, 0)
+    with pytest.raises(ValueError) as spec:
+        SyntheticSpec(pool_size=200, val_size=100, classes=4, dim=2, **given)
+    assert str(direct.value) == str(spec.value) == message
 
 
 @pytest.mark.parametrize("entry", [True, False, "1", "1.5", None, [1]])
@@ -233,6 +266,12 @@ def test_hpo_parsing():
     bad = copy.deepcopy(d)
     bad["hpo"]["train_grid"]["learning_rate"] = []
     with pytest.raises(TypeMismatchError, match="non-empty list"):
+        parse_config_dict(bad)
+
+    bad = copy.deepcopy(d)
+    bad["hpo"]["train_grid"] = [0.1]
+    with pytest.raises(TypeMismatchError, match=r"^config\.hpo\.train_grid: "
+                                                "expected an object of lists$"):
         parse_config_dict(bad)
 
     bad = copy.deepcopy(d)
@@ -802,9 +841,24 @@ BUILT_IN_CODE = {
         lambda cfg: FileSpec(pool_size=1, val_size=2, path="points.csv",
                              format="csv", labels_path="labels.idx")),
     "means not classes x dim": (
-        "means", None,
+        "dataset.means", {"dataset.means": [[0, 0], [0, 0], [0, 0]]},
         lambda cfg: SyntheticSpec(pool_size=200, val_size=100, classes=4,
                                   dim=2, sigma=1.0, means=np.zeros((3, 2)))),
+    "ragged means": (
+        "dataset.means", {"dataset.means": [[0, 0], [0, 0], [0, 0], [0]]},
+        lambda cfg: SyntheticSpec(pool_size=200, val_size=100, classes=4,
+                                  dim=2, sigma=1.0,
+                                  means=[[0, 0], [0, 0], [0, 0], [0]])),
+    "grid value of the wrong type": (
+        "hpo.train_grid.max_epochs",
+        {"hpo": {"train_grid": {"max_epochs": ["20"]}}},
+        lambda cfg: dataclasses.replace(cfg, hpo=HpoSpec(
+            {"max_epochs": ["20"]}, {}))),
+    "grid value beyond float range": (
+        "hpo.train_grid.learning_rate",
+        {"hpo": {"train_grid": {"learning_rate": [HUGE]}}},
+        lambda cfg: dataclasses.replace(cfg, hpo=HpoSpec(
+            {"learning_rate": [HUGE]}, {}))),
 }
 
 
@@ -813,31 +867,68 @@ BUILT_IN_CODE = {
 def test_a_config_built_in_code_is_refused_when_it_is_built(key, overrides,
                                                             build):
     # so it never reaches run_experiment or hyperparameter_search; a rule
-    # across sections reads as the parser reports it, less "config."
+    # across sections reads as the parser reports it, less "config.", and
+    # a section's rule as it does less "config.<key path>: "
     cfg = parse_config_dict(HPO_DOC)
-    with pytest.raises(ValueError, match=re.escape(key)) as built:
+    with pytest.raises(ValueError,
+                       match=re.escape(key.rsplit(".", 1)[-1])) as built:
         build(cfg)
     if overrides is not None:
         with pytest.raises(ConfigError) as parsed:
             parse_config_dict(doc(**{"dataset.hyp_size": 50, **overrides}))
-        assert str(parsed.value) == f"config.{built.value}"
-        assert str(built.value).startswith(f"{key}: ")
+        message = str(built.value)
+        if not message.startswith(f"{key}: "):
+            message = f"{key}: {message}"  # a section's class names its field
+        assert str(parsed.value) == f"config.{message}"
 
 
 def test_default_means_follow_classes_and_dim():
-    # means left at the default are the circle of the spec's own shape;
-    # means given are checked against it
+    # means left out stay None, so a spec of any shape generates the circle
+    # of its own; means given are checked against the shape
     spec = parse_config_dict(doc()).dataset
-    assert dataclasses.replace(spec, classes=3).means \
-        is default_circle_means(3, 2)
-    assert dataclasses.replace(spec, dim=1).means.shape == (4, 1)
+    for changed in (dataclasses.replace(spec, classes=3),
+                    dataclasses.replace(spec, dim=1)):
+        assert changed.means is None
+        assert_circle_data(changed)
     given = dataclasses.replace(spec, means=np.ones((4, 2)))
     assert np.array_equal(dataclasses.replace(given, pool_size=9).means,
                           np.ones((4, 2)))
     with pytest.raises(ValueError, match=r"^means must have shape \(3, 2\)$"):
         dataclasses.replace(given, classes=3)
-    with pytest.raises(ValueError, match="read-only"):
-        spec.means[0, 0] = 1.0
+
+
+SEARCH_DOC = doc(**{
+    "dataset.hyp_size": 50,
+    "dataset.means": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+    "tbal.train": {"max_epochs": 5},
+    "tbal.posthoc": {"method": "confidence_net"},
+    "hpo": {"train_grid": {"learning_rate": [0.1, 0.2, 0.3],
+                           "max_epochs": [10, 20]},
+            "posthoc_grid": {"lam": [1.0, 10.0, 100.0], "alpha": [1, 2]}}})
+
+
+def test_a_parse_builds_each_config_object_once(tmp_path, monkeypatch):
+    # one field check per config object in the result, plus one per grid
+    # value (the check of that value); a rebuild would add a check
+    checked = []
+    check = al.mlp._check_fields
+    monkeypatch.setattr(al.mlp, "_check_fields",
+                        lambda config: checked.append(config) or check(config))
+    cfg = parse_config_dict(SEARCH_DOC)
+    objects = (cfg, cfg.dataset, cfg.hpo, cfg.tbal, cfg.tbal.thresholds,
+               cfg.tbal.train, cfg.tbal.posthoc)
+    assert len(checked) == len(objects) + 10 == 17
+    assert {id(obj) for obj in objects} <= {id(obj) for obj in checked}
+    checked.clear()
+    (tmp_path / "points.csv").write_text("0.0,1.0,0\n1.0,0.0,1\n")
+    cfg = parse_config_dict(doc(
+        dataset={"kind": "file", "path": "points.csv", "format": "csv",
+                 "pool_size": 1, "val_size": 2}, **{"tbal.seed_size": 1}),
+        base_dir=str(tmp_path))
+    objects = (cfg, cfg.dataset, cfg.tbal, cfg.tbal.thresholds,
+               cfg.tbal.train)
+    assert len(checked) == len(objects) == 5
+    assert {id(obj) for obj in checked} == {id(obj) for obj in objects}
 
 
 @pytest.mark.parametrize("grid", [[], 5, "lam", {"lam": []}],
