@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledSet
-from .mlp import _Config, _chunk_bounds, _epoch_batches, _flat_views, softmax
+from .data import LabeledSet, _Config
+from .mlp import _chunk_bounds, _epoch_batches, _flat_views, softmax
 from .rng import stream
 
 

@@ -9,7 +9,7 @@ Each section builds its config class, its schema (the tbal section builds
 ``TbalConfig`` and ``ThresholdConfig``; posthoc's "method" names a class): a
 section's keys are its class's int, float and str fields, optional ones
 included, a key left out takes the field's default, and building the class
-checks the ranges of its ``RANGES`` table (``mlp._check_fields``). The
+checks the ranges of its ``RANGES`` table (``data._check_fields``). The
 parser reads JSON: it checks types, finiteness and unknown or missing keys,
 resolves file names and output_dir against the config's directory, and
 keeps no default or range of its own beyond the grid size and the hidden
@@ -29,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confidence import POSTHOC_CONFIGS
-from .data import (_LOADERS, check_format, load_dataset, mixture_means,
-                   synth_gaussian_mixture)
+from .data import (_LOADERS, _Config, _keys, check_format, load_dataset,
+                   mixture_means, synth_gaussian_mixture)
 from .loop import TbalConfig
-from .mlp import TrainConfig, _Config, _keys
+from .mlp import TrainConfig
 from .thresholds import ThresholdConfig, uniform_grid
 
 
@@ -418,9 +418,11 @@ def parse_config(path: str) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f, object_pairs_hook=unique_keys)
+    except ConfigError:
+        raise
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read the config ({exc})") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer past int's digit limit
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise TypeMismatchError(f"{path}: top level must be an object")

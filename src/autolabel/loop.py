@@ -29,15 +29,10 @@ import numpy as np
 
 from .confidence import (ConfidenceModel, PosthocConfig, SoftmaxConfig,
                          fit_posthoc)
-from .data import LabeledSet, Pool, random_query, random_split
-from .mlp import (
-    TrainConfig,
-    _Config,
-    margin_scores,
-    softmax,
-    train_model,
-)
-from .rng import _is_integer, child_seed
+from .data import (LabeledSet, Pool, _Config, _is_integer, random_query,
+                   random_split)
+from .mlp import TrainConfig, margin_scores, softmax, train_model
+from .rng import child_seed
 from .thresholds import (
     ThresholdConfig,
     ThresholdVector,

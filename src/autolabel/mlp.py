@@ -6,77 +6,17 @@ float32 numpy. Two losses are supported: plain cross-entropy and squentropy
 (cross-entropy plus the mean squared logit over the incorrect classes).
 
 Everything a fitted model computes is deterministic; training is deterministic
-given the seed ``train_model`` takes.
+given ``train_model``'s seed and its ``TrainConfig``, a ``data._Config``.
 """
 
 from __future__ import annotations
 
-import functools
-import numbers
-import sys
-import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledSet
-from .rng import _is_integer, stream
-
-
-@functools.cache
-def _keys(cls) -> dict:
-    """{key: int, float or str} for each config key of config class cls:
-    its fields of those types, or of one of them or None, in field order."""
-    types = typing.get_type_hints(cls)
-    return {f.name: kind for f in fields(cls) for kind in (int, float, str)
-            if types[f.name] in (kind, kind | None)}
-
-
-def _holds(value, rule: str) -> bool:
-    """Whether ``value`` meets ``rule``: "> b", ">= b", or "in" an interval
-    whose brackets mark each end closed or open, as in "in [0, 1)"."""
-    if rule.startswith(">"):
-        bound = float(rule.split(" ")[1])
-        return value > bound or rule[1] == "=" and value == bound
-    lo, hi = map(float, rule[4:-1].split(", "))
-    return ((lo < value or rule[3] == "[" and value == lo)
-            and (value < hi or rule[-1] == "]" and value == hi))
-
-
-def _check_fields(config) -> None:
-    """Raise ValueError naming the first int or float field of ``config``,
-    in field order, that is not an integer or not a finite number, then
-    the first key of its class's ``RANGES`` table that breaks its rule:
-    "<key> must be <rule>". This is the one place ranges are checked. An
-    optional key, one whose default is None, is unset when None.
-
-    A field's type is its annotation, read as the config parser reads it
-    (``_keys``). Types come first: a rule's comparisons pass NaN, a float
-    count would fail deep in a fit, and a float width would be truncated.
-    A bool is neither type (True would pass as 1), nor is a string or None;
-    an integer beyond float range is not finite.
-    """
-    for name, kind in _keys(type(config)).items():
-        value = getattr(config, name)
-        if value is None and getattr(type(config), name, 0) is None:
-            continue
-        if kind is int and not _is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if kind is float and (isinstance(value, (bool, np.bool_))
-                              or not isinstance(value, numbers.Real)
-                              or not abs(value) <= sys.float_info.max):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
-    for name, rule in config.RANGES.items():
-        value = getattr(config, name)
-        if value is not None and not _holds(value, rule):
-            raise ValueError(f"{name} must be {rule}")
-
-
-class _Config:
-    """Base of the config classes: building one checks its fields."""
-
-    def __post_init__(self):
-        _check_fields(self)
+from .data import LabeledSet, _Config
+from .rng import stream
 
 
 @dataclass(frozen=True)

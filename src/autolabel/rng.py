@@ -4,20 +4,17 @@ Every stochastic operation in this package takes an integer seed. Orchestration
 code never reuses a seed for two purposes; instead it derives child seeds from
 a master seed plus a tag path (round index, purpose string, ...). Derivation
 goes through sha256 so it is stable across processes and platforms; Python's
-builtin hash() is salted per process and must never be used here.
+builtin hash() is salted per process and must never be used here. A
+master seed is checked by the integer rule of ``data``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import numbers
 
 import numpy as np
 
-
-def _is_integer(value) -> bool:
-    """An integer that is not a bool: Python counts True as the integer 1."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+from .data import _is_integer
 
 
 def child_seed(master: int, *tags) -> int:

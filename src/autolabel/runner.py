@@ -96,10 +96,6 @@ def _mapper(shared: tuple, workers: int):
 def _one_run(pool: Pool, val: LabeledSet, tbal_cfg: TbalConfig, seed: int,
              run_dir: str) -> dict:
     os.makedirs(run_dir, exist_ok=True)
-    # a forced rerun with fewer rounds leaves no earlier run's score files
-    for name in os.listdir(run_dir):
-        if name.startswith("scores_round_") and name.endswith(".csv"):
-            os.remove(os.path.join(run_dir, name))
     report = run_tbal(tbal_cfg, pool, val, seed)
     for rec in report.rounds:
         write_score_dump(os.path.join(
@@ -153,6 +149,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     run_dirs = [_output_path(cfg, out_dir, f"run_{r:02d}", force)
                 for r in range(cfg.repeats)]
     pool, val, _ = materialize_dataset(cfg)
+    out = os.path.dirname(summary_path) or os.curdir
+    # a forced rerun starts from no earlier run's directory or files
+    for name in os.listdir(out) if force and os.path.isdir(out) else ():
+        if re.fullmatch(r"run_\d\d+", name):
+            shutil.rmtree(os.path.join(out, name))
     tasks = [(cfg.tbal, child_seed(cfg.master_seed, "run", r), run_dir)
              for r, run_dir in enumerate(run_dirs)]
     # the pool starts all max_workers processes on its first submit
@@ -171,11 +172,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         "final_error_std": err_std,
         "runs_without_auto_labels": cfg.repeats - len(errors),
     }
-    out = os.path.dirname(summary_path) or os.curdir
-    # a forced rerun with fewer repeats leaves no earlier run's directory
-    for name in os.listdir(out) if force else ():
-        if re.fullmatch(r"run_\d\d+", name) and int(name[4:]) >= cfg.repeats:
-            shutil.rmtree(os.path.join(out, name))
     _write_json(summary_path, summary)
     return summary
 

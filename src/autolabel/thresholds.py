@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mlp import _Config
+from .data import _Config
 
 
 def uniform_grid(size: int) -> np.ndarray:

@@ -142,7 +142,7 @@ def calls_to(name):
 def test_one_function_holds_each_input_rule():
     # the integer rule
     assert owners(lambda node: isinstance(node, ast.Attribute)
-                  and node.attr == "Integral") == {("rng.py", "_is_integer")}
+                  and node.attr == "Integral") == {("data.py", "_is_integer")}
     # the missing-key rule
     assert owners(calls_to("MissingKeyError")) == {("config.py", "_fetch")}
     # a config's field types are its annotations: no call lists fields
@@ -188,19 +188,19 @@ def test_the_parser_builds_each_config_object_once():
 def test_one_function_checks_the_range_tables():
     # a range is a rule in its class's RANGES table, and its message is the
     # rule; no class writes a range check of its own beside the table
-    assert owners(calls_to("_holds")) == {("mlp.py", "_check_fields")}
+    assert owners(calls_to("_holds")) == {("data.py", "_check_fields")}
     tabled = [cls for module in vars(autolabel).values()
               if inspect.ismodule(module) for cls in vars(module).values()
               if inspect.isclass(cls) and hasattr(cls, "RANGES")]
     assert len(set(tabled)) == 9
-    assert all(issubclass(cls, autolabel.mlp._Config) for cls in tabled)
+    assert all(issubclass(cls, autolabel.data._Config) for cls in tabled)
     for cls in tabled:
         source = inspect.getsource(cls.__post_init__)
         assert [key for key in cls.RANGES if f"{key} must be" in source] == []
 
 
 def test_only_the_base_config_class_checks_fields():
-    # a config class checks its fields by deriving from mlp._Config, whose
+    # a config class checks its fields by deriving from data._Config, whose
     # __post_init__ makes the one call; a class with rules beyond its table
     # calls that __post_init__ first
     methods = {(path.name, cls.name, fn.name) for path in SRC.glob("*.py")
@@ -208,8 +208,53 @@ def test_only_the_base_config_class_checks_fields():
                if isinstance(cls, ast.ClassDef)
                for fn in cls.body if isinstance(fn, ast.FunctionDef)
                and any(map(calls_to("_check_fields"), ast.walk(fn)))}
-    assert methods == {("mlp.py", "_Config", "__post_init__")}
-    assert owners(calls_to("_check_fields")) == {("mlp.py", "__post_init__")}
+    assert methods == {("data.py", "_Config", "__post_init__")}
+    assert owners(calls_to("_check_fields")) == {("data.py", "__post_init__")}
+
+
+def imports(module: str) -> "set[str]":
+    """Every module that the package module ``module`` imports anywhere in
+    its source, a package module named with its leading dot (".data")."""
+    found = set()
+    for node in ast.walk(ast.parse((SRC / module).read_text())):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found.add("." * node.level + (node.module or ""))
+    return found
+
+
+def test_the_input_rules_live_in_data_not_in_the_classifier():
+    # each input rule and the config base is defined once, in data.py; the
+    # classifier keeps none of their imports, and the threshold module
+    # takes its config base without importing the classifier
+    rules = ("_Config", "_check_fields", "_holds", "_is_integer", "_keys")
+    defined = sorted((path.name, node.name) for path in SRC.glob("*.py")
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                     and node.name in rules)
+    assert defined == [("data.py", name) for name in rules]
+    assert imports("mlp.py") & {"functools", "numbers", "sys", "typing"} \
+        == set()
+    assert ".mlp" not in imports("thresholds.py")
+
+
+# the package's modules, each importing only modules before it; a tuple
+# holds modules that import neither each other
+LAYERS = ("data", "rng", "mlp", ("confidence", "thresholds"), "loop",
+          "config", "runner", "cli")
+
+
+def test_each_module_imports_only_modules_below_it():
+    place = {module: at for at, layer in enumerate(LAYERS)
+             for module in ((layer,) if isinstance(layer, str) else layer)}
+    assert set(place) == {path.stem for path in SRC.glob("*.py")} \
+        - {"__init__"}
+    upward = sorted(f"{module} imports {name}" for module in place
+                    for name in imports(f"{module}.py")
+                    if name.startswith(".")
+                    and place[name[1:]] >= place[module])
+    assert upward == [], upward
 
 
 def test_the_parser_keeps_no_range_or_default_of_a_config_key():

@@ -218,6 +218,16 @@ def test_integer_beyond_float_range_exit_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_integer_past_the_digit_limit_exit_1(tmp_path, capsys):
+    # json refuses to convert an integer of more than 4,300 digits
+    cfg = write_config(tmp_path)
+    text = open(cfg).read().replace('"repeats": 1', '"repeats": ' + "1" * 5000)
+    (tmp_path / "exp.json").write_text(text)
+    assert main(["run", "--config", cfg]) == 1
+    assert f"config error: {cfg}: invalid JSON (" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "hpo"])
 def test_negative_seed_exit_1(tmp_path, capsys, command):
     cfg = write_config(tmp_path)

@@ -23,7 +23,7 @@ from autolabel.config import (
     parse_config,
     parse_config_dict,
 )
-from autolabel.mlp import _keys
+from autolabel.data import _keys
 
 BASE = {
     "dataset": {"kind": "synthetic", "classes": 4, "dim": 2, "sigma": 1.0,
@@ -911,8 +911,8 @@ def test_a_parse_builds_each_config_object_once(tmp_path, monkeypatch):
     # one field check per config object in the result, plus one per grid
     # value (the check of that value); a rebuild would add a check
     checked = []
-    check = al.mlp._check_fields
-    monkeypatch.setattr(al.mlp, "_check_fields",
+    check = al.data._check_fields
+    monkeypatch.setattr(al.data, "_check_fields",
                         lambda config: checked.append(config) or check(config))
     cfg = parse_config_dict(SEARCH_DOC)
     objects = (cfg, cfg.dataset, cfg.hpo, cfg.tbal, cfg.tbal.thresholds,

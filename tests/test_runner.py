@@ -262,6 +262,20 @@ def test_forced_rerun_with_fewer_repeats_leaves_no_earlier_run_dirs(
     assert sorted(os.listdir(out)) == ["notes", "run_00", "summary.json"]
 
 
+def test_forced_rerun_removes_files_left_in_a_run_dir(tmp_path):
+    out = tmp_path / "out"
+    cfg = experiment(SEPARABLE, tmp_path)
+    al.run_experiment(cfg)
+    made = sorted(os.listdir(out / "run_00"))
+    (out / "run_00" / "by_hand.txt").write_text("left\n")
+    (out / "notes").mkdir()
+    (out / "notes" / "kept.txt").write_text("kept\n")
+    al.run_experiment(cfg, force=True)
+    # a run directory holds what its run wrote; other entries are kept
+    assert sorted(os.listdir(out / "run_00")) == made
+    assert (out / "notes" / "kept.txt").read_text() == "kept\n"
+
+
 def test_parallel_jobs_match_serial(tmp_path):
     cfg_s = experiment(OVERLAPPING, tmp_path, name="serial", repeats=2)
     cfg_p = experiment(OVERLAPPING, tmp_path, name="parallel", repeats=2)
