@@ -17,13 +17,13 @@ from .config import ConfigError, parse_config
 from .runner import hyperparameter_search, run_experiment
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, outputs: str) -> None:
     p.add_argument("--config", required=True, help="path to a JSON config")
     p.add_argument("--seed", type=int, default=None,
                    help="override the config's master_seed")
     p.add_argument("--out", default=None, help="override the output directory")
     p.add_argument("--force", action="store_true",
-                   help="overwrite existing outputs")
+                   help=f"remove an earlier {outputs} once the data loads")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel worker processes")
 
@@ -69,11 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment config")
-    _add_common(p_run)
+    _add_common(p_run, "summary.json and every run_NN entry")
     p_run.set_defaults(func=_cmd_run)
 
     p_hpo = sub.add_parser("hpo", help="two-phase hyperparameter search")
-    _add_common(p_hpo)
+    _add_common(p_hpo, "hpo_result.json")
     p_hpo.set_defaults(func=_cmd_hpo)
     return parser
 

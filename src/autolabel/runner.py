@@ -116,21 +116,27 @@ def _mean_std(values):
     return float(arr.mean()), float(arr.std())
 
 
-def _output_path(cfg: ExperimentConfig, out_dir: str | None, name: str,
-                 force: bool) -> str:
-    """The path of ``name``, a file or run directory, in the output directory
-    (``out_dir``, else the config's); an existing one is refused without
-    ``force``. Nothing is made: the directory appears with the first file."""
-    out = out_dir if out_dir is not None else cfg.output_dir
-    path = os.path.join(out, name)
-    if os.path.exists(path) and not force:
-        raise OutputExistsError(f"{path} exists; pass force to overwrite")
-    return path
+def _outputs(cfg: ExperimentConfig, out_dir: str | None, owned: str,
+             force: bool):
+    """(``out_dir`` else the config's output directory; a function removing
+    its entries named by the regex ``owned``, each refused without force)."""
+    out = (out_dir if out_dir is not None else cfg.output_dir) or os.curdir
+    names = sorted(os.listdir(out)) if os.path.isdir(out) else []
+    paths = [os.path.join(out, n) for n in names if re.fullmatch(owned, n)]
+    if paths and not force:
+        raise OutputExistsError(f"{paths[0]} exists; pass force to overwrite")
+
+    def clear():  # rmtree refuses a symlink, which goes as one entry
+        for path in paths:
+            if os.path.isdir(path) and not os.path.islink(path):
+                shutil.rmtree(path)
+            else:
+                os.remove(path)
+    return out, clear
 
 
 def _write_json(path: str, doc) -> None:
-    # an empty output directory is the current one, as for the run dirs
-    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as f:
         json.dump(doc, f, sort_keys=True, indent=2)
         f.write("\n")
@@ -145,17 +151,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         ...
         summary.json
     """
-    summary_path = _output_path(cfg, out_dir, "summary.json", force)
-    run_dirs = [_output_path(cfg, out_dir, f"run_{r:02d}", force)
-                for r in range(cfg.repeats)]
+    out, clear = _outputs(cfg, out_dir, r"summary\.json|run_\d\d+", force)
     pool, val, _ = materialize_dataset(cfg)
-    out = os.path.dirname(summary_path) or os.curdir
-    # a forced rerun starts from no earlier run's directory or files
-    for name in os.listdir(out) if force and os.path.isdir(out) else ():
-        if re.fullmatch(r"run_\d\d+", name):
-            shutil.rmtree(os.path.join(out, name))
-    tasks = [(cfg.tbal, child_seed(cfg.master_seed, "run", r), run_dir)
-             for r, run_dir in enumerate(run_dirs)]
+    clear()
+    tasks = [(cfg.tbal, child_seed(cfg.master_seed, "run", r),
+              os.path.join(out, f"run_{r:02d}")) for r in range(cfg.repeats)]
     # the pool starts all max_workers processes on its first submit
     with _mapper((pool, val), min(jobs, len(tasks))) as run:
         results = run(_one_run, tasks)
@@ -172,7 +172,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         "final_error_std": err_std,
         "runs_without_auto_labels": cfg.repeats - len(errors),
     }
-    _write_json(summary_path, summary)
+    _write_json(os.path.join(out, "summary.json"), summary)
     return summary
 
 
@@ -183,10 +183,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
 def _combo_list(grid: dict):
     """Cartesian product of a {name: [values]} grid, stable order."""
     names = sorted(grid)
-    combos = []
-    for values in itertools.product(*(grid[name] for name in names)):
-        combos.append(dict(zip(names, values)))
-    return combos
+    return [dict(zip(names, values))
+            for values in itertools.product(*(grid[name] for name in names))]
 
 
 def _first_round_eval(pool: Pool, val: LabeledSet, hyp: LabeledSet,
@@ -251,8 +249,9 @@ def hyperparameter_search(cfg: ExperimentConfig, out_dir: str | None = None,
     """
     if cfg.hpo is None:
         raise ConfigError("config has no hpo section")
-    result_path = _output_path(cfg, out_dir, "hpo_result.json", force)
+    out, clear = _outputs(cfg, out_dir, r"hpo_result\.json", force)
     pool, val, hyp = materialize_dataset(cfg)
+    clear()
     spec: HpoSpec = cfg.hpo
     repeats = cfg.repeats
     seeds = [child_seed(cfg.master_seed, "hpo-run", r) for r in range(repeats)]
@@ -303,5 +302,5 @@ def hyperparameter_search(cfg: ExperimentConfig, out_dir: str | None = None,
             models = [m for _, _, m in runs[w]]
 
     result = {"records": records, **winners}
-    _write_json(result_path, result)
+    _write_json(os.path.join(out, "hpo_result.json"), result)
     return result

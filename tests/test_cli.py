@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -177,6 +178,14 @@ def test_run_existing_output_exit_2(tmp_path, capsys):
     assert main(["run", "--config", cfg]) == 2
     assert "exists" in capsys.readouterr().err
     assert main(["run", "--config", cfg, "--force"]) == 0
+
+
+def test_forced_run_removes_a_stray_run_file(tmp_path):
+    cfg = write_config(tmp_path)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "run_07").write_text("stray\n")
+    assert main(["run", "--config", cfg, "--force"]) == 0
+    assert sorted(os.listdir(tmp_path / "out")) == ["run_00", "summary.json"]
 
 
 def test_hpo_subcommand(tmp_path, capsys):

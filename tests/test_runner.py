@@ -222,6 +222,19 @@ def test_refuses_a_run_dir_left_without_a_summary(tmp_path):
     assert (left / "rounds.jsonl").read_text() != "kept\n"
 
 
+def test_refuses_a_stale_run_dir_beyond_its_repeats(tmp_path):
+    # run_05 is not a run of 2 repeats, but the summary would not count it
+    cfg = experiment(OVERLAPPING, tmp_path, repeats=2)
+    stale = tmp_path / "out" / "run_05"
+    stale.mkdir(parents=True)
+    (stale / "report.json").write_text("stale\n")
+    with pytest.raises(OutputExistsError, match=r"run_05 exists"):
+        al.run_experiment(cfg)
+    assert sorted(os.listdir(tmp_path / "out")) == ["run_05"]
+    assert os.listdir(stale) == ["report.json"]
+    assert (stale / "report.json").read_text() == "stale\n"
+
+
 def test_forced_rerun_leaves_no_earlier_score_files(tmp_path, monkeypatch):
     def score_files():
         return sorted(name for name in os.listdir(tmp_path / "out" / "run_00")
@@ -248,6 +261,8 @@ def test_forced_rerun_leaves_no_earlier_score_files(tmp_path, monkeypatch):
         al.run_experiment(experiment(OVERLAPPING, tmp_path, repeats=1),
                           force=True)
     assert score_files() == []
+    # nor the earlier summary, which counted a run the directory lost
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 def test_forced_rerun_with_fewer_repeats_leaves_no_earlier_run_dirs(
@@ -274,6 +289,19 @@ def test_forced_rerun_removes_files_left_in_a_run_dir(tmp_path):
     # a run directory holds what its run wrote; other entries are kept
     assert sorted(os.listdir(out / "run_00")) == made
     assert (out / "notes" / "kept.txt").read_text() == "kept\n"
+
+
+def test_forced_rerun_removes_a_run_symlink_not_its_target(tmp_path):
+    target = tmp_path / "elsewhere"
+    target.mkdir()
+    (target / "kept.txt").write_text("kept\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    os.symlink(target, out / "run_03", target_is_directory=True)
+    al.run_experiment(experiment(SEPARABLE, tmp_path), force=True)
+    assert sorted(os.listdir(out)) == ["run_00", "summary.json"]
+    assert os.listdir(target) == ["kept.txt"]
+    assert (target / "kept.txt").read_text() == "kept\n"
 
 
 def test_parallel_jobs_match_serial(tmp_path):
@@ -620,7 +648,7 @@ def hpo_experiment(tmp_path, name="hpo", method="top_label_hb"):
     return parse_config_dict(d, base_dir=str(tmp_path))
 
 
-def test_hpo_end_to_end(tmp_path):
+def test_hpo_end_to_end(tmp_path, monkeypatch):
     cfg = hpo_experiment(tmp_path)
     result = al.hyperparameter_search(cfg)
     phases = [r["phase"] for r in result["records"]]
@@ -639,6 +667,15 @@ def test_hpo_end_to_end(tmp_path):
     al.hyperparameter_search(cfg2)
     assert (tmp_path / "hpo" / "hpo_result.json").read_bytes() \
         == (tmp_path / "hpo2" / "hpo_result.json").read_bytes()
+    # a forced rerun removes the earlier result before its search starts,
+    # so a search that fails leaves none
+    def failing(*args):
+        raise RuntimeError("search fails")
+
+    monkeypatch.setattr(al.runner, "_first_round_eval", failing)
+    with pytest.raises(RuntimeError, match="search fails"):
+        al.hyperparameter_search(cfg, force=True)
+    assert not (tmp_path / "hpo" / "hpo_result.json").exists()
 
 
 def test_posthoc_phase_reuses_the_train_winners_classifiers(
