@@ -23,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -345,30 +344,8 @@ def dump_round_log(report: TbalReport, path: str) -> None:
 
 
 def dump_report(report: TbalReport, path: str) -> None:
-    """``json.dump(report.to_jsonable(), f, sort_keys=True, indent=2)`` and a
-    newline, byte for byte.
-
-    ``indent`` turns off json's C encoder, so only the small part of the
-    document goes through ``json.dumps``. The ``output`` lists, one entry
-    per labeled point, are written here in the lines ``indent=2`` makes at
-    their depth: each int as ``int.__repr__`` and each str as
-    ``encode_basestring_ascii`` writes it, which is what json uses.
-    """
-    doc = report.to_jsonable()
-    output = doc["output"]
-    doc["output"] = {}
-    # a top-level key starts a line; a string's own newlines are escaped
-    head, tail = json.dumps(doc, sort_keys=True, indent=2).split(
-        '\n  "output": {}', 1)
-    fields = []
-    for key in sorted(output):
-        values = output[key]
-        items = "[]"
-        if values:
-            enc = (encode_basestring_ascii if isinstance(values[0], str)
-                   else int.__repr__)
-            items = "[\n      " + ",\n      ".join(map(enc, values)) + "\n    ]"
-        fields.append(f"    {encode_basestring_ascii(key)}: {items}")
+    """The whole report as one sorted-key JSON line, byte-stable across
+    reruns; each ``rounds`` entry is that round's ``dump_round_log`` line."""
     with open(path, "w") as f:
-        f.write(f'{head}\n  "output": {{\n' + ",\n".join(fields)
-                + f"\n  }}{tail}\n")
+        f.write(json.dumps(report.to_jsonable(), sort_keys=True))
+        f.write("\n")

@@ -119,8 +119,11 @@ def _mean_std(values):
 def _outputs(cfg: ExperimentConfig, out_dir: str | None, owned: str,
              force: bool):
     """(``out_dir`` else the config's output directory; a function removing
-    its entries named by the regex ``owned``, each refused without force)."""
+    its entries named by the regex ``owned``, each refused without force).
+    A path that exists and is not a directory is refused even with force."""
     out = (out_dir if out_dir is not None else cfg.output_dir) or os.curdir
+    if os.path.lexists(out) and not os.path.isdir(out):
+        raise OutputExistsError(f"{out} exists and is not a directory")
     names = sorted(os.listdir(out)) if os.path.isdir(out) else []
     paths = [os.path.join(out, n) for n in names if re.fullmatch(owned, n)]
     if paths and not force:

@@ -239,6 +239,13 @@ def test_the_input_rules_live_in_data_not_in_the_classifier():
     assert ".mlp" not in imports("thresholds.py")
 
 
+def test_no_module_imports_the_json_encoder():
+    # every JSON file is written by json.dump or json.dumps whole, not
+    # formatted by hand from the encoder's pieces
+    assert [path.name for path in SRC.glob("*.py")
+            if "json.encoder" in imports(path.name)] == []
+
+
 # the package's modules, each importing only modules before it; a tuple
 # holds modules that import neither each other
 LAYERS = ("data", "rng", "mlp", ("confidence", "thresholds"), "loop",

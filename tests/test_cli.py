@@ -180,6 +180,29 @@ def test_run_existing_output_exit_2(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--force"]) == 0
 
 
+@pytest.mark.parametrize("command", ["run", "hpo"])
+def test_output_path_that_is_a_file_exit_2_before_the_data_load(
+        tmp_path, capsys, monkeypatch, command):
+    cfg = write_config(
+        tmp_path,
+        dataset={"kind": "synthetic", "classes": 2, "dim": 2, "sigma": 0.6,
+                 "pool_size": 80, "val_size": 30, "hyp_size": 30},
+        hpo={"train_grid": {"max_epochs": [3]}})
+    afile = tmp_path / "afile"
+    afile.write_text("mine\n")
+    loads = []
+    monkeypatch.setattr("autolabel.runner.materialize_dataset",
+                        lambda cfg: loads.append(cfg))
+    for force in ([], ["--force"]):
+        assert main([command, "--config", cfg, "--out", str(afile)]
+                    + force) == 2
+        assert capsys.readouterr().err == (
+            f"error: OutputExistsError: {afile} exists and is not a "
+            "directory\n")
+    assert afile.read_text() == "mine\n"
+    assert loads == []
+
+
 def test_forced_run_removes_a_stray_run_file(tmp_path):
     cfg = write_config(tmp_path)
     (tmp_path / "out").mkdir()

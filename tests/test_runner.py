@@ -199,6 +199,16 @@ def test_rerun_is_byte_identical(tmp_path):
             == (tmp_path / "b" / rel).read_bytes(), rel
 
 
+def test_report_rounds_are_the_round_log_lines(tmp_path):
+    cfg = experiment(OVERLAPPING, tmp_path, repeats=1)
+    al.run_experiment(cfg)
+    run_dir = tmp_path / "out" / "run_00"
+    lines = (run_dir / "rounds.jsonl").read_text().splitlines()
+    assert len(lines) >= 2
+    report = (run_dir / "report.json").read_text()
+    assert '"rounds": [' + ", ".join(lines) + "]" in report
+
+
 def test_refuses_to_overwrite_without_force(tmp_path):
     cfg = experiment(SEPARABLE, tmp_path)
     first = al.run_experiment(cfg)
